@@ -64,15 +64,16 @@ Options ``--scale`` and ``--nodes`` size the appliance (defaults: scale
 0.002, 8 nodes).  ``--trace`` appends the nested telemetry span tree
 (parse → serial → XML → PDW → DSQL → execute) to any command's output.
 ``--executor {reference,compiled,vectorized,numpy}`` picks the
-execution backend by name — ``vectorized`` runs DSQL steps
-batch-at-a-time over columnar fragments (:mod:`repro.vector`) and
-``numpy`` runs the same plans over typed ndarrays (falling back to
-``vectorized`` when numpy is absent); ``--no-compiled-exec`` is the
-legacy spelling of ``--executor reference``.
-``--serial-runtime`` executes DSQL plans with the §2.4 serial reference
-walk (one step at a time, one node at a time) instead of the parallel
-runtime (step DAG + node thread pool + fast-path routing); both produce
-identical rows and stats.  The appliance is regenerated
+execution backend by name — ``numpy`` (the default) runs DSQL steps
+over typed ndarrays (falling back to ``vectorized`` when numpy is
+absent), ``vectorized`` batch-at-a-time over columnar Python lists
+(:mod:`repro.vector`), ``compiled`` row at a time through
+closure-compiled expressions; ``--no-compiled-exec`` is the legacy
+spelling of ``--executor reference``.
+``--parallel-runtime`` executes DSQL plans on the thread-pool runtime
+(step DAG + node thread pool + fast-path routing) instead of the
+default §2.4 serial walk (one step at a time, one node at a time); both
+produce identical rows and stats.  The appliance is regenerated
 deterministically on every invocation, so results are reproducible.
 """
 
@@ -107,19 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
                                  "numpy"),
                         default=None,
                         help="execution backend: reference (tree-walking "
-                             "interpreter), compiled (closure backend, "
-                             "default), vectorized (columnar batch "
-                             "kernels) or numpy (typed ndarray kernels; "
+                             "interpreter), compiled (closure backend), "
+                             "vectorized (columnar batch kernels) or "
+                             "numpy (typed ndarray kernels, default; "
                              "falls back to vectorized without numpy)")
     parser.add_argument("--no-compiled-exec", action="store_true",
                         help="execute with the reference tree-walking "
-                             "interpreter instead of the compiled "
-                             "closure backend (same as "
-                             "--executor reference)")
-    parser.add_argument("--serial-runtime", action="store_true",
-                        help="execute DSQL plans serially (one step at "
-                             "a time, one node at a time) instead of "
-                             "the parallel DAG/thread-pool runtime")
+                             "interpreter instead of the default "
+                             "backend (same as --executor reference)")
+    parser.add_argument("--parallel-runtime", action="store_true",
+                        help="execute DSQL plans on the DAG/thread-pool "
+                             "runtime instead of serially (one step at "
+                             "a time, one node at a time)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     explain = sub.add_parser(
@@ -336,7 +336,7 @@ def _cli_options(args) -> ExecutionOptions:
         executor = "reference"
     return ExecutionOptions(
         executor=executor,
-        parallel=False if args.serial_runtime else None)
+        parallel=True if args.parallel_runtime else None)
 
 
 def _run_service_traffic(args):

@@ -32,9 +32,9 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.algebra.logical import Query, collect_gets
+from repro.algebra.logical import Query
 from repro.algebra.properties import DistKind
 from repro.appliance.interpreter import InterpreterStats, PlanInterpreter
 from repro.appliance.scheduler import WorkerPool, resolve_parallel
@@ -53,7 +53,7 @@ from repro.obs.profiler import OperatorObserver
 from repro.obs.requests import NULL_REQUEST
 from repro.optimizer.binder import Binder
 from repro.pdw.dms import DmsOperation
-from repro.pdw.dsql import DsqlStep
+from repro.pdw.dsql import DsqlStep, canonical_step_sql
 from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.vector.executor import VectorInterpreter
@@ -135,10 +135,14 @@ class StepExecutionStats:
 
 @dataclass
 class _CachedStep:
-    """A step's SQL parsed + bound once, reusable on every node."""
+    """A step's SQL parsed + bound once, reusable on every node and by
+    every later execution of the same plan."""
 
     query: Query
-    tables: FrozenSet[str]  # lower-cased names the bound tree reads
+    #: Lower-cased temp-table names the tree was bound to, in
+    #: :func:`canonical_step_sql` order; a later execution reads its
+    #: own temps under these names.
+    temps: Tuple[str, ...]
 
 
 # Bounded so a long-lived session executing many distinct queries cannot
@@ -356,11 +360,18 @@ class _SourceRun:
 class DmsRuntime:
     """Executes DSQL steps against an :class:`Appliance`.
 
-    With ``compiled=True`` (default) each DSQL step's SQL text is parsed
-    and bound **once** and the bound plan is re-run against every node's
-    local tables with the closure-compiled executor; ``compiled=False``
-    restores the reference behaviour (re-parse per node, tree-walking
-    evaluator).  Cache effectiveness is observable through the
+    Each DSQL step's SQL text is parsed and bound **once** and the
+    bound plan is re-run against every node's local tables — the node
+    DBMS of §2.4 keeps the compiled statement of a re-issued step.  The
+    bound tree is keyed on the step text with per-execution temp names
+    canonicalised (:func:`repro.pdw.dsql.canonical_step_sql`) plus the
+    column signature of every temp table the step reads, and a later
+    execution reads its own temps through aliases in the per-node table
+    snapshot; so a re-executed plan re-uses the tree and, through the
+    expression-identity memos, its compiled kernels, while the same
+    text over a different temp schema binds afresh.  Only the reference
+    backend (``executor="reference"`` / ``compiled=False``) re-parses
+    per node.  Cache effectiveness is observable through the
     ``exec.compile_cache_hit`` / ``exec.compile_cache_miss`` telemetry
     counters.
 
@@ -368,20 +379,20 @@ class DmsRuntime:
     ``REPRO_PARALLEL_RUNTIME`` environment variable overrides the
     default): with it on, every source node's extract+route work runs
     on a thread pool sized to the appliance's node count and routing
-    takes the fast path (:func:`route_batch_fast`).  The parse/bind
-    caches are lock-guarded, so worker threads share them safely.
+    takes the fast path (:func:`route_batch_fast`).  The bind cache is
+    lock-guarded, so worker threads share it safely.
 
     ``executor`` names the node-local backend outright ("reference",
-    "compiled", "vectorized", "numpy"); when given it supersedes the
-    legacy ``compiled`` boolean.  ``"vectorized"`` runs step SQL
-    through :class:`repro.vector.VectorInterpreter` and routes DMS
-    batches column-wise (:func:`route_batch_columnar`) in both runtime
-    modes; ``"numpy"`` runs the typed-ndarray interpreter
-    (:class:`repro.vector.np_executor.NumpyInterpreter`) and hashes
+    "compiled", "vectorized", "numpy"); when not given, the legacy
+    ``compiled`` boolean picks the reference interpreter or the
+    default, ``"numpy"``: the typed-ndarray interpreter
+    (:class:`repro.vector.np_executor.NumpyInterpreter`), which hashes
     integer distribution keys with a vectorized CRC32 pass
-    (:func:`route_batch_numpy`).  Both share the compiled backend's
-    step bind cache, and ``"numpy"`` degrades to ``"vectorized"``
-    (with a single warning) when numpy is not importable.
+    (:func:`route_batch_numpy`) and degrades to ``"vectorized"`` (with
+    a single warning) when numpy is not importable.  ``"vectorized"``
+    runs step SQL through :class:`repro.vector.VectorInterpreter` and
+    routes DMS batches column-wise (:func:`route_batch_columnar`) in
+    both runtime modes.
     """
 
     def __init__(self, appliance: Appliance,
@@ -410,10 +421,7 @@ class DmsRuntime:
         self.profiling = False
         self._node_pool = WorkerPool(appliance.node_count, "repro-node")
         self._cache_lock = threading.RLock()
-        self._step_cache: "OrderedDict[str, _CachedStep]" = OrderedDict()
-        # Parse trees are schema-independent, so they survive the
-        # temp-table evictions that invalidate bound entries.
-        self._parse_cache: Dict[str, object] = {}
+        self._step_cache: "OrderedDict[tuple, _CachedStep]" = OrderedDict()
 
     def _record_movement(self, stats: StepExecutionStats,
                          operation: Optional[DmsOperation]) -> None:
@@ -474,13 +482,15 @@ class DmsRuntime:
                         observer: Optional[OperatorObserver] = None
                         ) -> Tuple[List[Tuple], List[str]]:
         """Bind (cached) and execute a step's SQL on one node."""
-        query = self._bind_step(sql)
+        query, aliases = self._bind_step(sql)
         # Snapshot the node's table map before handing it over: a system-
         # view refresh on another thread swaps dm_pdw_* fragments in and
         # out of the live dict, and the interpreter constructors iterate
         # their input.  dict.copy() is a single atomic op; the values are
         # shared list references, so this costs one small dict per step.
         tables = node.tables.copy()
+        for bound, actual in aliases:
+            tables[bound] = node.rows(actual)
         if self.executor == "numpy":
             # Imported lazily: the constructor has already verified
             # numpy is importable (effective_executor), and numpy-less
@@ -498,47 +508,41 @@ class DmsRuntime:
         rows = interpreter.run_query(query)
         return rows, query.output_names
 
-    def _bind_step(self, sql: str) -> Query:
-        """Parse + bind ``sql`` once per step; re-runs hit the cache.
+    def _bind_step(self, sql: str
+                   ) -> Tuple[Query, Tuple[Tuple[str, str], ...]]:
+        """The bound tree for ``sql`` plus the (bound name, this
+        execution's name) pair of every temp table it must read under
+        another name.  Parses + binds once per canonical step text and
+        temp schema; re-runs hit the cache.
 
         Lock-guarded: under the parallel runtime every node worker calls
         this concurrently, and the first caller must finish binding
         before the others read the entry (same hit/miss counts as the
         serial backend)."""
+        catalog = self.appliance.catalog
         if not self.compiled:
             # Reference path: re-parse per node, exactly the old cost.
-            return Binder(self.appliance.catalog).bind(parse_query(sql))
+            return Binder(catalog).bind(parse_query(sql)), ()
+        canonical, temps = canonical_step_sql(sql)
+        # Two plans can emit one step text over different temp schemas.
+        key = (canonical, tuple(tuple(catalog.table(name).columns)
+                                for name in temps))
         with self._cache_lock:
-            cached = self._step_cache.get(sql)
+            cached = self._step_cache.get(key)
             if cached is not None:
-                self._step_cache.move_to_end(sql)
+                self._step_cache.move_to_end(key)
                 self.tracer.count("exec.compile_cache_hit")
-                return cached.query
-            self.tracer.count("exec.compile_cache_miss")
-            statement = self._parse_cache.get(sql)
-            if statement is None:
-                statement = parse_query(sql)
-                if len(self._parse_cache) >= _STEP_CACHE_LIMIT:
-                    self._parse_cache.clear()
-                self._parse_cache[sql] = statement
-            query = Binder(self.appliance.catalog).bind(statement)
-            tables = frozenset(
-                get.table.name.lower() for get in collect_gets(query.root))
-            self._step_cache[sql] = _CachedStep(query, tables)
-            if len(self._step_cache) > _STEP_CACHE_LIMIT:
-                self._step_cache.popitem(last=False)
-            return query
-
-    def _evict_cached(self, table_name: str) -> None:
-        """Drop cached steps reading ``table_name`` — called when a temp
-        table is (re)created, since the same TEMP_ID_k name can carry a
-        different schema on the next query."""
-        lowered = table_name.lower()
-        with self._cache_lock:
-            stale = [sql for sql, cached in self._step_cache.items()
-                     if lowered in cached.tables]
-            for sql in stale:
-                del self._step_cache[sql]
+            else:
+                self.tracer.count("exec.compile_cache_miss")
+                cached = _CachedStep(
+                    Binder(catalog).bind(parse_query(sql)), temps)
+                self._step_cache[key] = cached
+                if len(self._step_cache) > _STEP_CACHE_LIMIT:
+                    self._step_cache.popitem(last=False)
+        aliases = tuple((bound, actual)
+                        for bound, actual in zip(cached.temps, temps)
+                        if bound != actual)
+        return cached.query, aliases
 
     def _source_nodes(self, step: DsqlStep) -> List[NodeStorage]:
         location = step.source_location
@@ -635,7 +639,6 @@ class DmsRuntime:
         movement = step.movement
         destination = step.destination_table
         self.appliance.create_temp_table(destination)
-        self._evict_cached(destination.name)
 
         stats = StepExecutionStats(step.index, movement.operation)
         hash_index = (

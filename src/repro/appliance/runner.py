@@ -132,13 +132,14 @@ class DsqlRunner:
     across multiple compute nodes", taken literally).
 
     ``executor`` selects the execution backend by name ("reference",
-    "compiled", "vectorized", "numpy"); the legacy ``compiled`` boolean
-    still picks between the first two when ``executor`` is not given.
-    ``"numpy"`` degrades to ``"vectorized"`` (with one warning) when
-    numpy is not importable.
+    "compiled", "vectorized", "numpy"); when it is not given the legacy
+    ``compiled`` boolean picks between the reference interpreter and
+    the default, ``"numpy"``, which degrades to ``"vectorized"`` (with
+    one warning) when numpy is not importable.
     ``parallel=None`` (default) resolves to the serial walk unless the
-    ``REPRO_PARALLEL_RUNTIME`` environment variable overrides it; the
-    :class:`repro.session.PdwSession` front door defaults to parallel.
+    ``REPRO_PARALLEL_RUNTIME`` environment variable overrides it, as
+    it does at the :class:`repro.session.PdwSession` and
+    :class:`repro.service.PdwService` front doors.
     """
 
     def __init__(self, appliance: Appliance,

@@ -20,10 +20,15 @@ statistics.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 DEFAULT_BUCKETS = 32
+
+#: Ints below this magnitude convert to float exactly, so they order and
+#: compare among themselves as their :func:`sort_key` does.
+_EXACT_FLOAT_INT = 2 ** 53
 
 
 def sort_key(value) -> Tuple[int, object]:
@@ -37,6 +42,31 @@ def sort_key(value) -> Tuple[int, object]:
     if isinstance(value, datetime.date):
         return (2, value.toordinal())
     return (3, str(value))
+
+
+def _sorted_with_keys(values: Sequence) -> Tuple[List, List]:
+    """The non-NULL ``values`` in :func:`sort_key` order, plus a parallel
+    list of keys that order and equate them exactly as ``sort_key`` does.
+
+    When every value has one exact type whose native comparison agrees
+    with ``sort_key`` — ``int`` (float-exact), ``float`` (no NaN),
+    ``str``, ``datetime.date`` — the values are their own keys and sort
+    natively; anything else (mixed types, ``bool``, NaN, huge ints, a
+    ``date`` subclass) takes the general path.
+    """
+    non_null = [v for v in values if v is not None]
+    kinds = set(map(type, non_null))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if (kind is str or kind is datetime.date
+                or (kind is float and not any(map(math.isnan, non_null)))
+                or (kind is int
+                    and -_EXACT_FLOAT_INT < min(non_null)
+                    and max(non_null) < _EXACT_FLOAT_INT)):
+            non_null.sort()
+            return non_null, non_null
+    non_null.sort(key=sort_key)
+    return non_null, [sort_key(v) for v in non_null]
 
 
 def numeric_position(value) -> float:
@@ -95,8 +125,13 @@ class Histogram:
 
     @classmethod
     def build(cls, values: Sequence, num_buckets: int = DEFAULT_BUCKETS) -> "Histogram":
-        """Build an equi-depth histogram from raw (non-null) values."""
-        non_null = sorted((v for v in values if v is not None), key=sort_key)
+        """Build an equi-depth histogram from raw values (NULLs skipped)."""
+        return cls._from_sorted(*_sorted_with_keys(values), num_buckets)
+
+    @classmethod
+    def _from_sorted(cls, non_null: List, keys: List,
+                     num_buckets: int) -> "Histogram":
+        """:meth:`build` over the output of :func:`_sorted_with_keys`."""
         if not non_null:
             return cls()
         target = max(1, len(non_null) // max(1, num_buckets))
@@ -105,11 +140,11 @@ class Histogram:
         while start < len(non_null):
             end = min(start + target, len(non_null))
             # Extend the bucket so equal values never straddle a boundary.
-            while end < len(non_null) and sort_key(non_null[end]) == sort_key(non_null[end - 1]):
+            while end < len(non_null) and keys[end] == keys[end - 1]:
                 end += 1
-            chunk = non_null[start:end]
-            distinct = len({sort_key(v) for v in chunk})
-            buckets.append(Bucket(chunk[-1], float(len(chunk)), float(distinct)))
+            distinct = len(set(keys[start:end]))
+            buckets.append(Bucket(non_null[end - 1], float(end - start),
+                                  float(distinct)))
             start = end
         return cls(buckets, non_null[0], non_null[-1])
 
@@ -188,23 +223,39 @@ class ColumnStats:
     def build(cls, values: Sequence, num_buckets: int = DEFAULT_BUCKETS) -> "ColumnStats":
         """Compute exact statistics over raw column values."""
         values = list(values)
-        non_null = [v for v in values if v is not None]
-        distinct = len({sort_key(v) for v in non_null})
-        histogram = Histogram.build(non_null, num_buckets)
+        non_null, keys = _sorted_with_keys(values)
+        histogram = Histogram._from_sorted(non_null, keys, num_buckets)
         if non_null:
-            widths = [_value_width(v) for v in non_null]
-            avg_width = sum(widths) / len(widths)
+            avg_width = (_total_width(non_null, keys is non_null)
+                         / len(non_null))
         else:
             avg_width = 4.0
         return cls(
             row_count=float(len(values)),
             null_count=float(len(values) - len(non_null)),
-            distinct_count=float(distinct),
+            distinct_count=float(len(set(keys))),
             min_value=histogram.min_value,
             max_value=histogram.max_value,
             avg_width=avg_width,
             histogram=histogram,
         )
+
+
+def _total_width(non_null: List, one_type: bool) -> float:
+    """Sum of :func:`_value_width` over non-NULL values; by type when
+    they are sorted and share one (:func:`_sorted_with_keys`'s native
+    case)."""
+    if one_type:
+        kind = type(non_null[0])
+        if kind is float:
+            return 8.0 * len(non_null)
+        if kind is datetime.date or (
+                kind is int and -2**31 <= non_null[0]
+                and non_null[-1] < 2**31):
+            return 4.0 * len(non_null)
+        if kind is str:
+            return float(sum(map(len, non_null)) + non_null.count(""))
+    return sum(_value_width(v) for v in non_null)
 
 
 def _value_width(value) -> float:

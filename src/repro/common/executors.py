@@ -5,18 +5,19 @@ nodes:
 
 * ``"reference"`` — tree-walking evaluator, row at a time (ground
   truth; also bypasses the step bind cache so every node re-parses);
-* ``"compiled"`` — closure-compiled expressions, row at a time
-  (the default);
+* ``"compiled"`` — closure-compiled expressions, row at a time;
 * ``"vectorized"`` — columnar batch-at-a-time kernels over Python
   lists (:mod:`repro.vector`);
 * ``"numpy"`` — dtype-aware array kernels over numpy ndarrays
-  (:mod:`repro.vector.np_executor`); ufunc inner loops release the
-  GIL, so the parallel node runtime gets real concurrency.  Requires
+  (:mod:`repro.vector.np_executor`), **the default**: the fastest
+  backend on the pdwbench workloads (EXPERIMENTS.md, PR 17).  Requires
   numpy; :func:`effective_executor` degrades it to ``"vectorized"``
   (with one warning) when the import fails.
 
-The legacy ``compiled=`` boolean maps onto the first two; helpers here
-keep that mapping in one place so every layer derives it identically.
+The legacy ``compiled=`` boolean only separates the reference
+interpreter (``False``) from the default backend (``True``); helpers
+here keep that mapping in one place so every layer derives it
+identically.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ EXECUTORS = ("reference", "compiled", "vectorized", "numpy")
 def resolve_executor(executor: Optional[str],
                      compiled: bool = True) -> str:
     """Canonical executor name from the ``executor=`` knob plus the
-    legacy ``compiled=`` flag (used only when ``executor`` is None)."""
+    legacy ``compiled=`` flag (used only when ``executor`` is None:
+    ``True`` is the default backend, ``"numpy"``; ``False`` the
+    reference interpreter)."""
     if executor is None:
-        return "compiled" if compiled else "reference"
+        return "numpy" if compiled else "reference"
     if executor not in EXECUTORS:
         raise ReproError(
             f"unknown executor {executor!r} (use one of {EXECUTORS})")

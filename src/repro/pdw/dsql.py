@@ -19,7 +19,9 @@ across multiple compute nodes").
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra import expressions as ex
@@ -38,6 +40,43 @@ from repro.obs.profiler import OperatorEstimate, fragment_operator_estimates
 from repro.pdw.dms import DataMovement
 from repro.pdw.qrel import build_name_map, plan_fragment_to_sql
 from repro.telemetry import NULL_TRACER, Tracer
+
+
+#: Every generator-issued temp table is named ``TEMP_ID_k``.
+TEMP_PREFIX = "TEMP_ID_"
+
+
+def execution_temp_name(name: str, execution_id: int) -> str:
+    """``name`` namespaced to one execution of a cached plan
+    (``TEMP_ID_1`` → ``TEMP_ID_1_E42``), so concurrent executions of
+    the same (or different) plans never collide on the appliance."""
+    return f"{name}_E{execution_id}"
+
+
+# A string literal (matched so that it is skipped) or a temp-table name
+# with its optional execution suffix.
+_TEMP_REFERENCE = re.compile(
+    r"'(?:[^']|'')*'|\b(" + TEMP_PREFIX + r"\d+)(?:_E\d+)?\b",
+    re.IGNORECASE)
+
+
+@lru_cache(maxsize=256)
+def canonical_step_sql(sql: str) -> Tuple[str, Tuple[str, ...]]:
+    """Step SQL with every :func:`execution_temp_name` suffix stripped
+    (the same text for every execution of a plan), plus the lower-cased
+    name, suffix and all, of each temp table the step reads, in order
+    of first appearance.  Text inside string literals is never touched.
+    Memoized: every node of a step asks for the same text."""
+    temps: Dict[str, str] = {}
+
+    def strip(match: "re.Match") -> str:
+        canonical = match.group(1)
+        if canonical is None:
+            return match.group(0)  # a string literal
+        temps.setdefault(canonical.lower(), match.group(0).lower())
+        return canonical
+
+    return _TEMP_REFERENCE.sub(strip, sql), tuple(temps.values())
 
 
 class StepKind(enum.Enum):
@@ -98,7 +137,7 @@ class DsqlPlan:
 class DsqlGenerator:
     """Figure 2: "DSQL generator" — plan tree in, executable steps out."""
 
-    def __init__(self, temp_prefix: str = "TEMP_ID_"):
+    def __init__(self, temp_prefix: str = TEMP_PREFIX):
         self.temp_prefix = temp_prefix
 
     def generate(self, plan: PlanNode,

@@ -61,6 +61,11 @@ class CompiledQuery:
     # ``compile(opt_trace=...)``.
     pdw_config: Optional[PdwConfig] = None
     opt_trace: Optional[OptimizerTrace] = None
+    # The DSQL steps' SQL pre-split around literals and temp-table
+    # names; built on first use by
+    # ``repro.service.plan_cache.instantiate_plan``.
+    prepared_steps: Optional[list] = field(default=None, repr=False,
+                                           compare=False)
 
     @property
     def plan_cost(self) -> float:

@@ -19,7 +19,7 @@ internal callers have been migrated and CI fails if any repo-internal
 code path raises the warning.
 
 ``parallel=None`` means "resolve from the ``REPRO_PARALLEL_RUNTIME``
-environment variable, else the caller's default" — :meth:`resolved`
+environment variable, else the serial runtime" — :meth:`resolved`
 folds the environment in exactly once, so an options object that has
 been resolved never re-reads the environment.
 """
@@ -67,18 +67,19 @@ class ExecutionOptions:
 
     * ``executor`` — which execution backend runs step SQL on the
       nodes: ``"reference"`` (tree-walking interpreter), ``"compiled"``
-      (closure backend, the default), ``"vectorized"`` (columnar
-      batch kernels, :mod:`repro.vector`) or ``"numpy"`` (typed
-      ndarray kernels that release the GIL; degrades to
-      ``"vectorized"`` with a warning when numpy is absent).  ``None``
-      derives from the legacy ``compiled`` flag;
-    * ``compiled`` — legacy boolean spelling of the first two backends;
-      kept in sync with ``executor`` (an explicit ``executor`` wins,
-      and ``compiled`` is re-derived as ``executor != "reference"``);
-    * ``parallel`` — the parallel appliance runtime; ``None`` defers to
-      the ``REPRO_PARALLEL_RUNTIME`` environment variable and then the
-      front door's default (the session and service default to parallel,
-      the low-level runners to serial);
+      (closure backend), ``"vectorized"`` (columnar batch kernels,
+      :mod:`repro.vector`) or ``"numpy"`` (typed ndarray kernels, the
+      default; degrades to ``"vectorized"`` with a warning when numpy
+      is absent).  ``None`` derives from the legacy ``compiled`` flag;
+    * ``compiled`` — legacy boolean: ``False`` spells the reference
+      interpreter, ``True`` the default backend; kept in sync with
+      ``executor`` (an explicit ``executor`` wins, and ``compiled`` is
+      re-derived as ``executor != "reference"``);
+    * ``parallel`` — the thread-pool appliance runtime; ``None`` defers
+      to the ``REPRO_PARALLEL_RUNTIME`` environment variable and then
+      to the serial runtime, the default at every layer (the pool
+      measures slower than the serial walk under the GIL —
+      EXPERIMENTS.md, PR 17);
     * ``trace`` — whether the session allocates a live tracer/metrics
       registry (resolved once at construction; the no-op tracer costs
       nothing);
@@ -142,7 +143,7 @@ class ExecutionOptions:
 
     # -- resolution ------------------------------------------------------------
 
-    def resolved(self, default_parallel: bool = True) -> "ExecutionOptions":
+    def resolved(self, default_parallel: bool = False) -> "ExecutionOptions":
         """Fold the environment into a concrete options object:
         ``parallel`` from ``REPRO_PARALLEL_RUNTIME`` (explicit value >
         env var > ``default_parallel``), and ``executor`` downgraded to

@@ -15,10 +15,13 @@ The cache here implements the classic recipe:
    constants, and the resulting :class:`~repro.pdw.engine.CompiledQuery`
    is cached as the template for its shape.
 3. **Re-bind on hit** (:func:`bind_params` + :func:`instantiate_plan`):
-   a hit substitutes the new call's literals into every DSQL step's SQL
-   (by parsing the step SQL and rewriting matching literal values), so
-   the cached plan *shape* executes with the new constants and returns
-   exactly the rows a fresh compilation would.
+   a hit substitutes the new call's literals into every DSQL step's SQL,
+   so the cached plan *shape* executes with the new constants and
+   returns exactly the rows a fresh compilation would.  Each template
+   step is parsed once and kept split around its literals and temp-table
+   names, so stamping out an execution is a string join — the paper's
+   node DBMS keeps the compiled statement of a re-issued step (§2.4),
+   and a cache hit here never re-parses one either.
 
 **What is never folded to a marker** — ``TOP n`` / ``LIMIT`` (the limit
 is part of the plan: the control-node merge and per-step SQL bake it
@@ -48,8 +51,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.common.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.pdw.dsql import DsqlPlan
+from repro.pdw.dsql import DsqlPlan, execution_temp_name
 from repro.pdw.engine import CompiledQuery
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_query
@@ -258,8 +262,10 @@ def bind_params(template: Tuple[ParamValue, ...],
 def rewrite_literals(sql: str,
                      mapping: Dict[ParamValue, ParamValue]) -> str:
     """Re-render ``sql`` with every literal found in ``mapping``
-    replaced by its new value.  Used on DSQL step SQL, which is always
-    parseable (the runtime itself parses it per step)."""
+    replaced by its new value.  The reference for what
+    :func:`instantiate_plan` substitutes (the tests hold the two
+    together); DSQL step SQL is always parseable (the runtime itself
+    parses it per step)."""
     statement = parse_query(sql)
 
     def substitute(literal: ast.Literal, stable: bool
@@ -277,6 +283,52 @@ def rewrite_literals(sql: str,
 
 # -- plan instantiation ---------------------------------------------------------
 
+#: A template step's SQL split for re-binding: plain ``str`` text, an
+#: ``int`` (the plan's n-th destination temp table, renamed per
+#: execution) or a ``(ParamValue, text)`` literal (re-rendered when the
+#: mapping replaces its value, else ``text``).
+PreparedStep = Tuple[object, ...]
+
+
+def _prepare_step(sql: str, temp_names: List[str]) -> PreparedStep:
+    """Parse ``sql`` once and split its rendering around every literal
+    :func:`rewrite_literals` would visit and every temp-table name."""
+    statement = parse_query(sql)
+    literals: List[Tuple[ParamValue, str]] = []
+
+    def lift(literal: ast.Literal, stable: bool) -> ast.Expr:
+        del stable  # every literal gets a slot; the mapping decides
+        literals.append((_param_value(literal), literal.to_sql()))
+        return ast.Literal(_Marker(len(literals) - 1))
+
+    _transform_statement(statement, lift)
+    # With every literal lifted the text holds identifiers, keywords
+    # and markers only, so a temp name cannot match inside a string.
+    text = statement.to_sql()
+    pattern = r"\$p(\d+)"
+    if temp_names:
+        # Word-boundary match is exact: TEMP_ID_1 never matches inside
+        # TEMP_ID_10.
+        pattern += (r"|\b(" + "|".join(map(re.escape, temp_names))
+                    + r")\b")
+    temp_index = {name.lower(): i for i, name in enumerate(temp_names)}
+    parts: List[object] = []
+    position = lifted = 0
+    for match in re.finditer(pattern, text, re.IGNORECASE):
+        parts.append(text[position:match.start()])
+        if match.group(1) is not None:
+            parts.append(literals[int(match.group(1))])
+            lifted += 1
+        else:
+            parts.append(temp_index[match.group(2).lower()])
+        position = match.end()
+    parts.append(text[position:])
+    if lifted != len(literals):
+        raise ReproError(
+            f"step SQL does not render each literal once: {sql!r}")
+    return tuple(parts)
+
+
 def instantiate_plan(compiled: CompiledQuery,
                      mapping: Optional[Dict[ParamValue, ParamValue]],
                      execution_id: int
@@ -286,40 +338,53 @@ def instantiate_plan(compiled: CompiledQuery,
     Two rewrites happen here:
 
     * **parameter substitution** — when ``mapping`` is non-empty, each
-      step's SQL is re-rendered with the new literal values;
+      step's SQL carries the new literal values;
     * **temp-table namespacing** — every destination temp table gets an
       execution-unique name (``TEMP_ID_1`` → ``TEMP_ID_1_E42``) and all
       step SQL referencing it is renamed, so concurrent executions of
       the same (or different) plans never collide on the appliance.
 
-    Returns the new plan plus the temp names this execution owns; the
-    caller drops exactly those afterwards.
+    The template's steps are parsed and split once, on first use, and
+    kept on ``compiled``; after that an execution is a string join per
+    step.  Returns the new plan plus the temp names this execution
+    owns; the caller drops exactly those afterwards.
     """
-    renames: List[Tuple[str, str]] = []
+    template = compiled.dsql_plan
+    prepared = compiled.prepared_steps
+    if prepared is None:
+        # Racing first executions build equal tuples; last store wins.
+        temp_names = [step.destination_table.name
+                      for step in template.steps
+                      if step.destination_table is not None]
+        prepared = compiled.prepared_steps = [
+            _prepare_step(step.sql, temp_names) for step in template.steps]
+    names = [execution_temp_name(step.destination_table.name, execution_id)
+             for step in template.steps
+             if step.destination_table is not None]
+    mapping = mapping or {}
+    owned = iter(names)
     steps = []
-    for step in compiled.dsql_plan.steps:
-        sql = rewrite_literals(step.sql, mapping) if mapping else step.sql
-        new_step = replace(step, sql=sql)
+    for step, parts in zip(template.steps, prepared):
+        rendered = []
+        for part in parts:
+            if type(part) is str:
+                rendered.append(part)
+            elif type(part) is int:
+                rendered.append(names[part])
+            else:
+                new = mapping.get(part[0])
+                if new is None:
+                    rendered.append(part[1])
+                else:
+                    _type_name, value, is_date = new
+                    rendered.append(
+                        ast.Literal(value, is_date=is_date).to_sql())
+        changes = {"sql": "".join(rendered)}
         if step.destination_table is not None:
-            old_name = step.destination_table.name
-            new_name = f"{old_name}_E{execution_id}"
-            renames.append((old_name, new_name))
-            new_step = replace(
-                new_step,
-                destination_table=replace(step.destination_table,
-                                          name=new_name))
-        steps.append(new_step)
-    for i, step in enumerate(steps):
-        sql = step.sql
-        for old_name, new_name in renames:
-            # Word-boundary replace is exact: TEMP_ID_1 never matches
-            # inside TEMP_ID_10, and the _E suffix keeps the property.
-            sql = re.sub(r"\b" + re.escape(old_name) + r"\b", new_name,
-                         sql, flags=re.IGNORECASE)
-        if sql != step.sql:
-            steps[i] = replace(step, sql=sql)
-    plan = replace(compiled.dsql_plan, steps=steps)
-    return plan, [new_name for _old, new_name in renames]
+            changes["destination_table"] = replace(
+                step.destination_table, name=next(owned))
+        steps.append(replace(step, **changes))
+    return replace(template, steps=steps), names
 
 
 # -- the cache ------------------------------------------------------------------

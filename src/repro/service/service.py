@@ -13,12 +13,12 @@ call flows through
    compiled once per shape on a miss (single-flight: concurrent misses
    on the same shape wait for one compilation);
 3. **instantiation** — the cached template is stamped out for this
-   execution: new literals substituted into the step SQL and temp
-   tables renamed into a private namespace, so concurrent executions
+   execution: new literals and private temp-table names joined into
+   the pre-split step SQL (no re-parse), so concurrent executions
    never collide on the appliance;
 4. **execution** on the shared :class:`repro.appliance.runner.DsqlRunner`
-   (steps DAG-scheduled, nodes thread-parallel when the parallel
-   runtime is on);
+   (the serial walk by default; steps DAG-scheduled and nodes
+   thread-parallel when the parallel runtime is on);
 5. **accounting** — per-tenant counters, phase latency histograms and
    cache/admission gauges on the service's
    :class:`~repro.obs.metrics.MetricsRegistry`, rendered by
@@ -102,8 +102,7 @@ class PdwService:
                                                     node_count=node_count)
         self.appliance = appliance
         self.shell = shell
-        self.options = (options or ExecutionOptions()).resolved(
-            default_parallel=True)
+        self.options = (options or ExecutionOptions()).resolved()
         # The service *is* an observability surface: metrics default on.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.engine = PdwEngine(shell, serial_config, pdw_config,
@@ -165,7 +164,7 @@ class PdwService:
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
-        opts = (options or self.options).resolved(default_parallel=True)
+        opts = (options or self.options).resolved()
         overrides = {}
         if tenant is not None:
             overrides["tenant"] = tenant

@@ -37,29 +37,30 @@ the old scattered kwargs (``compiled=``, ``parallel=``, ``trace=``,
 per-call ``hints=``) still work behind a :class:`DeprecationWarning`
 shim for one release.
 
-Execution uses the compiled backend by default — scalar expressions are
-compiled to Python closures and each DSQL step's SQL is parsed + bound
-once, then re-run on every compute node.  The ``executor`` option picks
-the backend by name: ``ExecutionOptions(executor="vectorized")`` (CLI:
-``--executor vectorized``) runs steps batch-at-a-time over columnar
-fragments (:mod:`repro.vector`),
-``ExecutionOptions(executor="numpy")`` runs the same plans over typed
-ndarrays whose kernels release the GIL (degrading to ``"vectorized"``
-with one warning when numpy is absent), and
-``ExecutionOptions(executor="reference")`` (CLI: ``--no-compiled-exec``
-or ``--executor reference``) forces the tree-walking reference
-interpreter.  The legacy ``compiled=`` boolean maps onto the
-reference/compiled pair.
+Execution uses the numpy backend by default — each DSQL step's SQL is
+parsed + bound once and re-run on every compute node over typed
+ndarrays (degrading to ``"vectorized"`` with one warning when numpy is
+absent).  The ``executor`` option picks another backend by name:
+``ExecutionOptions(executor="vectorized")`` (CLI: ``--executor
+vectorized``) runs steps batch-at-a-time over columnar Python lists
+(:mod:`repro.vector`), ``ExecutionOptions(executor="compiled")``
+compiles scalar expressions to Python closures and runs row at a time,
+and ``ExecutionOptions(executor="reference")`` (CLI:
+``--no-compiled-exec`` or ``--executor reference``) forces the
+tree-walking reference interpreter.  The legacy ``compiled=`` kwarg
+maps onto the reference/compiled pair.
 
-The session also defaults to the **parallel appliance runtime**: DSQL
-steps are scheduled as a dependency DAG (independent join subtrees
-overlap) and each step's per-node fragments run on a thread pool with
-fast-path shuffle routing, merged deterministically so results and stats
-are identical to the serial walk.
-``PdwSession(options=ExecutionOptions(parallel=False))`` (CLI:
-``--serial-runtime``) selects the §2.4 serial reference backend; the
-``REPRO_PARALLEL_RUNTIME`` environment variable overrides the default
-for whole test-suite sweeps.
+The session defaults to the **serial appliance runtime** of §2.4: one
+step at a time, one node at a time.
+``PdwSession(options=ExecutionOptions(parallel=True))`` (CLI:
+``--parallel-runtime``) selects the thread-pool runtime instead — DSQL
+steps scheduled as a dependency DAG (independent join subtrees overlap)
+and each step's per-node fragments on a thread pool with fast-path
+shuffle routing, merged deterministically so results and stats are
+identical to the serial walk; under the GIL it measures slower than
+the serial walk (EXPERIMENTS.md, PR 17), which is why it is opt-in.
+The ``REPRO_PARALLEL_RUNTIME`` environment variable overrides the
+default for whole test-suite sweeps.
 
 Telemetry is on by default (the session is the observability surface; the
 low-level classes default to the no-op tracer): every compile and run
@@ -169,10 +170,7 @@ class PdwSession:
             warn_deprecated_option("PdwSession(parallel=...)",
                                    f"parallel={parallel!r}")
             opts = opts.override(parallel=parallel)
-        # The session front door runs the parallel appliance runtime by
-        # default (the low-level DsqlRunner defaults to the serial
-        # reference walk, mirroring the NULL_TRACER convention).
-        opts = opts.resolved(default_parallel=True)
+        opts = opts.resolved()
         self.options = opts
         self.compiled = opts.compiled
         self.executor = opts.executor
@@ -218,7 +216,7 @@ class PdwSession:
         else the session's; the deprecated ``hints=`` kwarg folds in
         with a warning."""
         opts = (options if options is not None
-                else self.options).resolved(default_parallel=True)
+                else self.options).resolved()
         if hints is not _UNSET and hints is not None:
             warn_deprecated_option("hints=", f"hints={hints!r}",
                                    stacklevel=4)

@@ -71,6 +71,9 @@ from repro.vector.np_kernels import (
 # (identity, length) is, because inserts are append-only and every
 # other mutation path (adopt / copy-on-write) replaces the list object.
 # Entries pin the row list, so a live cache key's id cannot be reused.
+# Temp-table fragments stay out: each is scanned by one step and then
+# dropped, so caching them would pin dead row lists and let temp churn
+# push base-table columns out of the LRU.
 
 _SCAN_CACHE_LIMIT = 128
 _SCAN_CACHE: "OrderedDict[Tuple[int, int], Tuple[List[Tuple], Dict[int, NumpyColumn]]]" = (
@@ -194,7 +197,11 @@ class NumpyInterpreter(VectorInterpreter):
             return ArrayBatch(
                 {var.id: column_from_list([]) for var in op.columns},
                 length)
-        by_index = _scan_columns(rows, indexes)
+        if op.table.is_temp:
+            by_index = {index: column_from_list([row[index] for row in rows])
+                        for index in set(indexes)}
+        else:
+            by_index = _scan_columns(rows, indexes)
         return ArrayBatch(
             {var.id: by_index[index]
              for var, index in zip(op.columns, indexes)},

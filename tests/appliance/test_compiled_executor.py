@@ -71,13 +71,10 @@ class TestStepCache:
         runner.run(plan)
         first_misses = tracer.counter("exec.compile_cache_miss")
         runner.run(plan)
-        # Steps reading only base tables stay cached; steps reading a
-        # re-created TEMP_ID_k are re-bound (schema may have changed).
-        temp_steps = sum(1 for step in plan.steps
-                         if "TEMP_ID_" in step.sql)
-        assert (tracer.counter("exec.compile_cache_miss")
-                == first_misses + temp_steps)
-        assert temp_steps < len(plan.steps)
+        # Every step stays cached, also the ones reading a re-created
+        # TEMP_ID_k: its column signature is part of the cache key.
+        assert any("TEMP_ID_" in step.sql for step in plan.steps)
+        assert tracer.counter("exec.compile_cache_miss") == first_misses
 
     def test_temp_name_reuse_across_queries_is_evicted(self, tpch,
                                                        tpch_engine):

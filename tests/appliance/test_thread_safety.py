@@ -51,16 +51,15 @@ class TestBindCacheThreadSafety:
             "SELECT a, s FROM t WHERE a > 50",
         ]
         expected = {
-            sql: runtime._bind_step(sql).output_names for sql in sqls
+            sql: runtime._bind_step(sql)[0].output_names for sql in sqls
         }
         runtime._step_cache.clear()
-        runtime._parse_cache.clear()
         tracer.reset()
 
         def work(index: int) -> None:
             for _ in range(ROUNDS):
                 for sql in sqls:
-                    query = runtime._bind_step(sql)
+                    query, _aliases = runtime._bind_step(sql)
                     assert query.output_names == expected[sql]
 
         _hammer(work)
@@ -70,18 +69,32 @@ class TestBindCacheThreadSafety:
         assert tracer.counter("exec.compile_cache_miss") == len(sqls)
         assert tracer.counter("exec.compile_cache_hit") == total - len(sqls)
 
-    def test_concurrent_bind_with_eviction(self, mini_appliance):
-        runtime = DmsRuntime(mini_appliance, parallel=True)
-        sql = "SELECT a FROM t WHERE a < 42"
+    def test_concurrent_bind_across_temp_schemas(self, mini_appliance):
+        """One canonical step text over per-execution temps of two
+        schemas: each schema binds once, and every thread reads its own
+        temp through the alias, at its own schema's column position."""
+        tracer = Tracer()
+        runtime = DmsRuntime(mini_appliance, tracer=tracer, parallel=True)
+        node = mini_appliance.compute[0]
+        for index in range(THREADS):
+            columns = [Column("a", INTEGER), Column("pad", INTEGER)]
+            if index % 2:
+                columns.reverse()
+            mini_appliance.create_temp_table(TableDef(
+                f"TEMP_ID_1_E{index}", columns, hash_distributed("a"),
+                is_temp=True))
+            node.insert(f"TEMP_ID_1_E{index}",
+                        [(index, -1) if columns[0].name == "a"
+                         else (-1, index)])
 
         def work(index: int) -> None:
-            for round_no in range(ROUNDS):
-                query = runtime._bind_step(sql)
-                assert query.output_names == ["a"]
-                if index == 0 and round_no % 5 == 0:
-                    runtime._evict_cached("t")
+            for _ in range(ROUNDS):
+                rows, names = runtime.run_sql_on_node(
+                    f"SELECT a FROM TEMP_ID_1_E{index}", node)
+                assert (rows, names) == ([(index,)], ["a"])
 
         _hammer(work)
+        assert tracer.counter("exec.compile_cache_miss") == 2
 
 
 class TestApplianceImageThreadSafety:

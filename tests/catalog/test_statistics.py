@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.statistics import (
+    Bucket,
     ColumnStats,
     Histogram,
+    _value_width,
     merge_column_stats,
     merge_histograms,
     numeric_position,
@@ -221,3 +223,87 @@ def test_merge_invariants(values, parts):
     assert merged.min_value == min(values)
     assert merged.max_value == max(values)
     del true_distinct
+
+
+# -- native-order fast path == sort_key path ------------------------------------
+
+def _reference_column_stats(values, num_buckets):
+    """``ColumnStats.build`` with ``sort_key`` applied to every value in
+    every comparison — the general path, kept here as the reference the
+    by-type fast path must reproduce exactly."""
+    values = list(values)
+    non_null = sorted((v for v in values if v is not None), key=sort_key)
+    buckets = []
+    target = max(1, len(non_null) // max(1, num_buckets))
+    start = 0
+    while start < len(non_null):
+        end = min(start + target, len(non_null))
+        while (end < len(non_null)
+               and sort_key(non_null[end]) == sort_key(non_null[end - 1])):
+            end += 1
+        chunk = non_null[start:end]
+        buckets.append(Bucket(chunk[-1], float(len(chunk)),
+                              float(len({sort_key(v) for v in chunk}))))
+        start = end
+    histogram = (Histogram(buckets, non_null[0], non_null[-1])
+                 if non_null else Histogram())
+    widths = [_value_width(v) for v in non_null]
+    return ColumnStats(
+        row_count=float(len(values)),
+        null_count=float(len(values) - len(non_null)),
+        distinct_count=float(len({sort_key(v) for v in non_null})),
+        min_value=histogram.min_value,
+        max_value=histogram.max_value,
+        avg_width=sum(widths) / len(widths) if widths else 4.0,
+        histogram=histogram,
+    )
+
+
+_homogeneous = st.one_of(
+    st.lists(st.integers(-50, 50)),
+    st.lists(st.integers(-2**70, 2**70)),          # past 2^53: general path
+    st.lists(st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -2**53, 7])),
+    st.lists(st.floats(allow_nan=False)),
+    st.lists(st.floats(allow_nan=True)),           # NaN: general path
+    # One NaN object repeated: equal to itself inside a sort_key tuple
+    # (identity), unequal bare.
+    st.lists(st.sampled_from([float("nan"), 1.0, 2.0])),
+    st.lists(st.sampled_from([0.0, -0.0, 1.5, float("inf")])),
+    st.lists(st.text(max_size=3)),
+    st.lists(st.dates(datetime.date(1992, 1, 1), datetime.date(1992, 3, 1))),
+    st.lists(st.booleans()),                       # bool: general path
+    st.lists(st.datetimes(datetime.datetime(1992, 1, 1),
+                          datetime.datetime(1992, 1, 3))),
+)
+_any_value = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(-5, 5),
+    st.text(max_size=2), st.dates(datetime.date(1992, 1, 1),
+                                  datetime.date(1992, 1, 9)))
+
+
+@st.composite
+def _columns(draw):
+    shape = draw(st.sampled_from(
+        ["homogeneous", "mixed", "null_heavy", "all_equal", "empty"]))
+    if shape == "empty":
+        return []
+    if shape == "mixed":
+        return draw(st.lists(_any_value, max_size=60))
+    if shape == "all_equal":
+        return [draw(_any_value)] * draw(st.integers(1, 40))
+    values = draw(_homogeneous)
+    if shape == "null_heavy":
+        values = [v for value in values for v in (None, value, None)]
+        values = draw(st.permutations(values))
+    return values
+
+
+@given(_columns(), st.integers(min_value=1, max_value=8))
+@settings(max_examples=400, deadline=None)
+def test_fast_path_matches_sort_key_path(values, num_buckets):
+    # repr, not ==: it tells 0.0 from -0.0 and 1 from 1.0, and NaN
+    # bucket bounds still compare.
+    assert (repr(ColumnStats.build(values, num_buckets))
+            == repr(_reference_column_stats(values, num_buckets)))
+    assert (repr(Histogram.build(values, num_buckets))
+            == repr(_reference_column_stats(values, num_buckets).histogram))

@@ -53,6 +53,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_parallel_runtime_is_the_one_runtime_flag(self, capsys):
+        sql = ("SELECT c_name FROM customer, orders "
+               "WHERE c_custkey = o_custkey ORDER BY c_name LIMIT 2")
+        _, serial = run_cli(capsys, "--scale", "0.001", "--nodes", "4",
+                            "run", sql)
+        code, pooled = run_cli(capsys, "--scale", "0.001", "--nodes", "4",
+                               "--parallel-runtime", "run", sql)
+        assert code == 0
+        assert pooled == serial
+        with pytest.raises(SystemExit):  # its inverse is the default
+            main(["--serial-runtime", "run", sql])
+
     def test_join_query_roundtrip(self, capsys):
         code, out = run_cli(
             capsys, "--scale", "0.001", "--nodes", "4",

@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from tests.conftest import canonical
+from tests.integration.test_parallel_equivalence import stats_view
 from repro import ExecutionOptions, PdwSession
 from repro.service import PdwService, run_traffic
 from repro.workloads.tpch_queries import TPCH_QUERIES
@@ -208,23 +209,30 @@ class TestConcurrencyHammer:
 
 
 class TestTpchSuiteEquivalence:
-    """Cached execution is row-identical to an uncached serial session
-    across the whole TPC-H suite (miss path AND pure-hit path)."""
+    """Cached execution is identical — rows and per-step accounting —
+    to an uncached serial session across the whole TPC-H suite (miss
+    path AND pure-hit path), on either runtime."""
 
-    def test_suite_cached_equals_uncached(self, tpch):
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["serial", "pooled"])
+    def test_suite_cached_equals_uncached(self, tpch, parallel):
         appliance, shell = tpch
-        service = PdwService(appliance=appliance, shell=shell)
+        service = PdwService(appliance=appliance, shell=shell,
+                             options=ExecutionOptions(parallel=parallel))
         baseline = PdwSession(appliance=appliance, shell=shell,
                               options=ExecutionOptions(trace=False,
                                                        parallel=False))
         try:
             for name, sql in TPCH_QUERIES.items():
-                expected = canonical(baseline.run(sql).rows)
+                uncached = baseline.run(sql)
+                expected = canonical(uncached.rows)
                 miss = service.execute(sql)
                 hit = service.execute(sql)
                 assert hit.cache_hit is True, name
-                assert canonical(miss.rows) == expected, name
-                assert canonical(hit.rows) == expected, name
+                for cached in (miss, hit):
+                    assert canonical(cached.rows) == expected, name
+                    assert (stats_view(cached.step_stats)
+                            == stats_view(uncached.step_stats)), name
         finally:
             service.close()
         stats = service.plan_cache.stats()

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from repro import ExecutionOptions, PdwSession
+from repro import ExecutionOptions, PdwService, PdwSession
 from repro.common.errors import ReproError
 from repro.common.executors import EXECUTORS, resolve_executor
 from repro.appliance.runner import DsqlRunner
@@ -19,7 +19,7 @@ SQL = ("SELECT l_returnflag, COUNT(*) AS n FROM lineitem "
 
 class TestResolveExecutor:
     def test_none_derives_from_compiled(self):
-        assert resolve_executor(None, True) == "compiled"
+        assert resolve_executor(None, True) == "numpy"
         assert resolve_executor(None, False) == "reference"
 
     def test_explicit_name_wins(self):
@@ -35,7 +35,7 @@ class TestResolveExecutor:
 class TestExecutionOptions:
     def test_default_is_compiled(self):
         opts = ExecutionOptions()
-        assert opts.executor == "compiled"
+        assert opts.executor == "numpy"
         assert opts.compiled is True
 
     def test_executor_rederives_compiled(self):
@@ -81,8 +81,8 @@ class TestSessionWiring:
             SQL, options=session.options.override(executor="compiled"))
         assert list(base.rows) == list(other.rows)
         keys = set(session._runners)
-        assert ("vectorized", True) in keys
-        assert ("compiled", True) in keys
+        assert ("vectorized", session.parallel) in keys
+        assert ("compiled", session.parallel) in keys
 
     def test_run_compiled_shim_single_warning(self, session):
         with warnings.catch_warnings(record=True) as caught:
@@ -94,7 +94,7 @@ class TestSessionWiring:
         assert "executor='reference'" in str(deprecations[0].message)
         assert "via options= instead" in str(deprecations[0].message)
         assert list(result.rows) == list(session.run(SQL).rows)
-        assert ("reference", True) in session._runners
+        assert ("reference", session.parallel) in session._runners
 
     def test_constructor_compiled_shim_single_warning(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -115,6 +115,37 @@ class TestSessionWiring:
             session.run(SQL)
         assert not [w for w in caught
                     if issubclass(w.category, DeprecationWarning)]
+
+
+def test_front_doors_default_to_numpy_on_the_serial_runtime(monkeypatch):
+    """What a user gets without picking a knob — and the thread pool
+    still one switch away."""
+    from repro import build_tpch_appliance
+    appliance, shell = build_tpch_appliance(scale=0.001, node_count=2)
+
+    def front_doors(options=None):
+        service = PdwService(appliance=appliance, shell=shell,
+                             options=options)
+        service.close()
+        session = PdwSession(appliance=appliance, shell=shell,
+                             options=options)
+        resolved = (options or ExecutionOptions()).resolved()
+        return [(session.options, session.runner.runtime),
+                (service.options, service.runner.runtime),
+                (resolved, None)]
+
+    monkeypatch.delenv("REPRO_PARALLEL_RUNTIME", raising=False)
+    for opts, runtime in front_doors():
+        assert (opts.executor, opts.parallel) == ("numpy", False)
+        if runtime is not None:
+            assert (runtime.executor, runtime.parallel) == ("numpy", False)
+    for opts, runtime in front_doors(ExecutionOptions(parallel=True)):
+        assert opts.parallel is True
+        assert runtime is None or runtime.parallel is True
+    monkeypatch.setenv("REPRO_PARALLEL_RUNTIME", "1")
+    for opts, runtime in front_doors():
+        assert opts.parallel is True
+        assert runtime is None or runtime.parallel is True
 
 
 class TestBindCache:
