@@ -23,16 +23,24 @@ accounting as the reference implementation.  Broadcast-style moves
 deliver one shared row list to every target in **both** modes (the
 destination node copies only if it later mutates), instead of
 materializing N copies of every row.
+
+Under the default ``"numpy"`` executor the data plane is columnar end
+to end: a step's output leaves the kernels as typed columns, is sized,
+hashed and split a column at a time (:func:`route_batch_columns`), and
+lands in the destination node as the column pieces the next step's
+scan reads.  Only the Return step builds row tuples.  Every number in
+:class:`StepExecutionStats` is the row path's, bit for bit.
 """
 
 from __future__ import annotations
 
-import operator
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.algebra.logical import Query
 from repro.algebra.properties import DistKind
@@ -42,12 +50,14 @@ from repro.appliance.storage import (
     Appliance,
     CONTROL_NODE,
     NodeStorage,
+    batch_row_bytes,
+    column_owners,
     node_for_row,
     pdw_hash,
     row_bytes,
 )
 from repro.common.errors import DmsError
-from repro.common.executors import effective_executor, resolve_executor
+from repro.common.executors import resolve_executor
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.profiler import OperatorObserver
 from repro.obs.requests import NULL_REQUEST
@@ -57,6 +67,8 @@ from repro.pdw.dsql import DsqlStep, canonical_step_sql
 from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.vector.executor import VectorInterpreter
+from repro.vector.np_batch import ArrayBatch, ColumnFragment
+from repro.vector.np_executor import NumpyInterpreter
 
 
 @dataclass(frozen=True)
@@ -150,11 +162,37 @@ class _CachedStep:
 _STEP_CACHE_LIMIT = 256
 
 
-#: One routed delivery: (target node id, row batch, batch bytes).  The
-#: batch list may be *shared* between targets (broadcast) — consumers
-#: must treat it as immutable and go through ``NodeStorage.adopt`` /
-#: ``insert`` which copy on mutation.
-Delivery = Tuple[int, List[Tuple], int]
+#: One routed delivery: (target node id, batch, batch bytes).  The batch
+#: is a row list, or under the numpy executor a positional
+#: :class:`ArrayBatch`; either may be *shared* between targets
+#: (broadcast) — consumers must treat it as immutable and go through
+#: ``NodeStorage.adopt`` / ``insert`` which copy on mutation.
+Batch = Union[List[Tuple], ArrayBatch]
+Delivery = Tuple[int, Batch, int]
+
+
+def _deliver_whole_batch(operation: DmsOperation, batch: Batch,
+                         total: int, node_count: int, source_id: int
+                         ) -> Tuple[List[Delivery], int]:
+    """The moves that route a source's batch as a unit (``total`` is
+    its byte size): one shared batch to every compute node, or the
+    batch to the control node."""
+    if operation in (DmsOperation.BROADCAST_MOVE,
+                     DmsOperation.CONTROL_NODE_MOVE,
+                     DmsOperation.REPLICATED_BROADCAST):
+        # One shared batch for every target — no per-target copies.
+        deliveries = [(target_id, batch, total)
+                      for target_id in range(node_count)]
+        remote_targets = node_count - (
+            1 if 0 <= source_id < node_count else 0)
+        return deliveries, total * remote_targets
+
+    if operation in (DmsOperation.PARTITION_MOVE,
+                     DmsOperation.REMOTE_COPY):
+        return ([(CONTROL_NODE, batch, total)],
+                0 if source_id == CONTROL_NODE else total)
+
+    raise DmsError(f"unknown DMS operation {operation}")
 
 
 def route_batch_fast(operation: DmsOperation, rows: List[Tuple],
@@ -206,140 +244,61 @@ def route_batch_fast(operation: DmsOperation, rows: List[Tuple],
             return [(source_id, kept, kept_bytes)], 0
         return [], 0  # trimmed rows never leave their node
 
-    if operation in (DmsOperation.BROADCAST_MOVE,
-                     DmsOperation.CONTROL_NODE_MOVE,
-                     DmsOperation.REPLICATED_BROADCAST):
-        total = sum(sizes)
-        # One shared list for every target — no per-target copies.
-        deliveries = [(target_id, rows, total)
-                      for target_id in range(node_count)]
-        remote_targets = node_count - (
-            1 if 0 <= source_id < node_count else 0)
-        return deliveries, total * remote_targets
-
-    if operation in (DmsOperation.PARTITION_MOVE,
-                     DmsOperation.REMOTE_COPY):
-        total = sum(sizes)
-        return ([(CONTROL_NODE, rows, total)],
-                0 if source_id == CONTROL_NODE else total)
-
-    raise DmsError(f"unknown DMS operation {operation}")
+    return _deliver_whole_batch(operation, rows, sum(sizes),
+                                node_count, source_id)
 
 
-def route_batch_columnar(operation: DmsOperation, rows: List[Tuple],
-                         sizes: List[int], hash_index: Optional[int],
-                         node_count: int, source_id: int
-                         ) -> Tuple[List[Delivery], int]:
-    """Column-at-a-time routing for the vectorized backend.
+def route_batch_columns(operation: DmsOperation, batch: ArrayBatch,
+                        sizes: np.ndarray, hash_index: Optional[int],
+                        node_count: int, source_id: int
+                        ) -> Tuple[List[Delivery], int]:
+    """Column routing for the numpy backend: no row is ever assembled.
 
-    The distribution key is lifted out of the row batch as one column,
-    ``pdw_hash`` runs over the whole key column in a single pass, and
-    the resulting owner vector drives a bucket-wise scatter of rows and
-    sizes — the hash/modulo work never interleaves with per-row tuple
-    handling.  Broadcast-style moves are already batch-level and share
-    :func:`route_batch_fast`'s single-shared-list path.  Byte/row
-    accounting is bit-identical to both row routers; the equivalence
-    tests pin all three against each other.
+    ``batch`` is a step's output keyed by column position and ``sizes``
+    its per-row byte widths (:func:`~repro.appliance.storage.
+    batch_row_bytes`).  Owners come straight from the key column
+    (:func:`~repro.appliance.storage.column_owners`); a shuffle gathers
+    every column once into owner order — a *stable* sort, so each
+    target's rows keep their source order exactly as the row routers'
+    bucket appends do — and delivers contiguous slices of the gathered
+    arrays, with bucket byte totals read off one running sum; a trim
+    compresses by the owner mask.  Deliveries, their order and every
+    byte count are bit-identical to the row routers; the routing tests
+    pin this one against :meth:`DmsRuntime._route_batch_reference`.
     """
-    if not rows:
-        return [], 0
-
-    if operation is DmsOperation.SHUFFLE_MOVE:
-        if hash_index is None:
-            raise DmsError("shuffle move without a hash column")
-        pick = operator.itemgetter(hash_index)
-        owners = [pdw_hash(key) % node_count for key in map(pick, rows)]
-        buckets: List[List[Tuple]] = [[] for _ in range(node_count)]
-        bucket_bytes = [0] * node_count
-        for owner, row, size in zip(owners, rows, sizes):
-            buckets[owner].append(row)
-            bucket_bytes[owner] += size
-        deliveries = [
-            (owner, buckets[owner], bucket_bytes[owner])
-            for owner in range(node_count) if buckets[owner]
-        ]
-        sent = sum(
-            bucket_bytes[owner] for owner in range(node_count)
-            if buckets[owner] and owner != source_id
-        )
-        return deliveries, sent
-
-    if operation is DmsOperation.TRIM_MOVE:
-        if hash_index is None:
-            raise DmsError("trim move without a hash column")
-        pick = operator.itemgetter(hash_index)
-        owners = [pdw_hash(key) % node_count for key in map(pick, rows)]
-        kept = [row for owner, row in zip(owners, rows)
-                if owner == source_id]
-        if not kept:
-            return [], 0  # trimmed rows never leave their node
-        kept_bytes = sum(size for owner, size in zip(owners, sizes)
-                         if owner == source_id)
-        return [(source_id, kept, kept_bytes)], 0
-
-    return route_batch_fast(operation, rows, sizes, hash_index,
-                            node_count, source_id)
-
-
-def route_batch_numpy(operation: DmsOperation, rows: List[Tuple],
-                      sizes: List[int], hash_index: Optional[int],
-                      node_count: int, source_id: int
-                      ) -> Tuple[List[Delivery], int]:
-    """Vectorized-hash routing for the numpy backend.
-
-    When the distribution key column is all plain ``int`` (the common
-    case — TPC-H distribution keys are integer surrogates), the whole
-    column is hashed in one vectorized CRC32 pass
-    (:func:`repro.vector.np_batch.int_key_owners`) that releases the
-    GIL for the table lookups, and bucket byte totals come from one
-    ``np.add.at`` scatter over the exact int64 sizes.  Keys of any
-    other type (or ints outside int64 range) fall back to
-    :func:`route_batch_columnar`, whose per-key ``pdw_hash`` loop the
-    vectorized pass matches bit-for-bit.  Accounting is identical to
-    all three other routers; the equivalence tests pin all four
-    against each other.
-    """
-    if not rows:
+    if not batch.length:
         return [], 0
 
     if operation in (DmsOperation.SHUFFLE_MOVE, DmsOperation.TRIM_MOVE):
         if hash_index is None:
-            raise DmsError(f"{operation.value} without a hash column")
-        from repro.vector.np_batch import int_key_owners
-        pick = operator.itemgetter(hash_index)
-        owners = int_key_owners(list(map(pick, rows)), node_count)
-        if owners is None:
-            return route_batch_columnar(operation, rows, sizes,
-                                        hash_index, node_count, source_id)
-        import numpy as np
+            raise DmsError(f"{operation.value} move without a hash column")
+        owners = column_owners(batch.columns[hash_index], node_count)
 
         if operation is DmsOperation.TRIM_MOVE:
             keep = owners == source_id
             if not keep.any():
                 return [], 0  # trimmed rows never leave their node
-            kept = [row for flag, row in zip(keep.tolist(), rows) if flag]
-            kept_bytes = int(
-                (np.asarray(sizes, dtype=np.int64)[keep]).sum())
-            return [(source_id, kept, kept_bytes)], 0
+            return [(source_id, batch.compress(keep),
+                     int(sizes[keep].sum()))], 0
 
-        bucket_bytes = np.zeros(node_count, dtype=np.int64)
-        np.add.at(bucket_bytes, owners, np.asarray(sizes, dtype=np.int64))
-        buckets: List[List[Tuple]] = [[] for _ in range(node_count)]
-        for owner, row in zip(owners.tolist(), rows):
-            buckets[owner].append(row)
-        totals = bucket_bytes.tolist()
-        deliveries = [
-            (owner, buckets[owner], totals[owner])
-            for owner in range(node_count) if buckets[owner]
-        ]
-        sent = sum(
-            totals[owner] for owner in range(node_count)
-            if buckets[owner] and owner != source_id
-        )
+        order = np.argsort(owners, kind="stable")
+        gathered = batch.take(order)
+        running = np.concatenate(([0], np.cumsum(sizes[order]))).tolist()
+        stops = np.cumsum(np.bincount(owners, minlength=node_count))
+        deliveries: List[Delivery] = []
+        sent = start = 0
+        for owner, stop in enumerate(stops.tolist()):
+            if stop > start:
+                nbytes = running[stop] - running[start]
+                deliveries.append(
+                    (owner, gathered.slice(start, stop), nbytes))
+                if owner != source_id:
+                    sent += nbytes
+                start = stop
         return deliveries, sent
 
-    return route_batch_fast(operation, rows, sizes, hash_index,
-                            node_count, source_id)
+    return _deliver_whole_batch(operation, batch, int(sizes.sum()),
+                                node_count, source_id)
 
 
 @dataclass
@@ -347,7 +306,10 @@ class _SourceRun:
     """One node's extract+route output, merged in node order."""
 
     node_id: int
-    rows: List[Tuple]
+    #: What the node's SQL produced: row tuples — or, for a DMS step
+    #: under the numpy executor, the column batch (the merge reads only
+    #: its length; its rows never exist).
+    output: Batch
     names: List[str]
     read_bytes: int
     relational_rows: int
@@ -386,13 +348,14 @@ class DmsRuntime:
     "compiled", "vectorized", "numpy"); when not given, the legacy
     ``compiled`` boolean picks the reference interpreter or the
     default, ``"numpy"``: the typed-ndarray interpreter
-    (:class:`repro.vector.np_executor.NumpyInterpreter`), which hashes
-    integer distribution keys with a vectorized CRC32 pass
-    (:func:`route_batch_numpy`) and degrades to ``"vectorized"`` (with
-    a single warning) when numpy is not importable.  ``"vectorized"``
-    runs step SQL through :class:`repro.vector.VectorInterpreter` and
-    routes DMS batches column-wise (:func:`route_batch_columnar`) in
-    both runtime modes.
+    (:class:`repro.vector.np_executor.NumpyInterpreter`), whose DMS
+    steps move typed columns from its kernels to the next step's scan
+    (:func:`route_batch_columns`) in both runtime modes.  The other
+    three backends move row tuples: ``"vectorized"``
+    (:class:`repro.vector.VectorInterpreter`) always through
+    :func:`route_batch_fast`, the two row-at-a-time backends through it
+    under the parallel runtime and through the reference router on the
+    serial walk.
     """
 
     def __init__(self, appliance: Appliance,
@@ -407,12 +370,8 @@ class DmsRuntime:
         self.tracer = tracer
         # ``executor`` is canonical; the legacy boolean is re-derived
         # from it so the step bind cache keeps its contract (only the
-        # reference backend re-parses per node).  ``"numpy"`` degrades
-        # to ``"vectorized"`` here when numpy is absent (front doors
-        # that resolve options have already downgraded, so the warning
-        # fires once either way).
-        self.executor = effective_executor(
-            resolve_executor(executor, compiled))
+        # reference backend re-parses per node).
+        self.executor = resolve_executor(executor, compiled)
         self.compiled = self.executor != "reference"
         self.metrics = metrics
         self.parallel = resolve_parallel(parallel, default=False)
@@ -482,20 +441,29 @@ class DmsRuntime:
                         observer: Optional[OperatorObserver] = None
                         ) -> Tuple[List[Tuple], List[str]]:
         """Bind (cached) and execute a step's SQL on one node."""
-        query, aliases = self._bind_step(sql)
+        interpreter, query = self._node_interpreter(sql, node, stats,
+                                                    observer)
+        return interpreter.run_query(query), query.output_names
+
+    def _node_interpreter(self, sql: str, node: NodeStorage,
+                          stats: Optional[InterpreterStats],
+                          observer: Optional[OperatorObserver]):
+        """This backend's interpreter over ``node``'s tables, and the
+        step's bound tree for it to run."""
+        query, temps = self._bind_step(sql)
         # Snapshot the node's table map before handing it over: a system-
         # view refresh on another thread swaps dm_pdw_* fragments in and
         # out of the live dict, and the interpreter constructors iterate
         # their input.  dict.copy() is a single atomic op; the values are
-        # shared list references, so this costs one small dict per step.
+        # shared fragment references, so this costs one small dict per
+        # step.
         tables = node.tables.copy()
-        for bound, actual in aliases:
-            tables[bound] = node.rows(actual)
+        # The numpy backend scans a temp as stored — a column fragment
+        # as it stands; the row backends read its rows.
+        view = node.fragment if self.executor == "numpy" else node.rows
+        for bound, actual in temps:
+            tables[bound] = view(actual)
         if self.executor == "numpy":
-            # Imported lazily: the constructor has already verified
-            # numpy is importable (effective_executor), and numpy-less
-            # environments must never pay — or fail on — this import.
-            from repro.vector.np_executor import NumpyInterpreter
             interpreter = NumpyInterpreter(tables, stats,
                                            observer=observer)
         elif self.executor == "vectorized":
@@ -505,14 +473,13 @@ class DmsRuntime:
             interpreter = PlanInterpreter(tables, stats,
                                           compiled=self.compiled,
                                           observer=observer)
-        rows = interpreter.run_query(query)
-        return rows, query.output_names
+        return interpreter, query
 
     def _bind_step(self, sql: str
                    ) -> Tuple[Query, Tuple[Tuple[str, str], ...]]:
-        """The bound tree for ``sql`` plus the (bound name, this
-        execution's name) pair of every temp table it must read under
-        another name.  Parses + binds once per canonical step text and
+        """The bound tree for ``sql`` plus a (name the tree reads it
+        under, this execution's name) pair for every temp table the
+        step reads.  Parses + binds once per canonical step text and
         temp schema; re-runs hit the cache.
 
         Lock-guarded: under the parallel runtime every node worker calls
@@ -520,10 +487,11 @@ class DmsRuntime:
         before the others read the entry (same hit/miss counts as the
         serial backend)."""
         catalog = self.appliance.catalog
+        canonical, temps = canonical_step_sql(sql)
         if not self.compiled:
             # Reference path: re-parse per node, exactly the old cost.
-            return Binder(catalog).bind(parse_query(sql)), ()
-        canonical, temps = canonical_step_sql(sql)
+            return (Binder(catalog).bind(parse_query(sql)),
+                    tuple(zip(temps, temps)))
         # Two plans can emit one step text over different temp schemas.
         key = (canonical, tuple(tuple(catalog.table(name).columns)
                                 for name in temps))
@@ -539,10 +507,7 @@ class DmsRuntime:
                 self._step_cache[key] = cached
                 if len(self._step_cache) > _STEP_CACHE_LIMIT:
                     self._step_cache.popitem(last=False)
-        aliases = tuple((bound, actual)
-                        for bound, actual in zip(cached.temps, temps)
-                        if bound != actual)
-        return cached.query, aliases
+        return cached.query, tuple(zip(cached.temps, temps))
 
     def _source_nodes(self, step: DsqlStep) -> List[NodeStorage]:
         location = step.source_location
@@ -574,16 +539,14 @@ class DmsRuntime:
         operation = step.movement.operation if step.movement else None
         profiling = self.profiling
         parallel = self.parallel
-        # The columnar backends route column-wise in both runtime
-        # modes (the numpy backend additionally hashes the whole key
-        # column in one vectorized pass); otherwise the parallel
-        # runtime takes the fused fast path and the serial walk keeps
-        # the reference router.
-        if self.executor == "numpy":
-            route = route_batch_numpy
-        elif self.executor == "vectorized":
-            route = route_batch_columnar
-        elif parallel:
+        # The numpy backend moves columns, in both runtime modes.  The
+        # others move rows: the fused fast path for the vectorized
+        # backend and under the parallel runtime, the reference router
+        # on the row-at-a-time backends' serial walk.
+        columnar = self.executor == "numpy"
+        if columnar:
+            route = route_batch_columns
+        elif self.executor == "vectorized" or parallel:
             route = route_batch_fast
         else:
             route = self._route_batch_reference
@@ -592,27 +555,36 @@ class DmsRuntime:
             started = time.perf_counter()
             sql_stats = InterpreterStats()
             observer = OperatorObserver() if profiling else None
-            rows, names = self.run_sql_on_node(step.sql, source,
-                                               sql_stats, observer)
+            interpreter, query = self._node_interpreter(
+                step.sql, source, sql_stats, observer)
             source_id = source.node_id
+            output = (interpreter.run_columns(query) if columnar
+                      else interpreter.run_query(query))
+            if operation is None and source_id == CONTROL_NODE:
+                sizes_total = 0  # already at the control node
+            elif columnar:
+                sizes = batch_row_bytes(output)
+                sizes_total = int(sizes.sum())
+            else:
+                sizes = [row_bytes(r) for r in output]
+                sizes_total = sum(sizes)
             if operation is None:
-                # Return step: no routing, only network accounting.
-                sizes_total = (sum(row_bytes(r) for r in rows)
-                               if source_id != CONTROL_NODE else 0)
+                # Return step: no routing, only network accounting —
+                # and the one place a column batch becomes tuples.
+                if columnar:
+                    output = output.rows()
                 deliveries: List[Delivery] = []
                 sent = sizes_total
             else:
-                # One row_bytes pass per batch serves reader, network
-                # and writer accounting alike.
-                sizes = [row_bytes(r) for r in rows]
-                sizes_total = sum(sizes)
+                # The one sizing pass above serves reader, network and
+                # writer accounting alike.
                 deliveries, sent = route(
-                    operation, rows, sizes, hash_index,
+                    operation, output, sizes, hash_index,
                     node_count, source_id)
             run = _SourceRun(
                 node_id=source_id,
-                rows=rows,
-                names=names,
+                output=output,
+                names=query.output_names,
                 read_bytes=sizes_total,
                 relational_rows=(sql_stats.rows_scanned
                                  + sql_stats.rows_processed),
@@ -622,7 +594,7 @@ class DmsRuntime:
                 wall_seconds=time.perf_counter() - started,
             )
             if request.enabled:
-                request.node_done(step.index, source_id, len(rows),
+                request.node_done(step.index, source_id, len(output),
                                   sizes_total, run.wall_seconds)
             return run
 
@@ -646,7 +618,7 @@ class DmsRuntime:
             if step.hash_column is not None else None
         )
 
-        received: Dict[int, List[List[Tuple]]] = {}
+        received: Dict[int, List[Batch]] = {}
         received_bytes: Dict[int, int] = {}
         profiling = self.profiling
 
@@ -658,8 +630,8 @@ class DmsRuntime:
             stats.reader_bytes[source_id] = (
                 stats.reader_bytes.get(source_id, 0) + run.read_bytes)
             stats.node_rows[source_id] = (
-                stats.node_rows.get(source_id, 0) + len(run.rows))
-            stats.rows_moved += len(run.rows)
+                stats.node_rows.get(source_id, 0) + len(run.output))
+            stats.rows_moved += len(run.output)
             stats.node_wall_seconds[source_id] = (
                 stats.node_wall_seconds.get(source_id, 0.0)
                 + run.wall_seconds)
@@ -686,7 +658,11 @@ class DmsRuntime:
             incoming = received_bytes[target_id]
             stats.writer_bytes[target_id] = incoming
             stats.bulk_bytes[target_id] = incoming
-            if len(batches) == 1:
+            if self.executor == "numpy":
+                # Column pieces, in source-node order; a broadcast's
+                # one piece stays shared between the targets.
+                node.adopt(destination.name, ColumnFragment(batches))
+            elif len(batches) == 1:
                 # Single batch (broadcast share, or a lone shuffle
                 # bucket): alias it into storage; the node copies only
                 # if it later mutates.
@@ -786,7 +762,7 @@ class DmsRuntime:
             stats.relational_rows += run.relational_rows
             if source_id != CONTROL_NODE:
                 stats.network_bytes[source_id] = run.read_bytes
-            stats.node_rows[source_id] = len(run.rows)
+            stats.node_rows[source_id] = len(run.output)
             stats.node_wall_seconds[source_id] = (
                 stats.node_wall_seconds.get(source_id, 0.0)
                 + run.wall_seconds)
@@ -794,10 +770,10 @@ class DmsRuntime:
                 stats.node_operators[source_id] = run.observer.records
             if profiling:
                 stats.transfers[(source_id, CONTROL_NODE)] = [
-                    len(run.rows),
+                    len(run.output),
                     stats.network_bytes.get(source_id, 0),
                 ]
-            rows.extend(run.rows)
+            rows.extend(run.output)
             names = run.names
         stats.movement_seconds = max(
             stats.network_bytes.values(), default=0) * self.truth.network

@@ -43,13 +43,14 @@ from repro.catalog.statistics import sort_key
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.requests import NULL_REQUEST
 from repro.common.errors import ExecutionError
-from repro.common.executors import effective_executor, resolve_executor
+from repro.common.executors import resolve_executor
 from repro.optimizer.binder import Binder
 from repro.optimizer.normalize import normalize
 from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
 from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.vector.executor import VectorInterpreter
+from repro.vector.np_executor import NumpyInterpreter
 
 #: Upper bound on concurrently executing DSQL steps.  Plans are small
 #: (a handful of steps), and each step fans out its own node workers,
@@ -134,8 +135,7 @@ class DsqlRunner:
     ``executor`` selects the execution backend by name ("reference",
     "compiled", "vectorized", "numpy"); when it is not given the legacy
     ``compiled`` boolean picks between the reference interpreter and
-    the default, ``"numpy"``, which degrades to ``"vectorized"`` (with
-    one warning) when numpy is not importable.
+    the default, ``"numpy"``.
     ``parallel=None`` (default) resolves to the serial walk unless the
     ``REPRO_PARALLEL_RUNTIME`` environment variable overrides it, as
     it does at the :class:`repro.session.PdwSession` and
@@ -151,8 +151,7 @@ class DsqlRunner:
                  executor: Optional[str] = None):
         self.appliance = appliance
         self.tracer = tracer
-        self.executor = effective_executor(
-            resolve_executor(executor, compiled))
+        self.executor = resolve_executor(executor, compiled)
         self.compiled = self.executor != "reference"
         self.metrics = metrics
         self.parallel = resolve_parallel(parallel, default=False)
@@ -295,9 +294,8 @@ def run_reference(appliance: Appliance, sql: str,
     """
     statement = parse_query(sql)
     query = normalize(Binder(appliance.catalog).bind(statement))
-    backend = effective_executor(resolve_executor(executor, compiled))
+    backend = resolve_executor(executor, compiled)
     if backend == "numpy":
-        from repro.vector.np_executor import NumpyInterpreter
         interpreter = NumpyInterpreter(appliance.single_system_image())
     elif backend == "vectorized":
         interpreter = VectorInterpreter(appliance.single_system_image())

@@ -3,14 +3,24 @@
 Models the PDW appliance of §2.1: N compute nodes, each hosting a DBMS
 instance with its fragment of every hash-distributed table and a full copy
 of every replicated table; one control node with its own (shell/staging)
-storage.  Rows are plain tuples in table-column order.
+storage.  Rows are plain tuples in table-column order; a temp table the
+numpy executor's DMS steps wrote is held as typed columns instead
+(:class:`~repro.vector.np_batch.ColumnFragment`) and turns into tuples
+only for a reader that asks for :meth:`NodeStorage.rows`.
+
+The distribution hash and the byte-accounting unit are defined here
+twice over — per value (:func:`pdw_hash`, :func:`value_bytes`) and per
+column (:func:`column_owners`, :func:`batch_row_bytes`) — and the
+property tests hold the column forms to the value forms bit for bit.
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.catalog.schema import (
     Catalog,
@@ -20,6 +30,12 @@ from repro.catalog.schema import (
 from repro.catalog.shell_db import ShellDatabase
 from repro.catalog.statistics import ColumnStats, merge_column_stats
 from repro.common.errors import ExecutionError
+from repro.vector.np_batch import (
+    ArrayBatch,
+    ColumnFragment,
+    NumpyColumn,
+    crc32_int64,
+)
 
 
 def pdw_hash(value) -> int:
@@ -72,20 +88,109 @@ def row_bytes(row: Tuple) -> int:
     return sum(value_bytes(v) for v in row)
 
 
-class NodeStorage:
-    """One node's table fragments: table name → list of row tuples.
+# -- the same two definitions, a column at a time ------------------------------------
 
-    A fragment list may be **adopted** rather than inserted: broadcast
-    moves deliver one shared row list to every node, and :meth:`adopt`
-    aliases it in place of copying.  Adopted lists are copy-on-write —
-    the first :meth:`insert` into an adopted table materializes a
-    private copy — so sharing is invisible to mutating callers.
-    Readers must already treat fragment lists as read-only.
+_INT32_MIN, _INT32_MAX = -2 ** 31, 2 ** 31 - 1
+
+#: Byte width of every non-NULL value of a fixed-width column kind.
+_KIND_BYTES = {"f": 8, "d": 4, "b": 1}
+
+
+def _value_widths(column: NumpyColumn) -> Union[int, np.ndarray]:
+    """:func:`value_bytes` over a column: one int when every value has
+    that width (the usual case — no array is built), else an int64
+    array with a width per value."""
+    kind = column.kind
+    values = column.values
+    if kind == "o":
+        # Mostly strings (``max(1, len)``; every other width is >= 1
+        # already), anything else one value at a time.
+        sizes = np.fromiter(
+            (len(v) if type(v) is str else value_bytes(v)
+             for v in values.tolist()), np.int64, len(values))
+        return np.maximum(sizes, 1, out=sizes)
+    mask = column.mask
+    if kind == "i":
+        if len(values) and (values.min() < _INT32_MIN
+                            or values.max() > _INT32_MAX):
+            sizes = np.where(
+                (values < _INT32_MIN) | (values > _INT32_MAX), 8, 4)
+            if mask is not None:
+                sizes[mask] = 1  # NULL
+            return sizes
+        width = 4
+    else:
+        width = _KIND_BYTES[kind]
+    if mask is None:
+        return width
+    return np.where(mask, 1, width)  # NULL is one byte
+
+
+def batch_row_bytes(batch: ArrayBatch) -> np.ndarray:
+    """:func:`row_bytes` of every row of a batch, as int64 — a pass per
+    column whose values differ in width, no row tuple built."""
+    fixed = 0
+    sizes: Optional[np.ndarray] = None
+    for column in batch.columns.values():
+        widths = _value_widths(column)
+        if isinstance(widths, int):
+            fixed += widths
+        elif sizes is None:
+            sizes = widths
+        else:
+            sizes += widths
+    if sizes is None:
+        return np.full(batch.length, fixed, dtype=np.int64)
+    if fixed:
+        sizes += fixed
+    return sizes
+
+
+def column_owners(column: NumpyColumn, node_count: int) -> np.ndarray:
+    """``pdw_hash(v) % node_count`` for every value of a distribution-
+    key column, as int64.  Integer columns hash in one vectorized CRC32
+    pass (:func:`~repro.vector.np_batch.crc32_int64`); any other kind
+    hashes its native values one by one."""
+    if column.kind == "i":
+        owners = (crc32_int64(column.values)
+                  % np.uint32(node_count)).astype(np.int64)
+        if column.mask is not None:
+            owners[column.mask] = 0  # pdw_hash(None) == 0
+        return owners
+    return np.fromiter(
+        (pdw_hash(v) % node_count for v in column.pylist()),
+        np.int64, len(column))
+
+
+#: What a node holds for one table: row tuples, or the column pieces a
+#: DMS step delivered.
+Fragment = Union[List[Tuple], ColumnFragment]
+
+
+def _rows_of(fragment: Fragment) -> List[Tuple]:
+    """A fragment as row tuples: the list itself, or a column
+    fragment's row view (derived once, in the order a row delivery
+    would have stored)."""
+    if isinstance(fragment, ColumnFragment):
+        return fragment.rows()
+    return fragment
+
+
+class NodeStorage:
+    """One node's table fragments: table name → :data:`Fragment`.
+
+    A fragment may be **adopted** rather than inserted: broadcast moves
+    deliver one shared row list (or column piece) to every node, and
+    :meth:`adopt` aliases it in place of copying.  Adopted fragments
+    are copy-on-write — the first :meth:`insert` into an adopted table
+    materializes a private row list — so sharing is invisible to
+    mutating callers.  Readers must already treat fragments as
+    read-only.
     """
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self.tables: Dict[str, List[Tuple]] = {}
+        self.tables: Dict[str, Fragment] = {}
         self._adopted: Set[str] = set()
 
     def create(self, name: str) -> None:
@@ -96,7 +201,8 @@ class NodeStorage:
         self.tables.pop(key, None)
         self._adopted.discard(key)
 
-    def rows(self, name: str) -> List[Tuple]:
+    def fragment(self, name: str) -> Fragment:
+        """The table's fragment as stored."""
         try:
             return self.tables[name.lower()]
         except KeyError:
@@ -104,25 +210,30 @@ class NodeStorage:
                 f"node {self.node_id}: table {name!r} has no storage"
             ) from None
 
+    def rows(self, name: str) -> List[Tuple]:
+        """The table's fragment as row tuples."""
+        return _rows_of(self.fragment(name))
+
     def insert(self, name: str, rows: Iterable[Tuple]) -> None:
         key = name.lower()
         if key in self._adopted:
-            self.tables[key] = list(self.tables[key])
+            self.tables[key] = list(self.rows(name))
             self._adopted.discard(key)
         self.rows(name).extend(rows)
 
-    def adopt(self, name: str, rows: List[Tuple]) -> None:
-        """Alias ``rows`` as the table's fragment without copying.
+    def adopt(self, name: str, fragment: Fragment) -> None:
+        """Alias ``fragment`` as the table's storage without copying.
 
-        Only an empty fragment can adopt; a non-empty one falls back to
-        a copying :meth:`insert`.  The caller must not mutate ``rows``
-        afterwards (the DMS runtime delivers shared broadcast batches
-        exactly once and drops its reference)."""
-        key = name.lower()
-        if self.rows(name):
-            self.insert(name, rows)
+        Only an empty table can adopt; a non-empty one falls back to a
+        copying :meth:`insert` of the fragment's rows.  The caller must
+        not mutate ``fragment`` afterwards (the DMS runtime delivers
+        shared broadcast batches exactly once and drops its
+        reference)."""
+        if len(self.fragment(name)):
+            self.insert(name, _rows_of(fragment))
             return
-        self.tables[key] = rows
+        key = name.lower()
+        self.tables[key] = fragment
         self._adopted.add(key)
 
 

@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Tuple, Union
 
 from repro.appliance.scheduler import resolve_parallel
 from repro.common.errors import ReproError
-from repro.common.executors import effective_executor, resolve_executor
+from repro.common.executors import resolve_executor
 
 #: Admission priority classes, best first.  Lower rank wins the queue.
 PRIORITY_CLASSES: Mapping[str, int] = {
@@ -68,9 +68,9 @@ class ExecutionOptions:
     * ``executor`` — which execution backend runs step SQL on the
       nodes: ``"reference"`` (tree-walking interpreter), ``"compiled"``
       (closure backend), ``"vectorized"`` (columnar batch kernels,
-      :mod:`repro.vector`) or ``"numpy"`` (typed ndarray kernels, the
-      default; degrades to ``"vectorized"`` with a warning when numpy
-      is absent).  ``None`` derives from the legacy ``compiled`` flag;
+      :mod:`repro.vector`) or ``"numpy"`` (typed ndarray kernels and
+      a columnar DMS data plane, the default).  ``None`` derives from
+      the legacy ``compiled`` flag;
     * ``compiled`` — legacy boolean: ``False`` spells the reference
       interpreter, ``True`` the default backend; kept in sync with
       ``executor`` (an explicit ``executor`` wins, and ``compiled`` is
@@ -146,15 +146,12 @@ class ExecutionOptions:
     def resolved(self, default_parallel: bool = False) -> "ExecutionOptions":
         """Fold the environment into a concrete options object:
         ``parallel`` from ``REPRO_PARALLEL_RUNTIME`` (explicit value >
-        env var > ``default_parallel``), and ``executor`` downgraded to
-        the backend that will actually run (``"numpy"`` becomes
-        ``"vectorized"``, with one warning, when numpy is absent).
-        Idempotent: an already-resolved object is returned unchanged."""
+        env var > ``default_parallel``).  Idempotent: an
+        already-resolved object is returned unchanged."""
         if self.env_resolved:
             return self
         return replace(
             self,
-            executor=effective_executor(self.executor),
             parallel=resolve_parallel(self.parallel,
                                       default=default_parallel),
             env_resolved=True,

@@ -39,8 +39,9 @@ shim for one release.
 
 Execution uses the numpy backend by default — each DSQL step's SQL is
 parsed + bound once and re-run on every compute node over typed
-ndarrays (degrading to ``"vectorized"`` with one warning when numpy is
-absent).  The ``executor`` option picks another backend by name:
+ndarrays, and DMS steps move those columns, not row tuples, into the
+next step's temp table.  The ``executor`` option picks another backend
+by name:
 ``ExecutionOptions(executor="vectorized")`` (CLI: ``--executor
 vectorized``) runs steps batch-at-a-time over columnar Python lists
 (:mod:`repro.vector`), ``ExecutionOptions(executor="compiled")``

@@ -16,16 +16,13 @@ The numpy backend (:mod:`repro.vector.np_batch`,
 the same operator semantics but stores columns as typed ndarrays with
 explicit NULL masks, so kernels and aggregates run inside numpy's C
 loops — which release the GIL, letting the parallel node runtime
-overlap real work.  Its names are exported here only when numpy is
-importable; everything else in this package stays pure-Python, so
-``executor="numpy"`` can degrade gracefully to ``"vectorized"``.
+overlap real work.
 
 Selected with ``ExecutionOptions(executor="vectorized")`` or
 ``executor="numpy"`` alongside the ``"reference"`` tree-walking
 interpreter and the ``"compiled"`` closure backend.
 """
 
-from repro.common.executors import numpy_available
 from repro.vector.column_batch import ColumnBatch
 from repro.vector.executor import VectorInterpreter
 from repro.vector.kernels import (
@@ -33,29 +30,25 @@ from repro.vector.kernels import (
     compile_kernel,
     compile_selection,
 )
+from repro.vector.np_batch import ArrayBatch, ColumnFragment, NumpyColumn
+from repro.vector.np_executor import NumpyInterpreter
+from repro.vector.np_kernels import (
+    clear_np_kernel_cache,
+    compile_np_kernel,
+    compile_np_selection,
+)
 
 __all__ = [
+    "ArrayBatch",
     "ColumnBatch",
+    "ColumnFragment",
+    "NumpyColumn",
+    "NumpyInterpreter",
     "VectorInterpreter",
     "clear_kernel_cache",
+    "clear_np_kernel_cache",
     "compile_kernel",
+    "compile_np_kernel",
+    "compile_np_selection",
     "compile_selection",
 ]
-
-if numpy_available():
-    from repro.vector.np_batch import ArrayBatch, NumpyColumn
-    from repro.vector.np_executor import NumpyInterpreter
-    from repro.vector.np_kernels import (
-        clear_np_kernel_cache,
-        compile_np_kernel,
-        compile_np_selection,
-    )
-
-    __all__ += [
-        "ArrayBatch",
-        "NumpyColumn",
-        "NumpyInterpreter",
-        "clear_np_kernel_cache",
-        "compile_np_kernel",
-        "compile_np_selection",
-    ]

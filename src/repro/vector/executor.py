@@ -87,10 +87,8 @@ class VectorInterpreter:
 
     def _materialize(self, query: Query,
                      batch: ColumnBatch) -> List[Tuple]:
-        """Turn the root batch into output rows: ORDER BY (stable,
-        per-key, NULLs-first via ``sort_key``), TOP, column-to-row zip.
-        Split out so subclasses with a different batch representation
-        (the numpy backend) can reuse it on a native-list view."""
+        """Turn the root batch into output rows: ORDER BY / TOP
+        (:meth:`_row_order`), then the column-to-row zip."""
         length = batch.length
         output_cols = []
         for var in query.output_columns():
@@ -98,16 +96,8 @@ class VectorInterpreter:
             if column is None:
                 column = [None] * length
             output_cols.append(column)
-        if query.order_by:
-            order = list(range(length))
-            for var, ascending in reversed(query.order_by):
-                key_col = batch.columns.get(var.id)
-                if key_col is None:
-                    continue  # all-NULL sort key: stable no-op
-                order.sort(key=lambda i: sort_key(key_col[i]),
-                           reverse=not ascending)
-            if query.limit is not None:
-                order = order[:query.limit]
+        order = self._row_order(query, batch)
+        if order is not None:
             return [tuple(col[i] for col in output_cols) for i in order]
         if output_cols:
             rows = list(zip(*output_cols))
@@ -116,6 +106,26 @@ class VectorInterpreter:
         if query.limit is not None:
             rows = rows[:query.limit]
         return rows
+
+    @staticmethod
+    def _row_order(query: Query,
+                   batch: ColumnBatch) -> Optional[List[int]]:
+        """The query's ORDER BY (stable, per-key, NULLs-first via
+        ``sort_key``) and TOP as a list of row indexes into ``batch``;
+        ``None`` without an ORDER BY.  Only the sort-key columns are
+        read, so the numpy backend passes a batch of just those."""
+        if not query.order_by:
+            return None
+        order = list(range(batch.length))
+        for var, ascending in reversed(query.order_by):
+            key_col = batch.columns.get(var.id)
+            if key_col is None:
+                continue  # all-NULL sort key: stable no-op
+            order.sort(key=lambda i: sort_key(key_col[i]),
+                       reverse=not ascending)
+        if query.limit is not None:
+            order = order[:query.limit]
+        return order
 
     def run(self, op: LogicalOp) -> ColumnBatch:
         batch = self._dispatch(op)

@@ -28,14 +28,19 @@ which is exactly what the parallel node runtime needs.
 
 The **native-value boundary** is load-bearing for bit-identical
 equivalence: every value that leaves a batch — materialized result
-rows, routed DMS rows, group keys, fallback-kernel inputs — goes
-through :meth:`NumpyColumn.pylist`, which produces native Python
+rows, the row view of a temp fragment, group keys, fallback-kernel
+inputs, non-integer distribution keys — goes through
+:meth:`NumpyColumn.pylist`, which produces native Python
 ``int``/``float``/``bool`` objects (via ``ndarray.tolist``) and
 restores ``None`` and ``datetime.date``.  numpy scalars must never
 escape: ``np.int64`` is not an ``int`` subclass (``row_bytes`` would
 size it differently) and ``repr(np.float64(x))`` is not ``repr(x)``
 under numpy 2 (``pdw_hash`` hashes the repr), so a leaked scalar
-silently changes byte accounting and row routing.
+silently changes byte accounting and row routing.  DMS steps do *not*
+cross the boundary: a step's output leaves the interpreter as an
+:class:`ArrayBatch` of positional columns, is sized, hashed and split
+column-wise, and lands in the destination node as a
+:class:`ColumnFragment` the next step scans directly.
 
 Columns and batches are immutable by convention, exactly like
 ``ColumnBatch`` — operators that keep rows build new arrays.
@@ -44,7 +49,8 @@ Columns and batches are immutable by convention, exactly like
 from __future__ import annotations
 
 import datetime
-from typing import Dict, Iterable, List, Optional, Sequence
+import zlib
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +133,12 @@ class NumpyColumn:
         return NumpyColumn(
             self.kind, self.values[keep],
             None if self.mask is None else self.mask[keep])
+
+    def slice(self, start: int, stop: int) -> "NumpyColumn":
+        """Rows ``start:stop`` as views — no copy."""
+        return NumpyColumn(
+            self.kind, self.values[start:stop],
+            None if self.mask is None else self.mask[start:stop])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nulls = int(self.null_mask().sum())
@@ -214,14 +226,23 @@ class ArrayBatch:
     expression fallback path hands it to the pure-Python kernels, so a
     batch pays the conversion only if some expression actually needs
     it, and at most once however many expressions do.
+
+    Inside an interpreter the keys are bound column-variable ids; a
+    batch that has left one (:meth:`NumpyInterpreter.run_columns`, DMS
+    deliveries, :class:`ColumnFragment` pieces) is keyed by output
+    position ``0..k-1`` in order, and :meth:`rows` is its row view.
     """
 
-    __slots__ = ("columns", "length", "_list_batch")
+    __slots__ = ("columns", "length", "_list_batch", "_rows")
 
     def __init__(self, columns: Dict[int, NumpyColumn], length: int):
         self.columns = columns
         self.length = length
         self._list_batch: Optional[ColumnBatch] = None
+        self._rows: Optional[List[Tuple]] = None
+
+    def __len__(self) -> int:
+        return self.length
 
     def list_batch(self) -> ColumnBatch:
         batch = self._list_batch
@@ -231,6 +252,21 @@ class ArrayBatch:
                 self.length)
             self._list_batch = batch
         return batch
+
+    def rows(self) -> List[Tuple]:
+        """The batch as native row tuples, columns in key order — where
+        a positional batch crosses the native-value boundary.  Built
+        once: a broadcast piece shared by every node shares its row
+        view too, so callers must treat the list as read-only."""
+        rows = self._rows
+        if rows is None:
+            if self.columns:
+                rows = list(zip(*[col.pylist()
+                                  for col in self.columns.values()]))
+            else:
+                rows = [()] * self.length
+            self._rows = rows
+        return rows
 
     def take(self, indices: np.ndarray,
              ids: Optional[Iterable[int]] = None) -> "ArrayBatch":
@@ -255,6 +291,14 @@ class ArrayBatch:
         return ArrayBatch(
             {cid: col.compress(keep) for cid, col in items}, length)
 
+    def slice(self, start: int, stop: int) -> "ArrayBatch":
+        """Rows ``start:stop`` (``0 <= start <= stop <= length``) as
+        views of this batch's arrays."""
+        return ArrayBatch(
+            {cid: col.slice(start, stop)
+             for cid, col in self.columns.items()},
+            stop - start)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ArrayBatch(rows={self.length}, "
                 f"columns={sorted(self.columns)})")
@@ -268,54 +312,131 @@ def from_column_batch(batch: ColumnBatch) -> ArrayBatch:
         batch.length)
 
 
+def concat_columns(pieces: List[Tuple[Optional[NumpyColumn], int]]
+                   ) -> NumpyColumn:
+    """Concatenate ``(column, length)`` pieces into one column
+    (``None`` = missing column = all NULL).  Same-kind typed pieces
+    concatenate arrays; anything mixed rebuilds through native values,
+    which types the result exactly as :func:`column_from_list` would
+    have typed the concatenated values."""
+    present = [col for col, _ in pieces if col is not None]
+    if len(present) == len(pieces) and present:
+        kinds = {col.kind for col in present}
+        if len(kinds) == 1:
+            kind = kinds.pop()
+            values = np.concatenate([col.values for col in present])
+            if kind == "o":
+                return NumpyColumn("o", values)
+            if any(col.mask is not None for col in present):
+                mask = np.concatenate([
+                    col.mask if col.mask is not None
+                    else np.zeros(len(col.values), dtype=np.bool_)
+                    for col in present])
+            else:
+                mask = None
+            return NumpyColumn(kind, values, mask)
+    merged: List = []
+    for col, length in pieces:
+        if col is None:
+            merged.extend([None] * length)
+        else:
+            merged.extend(col.pylist())
+    return column_from_list(merged)
+
+
+class ColumnFragment:
+    """A temp table's fragment on one node, as the DMS runtime
+    delivered it: positional :class:`ArrayBatch` pieces in source-node
+    order, never row tuples.
+
+    The numpy executor scans :meth:`column` directly; everything that
+    wants rows (the other executors, the oracle, DMVs, tests) reads
+    :meth:`rows`, derived on demand in exactly the order a row-tuple
+    delivery would have stored.  Both views are built at most once.
+    Immutable: a broadcast move hands the *same* piece to every node,
+    and ``NodeStorage.insert`` copies the row view before appending.
+    """
+
+    __slots__ = ("pieces", "length", "_columns", "_rows")
+
+    def __init__(self, pieces: List[ArrayBatch]):
+        self.pieces = pieces
+        self.length = sum(piece.length for piece in pieces)
+        self._columns: Dict[int, NumpyColumn] = {}
+        self._rows: Optional[List[Tuple]] = None
+
+    def __len__(self) -> int:
+        return self.length
+
+    def column(self, index: int) -> NumpyColumn:
+        """Column ``index`` over the whole fragment."""
+        pieces = self.pieces
+        if len(pieces) == 1:
+            return pieces[0].columns[index]
+        column = self._columns.get(index)
+        if column is None:
+            # Benign race under the parallel runtime: two readers may
+            # both concatenate; the results are equivalent.
+            column = self._columns[index] = concat_columns(
+                [(piece.columns[index], piece.length)
+                 for piece in pieces])
+        return column
+
+    def rows(self) -> List[Tuple]:
+        rows = self._rows
+        if rows is None:
+            pieces = self.pieces
+            if len(pieces) == 1:
+                rows = pieces[0].rows()
+            else:
+                rows = [row for piece in pieces for row in piece.rows()]
+            self._rows = rows
+        return rows
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"ColumnFragment(rows={self.length}, "
+                f"pieces={len(self.pieces)})")
+
+
 # -- vectorized pdw_hash ---------------------------------------------------------
+#
+# CRC-32 is affine over GF(2) in the message: for messages of one
+# length, crc(a ^ b) == crc(a) ^ crc(b) ^ crc(0).  A 16-byte message is
+# the XOR of its sixteen single-byte messages, so its CRC is the XOR of
+# one table entry per byte position — table[position][byte] ==
+# crc(that byte alone) ^ crc(0) — and crc(0).  An int64's upper eight
+# bytes are its sign extension, all 0x00 or all 0xFF: their entries fold
+# into one constant per sign, leaving eight lookups per value.
 
-def _crc32_table() -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint32)
-    for i in range(256):
-        c = i
-        for _ in range(8):
-            c = (0xEDB88320 ^ (c >> 1)) if (c & 1) else (c >> 1)
-        table[i] = c
-    return table
+_MESSAGE_BYTES = 16
 
 
-_CRC32_TABLE = _crc32_table()
+def _crc32_int64_tables() -> Tuple[np.ndarray, int, int]:
+    zero = zlib.crc32(bytes(_MESSAGE_BYTES))
+    tables = np.zeros((8, 256), dtype=np.uint32)
+    message = bytearray(_MESSAGE_BYTES)
+    for position in range(8):
+        for byte in range(256):
+            message[position] = byte
+            tables[position, byte] = zlib.crc32(message) ^ zero
+        message[position] = 0
+    negative = zlib.crc32(bytes(8) + b"\xff" * 8)
+    return tables, zero, negative
+
+
+_CRC32_TABLES, _CRC32_NON_NEGATIVE, _CRC32_NEGATIVE = _crc32_int64_tables()
 
 
 def crc32_int64(values: np.ndarray) -> np.ndarray:
     """``zlib.crc32(v.to_bytes(16, "little", signed=True))`` for a whole
-    int64 column at once — bit-identical to
-    :func:`repro.appliance.storage.pdw_hash` on ints (int64 values
-    occupy the low 8 bytes; the high 8 are the sign extension).
-
-    Table-driven CRC-32: sixteen byte positions processed in sequence,
-    each position vectorized across every row.
-    """
-    v = np.ascontiguousarray(values, dtype=np.int64)
-    data = v.astype("<i8").view(np.uint8).reshape(-1, 8)
-    sign = np.where(v < 0, np.uint8(0xFF), np.uint8(0))
-    crc = np.full(len(v), 0xFFFFFFFF, dtype=np.uint32)
-    eight = np.uint32(8)
-    low_byte = np.uint32(0xFF)
+    int64 column at once, as uint32 — bit-identical to
+    :func:`repro.appliance.storage.pdw_hash` on ints.  Eight table
+    lookups per value (one per low byte, vectorized across the rows)
+    XORed onto the constant its sign contributes."""
+    v = np.ascontiguousarray(values, dtype="<i8")
+    data = v.view(np.uint8).reshape(-1, 8)
+    crc = np.where(v < 0, np.uint32(_CRC32_NEGATIVE),
+                   np.uint32(_CRC32_NON_NEGATIVE))
     for position in range(8):
-        crc = (_CRC32_TABLE[(crc ^ data[:, position]) & low_byte]
-               ^ (crc >> eight))
-    for _ in range(8):  # sign-extension bytes are uniform per row
-        crc = _CRC32_TABLE[(crc ^ sign) & low_byte] ^ (crc >> eight)
-    return crc ^ np.uint32(0xFFFFFFFF)
-
-
-def int_key_owners(keys: Sequence,
-                   node_count: int) -> Optional[np.ndarray]:
-    """Owner node per key for a pure-``int`` key column, hashing the
-    whole column in one vectorized pass; ``None`` when the column is
-    not all native ``int`` (or exceeds int64), in which case the caller
-    falls back to per-value ``pdw_hash``."""
-    if set(map(type, keys)) != {int}:
-        return None
-    try:
-        values = np.array(keys, dtype=np.int64)
-    except OverflowError:
-        return None
-    return (crc32_int64(values) % np.uint32(node_count)).astype(np.int64)
+        crc ^= _CRC32_TABLES[position][data[:, position]]
+    return crc

@@ -7,7 +7,9 @@ operator with an array fast path over
 
 * scans columnarize the needed storage columns into typed arrays once
   per (table snapshot, column) and cache them — repeated steps over
-  the same fragments skip the transpose entirely;
+  the same fragments skip the transpose entirely — and read a temp
+  table the DMS runtime delivered as columns
+  (:class:`~repro.vector.np_batch.ColumnFragment`) as it stands;
 * filters evaluate the predicate to one boolean mask and compress;
 * projections run the numpy kernel compiler
   (:mod:`repro.vector.np_kernels`);
@@ -34,6 +36,7 @@ them on the full TPC-H workload.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -53,11 +56,14 @@ from repro.algebra.logical import (
 )
 from repro.catalog.statistics import sort_key
 from repro.common.errors import ExecutionError
+from repro.vector.column_batch import ColumnBatch
 from repro.vector.executor import VectorInterpreter
 from repro.vector.np_batch import (
     ArrayBatch,
+    ColumnFragment,
     NumpyColumn,
     column_from_list,
+    concat_columns,
 )
 from repro.vector.np_kernels import (
     compile_np_kernel,
@@ -169,19 +175,51 @@ class NumpyInterpreter(VectorInterpreter):
 
     Drop-in peer of the other interpreters; the DMS runtime selects it
     for ``executor="numpy"``.  Inherits ``run_query`` / ``run`` /
-    dispatch and the materialization tail from
-    :class:`VectorInterpreter`; only the operators and the batch
-    representation differ.
+    dispatch and the ORDER BY / TOP ordering from
+    :class:`VectorInterpreter`; the operators and the batch
+    representation differ, and :meth:`run_columns` is the exit the
+    others do not have.
     """
 
-    # -- materialization ----------------------------------------------------------
+    # -- exits --------------------------------------------------------------------
+
+    def run_columns(self, query: Query) -> ArrayBatch:
+        """The columnar exit: the query's output as typed columns keyed
+        by output position, ORDER BY / TOP applied — same rows, same
+        order as :meth:`run_query`, no tuple built.  What a DMS step
+        hands to the router and the Return step sizes before it builds
+        its rows."""
+        started = time.perf_counter()
+        try:
+            return self._output_batch(query, self.run(query.root))
+        finally:
+            self.stats.wall_seconds += time.perf_counter() - started
 
     def _materialize(self, query: Query, batch: ArrayBatch
                      ) -> List[Tuple]:
-        # ORDER BY / TOP / row assembly run on the native-list view:
-        # sort keys need `sort_key` over Python values anyway, and this
-        # is the single exit where numpy scalars must not leak.
-        return super()._materialize(query, batch.list_batch())
+        return self._output_batch(query, batch).rows()
+
+    def _output_batch(self, query: Query, batch: ArrayBatch
+                      ) -> ArrayBatch:
+        length = batch.length
+        columns: Dict[int, NumpyColumn] = {}
+        for position, var in enumerate(query.output_columns()):
+            column = batch.columns.get(var.id)
+            columns[position] = (_null_column(length) if column is None
+                                 else column)
+        output = ArrayBatch(columns, length)
+        if query.order_by:
+            # Sort keys need `sort_key` over Python values: the native
+            # view of the key columns only, the parent's sort verbatim.
+            keys = ColumnBatch(
+                {var.id: batch.columns[var.id].pylist()
+                 for var, _ in query.order_by if var.id in batch.columns},
+                length)
+            return output.take(np.array(self._row_order(query, keys),
+                                        dtype=np.int64))
+        if query.limit is not None and query.limit < length:
+            return output.slice(0, query.limit)
+        return output
 
     # -- operators ----------------------------------------------------------------
 
@@ -197,7 +235,11 @@ class NumpyInterpreter(VectorInterpreter):
             return ArrayBatch(
                 {var.id: column_from_list([]) for var in op.columns},
                 length)
-        if op.table.is_temp:
+        if isinstance(rows, ColumnFragment):
+            # A temp the DMS runtime delivered as columns: no rows to
+            # transpose, no types to sniff.
+            by_index = {index: rows.column(index) for index in set(indexes)}
+        elif op.table.is_temp:
             by_index = {index: column_from_list([row[index] for row in rows])
                         for index in set(indexes)}
         else:
@@ -498,7 +540,7 @@ class NumpyInterpreter(VectorInterpreter):
                     (child.columns.get(source.id), child.length))
         columns: Dict[int, NumpyColumn] = {}
         for var, pieces in zip(op.outputs, slots):
-            columns[var.id] = _concat_columns(pieces)
+            columns[var.id] = concat_columns(pieces)
         return ArrayBatch(columns, total)
 
 
@@ -598,33 +640,3 @@ def _object_codes(values: List) -> Tuple[np.ndarray, int]:
             next_code += 1
         codes[i] = code
     return codes, max(next_code, 1)
-
-
-def _concat_columns(pieces: List[Tuple[Optional[NumpyColumn], int]]
-                    ) -> NumpyColumn:
-    """Concatenate one output slot's per-branch columns (``None`` =
-    missing column = all NULL).  Same-kind typed branches concatenate
-    arrays; anything mixed rebuilds through native values."""
-    present = [col for col, _ in pieces if col is not None]
-    if len(present) == len(pieces) and present:
-        kinds = {col.kind for col in present}
-        if len(kinds) == 1:
-            kind = kinds.pop()
-            values = np.concatenate([col.values for col in present])
-            if kind == "o":
-                return NumpyColumn("o", values)
-            if any(col.mask is not None for col in present):
-                mask = np.concatenate([
-                    col.mask if col.mask is not None
-                    else np.zeros(len(col.values), dtype=np.bool_)
-                    for col in present])
-            else:
-                mask = None
-            return NumpyColumn(kind, values, mask)
-    merged: List = []
-    for col, length in pieces:
-        if col is None:
-            merged.extend([None] * length)
-        else:
-            merged.extend(col.pylist())
-    return column_from_list(merged)

@@ -1,0 +1,85 @@
+"""No tuples between steps.
+
+Through the front door (``PdwService``, default options) a DMS step's
+output stays typed columns from the kernels that made it to the scan of
+the step that reads it: nothing sizes a value with ``value_bytes``,
+nothing builds a row to route it, and nothing turns a column back into
+Python values until the Return step assembles the client's rows.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import repro.appliance.dms_runtime as dms_runtime
+import repro.appliance.storage as storage
+from repro.appliance.dms_runtime import DmsRuntime
+from repro.service import PdwService
+from repro.vector.np_batch import ArrayBatch, NumpyColumn
+from repro.workloads.tpch_queries import TPCH_QUERIES
+
+
+def test_cached_q13_builds_rows_only_in_its_return_step(tpch, monkeypatch):
+    appliance, shell = tpch
+    service = PdwService(appliance=appliance, shell=shell)
+    try:
+        sql = TPCH_QUERIES["Q13"]
+        first = service.execute(sql)  # compile, bind, warm the memos
+        steps = first.plan.dsql_plan.steps
+        assert [step.kind.value for step in steps] == ["dms", "dms",
+                                                       "return"]
+        assert service.options.executor == "numpy"
+
+        def trap(*_):
+            raise AssertionError(
+                "per-value byte accounting on the columnar path")
+
+        monkeypatch.setattr(storage, "value_bytes", trap)
+        monkeypatch.setattr(storage, "row_bytes", trap)
+        monkeypatch.setattr(dms_runtime, "row_bytes", trap)
+
+        # Which runtime call a native-value conversion happens under.
+        # (Q13's steps depend on each other, so even the DAG runtime
+        # runs them one at a time.)
+        current = []
+        calls = Counter()
+
+        def under(name):
+            real = getattr(DmsRuntime, name)
+
+            def wrapped(self, *args, **kwargs):
+                current.append(name)
+                try:
+                    return real(self, *args, **kwargs)
+                finally:
+                    current.pop()
+
+            monkeypatch.setattr(DmsRuntime, name, wrapped)
+
+        def counted(cls, method):
+            real = getattr(cls, method)
+
+            def counting(self):
+                calls[(method, current[-1] if current else None)] += 1
+                return real(self)
+
+            monkeypatch.setattr(cls, method, counting)
+
+        under("execute_movement")
+        under("execute_return")
+        counted(NumpyColumn, "pylist")
+        counted(ArrayBatch, "rows")
+
+        again = service.execute(sql)
+        assert again.cache_hit
+        assert again.rows == first.rows
+        moved = sum(s.rows_moved for s in again.step_stats[:-1])
+        assert moved > appliance.node_count  # real data moved
+        # Every conversion happened under the Return step — none while
+        # a DMS step ran, none outside a step (the temps were dropped
+        # as column fragments, never viewed as rows).
+        assert calls and {step for _, step in calls} == {"execute_return"}
+        assert calls[("rows", "execute_return")] == len(
+            again.step_stats[-1].node_rows)
+    finally:
+        service.close()

@@ -14,28 +14,31 @@ batch (a batch either has a column for every row or for none — exactly
 the shape the executor feeds kernels).
 
 Every differential case runs against BOTH column compilers: the
-pure-Python list kernels and (when numpy is importable) the typed
-ndarray kernels of :mod:`repro.vector.np_kernels` — same expression,
-same batch, outputs compared value-for-value (``pylist()`` restores
-native Python values, so identity checks like ``value is None`` apply
-unchanged).
+pure-Python list kernels and the typed ndarray kernels of
+:mod:`repro.vector.np_kernels` — same expression, same batch, outputs
+compared value-for-value (``pylist()`` restores native Python values,
+so identity checks like ``value is None`` apply unchanged).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algebra import expressions as ex
 from repro.algebra.evaluator import UnboundColumn, evaluate
 from repro.common.errors import ExecutionError
-from repro.common.executors import numpy_available
 from repro.common.types import BOOLEAN
 from repro.vector import (
     ColumnBatch,
     clear_kernel_cache,
+    clear_np_kernel_cache,
     compile_kernel,
+    compile_np_kernel,
+    compile_np_selection,
     compile_selection,
 )
+from repro.vector.np_batch import from_column_batch
 
 from tests.algebra.test_compiler import (
     DBL_C,
@@ -46,17 +49,6 @@ from tests.algebra.test_compiler import (
     ExprGen,
     outcome,
 )
-
-HAVE_NUMPY = numpy_available()
-if HAVE_NUMPY:
-    import numpy as np
-
-    from repro.vector.np_batch import from_column_batch
-    from repro.vector.np_kernels import (
-        clear_np_kernel_cache,
-        compile_np_kernel,
-        compile_np_selection,
-    )
 
 
 def list_compiler(expr):
@@ -92,13 +84,12 @@ def run_np_selection(predicate, batch):
 #: Each runner maps (expr, ColumnBatch) to a plain list of native
 #: Python values; each compiler maps expr to a ``ColumnBatch -> list``
 #: callable (for tests that pin compile-time vs batch-time behaviour).
-KERNEL_RUNNERS = [pytest.param(run_list_kernel, id="list")]
-KERNEL_COMPILERS = [pytest.param(list_compiler, id="list")]
-SELECTION_RUNNERS = [pytest.param(run_list_selection, id="list")]
-if HAVE_NUMPY:
-    KERNEL_RUNNERS.append(pytest.param(run_np_kernel, id="numpy"))
-    KERNEL_COMPILERS.append(pytest.param(np_compiler, id="numpy"))
-    SELECTION_RUNNERS.append(pytest.param(run_np_selection, id="numpy"))
+KERNEL_RUNNERS = [pytest.param(run_list_kernel, id="list"),
+                  pytest.param(run_np_kernel, id="numpy")]
+KERNEL_COMPILERS = [pytest.param(list_compiler, id="list"),
+                    pytest.param(np_compiler, id="numpy")]
+SELECTION_RUNNERS = [pytest.param(run_list_selection, id="list"),
+                     pytest.param(run_np_selection, id="numpy")]
 
 NULL = ex.Constant(None)
 ONE = ex.Constant(1)
@@ -375,13 +366,11 @@ class TestKernelCache:
         expr = ex.Arithmetic("+", INT_A, ONE)
         assert compile_kernel(expr)(ColumnBatch({1: []}, 0)) == []
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
     def test_np_kernels_memoized_per_expression_object(self):
         clear_np_kernel_cache()
         expr = ex.Comparison("<", INT_A, TWO)
         assert compile_np_kernel(expr) is compile_np_kernel(expr)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
     def test_np_empty_batch_yields_empty_column(self):
         expr = ex.Arithmetic("+", INT_A, ONE)
         assert run_np_kernel(expr, ColumnBatch({1: []}, 0)) == []

@@ -6,19 +6,18 @@ from __future__ import annotations
 import datetime
 import random
 
+import numpy as np
 import pytest
 
-from repro.appliance.storage import pdw_hash
-
-np = pytest.importorskip("numpy")
-
-from repro.vector.column_batch import ColumnBatch  # noqa: E402
-from repro.vector.np_batch import (  # noqa: E402
+from repro.appliance.storage import column_owners, pdw_hash
+from repro.vector.column_batch import ColumnBatch
+from repro.vector.np_batch import (
     ArrayBatch,
+    ColumnFragment,
     column_from_list,
+    concat_columns,
     crc32_int64,
     from_column_batch,
-    int_key_owners,
 )
 
 ROUND_TRIPS = [
@@ -105,8 +104,8 @@ class TestVectorizedHash:
     @pytest.mark.parametrize("node_count", [1, 2, 4, 8, 13])
     def test_owner_vector_matches_modulo(self, node_count):
         keys = list(range(-50, 50)) + [2 ** 62, -2 ** 62]
-        owners = int_key_owners(keys, node_count)
-        assert owners is not None
+        owners = column_owners(column_from_list(keys), node_count)
+        assert owners.dtype == np.int64
         assert owners.tolist() == [pdw_hash(k) % node_count
                                    for k in keys]
 
@@ -118,5 +117,76 @@ class TestVectorizedHash:
         [1, 2 ** 80],
         [],
     ])
-    def test_non_pure_int_columns_decline(self, keys):
-        assert int_key_owners(keys, 4) is None
+    def test_non_pure_int_columns_hash_per_value(self, keys):
+        owners = column_owners(column_from_list(keys), 4)
+        assert owners.tolist() == [pdw_hash(k) % 4 for k in keys]
+
+
+def positional(*columns):
+    return ArrayBatch(
+        {i: column_from_list(col) for i, col in enumerate(columns)},
+        len(columns[0]))
+
+
+class TestPositionalBatches:
+    def test_rows_are_native_tuples_built_once(self):
+        batch = positional([1, None, 3], ["a", "b", None],
+                           [datetime.date(1995, 1, 1)] * 3)
+        rows = batch.rows()
+        assert rows == [(1, "a", datetime.date(1995, 1, 1)),
+                        (None, "b", datetime.date(1995, 1, 1)),
+                        (3, None, datetime.date(1995, 1, 1))]
+        assert type(rows[0][0]) is int
+        assert batch.rows() is rows
+
+    def test_zero_column_batch_keeps_its_length(self):
+        batch = ArrayBatch({}, 3)
+        assert len(batch) == 3
+        assert batch.rows() == [(), (), ()]
+        assert batch.slice(1, 3).rows() == [(), ()]
+
+    def test_slice_is_a_view_with_its_mask(self):
+        batch = positional([10, None, 30, 40], [1.5, 2.5, None, 4.5])
+        piece = batch.slice(1, 3)
+        assert len(piece) == 2
+        assert piece.rows() == [(None, 2.5), (30, None)]
+        assert piece.columns[0].values.base is not None  # no copy
+        assert batch.slice(2, 2).rows() == []
+
+
+class TestColumnFragment:
+    def test_single_piece_is_read_as_it_stands(self):
+        piece = positional([1, 2], ["x", "y"])
+        fragment = ColumnFragment([piece])
+        assert len(fragment) == 2
+        assert fragment.column(1) is piece.columns[1]
+        assert fragment.rows() is piece.rows()
+
+    def test_pieces_concatenate_in_order_once(self):
+        fragment = ColumnFragment([
+            positional([1, None], ["a", "b"]),
+            positional([3], [None]),
+            positional([4, 5], ["c", "d"]),
+        ])
+        assert len(fragment) == 5
+        first = fragment.column(0)
+        assert first.kind == "i"
+        assert first.pylist() == [1, None, 3, 4, 5]
+        assert fragment.column(0) is first
+        assert fragment.rows() == [(1, "a"), (None, "b"), (3, None),
+                                   (4, "c"), (5, "d")]
+        assert fragment.rows() is fragment.rows()
+
+    def test_mixed_kind_pieces_retype_like_a_fresh_sniff(self):
+        # An all-NULL piece sniffs to the object kind; the concatenated
+        # column must come out typed as the concatenated values would.
+        pieces = [(column_from_list([None, None]), 2),
+                  (column_from_list([7, 8]), 2)]
+        merged = concat_columns(pieces)
+        assert merged.kind == column_from_list([None, None, 7, 8]).kind
+        assert merged.pylist() == [None, None, 7, 8]
+
+    def test_zero_column_pieces(self):
+        fragment = ColumnFragment([ArrayBatch({}, 2), ArrayBatch({}, 1)])
+        assert len(fragment) == 3
+        assert fragment.rows() == [(), (), ()]
