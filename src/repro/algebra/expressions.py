@@ -6,7 +6,11 @@ executor evaluates these trees against rows, and the QRel layer
 (:mod:`repro.pdw.qrel`) renders them back to SQL text.
 
 All nodes are immutable and hashable so that predicates can be deduplicated
-and used as dictionary keys inside the MEMO.
+and used as dictionary keys inside the MEMO.  The composite nodes keep
+their structural hash and their ``columns_used()`` set after the first
+call (:func:`_cached`): a predicate is a MEMO dedup key on both sides of
+the XML hand-off, and re-hashing the whole tree on every lookup was a
+measurable share of a cold compile.
 """
 
 from __future__ import annotations
@@ -70,6 +74,41 @@ class Constant(ScalarExpr):
         return repr(self.value)
 
 
+def _cached(cls):
+    """Class decorator for the immutable composite nodes: the
+    dataclass-generated structural hash and ``columns_used()`` are
+    computed on first use and kept on the instance.
+
+    The values live in the instance ``__dict__`` beside the fields, out
+    of sight of ``==``, ``repr`` and ``dataclasses.replace``.  A cached
+    ``str`` hash is only valid inside the process that computed it, so
+    these nodes must not be pickled to another process (nothing does).
+    """
+    structural_hash = cls.__hash__
+    compute_columns = cls.columns_used
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = structural_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def columns_used(self) -> FrozenSet[int]:
+        try:
+            return self._columns
+        except AttributeError:
+            value = compute_columns(self)
+            object.__setattr__(self, "_columns", value)
+            return value
+
+    columns_used.__doc__ = compute_columns.__doc__
+    cls.__hash__ = __hash__
+    cls.columns_used = columns_used
+    return cls
+
+
 def _union_columns(exprs) -> FrozenSet[int]:
     result: FrozenSet[int] = frozenset()
     for expr in exprs:
@@ -77,6 +116,7 @@ def _union_columns(exprs) -> FrozenSet[int]:
     return result
 
 
+@_cached
 @dataclass(frozen=True)
 class Comparison(ScalarExpr):
     """``left <op> right`` with op in =, <>, <, <=, >, >=."""
@@ -105,6 +145,7 @@ class Comparison(ScalarExpr):
         return f"({self.left} {self.op} {self.right})"
 
 
+@_cached
 @dataclass(frozen=True)
 class Arithmetic(ScalarExpr):
     """``left <op> right`` with op in + - * / % ||."""
@@ -127,6 +168,7 @@ class Arithmetic(ScalarExpr):
         return f"({self.left} {self.op} {self.right})"
 
 
+@_cached
 @dataclass(frozen=True)
 class BoolOp(ScalarExpr):
     """N-ary AND / OR."""
@@ -147,6 +189,7 @@ class BoolOp(ScalarExpr):
         return "(" + f" {self.op} ".join(str(a) for a in self.args) + ")"
 
 
+@_cached
 @dataclass(frozen=True)
 class NotExpr(ScalarExpr):
     operand: ScalarExpr
@@ -164,6 +207,7 @@ class NotExpr(ScalarExpr):
         return f"(NOT {self.operand})"
 
 
+@_cached
 @dataclass(frozen=True)
 class FuncExpr(ScalarExpr):
     """A scalar function call (DATEADD, SUBSTRING, YEAR, ...)."""
@@ -184,6 +228,7 @@ class FuncExpr(ScalarExpr):
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
+@_cached
 @dataclass(frozen=True)
 class CastExpr(ScalarExpr):
     operand: ScalarExpr
@@ -202,6 +247,7 @@ class CastExpr(ScalarExpr):
         return f"CAST({self.operand} AS {self.target})"
 
 
+@_cached
 @dataclass(frozen=True)
 class CaseWhen(ScalarExpr):
     """Searched CASE with (condition, result) pairs."""
@@ -235,6 +281,7 @@ class CaseWhen(ScalarExpr):
         return "CASE " + " ".join(parts) + " END"
 
 
+@_cached
 @dataclass(frozen=True)
 class LikeExpr(ScalarExpr):
     operand: ScalarExpr
@@ -255,6 +302,7 @@ class LikeExpr(ScalarExpr):
         return f"({self.operand} {maybe_not}LIKE {self.pattern!r})"
 
 
+@_cached
 @dataclass(frozen=True)
 class InListExpr(ScalarExpr):
     operand: ScalarExpr
@@ -275,6 +323,7 @@ class InListExpr(ScalarExpr):
         return f"({self.operand} {maybe_not}IN {self.values})"
 
 
+@_cached
 @dataclass(frozen=True)
 class IsNullExpr(ScalarExpr):
     operand: ScalarExpr
@@ -294,6 +343,7 @@ class IsNullExpr(ScalarExpr):
         return f"({self.operand} IS {maybe_not}NULL)"
 
 
+@_cached
 @dataclass(frozen=True)
 class AggExpr(ScalarExpr):
     """An aggregate call; ``arg`` is ``None`` for COUNT(*).

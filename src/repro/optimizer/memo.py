@@ -38,18 +38,18 @@ from repro.optimizer.cardinality import StatsContext, estimate_operator_cardinal
 class GroupExpression:
     """An operator whose children are MEMO groups."""
 
-    __slots__ = ("op", "children", "is_logical", "cost", "best_child_exprs")
+    __slots__ = ("op", "children", "is_logical", "key", "cost",
+                 "best_child_exprs")
 
     def __init__(self, op, children: Tuple[int, ...], is_logical: bool):
         self.op = op
         self.children = children
         self.is_logical = is_logical
+        # The MEMO dedup identity.  Neither the operator nor the child
+        # tuple changes after construction, so it is built once.
+        self.key: tuple = (op.local_key(), children)
         self.cost: Optional[float] = None        # physical only
         self.best_child_exprs: Tuple[int, ...] = ()
-
-    @property
-    def key(self) -> tuple:
-        return (self.op.local_key(), self.children)
 
     def describe(self) -> str:
         kids = ", ".join(str(c) for c in self.children)
@@ -108,7 +108,8 @@ class Memo:
     def __init__(self, stats: StatsContext):
         self.stats = stats
         self.groups: List[Group] = []
-        self._dedup: Dict[tuple, int] = {}
+        # expression key -> (owning group id, the expression itself)
+        self._dedup: Dict[tuple, Tuple[int, GroupExpression]] = {}
         self._parent: List[int] = []  # union-find over group ids
 
     # -- union-find ----------------------------------------------------------
@@ -132,12 +133,12 @@ class Memo:
         keeper, absorbed = (a, b) if a < b else (b, a)
         keep_group = self.groups[keeper]
         gone_group = self.groups[absorbed]
-        existing = {e.key for e in keep_group.expressions}
+        existing = {e.key: e for e in keep_group.expressions}
         for expr in gone_group.expressions:
-            if expr.key not in existing:
+            kept = existing.setdefault(expr.key, expr)
+            if kept is expr:
                 keep_group.expressions.append(expr)
-                existing.add(expr.key)
-            self._dedup[expr.key] = keeper
+            self._dedup[expr.key] = (keeper, kept)
         self._parent[absorbed] = keeper
         keep_group.explored = keep_group.explored and gone_group.explored
         return keeper
@@ -168,18 +169,15 @@ class Memo:
         if group_id in children:
             return None
         expr = GroupExpression(op, children, is_logical)
-        owner = self._dedup.get(expr.key)
-        if owner is not None:
+        found = self._dedup.get(expr.key)
+        if found is not None:
+            owner, existing = found
             owner = self.find(owner)
             if owner != group_id:
-                merged = self._merge(owner, group_id)
-                owner = merged
-            for existing in self.groups[owner].expressions:
-                if existing.key == expr.key:
-                    return existing
-        group = self.groups[group_id]
-        group.expressions.append(expr)
-        self._dedup[expr.key] = group_id
+                self._merge(owner, group_id)
+            return existing
+        self.groups[group_id].expressions.append(expr)
+        self._dedup[expr.key] = (group_id, expr)
         return expr
 
     def group_for_expression(self, op: LogicalOp,
@@ -189,10 +187,9 @@ class Memo:
         New groups get logical properties estimated from the children.
         """
         children = tuple(self.find(c) for c in children)
-        probe = GroupExpression(op, children, True)
-        owner = self._dedup.get(probe.key)
-        if owner is not None:
-            return self.find(owner)
+        found = self._dedup.get((op.local_key(), children))
+        if found is not None:
+            return self.find(found[0])
         child_groups = [self.groups[c] for c in children]
         child_vars = [g.output_vars for g in child_groups]
         child_cards = tuple(g.cardinality for g in child_groups)

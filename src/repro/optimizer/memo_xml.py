@@ -7,21 +7,58 @@ encodes the search space, and the PDW side has "a memo parser ...
 responsible for constructing the memo data structure for the PDW query
 optimizer".
 
-The document carries:
+The document has three parts, in this order::
 
-* every column variable (id, name, type, average width, and its base
-  table/column origin when it has one — so the PDW side can re-derive
-  statistics from the shell database),
-* every group with its logical properties (estimated rows, row width), and
-* every group expression, logical and physical, with children encoded as
-  group ids and scalar expressions as nested elements.
+    <memo root="7">
+      <columns>
+        <column id="1" name="c_custkey" width="4.0" type-kind="integer"
+                table="customer" table-column="c_custkey"/> ...
+      </columns>
+      <exprs>
+        <e id="0"><cmp op="="><col id="1"/><col id="9"/></cmp></e> ...
+      </exprs>
+      <group id="7" rows="150.0" width="29.0" outputs="1 2">
+        <expr children="3 5" op="Join" join-kind="inner" pred="0"/>
+        <expr children="3 5" op="HashJoin" join-kind="inner" pred="0"/>
+        <expr children="6" op="Project"><output var="2" e="4"/></expr> ...
+      </group> ...
+    </memo>
+
+* ``<columns>`` — every column variable (id, name, type, average width,
+  and its base table/column origin when it has one, so the PDW side can
+  re-derive statistics from the shell database).
+* ``<exprs>`` — every *operator-level* scalar expression (a Select/Filter
+  or join predicate, a Project/ComputeScalar output, an aggregate),
+  written once per MEMO and referenced by id from ``pred=`` and ``e=``.
+  A physical alternative repeats its logical expression's predicate
+  verbatim, so the hand-off costs per distinct expression, not per
+  occurrence.
+* ``<group>`` — logical properties (estimated rows, row width, output
+  columns) and the group expressions, logical and physical, children
+  encoded as group ids.  The operator name says which kind an expression
+  is (``Get``/``Select``/``Project``/``Join``/``GroupBy``/``UnionAll``
+  are logical, the rest physical).
+
+**The intern key is type-exact.**  Dataclass equality has
+``Constant(1) == Constant(True) == Constant(1.0)``, so a table keyed on
+``==`` would hand ``q * 1`` and ``q * 1.0`` one entry and change a
+result's value type.  The writer therefore looks an expression up by
+object identity first (the serial optimizer's physical operators share
+their logical operator's predicate object) and then by the entry's own
+text: two expressions share an entry exactly when they serialize to the
+same characters, which is structure plus literal types by construction.
+
+The writer appends text fragments in one pass over the MEMO (columns are
+collected on the way, no element tree is built); the parser builds each
+table entry once and hands that one object to every operator that
+references it.
 """
 
 from __future__ import annotations
 
 import datetime
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.algebra import expressions as ex
 from repro.algebra import physical as phys
@@ -43,54 +80,70 @@ from repro.catalog.shell_db import ShellDatabase
 from repro.common.errors import OptimizerError
 from repro.common.types import SqlType, TypeKind
 from repro.optimizer.cardinality import StatsContext
-from repro.optimizer.memo import Group, GroupExpression, Memo
+from repro.optimizer.memo import GroupExpression, Memo
 from repro.telemetry import NULL_TRACER, Tracer
 
 
 # ---------------------------------------------------------------------------
-# scalar expression serialization
+# attribute text
 # ---------------------------------------------------------------------------
 
-def _type_to_attrs(sql_type: SqlType) -> Dict[str, str]:
-    attrs = {"kind": sql_type.kind.value}
+# Every payload value travels in an attribute.  An XML parser normalises a
+# raw TAB/CR/LF inside an attribute value to a space, so those three go out
+# as character references (as ElementTree writes them).
+_ATTR_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
+})
+
+
+def _attr(text: str) -> str:
+    return text.translate(_ATTR_ESCAPES)
+
+
+def _ids(variables: Iterable[ex.ColumnVar]) -> str:
+    return " ".join([str(var.id) for var in variables])
+
+
+def _type_attrs(sql_type: SqlType, prefix: str = "") -> str:
+    text = f' {prefix}kind="{sql_type.kind.value}"'
     if sql_type.length is not None:
-        attrs["length"] = str(sql_type.length)
+        text += f' {prefix}length="{sql_type.length}"'
     if sql_type.precision is not None:
-        attrs["precision"] = str(sql_type.precision)
+        text += f' {prefix}precision="{sql_type.precision}"'
     if sql_type.scale is not None:
-        attrs["scale"] = str(sql_type.scale)
-    return attrs
+        text += f' {prefix}scale="{sql_type.scale}"'
+    return text
 
 
-def _type_from_attrs(attrs: Dict[str, str]) -> SqlType:
+def _type_from_attrs(attrs: Dict[str, str], prefix: str = "") -> SqlType:
+    length = attrs.get(prefix + "length")
+    precision = attrs.get(prefix + "precision")
+    scale = attrs.get(prefix + "scale")
     return SqlType(
-        TypeKind(attrs["kind"]),
-        length=int(attrs["length"]) if "length" in attrs else None,
-        precision=int(attrs["precision"]) if "precision" in attrs else None,
-        scale=int(attrs["scale"]) if "scale" in attrs else None,
+        TypeKind(attrs[prefix + "kind"]),
+        length=int(length) if length is not None else None,
+        precision=int(precision) if precision is not None else None,
+        scale=int(scale) if scale is not None else None,
     )
 
 
-def _const_to_element(value: object) -> ET.Element:
-    element = ET.Element("const")
+# ---------------------------------------------------------------------------
+# scalar expressions
+# ---------------------------------------------------------------------------
+
+def _const_to_xml(value: object) -> str:
     if value is None:
-        element.set("type", "null")
-    elif isinstance(value, bool):
-        element.set("type", "bool")
-        element.set("value", "1" if value else "0")
-    elif isinstance(value, int):
-        element.set("type", "int")
-        element.set("value", str(value))
-    elif isinstance(value, float):
-        element.set("type", "float")
-        element.set("value", repr(value))
-    elif isinstance(value, datetime.date):
-        element.set("type", "date")
-        element.set("value", value.isoformat())
-    else:
-        element.set("type", "str")
-        element.set("value", str(value))
-    return element
+        return '<const type="null"/>'
+    if isinstance(value, bool):
+        return f'<const type="bool" value="{1 if value else 0}"/>'
+    if isinstance(value, int):
+        return f'<const type="int" value="{value}"/>'
+    if isinstance(value, float):
+        return f'<const type="float" value="{value!r}"/>'
+    if isinstance(value, datetime.date):
+        return f'<const type="date" value="{value.isoformat()}"/>'
+    return f'<const type="str" value="{_attr(str(value))}"/>'
 
 
 def _const_from_element(element: ET.Element) -> object:
@@ -109,83 +162,66 @@ def _const_from_element(element: ET.Element) -> object:
     return raw
 
 
-def expr_to_element(expr: ex.ScalarExpr) -> ET.Element:
-    """Serialize a bound scalar expression to an XML element."""
-    if isinstance(expr, ex.ColumnVar):
-        element = ET.Element("col")
-        element.set("id", str(expr.id))
-        return element
-    if isinstance(expr, ex.Constant):
-        return _const_to_element(expr.value)
-    if isinstance(expr, ex.Comparison):
-        element = ET.Element("cmp")
-        element.set("op", expr.op)
-        element.append(expr_to_element(expr.left))
-        element.append(expr_to_element(expr.right))
-        return element
-    if isinstance(expr, ex.Arithmetic):
-        element = ET.Element("arith")
-        element.set("op", expr.op)
-        element.append(expr_to_element(expr.left))
-        element.append(expr_to_element(expr.right))
-        return element
-    if isinstance(expr, ex.BoolOp):
-        element = ET.Element("bool")
-        element.set("op", expr.op)
-        for arg in expr.args:
-            element.append(expr_to_element(arg))
-        return element
-    if isinstance(expr, ex.NotExpr):
-        element = ET.Element("not")
-        element.append(expr_to_element(expr.operand))
-        return element
-    if isinstance(expr, ex.FuncExpr):
-        element = ET.Element("func")
-        element.set("name", expr.name)
-        for arg in expr.args:
-            element.append(expr_to_element(arg))
-        return element
-    if isinstance(expr, ex.CastExpr):
-        element = ET.Element("cast", _type_to_attrs(expr.target))
-        element.append(expr_to_element(expr.operand))
-        return element
-    if isinstance(expr, ex.CaseWhen):
-        element = ET.Element("case")
-        for condition, result in expr.whens:
-            when = ET.SubElement(element, "when")
-            when.append(expr_to_element(condition))
-            when.append(expr_to_element(result))
+def expr_to_xml(expr: ex.ScalarExpr,
+                columns: Dict[int, ex.ColumnVar]) -> str:
+    """Serialize a bound scalar expression to XML text.
+
+    Every column variable met on the way is recorded in ``columns``
+    (first occurrence of an id wins), which is how the MEMO writer
+    collects ``<columns>`` without a second walk.
+    """
+    kind = type(expr)
+    if kind is ex.ColumnVar:
+        columns.setdefault(expr.id, expr)
+        return f'<col id="{expr.id}"/>'
+    if kind is ex.Constant:
+        return _const_to_xml(expr.value)
+    if kind is ex.Comparison:
+        return (f'<cmp op="{_attr(expr.op)}">'
+                f'{expr_to_xml(expr.left, columns)}'
+                f'{expr_to_xml(expr.right, columns)}</cmp>')
+    if kind is ex.Arithmetic:
+        return (f'<arith op="{_attr(expr.op)}">'
+                f'{expr_to_xml(expr.left, columns)}'
+                f'{expr_to_xml(expr.right, columns)}</arith>')
+    if kind is ex.BoolOp:
+        args = "".join([expr_to_xml(arg, columns) for arg in expr.args])
+        return f'<bool op="{_attr(expr.op)}">{args}</bool>'
+    if kind is ex.NotExpr:
+        return f'<not>{expr_to_xml(expr.operand, columns)}</not>'
+    if kind is ex.FuncExpr:
+        args = "".join([expr_to_xml(arg, columns) for arg in expr.args])
+        return f'<func name="{_attr(expr.name)}">{args}</func>'
+    if kind is ex.CastExpr:
+        return (f'<cast{_type_attrs(expr.target)}>'
+                f'{expr_to_xml(expr.operand, columns)}</cast>')
+    if kind is ex.CaseWhen:
+        parts = [
+            f'<when>{expr_to_xml(condition, columns)}'
+            f'{expr_to_xml(result, columns)}</when>'
+            for condition, result in expr.whens
+        ]
         if expr.otherwise is not None:
-            otherwise = ET.SubElement(element, "else")
-            otherwise.append(expr_to_element(expr.otherwise))
-        return element
-    if isinstance(expr, ex.LikeExpr):
-        element = ET.Element("like")
-        element.set("pattern", expr.pattern)
-        element.set("negated", "1" if expr.negated else "0")
-        element.append(expr_to_element(expr.operand))
-        return element
-    if isinstance(expr, ex.InListExpr):
-        element = ET.Element("inlist")
-        element.set("negated", "1" if expr.negated else "0")
-        element.append(expr_to_element(expr.operand))
-        values = ET.SubElement(element, "values")
-        for value in expr.values:
-            values.append(_const_to_element(value))
-        return element
-    if isinstance(expr, ex.IsNullExpr):
-        element = ET.Element("isnull")
-        element.set("negated", "1" if expr.negated else "0")
-        element.append(expr_to_element(expr.operand))
-        return element
-    if isinstance(expr, ex.AggExpr):
-        element = ET.Element("agg")
-        element.set("func", expr.func)
-        element.set("distinct", "1" if expr.distinct else "0")
-        if expr.arg is not None:
-            element.append(expr_to_element(expr.arg))
-        return element
-    raise OptimizerError(f"cannot serialize {type(expr).__name__}")
+            parts.append(
+                f'<else>{expr_to_xml(expr.otherwise, columns)}</else>')
+        return f'<case>{"".join(parts)}</case>'
+    if kind is ex.LikeExpr:
+        return (f'<like pattern="{_attr(expr.pattern)}" '
+                f'negated="{1 if expr.negated else 0}">'
+                f'{expr_to_xml(expr.operand, columns)}</like>')
+    if kind is ex.InListExpr:
+        values = "".join([_const_to_xml(value) for value in expr.values])
+        return (f'<inlist negated="{1 if expr.negated else 0}">'
+                f'{expr_to_xml(expr.operand, columns)}'
+                f'<values>{values}</values></inlist>')
+    if kind is ex.IsNullExpr:
+        return (f'<isnull negated="{1 if expr.negated else 0}">'
+                f'{expr_to_xml(expr.operand, columns)}</isnull>')
+    if kind is ex.AggExpr:
+        arg = "" if expr.arg is None else expr_to_xml(expr.arg, columns)
+        return (f'<agg func="{_attr(expr.func)}" '
+                f'distinct="{1 if expr.distinct else 0}">{arg}</agg>')
+    raise OptimizerError(f"cannot serialize {kind.__name__}")
 
 
 def expr_from_element(element: ET.Element,
@@ -197,7 +233,8 @@ def expr_from_element(element: ET.Element,
         try:
             return vars_by_id[var_id]
         except KeyError:
-            raise OptimizerError(f"XML references unknown column #{var_id}")
+            raise OptimizerError(
+                f"XML references unknown column #{var_id}") from None
     if tag == "const":
         return ex.Constant(_const_from_element(element))
     children = list(element)
@@ -256,12 +293,36 @@ def expr_from_element(element: ET.Element,
 # memo export
 # ---------------------------------------------------------------------------
 
+# Operator class -> (name in the document, operator family).
+_SCAN, _FILTER, _PROJECT, _JOIN, _AGGREGATE, _UNION = range(6)
+_OPERATORS = {
+    LogicalGet: ("Get", _SCAN),
+    phys.TableScan: ("TableScan", _SCAN),
+    LogicalSelect: ("Select", _FILTER),
+    phys.Filter: ("Filter", _FILTER),
+    LogicalProject: ("Project", _PROJECT),
+    phys.ComputeScalar: ("ComputeScalar", _PROJECT),
+    LogicalJoin: ("Join", _JOIN),
+    phys.HashJoin: ("HashJoin", _JOIN),
+    phys.MergeJoin: ("MergeJoin", _JOIN),
+    phys.NestedLoopJoin: ("NestedLoopJoin", _JOIN),
+    LogicalGroupBy: ("GroupBy", _AGGREGATE),
+    phys.HashAggregate: ("HashAggregate", _AGGREGATE),
+    phys.StreamAggregate: ("StreamAggregate", _AGGREGATE),
+    LogicalUnionAll: ("UnionAll", _UNION),
+    phys.UnionAllOp: ("UnionAllOp", _UNION),
+}
+# ... and back: name in the document -> (operator class, family).
+_OPERATORS_BY_NAME = {name: (cls, family)
+                      for cls, (name, family) in _OPERATORS.items()}
+
+
 def memo_to_xml(memo: Memo, root_group: int,
                 stats: StatsContext,
                 tracer: Tracer = NULL_TRACER) -> str:
     """Encode the MEMO as the XML document PDW consumes."""
     with tracer.span("xml.serialize") as span:
-        text = _memo_to_xml(memo, root_group, stats)
+        text = _MemoWriter(memo, stats).document(root_group)
         if tracer.enabled:
             size = len(text.encode("utf-8"))
             span.set("bytes", size)
@@ -269,163 +330,134 @@ def memo_to_xml(memo: Memo, root_group: int,
     return text
 
 
-def _memo_to_xml(memo: Memo, root_group: int,
-                 stats: StatsContext) -> str:
-    document = ET.Element("memo")
-    document.set("root", str(memo.find(root_group)))
+class _MemoWriter:
+    """One pass over the MEMO, appending text fragments.
 
-    columns = ET.SubElement(document, "columns")
-    seen_vars: Dict[int, ex.ColumnVar] = {}
-    for group in memo.canonical_groups():
-        for var in group.output_vars:
-            seen_vars.setdefault(var.id, var)
-        for expr in group.expressions:
-            for var in _expression_vars(expr):
-                seen_vars.setdefault(var.id, var)
-    for var_id in sorted(seen_vars):
-        var = seen_vars[var_id]
-        element = ET.SubElement(columns, "column")
-        element.set("id", str(var.id))
-        element.set("name", var.name)
-        element.set("width", repr(stats.width_of(var)))
-        for key, value in _type_to_attrs(var.sql_type).items():
-            element.set(f"type-{key}", value)
-        origin = stats.var_origins.get(var.id)
-        if origin is not None:
-            element.set("table", origin[0])
-            element.set("table-column", origin[1])
+    ``columns`` and ``entries`` (the ``<exprs>`` table) fill up while the
+    groups are written; the three parts are joined at the end because the
+    document carries them ahead of the groups.
+    """
 
-    for group in memo.canonical_groups():
-        group_el = ET.SubElement(document, "group")
-        group_el.set("id", str(group.id))
-        group_el.set("rows", repr(group.cardinality))
-        group_el.set("width", repr(group.row_width))
-        group_el.set("outputs",
-                     " ".join(str(v.id) for v in group.output_vars))
+    def __init__(self, memo: Memo, stats: StatsContext):
+        self.memo = memo
+        self.stats = stats
+        self.columns: Dict[int, ex.ColumnVar] = {}
+        self.entries: List[str] = []
+        self.groups: List[str] = []
+        # Expression -> table id: by object identity, then by text (see the
+        # module docstring for why not by ``==``).  The MEMO keeps every
+        # expression alive while we write, so ids are not reused.
+        self._ref_by_identity: Dict[int, int] = {}
+        self._ref_by_text: Dict[str, int] = {}
+
+    def document(self, root_group: int) -> str:
+        memo = self.memo
+        for group in memo.canonical_groups():
+            self._group(group)
+        return "".join([
+            f'<memo root="{memo.find(root_group)}">',
+            "<columns>", *self._column_fragments(), "</columns>",
+            "<exprs>", *self.entries, "</exprs>",
+            *self.groups,
+            "</memo>",
+        ])
+
+    def _see(self, variables: Iterable[ex.ColumnVar]) -> None:
+        columns = self.columns
+        for var in variables:
+            columns.setdefault(var.id, var)
+
+    def _ref(self, expr: ex.ScalarExpr) -> int:
+        """Table id of an operator-level expression, adding it if new."""
+        ref = self._ref_by_identity.get(id(expr))
+        if ref is None:
+            text = expr_to_xml(expr, self.columns)
+            ref = self._ref_by_text.get(text)
+            if ref is None:
+                ref = self._ref_by_text[text] = len(self.entries)
+                self.entries.append(f'<e id="{ref}">{text}</e>')
+            self._ref_by_identity[id(expr)] = ref
+        return ref
+
+    def _column_fragments(self) -> List[str]:
+        stats = self.stats
+        fragments = []
+        for var_id in sorted(self.columns):
+            var = self.columns[var_id]
+            origin = stats.var_origins.get(var_id)
+            source = "" if origin is None else (
+                f' table="{_attr(origin[0])}"'
+                f' table-column="{_attr(origin[1])}"')
+            fragments.append(
+                f'<column id="{var_id}" name="{_attr(var.name)}" '
+                f'width="{stats.width_of(var)!r}"'
+                f'{_type_attrs(var.sql_type, "type-")}{source}/>')
+        return fragments
+
+    def _group(self, group) -> None:
+        find = self.memo.find
+        out = self.groups
+        self._see(group.output_vars)
+        out.append(
+            f'<group id="{group.id}" rows="{group.cardinality!r}" '
+            f'width="{group.row_width!r}" '
+            f'outputs="{_ids(group.output_vars)}">')
         seen = set()
         for expr in group.expressions:
-            children = tuple(memo.find(c) for c in expr.children)
+            children = tuple([find(c) for c in expr.children])
             if group.id in children:
                 continue  # self-reference created by a merge
-            key = (expr.op.local_key(), children, expr.is_logical)
+            key = (expr.key[0], children)
             if key in seen:
                 continue
             seen.add(key)
-            group_el.append(_expression_to_element(expr, children))
+            out.append(self._expression(expr, children))
+        out.append("</group>")
 
-    return ET.tostring(document, encoding="unicode")
+    def _expression(self, expr: GroupExpression,
+                    children: Tuple[int, ...]) -> str:
+        op = expr.op
+        try:
+            name, family = _OPERATORS[type(op)]
+        except KeyError:
+            raise OptimizerError(
+                f"cannot serialize operator {type(op).__name__}") from None
+        head = (f'<expr children="{" ".join([str(c) for c in children])}" '
+                f'op="{name}"')
 
-
-def _expression_vars(expr: GroupExpression) -> List[ex.ColumnVar]:
-    """Column vars mentioned directly by an expression's operator."""
-    op = expr.op
-    found: List[ex.ColumnVar] = []
-
-    def scan(scalar: Optional[ex.ScalarExpr]) -> None:
-        if scalar is None:
-            return
-        stack = [scalar]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ex.ColumnVar):
-                found.append(node)
-            stack.extend(node.children())
-
-    if isinstance(op, (LogicalGet, phys.TableScan)):
-        found.extend(op.columns)
-    elif isinstance(op, (LogicalSelect, phys.Filter)):
-        scan(op.predicate)
-    elif isinstance(op, (LogicalProject, phys.ComputeScalar)):
-        for var, scalar in op.outputs:
-            found.append(var)
-            scan(scalar)
-    elif isinstance(op, (LogicalJoin, phys.HashJoin, phys.MergeJoin,
-                         phys.NestedLoopJoin)):
-        scan(op.predicate)
-    elif isinstance(op, (LogicalGroupBy, phys.HashAggregate,
-                         phys.StreamAggregate)):
-        found.extend(op.keys)
-        for var, agg in op.aggregates:
-            found.append(var)
-            scan(agg)
-    elif isinstance(op, (LogicalUnionAll, phys.UnionAllOp)):
-        found.extend(op.outputs)
-        if isinstance(op, LogicalUnionAll):
+        if family == _JOIN:
+            pred = ("" if op.predicate is None
+                    else f' pred="{self._ref(op.predicate)}"')
+            return f'{head} join-kind="{op.kind.value}"{pred}/>'
+        if family == _FILTER:
+            return f'{head} pred="{self._ref(op.predicate)}"/>'
+        if family == _SCAN:
+            self._see(op.columns)
+            return (f'{head} table="{_attr(op.table.name)}" '
+                    f'alias="{_attr(op.alias)}" cols="{_ids(op.columns)}"/>')
+        if family == _PROJECT:
+            self._see([var for var, _ in op.outputs])
+            outputs = "".join([
+                f'<output var="{var.id}" e="{self._ref(scalar)}"/>'
+                for var, scalar in op.outputs])
+            return f'{head}>{outputs}</expr>'
+        if family == _AGGREGATE:
+            self._see(op.keys)
+            self._see([var for var, _ in op.aggregates])
+            phase = op.phase.value if expr.is_logical else op.phase
+            aggregates = "".join([
+                f'<aggregate var="{var.id}" e="{self._ref(agg)}"/>'
+                for var, agg in op.aggregates])
+            return (f'{head} phase="{phase}" keys="{_ids(op.keys)}">'
+                    f'{aggregates}</expr>')
+        # _UNION
+        self._see(op.outputs)
+        branches = ""
+        if expr.is_logical:
             for branch in op.branch_columns:
-                found.extend(branch)
-    return found
-
-
-_JOIN_OPS = {
-    "Join": None,
-    "HashJoin": phys.HashJoin,
-    "MergeJoin": phys.MergeJoin,
-    "NestedLoopJoin": phys.NestedLoopJoin,
-}
-
-
-def _expression_to_element(expr: GroupExpression,
-                           children=None) -> ET.Element:
-    op = expr.op
-    if children is None:
-        children = expr.children
-    element = ET.Element("expr")
-    element.set("children", " ".join(str(c) for c in children))
-    element.set("logical", "1" if expr.is_logical else "0")
-
-    if isinstance(op, LogicalGet):
-        element.set("op", "Get")
-        element.set("table", op.table.name)
-        element.set("alias", op.alias)
-        element.set("cols", " ".join(str(c.id) for c in op.columns))
-    elif isinstance(op, phys.TableScan):
-        element.set("op", "TableScan")
-        element.set("table", op.table.name)
-        element.set("alias", op.alias)
-        element.set("cols", " ".join(str(c.id) for c in op.columns))
-    elif isinstance(op, (LogicalSelect, phys.Filter)):
-        element.set("op", "Select" if expr.is_logical else "Filter")
-        element.append(expr_to_element(op.predicate))
-    elif isinstance(op, (LogicalProject, phys.ComputeScalar)):
-        element.set("op", "Project" if expr.is_logical else "ComputeScalar")
-        for var, scalar in op.outputs:
-            out = ET.SubElement(element, "output")
-            out.set("var", str(var.id))
-            out.append(expr_to_element(scalar))
-    elif isinstance(op, (LogicalJoin, phys.HashJoin, phys.MergeJoin,
-                         phys.NestedLoopJoin)):
-        name = ("Join" if isinstance(op, LogicalJoin)
-                else type(op).__name__)
-        element.set("op", name)
-        element.set("join-kind", op.kind.value)
-        if op.predicate is not None:
-            element.append(expr_to_element(op.predicate))
-    elif isinstance(op, (LogicalGroupBy, phys.HashAggregate,
-                         phys.StreamAggregate)):
-        name = ("GroupBy" if isinstance(op, LogicalGroupBy)
-                else type(op).__name__)
-        element.set("op", name)
-        if isinstance(op, LogicalGroupBy):
-            element.set("phase", op.phase.value)
-        else:
-            element.set("phase", op.phase)
-        element.set("keys", " ".join(str(k.id) for k in op.keys))
-        for var, agg in op.aggregates:
-            agg_el = ET.SubElement(element, "aggregate")
-            agg_el.set("var", str(var.id))
-            agg_el.append(expr_to_element(agg))
-    elif isinstance(op, (LogicalUnionAll, phys.UnionAllOp)):
-        element.set("op", "UnionAll" if expr.is_logical else "UnionAllOp")
-        element.set("cols", " ".join(str(c.id) for c in op.outputs))
-        if isinstance(op, LogicalUnionAll):
-            for branch in op.branch_columns:
-                branch_el = ET.SubElement(element, "branch")
-                branch_el.set("cols",
-                              " ".join(str(c.id) for c in branch))
-    else:
-        raise OptimizerError(
-            f"cannot serialize operator {type(op).__name__}")
-    return element
+                self._see(branch)
+                branches += f'<branch cols="{_ids(branch)}"/>'
+        return f'{head} cols="{_ids(op.outputs)}">{branches}</expr>'
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +487,7 @@ def memo_from_xml(xml_text: str, shell: ShellDatabase,
     """Parse the XML search space back into a MEMO (PDW component 4's
     first step, Figure 4 line 01)."""
     with tracer.span("xml.parse") as span:
-        parsed = _memo_from_xml(xml_text, shell)
+        parsed = _MemoReader(shell).parse(xml_text)
         if tracer.enabled:
             size = len(xml_text.encode("utf-8"))
             span.set("bytes", size)
@@ -464,126 +496,150 @@ def memo_from_xml(xml_text: str, shell: ShellDatabase,
     return parsed
 
 
-def _memo_from_xml(xml_text: str, shell: ShellDatabase) -> ParsedMemo:
-    document = ET.fromstring(xml_text)
-    root_group = int(document.get("root"))
+class _MemoReader:
+    """Rebuilds the MEMO; every reference in the document is resolved
+    through a lookup that names the id when it leads nowhere."""
 
-    stats = StatsContext(shell)
-    vars_by_id: Dict[int, ex.ColumnVar] = {}
-    columns_el = document.find("columns")
-    if columns_el is not None:
-        for column in columns_el:
-            var_id = int(column.get("id"))
-            type_attrs = {
-                key[len("type-"):]: value
-                for key, value in column.attrib.items()
-                if key.startswith("type-")
-            }
-            var = ex.ColumnVar(var_id, column.get("name"),
-                               _type_from_attrs(type_attrs))
-            vars_by_id[var_id] = var
-            stats.var_widths[var_id] = float(column.get("width", "4"))
-            if column.get("table"):
-                stats.var_origins[var_id] = (
-                    column.get("table"), column.get("table-column"))
+    def __init__(self, shell: ShellDatabase):
+        self.shell = shell
+        self.stats = StatsContext(shell)
+        self.vars_by_id: Dict[int, ex.ColumnVar] = {}
+        self.exprs: Dict[str, ex.ScalarExpr] = {}
+        self.groups: Dict[int, int] = {}   # id in the document -> in memo
 
-    memo = Memo(stats)
-    group_elements = document.findall("group")
+    def parse(self, xml_text: str) -> ParsedMemo:
+        document = ET.fromstring(xml_text)
+        columns_el = document.find("columns")
+        if columns_el is not None:
+            for column in columns_el:
+                self._column(column)
+        exprs_el = document.find("exprs")
+        if exprs_el is not None:
+            for entry in exprs_el:
+                ref = entry.get("id")
+                if ref in self.exprs:
+                    raise OptimizerError(
+                        f"memo XML defines expression id {ref!r} twice")
+                self.exprs[ref] = expr_from_element(entry[0],
+                                                    self.vars_by_id)
 
-    # First pass: create the shells so children can be referenced freely.
-    id_map: Dict[int, int] = {}
-    for group_el in group_elements:
-        xml_id = int(group_el.get("id"))
-        outputs = [
-            vars_by_id[int(v)] for v in group_el.get("outputs", "").split()
-        ]
-        group = memo._new_group(
-            outputs,
-            float(group_el.get("rows", "0")),
-            float(group_el.get("width", "0")),
-        )
-        id_map[xml_id] = group.id
-
-    for group_el in group_elements:
-        group_id = id_map[int(group_el.get("id"))]
-        for expr_el in group_el.findall("expr"):
-            op, is_logical = _operator_from_element(expr_el, shell,
-                                                    vars_by_id)
-            children = tuple(
-                id_map[int(c)] for c in expr_el.get("children", "").split()
+        memo = Memo(self.stats)
+        # First pass: create the shells so children can be referenced freely.
+        shells = []
+        for group_el in document.findall("group"):
+            group = memo._new_group(
+                self._vars(group_el.get("outputs", "")),
+                float(group_el.get("rows", "0")),
+                float(group_el.get("width", "0")),
             )
-            memo.add_expression(group_id, op, children,
-                                is_logical=is_logical)
+            self.groups[int(group_el.get("id"))] = group.id
+            shells.append((group.id, group_el))
 
-    return ParsedMemo(memo, id_map[root_group], vars_by_id, stats)
+        for group_id, group_el in shells:
+            for expr_el in group_el.findall("expr"):
+                op, is_logical = self._operator(expr_el)
+                memo.add_expression(
+                    group_id, op,
+                    self._groups(expr_el.get("children", "")),
+                    is_logical=is_logical)
 
+        root_group, = self._groups(document.get("root"))
+        return ParsedMemo(memo, root_group, self.vars_by_id, self.stats)
 
-def _operator_from_element(element: ET.Element, shell: ShellDatabase,
-                           vars_by_id: Dict[int, ex.ColumnVar]):
-    op_name = element.get("op")
-    is_logical = element.get("logical") == "1"
+    def _column(self, column: ET.Element) -> None:
+        var_id = int(column.get("id"))
+        self.vars_by_id[var_id] = ex.ColumnVar(
+            var_id, column.get("name"),
+            _type_from_attrs(column.attrib, "type-"))
+        self.stats.var_widths[var_id] = float(column.get("width", "4"))
+        if column.get("table"):
+            self.stats.var_origins[var_id] = (
+                column.get("table"), column.get("table-column"))
 
-    if op_name in ("Get", "TableScan"):
-        table = shell.table(element.get("table"))
-        columns = [vars_by_id[int(c)] for c in element.get("cols").split()]
-        if op_name == "Get":
-            get = LogicalGet.__new__(LogicalGet)
-            get.table = table
-            get.columns = columns
-            get.alias = element.get("alias")
-            get.children = []
-            return get, True
-        return phys.TableScan(table, columns, element.get("alias")), False
+    def _vars(self, ids: str) -> List[ex.ColumnVar]:
+        try:
+            return [self.vars_by_id[int(v)] for v in ids.split()]
+        except KeyError as error:
+            raise OptimizerError(
+                f"memo XML references unknown column #{error.args[0]}"
+            ) from None
 
-    if op_name in ("Select", "Filter"):
-        predicate = expr_from_element(list(element)[0], vars_by_id)
-        if op_name == "Select":
-            return detached_select(predicate), True
-        return phys.Filter(predicate), False
+    def _groups(self, ids: str) -> List[int]:
+        try:
+            return [self.groups[int(g)] for g in ids.split()]
+        except KeyError as error:
+            raise OptimizerError(
+                f"memo XML references unknown group {error.args[0]}"
+            ) from None
 
-    if op_name in ("Project", "ComputeScalar"):
-        outputs = []
-        for out in element.findall("output"):
-            var = vars_by_id[int(out.get("var"))]
-            outputs.append((var, expr_from_element(list(out)[0], vars_by_id)))
-        if op_name == "Project":
-            project = LogicalProject.__new__(LogicalProject)
-            project.children = []
-            project.outputs = outputs
-            return project, True
-        return phys.ComputeScalar(outputs), False
+    def _var(self, element: ET.Element) -> ex.ColumnVar:
+        return self._vars(element.get("var"))[0]
 
-    if op_name in _JOIN_OPS:
-        kind = JoinKind(element.get("join-kind"))
-        predicate_el = [c for c in element if c.tag not in ()]
-        predicate = (expr_from_element(predicate_el[0], vars_by_id)
-                     if predicate_el else None)
-        if op_name == "Join":
-            return detached_join(kind, predicate), True
-        return _JOIN_OPS[op_name](kind, predicate), False
+    def _expr(self, ref: str) -> ex.ScalarExpr:
+        try:
+            return self.exprs[ref]
+        except KeyError:
+            raise OptimizerError(
+                f"memo XML references unknown expression id {ref!r}"
+            ) from None
 
-    if op_name in ("GroupBy", "HashAggregate", "StreamAggregate"):
-        keys = [vars_by_id[int(k)] for k in element.get("keys", "").split()]
-        aggregates = []
-        for agg_el in element.findall("aggregate"):
-            var = vars_by_id[int(agg_el.get("var"))]
-            aggregates.append(
-                (var, expr_from_element(list(agg_el)[0], vars_by_id)))
-        if op_name == "GroupBy":
-            phase = AggPhase(element.get("phase", "complete"))
-            return detached_groupby(keys, aggregates, phase), True
-        cls = (phys.HashAggregate if op_name == "HashAggregate"
-               else phys.StreamAggregate)
-        return cls(keys, aggregates, element.get("phase", "complete")), False
+    def _operator(self, element: ET.Element):
+        """``(operator, is_logical)`` of one ``<expr>``: logical operators
+        come detached (no child links), physical ones from their class."""
+        name = element.get("op")
+        try:
+            cls, family = _OPERATORS_BY_NAME[name]
+        except KeyError:
+            raise OptimizerError(
+                f"unknown operator {name!r} in memo XML") from None
 
-    if op_name in ("UnionAll", "UnionAllOp"):
-        outputs = [vars_by_id[int(c)] for c in element.get("cols").split()]
-        if op_name == "UnionAll":
-            branches = [
-                [vars_by_id[int(c)] for c in b.get("cols").split()]
-                for b in element.findall("branch")
-            ]
+        if family == _JOIN:
+            kind = JoinKind(element.get("join-kind"))
+            ref = element.get("pred")
+            predicate = None if ref is None else self._expr(ref)
+            if name == "Join":
+                return detached_join(kind, predicate), True
+            return cls(kind, predicate), False
+
+        if family == _FILTER:
+            predicate = self._expr(element.get("pred"))
+            if name == "Select":
+                return detached_select(predicate), True
+            return cls(predicate), False
+
+        if family == _SCAN:
+            table = self.shell.table(element.get("table"))
+            columns = self._vars(element.get("cols"))
+            alias = element.get("alias")
+            if name == "Get":
+                return LogicalGet(table, columns, alias), True
+            return cls(table, columns, alias), False
+
+        if family == _PROJECT:
+            outputs = [(self._var(out), self._expr(out.get("e")))
+                       for out in element.findall("output")]
+            if name == "Project":
+                project = LogicalProject.__new__(LogicalProject)
+                project.children = []
+                project.outputs = outputs
+                return project, True
+            return cls(outputs), False
+
+        if family == _AGGREGATE:
+            keys = self._vars(element.get("keys", ""))
+            aggregates = [(self._var(agg), self._expr(agg.get("e")))
+                          for agg in element.findall("aggregate")]
+            phase = element.get("phase", "complete")
+            if name == "GroupBy":
+                return detached_groupby(keys, aggregates,
+                                        AggPhase(phase)), True
+            return cls(keys, aggregates, phase), False
+
+        # _UNION
+        outputs = self._vars(element.get("cols"))
+        if name == "UnionAll":
+            branches = [self._vars(branch.get("cols"))
+                        for branch in element.findall("branch")]
             return detached_union(outputs, branches), True
-        return phys.UnionAllOp(outputs), False
+        return cls(outputs), False
 
-    raise OptimizerError(f"unknown operator {op_name!r} in memo XML")

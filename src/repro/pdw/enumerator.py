@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.algebra import expressions as ex
 from repro.algebra.logical import (
@@ -298,27 +298,55 @@ class PdwOptimizer:
         right_ids = frozenset(v.id for v in right_group.output_vars)
         pairs = ex.equi_join_pairs(op.predicate, left_ids, right_ids)
 
+        # Two hashed inputs are aligned when every (left, right) hash
+        # column pair falls into the equivalence classes of one equi-join
+        # pair, either way round (hashing may align crosswise through
+        # equivalence).  The classes depend on one side only, so they are
+        # looked up once per option, not once per combination.
+        representative = self.equivalence.representative
+        aligned_classes = set()
+        for left_var, right_var in pairs:
+            left_class = representative(left_var.id)
+            right_class = representative(right_var.id)
+            aligned_classes.add((left_class, right_class))
+            aligned_classes.add((right_class, left_class))
+        right_classes = [self._hash_classes(o.distribution)
+                         for o in right_options]
+        relational_cost = self._relational_cost(group_id)
+
         result: List[PdwOption] = []
         for left in left_options:
-            for right in right_options:
+            left_hash = self._hash_classes(left.distribution)
+            for right, right_hash in zip(right_options, right_classes):
+                hashed_aligned = (
+                    left_hash is not None and right_hash is not None
+                    and len(left_hash) == len(right_hash)
+                    and all(pair in aligned_classes
+                            for pair in zip(left_hash, right_hash)))
                 distribution = self._join_output_distribution(
-                    op.kind, left.distribution, right.distribution, pairs)
+                    op.kind, left.distribution, right.distribution,
+                    hashed_aligned)
                 if distribution is None:
                     continue
-                cost = left.cost + right.cost + self._relational_cost(
-                    group_id)
+                cost = left.cost + right.cost + relational_cost
                 result.append(PdwOption(op, (left, right), group_id,
                                         distribution, cost))
         return result
 
+    def _hash_classes(self, distribution: Distribution
+                      ) -> Optional[Tuple[int, ...]]:
+        """Equivalence class of each hash column; None unless HASHED."""
+        if distribution.kind is not DistKind.HASHED:
+            return None
+        representative = self.equivalence.representative
+        return tuple(representative(c) for c in distribution.columns)
+
+    @staticmethod
     def _join_output_distribution(
-            self, kind: JoinKind, left: Distribution, right: Distribution,
-            pairs: Sequence[Tuple[ex.ColumnVar, ex.ColumnVar]]
-    ) -> Optional[Distribution]:
+            kind: JoinKind, left: Distribution, right: Distribution,
+            hashed_aligned: bool) -> Optional[Distribution]:
         """Output distribution of a collocated join; None if data must
         move first."""
-        hashed_aligned = self._hash_aligned(left, right, pairs)
-
         if kind in (JoinKind.INNER, JoinKind.CROSS):
             if left.kind is DistKind.REPLICATED:
                 return right
@@ -348,35 +376,6 @@ class PdwOptimizer:
                 and right.kind is DistKind.ON_CONTROL):
             return ON_CONTROL_DIST
         return None
-
-    def _hash_aligned(self, left: Distribution, right: Distribution,
-                      pairs) -> bool:
-        if left.kind is not DistKind.HASHED or \
-                right.kind is not DistKind.HASHED:
-            return False
-        if len(left.columns) != len(right.columns):
-            return False
-
-        def matches(left_col: int, right_col: int) -> bool:
-            for left_var, right_var in pairs:
-                left_ok = self.equivalence.are_equivalent(
-                    left_col, left_var.id)
-                right_ok = self.equivalence.are_equivalent(
-                    right_col, right_var.id)
-                if left_ok and right_ok:
-                    return True
-                # pairs are oriented (left side, right side) but hashing
-                # might align crosswise through equivalence.
-                if (self.equivalence.are_equivalent(left_col, right_var.id)
-                        and self.equivalence.are_equivalent(
-                            right_col, left_var.id)):
-                    return True
-            return False
-
-        return all(
-            matches(lc, rc)
-            for lc, rc in zip(left.columns, right.columns)
-        )
 
     # -- aggregation -------------------------------------------------------------------
 

@@ -96,6 +96,33 @@ class TestDedupAndMerge:
         memo, root, _ = memo_env("SELECT c_name FROM customer")
         assert memo.merge_equivalent(root, root) == memo.find(root)
 
+    def test_key_is_built_once(self, memo_env):
+        memo, root, _ = memo_env("SELECT c_name FROM customer")
+        expr = memo.group(root).expressions[0]
+        assert expr.key is expr.key
+        assert expr.key == (expr.op.local_key(), expr.children)
+
+    def test_duplicate_is_found_after_its_group_was_absorbed(self, memo_env):
+        """``_dedup`` leads straight to the expression; after a merge it
+        must lead to the one the surviving group kept."""
+        memo, root, _ = memo_env("SELECT c_name FROM customer")
+        var = memo.group(root).output_vars[0]
+        low = detached_select(ex.Comparison(">", var, ex.Constant(1)))
+        high = detached_select(ex.Comparison(">", var, ex.Constant(2)))
+        first = memo.group_for_expression(low, (root,))
+        second = memo.group_for_expression(high, (root,))
+        low_expr = memo.group(first).expressions[0]
+        high_expr = memo.group(second).expressions[0]
+        survivor = memo.merge_equivalent(first, second)
+        assert memo.group(survivor).expressions == [low_expr, high_expr]
+        # Same keys again, through fresh but equal operator objects.
+        again_low = detached_select(ex.Comparison(">", var, ex.Constant(1)))
+        again_high = detached_select(ex.Comparison(">", var, ex.Constant(2)))
+        assert memo.add_expression(survivor, again_low, (root,)) is low_expr
+        assert memo.add_expression(survivor, again_high, (root,)) is high_expr
+        assert memo.group_for_expression(again_high, (root,)) == survivor
+        assert len(memo.group(survivor).expressions) == 2
+
 
 class TestTopologicalOrder:
     def test_children_before_parents(self, memo_env):

@@ -1,8 +1,17 @@
 """PDW enumerator tests: Figure 4's bottom-up algorithm."""
 
+import itertools
+
 import pytest
 
-from repro.algebra.properties import DistKind
+from repro.algebra import expressions as ex
+from repro.algebra.logical import LogicalJoin
+from repro.algebra.properties import (
+    DistKind,
+    Distribution,
+    ON_CONTROL_DIST,
+    REPLICATED_DIST,
+)
 from repro.catalog.schema import (
     Catalog,
     Column,
@@ -15,8 +24,9 @@ from repro.common.types import INTEGER, varchar
 from repro.optimizer.memo import topological_order
 from repro.optimizer.search import SerialOptimizer
 from repro.pdw.dms import DataMovement, DmsOperation
-from repro.pdw.enumerator import PdwConfig, PdwOptimizer
+from repro.pdw.enumerator import PdwConfig, PdwOptimizer, PdwOption
 from repro.pdw.interesting import derive_interesting_properties
+from repro.pdw.topdown import _join_output_distribution
 
 
 def optimize(shell, sql, config=None):
@@ -206,3 +216,102 @@ class TestOutputDistribution:
                 assert not (isinstance(left_child.op, DataMovement)
                             and left_child.op.target.kind
                             is DistKind.REPLICATED)
+
+
+class TestJoinAlignment:
+    """``_join_options`` looks the hash columns' equivalence classes up
+    once per option; the top-down cross-check keeps the pairwise rule
+    (every combination against every equi-join pair) and is the
+    reference here."""
+
+    QUERIES = [
+        "SELECT c_name FROM customer, orders, lineitem "
+        "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey",
+        "SELECT c_name FROM customer, orders, nation "
+        "WHERE c_custkey = o_custkey AND c_nationkey = n_nationkey "
+        "AND o_totalprice > 10",
+        "SELECT c_name FROM customer LEFT JOIN orders "
+        "ON c_custkey = o_custkey",
+        "SELECT c_name FROM customer WHERE c_custkey IN "
+        "(SELECT o_custkey FROM orders)",
+        "SELECT c_name FROM customer, nation",
+    ]
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_options_match_the_pairwise_rule(self, mini_shell, sql):
+        pdw, _ = optimize(mini_shell, sql)
+        memo = pdw.memo
+        checked = 0
+        for group_id in topological_order(memo, pdw.root_group):
+            for expr in memo.group(group_id).logical_expressions:
+                if not isinstance(expr.op, LogicalJoin):
+                    continue
+                children = [memo.find(c) for c in expr.children]
+                sides = [frozenset(v.id for v in memo.group(c).output_vars)
+                         for c in children]
+                pairs = ex.equi_join_pairs(expr.op.predicate, *sides)
+                expected = []
+                for left in pdw.options_for(children[0]):
+                    for right in pdw.options_for(children[1]):
+                        distribution = _join_output_distribution(
+                            expr.op.kind, left.distribution,
+                            right.distribution, pairs, pdw.equivalence)
+                        if distribution is not None:
+                            expected.append((left, right, distribution))
+                produced = [
+                    (option.children[0], option.children[1],
+                     option.distribution)
+                    for option in pdw._join_options(group_id, expr.op,
+                                                    children)]
+                assert produced == expected
+                checked += len(produced)
+        assert checked
+
+    def test_compound_and_crosswise_hashing(self, mini_shell):
+        """Two-column hashings in every order, mismatched lengths and
+        columns outside the join: still the pairwise rule's answers."""
+        pdw, _ = optimize(
+            mini_shell,
+            "SELECT c_name FROM customer, orders "
+            "WHERE c_custkey = o_custkey AND c_nationkey = o_orderkey")
+        memo = pdw.memo
+        group_id, expr = next(
+            (gid, e) for gid in topological_order(memo, pdw.root_group)
+            for e in memo.group(gid).logical_expressions
+            if isinstance(e.op, LogicalJoin))
+        children = [memo.find(c) for c in expr.children]
+        sides = [[v.id for v in memo.group(c).output_vars]
+                 for c in children]
+        pairs = ex.equi_join_pairs(expr.op.predicate,
+                                   frozenset(sides[0]), frozenset(sides[1]))
+        assert len(pairs) == 2
+
+        def options(child, ids):
+            hashed = [Distribution(DistKind.HASHED, columns)
+                      for size in (1, 2)
+                      for columns in itertools.permutations(ids, size)]
+            return [PdwOption(None, (), child, distribution, 0.0)
+                    for distribution in
+                    hashed + [REPLICATED_DIST, ON_CONTROL_DIST]]
+
+        # Hash columns drawn from both sides' outputs, so crosswise
+        # alignment (left hashed on a right-side column) is exercised.
+        mixed = sides[0][:2] + sides[1][:2]
+        pdw.options[children[0]] = options(children[0], mixed)
+        pdw.options[children[1]] = options(children[1], mixed)
+        expected = [
+            (left, right, distribution)
+            for left in pdw.options[children[0]]
+            for right in pdw.options[children[1]]
+            for distribution in [_join_output_distribution(
+                expr.op.kind, left.distribution, right.distribution,
+                pairs, pdw.equivalence)]
+            if distribution is not None]
+        produced = [
+            (option.children[0], option.children[1], option.distribution)
+            for option in pdw._join_options(group_id, expr.op, children)]
+        assert produced == expected
+        aligned = [d for left, right, d in produced
+                   if left.distribution.kind is DistKind.HASHED
+                   and right.distribution.kind is DistKind.HASHED]
+        assert {len(d.columns) for d in aligned} == {1, 2}
