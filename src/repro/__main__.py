@@ -91,6 +91,7 @@ from repro import (
     GroundTruthConstants,
     PdwSession,
 )
+from repro.service.admission import DEFAULT_MAX_IN_FLIGHT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="queries per client (default 8)")
     serve.add_argument("--seed", type=int, default=2012,
                        help="traffic RNG seed (default 2012)")
-    serve.add_argument("--max-in-flight", type=int, default=4,
-                       help="admission: concurrent executions (default 4)")
+    serve.add_argument("--max-in-flight", type=int,
+                       default=DEFAULT_MAX_IN_FLIGHT,
+                       help="admission: concurrent executions (default 1)")
     serve.add_argument("--max-queue", type=int, default=32,
                        help="admission: wait-queue bound (default 32)")
     serve.add_argument("--cache-size", type=int, default=64,
@@ -218,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="queries per client (default 12)")
     bench.add_argument("--seed", type=int, default=2012,
                        help="traffic RNG seed (default 2012)")
-    bench.add_argument("--max-in-flight", type=int, default=4,
-                       help="admission: concurrent executions (default 4)")
+    bench.add_argument("--max-in-flight", type=int,
+                       default=DEFAULT_MAX_IN_FLIGHT,
+                       help="admission: concurrent executions (default 1)")
     bench.add_argument("--max-queue", type=int, default=64,
                        help="admission: wait-queue bound (default 64)")
     bench.add_argument("--cache-size", type=int, default=64,
@@ -237,9 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="queries per client (default 8)")
     requests.add_argument("--seed", type=int, default=2012,
                           help="traffic RNG seed (default 2012)")
-    requests.add_argument("--max-in-flight", type=int, default=4,
+    requests.add_argument("--max-in-flight", type=int,
+                          default=DEFAULT_MAX_IN_FLIGHT,
                           help="admission: concurrent executions "
-                               "(default 4)")
+                               "(default 1)")
     requests.add_argument("--max-queue", type=int, default=32,
                           help="admission: wait-queue bound (default 32)")
     requests.add_argument("--cache-size", type=int, default=64,
@@ -271,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="queries per client (default 8)")
     querystore.add_argument("--seed", type=int, default=2012,
                             help="traffic RNG seed (default 2012)")
-    querystore.add_argument("--max-in-flight", type=int, default=4,
+    querystore.add_argument("--max-in-flight", type=int,
+                            default=DEFAULT_MAX_IN_FLIGHT,
                             help="admission: concurrent executions "
-                                 "(default 4)")
+                                 "(default 1)")
     querystore.add_argument("--max-queue", type=int, default=32,
                             help="admission: wait-queue bound "
                                  "(default 32)")

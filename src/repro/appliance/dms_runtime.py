@@ -278,7 +278,7 @@ def route_batch_columns(operation: DmsOperation, batch: ArrayBatch,
             keep = owners == source_id
             if not keep.any():
                 return [], 0  # trimmed rows never leave their node
-            return [(source_id, batch.compress(keep),
+            return [(source_id, batch.compress(keep).gathered(),
                      int(sizes[keep].sum()))], 0
 
         order = np.argsort(owners, kind="stable")

@@ -102,6 +102,19 @@ def _value_widths(column: NumpyColumn) -> Union[int, np.ndarray]:
     array with a width per value."""
     kind = column.kind
     values = column.values
+    mask = column.mask
+    if kind == "s":
+        # One width per dictionary entry, gathered by code.
+        widths, uniform = column.dictionary.derived(
+            "value_bytes", _entry_widths)
+        if uniform is not None:
+            if mask is None:
+                return uniform
+            return np.where(mask, 1, uniform)
+        sizes = widths[values]
+        if mask is not None:
+            sizes[mask] = 1  # NULL
+        return sizes
     if kind == "o":
         # Mostly strings (``max(1, len)``; every other width is >= 1
         # already), anything else one value at a time.
@@ -109,7 +122,6 @@ def _value_widths(column: NumpyColumn) -> Union[int, np.ndarray]:
             (len(v) if type(v) is str else value_bytes(v)
              for v in values.tolist()), np.int64, len(values))
         return np.maximum(sizes, 1, out=sizes)
-    mask = column.mask
     if kind == "i":
         if len(values) and (values.min() < _INT32_MIN
                             or values.max() > _INT32_MAX):
@@ -124,6 +136,25 @@ def _value_widths(column: NumpyColumn) -> Union[int, np.ndarray]:
     if mask is None:
         return width
     return np.where(mask, 1, width)  # NULL is one byte
+
+
+def _entry_widths(entries: np.ndarray
+                   ) -> Tuple[np.ndarray, Optional[int]]:
+    """:func:`value_bytes` of every entry of a string dictionary, and
+    the one width they all share (``None`` when they differ)."""
+    widths = np.fromiter(map(len, entries.tolist()), np.int64,
+                         len(entries))
+    np.maximum(widths, 1, out=widths)  # '' is one byte
+    uniform = (int(widths[0])
+               if len(widths) and bool((widths == widths[0]).all())
+               else None)
+    return widths, uniform
+
+
+def _entry_hashes(entries: np.ndarray) -> np.ndarray:
+    """:func:`pdw_hash` of every entry of a string dictionary."""
+    return np.fromiter(map(pdw_hash, entries.tolist()), np.int64,
+                       len(entries))
 
 
 def batch_row_bytes(batch: ArrayBatch) -> np.ndarray:
@@ -149,13 +180,20 @@ def batch_row_bytes(batch: ArrayBatch) -> np.ndarray:
 def column_owners(column: NumpyColumn, node_count: int) -> np.ndarray:
     """``pdw_hash(v) % node_count`` for every value of a distribution-
     key column, as int64.  Integer columns hash in one vectorized CRC32
-    pass (:func:`~repro.vector.np_batch.crc32_int64`); any other kind
-    hashes its native values one by one."""
+    pass (:func:`~repro.vector.np_batch.crc32_int64`), dictionary-
+    encoded strings once per dictionary entry; any other kind hashes
+    its native values one by one."""
     if column.kind == "i":
         owners = (crc32_int64(column.values)
                   % np.uint32(node_count)).astype(np.int64)
         if column.mask is not None:
             owners[column.mask] = 0  # pdw_hash(None) == 0
+        return owners
+    if column.kind == "s":
+        owners = column.dictionary.derived(
+            "pdw_hash", _entry_hashes)[column.values] % node_count
+        if column.mask is not None:
+            owners[column.mask] = 0
         return owners
     return np.fromiter(
         (pdw_hash(v) % node_count for v in column.pylist()),

@@ -87,16 +87,17 @@ class TableDef:
     is_system: bool = False
     primary_key: Tuple[str, ...] = ()
     _by_name: Dict[str, Column] = field(default_factory=dict, repr=False)
+    _index_of: Dict[str, int] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for column in self.columns:
+        for index, column in enumerate(self.columns):
             key = column.name.lower()
-            if key in seen:
+            if key in self._index_of:
                 raise CatalogError(
                     f"duplicate column {column.name!r} in table {self.name!r}")
-            seen.add(key)
             self._by_name[key] = column
+            self._index_of[key] = index
         for dist_col in self.distribution.columns:
             if dist_col.lower() not in self._by_name:
                 raise CatalogError(
@@ -121,11 +122,11 @@ class TableDef:
         return name.lower() in self._by_name
 
     def column_index(self, name: str) -> int:
-        lowered = name.lower()
-        for index, column in enumerate(self.columns):
-            if column.name.lower() == lowered:
-                return index
-        raise CatalogError(f"table {self.name!r} has no column {name!r}")
+        try:
+            return self._index_of[name.lower()]
+        except KeyError:
+            raise CatalogError(
+                f"table {self.name!r} has no column {name!r}") from None
 
     @property
     def row_width(self) -> int:

@@ -41,6 +41,15 @@ from repro.common.errors import (
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.service.options import PRIORITY_CLASSES
 
+#: Execution slots by default: what the data plane can run at once.
+#: Both in-process runtimes execute under one GIL, so a second
+#: concurrent execution adds no throughput — two 4-slot clients convoy
+#: on the GIL hand-off between short numpy calls and finish *fewer*
+#: queries than one — and a waiting query is better off in the queue,
+#: where priorities order it.  Used by every front door that has the
+#: knob (:class:`AdmissionController`, ``PdwService``, the CLI).
+DEFAULT_MAX_IN_FLIGHT = 1
+
 _WAITING = 0
 _CANCELLED = 1
 
@@ -67,7 +76,8 @@ class AdmissionTicket:
 class AdmissionController:
     """The concurrency gate in front of the execution stack."""
 
-    def __init__(self, max_in_flight: int = 4, max_queue: int = 32,
+    def __init__(self, max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
+                 max_queue: int = 32,
                  default_timeout_seconds: Optional[float] = None,
                  metrics: MetricsRegistry = NULL_METRICS):
         if max_in_flight < 1:

@@ -53,7 +53,10 @@ from repro.obs.system_views import (
 from repro.optimizer.search import OptimizerConfig
 from repro.pdw.engine import CompiledQuery, PdwEngine
 from repro.pdw.enumerator import PdwConfig
-from repro.service.admission import AdmissionController
+from repro.service.admission import (
+    DEFAULT_MAX_IN_FLIGHT,
+    AdmissionController,
+)
 from repro.service.options import ExecutionOptions
 from repro.service.plan_cache import (
     CacheEntry,
@@ -73,7 +76,13 @@ class PdwService:
     Thread-safe by construction: clients call :meth:`execute` from
     their own threads (or :meth:`submit` for a future-based interface).
     Compilation is serialized — the engine is not thread-safe and a
-    warm cache makes compiles rare — while executions overlap freely.
+    warm cache makes compiles rare.  Executions hold one of
+    ``max_in_flight`` admission slots; the default is
+    :data:`~repro.service.admission.DEFAULT_MAX_IN_FLIGHT` (one),
+    because every runtime executes under one GIL: overlapping
+    executions only take turns, more slowly than a queue would make
+    them.  Concurrent clients are queued by priority, not refused
+    (``max_queue``); pass a larger ``max_in_flight`` to overlap them.
     """
 
     def __init__(self, *,
@@ -86,7 +95,7 @@ class PdwService:
                  pdw_config: Optional[PdwConfig] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  plan_cache_size: int = 64,
-                 max_in_flight: int = 4,
+                 max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
                  max_queue: int = 32,
                  default_timeout_seconds: Optional[float] = None,
                  admission: Optional[AdmissionController] = None,

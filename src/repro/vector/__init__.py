@@ -1,26 +1,32 @@
-"""Vectorized columnar execution backends (the third and fourth
-executors).
+"""Columnar execution: the production executor and the list backend
+it grew from.
 
-DSQL step SQL runs batch-at-a-time over columnar fragments: a
-:class:`~repro.vector.column_batch.ColumnBatch` holds one Python list
-per column, scalar expressions compile into column kernels
-(:mod:`repro.vector.kernels`) that evaluate a whole column per call with
-selection-vector narrowing for short-circuit semantics, and
+DSQL step SQL runs batch-at-a-time over columnar fragments.  The
+production executor — ``executor="numpy"``, the default
+(:mod:`repro.vector.np_batch`, :mod:`repro.vector.np_kernels`,
+:mod:`repro.vector.np_executor`) — stores a column as a typed ndarray
+with an explicit NULL mask, a repeating string column as int64 codes
+into a dictionary, and only what is left as Python objects; kernels,
+filters, joins and aggregates run inside numpy's C loops, a filter
+carries a selection vector instead of copying, and the columns move
+through DMS as they are.
+
+The list backend (``executor="vectorized"``) is the same operator
+semantics over plain Python lists: a
+:class:`~repro.vector.column_batch.ColumnBatch` holds one list per
+column, scalar expressions compile into column kernels
+(:mod:`repro.vector.kernels`) that evaluate a whole column per call
+with selection-vector narrowing for short-circuit semantics, and
 :class:`~repro.vector.executor.VectorInterpreter` mirrors the row
 interpreters' operator semantics (including stats counters and the
-profiler observer protocol) while touching rows only at the
-storage boundary.
+profiler observer protocol).  The numpy executor inherits from it and
+falls back on its kernels wherever an array form would not be
+bit-identical.
 
-The numpy backend (:mod:`repro.vector.np_batch`,
-:mod:`repro.vector.np_kernels`, :mod:`repro.vector.np_executor`) keeps
-the same operator semantics but stores columns as typed ndarrays with
-explicit NULL masks, so kernels and aggregates run inside numpy's C
-loops — which release the GIL, letting the parallel node runtime
-overlap real work.
-
-Selected with ``ExecutionOptions(executor="vectorized")`` or
-``executor="numpy"`` alongside the ``"reference"`` tree-walking
-interpreter and the ``"compiled"`` closure backend.
+Both stand beside the ``"reference"`` tree-walking interpreter (the
+oracle every differential test compares against) and the
+``"compiled"`` closure backend; ``ExecutionOptions(executor=...)``
+selects one.
 """
 
 from repro.vector.column_batch import ColumnBatch

@@ -17,14 +17,30 @@ kind    values dtype     notes
                          (``date.toordinal()`` — a bijection, so
                          comparisons vectorize and values round-trip
                          exactly)
+``s``   int64            ``str`` values that repeat (distinct ≤ half
+                         the rows), as codes into the column's
+                         :class:`StringDictionary`
 ``o``   object           everything else; NULLs inline as ``None``
 ======  ===============  =========================================
 
 ``mask`` is a boolean array with ``True`` marking NULL rows (``None``
 when the column has no NULLs); object columns keep ``None`` inline and
-never carry a mask.  The typed kinds are what make the backend go:
-ufuncs over int64/float64/bool arrays run C loops that drop the GIL,
-which is exactly what the parallel node runtime needs.
+never carry a mask.  The typed kinds are what make the executor go:
+ufuncs, gathers and ``bincount`` over int64/float64/bool arrays are C
+loops, where an object column costs a Python-level step per value.
+
+A dictionary-encoded column (``s``) is a string column to everything
+that reads it through :meth:`NumpyColumn.pylist` — which is every path
+that does not know about codes — and an int64 column to the paths that
+do: grouping uses the codes as group codes, a single-column expression
+is evaluated once per distinct value *present* and gathered by code,
+byte widths and distribution hashes are computed per dictionary entry.
+``take`` / ``compress`` / ``slice`` share the parent's dictionary, so
+after a filter it may hold **stale** entries no row has; nothing may
+evaluate an entry without first checking that a row carries its code
+(unless the evaluation is total over ``str``), and nothing may read an
+order into the codes — they are positions of first occurrence, and
+merged dictionaries (:func:`concat_columns`) are merely duplicate-free.
 
 The **native-value boundary** is load-bearing for bit-identical
 equivalence: every value that leaves a batch — materialized result
@@ -32,25 +48,39 @@ rows, the row view of a temp fragment, group keys, fallback-kernel
 inputs, non-integer distribution keys — goes through
 :meth:`NumpyColumn.pylist`, which produces native Python
 ``int``/``float``/``bool`` objects (via ``ndarray.tolist``) and
-restores ``None`` and ``datetime.date``.  numpy scalars must never
-escape: ``np.int64`` is not an ``int`` subclass (``row_bytes`` would
-size it differently) and ``repr(np.float64(x))`` is not ``repr(x)``
-under numpy 2 (``pdw_hash`` hashes the repr), so a leaked scalar
-silently changes byte accounting and row routing.  DMS steps do *not*
-cross the boundary: a step's output leaves the interpreter as an
-:class:`ArrayBatch` of positional columns, is sized, hashed and split
-column-wise, and lands in the destination node as a
-:class:`ColumnFragment` the next step scans directly.
+restores ``None``, ``datetime.date`` and the dictionary's ``str``
+objects.  numpy scalars must never escape: ``np.int64`` is not an
+``int`` subclass (``row_bytes`` would size it differently) and
+``repr(np.float64(x))`` is not ``repr(x)`` under numpy 2 (``pdw_hash``
+hashes the repr), so a leaked scalar silently changes byte accounting
+and row routing.  DMS steps do *not* cross the boundary: a step's
+output leaves the interpreter as an :class:`ArrayBatch` of positional
+columns, is sized, hashed and split column-wise, and lands in the
+destination node as a :class:`ColumnFragment` the next step scans
+directly.
 
 Columns and batches are immutable by convention, exactly like
-``ColumnBatch`` — operators that keep rows build new arrays.
+``ColumnBatch`` — operators that keep rows build new arrays, and a
+batch that is *some rows of* another (:meth:`ArrayBatch.take`) carries
+the index vector and gathers a column the first time something reads
+it, so a filter or a join copies only the columns its consumers use.
 """
 
 from __future__ import annotations
 
 import datetime
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from itertools import chain
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -58,7 +88,7 @@ from repro.vector.column_batch import ColumnBatch
 
 #: Kinds whose ``values`` array is numeric (int64/float64/bool) and
 #: whose NULLs live in ``mask``.
-MASKED_KINDS = frozenset("ifbd")
+MASKED_KINDS = frozenset("ifbds")
 
 _KIND_DTYPE = {
     "i": np.int64,
@@ -69,18 +99,52 @@ _KIND_DTYPE = {
 _KIND_FILL = {"i": 0, "f": 0.0, "b": False, "d": datetime.date.min}
 
 
+class StringDictionary:
+    """The distinct ``str`` values of dictionary-encoded columns.
+
+    ``entries`` is an object array of exact ``str`` objects, duplicate-
+    free and in no meaningful order.  Every column derived from another
+    by ``take`` / ``compress`` / ``slice`` shares its dictionary, so
+    :meth:`derived` computes a per-entry result (byte widths,
+    distribution hashes) once for all of them.
+    """
+
+    __slots__ = ("entries", "_derived")
+
+    def __init__(self, entries: np.ndarray):
+        self.entries = entries
+        self._derived: Dict[str, object] = {}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def derived(self, key: str, build: Callable[[np.ndarray], object]):
+        """``build(entries)``, computed once per dictionary.  ``build``
+        sees stale entries too, so it must be total over ``str``."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            # Benign race under the parallel runtime: two readers may
+            # both build; the results are equivalent.
+            result = self._derived[key] = build(self.entries)
+            return result
+
+
 class NumpyColumn:
     """One typed column: ``values[i]`` is row ``i``, ``mask[i]`` its
     NULL flag (``mask is None`` ⇒ no NULLs; object kind keeps ``None``
-    inline instead)."""
+    inline instead).  Kind ``s`` holds codes into ``dictionary``, which
+    is never empty while the column has a row."""
 
-    __slots__ = ("kind", "values", "mask", "_pylist")
+    __slots__ = ("kind", "values", "mask", "dictionary", "_pylist")
 
     def __init__(self, kind: str, values: np.ndarray,
-                 mask: Optional[np.ndarray] = None):
+                 mask: Optional[np.ndarray] = None,
+                 dictionary: Optional[StringDictionary] = None):
         self.kind = kind
         self.values = values
         self.mask = mask
+        self.dictionary = dictionary
         self._pylist: Optional[List] = None
 
     def __len__(self) -> int:
@@ -94,6 +158,8 @@ class NumpyColumn:
             if self.kind == "d":
                 fromordinal = datetime.date.fromordinal
                 out = [fromordinal(o) for o in self.values.tolist()]
+            elif self.kind == "s":
+                out = self.dictionary.entries[self.values].tolist()
             else:
                 out = self.values.tolist()
             if self.mask is not None:
@@ -127,23 +193,50 @@ class NumpyColumn:
     def take(self, indices: np.ndarray) -> "NumpyColumn":
         return NumpyColumn(
             self.kind, self.values[indices],
-            None if self.mask is None else self.mask[indices])
+            None if self.mask is None else self.mask[indices],
+            self.dictionary)
+
+    def pad_take(self, indices: np.ndarray) -> "NumpyColumn":
+        """Gather with ``-1`` meaning NULL (LEFT JOIN padding)."""
+        pad = indices < 0
+        count = len(indices)
+        kind = self.kind
+        if not len(self.values):
+            # Nothing to gather from (and an ``s`` column without rows
+            # may have no dictionary entry for a fill code to name).
+            return null_column(count)
+        safe = np.where(pad, 0, indices)
+        values = self.values[safe]
+        if kind == "o":
+            values[pad] = None
+            return NumpyColumn("o", values)
+        mask = pad if self.mask is None else self.mask[safe] | pad
+        return NumpyColumn(kind, values, mask, self.dictionary)
 
     def compress(self, keep: np.ndarray) -> "NumpyColumn":
         return NumpyColumn(
             self.kind, self.values[keep],
-            None if self.mask is None else self.mask[keep])
+            None if self.mask is None else self.mask[keep],
+            self.dictionary)
 
     def slice(self, start: int, stop: int) -> "NumpyColumn":
         """Rows ``start:stop`` as views — no copy."""
         return NumpyColumn(
             self.kind, self.values[start:stop],
-            None if self.mask is None else self.mask[start:stop])
+            None if self.mask is None else self.mask[start:stop],
+            self.dictionary)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nulls = int(self.null_mask().sum())
         return (f"NumpyColumn(kind={self.kind!r}, rows={len(self)}, "
                 f"nulls={nulls})")
+
+
+def null_column(length: int) -> NumpyColumn:
+    """``length`` NULLs (an object column: no type to carry)."""
+    arr = np.empty(length, dtype=object)
+    arr[:] = None
+    return NumpyColumn("o", arr)
 
 
 def column_from_list(values: Sequence) -> NumpyColumn:
@@ -176,9 +269,17 @@ def column_from_list(values: Sequence) -> NumpyColumn:
                 return _typed_column(kind, values, nullable, n)
             except OverflowError:
                 pass  # ints beyond int64: keep the object column
-    arr = np.empty(n, dtype=object)
+        elif vtype is str:
+            encoded = _string_column(values, nullable, n)
+            if encoded is not None:
+                return encoded
+    return NumpyColumn("o", _object_array(values))
+
+
+def _object_array(values: Sequence) -> np.ndarray:
+    arr = np.empty(len(values), dtype=object)
     arr[:] = values
-    return NumpyColumn("o", arr)
+    return arr
 
 
 def _typed_column(kind: str, values: List, nullable: bool,
@@ -194,6 +295,30 @@ def _typed_column(kind: str, values: List, nullable: bool,
     else:
         arr = np.array(values, dtype=_KIND_DTYPE[kind])
     return NumpyColumn(kind, arr, mask)
+
+
+def _string_column(values: List, nullable: bool,
+                   n: int) -> Optional[NumpyColumn]:
+    """``values`` (exact ``str`` or ``None``) dictionary-encoded, or
+    ``None`` when they do not repeat: more distinct values than half
+    the rows.  Entries are in first-occurrence order; every loop here
+    is a C loop over the list (``dict.fromkeys``, ``map``)."""
+    distinct = dict.fromkeys(values)
+    if nullable:
+        del distinct[None]
+    if 2 * len(distinct) > n:
+        return None
+    entries = list(distinct)
+    code_of = dict(zip(entries, range(len(entries))))
+    if nullable:
+        code_of[None] = -1
+    codes = np.fromiter(map(code_of.__getitem__, values), np.int64, n)
+    mask = None
+    if nullable:
+        mask = codes < 0
+        codes[mask] = 0
+    return NumpyColumn("s", codes, mask,
+                       StringDictionary(_object_array(entries)))
 
 
 def const_column(value, length: int) -> NumpyColumn:
@@ -212,46 +337,98 @@ def const_column(value, length: int) -> NumpyColumn:
     elif vtype is datetime.date:
         return NumpyColumn("d", np.full(length, value.toordinal(),
                                         np.int64))
+    elif vtype is str and length >= 2:
+        return NumpyColumn("s", np.zeros(length, np.int64), None,
+                           StringDictionary(_object_array([value])))
     arr = np.empty(length, dtype=object)
     arr[:] = value
     return NumpyColumn("o", arr)
+
+
+class _GatheredColumns(Mapping):
+    """The columns of a batch that is *some rows of* other columns:
+    ``id -> (source column, index vector, padded)``, each gathered the
+    first time it is read and kept.  Reads like the ``dict`` a plain
+    batch has — a missing id raises ``KeyError`` — so nothing
+    downstream can tell the two apart; only the copies nobody asked
+    for are missing."""
+
+    __slots__ = ("pending", "ready")
+
+    def __init__(self, pending: Dict[int, Tuple[NumpyColumn, np.ndarray,
+                                                bool]]):
+        self.pending = pending
+        self.ready: Dict[int, NumpyColumn] = {}
+
+    def __getitem__(self, cid: int) -> NumpyColumn:
+        column = self.ready.get(cid)
+        if column is None:
+            source, indices, padded = self.pending[cid]
+            column = self.ready[cid] = (
+                source.pad_take(indices) if padded
+                else source.take(indices))
+        return column
+
+    def __contains__(self, cid) -> bool:
+        return cid in self.pending
+
+    def __iter__(self):
+        return iter(self.pending)
+
+    def __len__(self) -> int:
+        return len(self.pending)
+
+
+def _rows_of(columns: Mapping, indices: np.ndarray, padded: bool = False
+             ) -> Dict[int, Tuple[NumpyColumn, np.ndarray, bool]]:
+    """Pending gathers for rows ``indices`` of ``columns`` (``-1`` =
+    a NULL row when ``padded``).  Over columns that are pending
+    themselves the index vectors compose — once per distinct inner
+    vector — so a filter over a filter or a join still gathers each
+    column once, from its original; a column already gathered is read
+    from that copy."""
+    if not isinstance(columns, _GatheredColumns) or padded:
+        return {cid: (column, indices, padded)
+                for cid, column in columns.items()}
+    ready = columns.ready
+    composed: Dict[int, np.ndarray] = {}
+    pending = {}
+    for cid, (source, inner, inner_padded) in columns.pending.items():
+        column = ready.get(cid)
+        if column is not None:
+            pending[cid] = (column, indices, False)
+            continue
+        vector = composed.get(id(inner))
+        if vector is None:
+            vector = composed[id(inner)] = inner[indices]
+        pending[cid] = (source, vector, inner_padded)
+    return pending
 
 
 class ArrayBatch:
     """One columnar fragment over :class:`NumpyColumn` columns.
 
     ``length`` is authoritative (zero-column batches with positive row
-    counts exist, as for :class:`ColumnBatch`).  ``list_batch()`` lazily
-    materializes the native-list twin once per batch — the per-
-    expression fallback path hands it to the pure-Python kernels, so a
-    batch pays the conversion only if some expression actually needs
-    it, and at most once however many expressions do.
+    counts exist, as for :class:`ColumnBatch`).  ``columns`` is a
+    ``dict``, or for a batch :meth:`take` / :func:`join_batches` made a
+    mapping that gathers each column on first read.
 
     Inside an interpreter the keys are bound column-variable ids; a
     batch that has left one (:meth:`NumpyInterpreter.run_columns`, DMS
     deliveries, :class:`ColumnFragment` pieces) is keyed by output
-    position ``0..k-1`` in order, and :meth:`rows` is its row view.
+    position ``0..k-1`` in order, holds every column outright, and
+    :meth:`rows` is its row view.
     """
 
-    __slots__ = ("columns", "length", "_list_batch", "_rows")
+    __slots__ = ("columns", "length", "_rows")
 
-    def __init__(self, columns: Dict[int, NumpyColumn], length: int):
+    def __init__(self, columns: Mapping, length: int):
         self.columns = columns
         self.length = length
-        self._list_batch: Optional[ColumnBatch] = None
         self._rows: Optional[List[Tuple]] = None
 
     def __len__(self) -> int:
         return self.length
-
-    def list_batch(self) -> ColumnBatch:
-        batch = self._list_batch
-        if batch is None:
-            batch = ColumnBatch(
-                {cid: col.pylist() for cid, col in self.columns.items()},
-                self.length)
-            self._list_batch = batch
-        return batch
 
     def rows(self) -> List[Tuple]:
         """The batch as native row tuples, columns in key order — where
@@ -268,28 +445,26 @@ class ArrayBatch:
             self._rows = rows
         return rows
 
-    def take(self, indices: np.ndarray,
-             ids: Optional[Iterable[int]] = None) -> "ArrayBatch":
+    def native(self, ids: Iterable[int]) -> ColumnBatch:
+        """The native-value view of columns ``ids`` — what a list-path
+        fallback reads, and no column more.  An id the batch lacks
+        stays missing, so a list kernel raises ``UnboundColumn`` where
+        it reads it."""
         columns = self.columns
-        if ids is None:
-            items = columns.items()
-        else:
-            items = [(cid, columns[cid]) for cid in ids if cid in columns]
+        return ColumnBatch(
+            {cid: columns[cid].pylist() for cid in ids if cid in columns},
+            self.length)
+
+    def take(self, indices: np.ndarray) -> "ArrayBatch":
+        """Rows ``indices`` of this batch, each column gathered when
+        first read."""
         return ArrayBatch(
-            {cid: col.take(indices) for cid, col in items},
+            _GatheredColumns(_rows_of(self.columns, indices)),
             len(indices))
 
-    def compress(self, keep: np.ndarray,
-                 ids: Optional[Iterable[int]] = None) -> "ArrayBatch":
+    def compress(self, keep: np.ndarray) -> "ArrayBatch":
         """Keep the rows where boolean ``keep`` is True."""
-        columns = self.columns
-        if ids is None:
-            items = columns.items()
-        else:
-            items = [(cid, columns[cid]) for cid in ids if cid in columns]
-        length = int(keep.sum())
-        return ArrayBatch(
-            {cid: col.compress(keep) for cid, col in items}, length)
+        return self.take(np.flatnonzero(keep))
 
     def slice(self, start: int, stop: int) -> "ArrayBatch":
         """Rows ``start:stop`` (``0 <= start <= stop <= length``) as
@@ -299,9 +474,29 @@ class ArrayBatch:
              for cid, col in self.columns.items()},
             stop - start)
 
+    def gathered(self) -> "ArrayBatch":
+        """This batch holding every column outright — what a batch
+        that outlives its step (a DMS delivery) must be, so it neither
+        pins the batch it was taken from nor leaves its reader the
+        copying."""
+        if isinstance(self.columns, _GatheredColumns):
+            self.columns = dict(self.columns)
+        return self
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ArrayBatch(rows={self.length}, "
                 f"columns={sorted(self.columns)})")
+
+
+def join_batches(left: ArrayBatch, right: ArrayBatch,
+                 left_idx: np.ndarray, right_idx: np.ndarray,
+                 pad: bool = False) -> ArrayBatch:
+    """Rows ``left_idx`` of ``left`` beside rows ``right_idx`` of
+    ``right`` — a join's output, gathered column by column as read.
+    With ``pad`` a ``-1`` right index is a row of NULLs (LEFT JOIN)."""
+    pending = _rows_of(left.columns, left_idx)
+    pending.update(_rows_of(right.columns, right_idx, pad))
+    return ArrayBatch(_GatheredColumns(pending), len(left_idx))
 
 
 def from_column_batch(batch: ColumnBatch) -> ArrayBatch:
@@ -316,15 +511,21 @@ def concat_columns(pieces: List[Tuple[Optional[NumpyColumn], int]]
                    ) -> NumpyColumn:
     """Concatenate ``(column, length)`` pieces into one column
     (``None`` = missing column = all NULL).  Same-kind typed pieces
-    concatenate arrays; anything mixed rebuilds through native values,
-    which types the result exactly as :func:`column_from_list` would
-    have typed the concatenated values."""
+    concatenate arrays — dictionary-encoded ones after re-coding into
+    one merged dictionary; anything mixed rebuilds through native
+    values, which types the result exactly as :func:`column_from_list`
+    would have typed the concatenated values."""
     present = [col for col, _ in pieces if col is not None]
     if len(present) == len(pieces) and present:
         kinds = {col.kind for col in present}
         if len(kinds) == 1:
             kind = kinds.pop()
-            values = np.concatenate([col.values for col in present])
+            dictionary = None
+            if kind == "s":
+                dictionary, codes = _merge_dictionaries(present)
+                values = np.concatenate(codes)
+            else:
+                values = np.concatenate([col.values for col in present])
             if kind == "o":
                 return NumpyColumn("o", values)
             if any(col.mask is not None for col in present):
@@ -334,7 +535,7 @@ def concat_columns(pieces: List[Tuple[Optional[NumpyColumn], int]]
                     for col in present])
             else:
                 mask = None
-            return NumpyColumn(kind, values, mask)
+            return NumpyColumn(kind, values, mask, dictionary)
     merged: List = []
     for col, length in pieces:
         if col is None:
@@ -342,6 +543,36 @@ def concat_columns(pieces: List[Tuple[Optional[NumpyColumn], int]]
         else:
             merged.extend(col.pylist())
     return column_from_list(merged)
+
+
+def _merge_dictionaries(columns: List[NumpyColumn]
+                        ) -> Tuple[StringDictionary, List[np.ndarray]]:
+    """One dictionary for all ``columns`` and each column's codes in
+    it.  Pieces cut from one column (a shuffle's slices, UNION ALL over
+    one table) share theirs and keep their codes; otherwise the entries
+    are unioned — a piece with fewer rows than entries contributes its
+    rows' values instead, so the work is bounded by the rows, not by
+    what an upstream filter left behind in the dictionary — and the
+    codes re-mapped by one gather per piece."""
+    first = columns[0].dictionary
+    if all(column.dictionary is first for column in columns):
+        return first, [column.values for column in columns]
+    sources: List[Tuple[List[str], Optional[np.ndarray]]] = []
+    for column in columns:
+        entries, codes = column.dictionary.entries, column.values
+        if len(codes) < len(entries):
+            sources.append((entries[codes].tolist(), None))
+        else:
+            sources.append((entries.tolist(), codes))
+    merged = list(dict.fromkeys(
+        chain.from_iterable(values for values, _ in sources)))
+    code_of = dict(zip(merged, range(len(merged))))
+    recoded = []
+    for values, codes in sources:
+        new_codes = np.fromiter(map(code_of.__getitem__, values),
+                                np.int64, len(values))
+        recoded.append(new_codes if codes is None else new_codes[codes])
+    return StringDictionary(_object_array(merged)), recoded
 
 
 class ColumnFragment:

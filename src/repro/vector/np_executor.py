@@ -1,16 +1,24 @@
-"""Numpy batch-at-a-time logical-plan execution (the fourth executor).
+"""Numpy batch-at-a-time logical-plan execution: the production
+executor (``executor="numpy"``, the default).
 
 :class:`NumpyInterpreter` subclasses
 :class:`~repro.vector.executor.VectorInterpreter` and overrides every
 operator with an array fast path over
 :class:`~repro.vector.np_batch.ArrayBatch` fragments:
 
-* scans columnarize the needed storage columns into typed arrays once
-  per (table snapshot, column) and cache them — repeated steps over
-  the same fragments skip the transpose entirely — and read a temp
+* scans columnarize the needed storage columns into typed arrays —
+  repeating strings into dictionary codes — once per (table snapshot,
+  column) and cache them, so repeated steps over the same fragments
+  skip the transpose, the type sniff and the encoding entirely; a temp
   table the DMS runtime delivered as columns
-  (:class:`~repro.vector.np_batch.ColumnFragment`) as it stands;
-* filters evaluate the predicate to one boolean mask and compress;
+  (:class:`~repro.vector.np_batch.ColumnFragment`) is read as it
+  stands;
+* filters evaluate the predicate to one boolean mask and hand on a
+  batch that carries the selected row indexes; joins hand on one with
+  an index vector per side.  A column is gathered the first time an
+  operator reads it, so columns only the predicate read — or nothing
+  reads — are never copied, and :meth:`NumpyInterpreter.run_columns`
+  gathers exactly the step's output columns before it returns;
 * projections run the numpy kernel compiler
   (:mod:`repro.vector.np_kernels`);
 * the single-key hash join sorts the build side's int64 key column
@@ -19,18 +27,19 @@ operator with an array fast path over
   matches in right-scan order) with vectorized range arithmetic;
 * GROUP BY factorizes the key columns to dense group codes
   (``np.unique`` + first-occurrence reordering, mixed-radix for
-  multiple keys) and aggregates with sequential C reductions —
-  ``np.bincount`` with weights accumulates float SUMs left-to-right
-  exactly like the row backends' ``total += value`` loop, so results
-  are bit-identical, not merely close.
+  multiple keys; a dictionary-encoded string key *is* its codes) and
+  aggregates with sequential C reductions — ``np.bincount`` with
+  weights accumulates float SUMs left-to-right exactly like the row
+  backends' ``total += value`` loop, so results are bit-identical, not
+  merely close.
 
 Every fast path checks its preconditions at runtime (column kinds,
 int64 overflow headroom, NaN absence where ordering semantics differ)
 and otherwise falls back to the parent's list implementation over the
-batch's native view — parity first, speed where it is safe.  Stats
-counters, observer events, group order, row order and error behaviour
-all match the row backends; the four-backend differential suite pins
-them on the full TPC-H workload.
+native view of the columns it needs — parity first, speed where it is
+safe.  Stats counters, observer events, group order, row order and
+error behaviour all match the reference interpreter; the differential
+suites pin them on the full TPC-H workload and on generated data.
 """
 
 from __future__ import annotations
@@ -56,7 +65,6 @@ from repro.algebra.logical import (
 )
 from repro.catalog.statistics import sort_key
 from repro.common.errors import ExecutionError
-from repro.vector.column_batch import ColumnBatch
 from repro.vector.executor import VectorInterpreter
 from repro.vector.np_batch import (
     ArrayBatch,
@@ -64,6 +72,8 @@ from repro.vector.np_batch import (
     NumpyColumn,
     column_from_list,
     concat_columns,
+    join_batches,
+    null_column,
 )
 from repro.vector.np_kernels import (
     compile_np_kernel,
@@ -119,55 +129,7 @@ def _scan_columns(rows: List[Tuple],
     return cached
 
 
-def _null_column(length: int) -> NumpyColumn:
-    arr = np.empty(length, dtype=object)
-    arr[:] = None
-    return NumpyColumn("o", arr)
-
-
 _EMPTY_IDX = np.zeros(0, dtype=np.int64)
-
-_PAD_FILL = {"i": 0, "f": 0.0, "b": False, "d": 1}
-_PAD_DTYPE = {"i": np.int64, "f": np.float64, "b": np.bool_,
-              "d": np.int64}
-
-
-def _pad_take(col: NumpyColumn, idx: np.ndarray) -> NumpyColumn:
-    """Gather with ``-1`` meaning NULL (LEFT JOIN padding)."""
-    pad = idx < 0
-    n = len(idx)
-    if col.kind == "o":
-        if len(col.values):
-            values = col.values[np.where(pad, 0, idx)]
-        else:
-            values = np.empty(n, dtype=object)
-        values[pad] = None
-        return NumpyColumn("o", values)
-    if len(col.values):
-        safe = np.where(pad, 0, idx)
-        values = col.values[safe]
-        mask = (col.mask[safe] | pad if col.mask is not None
-                else pad.copy())
-    else:
-        values = np.full(n, _PAD_FILL[col.kind],
-                         dtype=_PAD_DTYPE[col.kind])
-        mask = np.ones(n, dtype=np.bool_)
-    return NumpyColumn(col.kind, values, mask)
-
-
-def _np_combine(left: ArrayBatch, right: ArrayBatch,
-                left_idx: np.ndarray, right_idx: np.ndarray,
-                pad: bool = False) -> ArrayBatch:
-    columns: Dict[int, NumpyColumn] = {}
-    for cid, column in left.columns.items():
-        columns[cid] = column.take(left_idx)
-    if pad:
-        for cid, column in right.columns.items():
-            columns[cid] = _pad_take(column, right_idx)
-    else:
-        for cid, column in right.columns.items():
-            columns[cid] = column.take(right_idx)
-    return ArrayBatch(columns, len(left_idx))
 
 
 class NumpyInterpreter(VectorInterpreter):
@@ -201,25 +163,24 @@ class NumpyInterpreter(VectorInterpreter):
 
     def _output_batch(self, query: Query, batch: ArrayBatch
                       ) -> ArrayBatch:
+        if query.order_by:
+            # Sort keys need `sort_key` over Python values: the native
+            # view of the key columns only, the parent's sort verbatim.
+            keys = batch.native(var.id for var, _ in query.order_by)
+            batch = batch.take(np.array(self._row_order(query, keys),
+                                        dtype=np.int64))
+        elif query.limit is not None and query.limit < batch.length:
+            batch = batch.take(np.arange(query.limit))
+        # Reading the output columns is what gathers them: the batch
+        # that leaves holds each outright, and the copying is timed as
+        # this step's node SQL.
         length = batch.length
         columns: Dict[int, NumpyColumn] = {}
         for position, var in enumerate(query.output_columns()):
             column = batch.columns.get(var.id)
-            columns[position] = (_null_column(length) if column is None
+            columns[position] = (null_column(length) if column is None
                                  else column)
-        output = ArrayBatch(columns, length)
-        if query.order_by:
-            # Sort keys need `sort_key` over Python values: the native
-            # view of the key columns only, the parent's sort verbatim.
-            keys = ColumnBatch(
-                {var.id: batch.columns[var.id].pylist()
-                 for var, _ in query.order_by if var.id in batch.columns},
-                length)
-            return output.take(np.array(self._row_order(query, keys),
-                                        dtype=np.int64))
-        if query.limit is not None and query.limit < length:
-            return output.slice(0, query.limit)
-        return output
+        return ArrayBatch(columns, length)
 
     # -- operators ----------------------------------------------------------------
 
@@ -252,10 +213,10 @@ class NumpyInterpreter(VectorInterpreter):
     def _run_select(self, op: LogicalSelect) -> ArrayBatch:
         child = self.run(op.child)
         self.stats.rows_processed += child.length
-        keep = compile_np_selection(op.predicate)(child)
-        if keep.all():
+        kept = np.flatnonzero(compile_np_selection(op.predicate)(child))
+        if len(kept) == child.length:
             return child  # nothing filtered: batches are immutable
-        return child.compress(keep)
+        return child.take(kept)
 
     def _run_project(self, op: LogicalProject) -> ArrayBatch:
         child = self.run(op.child)
@@ -294,14 +255,14 @@ class NumpyInterpreter(VectorInterpreter):
             right_idx = np.tile(np.arange(right.length, dtype=np.int64),
                                 left.length)
         if residual is not None and len(left_idx):
-            candidate = _np_combine(left, right, left_idx, right_idx)
+            candidate = join_batches(left, right, left_idx, right_idx)
             keep = compile_np_kernel(residual)(candidate).is_true_mask()
             if not keep.all():
                 left_idx = left_idx[keep]
                 right_idx = right_idx[keep]
         kind = op.kind
         if kind in (JoinKind.INNER, JoinKind.CROSS):
-            return _np_combine(left, right, left_idx, right_idx)
+            return join_batches(left, right, left_idx, right_idx)
         if kind is JoinKind.SEMI:
             # left_idx is non-decreasing: first occurrences are the
             # boundaries, already in left-row order.
@@ -335,7 +296,8 @@ class NumpyInterpreter(VectorInterpreter):
             if lcol.kind == rcol.kind and lcol.kind in "id":
                 return _sorted_probe(lcol, rcol)
         left_list, right_list = VectorInterpreter._hash_candidates(
-            left.list_batch(), right.list_batch(), pairs)
+            left.native(lv.id for lv, _ in pairs),
+            right.native(rv.id for _, rv in pairs), pairs)
         return (np.array(left_list, dtype=np.int64),
                 np.array(right_list, dtype=np.int64))
 
@@ -357,7 +319,7 @@ class NumpyInterpreter(VectorInterpreter):
                       - np.repeat(pairs_before, counts))
             positions = np.repeat(starts, counts) + within
             final_right[positions] = right_idx
-        return _np_combine(left, right, final_left, final_right,
+        return join_batches(left, right, final_left, final_right,
                            pad=True)
 
     # -- grouping -----------------------------------------------------------------
@@ -382,7 +344,7 @@ class NumpyInterpreter(VectorInterpreter):
         for key_id in key_ids:
             source = child.columns.get(key_id)
             if source is None:
-                columns[key_id] = _null_column(group_count)
+                columns[key_id] = null_column(group_count)
             else:
                 columns[key_id] = source.take(first_rows)
         for var, agg in op.aggregates:
@@ -410,16 +372,22 @@ class NumpyInterpreter(VectorInterpreter):
             return _EMPTY_IDX, _EMPTY_IDX
 
         combined: Optional[np.ndarray] = None
+        radix = 1
         for key_id in key_ids:
             codes, cardinality = _column_codes(
                 child.columns.get(key_id), child, length)
             if combined is None:
                 combined = codes
             else:
-                # Mixed radix; cardinalities are bounded by the row
-                # count, so the product stays far inside int64 for any
-                # realistic key arity.
+                if radix * cardinality >= 2 ** 62:
+                    # Mixed radix about to leave int64 (a dictionary's
+                    # cardinality counts stale entries too): re-code
+                    # the prefix densely, at most one code per row.
+                    uniques, combined = np.unique(combined,
+                                                  return_inverse=True)
+                    radix = len(uniques)
                 combined = combined * np.int64(cardinality) + codes
+            radix *= cardinality
         uniques, first_index, inverse = np.unique(
             combined, return_index=True, return_inverse=True)
         order = np.argsort(first_index, kind="stable")
@@ -441,6 +409,12 @@ class NumpyInterpreter(VectorInterpreter):
                                  ).astype(np.int64))
         argument = compile_np_kernel(agg.arg)(child)
         kind = argument.kind
+        if agg.func == "COUNT" and not agg.distinct and kind != "o":
+            # Any masked kind counts its non-NULL rows the same way.
+            mask = argument.mask
+            return NumpyColumn("i", np.bincount(
+                inverse if mask is None else inverse[~mask],
+                minlength=group_count).astype(np.int64))
         if not agg.distinct and kind in "ifd":
             values = argument.values
             if kind == "f" and bool(np.isnan(values).any()):
@@ -609,15 +583,20 @@ def _column_codes(column: Optional[NumpyColumn], child: ArrayBatch,
         if column.mask is not None:
             codes = np.where(column.mask, np.int64(2), codes)
         return codes, 3
-    if kind in "ifd":
+    if kind in "ifds":
         values = column.values
         if kind == "f" and bool(np.isnan(values).any()):
             # NaN group keys: dict semantics (identity/equality) do
             # not match np.unique's NaN handling — use the dict loop.
             return _object_codes(column.pylist())
-        uniques, inverse = np.unique(values, return_inverse=True)
-        codes = inverse.astype(np.int64)
-        cardinality = len(uniques)
+        if kind == "s":
+            # Dictionary codes are injective already (entries are
+            # duplicate-free); stale entries only leave gaps.
+            codes, cardinality = values, len(column.dictionary)
+        else:
+            uniques, inverse = np.unique(values, return_inverse=True)
+            codes = inverse.astype(np.int64)
+            cardinality = len(uniques)
         if column.mask is not None:
             codes = np.where(column.mask, np.int64(cardinality), codes)
             cardinality += 1

@@ -1,37 +1,61 @@
 """Numpy compilation of bound scalar expressions into array kernels.
 
-The numpy twin of :mod:`repro.vector.kernels`: the same ``ScalarExpr``
+The production executor's expression compiler, beside the list kernels
+of :mod:`repro.vector.kernels` it falls back on: the same ``ScalarExpr``
 tree compiles into a kernel ``ArrayBatch -> NumpyColumn`` whose inner
-loops are ufunc calls over typed arrays — C loops that release the GIL,
-which is what lets the parallel node runtime scale.
+loops are ufunc calls over typed arrays — C loops, one Python step per
+operator instead of one per value.  (They release the GIL too, but at
+a few thousand rows per node per step each call is shorter than a
+thread hand-off: the node thread pool runs the same plans slower than
+the serial walk — EXPERIMENTS.md "PR 17" — so the gain is the C loop,
+not overlap.)
 
-Semantics are the row backends' semantics, enforced two ways:
+Semantics are the row backends' semantics, enforced three ways:
 
 * **runtime dtype dispatch** — every operator looks at the column
   kinds it actually received and takes the ufunc fast path only when
   it is provably bit-identical to the Python semantics (e.g. an
   int64/float64 mixed comparison vectorizes only while the int side
   fits in 2^53, because Python compares int-to-float exactly and
-  float64 promotion does not); otherwise it evaluates elementwise over
-  the columns' native-value views, which *is* the list kernel's loop;
-* **masked narrowing** — AND/OR arguments and CASE arms evaluate only
-  on the rows still undecided, by compressing the batch with the
-  active boolean mask before each step.  This is the array form of the
-  list kernels' selection-vector narrowing, and it preserves
-  short-circuit parity: a guarded ``x <> 0 AND 10 / x > 1`` never
-  divides on excluded rows.
+  float64 promotion does not — a literal operand is broadcast by the
+  ufunc under the same rule, never materialized); otherwise it
+  evaluates elementwise over the columns' native-value views, which
+  *is* the list kernel's loop;
+* **once per distinct value** — an expression that reads exactly one
+  column, over a batch that holds it dictionary-encoded
+  (:class:`~repro.vector.np_batch.StringDictionary`), is evaluated by
+  the list kernel on the distinct values *present* in the batch and
+  gathered by code (:func:`_once_per_distinct`): string comparisons,
+  ``IN``, ``LIKE``, functions and casts of strings, CASE over one
+  string column.  Entries no row has are never evaluated;
+* **whole-batch or narrowing AND/OR** — when no argument can raise
+  (column/literal and column/column comparisons, ``IS NULL``, ``IN``,
+  ``LIKE``, ``NOT``/AND/OR of those) and every column read is present
+  and of a typed or dictionary-encoded kind its literals compare with
+  (:func:`_total_requirements`), every argument runs over the whole
+  batch and the Kleene state is folded with mask arithmetic — no
+  sub-batch is cut.  Anything else (arithmetic, CAST, functions, CASE,
+  a bare column, an object column, a missing column) keeps **masked
+  narrowing**: argument ``k`` sees only the rows still undecided after
+  ``k-1``, CASE arms only their rows — the array form of the list
+  kernels' selection-vector narrowing, so a guarded ``x <> 0 AND
+  10 / x > 1`` never divides on excluded rows.  A narrowed batch
+  gathers only the columns its argument reads
+  (:meth:`~repro.vector.np_batch.ArrayBatch.take`).
 
 Three-valued logic travels in the explicit NULL mask
 (:class:`~repro.vector.np_batch.NumpyColumn`), so NULL propagation is
 one mask OR per binary operator.  Division by zero checks
 ``(divisor == 0) & ~null`` over the whole column and raises the same
 :class:`ExecutionError` before computing anything.  Expressions with
-no profitable array form (LIKE, ``||``, scalar functions, string
-casts) delegate to the pure-Python list kernel over the batch's cached
-native-list view — parity by construction, at worst the old speed.
+no array form over the columns they got (LIKE, ``||``, scalar
+functions and casts over object columns or over several string
+columns) delegate to the pure-Python list kernel over the native view
+of the columns they read — parity by construction, at worst the old
+speed.
 
 Kernels are memoized per expression identity with the same bounded
-cache shape as the other compilers.
+cache shape as the list compiler.
 """
 
 from __future__ import annotations
@@ -46,10 +70,10 @@ from repro.algebra import expressions as ex
 from repro.algebra.evaluator import UnboundColumn, _cast
 from repro.common.errors import ExecutionError
 from repro.common.types import TypeKind
+from repro.vector.column_batch import ColumnBatch
 from repro.vector.kernels import (
     _COMPARISONS,
     _PLAIN_ARITHMETIC,
-    _suffix_columns,
     compile_kernel,
 )
 from repro.vector.np_batch import (
@@ -128,12 +152,15 @@ def _merge_masks(left: Optional[np.ndarray],
 
 
 def _list_fallback(expr: ex.ScalarExpr) -> NKernel:
-    """Run the pure-Python list kernel over the batch's native view —
-    exact parity by construction (including narrowing and errors)."""
+    """Run the pure-Python list kernel over the native view of the
+    columns ``expr`` reads — exact parity by construction (including
+    narrowing and errors; a column the batch lacks stays missing, so
+    the list kernel raises :class:`UnboundColumn` where it reads it)."""
     kernel = compile_kernel(expr)
+    used = sorted(expr.columns_used())
 
     def run(batch: ArrayBatch) -> NumpyColumn:
-        return column_from_list(kernel(batch.list_batch()))
+        return column_from_list(kernel(batch.native(used)))
 
     return run
 
@@ -164,6 +191,54 @@ def _int_bounds(column: NumpyColumn) -> Tuple[int, int]:
 
 
 def _compile(expr: ex.ScalarExpr) -> NKernel:
+    kernel = _compile_node(expr)
+    if isinstance(expr, (ex.ColumnVar, ex.Constant)):
+        return kernel
+    used = expr.columns_used()
+    if len(used) != 1 or (isinstance(expr, ex.IsNullExpr)
+                          and isinstance(expr.operand, ex.ColumnVar)):
+        # ``s IS NULL`` is the one string expression with an array
+        # form: the mask.
+        return kernel
+    return _once_per_distinct(expr, next(iter(used)), kernel)
+
+
+def _once_per_distinct(expr: ex.ScalarExpr, var_id: int,
+                       array_kernel: NKernel) -> NKernel:
+    """``expr`` reads exactly one column.  Over a batch that holds it
+    dictionary-encoded no operator has an array form (a string
+    comparison, ``IN``, ``LIKE``, a function or cast of a string), but
+    the expression is a function of that one value: the list kernel
+    evaluates it once per distinct value *present* in the batch — and
+    on NULL if some row is — and the results are gathered by code.  A
+    stale dictionary entry (one an upstream filter left no row for) is
+    never evaluated, so it can neither raise nor be observed; a value
+    some row has raises exactly what the per-row loop would."""
+
+    def evaluate(batch: ArrayBatch) -> NumpyColumn:
+        column = batch.columns.get(var_id)
+        if column is None or column.kind != "s":
+            return array_kernel(batch)
+        codes, mask = column.values, column.mask
+        entries = column.dictionary.entries
+        present = np.flatnonzero(np.bincount(
+            codes if mask is None else codes[~mask],
+            minlength=len(entries)))
+        values = entries[present].tolist()
+        position = np.empty(len(entries), dtype=np.int64)
+        position[present] = np.arange(len(present))
+        rows = position[codes]
+        if mask is not None and mask.any():
+            rows[mask] = len(values)
+            values.append(None)
+        results = compile_kernel(expr)(
+            ColumnBatch({var_id: values}, len(values)))
+        return column_from_list(results).take(rows)
+
+    return evaluate
+
+
+def _compile_node(expr: ex.ScalarExpr) -> NKernel:
     if isinstance(expr, ex.Constant):
         value = expr.value
         return lambda batch: const_column(value, batch.length)
@@ -232,8 +307,12 @@ def _compile_comparison(expr: ex.Comparison) -> NKernel:
 
     for side, other in ((expr.left, expr.right),
                         (expr.right, expr.left)):
-        if (isinstance(side, ex.Constant) and side.value is None
+        if (isinstance(side, ex.Constant)
                 and not isinstance(other, ex.Constant)):
+            if side.value is not None:
+                return _compile_literal_comparison(
+                    compile_np_kernel(other), side.value, compare, ufunc,
+                    literal_first=side is expr.left)
             # NULL-constant comparison: the other side still evaluates
             # (UnboundColumn / error parity); the result is all-NULL.
             operand = compile_np_kernel(other)
@@ -275,6 +354,48 @@ def _compile_comparison(expr: ex.Comparison) -> NKernel:
         ])
 
     return comparison
+
+
+def _literal_operand(column: NumpyColumn, value):
+    """``value`` as the scalar a comparison ufunc can broadcast against
+    ``column.values`` with exactly Python's result for every row, or
+    ``None`` when there is no such scalar (unrelated types, an int and
+    a float that do not both fit 2^53, an int beyond int64)."""
+    kind, vtype = column.kind, type(value)
+    if kind == "d":
+        return value.toordinal() if vtype is datetime.date else None
+    if kind not in ("i", "f", "b") or vtype not in (int, float, bool):
+        return None
+    if vtype is float:
+        if kind == "i" and _int_exceeds_exact_float(column):
+            return None
+        return value
+    if kind == "f":
+        return float(value) if abs(value) <= _EXACT_FLOAT_INT else None
+    return int(value) if -2 ** 63 <= value < 2 ** 63 else None
+
+
+def _compile_literal_comparison(operand: NKernel, value, compare,
+                                ufunc, literal_first: bool) -> NKernel:
+    """Column-vs-literal comparison: the ufunc broadcasts the literal,
+    no constant column is built."""
+
+    def compare_literal(batch):
+        col = operand(batch)
+        scalar = _literal_operand(col, value)
+        if scalar is not None:
+            values = (ufunc(scalar, col.values) if literal_first
+                      else ufunc(col.values, scalar))
+            return NumpyColumn("b", values, col.mask)
+        if literal_first:
+            return column_from_list([
+                None if v is None else compare(value, v)
+                for v in col.pylist()])
+        return column_from_list([
+            None if v is None else compare(v, value)
+            for v in col.pylist()])
+
+    return compare_literal
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -412,16 +533,17 @@ def _compile_arithmetic(expr: ex.Arithmetic) -> NKernel:
 
 
 def _kleene_state(column: NumpyColumn, decisive: bool
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(decided, null)`` masks for one AND/OR argument column, under
-    the row backends' identity test: only the exact Python bool
-    ``decisive`` decides, NULL stays NULL, any other value leaves the
-    running state unchanged."""
+                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(decided, null)`` masks for one AND/OR argument column
+    (``null`` is ``None`` without NULLs), under the row backends'
+    identity test: only the exact Python bool ``decisive`` decides,
+    NULL stays NULL, any other value leaves the running state
+    unchanged."""
     if column.kind == "b":
-        nulls = column.null_mask()
-        decided = ((column.values if decisive else ~column.values)
-                   & ~nulls)
-        return decided, nulls
+        decided = column.values if decisive else ~column.values
+        if column.mask is None:
+            return decided, None
+        return decided & ~column.mask, column.mask
     if column.kind == "o":
         n = len(column.values)
         decided = np.fromiter((v is decisive for v in column.values),
@@ -429,31 +551,120 @@ def _kleene_state(column: NumpyColumn, decisive: bool
         nulls = np.fromiter((v is None for v in column.values),
                             np.bool_, n)
         return decided, nulls
-    return np.zeros(len(column.values), dtype=np.bool_), \
-        column.null_mask()
+    return np.zeros(len(column.values), dtype=np.bool_), column.mask
+
+
+#: Every kind but the object column's, as one class: enough for an
+#: operator that never compares values across types.
+_ANY_ENCODED = ("ifbds",)
+#: The column kinds a literal of each type compares with without
+#: raising (a NULL literal never compares at all).
+_LITERAL_CLASSES = {int: ("ifb",), float: ("ifb",), bool: ("ifb",),
+                    datetime.date: ("d",), str: ("s",),
+                    type(None): _ANY_ENCODED}
+
+_Requirement = Tuple[Tuple[int, ...], Tuple[str, ...]]
+
+
+def _total_requirements(expr: ex.ScalarExpr
+                        ) -> Optional[List[_Requirement]]:
+    """When ``expr`` is *total* — evaluating it on a row it would never
+    have reached cannot raise.  ``None``: not of a total shape
+    (arithmetic, CAST, functions, CASE, a bare column or constant).
+    Otherwise ``(column ids, kind classes)`` conditions a batch must
+    meet: every id present, and the kinds of one condition's columns
+    all inside one of its classes (a date column only meets date
+    literals, and so on — a comparison across classes can raise
+    ``TypeError``, and an object column can hold anything)."""
+    if isinstance(expr, ex.Comparison):
+        if expr.op not in _COMPARE_UFUNCS:
+            return None
+        left, right = expr.left, expr.right
+        if isinstance(left, ex.ColumnVar) and isinstance(right,
+                                                         ex.ColumnVar):
+            return [((left.id, right.id), ("ifb", "d", "s"))]
+        for column, literal in ((left, right), (right, left)):
+            if (isinstance(column, ex.ColumnVar)
+                    and isinstance(literal, ex.Constant)):
+                classes = _LITERAL_CLASSES.get(type(literal.value))
+                if classes is not None:
+                    return [((column.id,), classes)]
+        return None
+    if isinstance(expr, (ex.InListExpr, ex.LikeExpr, ex.IsNullExpr)):
+        if isinstance(expr.operand, ex.ColumnVar):
+            return [((expr.operand.id,), _ANY_ENCODED)]
+        return None
+    if isinstance(expr, ex.NotExpr):
+        return _total_requirements(expr.operand)
+    if isinstance(expr, ex.BoolOp):
+        requirements: List[_Requirement] = []
+        for arg in expr.args:
+            of_arg = _total_requirements(arg)
+            if of_arg is None:
+                return None
+            requirements.extend(of_arg)
+        return list(dict.fromkeys(requirements))
+    return None
+
+
+def _meets(batch: ArrayBatch, requirements: List[_Requirement]) -> bool:
+    columns = batch.columns
+    for ids, classes in requirements:
+        kinds = []
+        for cid in ids:
+            column = columns.get(cid)
+            if column is None:
+                return False
+            kinds.append(column.kind)
+        if not any(all(kind in allowed for kind in kinds)
+                   for allowed in classes):
+            return False
+    return True
 
 
 def _compile_bool_op(expr: ex.BoolOp) -> NKernel:
     kernels = [compile_np_kernel(arg) for arg in expr.args]
-    suffixes = _suffix_columns(expr.args)
+    requirements = _total_requirements(expr)
     decisive = expr.op != "AND"
 
+    def whole_batch(batch):
+        """Every argument over every row, the Kleene state folded with
+        mask arithmetic: decided where any argument decides, else NULL
+        where any is NULL.  Argument order cannot matter once no
+        argument can raise, and no sub-batch is cut."""
+        decided = nulls = None
+        for kernel in kernels:
+            arg_decided, arg_nulls = _kleene_state(kernel(batch),
+                                                   decisive)
+            decided = (arg_decided if decided is None
+                       else decided | arg_decided)
+            if arg_nulls is not None:
+                nulls = arg_nulls if nulls is None else nulls | arg_nulls
+        if nulls is not None:
+            nulls = nulls & ~decided
+            if not nulls.any():
+                nulls = None
+        return NumpyColumn("b", decided if decisive else ~decided, nulls)
+
     def bool_op(batch):
-        first = kernels[0](batch)
-        decided, nulls = _kleene_state(first, decisive)
-        values = np.where(decided, decisive, not decisive)
-        null_out = nulls.copy()
+        if requirements is not None and _meets(batch, requirements):
+            return whole_batch(batch)
+        # Something here can raise, or reads a column that is missing
+        # or of no typed kind: evaluate argument k only on the rows
+        # still undecided after argument k-1, as the row backends do.
+        decided, nulls = _kleene_state(kernels[0](batch), decisive)
+        values = decided.copy() if decisive else ~decided
+        null_out = (np.zeros(batch.length, dtype=np.bool_)
+                    if nulls is None else nulls.copy())
         active = ~decided
         for position in range(1, len(kernels)):
-            if not active.any():
-                break
-            if active.all():
-                sub = batch
-            else:
-                sub = batch.compress(active, suffixes[position])
-            col = kernels[position](sub)
-            decided_sub, nulls_sub = _kleene_state(col, decisive)
             indices = np.flatnonzero(active)
+            if not len(indices):
+                break
+            sub = (batch if len(indices) == batch.length
+                   else batch.take(indices))
+            decided_sub, nulls_sub = _kleene_state(
+                kernels[position](sub), decisive)
             hit = indices[decided_sub]
             values[hit] = decisive
             null_out[hit] = False
@@ -461,8 +672,8 @@ def _compile_bool_op(expr: ex.BoolOp) -> NKernel:
             # NULL at an undecided position turns the state NULL but
             # keeps the row active; non-decisive non-NULL leaves the
             # state untouched — exactly the list kernel's loop.
-            null_hit = indices[nulls_sub & ~decided_sub]
-            null_out[null_hit] = True
+            if nulls_sub is not None:
+                null_out[indices[nulls_sub & ~decided_sub]] = True
         return NumpyColumn("b", values,
                            null_out if null_out.any() else None)
 
@@ -585,38 +796,30 @@ def _compile_cast(expr: ex.CastExpr) -> NKernel:
 
 
 def _compile_case(expr: ex.CaseWhen) -> NKernel:
-    whens = [
-        (compile_np_kernel(condition), condition.columns_used(),
-         compile_np_kernel(result), result.columns_used())
-        for condition, result in expr.whens
-    ]
-    if expr.otherwise is not None:
-        otherwise = compile_np_kernel(expr.otherwise)
-        otherwise_cols = expr.otherwise.columns_used()
-    else:
-        otherwise = None
-        otherwise_cols = frozenset()
+    whens = [(compile_np_kernel(condition), compile_np_kernel(result))
+             for condition, result in expr.whens]
+    otherwise = (compile_np_kernel(expr.otherwise)
+                 if expr.otherwise is not None else None)
 
     def case(batch):
         length = batch.length
         active = np.ones(length, dtype=np.bool_)
         arms: List[Tuple[np.ndarray, NumpyColumn]] = []
-        for cond_kernel, cond_cols, res_kernel, res_cols in whens:
-            if not active.any():
+        for cond_kernel, res_kernel in whens:
+            undecided = np.flatnonzero(active)
+            if not len(undecided):
                 break
-            sub = (batch if active.all()
-                   else batch.compress(active, cond_cols))
-            taken_sub = cond_kernel(sub).is_true_mask()
-            taken = np.flatnonzero(active)[taken_sub]
+            sub = (batch if len(undecided) == length
+                   else batch.take(undecided))
+            taken = undecided[cond_kernel(sub).is_true_mask()]
             if len(taken):
                 res_sub = (batch if len(taken) == length
-                           else batch.take(taken, res_cols))
+                           else batch.take(taken))
                 arms.append((taken, res_kernel(res_sub)))
                 active[taken] = False
         if otherwise is not None and active.any():
             rest = np.flatnonzero(active)
-            sub = (batch if active.all()
-                   else batch.take(rest, otherwise_cols))
+            sub = batch if len(rest) == length else batch.take(rest)
             arms.append((rest, otherwise(sub)))
             active[rest] = False
         return _scatter_arms(length, arms, active)

@@ -208,6 +208,79 @@ class TestConcurrencyHammer:
         assert report.queries_per_second > 0
 
 
+class TestDefaultConcurrency:
+    """The default service runs one execution at a time — what one GIL
+    can run — and queues the rest by priority instead of refusing or
+    interleaving them."""
+
+    def test_default_service_queues_concurrent_requests(self, tpch):
+        import time
+
+        from repro.service.admission import DEFAULT_MAX_IN_FLIGHT
+        appliance, shell = tpch
+        service = PdwService(appliance=appliance, shell=shell)
+        assert service.admission.max_in_flight == DEFAULT_MAX_IN_FLIGHT == 1
+        sql = "SELECT COUNT(*) AS n FROM nation WHERE n_nationkey < {}"
+        # The first request blocks inside its execution, holding the
+        # slot, until the others have queued up behind it.
+        gate, running = threading.Event(), threading.Event()
+        real_run = service.runner.run
+
+        def gated_run(plan, **kwargs):
+            if not running.is_set():
+                running.set()
+                assert gate.wait(timeout=10.0)
+            return real_run(plan, **kwargs)
+
+        service.runner.run = gated_run
+        finished, results = [], {}
+
+        def client(tag, bound, priority):
+            results[tag] = service.execute(sql.format(bound),
+                                           priority=priority)
+            finished.append(tag)
+
+        def queued(depth):
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if service.admission.queue_depth == depth:
+                    return True
+                time.sleep(0.002)
+            return False
+
+        threads = [threading.Thread(target=client,
+                                    args=("first", 3, "normal"))]
+        try:
+            threads[0].start()
+            assert running.wait(timeout=10.0)
+            for depth, (tag, bound, priority) in enumerate([
+                    ("batch", 5, "batch"), ("normal", 7, "normal"),
+                    ("interactive", 9, "interactive")], start=1):
+                threads.append(threading.Thread(
+                    target=client, args=(tag, bound, priority)))
+                threads[-1].start()
+                assert queued(depth)
+            assert service.admission.in_flight == 1
+            gate.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            stats = service.admission.stats()
+        finally:
+            gate.set()
+            service.close()
+        # One at a time, best priority first.
+        assert finished == ["first", "interactive", "normal", "batch"]
+        assert [results[tag].rows for tag in finished] == [
+            [(3,)], [(9,)], [(7,)], [(5,)]]
+        assert results["first"].timing.queue_seconds == 0.0
+        for tag in ("interactive", "normal", "batch"):
+            assert results[tag].timing.queue_seconds > 0.0
+        assert stats["in_flight"] == 0 and stats["queue_depth"] == 0
+        assert stats["admitted_total"] == 4
+        assert not any(stats["rejected_total"].values())
+
+
 class TestTpchSuiteEquivalence:
     """Cached execution is identical — rows and per-step accounting —
     to an uncached serial session across the whole TPC-H suite (miss

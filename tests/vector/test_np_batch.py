@@ -81,11 +81,13 @@ class TestBatchConversion:
         converted = from_column_batch(batch)
         assert isinstance(converted, ArrayBatch)
         assert converted.length == 2
-        assert converted.list_batch().columns == batch.columns
+        assert {cid: column.pylist()
+                for cid, column in converted.columns.items()
+                } == batch.columns
 
-    def test_list_batch_is_cached(self):
+    def test_native_view_is_cached_per_column(self):
         converted = from_column_batch(ColumnBatch({1: [1, 2, 3]}, 3))
-        assert converted.list_batch() is converted.list_batch()
+        assert converted.columns[1].pylist() is converted.columns[1].pylist()
 
 
 class TestVectorizedHash:
