@@ -12,24 +12,33 @@ max-composition: ``max(max(reader, network), max(writer, bulkcopy))`` over
 nodes — so the calibration harness (§3.3.3) can fit λ from "targeted
 performance tests" exactly as the paper describes.
 
-Node parallelism (§2.1, §2.4): with ``parallel=True`` the per-node
-extract+route work of a step runs on a thread pool (one worker per
-node), and routing uses the fast path — a single fused pass per source
-batch that sizes each row, hashes it once and appends it into a
-preallocated per-target bucket table.  Results are merged in node-id
-order, so rows, stats and profiles are identical to the serial backend;
-the serial path keeps the original per-row ``dict.setdefault``
-accounting as the reference implementation.  Broadcast-style moves
-deliver one shared row list to every target in **both** modes (the
-destination node copies only if it later mutates), instead of
-materializing N copies of every row.
+Under the default ``"numpy"`` executor a step runs **once** for its
+whole source group (DESIGN §5c): every node runs the same SQL over its
+own fragment, so the interpreter runs it once over the fragments
+stacked, the node as a leading segment, and the output — typed columns
+plus the bounds that place its rows on the source nodes — is sized once
+and routed once (:func:`route_group`).  Per-node rows, bytes and
+ownership are read off the bounds and one source × target matrix, not
+off ``n`` runs; a hash-distributed temp is stored once, in target
+order, and every node holds a view of its own rows.  The data plane is
+columnar end to end — only the Return step builds row tuples — and
+every number in :class:`StepExecutionStats` is the per-node row path's,
+bit for bit.
 
-Under the default ``"numpy"`` executor the data plane is columnar end
-to end: a step's output leaves the kernels as typed columns, is sized,
-hashed and split a column at a time (:func:`route_batch_columns`), and
-lands in the destination node as the column pieces the next step's
-scan reads.  Only the Return step builds row tuples.  Every number in
-:class:`StepExecutionStats` is the row path's, bit for bit.
+The three row backends (``"reference"``, ``"compiled"``,
+``"vectorized"``) keep the per-node loop: each source node runs the SQL
+and routes its own rows — through the reference router's per-row
+``dict.setdefault`` accounting on the row-at-a-time backends' serial
+walk, through the fused single pass of :func:`route_batch_fast`
+otherwise — and the deliveries are merged in node-id order.  With
+``parallel=True`` (§2.1, §2.4) their per-node tasks run on a thread
+pool, one worker per node, with rows, stats and profiles identical to
+the serial walk; the numpy executor has no per-node task to hand out
+(the step DAG in :mod:`repro.appliance.runner` still overlaps its
+steps).  Broadcast-style moves deliver one shared row list (or column
+fragment) to every target under every backend (the destination node
+copies only if it later mutates), instead of materializing N copies of
+every row.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +76,12 @@ from repro.pdw.dsql import DsqlStep, canonical_step_sql
 from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.vector.executor import VectorInterpreter
-from repro.vector.np_batch import ArrayBatch, ColumnFragment
+from repro.vector.np_batch import (
+    ArrayBatch,
+    ColumnFragment,
+    offsets,
+    segment_ids,
+)
 from repro.vector.np_executor import NumpyInterpreter
 
 
@@ -162,12 +176,11 @@ class _CachedStep:
 _STEP_CACHE_LIMIT = 256
 
 
-#: One routed delivery: (target node id, batch, batch bytes).  The batch
-#: is a row list, or under the numpy executor a positional
-#: :class:`ArrayBatch`; either may be *shared* between targets
-#: (broadcast) — consumers must treat it as immutable and go through
-#: ``NodeStorage.adopt`` / ``insert`` which copy on mutation.
-Batch = Union[List[Tuple], ArrayBatch]
+#: One routed delivery of a row backend: (target node id, rows, bytes).
+#: The row list may be *shared* between targets (broadcast) — consumers
+#: must treat it as immutable and go through ``NodeStorage.adopt`` /
+#: ``insert`` which copy on mutation.
+Batch = List[Tuple]
 Delivery = Tuple[int, Batch, int]
 
 
@@ -248,68 +261,138 @@ def route_batch_fast(operation: DmsOperation, rows: List[Tuple],
                                 node_count, source_id)
 
 
-def route_batch_columns(operation: DmsOperation, batch: ArrayBatch,
-                        sizes: np.ndarray, hash_index: Optional[int],
-                        node_count: int, source_id: int
-                        ) -> Tuple[List[Delivery], int]:
-    """Column routing for the numpy backend: no row is ever assembled.
+def segment_sums(sizes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per-node byte totals of a group output: one running sum over
+    its per-row ``sizes``, read at the ``bounds``."""
+    return np.diff(offsets(sizes)[bounds])
 
-    ``batch`` is a step's output keyed by column position and ``sizes``
+
+@dataclass
+class GroupRouting:
+    """Where one DMS step's group output went: per source (in group
+    order) the bytes it read and the bytes it put on the network; per
+    target that received rows, what it stores and the bytes it wrote;
+    with ``transfers`` asked for, the ``(source, target) → [rows,
+    bytes]`` cells that are not empty."""
+
+    read: List[int]
+    sent: List[int]
+    stored: Dict[int, ColumnFragment] = field(default_factory=dict)
+    received: Dict[int, int] = field(default_factory=dict)
+    transfers: Dict[Tuple[int, int], List[int]] = field(
+        default_factory=dict)
+
+
+def route_group(operation: DmsOperation, batch: ArrayBatch,
+                source_ids: List[int], sizes: np.ndarray,
+                hash_index: Optional[int], node_count: int,
+                transfers: bool = False) -> GroupRouting:
+    """Column routing for the numpy backend, once per step: no row is
+    ever assembled and no source is routed on its own.
+
+    ``batch`` is the step's output over its whole source group, keyed
+    by column position, ``batch.bounds`` placing source
+    ``source_ids[k]``'s rows at ``bounds[k]:bounds[k + 1]``; ``sizes``
     its per-row byte widths (:func:`~repro.appliance.storage.
     batch_row_bytes`).  Owners come straight from the key column
-    (:func:`~repro.appliance.storage.column_owners`); a shuffle gathers
-    every column once into owner order — a *stable* sort, so each
-    target's rows keep their source order exactly as the row routers'
-    bucket appends do — and delivers contiguous slices of the gathered
-    arrays, with bucket byte totals read off one running sum; a trim
-    compresses by the owner mask.  Deliveries, their order and every
-    byte count are bit-identical to the row routers; the routing tests
-    pin this one against :meth:`DmsRuntime._route_batch_reference`.
+    (:func:`~repro.appliance.storage.column_owners`).  A shuffle
+    gathers every column once into owner order by a *stable* sort: the
+    rows are source-major already, so each target's rows come out in
+    source order and, within a source, in that source's output order —
+    exactly the concatenation of per-source buckets the row routers
+    append.  A trim keeps the rows whose owner is their own source
+    (sources ascend, so those are in owner order as they stand).
+    Either way the rows are stored once, with the targets as bounds,
+    and every compute node gets its view
+    (:meth:`~repro.vector.np_batch.ColumnFragment.of_node`).  The
+    source × target matrix of rows and bytes is one ``bincount`` over
+    ``source · n + owner`` (float64 weights sum integers below 2^53
+    exactly); network bytes are its off-diagonal row sums, written
+    bytes its column sums.  The moves that route a source's rows as a
+    unit hand every target one shared fragment of the whole output.
+    Every count is the row routers', bit for bit; the routing tests
+    pin this against :meth:`DmsRuntime._route_batch_reference`.
     """
+    sources = len(source_ids)
+    bounds = batch.bounds
+    read = segment_sums(sizes, bounds)
+    routing = GroupRouting(read=read.tolist(), sent=[0] * sources)
     if not batch.length:
-        return [], 0
+        return routing
+    ids = np.array(source_ids, dtype=np.int64)
+    local = (ids >= 0) & (ids < node_count)  # a target among the sources
 
     if operation in (DmsOperation.SHUFFLE_MOVE, DmsOperation.TRIM_MOVE):
         if hash_index is None:
             raise DmsError(f"{operation.value} move without a hash column")
         owners = column_owners(batch.columns[hash_index], node_count)
-
+        segments = segment_ids(bounds)
+        cells = segments * node_count + owners
         if operation is DmsOperation.TRIM_MOVE:
-            keep = owners == source_id
-            if not keep.any():
-                return [], 0  # trimmed rows never leave their node
-            return [(source_id, batch.compress(keep).gathered(),
-                     int(sizes[keep].sum()))], 0
+            keep = owners == ids[segments]
+            stacked = batch.compress(keep)
+            cells, sizes = cells[keep], sizes[keep]
+        else:
+            stacked = batch.take(np.argsort(owners, kind="stable"))
+        shape = (sources, node_count)
+        rows = np.bincount(
+            cells, minlength=sources * node_count).reshape(shape)
+        nbytes = np.bincount(
+            cells, weights=sizes, minlength=sources * node_count
+        ).astype(np.int64).reshape(shape)
+        arrived = rows.sum(axis=0)
+        stacked = ArrayBatch(stacked.gathered().columns, stacked.length,
+                             offsets(arrived))
+        kept_local = np.where(
+            local, nbytes[np.arange(sources), np.where(local, ids, 0)], 0)
+        routing.sent = (nbytes.sum(axis=1) - kept_local).tolist()
+        written = nbytes.sum(axis=0).tolist()
+        routing.received = {target: written[target]
+                            for target in np.flatnonzero(arrived).tolist()}
+        routing.stored = {
+            target: ColumnFragment.of_node(stacked, target)
+            for target in range(node_count)}
+        if transfers:
+            for source, target in zip(*(axis.tolist()
+                                        for axis in np.nonzero(rows))):
+                routing.transfers[(source_ids[source], target)] = [
+                    int(rows[source, target]), int(nbytes[source, target])]
+        return routing
 
-        order = np.argsort(owners, kind="stable")
-        gathered = batch.take(order)
-        running = np.concatenate(([0], np.cumsum(sizes[order]))).tolist()
-        stops = np.cumsum(np.bincount(owners, minlength=node_count))
-        deliveries: List[Delivery] = []
-        sent = start = 0
-        for owner, stop in enumerate(stops.tolist()):
-            if stop > start:
-                nbytes = running[stop] - running[start]
-                deliveries.append(
-                    (owner, gathered.slice(start, stop), nbytes))
-                if owner != source_id:
-                    sent += nbytes
-                start = stop
-        return deliveries, sent
-
-    return _deliver_whole_batch(operation, batch, int(sizes.sum()),
-                                node_count, source_id)
+    if operation in (DmsOperation.BROADCAST_MOVE,
+                     DmsOperation.CONTROL_NODE_MOVE,
+                     DmsOperation.REPLICATED_BROADCAST):
+        targets = list(range(node_count))
+        routing.sent = (read * (node_count - local)).tolist()
+    elif operation in (DmsOperation.PARTITION_MOVE,
+                       DmsOperation.REMOTE_COPY):
+        targets = [CONTROL_NODE]
+        routing.sent = np.where(ids == CONTROL_NODE, 0, read).tolist()
+    else:
+        raise DmsError(f"unknown DMS operation {operation}")
+    # One shared piece — the sources' outputs in source order, which is
+    # what every target would have concatenated — no per-target copies.
+    shared = ColumnFragment([ArrayBatch(batch.columns, batch.length)])
+    total = int(read.sum())
+    for target in targets:
+        routing.stored[target] = shared
+        routing.received[target] = total
+    if transfers:
+        for source, count, nbytes in zip(
+                source_ids, batch.node_rows(sources), routing.read):
+            if count:
+                for target in targets:
+                    routing.transfers[(source, target)] = [count, nbytes]
+    return routing
 
 
 @dataclass
 class _SourceRun:
-    """One node's extract+route output, merged in node order."""
+    """One node's extract+route output under a row backend, merged in
+    node order."""
 
     node_id: int
-    #: What the node's SQL produced: row tuples — or, for a DMS step
-    #: under the numpy executor, the column batch (the merge reads only
-    #: its length; its rows never exist).
-    output: Batch
+    output: List[Tuple]
     names: List[str]
     read_bytes: int
     relational_rows: int
@@ -337,25 +420,24 @@ class DmsRuntime:
     ``exec.compile_cache_hit`` / ``exec.compile_cache_miss`` telemetry
     counters.
 
-    ``parallel`` selects the runtime backend (default serial; the
-    ``REPRO_PARALLEL_RUNTIME`` environment variable overrides the
-    default): with it on, every source node's extract+route work runs
-    on a thread pool sized to the appliance's node count and routing
-    takes the fast path (:func:`route_batch_fast`).  The bind cache is
-    lock-guarded, so worker threads share it safely.
-
     ``executor`` names the node-local backend outright ("reference",
     "compiled", "vectorized", "numpy"); when not given, the legacy
     ``compiled`` boolean picks the reference interpreter or the
     default, ``"numpy"``: the typed-ndarray interpreter
-    (:class:`repro.vector.np_executor.NumpyInterpreter`), whose DMS
-    steps move typed columns from its kernels to the next step's scan
-    (:func:`route_batch_columns`) in both runtime modes.  The other
-    three backends move row tuples: ``"vectorized"``
-    (:class:`repro.vector.VectorInterpreter`) always through
-    :func:`route_batch_fast`, the two row-at-a-time backends through it
-    under the parallel runtime and through the reference router on the
-    serial walk.
+    (:class:`repro.vector.np_executor.NumpyInterpreter`), which runs a
+    step once over its whole source group and hands one column batch
+    to one router (:func:`route_group`) — in both runtime modes.  The
+    other three backends run a step node by node and move row tuples:
+    ``"vectorized"`` (:class:`repro.vector.VectorInterpreter`) always
+    through :func:`route_batch_fast`, the two row-at-a-time backends
+    through it under the parallel runtime and through the reference
+    router on the serial walk.
+
+    ``parallel`` selects the runtime backend (default serial; the
+    ``REPRO_PARALLEL_RUNTIME`` environment variable overrides the
+    default): with it on, a row backend's per-node extract+route tasks
+    run on a thread pool sized to the appliance's node count.  The
+    bind cache is lock-guarded, so worker threads share it safely.
     """
 
     def __init__(self, appliance: Appliance,
@@ -379,6 +461,30 @@ class DmsRuntime:
         # collect transfer matrices and per-operator actuals.
         self.profiling = False
         self._node_pool = WorkerPool(appliance.node_count, "repro-node")
+        # The five metric families a step reports into, resolved once
+        # (registration is by name under the registry lock).
+        self._metric_families = None if not metrics.enabled else (
+            metrics.counter(
+                "pdw_step_rows_total",
+                "Rows produced per source node per DSQL step",
+                labelnames=("step", "op", "node")),
+            metrics.counter(
+                "pdw_step_reader_bytes_total",
+                "Bytes read per source node per DSQL step",
+                labelnames=("step", "op", "node")),
+            metrics.counter(
+                "pdw_dms_rows_moved_total",
+                "Rows moved per DMS operation kind",
+                labelnames=("op",)),
+            metrics.histogram(
+                "pdw_step_seconds",
+                "Simulated elapsed seconds per DSQL step",
+                labelnames=("op",)),
+            metrics.gauge(
+                "pdw_step_node_wall_seconds",
+                "Measured wall-clock seconds per node task per DSQL step",
+                labelnames=("step", "op", "node")),
+        )
         self._cache_lock = threading.RLock()
         self._step_cache: "OrderedDict[tuple, _CachedStep]" = OrderedDict()
 
@@ -398,38 +504,23 @@ class DmsRuntime:
             tracer.count(f"dms.rows.{kind}", stats.rows_moved)
             tracer.count(f"dms.bytes.{kind}", moved)
             tracer.count(f"dms.seconds.{kind}", stats.movement_seconds)
-        metrics = self.metrics
-        if metrics.enabled:
+        families = self._metric_families
+        if families is not None:
+            (rows_counter, bytes_counter, moved_counter, seconds_histogram,
+             wall_gauge) = families
             step = str(stats.step_index)
-            rows_counter = metrics.counter(
-                "pdw_step_rows_total",
-                "Rows produced per source node per DSQL step",
-                labelnames=("step", "op", "node"))
-            bytes_counter = metrics.counter(
-                "pdw_step_reader_bytes_total",
-                "Bytes read per source node per DSQL step",
-                labelnames=("step", "op", "node"))
             for node, rows in stats.node_rows.items():
                 rows_counter.labels(step=step, op=kind,
                                     node=str(node)).inc(rows)
             for node, nbytes in stats.reader_bytes.items():
                 bytes_counter.labels(step=step, op=kind,
                                      node=str(node)).inc(nbytes)
-            metrics.counter(
-                "pdw_dms_rows_moved_total",
-                "Rows moved per DMS operation kind",
-                labelnames=("op",)).labels(op=kind).inc(stats.rows_moved)
-            metrics.histogram(
-                "pdw_step_seconds",
-                "Simulated elapsed seconds per DSQL step",
-                labelnames=("op",)).labels(op=kind).observe(
-                    stats.elapsed_seconds)
+            moved_counter.labels(op=kind).inc(stats.rows_moved)
+            seconds_histogram.labels(op=kind).observe(
+                stats.elapsed_seconds)
             # Measured (not simulated) per-node wall clock of the
-            # extract+route task — the skew a real scheduler would see.
-            wall_gauge = metrics.gauge(
-                "pdw_step_node_wall_seconds",
-                "Measured wall-clock seconds per node task per DSQL step",
-                labelnames=("step", "op", "node"))
+            # extract+route task — the skew a real scheduler would see
+            # (under the numpy backend, the group's wall ÷ n).
             for node, wall in stats.node_wall_seconds.items():
                 wall_gauge.labels(step=step, op=kind,
                                   node=str(node)).set(wall)
@@ -441,36 +532,40 @@ class DmsRuntime:
                         observer: Optional[OperatorObserver] = None
                         ) -> Tuple[List[Tuple], List[str]]:
         """Bind (cached) and execute a step's SQL on one node."""
-        interpreter, query = self._node_interpreter(sql, node, stats,
-                                                    observer)
+        interpreter, query = self._interpreter(sql, [node], stats,
+                                               observer)
         return interpreter.run_query(query), query.output_names
 
-    def _node_interpreter(self, sql: str, node: NodeStorage,
-                          stats: Optional[InterpreterStats],
-                          observer: Optional[OperatorObserver]):
-        """This backend's interpreter over ``node``'s tables, and the
-        step's bound tree for it to run."""
+    def _interpreter(self, sql: str, nodes: List[NodeStorage],
+                     stats: Optional[InterpreterStats], observer):
+        """This backend's interpreter over ``nodes``' tables, and the
+        step's bound tree for it to run.  The numpy backend takes a
+        whole group (and an observer per node); the row backends one
+        node at a time."""
         query, temps = self._bind_step(sql)
-        # Snapshot the node's table map before handing it over: a system-
-        # view refresh on another thread swaps dm_pdw_* fragments in and
-        # out of the live dict, and the interpreter constructors iterate
-        # their input.  dict.copy() is a single atomic op; the values are
-        # shared fragment references, so this costs one small dict per
-        # step.
-        tables = node.tables.copy()
         # The numpy backend scans a temp as stored — a column fragment
         # as it stands; the row backends read its rows.
-        view = node.fragment if self.executor == "numpy" else node.rows
-        for bound, actual in temps:
-            tables[bound] = view(actual)
-        if self.executor == "numpy":
-            interpreter = NumpyInterpreter(tables, stats,
-                                           observer=observer)
+        columnar = self.executor == "numpy"
+        group = []
+        for node in nodes:
+            # Snapshot the node's table map before handing it over: a
+            # system-view refresh on another thread swaps dm_pdw_*
+            # fragments in and out of the live dict, and the interpreter
+            # constructors iterate their input.  dict.copy() is a single
+            # atomic op; the values are shared fragment references, so
+            # this costs one small dict per node per step.
+            tables = node.tables.copy()
+            view = node.fragment if columnar else node.rows
+            for bound, actual in temps:
+                tables[bound] = view(actual)
+            group.append(tables)
+        if columnar:
+            interpreter = NumpyInterpreter(group, stats, observer)
         elif self.executor == "vectorized":
-            interpreter = VectorInterpreter(tables, stats,
+            interpreter = VectorInterpreter(group[0], stats,
                                             observer=observer)
         else:
-            interpreter = PlanInterpreter(tables, stats,
+            interpreter = PlanInterpreter(group[0], stats,
                                           compiled=self.compiled,
                                           observer=observer)
         return interpreter, query
@@ -527,7 +622,8 @@ class DmsRuntime:
     def _run_sources(self, step: DsqlStep,
                      hash_index: Optional[int],
                      request=NULL_REQUEST) -> List[_SourceRun]:
-        """Run extract+route for every source node of a step.
+        """Run extract+route for every source node of a step, one node
+        at a time — the three row backends.
 
         Under the parallel runtime the per-node tasks run concurrently
         on the node pool; results always come back in source-node order,
@@ -539,14 +635,10 @@ class DmsRuntime:
         operation = step.movement.operation if step.movement else None
         profiling = self.profiling
         parallel = self.parallel
-        # The numpy backend moves columns, in both runtime modes.  The
-        # others move rows: the fused fast path for the vectorized
-        # backend and under the parallel runtime, the reference router
-        # on the row-at-a-time backends' serial walk.
-        columnar = self.executor == "numpy"
-        if columnar:
-            route = route_batch_columns
-        elif self.executor == "vectorized" or parallel:
+        # The fused fast path for the vectorized backend and under the
+        # parallel runtime, the reference router on the row-at-a-time
+        # backends' serial walk.
+        if self.executor == "vectorized" or parallel:
             route = route_batch_fast
         else:
             route = self._route_batch_reference
@@ -555,24 +647,17 @@ class DmsRuntime:
             started = time.perf_counter()
             sql_stats = InterpreterStats()
             observer = OperatorObserver() if profiling else None
-            interpreter, query = self._node_interpreter(
-                step.sql, source, sql_stats, observer)
+            interpreter, query = self._interpreter(
+                step.sql, [source], sql_stats, observer)
             source_id = source.node_id
-            output = (interpreter.run_columns(query) if columnar
-                      else interpreter.run_query(query))
+            output = interpreter.run_query(query)
             if operation is None and source_id == CONTROL_NODE:
                 sizes_total = 0  # already at the control node
-            elif columnar:
-                sizes = batch_row_bytes(output)
-                sizes_total = int(sizes.sum())
             else:
                 sizes = [row_bytes(r) for r in output]
                 sizes_total = sum(sizes)
             if operation is None:
-                # Return step: no routing, only network accounting —
-                # and the one place a column batch becomes tuples.
-                if columnar:
-                    output = output.rows()
+                # Return step: no routing, only network accounting.
                 deliveries: List[Delivery] = []
                 sent = sizes_total
             else:
@@ -603,27 +688,110 @@ class DmsRuntime:
             return self._node_pool.map_ordered(run_one, sources)
         return [run_one(source) for source in sources]
 
+    def _run_group(self, step: DsqlStep, stats: StepExecutionStats
+                   ) -> Tuple[ArrayBatch, List[str]]:
+        """Run a step's SQL once over its whole source group — the
+        numpy backend.  Returns the output as positional columns with
+        one segment per source (a node-invariant output spelled out per
+        source: each of them holds it) and the output names; records on
+        ``stats`` what the interpreter counted, ``node_rows`` keyed by
+        source node id in source order."""
+        sources = self._source_nodes(step)
+        source_ids = [source.node_id for source in sources]
+        sql_stats = InterpreterStats()
+        observers = ([OperatorObserver() for _ in sources]
+                     if self.profiling else None)
+        interpreter, query = self._interpreter(step.sql, sources,
+                                               sql_stats, observers)
+        output = interpreter.run_columns(query).segmented(len(sources))
+        stats.relational_rows = (sql_stats.rows_scanned
+                                 + sql_stats.rows_processed)
+        stats.rows_moved = output.length
+        stats.node_rows = dict(zip(source_ids,
+                                   output.node_rows(len(sources))))
+        if observers is not None:
+            stats.node_operators = {
+                source_id: observer.records
+                for source_id, observer in zip(source_ids, observers)}
+        return output, query.output_names
+
+    def _report_nodes(self, stats: StepExecutionStats, read: List[int],
+                      started: float, request) -> None:
+        """Per-node wall clock and progress of a group step: the nodes
+        ran as one, so each is reported the group's wall time ÷ n."""
+        share = (time.perf_counter() - started) / len(read)
+        for (source_id, rows), nbytes in zip(stats.node_rows.items(),
+                                             read):
+            stats.node_wall_seconds[source_id] = share
+            if request.enabled:
+                request.node_done(stats.step_index, source_id, rows,
+                                  nbytes, share)
+
     def execute_movement(self, step: DsqlStep,
                          request=NULL_REQUEST) -> StepExecutionStats:
         if step.movement is None or step.destination_table is None:
             raise DmsError(f"step {step.index} is not a DMS step")
         started = time.perf_counter()
         movement = step.movement
-        destination = step.destination_table
-        self.appliance.create_temp_table(destination)
+        self.appliance.create_temp_table(step.destination_table)
 
         stats = StepExecutionStats(step.index, movement.operation)
         hash_index = (
-            destination.column_index(step.hash_column)
+            step.destination_table.column_index(step.hash_column)
             if step.hash_column is not None else None
         )
+        if self.executor == "numpy":
+            self._move_group(step, stats, hash_index, started, request)
+        else:
+            self._move_rows(step, stats, hash_index, request)
 
-        received: Dict[int, List[Batch]] = {}
+        reader, network, writer, bulk = stats.component_times(
+            self.truth, movement.operation.uses_hashing)
+        stats.movement_seconds = max(max(reader, network),
+                                     max(writer, bulk))
+        stats.relational_seconds = (
+            stats.relational_rows * self.truth.relational_per_row)
+        stats.elapsed_seconds = (stats.movement_seconds
+                                 + stats.relational_seconds)
+        stats.wall_seconds = time.perf_counter() - started
+        self._record_movement(stats, movement.operation)
+        return stats
+
+    def _move_group(self, step: DsqlStep, stats: StepExecutionStats,
+                    hash_index: Optional[int], started: float,
+                    request) -> None:
+        """The numpy backend's move: one run, one sizing pass, one
+        router for the whole source group; the accounting is read off
+        the router's source × target sums."""
+        output, _ = self._run_group(step, stats)
+        source_ids = list(stats.node_rows)
+        routing = route_group(
+            step.movement.operation, output, source_ids,
+            batch_row_bytes(output), hash_index,
+            self.appliance.node_count, transfers=self.profiling)
+        stats.reader_bytes = dict(zip(source_ids, routing.read))
+        stats.network_bytes = {
+            source_id: sent
+            for source_id, sent in zip(source_ids, routing.sent) if sent}
+        stats.writer_bytes = dict(routing.received)
+        stats.bulk_bytes = dict(routing.received)
+        stats.transfers = routing.transfers
+        name = step.destination_table.name
+        for target_id, fragment in routing.stored.items():
+            self.appliance.node_storage(target_id).adopt(name, fragment)
+        self._report_nodes(stats, routing.read, started, request)
+
+    def _move_rows(self, step: DsqlStep, stats: StepExecutionStats,
+                   hash_index: Optional[int], request) -> None:
+        """A row backend's move: every source routed on its own, the
+        deliveries merged in source-node order — identical accounting
+        and row order whether the sources ran serially or on the
+        pool."""
+        destination = step.destination_table
+        received: Dict[int, List[List[Tuple]]] = {}
         received_bytes: Dict[int, int] = {}
         profiling = self.profiling
 
-        # Merge in source-node order — identical accounting and row
-        # order whether the sources ran serially or on the pool.
         for run in self._run_sources(step, hash_index, request):
             source_id = run.node_id
             stats.relational_rows += run.relational_rows
@@ -658,11 +826,7 @@ class DmsRuntime:
             incoming = received_bytes[target_id]
             stats.writer_bytes[target_id] = incoming
             stats.bulk_bytes[target_id] = incoming
-            if self.executor == "numpy":
-                # Column pieces, in source-node order; a broadcast's
-                # one piece stays shared between the targets.
-                node.adopt(destination.name, ColumnFragment(batches))
-            elif len(batches) == 1:
+            if len(batches) == 1:
                 # Single batch (broadcast share, or a lone shuffle
                 # bucket): alias it into storage; the node copies only
                 # if it later mutates.
@@ -670,18 +834,6 @@ class DmsRuntime:
             else:
                 for batch in batches:
                     node.insert(destination.name, batch)
-
-        reader, network, writer, bulk = stats.component_times(
-            self.truth, movement.operation.uses_hashing)
-        stats.movement_seconds = max(max(reader, network),
-                                     max(writer, bulk))
-        stats.relational_seconds = (
-            stats.relational_rows * self.truth.relational_per_row)
-        stats.elapsed_seconds = (stats.movement_seconds
-                                 + stats.relational_seconds)
-        stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats, movement.operation)
-        return stats
 
     def _route_batch_reference(self, operation: DmsOperation,
                                rows: List[Tuple], sizes: List[int],
@@ -754,34 +906,53 @@ class DmsRuntime:
         """Run the final Return SQL and gather rows at the control node."""
         started = time.perf_counter()
         stats = StepExecutionStats(step.index, None)
-        rows: List[Tuple] = []
-        names: List[str] = []
         profiling = self.profiling
-        for run in self._run_sources(step, None, request):
-            source_id = run.node_id
-            stats.relational_rows += run.relational_rows
-            if source_id != CONTROL_NODE:
-                stats.network_bytes[source_id] = run.read_bytes
-            stats.node_rows[source_id] = len(run.output)
-            stats.node_wall_seconds[source_id] = (
-                stats.node_wall_seconds.get(source_id, 0.0)
-                + run.wall_seconds)
-            if run.observer is not None:
-                stats.node_operators[source_id] = run.observer.records
+        if self.executor == "numpy":
+            output, names = self._run_group(step, stats)
+            source_ids = list(stats.node_rows)
+            if source_ids == [CONTROL_NODE]:
+                read = [0]  # already at the control node
+            else:
+                read = segment_sums(batch_row_bytes(output),
+                                    output.bounds).tolist()
+                stats.network_bytes = dict(zip(source_ids, read))
             if profiling:
-                stats.transfers[(source_id, CONTROL_NODE)] = [
-                    len(run.output),
-                    stats.network_bytes.get(source_id, 0),
-                ]
-            rows.extend(run.output)
-            names = run.names
+                for (source_id, count), nbytes in zip(
+                        stats.node_rows.items(), read):
+                    stats.transfers[(source_id, CONTROL_NODE)] = [
+                        count, nbytes]
+            # The one place a column batch becomes tuples: the sources'
+            # rows in source order.
+            rows = output.rows()
+            self._report_nodes(stats, read, started, request)
+        else:
+            rows = []
+            names: List[str] = []
+            for run in self._run_sources(step, None, request):
+                source_id = run.node_id
+                stats.relational_rows += run.relational_rows
+                if source_id != CONTROL_NODE:
+                    stats.network_bytes[source_id] = run.read_bytes
+                stats.node_rows[source_id] = len(run.output)
+                stats.node_wall_seconds[source_id] = (
+                    stats.node_wall_seconds.get(source_id, 0.0)
+                    + run.wall_seconds)
+                if run.observer is not None:
+                    stats.node_operators[source_id] = run.observer.records
+                if profiling:
+                    stats.transfers[(source_id, CONTROL_NODE)] = [
+                        len(run.output),
+                        stats.network_bytes.get(source_id, 0),
+                    ]
+                rows.extend(run.output)
+                names = run.names
+            stats.rows_moved = len(rows)
         stats.movement_seconds = max(
             stats.network_bytes.values(), default=0) * self.truth.network
         stats.relational_seconds = (
             stats.relational_rows * self.truth.relational_per_row)
         stats.elapsed_seconds = (stats.movement_seconds
                                  + stats.relational_seconds)
-        stats.rows_moved = len(rows)
         stats.wall_seconds = time.perf_counter() - started
         self._record_movement(stats, None)
         return rows, names, stats

@@ -64,6 +64,13 @@ Columns and batches are immutable by convention, exactly like
 batch that is *some rows of* another (:meth:`ArrayBatch.take`) carries
 the index vector and gathers a column the first time something reads
 it, so a filter or a join copies only the columns its consumers use.
+
+A batch belongs to a **node group** (DESIGN §5c): ``bounds`` is an
+int64 vector of ``n + 1`` offsets — rows ``bounds[i]:bounds[i + 1]``
+are node ``i``'s, in exactly the order that node's own run would have
+produced them — or ``None`` when the batch is *node-invariant*: every
+node of the group holds exactly these rows (a replicated input, or a
+group of one).
 """
 
 from __future__ import annotations
@@ -418,13 +425,20 @@ class ArrayBatch:
     deliveries, :class:`ColumnFragment` pieces) is keyed by output
     position ``0..k-1`` in order, holds every column outright, and
     :meth:`rows` is its row view.
+
+    ``bounds`` places the rows on the nodes of the group the batch was
+    computed for: ``n + 1`` non-decreasing offsets, node ``i`` owning
+    rows ``bounds[i]:bounds[i + 1]``; ``None`` means every node holds
+    the whole batch.
     """
 
-    __slots__ = ("columns", "length", "_rows")
+    __slots__ = ("columns", "length", "bounds", "_rows")
 
-    def __init__(self, columns: Mapping, length: int):
+    def __init__(self, columns: Mapping, length: int,
+                 bounds: Optional[np.ndarray] = None):
         self.columns = columns
         self.length = length
+        self.bounds = bounds
         self._rows: Optional[List[Tuple]] = None
 
     def __len__(self) -> int:
@@ -455,16 +469,45 @@ class ArrayBatch:
             {cid: columns[cid].pylist() for cid in ids if cid in columns},
             self.length)
 
-    def take(self, indices: np.ndarray) -> "ArrayBatch":
+    def take(self, indices: np.ndarray,
+             bounds: Optional[np.ndarray] = None) -> "ArrayBatch":
         """Rows ``indices`` of this batch, each column gathered when
-        first read."""
+        first read; ``bounds`` places the result on the group's nodes
+        (a kernel's narrowed sub-batch has no use for any)."""
         return ArrayBatch(
             _GatheredColumns(_rows_of(self.columns, indices)),
-            len(indices))
+            len(indices), bounds)
+
+    def select(self, indices: np.ndarray) -> "ArrayBatch":
+        """:meth:`take` for an operator that keeps rows in place:
+        ``indices`` is non-decreasing, so every row stays on its node
+        and the new bounds are one ``searchsorted``."""
+        return self.take(indices, rebound(self.bounds, indices))
 
     def compress(self, keep: np.ndarray) -> "ArrayBatch":
         """Keep the rows where boolean ``keep`` is True."""
-        return self.take(np.flatnonzero(keep))
+        return self.select(np.flatnonzero(keep))
+
+    def segmented(self, node_count: int) -> "ArrayBatch":
+        """This batch with one segment per node of the group: itself
+        when it carries bounds; a node-invariant batch repeated once
+        per node — what every node holding it means, spelled out for an
+        operator (or the router) about to treat nodes differently."""
+        if self.bounds is not None:
+            return self
+        length = self.length
+        bounds = np.arange(node_count + 1, dtype=np.int64) * length
+        if node_count == 1:
+            return ArrayBatch(self.columns, length, bounds)
+        return self.take(
+            np.tile(np.arange(length, dtype=np.int64), node_count),
+            bounds)
+
+    def node_rows(self, node_count: int) -> List[int]:
+        """How many of the rows each node of the group holds."""
+        if self.bounds is None:
+            return [self.length] * node_count
+        return np.diff(self.bounds).tolist()
 
     def slice(self, start: int, stop: int) -> "ArrayBatch":
         """Rows ``start:stop`` (``0 <= start <= stop <= length``) as
@@ -488,15 +531,41 @@ class ArrayBatch:
                 f"columns={sorted(self.columns)})")
 
 
+def rebound(bounds: Optional[np.ndarray],
+            indices: np.ndarray) -> Optional[np.ndarray]:
+    """The bounds of rows ``indices`` (non-decreasing) of a batch with
+    ``bounds``: node ``i`` keeps those below its old upper bound."""
+    if bounds is None:
+        return None
+    return np.searchsorted(indices, bounds).astype(np.int64, copy=False)
+
+
+def offsets(counts) -> np.ndarray:
+    """``[0, c0, c0 + c1, …]`` as int64: the bounds of segments of
+    ``counts`` rows each (or a running sum to read at bounds)."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
+
+
+def segment_ids(bounds: np.ndarray) -> np.ndarray:
+    """The node index of every row of a batch with ``bounds``."""
+    return np.repeat(np.arange(len(bounds) - 1, dtype=np.int64),
+                     np.diff(bounds))
+
+
 def join_batches(left: ArrayBatch, right: ArrayBatch,
                  left_idx: np.ndarray, right_idx: np.ndarray,
                  pad: bool = False) -> ArrayBatch:
     """Rows ``left_idx`` of ``left`` beside rows ``right_idx`` of
     ``right`` — a join's output, gathered column by column as read.
-    With ``pad`` a ``-1`` right index is a row of NULLs (LEFT JOIN)."""
+    With ``pad`` a ``-1`` right index is a row of NULLs (LEFT JOIN).
+    Joins are left-major (``left_idx`` is non-decreasing), so the
+    output sits on the nodes its left rows sat on."""
     pending = _rows_of(left.columns, left_idx)
     pending.update(_rows_of(right.columns, right_idx, pad))
-    return ArrayBatch(_GatheredColumns(pending), len(left_idx))
+    return ArrayBatch(_GatheredColumns(pending), len(left_idx),
+                      rebound(left.bounds, left_idx))
 
 
 def from_column_batch(batch: ColumnBatch) -> ArrayBatch:
@@ -577,27 +646,58 @@ def _merge_dictionaries(columns: List[NumpyColumn]
 
 class ColumnFragment:
     """A temp table's fragment on one node, as the DMS runtime
-    delivered it: positional :class:`ArrayBatch` pieces in source-node
-    order, never row tuples.
+    delivered it: positional :class:`ArrayBatch` pieces, never row
+    tuples.
+
+    A move that hands every target the same rows (broadcast,
+    partition) shares one fragment of one piece between them.  A move
+    that splits its rows between the targets (shuffle, trim) stores
+    them **once**, gathered into target order with the targets as the
+    batch's ``bounds``, and gives node ``i`` the view :meth:`of_node`
+    makes: rows ``bounds[i]:bounds[i + 1]``, sliced only when something
+    asks this node for its own rows.  The next step's group scan reads
+    ``stacked`` itself.
 
     The numpy executor scans :meth:`column` directly; everything that
     wants rows (the other executors, the oracle, DMVs, tests) reads
     :meth:`rows`, derived on demand in exactly the order a row-tuple
-    delivery would have stored.  Both views are built at most once.
-    Immutable: a broadcast move hands the *same* piece to every node,
-    and ``NodeStorage.insert`` copies the row view before appending.
+    delivery would have stored.  Every view is built at most once.
+    Immutable: ``NodeStorage.insert`` copies the row view before
+    appending.
     """
 
-    __slots__ = ("pieces", "length", "_columns", "_rows")
+    __slots__ = ("stacked", "node", "length", "_pieces", "_columns",
+                 "_rows")
 
-    def __init__(self, pieces: List[ArrayBatch]):
-        self.pieces = pieces
-        self.length = sum(piece.length for piece in pieces)
+    def __init__(self, pieces: Optional[List[ArrayBatch]],
+                 stacked: Optional[ArrayBatch] = None, node: int = 0):
+        self.stacked = stacked
+        self.node = node
+        self._pieces = pieces  # a view cuts its one piece when asked
+        self.length = (
+            sum(piece.length for piece in pieces) if stacked is None
+            else int(stacked.bounds[node + 1] - stacked.bounds[node]))
         self._columns: Dict[int, NumpyColumn] = {}
         self._rows: Optional[List[Tuple]] = None
 
+    @classmethod
+    def of_node(cls, stacked: ArrayBatch, node: int) -> "ColumnFragment":
+        """Node ``node``'s rows of ``stacked`` (a batch with bounds)."""
+        return cls(None, stacked, node)
+
     def __len__(self) -> int:
         return self.length
+
+    @property
+    def pieces(self) -> List[ArrayBatch]:
+        pieces = self._pieces
+        if pieces is None:
+            # Benign race under the parallel runtime, here and below:
+            # two readers may both build; the results are equivalent.
+            bounds = self.stacked.bounds
+            pieces = self._pieces = [self.stacked.slice(
+                int(bounds[self.node]), int(bounds[self.node + 1]))]
+        return pieces
 
     def column(self, index: int) -> NumpyColumn:
         """Column ``index`` over the whole fragment."""
@@ -606,8 +706,6 @@ class ColumnFragment:
             return pieces[0].columns[index]
         column = self._columns.get(index)
         if column is None:
-            # Benign race under the parallel runtime: two readers may
-            # both concatenate; the results are equivalent.
             column = self._columns[index] = concat_columns(
                 [(piece.columns[index], piece.length)
                  for piece in pieces])
@@ -625,8 +723,25 @@ class ColumnFragment:
         return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ColumnFragment(rows={self.length}, "
-                f"pieces={len(self.pieces)})")
+        return f"ColumnFragment(rows={self.length})"
+
+
+def stacked_fragments(fragments: Sequence) -> Optional[ArrayBatch]:
+    """The batch ``fragments`` are the per-node views of, when they are
+    exactly that — every node of one stacked temp, in node order — so a
+    group scan can read it whole; else ``None``."""
+    first = fragments[0]
+    if not isinstance(first, ColumnFragment) or first.stacked is None:
+        return None
+    stacked = first.stacked
+    if len(stacked.bounds) != len(fragments) + 1:
+        return None
+    for node, fragment in enumerate(fragments):
+        if (not isinstance(fragment, ColumnFragment)
+                or fragment.stacked is not stacked
+                or fragment.node != node):
+            return None
+    return stacked
 
 
 # -- vectorized pdw_hash ---------------------------------------------------------

@@ -4,15 +4,24 @@ executor (``executor="numpy"``, the default).
 :class:`NumpyInterpreter` subclasses
 :class:`~repro.vector.executor.VectorInterpreter` and overrides every
 operator with an array fast path over
-:class:`~repro.vector.np_batch.ArrayBatch` fragments:
+:class:`~repro.vector.np_batch.ArrayBatch` fragments — and runs a tree
+**once for a whole node group**: every node of a DSQL step runs the
+same SQL over its own fragment, so the fragments are stacked in node
+order and each batch carries ``bounds`` placing its rows on the nodes
+(none when every node holds the whole batch: a replicated input, a
+group of one).  Filters and projections never look at them; joins,
+grouping, UNION ALL and per-node ORDER BY / TOP take the node as a
+leading segment, so a node's rows stay contiguous and come out exactly
+as its own run would have produced them (DESIGN §5c):
 
 * scans columnarize the needed storage columns into typed arrays —
-  repeating strings into dictionary codes — once per (table snapshot,
-  column) and cache them, so repeated steps over the same fragments
-  skip the transpose, the type sniff and the encoding entirely; a temp
-  table the DMS runtime delivered as columns
-  (:class:`~repro.vector.np_batch.ColumnFragment`) is read as it
-  stands;
+  repeating strings into dictionary codes — once per (base table, node
+  group, column), stacked over the group's fragments, and cache them,
+  so repeated steps over the same fragments skip the transpose, the
+  type sniff and the encoding entirely; a temp table the DMS runtime
+  stored as columns (:class:`~repro.vector.np_batch.ColumnFragment`) is
+  read as it stands — a hash-distributed one whole, with its target
+  bounds, no concat;
 * filters evaluate the predicate to one boolean mask and hand on a
   batch that carries the selected row indexes; joins hand on one with
   an index vector per side.  A column is gathered the first time an
@@ -24,14 +33,15 @@ operator with an array fast path over
 * the single-key hash join sorts the build side's int64 key column
   once (stable argsort) and probes with two ``searchsorted`` calls,
   emitting candidates in the row backends' exact order (left-major,
-  matches in right-scan order) with vectorized range arithmetic;
+  matches in right-scan order) with vectorized range arithmetic; two
+  placed sides match on (segment, key) folded into one int64;
 * GROUP BY factorizes the key columns to dense group codes
   (``np.unique`` + first-occurrence reordering, mixed-radix for
-  multiple keys; a dictionary-encoded string key *is* its codes) and
-  aggregates with sequential C reductions — ``np.bincount`` with
-  weights accumulates float SUMs left-to-right exactly like the row
-  backends' ``total += value`` loop, so results are bit-identical, not
-  merely close.
+  multiple keys with the segment as the leading digit; a
+  dictionary-encoded string key *is* its codes) and aggregates with
+  sequential C reductions — ``np.bincount`` with weights accumulates
+  float SUMs left-to-right exactly like the row backends' ``total +=
+  value`` loop, so results are bit-identical, not merely close.
 
 Every fast path checks its preconditions at runtime (column kinds,
 int64 overflow headroom, NaN absence where ordering semantics differ)
@@ -47,7 +57,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,13 +69,16 @@ from repro.algebra.logical import (
     LogicalGet,
     LogicalGroupBy,
     LogicalJoin,
+    LogicalOp,
     LogicalProject,
     LogicalSelect,
     LogicalUnionAll,
     Query,
 )
+from repro.catalog.schema import DistributionKind
 from repro.catalog.statistics import sort_key
 from repro.common.errors import ExecutionError
+from repro.vector.column_batch import ColumnBatch
 from repro.vector.executor import VectorInterpreter
 from repro.vector.np_batch import (
     ArrayBatch,
@@ -74,6 +88,9 @@ from repro.vector.np_batch import (
     concat_columns,
     join_batches,
     null_column,
+    offsets,
+    segment_ids,
+    stacked_fragments,
 )
 from repro.vector.np_kernels import (
     compile_np_kernel,
@@ -82,17 +99,22 @@ from repro.vector.np_kernels import (
 
 # -- scan columnarization cache ---------------------------------------------------
 #
-# Keyed by (id(rows), len(rows)): NodeStorage.insert grows a table's
-# row list *in place*, so identity alone is not a fingerprint — but
-# (identity, length) is, because inserts are append-only and every
-# other mutation path (adopt / copy-on-write) replaces the list object.
-# Entries pin the row list, so a live cache key's id cannot be reused.
-# Temp-table fragments stay out: each is scanned by one step and then
-# dropped, so caching them would pin dead row lists and let temp churn
-# push base-table columns out of the LRU.
+# One entry per base table per node group: the table's columns over the
+# group's fragments stacked in node order (a replicated table, or a
+# group of one, is one fragment).  Keyed by (id(rows), len(rows)) of
+# every fragment: NodeStorage.insert grows a table's row list *in
+# place*, so identity alone is not a fingerprint — but (identity,
+# length) is, because inserts are append-only and every other mutation
+# path (adopt / copy-on-write) replaces the list object.  Entries pin
+# the row lists, so a live cache key's ids cannot be reused.  The whole
+# appliance is one group, so the entry count is the table count, not
+# tables × nodes.  Temp-table fragments stay out: each is scanned by
+# one step and then dropped, so caching them would pin dead row lists
+# and let temp churn push base-table columns out of the LRU.
 
 _SCAN_CACHE_LIMIT = 128
-_SCAN_CACHE: "OrderedDict[Tuple[int, int], Tuple[List[Tuple], Dict[int, NumpyColumn]]]" = (
+_ScanKey = Tuple[Tuple[int, int], ...]
+_SCAN_CACHE: "OrderedDict[_ScanKey, Tuple[Sequence[List[Tuple]], Dict[int, NumpyColumn]]]" = (
     OrderedDict())
 _SCAN_LOCK = threading.Lock()
 
@@ -103,15 +125,16 @@ def clear_scan_cache() -> None:
         _SCAN_CACHE.clear()
 
 
-def _scan_columns(rows: List[Tuple],
+def _scan_columns(fragments: Sequence[List[Tuple]],
                   indexes: List[int]) -> Dict[int, NumpyColumn]:
-    """Typed columns for the requested storage indexes, cached per
-    (row-list identity, length)."""
-    key = (id(rows), len(rows))
+    """Typed columns over ``fragments`` stacked in order, for the
+    requested storage indexes, cached per (row-list identity, length)
+    of every fragment."""
+    key = tuple((id(rows), len(rows)) for rows in fragments)
     with _SCAN_LOCK:
         entry = _SCAN_CACHE.get(key)
         if entry is None:
-            entry = (rows, {})
+            entry = (fragments, {})
             _SCAN_CACHE[key] = entry
             if len(_SCAN_CACHE) > _SCAN_CACHE_LIMIT:
                 _SCAN_CACHE.popitem(last=False)
@@ -120,7 +143,8 @@ def _scan_columns(rows: List[Tuple],
         cached = entry[1]
         missing = [i for i in indexes if i not in cached]
     if missing:
-        built = {i: column_from_list([row[i] for row in rows])
+        built = {i: column_from_list([row[i] for rows in fragments
+                                      for row in rows])
                  for i in missing}
         with _SCAN_LOCK:
             # Benign race: two workers may build the same column; the
@@ -129,28 +153,98 @@ def _scan_columns(rows: List[Tuple],
     return cached
 
 
+def _table_fragment(tables: Mapping, name: str):
+    """``tables[name]``, table names compared case-insensitively (node
+    storage keys are lower-cased already)."""
+    lowered = name.lower()
+    fragment = tables.get(lowered)
+    if fragment is None:
+        for key, fragment in tables.items():
+            if key.lower() == lowered:
+                break
+        else:
+            raise ExecutionError(f"table {name!r} not on this node")
+    return fragment
+
+
+def _fragment_column(fragments: Sequence, index: int) -> NumpyColumn:
+    """Column ``index`` of temp-table ``fragments`` stacked in order:
+    column fragments as they stand, row lists sniffed."""
+    pieces = [
+        (fragment.column(index) if isinstance(fragment, ColumnFragment)
+         else column_from_list([row[index] for row in fragment]),
+         len(fragment))
+        for fragment in fragments]
+    if len(pieces) == 1:
+        return pieces[0][0]
+    return concat_columns(pieces)
+
+
 _EMPTY_IDX = np.zeros(0, dtype=np.int64)
+
+#: The extra equi-join key the dict fallback matches segments on.
+_SEGMENT_KEY = SimpleNamespace(id=-1)
 
 
 class NumpyInterpreter(VectorInterpreter):
-    """Evaluates a bound logical tree over numpy array batches.
+    """Evaluates a bound logical tree over numpy array batches, once
+    for a whole **node group**.
 
-    Drop-in peer of the other interpreters; the DMS runtime selects it
-    for ``executor="numpy"``.  Inherits ``run_query`` / ``run`` /
-    dispatch and the ORDER BY / TOP ordering from
+    ``tables`` is one node's table map or a list of them, one per node
+    of the group in node order; ``observer`` likewise one observer or
+    one per node.  Every node runs the same tree over its own
+    fragments, so the group runs it once over the fragments stacked:
+    each batch carries ``bounds`` placing its rows on the nodes — or
+    none when every node holds the whole batch (a replicated input; a
+    group of one) — and every operator keeps the invariant that a
+    node's rows are contiguous, in node order, and exactly the rows in
+    exactly the order its own run would have produced (DESIGN §5c).
+    Counters count what the nodes would have counted: a node-invariant
+    batch of ``k`` rows is ``k`` rows on each node.
+
+    Drop-in peer of the other interpreters for a single table map; the
+    DMS runtime selects it for ``executor="numpy"``.  Inherits
+    ``run_query`` and the ORDER BY procedure from
     :class:`VectorInterpreter`; the operators and the batch
     representation differ, and :meth:`run_columns` is the exit the
     others do not have.
     """
 
+    def __init__(self, tables, stats=None, observer=None):
+        group = tables if isinstance(tables, (list, tuple)) else [tables]
+        # The maps are read as given (:func:`_table_fragment` folds
+        # case on a miss): no per-node copy per step.
+        super().__init__({}, stats, observer)
+        self.tables = group[0]
+        self.node_tables: Sequence[Mapping] = group
+        self.node_count = len(group)
+        if observer is not None and not isinstance(observer,
+                                                    (list, tuple)):
+            observer = [observer]
+        self.observers: Optional[Sequence] = observer
+
+    def run(self, op: LogicalOp) -> ArrayBatch:
+        batch = self._dispatch(op)
+        if self.observers is not None:
+            for observer, rows in zip(self.observers,
+                                      batch.node_rows(self.node_count)):
+                observer.record(op, rows)
+        return batch
+
+    def _rows_on_nodes(self, batch: ArrayBatch) -> int:
+        """The batch's rows summed over the nodes holding them."""
+        if batch.bounds is None:
+            return batch.length * self.node_count
+        return batch.length
+
     # -- exits --------------------------------------------------------------------
 
     def run_columns(self, query: Query) -> ArrayBatch:
         """The columnar exit: the query's output as typed columns keyed
-        by output position, ORDER BY / TOP applied — same rows, same
-        order as :meth:`run_query`, no tuple built.  What a DMS step
-        hands to the router and the Return step sizes before it builds
-        its rows."""
+        by output position, each node's ORDER BY / TOP applied to its
+        own rows — same rows, same order as :meth:`run_query`, no tuple
+        built.  What a DMS step hands to the router and the Return step
+        sizes before it builds its rows."""
         started = time.perf_counter()
         try:
             return self._output_batch(query, self.run(query.root))
@@ -163,14 +257,33 @@ class NumpyInterpreter(VectorInterpreter):
 
     def _output_batch(self, query: Query, batch: ArrayBatch
                       ) -> ArrayBatch:
+        # ORDER BY and TOP are per node: every segment on its own.
+        bounds = batch.bounds
+        spans = ([0, batch.length] if bounds is None
+                 else bounds.tolist())
         if query.order_by:
             # Sort keys need `sort_key` over Python values: the native
-            # view of the key columns only, the parent's sort verbatim.
+            # view of the key columns only, and the parent's sort (and
+            # TOP) verbatim over each node's slice of them.
             keys = batch.native(var.id for var, _ in query.order_by)
-            batch = batch.take(np.array(self._row_order(query, keys),
-                                        dtype=np.int64))
+            order: List[int] = []
+            counts = []
+            for start, stop in zip(spans, spans[1:]):
+                part = keys if stop - start == batch.length else (
+                    ColumnBatch({cid: column[start:stop] for cid, column
+                                 in keys.columns.items()}, stop - start))
+                rows = self._row_order(query, part)
+                counts.append(len(rows))
+                order.extend([row + start for row in rows] if start
+                             else rows)
+            batch = batch.take(
+                np.array(order, dtype=np.int64),
+                None if bounds is None else offsets(counts))
         elif query.limit is not None and query.limit < batch.length:
-            batch = batch.take(np.arange(query.limit))
+            counts = np.minimum(np.diff(spans), query.limit)
+            batch = batch.take(
+                _ranges(np.array(spans[:-1], dtype=np.int64), counts),
+                None if bounds is None else offsets(counts))
         # Reading the output columns is what gathers them: the batch
         # that leaves holds each outright, and the copying is timed as
         # this step's node SQL.
@@ -180,47 +293,58 @@ class NumpyInterpreter(VectorInterpreter):
             column = batch.columns.get(var.id)
             columns[position] = (null_column(length) if column is None
                                  else column)
-        return ArrayBatch(columns, length)
+        return ArrayBatch(columns, length, batch.bounds)
 
     # -- operators ----------------------------------------------------------------
 
     def _run_get(self, op: LogicalGet) -> ArrayBatch:
-        name = op.table.name.lower()
-        if name not in self.tables:
-            raise ExecutionError(f"table {op.table.name!r} not on this node")
-        rows = self.tables[name]
-        self.stats.rows_scanned += len(rows)
+        group = self.node_tables
+        fragments = [_table_fragment(tables, op.table.name)
+                     for tables in group]
+        # Every node holds a replicated table whole: one scan stands
+        # for all of them.
+        invariant = (len(group) == 1 or op.table.distribution.kind
+                     is DistributionKind.REPLICATED)
+        if invariant:
+            del fragments[1:]
+        lengths = [len(fragment) for fragment in fragments]
+        length = sum(lengths)
+        bounds = None if invariant else offsets(lengths)
+        self.stats.rows_scanned += (length * len(group) if invariant
+                                    else length)
         indexes = [op.table.column_index(var.name) for var in op.columns]
-        length = len(rows)
         if not indexes or not length:
             return ArrayBatch(
                 {var.id: column_from_list([]) for var in op.columns},
-                length)
-        if isinstance(rows, ColumnFragment):
-            # A temp the DMS runtime delivered as columns: no rows to
-            # transpose, no types to sniff.
-            by_index = {index: rows.column(index) for index in set(indexes)}
-        elif op.table.is_temp:
-            by_index = {index: column_from_list([row[index] for row in rows])
+                length, bounds)
+        stacked = stacked_fragments(fragments)
+        if stacked is not None:
+            # A temp its DMS step stored once for all its targets: no
+            # rows to transpose, no types to sniff, nothing to concat.
+            by_index = stacked.columns
+        elif op.table.is_temp or any(
+                isinstance(fragment, ColumnFragment)
+                for fragment in fragments):
+            by_index = {index: _fragment_column(fragments, index)
                         for index in set(indexes)}
         else:
-            by_index = _scan_columns(rows, indexes)
+            by_index = _scan_columns(fragments, indexes)
         return ArrayBatch(
             {var.id: by_index[index]
              for var, index in zip(op.columns, indexes)},
-            length)
+            length, bounds)
 
     def _run_select(self, op: LogicalSelect) -> ArrayBatch:
         child = self.run(op.child)
-        self.stats.rows_processed += child.length
+        self.stats.rows_processed += self._rows_on_nodes(child)
         kept = np.flatnonzero(compile_np_selection(op.predicate)(child))
         if len(kept) == child.length:
             return child  # nothing filtered: batches are immutable
-        return child.take(kept)
+        return child.select(kept)
 
     def _run_project(self, op: LogicalProject) -> ArrayBatch:
         child = self.run(op.child)
-        self.stats.rows_processed += child.length
+        self.stats.rows_processed += self._rows_on_nodes(child)
         if all(isinstance(expr, ex.ColumnVar) for _, expr in op.outputs):
             if all(var.id == expr.id for var, expr in op.outputs):
                 return child  # pure column pruning: pass through
@@ -229,17 +353,28 @@ class NumpyInterpreter(VectorInterpreter):
                            for var, expr in op.outputs}
             except KeyError as exc:
                 raise UnboundColumn(exc.args[0]) from None
-            return ArrayBatch(columns, child.length)
+            return ArrayBatch(columns, child.length, child.bounds)
         columns = {var.id: compile_np_kernel(expr)(child)
                    for var, expr in op.outputs}
-        return ArrayBatch(columns, child.length)
+        return ArrayBatch(columns, child.length, child.bounds)
 
     # -- join ---------------------------------------------------------------------
 
     def _run_join(self, op: LogicalJoin) -> ArrayBatch:
         left = self.run(op.left)
         right = self.run(op.right)
-        self.stats.rows_processed += left.length + right.length
+        self.stats.rows_processed += (self._rows_on_nodes(left)
+                                      + self._rows_on_nodes(right))
+        # A node-invariant right side joins every node's left rows as
+        # it stands.  Two placed sides match within a node only: the
+        # segment becomes one more key.  (An invariant left over a
+        # placed right is spelled out per node first — the output is
+        # left-major.)
+        lseg = rseg = None
+        if right.bounds is not None:
+            left = left.segmented(self.node_count)
+            lseg = segment_ids(left.bounds)
+            rseg = segment_ids(right.bounds)
         left_ids = frozenset(var.id for var in op.left.output_columns())
         right_ids = frozenset(var.id for var in op.right.output_columns())
         pairs = ex.equi_join_pairs(op.predicate, left_ids, right_ids)
@@ -248,7 +383,14 @@ class NumpyInterpreter(VectorInterpreter):
             residual = None
         if pairs:
             left_idx, right_idx = self._np_hash_candidates(
-                left, right, pairs)
+                left, right, pairs, lseg, rseg)
+        elif lseg is not None:
+            # Nested loop within each node: a left row meets its own
+            # node's right rows.
+            counts = np.diff(right.bounds)[lseg]
+            left_idx = np.repeat(
+                np.arange(left.length, dtype=np.int64), counts)
+            right_idx = _ranges(right.bounds[:-1][lseg], counts)
         else:
             left_idx = np.repeat(np.arange(left.length, dtype=np.int64),
                                  right.length)
@@ -267,10 +409,10 @@ class NumpyInterpreter(VectorInterpreter):
             # left_idx is non-decreasing: first occurrences are the
             # boundaries, already in left-row order.
             if not len(left_idx):
-                return left.take(_EMPTY_IDX)
+                return left.select(_EMPTY_IDX)
             firsts = np.ones(len(left_idx), dtype=np.bool_)
             firsts[1:] = left_idx[1:] != left_idx[:-1]
-            return left.take(left_idx[firsts])
+            return left.select(left_idx[firsts])
         if kind is JoinKind.ANTI:
             matched = np.zeros(left.length, dtype=np.bool_)
             matched[left_idx] = True
@@ -280,24 +422,32 @@ class NumpyInterpreter(VectorInterpreter):
         raise ExecutionError(f"unsupported join kind {kind}")
 
     @staticmethod
-    def _np_hash_candidates(left: ArrayBatch, right: ArrayBatch,
-                            pairs) -> Tuple[np.ndarray, np.ndarray]:
+    def _np_hash_candidates(left: ArrayBatch, right: ArrayBatch, pairs,
+                            lseg: Optional[np.ndarray] = None,
+                            rseg: Optional[np.ndarray] = None
+                            ) -> Tuple[np.ndarray, np.ndarray]:
         """Equi-join candidate pairs as index arrays, in the row
-        backends' emission order.  The sort-probe fast path requires
-        both key columns int64-typed with identical kind (``i`` or
-        ``d``) — identical equality semantics to the dict build;
-        anything else goes through the parent's hash-dict on native
-        values."""
+        backends' emission order; with segment vectors, pairs within
+        one node only.  The sort-probe fast path requires both key
+        columns int64-typed with identical kind (``i`` or ``d``) —
+        identical equality semantics to the dict build; anything else
+        goes through the parent's hash-dict on native values, the
+        segment as one more key."""
         if len(pairs) == 1:
             lcol = left.columns.get(pairs[0][0].id)
             rcol = right.columns.get(pairs[0][1].id)
             if lcol is None or rcol is None:
                 return _EMPTY_IDX, _EMPTY_IDX
             if lcol.kind == rcol.kind and lcol.kind in "id":
-                return _sorted_probe(lcol, rcol)
+                return _sorted_probe(lcol, rcol, lseg, rseg)
+        left_keys = left.native(lv.id for lv, _ in pairs)
+        right_keys = right.native(rv.id for _, rv in pairs)
+        if lseg is not None:
+            left_keys.columns[_SEGMENT_KEY.id] = lseg.tolist()
+            right_keys.columns[_SEGMENT_KEY.id] = rseg.tolist()
+            pairs = [*pairs, (_SEGMENT_KEY, _SEGMENT_KEY)]
         left_list, right_list = VectorInterpreter._hash_candidates(
-            left.native(lv.id for lv, _ in pairs),
-            right.native(rv.id for _, rv in pairs), pairs)
+            left_keys, right_keys, pairs)
         return (np.array(left_list, dtype=np.int64),
                 np.array(right_list, dtype=np.int64))
 
@@ -314,10 +464,7 @@ class NumpyInterpreter(VectorInterpreter):
         final_right = np.full(int(out_counts.sum()), -1, dtype=np.int64)
         if len(left_idx):
             starts = np.cumsum(out_counts) - out_counts
-            pairs_before = np.cumsum(counts) - counts
-            within = (np.arange(len(left_idx))
-                      - np.repeat(pairs_before, counts))
-            positions = np.repeat(starts, counts) + within
+            positions = _ranges(starts, counts)
             final_right[positions] = right_idx
         return join_batches(left, right, final_left, final_right,
                            pad=True)
@@ -326,20 +473,40 @@ class NumpyInterpreter(VectorInterpreter):
 
     def _run_group_by(self, op: LogicalGroupBy) -> ArrayBatch:
         child = self.run(op.child)
-        self.stats.rows_processed += child.length
+        self.stats.rows_processed += self._rows_on_nodes(child)
         key_ids = [k.id for k in op.keys]
+        # Every node groups its own rows: over a placed batch the
+        # segment is the leading key — and a keyless aggregate's only
+        # one, so a node without rows still answers with its row.
+        nodes = self.node_count
+        segments = (None if child.bounds is None
+                    else segment_ids(child.bounds))
 
-        if not op.keys and not child.length:
-            # Scalar aggregation over an empty input: one row of
-            # neutral aggregate values (SQL semantics).
-            return ArrayBatch({
-                var.id: column_from_list(
-                    [0 if agg.func == "COUNT" else None])
-                for var, agg in op.aggregates
-            }, 1)
-
-        inverse, first_rows = self._factorize(child, key_ids)
-        group_count = len(first_rows)
+        if not op.keys:
+            group_count = 1 if segments is None else nodes
+            bounds = (None if segments is None
+                      else np.arange(nodes + 1, dtype=np.int64))
+            if not child.length:
+                # Scalar aggregation over an empty input: one row of
+                # neutral aggregate values (SQL semantics) per node.
+                return ArrayBatch({
+                    var.id: column_from_list(
+                        [0 if agg.func == "COUNT" else None]
+                        * group_count)
+                    for var, agg in op.aggregates
+                }, group_count, bounds)
+            inverse = (np.zeros(child.length, dtype=np.int64)
+                       if segments is None else segments)
+            first_rows = _EMPTY_IDX
+        else:
+            inverse, first_rows = self._factorize(child, key_ids,
+                                                  segments, nodes)
+            group_count = len(first_rows)
+            # First-occurrence order over node-major rows is
+            # node-major.
+            bounds = (None if segments is None else np.searchsorted(
+                segments[first_rows], np.arange(nodes + 1)
+            ).astype(np.int64, copy=False))
         columns: Dict[int, NumpyColumn] = {}
         for key_id in key_ids:
             source = child.columns.get(key_id)
@@ -350,29 +517,29 @@ class NumpyInterpreter(VectorInterpreter):
         for var, agg in op.aggregates:
             columns[var.id] = self._np_aggregate(
                 agg, child, inverse, group_count)
-        return ArrayBatch(columns, group_count)
+        return ArrayBatch(columns, group_count, bounds)
 
     @staticmethod
-    def _factorize(child: ArrayBatch, key_ids: List[int]
+    def _factorize(child: ArrayBatch, key_ids: List[int],
+                   segments: Optional[np.ndarray] = None,
+                   node_count: int = 1
                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense group codes in first-occurrence order.
+        """Dense group codes in first-occurrence order, for at least
+        one key.
 
         Returns ``(inverse, first_rows)``: ``inverse[i]`` is row ``i``'s
         group code, ``first_rows[g]`` the first row of group ``g`` —
         group ``g`` appears before group ``g+1`` in the input, exactly
-        the row backends' dict-insertion group order.
+        the row backends' dict-insertion group order.  ``segments``
+        (each row's node) is the leading radix digit: a key value on
+        two nodes is two groups.
         """
         length = child.length
-        if not key_ids:
-            if not length:
-                return _EMPTY_IDX, _EMPTY_IDX
-            return (np.zeros(length, dtype=np.int64),
-                    np.zeros(1, dtype=np.int64))
         if not length:
             return _EMPTY_IDX, _EMPTY_IDX
 
-        combined: Optional[np.ndarray] = None
-        radix = 1
+        combined = segments
+        radix = node_count
         for key_id in key_ids:
             codes, cardinality = _column_codes(
                 child.columns.get(key_id), child, length)
@@ -435,6 +602,15 @@ class NumpyInterpreter(VectorInterpreter):
                 if kind == "f":
                     sums = np.bincount(groups, weights=kept,
                                        minlength=group_count)
+                    zero = sums == 0
+                    if zero.any():
+                        # bincount starts every group at +0.0; the row
+                        # backends start at the first value, so a group
+                        # of nothing but -0.0 sums to -0.0.
+                        negative = np.bincount(
+                            groups[np.signbit(kept) & (kept == 0)],
+                            minlength=group_count)
+                        sums[zero & (negative == counts) & ~empty] = -0.0
                     return NumpyColumn("f", sums, mask)
                 if kind == "i" and _int_sum_safe(kept):
                     sums = np.zeros(group_count, dtype=np.int64)
@@ -503,11 +679,22 @@ class NumpyInterpreter(VectorInterpreter):
     # -- union --------------------------------------------------------------------
 
     def _run_union(self, op: LogicalUnionAll) -> ArrayBatch:
+        children = [self.run(child_op) for child_op in op.children]
+        order = bounds = None
+        if any(child.bounds is not None for child in children):
+            # A node's output is its own rows of every branch, branch
+            # after branch: concatenate the branches (invariant ones
+            # spelled out per node), then regroup by node, stably.
+            children = [child.segmented(self.node_count)
+                        for child in children]
+            order = np.argsort(
+                np.concatenate([segment_ids(child.bounds)
+                                for child in children]), kind="stable")
+            bounds = np.sum([child.bounds for child in children], axis=0)
         slots: List[List[Tuple[Optional[NumpyColumn], int]]] = [
             [] for _ in op.outputs]
         total = 0
-        for child_op, branch in zip(op.children, op.branch_columns):
-            child = self.run(child_op)
+        for child, branch in zip(children, op.branch_columns):
             total += child.length
             for slot, source in enumerate(branch):
                 slots[slot].append(
@@ -515,13 +702,47 @@ class NumpyInterpreter(VectorInterpreter):
         columns: Dict[int, NumpyColumn] = {}
         for var, pieces in zip(op.outputs, slots):
             columns[var.id] = concat_columns(pieces)
-        return ArrayBatch(columns, total)
+        batch = ArrayBatch(columns, total)
+        if order is not None:
+            batch = batch.take(order, bounds)
+        return batch
 
 
 # -- helpers --------------------------------------------------------------------
 
 
-def _sorted_probe(lcol: NumpyColumn, rcol: NumpyColumn
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(starts[k], starts[k] + counts[k])`` for every ``k``,
+    concatenated."""
+    before = np.cumsum(counts) - counts
+    return (np.arange(int(counts.sum()), dtype=np.int64)
+            + np.repeat(starts - before, counts))
+
+
+def _segment_keys(lvalues: np.ndarray, rvalues: np.ndarray,
+                  lseg: np.ndarray, rseg: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """One int64 key per row that is equal exactly when segment and
+    value both are: ``segment · span + (value − min)`` while that fits,
+    else over dense ranks of the values of both sides."""
+    nodes = int(max(lseg[-1], rseg[-1])) + 1
+    low = min(int(lvalues.min()), int(rvalues.min()))
+    span = max(int(lvalues.max()), int(rvalues.max())) - low + 1
+    if span * nodes < 2 ** 62:
+        low = np.int64(low)
+    else:
+        uniques, ranks = np.unique(np.concatenate((lvalues, rvalues)),
+                                   return_inverse=True)
+        ranks = ranks.astype(np.int64, copy=False)
+        lvalues, rvalues = ranks[:len(lvalues)], ranks[len(lvalues):]
+        low, span = np.int64(0), len(uniques)
+    span = np.int64(span)
+    return lseg * span + (lvalues - low), rseg * span + (rvalues - low)
+
+
+def _sorted_probe(lcol: NumpyColumn, rcol: NumpyColumn,
+                  lseg: Optional[np.ndarray] = None,
+                  rseg: Optional[np.ndarray] = None
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Candidate pairs for one int64 key pair via sort + searchsorted.
 
@@ -529,36 +750,36 @@ def _sorted_probe(lcol: NumpyColumn, rcol: NumpyColumn
     right-scan order, so the slice ``lo[i]:hi[i]`` for probe row ``i``
     enumerates its matches exactly as the dict bucket would; emitting
     probe rows in order makes the result left-major.  NULL keys (the
-    masks) never match, as in the dict build/probe.
+    masks) never match, as in the dict build/probe.  With segment
+    vectors the key is (segment, value): rows pair within a node only,
+    and a node's matches come in its own right-scan order.
     """
-    rvalues = rcol.values
+    lvalues, rvalues = lcol.values, rcol.values
+    if not len(lvalues) or not len(rvalues):
+        return _EMPTY_IDX, _EMPTY_IDX
+    if lseg is not None:
+        lvalues, rvalues = _segment_keys(lvalues, rvalues, lseg, rseg)
     if rcol.mask is not None and rcol.mask.any():
         rvalid = np.flatnonzero(~rcol.mask)
         rvalues = rvalues[rvalid]
+        if not len(rvalues):
+            return _EMPTY_IDX, _EMPTY_IDX
     else:
         rvalid = None
-    if not len(rvalues):
-        return _EMPTY_IDX, _EMPTY_IDX
     order = np.argsort(rvalues, kind="stable")
     sorted_keys = rvalues[order]
     right_map = order if rvalid is None else rvalid[order]
 
-    lvalues = lcol.values
     lo = np.searchsorted(sorted_keys, lvalues, side="left")
     hi = np.searchsorted(sorted_keys, lvalues, side="right")
     counts = hi - lo
     if lcol.mask is not None:
         counts = np.where(lcol.mask, 0, counts)
-    total = int(counts.sum())
-    if not total:
+    if not counts.any():
         return _EMPTY_IDX, _EMPTY_IDX
     left_idx = np.repeat(
         np.arange(len(lvalues), dtype=np.int64), counts)
-    pairs_before = np.cumsum(counts) - counts
-    offsets = (np.arange(total, dtype=np.int64)
-               - np.repeat(pairs_before, counts)
-               + np.repeat(lo, counts))
-    return left_idx, right_map[offsets].astype(np.int64)
+    return left_idx, right_map[_ranges(lo, counts)].astype(np.int64)
 
 
 def _int_sum_safe(values: np.ndarray) -> bool:

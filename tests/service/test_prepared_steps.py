@@ -138,8 +138,12 @@ def test_kernel_memo_and_base_scan_columns_are_flat_over_500_hits(
         for name, rows in node.tables.items()
         if not appliance.catalog.table(name).is_temp}
     kernels = len(np_kernels._CACHE)
+    # One entry per base table per node group, keyed by the group's
+    # fragments: (identity, length) of each.
     scans = set(np_executor._SCAN_CACHE)
-    assert scans and {key[0] for key in scans} <= base_fragments
+    assert scans and {fragment for key in scans
+                      for fragment, _ in key} <= base_fragments
+    assert len(scans) <= len(list(appliance.catalog.tables()))
     for sql in itertools.islice(itertools.cycle(statements), 500):
         fresh_service.execute(sql)
     # A hit re-uses the bound tree, hence its expressions' kernels ...

@@ -10,7 +10,9 @@ node-local SQL on C loops only:
   conversion or sort sees more values than a column has *distinct*
   ones;
 * filters select, they do not copy: the only columns gathered are the
-  ones a later operator reads, counted per query and pinned.
+  ones a later operator reads, counted per query and pinned;
+* a step runs once for its whole node group: one interpreter per step
+  per execution, and the gathers above are per step, not per node.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import repro.vector.np_executor as np_executor
 from repro.service import PdwService
 from repro.vector.column_batch import ColumnBatch
 from repro.vector.np_batch import NumpyColumn
+from repro.workloads.tpch_datagen import build_tpch_appliance
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
 #: More values than any string column these queries touch has distinct
@@ -30,12 +33,13 @@ from repro.workloads.tpch_queries import TPCH_QUERIES
 FEW = 16
 
 #: Column gathers (``NumpyColumn.take`` + ``compress``) per cached
-#: execution on the 4-node fixture.  Q6: the two columns its SUM reads,
-#: on each node (before selection vectors: 23 per node, every column of
-#: the scan once per conjunct).  Q1 keeps nearly every row and reads six
-#: columns of them, then routes eleven output columns: its copies are
-#: its work.  Before: 160 / 92 / 224.
-COPIES = {"Q1": 124, "Q6": 8, "Q12": 56}
+#: execution, whatever the node count: a step gathers once for its
+#: whole node group.  Q6: the two columns its SUM reads (before
+#: selection vectors: 23 per node, every column of the scan once per
+#: conjunct).  Q1 keeps nearly every row and reads six columns of them,
+#: then routes eleven output columns: its copies are its work.  Per
+#: node before node groups: 31 / 2 / 14 on each of four.
+COPIES = {"Q1": 31, "Q6": 2, "Q12": 14}
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +101,40 @@ def test_cached_scan_query_runs_on_c_loops(name, front_door, monkeypatch):
         assert 0 < seen["list kernel rows"]
     assert seen["list kernel rows"] <= FEW
     assert seen["native values"] <= FEW
-    assert sum(copies.values()) <= COPIES[name], dict(copies)
-    if name == "Q6":
-        assert sum(copies.values()) == 2 * service.appliance.node_count
+    assert sum(copies.values()) == COPIES[name], dict(copies)
+
+
+@pytest.fixture(scope="module")
+def eight_nodes():
+    appliance, shell = build_tpch_appliance(scale=0.002, node_count=8)
+    service = PdwService(appliance=appliance, shell=shell)
+    yield service
+    service.close()
+
+
+@pytest.mark.parametrize("nodes", [4, 8])
+@pytest.mark.parametrize("name", ["Q1", "Q3", "Q13"])
+def test_one_interpreter_per_step_per_cached_execution(
+        name, nodes, front_door, eight_nodes, monkeypatch):
+    service = front_door if nodes == 4 else eight_nodes
+    assert service.appliance.node_count == nodes
+    sql = TPCH_QUERIES[name]
+    first = service.execute(sql)
+    built = []
+    real = np_executor.NumpyInterpreter.__init__
+
+    def counting(self, tables, *args, **kwargs):
+        built.append(len(tables))
+        real(self, tables, *args, **kwargs)
+
+    monkeypatch.setattr(np_executor.NumpyInterpreter, "__init__",
+                        counting)
+    again = service.execute(sql)
+    assert again.cache_hit and again.rows == first.rows
+    steps = again.plan.dsql_plan.steps
+    assert len(built) == len(steps)
+    # ... each over every source node of its step at once (sorted:
+    # the DAG runtime may start independent steps in either order).
+    assert sorted(built) == sorted(len(stats.node_rows)
+                                   for stats in again.step_stats)
+    assert max(built) == nodes

@@ -1,11 +1,13 @@
 """Column routing ⇄ the reference row router: the same deliveries, in
 the same row order, with the same byte accounting.
 
-``route_batch_columns`` never sees a row; the reference router never
-sees a column.  Every case routes one batch both ways — the column
-side from ``column_from_list`` columns and ``batch_row_bytes`` sizes,
-the row side from the tuples and ``row_bytes`` — and compares the
-column deliveries' row views with the row deliveries.
+``route_group`` never sees a row and routes a step's whole source
+group at once; the reference router never sees a column and routes one
+source at a time.  Every case routes the same rows both ways — the
+column side from ``column_from_list`` columns and ``batch_row_bytes``
+sizes, the row side from the tuples and ``row_bytes``, merged in source
+order as the row backends' runtime merges them — and compares what
+each target stores (through its row view) and every byte count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from repro.appliance.dms_runtime import (
     DmsOperation,
     DmsRuntime,
-    route_batch_columns,
+    route_group,
 )
 from repro.appliance.storage import (
     Appliance,
@@ -28,7 +30,11 @@ from repro.appliance.storage import (
     row_bytes,
 )
 from repro.common.errors import DmsError
-from repro.vector.np_batch import ArrayBatch, column_from_list
+from repro.vector.np_batch import (
+    ArrayBatch,
+    ColumnFragment,
+    column_from_list,
+)
 
 NODES = 4
 
@@ -66,32 +72,79 @@ MOVES = [
 ]
 
 
-def columns_of(rows):
+def columns_of(rows, bounds=None):
     width = len(rows[0]) if rows else 2
+    if bounds is None:
+        bounds = [0, len(rows)]
     return ArrayBatch(
         {i: column_from_list([row[i] for row in rows])
          for i in range(width)},
-        len(rows))
+        len(rows), np.array(bounds, dtype=np.int64))
+
+
+def route_rows(operation, per_source, source_ids, node_count,
+               hash_index=0):
+    """The row backends' runtime in miniature: every source through the
+    reference router, the deliveries merged in source order.  Returns
+    (target → (rows, bytes), per-source network bytes, transfers)."""
+    runtime = DmsRuntime(Appliance(node_count))
+    stored, sent, transfers = {}, [], {}
+    for source_id, rows in zip(source_ids, per_source):
+        deliveries, source_sent = runtime._route_batch_reference(
+            operation, rows, [row_bytes(r) for r in rows], hash_index,
+            node_count, source_id)
+        sent.append(source_sent)
+        for target, batch, nbytes in deliveries:
+            held, total = stored.get(target, ([], 0))
+            stored[target] = (held + list(batch), total + nbytes)
+            transfers[(source_id, target)] = [len(batch), nbytes]
+    return stored, sent, transfers
+
+
+def route_columns(operation, per_source, source_ids, node_count,
+                  hash_index=0):
+    """The same through the group router, in the same shape."""
+    rows = [row for source in per_source for row in source]
+    bounds = np.concatenate(
+        ([0], np.cumsum([len(source) for source in per_source])))
+    batch = columns_of(rows, bounds)
+    routing = route_group(operation, batch, source_ids,
+                          batch_row_bytes(batch), hash_index, node_count,
+                          transfers=True)
+    assert routing.read == [sum(map(row_bytes, source))
+                            for source in per_source]
+    for value in (*routing.read, *routing.sent,
+                  *routing.received.values(),
+                  *(n for cell in routing.transfers.values()
+                    for n in cell)):
+        assert type(value) is int  # never a numpy scalar
+    stored = {target: (routing.stored[target].rows(), nbytes)
+              for target, nbytes in routing.received.items()}
+    # A target that received nothing holds nothing.
+    for target, fragment in routing.stored.items():
+        assert target in stored or len(fragment) == 0
+    return stored, routing.sent, routing.transfers
 
 
 def route_both(operation, rows, source_id, node_count=NODES,
                hash_index=0):
-    batch = columns_of(rows)
-    column_side = route_batch_columns(
-        operation, batch, batch_row_bytes(batch), hash_index,
-        node_count, source_id)
-    row_side = DmsRuntime(Appliance(node_count))._route_batch_reference(
-        operation, rows, [row_bytes(r) for r in rows], hash_index,
-        node_count, source_id)
-    return column_side, row_side
+    """One source's batch both ways: ((stored, sent), (stored, sent))."""
+    column_side = route_columns(operation, [rows], [source_id],
+                                node_count, hash_index)
+    row_side = route_rows(operation, [rows], [source_id], node_count,
+                          hash_index)
+    assert column_side[2] == row_side[2]
+    return ((column_side[0], column_side[1][0]),
+            (row_side[0], row_side[1][0]))
 
 
-def as_map(deliveries):
-    """target → (rows in delivered order, bytes); column batches through
-    their row view."""
-    return {target: (batch.rows() if isinstance(batch, ArrayBatch)
-                     else batch, nbytes)
-            for target, batch, nbytes in deliveries}
+def split(rows, sources):
+    """``rows`` dealt to ``sources`` sources in contiguous runs of
+    uneven length, the last one empty."""
+    cuts = sorted({(len(rows) * k * k) // (sources * sources)
+                   for k in range(sources)} | {len(rows)})
+    cuts += [len(rows)] * (sources + 1 - len(cuts))
+    return [rows[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
 
 class TestColumnRouterMatchesReference:
@@ -102,11 +155,8 @@ class TestColumnRouterMatchesReference:
             self, key_type, operation, source_id):
         (columns, column_sent), (rows, row_sent) = route_both(
             operation, BATCHES[key_type], source_id)
-        assert as_map(columns) == as_map(rows)
+        assert columns == rows
         assert column_sent == row_sent
-        for _, _, nbytes in columns:
-            assert type(nbytes) is int  # never a numpy scalar
-        assert type(column_sent) is int
 
     @pytest.mark.parametrize("node_count", [1, 2, 3, 8])
     @pytest.mark.parametrize("key_type", ["int", "str", "null"])
@@ -115,51 +165,76 @@ class TestColumnRouterMatchesReference:
                           DmsOperation.TRIM_MOVE):
             (columns, column_sent), (rows, row_sent) = route_both(
                 operation, BATCHES[key_type], 0, node_count)
-            assert as_map(columns) == as_map(rows)
+            assert columns == rows
             assert column_sent == row_sent
+
+    @pytest.mark.parametrize("node_count", [1, 2, 3, 8])
+    @pytest.mark.parametrize("operation", MOVES, ids=lambda op: op.value)
+    @pytest.mark.parametrize("key_type", sorted(BATCHES))
+    def test_a_whole_group_at_once(self, key_type, operation, node_count):
+        """Every compute node a source: one routing pass stores, sends
+        and counts what the per-source passes merged in source order
+        would have."""
+        per_source = split(BATCHES[key_type], node_count)
+        assert len(per_source) == node_count
+        source_ids = list(range(node_count))
+        assert (route_columns(operation, per_source, source_ids,
+                              node_count)
+                == route_rows(operation, per_source, source_ids,
+                              node_count))
 
     def test_shuffle_partitions_the_batch(self):
         rows = BATCHES["int"]
-        (deliveries, sent), _ = route_both(
+        (stored, sent), _ = route_both(
             DmsOperation.SHUFFLE_MOVE, rows, 1)
-        routed = [row for _, batch, _ in deliveries
-                  for row in batch.rows()]
+        routed = [row for held, _ in stored.values() for row in held]
         assert sorted(routed) == sorted(rows)
-        assert [target for target, _, _ in deliveries] == sorted(
+        assert sorted(stored) == sorted(
             {pdw_hash(row[0]) % NODES for row in rows})
-        local = sum(nbytes for target, _, nbytes in deliveries
-                    if target == 1)
-        assert sent == sum(map(row_bytes, rows)) - local
+        assert sent == sum(map(row_bytes, rows)) - stored[1][1]
 
-    def test_shuffle_pieces_are_slices_of_one_gather(self):
-        (deliveries, _), _ = route_both(
-            DmsOperation.SHUFFLE_MOVE, BATCHES["int"], 0)
-        bases = {id(batch.columns[1].values.base)
-                 for _, batch, _ in deliveries}
-        assert len(deliveries) == NODES and len(bases) == 1
+    def test_shuffle_stores_one_gather_with_a_view_per_target(self):
+        batch = columns_of(BATCHES["int"])
+        routing = route_group(
+            DmsOperation.SHUFFLE_MOVE, batch, [0],
+            batch_row_bytes(batch), 0, NODES)
+        stacked = {id(fragment.stacked)
+                   for fragment in routing.stored.values()}
+        assert sorted(routing.stored) == list(range(NODES))
+        assert len(stacked) == 1
+        assert [fragment.node for fragment in
+                routing.stored.values()] == list(range(NODES))
+        whole = routing.stored[0].stacked
+        assert whole.bounds.tolist()[-1] == len(batch)
+        # A node's rows are cut from the one gather only when asked.
+        assert all(fragment._pieces is None
+                   for fragment in routing.stored.values())
+        assert routing.stored[2].column(1).values.base is not None
 
-    def test_broadcast_shares_one_piece(self):
+    def test_broadcast_shares_one_fragment(self):
         rows = BATCHES["str"]
-        (deliveries, sent), _ = route_both(
-            DmsOperation.BROADCAST_MOVE, rows, 0)
-        assert len(deliveries) == NODES
-        first = deliveries[0][1]
+        batch = columns_of(rows)
+        routing = route_group(
+            DmsOperation.BROADCAST_MOVE, batch, [0],
+            batch_row_bytes(batch), 0, NODES)
+        assert sorted(routing.stored) == list(range(NODES))
+        first = routing.stored[0]
         total = sum(map(row_bytes, rows))
-        for _, batch, nbytes in deliveries:
-            assert batch is first          # no per-target copies
-            assert nbytes == total
+        for target, fragment in routing.stored.items():
+            assert fragment is first        # no per-target copies
+            assert routing.received[target] == total
+        assert isinstance(first, ColumnFragment)
         # source node 0 keeps its copy local: 3 remote targets
-        assert sent == 3 * total
+        assert routing.sent == [3 * total]
 
     def test_trim_keeps_only_the_source_nodes_rows(self):
         for source_id in range(NODES):
-            (deliveries, sent), _ = route_both(
+            (stored, sent), _ = route_both(
                 DmsOperation.TRIM_MOVE, BATCHES["int"], source_id)
             assert sent == 0  # trimmed rows never leave their node
-            for target, batch, _ in deliveries:
-                assert target == source_id
-                for row in batch.rows():
-                    assert pdw_hash(row[0]) % NODES == source_id
+            assert list(stored) == [source_id]
+            for row in stored[source_id][0]:
+                assert pdw_hash(row[0]) % NODES == source_id
 
 
 class TestEdges:
@@ -167,7 +242,7 @@ class TestEdges:
     def test_empty_batch_routes_nothing(self, operation):
         (columns, column_sent), (rows, row_sent) = route_both(
             operation, [], 0)
-        assert (columns, column_sent) == (rows, row_sent) == ([], 0)
+        assert (columns, column_sent) == (rows, row_sent) == ({}, 0)
 
     def test_trim_keeping_nothing(self):
         # Every key hashes to one node; any other source keeps nothing.
@@ -176,10 +251,10 @@ class TestEdges:
         other = (owner + 1) % NODES
         (columns, column_sent), (reference, row_sent) = route_both(
             DmsOperation.TRIM_MOVE, rows, other)
-        assert (columns, column_sent) == (reference, row_sent) == ([], 0)
+        assert (columns, column_sent) == (reference, row_sent) == ({}, 0)
         (columns, _), (reference, _) = route_both(
             DmsOperation.TRIM_MOVE, rows, owner)
-        assert as_map(columns) == as_map(reference) == {
+        assert columns == reference == {
             owner: (rows, sum(map(row_bytes, rows)))}
 
     def test_all_keys_to_one_node(self):
@@ -187,34 +262,38 @@ class TestEdges:
         (columns, column_sent), (reference, row_sent) = route_both(
             DmsOperation.SHUFFLE_MOVE, rows, 0)
         assert len(columns) == 1
-        assert as_map(columns) == as_map(reference)
+        assert columns == reference
         assert column_sent == row_sent
 
     def test_zero_column_batch_moves_as_a_unit(self):
-        batch = ArrayBatch({}, 3)
+        batch = ArrayBatch({}, 3, np.array([0, 3]))
         sizes = batch_row_bytes(batch)
         assert sizes.tolist() == [0, 0, 0]
-        deliveries, sent = route_batch_columns(
-            DmsOperation.PARTITION_MOVE, batch, sizes, None, NODES, 2)
-        assert deliveries == [(CONTROL_NODE, batch, 0)] and sent == 0
+        routing = route_group(
+            DmsOperation.PARTITION_MOVE, batch, [2], sizes, None, NODES)
+        assert list(routing.stored) == [CONTROL_NODE]
+        assert routing.stored[CONTROL_NODE].rows() == [(), (), ()]
+        assert routing.received == {CONTROL_NODE: 0}
+        assert routing.sent == [0]
 
     @pytest.mark.parametrize("operation", [DmsOperation.SHUFFLE_MOVE,
                                            DmsOperation.TRIM_MOVE])
     def test_missing_hash_column_raises(self, operation):
         batch = columns_of(BATCHES["int"])
         with pytest.raises(DmsError, match="without a hash column"):
-            route_batch_columns(operation, batch, batch_row_bytes(batch),
-                                None, NODES, 0)
+            route_group(operation, batch, [0], batch_row_bytes(batch),
+                        None, NODES)
 
     def test_sizes_are_the_callers(self):
         # The router sums the sizes it is handed (one sizing pass
         # serves reader, network and writer accounting alike).
         batch = columns_of(BATCHES["int"])
         sizes = np.full(len(batch), 3, dtype=np.int64)
-        deliveries, _ = route_batch_columns(
-            DmsOperation.SHUFFLE_MOVE, batch, sizes, 0, NODES, 0)
-        assert all(nbytes == 3 * len(piece)
-                   for _, piece, nbytes in deliveries)
+        routing = route_group(
+            DmsOperation.SHUFFLE_MOVE, batch, [0], sizes, 0, NODES)
+        assert routing.read == [3 * len(batch)]
+        assert all(nbytes == 3 * len(routing.stored[target])
+                   for target, nbytes in routing.received.items())
 
 
 class TestRuntimeRouterSelection:
