@@ -1,41 +1,29 @@
-"""Parallel appliance runtime vs. the serial reference walk.
+"""Parallel appliance runtime vs. the serial walk.
 
 Builds TPC-H appliances at several node counts, compiles Q1/Q5/Q12 once
-per appliance, then executes each plan with the serial backend
-(``parallel=False``: one step at a time, one node at a time, per-row
-dict routing) and with the parallel runtime (``parallel=True``: step
-DAG scheduling, node thread pool, fast-path routing, shared broadcast
-batches).  Reports wall-clock per query, DSQL steps per second, and the
-serial/parallel speedup, and checks the two backends return identical
-rows.
+per appliance, then executes each plan with the serial runtime
+(``parallel=False``: one step at a time) and with the parallel runtime
+(``parallel=True``: steps scheduled as a dependency DAG on a thread
+pool, independent join subtrees overlapping).  Reports wall-clock per
+query, DSQL steps per second, and the serial/parallel speedup, and
+checks the two runtimes return identical rows.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel_runtime.py
     PYTHONPATH=src python benchmarks/bench_parallel_runtime.py --quick
     PYTHONPATH=src python benchmarks/bench_parallel_runtime.py \
-        --executor vectorized
+        --executor reference
 
-``--executor`` selects the execution backend both runners use (default
-``compiled``); with ``vectorized`` the comparison measures the DAG
-runtime over columnar batch execution, where each node's step does
-fewer, larger Python operations and spends proportionally less time
-contending for the GIL, and with ``numpy`` each node's step runs
-typed-ndarray kernels whose C loops *release* the GIL — the
-configuration where node threads genuinely overlap.  ``--quick``
-shrinks the appliance matrix for the CI perf smoke and exits non-zero
-if the backends disagree on rows or the parallel runtime is
-catastrophically slower (>2x) — a scheduling regression.  The full run
-archives its table under ``benchmarks/results/parallel_runtime.txt``
-(per-executor suffix for non-default backends).
+``--executor`` selects the executor both runners use (default: the
+front-door default, ``numpy``).  ``--quick`` shrinks the appliance
+matrix for the CI smoke and exits non-zero if the runtimes disagree on
+rows or the parallel runtime is catastrophically slower (>2x) — a
+scheduling regression.  The full run archives its table under
+``benchmarks/results/parallel_runtime_<executor>.txt``.
 
-Interpreting the numbers: the simulated node work under the pure-Python
-backends never truly overlaps on a stock (GIL) CPython build — node
-threads interleave, and measured wins come from the routing fast path
-and broadcast copy elimination.  The numpy backend changes that: while
-one node's thread is inside a ufunc/aggregation C loop the GIL is
-released, so other nodes' threads run concurrently, and parallel can
-beat serial on CPU-bound scan-aggregate work even with the GIL.
+Interpreting the numbers: on a stock (GIL) CPython build step threads
+interleave rather than overlap, so expect a speedup at or below 1.
 """
 
 from __future__ import annotations
@@ -44,9 +32,11 @@ import argparse
 import pathlib
 import sys
 import time
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.appliance.runner import DsqlRunner
+from repro.appliance.scheduler import StepDag
+from repro.common.executors import EXECUTORS, resolve_executor
 from repro.pdw.engine import PdwEngine
 from repro.workloads.tpch_datagen import build_tpch_appliance
 from repro.workloads.tpch_queries import TPCH_QUERIES
@@ -82,12 +72,11 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=None,
                         help="timed runs per query, best kept "
                              "(default 3, quick 2)")
-    parser.add_argument("--executor", default="compiled",
-                        choices=("reference", "compiled", "vectorized",
-                                 "numpy"),
-                        help="execution backend for both runners "
-                             "(default compiled)")
+    parser.add_argument("--executor", default=None, choices=EXECUTORS,
+                        help="executor for both runners (default: the "
+                             "front-door default)")
     args = parser.parse_args(argv)
+    executor = resolve_executor(args.executor)
 
     scale = args.scale if args.scale is not None else (
         0.002 if args.quick else 0.01)
@@ -112,10 +101,10 @@ def main(argv=None) -> int:
         plans = {name: engine.compile(TPCH_QUERIES[name]).dsql_plan
                  for name in QUERIES}
         serial_runner = DsqlRunner(appliance, parallel=False,
-                                   executor=args.executor)
+                                   executor=executor)
         parallel_runner = DsqlRunner(appliance, parallel=True,
-                                     executor=args.executor)
-        # warm caches (parse/bind, compiled closures, thread pools)
+                                     executor=executor)
+        # warm caches (parse/bind, compiled kernels, thread pools)
         for plan in plans.values():
             serial_runner.run(plan)
             parallel_runner.run(plan)
@@ -126,7 +115,6 @@ def main(argv=None) -> int:
                                                     plan, repeat)
             if parallel_rows != serial_rows:
                 mismatches.append(f"{name} at {nodes} nodes")
-            from repro.appliance.scheduler import StepDag
             steps = len(plan.steps)
             speedup = serial_s / parallel_s
             worst_ratio = min(worst_ratio, speedup)
@@ -141,14 +129,12 @@ def main(argv=None) -> int:
     print(table)
 
     if mismatches:
-        print(f"\nFAIL: backends disagree on rows: {mismatches}")
+        print(f"\nFAIL: runtimes disagree on rows: {mismatches}")
         return 1
 
     if not args.quick:
         RESULTS_DIR.mkdir(exist_ok=True)
-        suffix = ("" if args.executor == "compiled"
-                  else f"_{args.executor}")
-        path = RESULTS_DIR / f"parallel_runtime{suffix}.txt"
+        path = RESULTS_DIR / f"parallel_runtime_{executor}.txt"
         path.write_text(table + "\n")
         print(f"\narchived to {path}")
 

@@ -17,8 +17,8 @@ a simulated appliance:
   DMS-only cost model (§3.2, §3.3), plus DSQL generation (§3.4);
 * :mod:`repro.appliance` — the simulated appliance: distributed storage,
   node-local SQL execution, the DMS runtime with byte accounting, the
-  parallel runtime (step-DAG scheduling + node worker pools), and the
-  λ calibration harness (§3.3.3);
+  parallel runtime (step-DAG scheduling), and the λ calibration harness
+  (§3.3.3);
 * :mod:`repro.workloads` — TPC-H schema/generator/queries with the
   paper's placement design.
 

@@ -21,8 +21,7 @@ WHERE l_orderkey = o_orderkey"
 a parameterized TPC-H traffic mix — concurrent clients, parameterized
 plan cache, admission control — and prints latency percentiles,
 throughput and cache statistics; ``serve --smoke`` is the CI guard
-(requires plan-cache hits and a reported p99; fails if any internal
-caller trips the deprecated-option shims).  ``bench`` is the same flow
+(requires plan-cache hits and a reported p99).  ``bench`` is the same flow
 sized as a throughput benchmark, optionally appending its report to a
 results file.
 
@@ -63,18 +62,14 @@ same numbers as validated events and ``pdw_optimizer_*`` series.
 Options ``--scale`` and ``--nodes`` size the appliance (defaults: scale
 0.002, 8 nodes).  ``--trace`` appends the nested telemetry span tree
 (parse → serial → XML → PDW → DSQL → execute) to any command's output.
-``--executor {reference,compiled,vectorized,numpy}`` picks the
-execution backend by name — ``numpy`` (the default) runs DSQL steps
-over typed ndarrays (falling back to ``vectorized`` when numpy is
-absent), ``vectorized`` batch-at-a-time over columnar Python lists
-(:mod:`repro.vector`), ``compiled`` row at a time through
-closure-compiled expressions; ``--no-compiled-exec`` is the legacy
-spelling of ``--executor reference``.
-``--parallel-runtime`` executes DSQL plans on the thread-pool runtime
-(step DAG + node thread pool + fast-path routing) instead of the
-default §2.4 serial walk (one step at a time, one node at a time); both
-produce identical rows and stats.  The appliance is regenerated
-deterministically on every invocation, so results are reproducible.
+``--executor {reference,numpy}`` picks the execution backend by name —
+``numpy`` (the default) runs each DSQL step once over every node's
+fragment on typed ndarrays, ``reference`` runs the tree-walking oracle
+node by node.  ``--parallel-runtime`` schedules DSQL steps as a
+dependency DAG on a thread pool instead of the default §2.4 serial walk
+(one step at a time); both produce identical rows and stats.  The
+appliance is regenerated deterministically on every invocation, so
+results are reproducible.
 """
 
 from __future__ import annotations
@@ -82,7 +77,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional
 
 from repro import (
@@ -91,6 +85,7 @@ from repro import (
     GroundTruthConstants,
     PdwSession,
 )
+from repro.common.executors import EXECUTORS
 from repro.service.admission import DEFAULT_MAX_IN_FLIGHT
 
 
@@ -104,23 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compute node count (default 8)")
     parser.add_argument("--trace", action="store_true",
                         help="print the telemetry span tree afterwards")
-    parser.add_argument("--executor",
-                        choices=("reference", "compiled", "vectorized",
-                                 "numpy"),
-                        default=None,
-                        help="execution backend: reference (tree-walking "
-                             "interpreter), compiled (closure backend), "
-                             "vectorized (columnar batch kernels) or "
-                             "numpy (typed ndarray kernels, default; "
-                             "falls back to vectorized without numpy)")
-    parser.add_argument("--no-compiled-exec", action="store_true",
-                        help="execute with the reference tree-walking "
-                             "interpreter instead of the default "
-                             "backend (same as --executor reference)")
+    parser.add_argument("--executor", choices=EXECUTORS, default=None,
+                        help="execution backend: numpy (typed ndarray "
+                             "kernels over each step's whole node "
+                             "group, default) or reference (the "
+                             "tree-walking oracle, node by node)")
     parser.add_argument("--parallel-runtime", action="store_true",
-                        help="execute DSQL plans on the DAG/thread-pool "
-                             "runtime instead of serially (one step at "
-                             "a time, one node at a time)")
+                        help="schedule DSQL steps as a dependency DAG "
+                             "on a thread pool instead of one step at "
+                             "a time")
     sub = parser.add_subparsers(dest="command", required=True)
 
     explain = sub.add_parser(
@@ -205,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "seconds (default 1.0)")
     serve.add_argument("--smoke", action="store_true",
                        help="CI smoke mode: require plan-cache hits and "
-                            "a reported p99, fail on any internal "
-                            "DeprecationWarning")
+                            "a reported p99")
     serve.add_argument("--prometheus", metavar="PATH",
                        help="write the service metrics registry in "
                             "Prometheus text format")
@@ -333,14 +319,9 @@ def _parse_hints(pairs: List[str]) -> Optional[dict]:
 
 
 def _cli_options(args) -> ExecutionOptions:
-    """ExecutionOptions from the global CLI flags.  An explicit
-    ``--executor`` wins; ``--no-compiled-exec`` is the legacy spelling
-    of ``--executor reference``."""
-    executor = args.executor
-    if executor is None and args.no_compiled_exec:
-        executor = "reference"
+    """ExecutionOptions from the global CLI flags."""
     return ExecutionOptions(
-        executor=executor,
+        executor=args.executor,
         parallel=True if args.parallel_runtime else None)
 
 
@@ -372,9 +353,7 @@ def _cmd_serve(args) -> int:
     from repro.obs.export import requests_to_metrics
     from repro.service import render_report
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DeprecationWarning)
-        service, report = _run_service_traffic(args)
+    service, report = _run_service_traffic(args)
     print(render_report(report))
     hits = service.plan_cache.stats()["hits"]
     print(f"pdw_service_plan_cache_hits {hits}")
@@ -397,13 +376,6 @@ def _cmd_serve(args) -> int:
         failures.append("no queries completed")
     if report.p99 <= 0:
         failures.append("no p99 latency reported")
-    internal = [w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "via options= instead" in str(w.message)]
-    for warning in internal:
-        failures.append(
-            f"internal caller hit a deprecated option surface: "
-            f"{warning.message} ({warning.filename}:{warning.lineno})")
     if failures:
         for failure in failures:
             print(f"SMOKE FAIL: {failure}", file=sys.stderr)

@@ -1,9 +1,7 @@
 """Bound algebra: scalar expressions, logical/physical operators,
-distribution properties, the shared expression evaluator, and the
-closure compiler backing the compiled execution path."""
+distribution properties and the shared expression evaluator."""
 
 from repro.algebra import (
-    compiler,
     evaluator,
     expressions,
     logical,
@@ -11,5 +9,5 @@ from repro.algebra import (
     properties,
 )
 
-__all__ = ["compiler", "evaluator", "expressions", "logical", "physical",
+__all__ = ["evaluator", "expressions", "logical", "physical",
            "properties"]

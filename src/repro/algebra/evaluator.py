@@ -197,8 +197,8 @@ def _scalar_function(expr: ex.FuncExpr, env):
 def apply_scalar_function(name: str, args):
     """Dispatch a scalar function over already-evaluated, non-NULL args.
 
-    Shared by the tree-walking evaluator and the closure compiler
-    (:mod:`repro.algebra.compiler`) so both backends agree exactly.
+    Shared by the tree-walking evaluator and the list kernels
+    (:mod:`repro.vector.kernels`) so both agree exactly.
     """
     if name == "DATEADD":
         unit, amount, base = args

@@ -22,23 +22,18 @@ ownership are read off the bounds and one source × target matrix, not
 off ``n`` runs; a hash-distributed temp is stored once, in target
 order, and every node holds a view of its own rows.  The data plane is
 columnar end to end — only the Return step builds row tuples — and
-every number in :class:`StepExecutionStats` is the per-node row path's,
-bit for bit.
+every number in :class:`StepExecutionStats` is the oracle's, bit for
+bit.
 
-The three row backends (``"reference"``, ``"compiled"``,
-``"vectorized"``) keep the per-node loop: each source node runs the SQL
-and routes its own rows — through the reference router's per-row
-``dict.setdefault`` accounting on the row-at-a-time backends' serial
-walk, through the fused single pass of :func:`route_batch_fast`
-otherwise — and the deliveries are merged in node-id order.  With
-``parallel=True`` (§2.1, §2.4) their per-node tasks run on a thread
-pool, one worker per node, with rows, stats and profiles identical to
-the serial walk; the numpy executor has no per-node task to hand out
-(the step DAG in :mod:`repro.appliance.runner` still overlaps its
-steps).  Broadcast-style moves deliver one shared row list (or column
-fragment) to every target under every backend (the destination node
-copies only if it later mutates), instead of materializing N copies of
-every row.
+The oracle (``executor="reference"``) keeps the paper's literal shape:
+each source node, in node-id order, runs the SQL on the tree-walking
+interpreter and routes its own rows through the reference router's
+per-row ``dict.setdefault`` accounting
+(:meth:`DmsRuntime._route_batch_reference`), and the deliveries are
+merged in node-id order.  Broadcast-style moves deliver one shared row
+list (or column fragment) to every target under both executors (the
+destination node copies only if it later mutates), instead of
+materializing N copies of every row.
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ import numpy as np
 from repro.algebra.logical import Query
 from repro.algebra.properties import DistKind
 from repro.appliance.interpreter import InterpreterStats, PlanInterpreter
-from repro.appliance.scheduler import WorkerPool, resolve_parallel
 from repro.appliance.storage import (
     Appliance,
     CONTROL_NODE,
@@ -62,7 +56,6 @@ from repro.appliance.storage import (
     batch_row_bytes,
     column_owners,
     node_for_row,
-    pdw_hash,
     row_bytes,
 )
 from repro.common.errors import DmsError
@@ -75,7 +68,6 @@ from repro.pdw.dms import DmsOperation
 from repro.pdw.dsql import DsqlStep, canonical_step_sql
 from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
-from repro.vector.executor import VectorInterpreter
 from repro.vector.np_batch import (
     ArrayBatch,
     ColumnFragment,
@@ -121,9 +113,9 @@ class StepExecutionStats:
     ``(kind, label, rows_out)`` records its interpreter observed.
 
     ``node_wall_seconds`` / ``wall_seconds`` are *measured* wall-clock
-    actuals (per node-task and per step), unlike the simulated
-    ``*_seconds`` fields; they differ between the serial and parallel
-    backends and are excluded from equivalence comparisons.
+    actuals (per node and per step), unlike the simulated ``*_seconds``
+    fields; they differ from run to run and are excluded from
+    equivalence comparisons.
     """
 
     step_index: int
@@ -176,89 +168,11 @@ class _CachedStep:
 _STEP_CACHE_LIMIT = 256
 
 
-#: One routed delivery of a row backend: (target node id, rows, bytes).
+#: One routed delivery of the oracle: (target node id, rows, bytes).
 #: The row list may be *shared* between targets (broadcast) — consumers
 #: must treat it as immutable and go through ``NodeStorage.adopt`` /
 #: ``insert`` which copy on mutation.
-Batch = List[Tuple]
-Delivery = Tuple[int, Batch, int]
-
-
-def _deliver_whole_batch(operation: DmsOperation, batch: Batch,
-                         total: int, node_count: int, source_id: int
-                         ) -> Tuple[List[Delivery], int]:
-    """The moves that route a source's batch as a unit (``total`` is
-    its byte size): one shared batch to every compute node, or the
-    batch to the control node."""
-    if operation in (DmsOperation.BROADCAST_MOVE,
-                     DmsOperation.CONTROL_NODE_MOVE,
-                     DmsOperation.REPLICATED_BROADCAST):
-        # One shared batch for every target — no per-target copies.
-        deliveries = [(target_id, batch, total)
-                      for target_id in range(node_count)]
-        remote_targets = node_count - (
-            1 if 0 <= source_id < node_count else 0)
-        return deliveries, total * remote_targets
-
-    if operation in (DmsOperation.PARTITION_MOVE,
-                     DmsOperation.REMOTE_COPY):
-        return ([(CONTROL_NODE, batch, total)],
-                0 if source_id == CONTROL_NODE else total)
-
-    raise DmsError(f"unknown DMS operation {operation}")
-
-
-def route_batch_fast(operation: DmsOperation, rows: List[Tuple],
-                     sizes: List[int], hash_index: Optional[int],
-                     node_count: int, source_id: int
-                     ) -> Tuple[List[Delivery], int]:
-    """Shuffle routing fast path: pure per-source tuple routing.
-
-    One pass over the batch appends each row into a preallocated
-    per-target bucket table (no per-row ``dict.setdefault`` / ``get``),
-    with byte totals summed per bucket; broadcast-style moves deliver a
-    single shared row list to every target.  Returns the per-target
-    deliveries plus the bytes this source puts on the network (rows
-    routed to a node other than itself).  Byte/row accounting is
-    bit-identical to :meth:`DmsRuntime._route_batch_reference`.
-    """
-    if not rows:
-        return [], 0
-
-    if operation is DmsOperation.SHUFFLE_MOVE:
-        if hash_index is None:
-            raise DmsError("shuffle move without a hash column")
-        buckets: List[List[Tuple]] = [[] for _ in range(node_count)]
-        bucket_bytes = [0] * node_count
-        for row, size in zip(rows, sizes):
-            owner = pdw_hash(row[hash_index]) % node_count
-            buckets[owner].append(row)
-            bucket_bytes[owner] += size
-        deliveries = [
-            (owner, buckets[owner], bucket_bytes[owner])
-            for owner in range(node_count) if buckets[owner]
-        ]
-        sent = sum(
-            bucket_bytes[owner] for owner in range(node_count)
-            if buckets[owner] and owner != source_id
-        )
-        return deliveries, sent
-
-    if operation is DmsOperation.TRIM_MOVE:
-        if hash_index is None:
-            raise DmsError("trim move without a hash column")
-        kept: List[Tuple] = []
-        kept_bytes = 0
-        for row, size in zip(rows, sizes):
-            if pdw_hash(row[hash_index]) % node_count == source_id:
-                kept.append(row)
-                kept_bytes += size
-        if kept:
-            return [(source_id, kept, kept_bytes)], 0
-        return [], 0  # trimmed rows never leave their node
-
-    return _deliver_whole_batch(operation, rows, sum(sizes),
-                                node_count, source_id)
+Delivery = Tuple[int, List[Tuple], int]
 
 
 def segment_sums(sizes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -287,7 +201,7 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
                 source_ids: List[int], sizes: np.ndarray,
                 hash_index: Optional[int], node_count: int,
                 transfers: bool = False) -> GroupRouting:
-    """Column routing for the numpy backend, once per step: no row is
+    """Column routing for the numpy executor, once per step: no row is
     ever assembled and no source is routed on its own.
 
     ``batch`` is the step's output over its whole source group, keyed
@@ -299,8 +213,8 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
     gathers every column once into owner order by a *stable* sort: the
     rows are source-major already, so each target's rows come out in
     source order and, within a source, in that source's output order —
-    exactly the concatenation of per-source buckets the row routers
-    append.  A trim keeps the rows whose owner is their own source
+    exactly the concatenation of per-source buckets the reference
+    router appends.  A trim keeps the rows whose owner is their own source
     (sources ascend, so those are in owner order as they stand).
     Either way the rows are stored once, with the targets as bounds,
     and every compute node gets its view
@@ -310,8 +224,8 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
     exactly); network bytes are its off-diagonal row sums, written
     bytes its column sums.  The moves that route a source's rows as a
     unit hand every target one shared fragment of the whole output.
-    Every count is the row routers', bit for bit; the routing tests
-    pin this against :meth:`DmsRuntime._route_batch_reference`.
+    Every count is the reference router's, bit for bit; the routing
+    tests pin this against :meth:`DmsRuntime._route_batch_reference`.
     """
     sources = len(source_ids)
     bounds = batch.bounds
@@ -388,7 +302,7 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
 
 @dataclass
 class _SourceRun:
-    """One node's extract+route output under a row backend, merged in
+    """One node's extract+route output under the oracle, merged in
     node order."""
 
     node_id: int
@@ -405,62 +319,44 @@ class _SourceRun:
 class DmsRuntime:
     """Executes DSQL steps against an :class:`Appliance`.
 
-    Each DSQL step's SQL text is parsed and bound **once** and the
-    bound plan is re-run against every node's local tables — the node
-    DBMS of §2.4 keeps the compiled statement of a re-issued step.  The
-    bound tree is keyed on the step text with per-execution temp names
-    canonicalised (:func:`repro.pdw.dsql.canonical_step_sql`) plus the
-    column signature of every temp table the step reads, and a later
-    execution reads its own temps through aliases in the per-node table
-    snapshot; so a re-executed plan re-uses the tree and, through the
+    ``executor`` names the node-local backend: ``"numpy"`` (the
+    default, :class:`repro.vector.np_executor.NumpyInterpreter`) runs
+    a step once over its whole source group and hands one column batch
+    to one router (:func:`route_group`); ``"reference"`` (the oracle,
+    :class:`repro.appliance.interpreter.PlanInterpreter`) runs it node
+    by node, in node-id order, and routes row tuples through
+    :meth:`_route_batch_reference`.
+
+    Under the default executor each DSQL step's SQL text is parsed and
+    bound **once** and the bound plan is re-run by every later
+    execution — the node DBMS of §2.4 keeps the compiled statement of a
+    re-issued step.  The bound tree is keyed on the step text with
+    per-execution temp names canonicalised
+    (:func:`repro.pdw.dsql.canonical_step_sql`) plus the column
+    signature of every temp table the step reads, and a later execution
+    reads its own temps through aliases in the per-node table snapshot;
+    so a re-executed plan re-uses the tree and, through the
     expression-identity memos, its compiled kernels, while the same
-    text over a different temp schema binds afresh.  Only the reference
-    backend (``executor="reference"`` / ``compiled=False``) re-parses
-    per node.  Cache effectiveness is observable through the
+    text over a different temp schema binds afresh.  The oracle
+    re-parses per node.  Cache effectiveness is observable through the
     ``exec.compile_cache_hit`` / ``exec.compile_cache_miss`` telemetry
-    counters.
-
-    ``executor`` names the node-local backend outright ("reference",
-    "compiled", "vectorized", "numpy"); when not given, the legacy
-    ``compiled`` boolean picks the reference interpreter or the
-    default, ``"numpy"``: the typed-ndarray interpreter
-    (:class:`repro.vector.np_executor.NumpyInterpreter`), which runs a
-    step once over its whole source group and hands one column batch
-    to one router (:func:`route_group`) — in both runtime modes.  The
-    other three backends run a step node by node and move row tuples:
-    ``"vectorized"`` (:class:`repro.vector.VectorInterpreter`) always
-    through :func:`route_batch_fast`, the two row-at-a-time backends
-    through it under the parallel runtime and through the reference
-    router on the serial walk.
-
-    ``parallel`` selects the runtime backend (default serial; the
-    ``REPRO_PARALLEL_RUNTIME`` environment variable overrides the
-    default): with it on, a row backend's per-node extract+route tasks
-    run on a thread pool sized to the appliance's node count.  The
-    bind cache is lock-guarded, so worker threads share it safely.
+    counters; the cache is lock-guarded, so concurrent steps (the step
+    DAG of :class:`repro.appliance.runner.DsqlRunner`) share it safely.
     """
 
     def __init__(self, appliance: Appliance,
                  truth: Optional[GroundTruthConstants] = None,
                  tracer: Tracer = NULL_TRACER,
-                 compiled: bool = True,
                  metrics: MetricsRegistry = NULL_METRICS,
-                 parallel: Optional[bool] = None,
                  executor: Optional[str] = None):
         self.appliance = appliance
         self.truth = truth or GroundTruthConstants()
         self.tracer = tracer
-        # ``executor`` is canonical; the legacy boolean is re-derived
-        # from it so the step bind cache keeps its contract (only the
-        # reference backend re-parses per node).
-        self.executor = resolve_executor(executor, compiled)
-        self.compiled = self.executor != "reference"
+        self.executor = resolve_executor(executor)
         self.metrics = metrics
-        self.parallel = resolve_parallel(parallel, default=False)
         # Profiled runs (DsqlRunner.run(profile=True)) flip this on to
         # collect transfer matrices and per-operator actuals.
         self.profiling = False
-        self._node_pool = WorkerPool(appliance.node_count, "repro-node")
         # The five metric families a step reports into, resolved once
         # (registration is by name under the registry lock).
         self._metric_families = None if not metrics.enabled else (
@@ -520,7 +416,7 @@ class DmsRuntime:
                 stats.elapsed_seconds)
             # Measured (not simulated) per-node wall clock of the
             # extract+route task — the skew a real scheduler would see
-            # (under the numpy backend, the group's wall ÷ n).
+            # (under the numpy executor, the group's wall ÷ n).
             for node, wall in stats.node_wall_seconds.items():
                 wall_gauge.labels(step=step, op=kind,
                                   node=str(node)).set(wall)
@@ -538,13 +434,13 @@ class DmsRuntime:
 
     def _interpreter(self, sql: str, nodes: List[NodeStorage],
                      stats: Optional[InterpreterStats], observer):
-        """This backend's interpreter over ``nodes``' tables, and the
-        step's bound tree for it to run.  The numpy backend takes a
-        whole group (and an observer per node); the row backends one
-        node at a time."""
+        """This executor's interpreter over ``nodes``' tables, and the
+        step's bound tree for it to run.  The numpy executor takes a
+        whole group (and an observer per node); the oracle one node at
+        a time."""
         query, temps = self._bind_step(sql)
-        # The numpy backend scans a temp as stored — a column fragment
-        # as it stands; the row backends read its rows.
+        # The numpy executor scans a temp as stored — a column fragment
+        # as it stands; the oracle reads its rows.
         columnar = self.executor == "numpy"
         group = []
         for node in nodes:
@@ -561,13 +457,8 @@ class DmsRuntime:
             group.append(tables)
         if columnar:
             interpreter = NumpyInterpreter(group, stats, observer)
-        elif self.executor == "vectorized":
-            interpreter = VectorInterpreter(group[0], stats,
-                                            observer=observer)
         else:
-            interpreter = PlanInterpreter(group[0], stats,
-                                          compiled=self.compiled,
-                                          observer=observer)
+            interpreter = PlanInterpreter(group[0], stats, observer)
         return interpreter, query
 
     def _bind_step(self, sql: str
@@ -577,14 +468,13 @@ class DmsRuntime:
         step reads.  Parses + binds once per canonical step text and
         temp schema; re-runs hit the cache.
 
-        Lock-guarded: under the parallel runtime every node worker calls
-        this concurrently, and the first caller must finish binding
-        before the others read the entry (same hit/miss counts as the
-        serial backend)."""
+        Lock-guarded: concurrent steps and service clients call this
+        at once, and the first caller must finish binding before the
+        others read the entry (same hit/miss counts as one caller)."""
         catalog = self.appliance.catalog
         canonical, temps = canonical_step_sql(sql)
-        if not self.compiled:
-            # Reference path: re-parse per node, exactly the old cost.
+        if self.executor == "reference":
+            # The oracle re-parses per node, exactly the old cost.
             return (Binder(catalog).bind(parse_query(sql)),
                     tuple(zip(temps, temps)))
         # Two plans can emit one step text over different temp schemas.
@@ -623,25 +513,12 @@ class DmsRuntime:
                      hash_index: Optional[int],
                      request=NULL_REQUEST) -> List[_SourceRun]:
         """Run extract+route for every source node of a step, one node
-        at a time — the three row backends.
-
-        Under the parallel runtime the per-node tasks run concurrently
-        on the node pool; results always come back in source-node order,
-        so the caller's merge is deterministic either way.  ``request``
+        at a time in source-node order — the oracle.  ``request``
         receives one ``node_done`` progress report per source node as
-        its task finishes — the live feed behind
-        ``sys.dm_pdw_dms_workers``."""
+        it finishes — the live feed behind ``sys.dm_pdw_dms_workers``."""
         node_count = self.appliance.node_count
         operation = step.movement.operation if step.movement else None
         profiling = self.profiling
-        parallel = self.parallel
-        # The fused fast path for the vectorized backend and under the
-        # parallel runtime, the reference router on the row-at-a-time
-        # backends' serial walk.
-        if self.executor == "vectorized" or parallel:
-            route = route_batch_fast
-        else:
-            route = self._route_batch_reference
 
         def run_one(source: NodeStorage) -> _SourceRun:
             started = time.perf_counter()
@@ -663,7 +540,7 @@ class DmsRuntime:
             else:
                 # The one sizing pass above serves reader, network and
                 # writer accounting alike.
-                deliveries, sent = route(
+                deliveries, sent = self._route_batch_reference(
                     operation, output, sizes, hash_index,
                     node_count, source_id)
             run = _SourceRun(
@@ -683,15 +560,12 @@ class DmsRuntime:
                                   sizes_total, run.wall_seconds)
             return run
 
-        sources = self._source_nodes(step)
-        if parallel and len(sources) > 1:
-            return self._node_pool.map_ordered(run_one, sources)
-        return [run_one(source) for source in sources]
+        return [run_one(source) for source in self._source_nodes(step)]
 
     def _run_group(self, step: DsqlStep, stats: StepExecutionStats
                    ) -> Tuple[ArrayBatch, List[str]]:
         """Run a step's SQL once over its whole source group — the
-        numpy backend.  Returns the output as positional columns with
+        numpy executor.  Returns the output as positional columns with
         one segment per source (a node-invariant output spelled out per
         source: each of them holds it) and the output names; records on
         ``stats`` what the interpreter counted, ``node_rows`` keyed by
@@ -760,7 +634,7 @@ class DmsRuntime:
     def _move_group(self, step: DsqlStep, stats: StepExecutionStats,
                     hash_index: Optional[int], started: float,
                     request) -> None:
-        """The numpy backend's move: one run, one sizing pass, one
+        """The numpy executor's move: one run, one sizing pass, one
         router for the whole source group; the accounting is read off
         the router's source × target sums."""
         output, _ = self._run_group(step, stats)
@@ -783,10 +657,8 @@ class DmsRuntime:
 
     def _move_rows(self, step: DsqlStep, stats: StepExecutionStats,
                    hash_index: Optional[int], request) -> None:
-        """A row backend's move: every source routed on its own, the
-        deliveries merged in source-node order — identical accounting
-        and row order whether the sources ran serially or on the
-        pool."""
+        """The oracle's move: every source routed on its own, the
+        deliveries merged in source-node order."""
         destination = step.destination_table
         received: Dict[int, List[List[Tuple]]] = {}
         received_bytes: Dict[int, int] = {}
@@ -840,10 +712,9 @@ class DmsRuntime:
                                hash_index: Optional[int],
                                node_count: int, source_id: int
                                ) -> Tuple[List[Delivery], int]:
-        """Reference tuple routing: per-row dict accounting (the serial
-        backend's original code path).  Semantically identical to
-        :func:`route_batch_fast`; the equivalence tests pin the two
-        against each other on the full TPC-H workload."""
+        """Reference tuple routing: per-row dict accounting, one source
+        at a time.  :func:`route_group` is held to it, bit for bit, by
+        the routing tests and on the full TPC-H workload."""
         if not rows:
             return [], 0
 

@@ -1,4 +1,4 @@
-"""Logical-plan interpreter: the compute-node "DBMS instance".
+"""Logical-plan interpreter: the reference compute-node "DBMS instance".
 
 Each DSQL step ships a SQL statement to the nodes; the node parses and
 binds it against its local catalog and runs it against its local table
@@ -7,28 +7,22 @@ fragments.  No local optimization is done — a deliberate simplification
 but joins do use hashing on equality predicates so execution stays
 polynomial.
 
-Rows travel as ``dict`` environments mapping column-variable id → value.
-Two scalar backends share all operator logic:
-
-* **compiled** (default) — every predicate / projection / aggregate
-  argument is compiled once per operator into a Python closure via
-  :mod:`repro.algebra.compiler`, then applied per row;
-* **interpreted** (``compiled=False``) — the reference path, calling the
-  recursive :func:`repro.algebra.evaluator.evaluate` per row.
-
-The differential tests assert both backends produce identical multisets
-on the full TPC-H suite.
+Rows travel as ``dict`` environments mapping column-variable id → value,
+and every scalar expression is evaluated per row by the recursive
+:func:`repro.algebra.evaluator.evaluate`.  This is the oracle
+(``executor="reference"``): the production executor
+(:mod:`repro.vector.np_executor`) is held to its rows, row order,
+counters and observer events on the full TPC-H suite and on generated
+data.
 """
 
 from __future__ import annotations
 
-import operator
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra import expressions as ex
-from repro.algebra.compiler import compile_expr, compile_predicate
-from repro.algebra.evaluator import UnboundColumn, evaluate
+from repro.algebra.evaluator import evaluate
 from repro.algebra.logical import (
     JoinKind,
     LogicalGet,
@@ -50,10 +44,10 @@ class InterpreterStats:
     """Row-processing counters (feed the simulated relational time).
 
     ``wall_seconds`` is the *measured* wall clock spent in
-    :meth:`PlanInterpreter.run_query` — the per-node actual the parallel
-    runtime reports alongside the simulated time.  An interpreter (and
-    its stats object) is confined to the one worker thread executing
-    that node's fragment, so the counters need no locks.
+    ``run_query`` (or ``run_columns``).  An interpreter (and its stats
+    object) is confined to the one thread executing its step — over a
+    whole node group under the production executor, over one node
+    under the oracle — so the counters need no locks.
     """
 
     def __init__(self):
@@ -68,34 +62,22 @@ class PlanInterpreter:
     ``observer`` (a :class:`repro.obs.profiler.OperatorObserver`, or any
     object with ``record(op, rows_out)``) receives each operator's output
     row count as it completes, in postorder.  The default ``None`` costs
-    one identity test per *operator* — never per row — so the disabled
-    path preserves the compiled backend's throughput.
+    one identity test per *operator* — never per row.
     """
 
     def __init__(self, tables: Dict[str, List[Tuple]],
                  stats: Optional[InterpreterStats] = None,
-                 compiled: bool = True,
                  observer=None):
         self.tables = {name.lower(): rows for name, rows in tables.items()}
         self.stats = stats or InterpreterStats()
-        self.compiled = compiled
         self.observer = observer
 
-    # -- scalar backends ----------------------------------------------------------
-
-    def _scalar_fn(self, expr: ex.ScalarExpr) -> Callable[[Env], object]:
-        """``env -> value`` for one expression, per the active backend."""
-        if self.compiled:
-            return compile_expr(expr)
-        return lambda env: evaluate(expr, env)
-
-    def _predicate_fn(self, predicate: Optional[ex.ScalarExpr]
+    @staticmethod
+    def _predicate_fn(predicate: Optional[ex.ScalarExpr]
                       ) -> Optional[Callable[[Env], bool]]:
         """``env -> bool`` (NULL counts as False); None for no predicate."""
         if predicate is None:
             return None
-        if self.compiled:
-            return compile_predicate(predicate)
         return lambda env: evaluate(predicate, env) is True
 
     # -- entry points -------------------------------------------------------------
@@ -117,9 +99,6 @@ class PlanInterpreter:
         if query.limit is not None:
             envs = envs[:query.limit]
         outputs = query.output_columns()
-        if self.compiled:
-            ids = [var.id for var in outputs]
-            return [tuple(map(env.get, ids)) for env in envs]
         return [tuple(env.get(var.id) for var in outputs) for env in envs]
 
     def run(self, op: LogicalOp) -> List[Env]:
@@ -153,19 +132,6 @@ class PlanInterpreter:
         indexes = [op.table.column_index(var.name) for var in op.columns]
         self.stats.rows_scanned += len(rows)
         ids = [var.id for var in op.columns]
-        if self.compiled:
-            # C-level env construction: itemgetter + dict(zip(...)).
-            if len(indexes) > 1:
-                if indexes == list(range(len(indexes))):
-                    # Leading columns in storage order: zip stops at the
-                    # shortest sequence, no gather pass needed.
-                    return [dict(zip(ids, row)) for row in rows]
-                pick = operator.itemgetter(*indexes)
-                return [dict(zip(ids, pick(row))) for row in rows]
-            if indexes:
-                var_id, index = ids[0], indexes[0]
-                return [{var_id: row[index]} for row in rows]
-            return [{} for _ in rows]
         return [
             {var_id: row[index] for var_id, index in zip(ids, indexes)}
             for row in rows
@@ -174,33 +140,14 @@ class PlanInterpreter:
     def _run_select(self, op: LogicalSelect) -> List[Env]:
         envs = self.run(op.child)
         self.stats.rows_processed += len(envs)
-        if self.compiled:
-            fn = compile_expr(op.predicate)
-            return [env for env in envs if fn(env) is True]
         accept = self._predicate_fn(op.predicate)
         return [env for env in envs if accept(env)]
 
     def _run_project(self, op: LogicalProject) -> List[Env]:
         envs = self.run(op.child)
         self.stats.rows_processed += len(envs)
-        if self.compiled and all(
-                isinstance(expr, ex.ColumnVar) for _, expr in op.outputs):
-            # Pure-rename projection.  If it maps every column to itself
-            # it only prunes columns, and envs (never mutated downstream)
-            # can pass through unchanged; otherwise remap without going
-            # through closures at all.
-            if all(var.id == expr.id for var, expr in op.outputs):
-                return envs
-            pairs = [(var.id, expr.id) for var, expr in op.outputs]
-            try:
-                return [{out_id: env[src_id] for out_id, src_id in pairs}
-                        for env in envs]
-            except KeyError as exc:
-                raise UnboundColumn(exc.args[0]) from None
-        outputs = [(var.id, self._scalar_fn(expr))
-                   for var, expr in op.outputs]
         return [
-            {var_id: fn(env) for var_id, fn in outputs}
+            {var.id: evaluate(expr, env) for var, expr in op.outputs}
             for env in envs
         ]
 
@@ -214,12 +161,6 @@ class PlanInterpreter:
             var.id for var in op.right.output_columns())
         pairs = ex.equi_join_pairs(op.predicate, left_ids, right_ids)
         accept = self._predicate_fn(op.predicate)
-        if (self.compiled and pairs
-                and len(pairs) == len(ex.conjuncts(op.predicate))):
-            # The predicate is exactly its equi-join conjuncts: a hash
-            # match already proves every conjunct true (keys are non-NULL
-            # and ``==``-equal), so the residual re-check is redundant.
-            accept = None
         if pairs:
             return self._hash_join(op, left, right, pairs, accept)
         return self._loop_join(op, left, right, accept)
@@ -228,40 +169,18 @@ class PlanInterpreter:
                    right: List[Env], pairs, accept) -> List[Env]:
         left_keys = [lv.id for lv, _ in pairs]
         right_keys = [rv.id for _, rv in pairs]
-        single = self.compiled and len(pairs) == 1
         table: Dict[Tuple, List[Env]] = {}
-        if single:
-            right_key = right_keys[0]
-            lookup = table.get
-            for env in right:
-                value = env.get(right_key)
-                if value is not None:
-                    bucket = lookup(value)
-                    if bucket is None:
-                        table[value] = bucket = []
-                    bucket.append(env)
-        else:
-            for env in right:
-                key = tuple(env.get(k) for k in right_keys)
-                if any(v is None for v in key):
-                    continue
-                table.setdefault(key, []).append(env)
-
-        if accept is None and single:
-            fast = self._hash_join_fast(op, left, table, left_keys[0])
-            if fast is not None:
-                return fast
+        for env in right:
+            key = tuple(env.get(k) for k in right_keys)
+            if any(v is None for v in key):
+                continue
+            table.setdefault(key, []).append(env)
 
         out: List[Env] = []
         for env in left:
-            if single:
-                value = env.get(left_keys[0])
-                matches = (table.get(value, ())
-                           if value is not None else ())
-            else:
-                key = tuple(env.get(k) for k in left_keys)
-                matches = table.get(key, ()) if not any(
-                    v is None for v in key) else ()
+            key = tuple(env.get(k) for k in left_keys)
+            matches = table.get(key, ()) if not any(
+                v is None for v in key) else ()
             matched = False
             for right_env in matches:
                 combined = {**env, **right_env}
@@ -284,49 +203,6 @@ class PlanInterpreter:
                 elif op.kind is JoinKind.ANTI:
                     out.append(dict(env))
         return out
-
-    @staticmethod
-    def _hash_join_fast(op: LogicalJoin, left: List[Env],
-                        table: Dict, left_key: int) -> Optional[List[Env]]:
-        """Residual-free single-key probes: the per-kind loops below are
-        the general loop with the accept/matched bookkeeping stripped."""
-        lookup = table.get
-        if op.kind in (JoinKind.INNER, JoinKind.CROSS):
-            out: List[Env] = []
-            append = out.append
-            for env in left:
-                value = env.get(left_key)
-                if value is None:
-                    continue
-                matches = lookup(value)
-                if matches:
-                    for right_env in matches:
-                        append({**env, **right_env})
-            return out
-        if op.kind is JoinKind.SEMI:
-            return [dict(env) for env in left
-                    if (value := env.get(left_key)) is not None
-                    and lookup(value)]
-        if op.kind is JoinKind.ANTI:
-            return [dict(env) for env in left
-                    if (value := env.get(left_key)) is None
-                    or not lookup(value)]
-        if op.kind is JoinKind.LEFT:
-            pad_ids = [var.id for var in op.right.output_columns()]
-            out = []
-            for env in left:
-                value = env.get(left_key)
-                matches = lookup(value) if value is not None else None
-                if matches:
-                    for right_env in matches:
-                        out.append({**env, **right_env})
-                else:
-                    padded = dict(env)
-                    for pad_id in pad_ids:
-                        padded[pad_id] = None
-                    out.append(padded)
-            return out
-        return None
 
     def _loop_join(self, op: LogicalJoin, left: List[Env],
                    right: List[Env], accept) -> List[Env]:
@@ -361,41 +237,12 @@ class PlanInterpreter:
         key_ids = [k.id for k in op.keys]
         groups: Dict[Tuple, List[Env]] = {}
         order: List[Tuple] = []
-        if self.compiled and len(key_ids) == 1:
-            key_id = key_ids[0]
-            lookup = groups.get
-            for env in envs:
-                key = env.get(key_id)
-                if key.__class__ is bool:
-                    key = ("b", key)
-                members = lookup(key)
-                if members is None:
-                    groups[key] = members = []
-                    order.append(key)
-                members.append(env)
-        elif self.compiled and len(key_ids) == 2:
-            first_id, second_id = key_ids
-            lookup = groups.get
-            for env in envs:
-                first = env.get(first_id)
-                if first.__class__ is bool:
-                    first = ("b", first)
-                second = env.get(second_id)
-                if second.__class__ is bool:
-                    second = ("b", second)
-                key = (first, second)
-                members = lookup(key)
-                if members is None:
-                    groups[key] = members = []
-                    order.append(key)
-                members.append(env)
-        else:
-            for env in envs:
-                key = tuple(_group_key(env.get(k)) for k in key_ids)
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(env)
+        for env in envs:
+            key = tuple(_group_key(env.get(k)) for k in key_ids)
+            if key not in groups:
+                groups[key] = []
+                order.append(key)
+            groups[key].append(env)
 
         if not op.keys and not groups:
             # Scalar aggregation over an empty input: one row of neutral
@@ -405,19 +252,14 @@ class PlanInterpreter:
                 for var, agg in op.aggregates
             }]
 
-        aggregates = [
-            (var.id, agg,
-             self._scalar_fn(agg.arg) if agg.arg is not None else None)
-            for var, agg in op.aggregates
-        ]
         out: List[Env] = []
         for key in order:
             members = groups[key]
             env: Env = {
                 k: members[0].get(k) for k in key_ids
             }
-            for var_id, agg, arg_fn in aggregates:
-                env[var_id] = _aggregate(agg, members, arg_fn)
+            for var, agg in op.aggregates:
+                env[var.id] = _aggregate(agg, members)
             out.append(env)
         return out
 
@@ -462,14 +304,10 @@ def _distinct(values: List) -> List:
         return unique
 
 
-def _aggregate(agg: ex.AggExpr, members: Sequence[Env],
-               arg_fn: Optional[Callable[[Env], object]] = None):
+def _aggregate(agg: ex.AggExpr, members: Sequence[Env]):
     if agg.func == "COUNT" and agg.arg is None:
         return len(members)
-    if arg_fn is None:
-        arg = agg.arg
-        arg_fn = lambda env: evaluate(arg, env)  # noqa: E731
-    values = [arg_fn(env) for env in members]
+    values = [evaluate(agg.arg, env) for env in members]
     values = [v for v in values if v is not None]
     if agg.distinct:
         values = _distinct(values)

@@ -14,8 +14,9 @@ index order.  Step stats are always assembled in index order, so
 results and accounting are identical to the serial walk.
 
 ``run_reference`` executes the original query on the single-system image
-(all data gathered in one storage map) for correctness comparison — the
-distributed execution must produce exactly the same multiset of rows.
+(all data gathered in one storage map) on the reference interpreter for
+correctness comparison — the distributed execution must produce exactly
+the same multiset of rows.
 """
 
 from __future__ import annotations
@@ -49,13 +50,11 @@ from repro.optimizer.normalize import normalize
 from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
 from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
-from repro.vector.executor import VectorInterpreter
 from repro.vector.np_executor import NumpyInterpreter
 
 #: Upper bound on concurrently executing DSQL steps.  Plans are small
-#: (a handful of steps), and each step fans out its own node workers,
-#: so a narrow step pool keeps total thread count proportional to the
-#: appliance rather than to plan size.
+#: (a handful of steps), so a narrow step pool keeps the thread count
+#: proportional to the appliance rather than to plan size.
 MAX_STEP_WORKERS = 8
 
 
@@ -128,14 +127,11 @@ class QueryResult:
 
 class DsqlRunner:
     """Executes DSQL plans: serially one step at a time (§2.4), or —
-    with ``parallel=True`` — as a dependency DAG with node-parallel
-    steps (§2.1's "single step typically involves parallel operations
-    across multiple compute nodes", taken literally).
+    with ``parallel=True`` — as a dependency DAG whose independent
+    steps overlap on a thread pool.
 
-    ``executor`` selects the execution backend by name ("reference",
-    "compiled", "vectorized", "numpy"); when it is not given the legacy
-    ``compiled`` boolean picks between the reference interpreter and
-    the default, ``"numpy"``.
+    ``executor`` selects the execution backend by name: ``"numpy"``
+    (the default when it is not given) or ``"reference"``.
     ``parallel=None`` (default) resolves to the serial walk unless the
     ``REPRO_PARALLEL_RUNTIME`` environment variable overrides it, as
     it does at the :class:`repro.session.PdwSession` and
@@ -145,20 +141,16 @@ class DsqlRunner:
     def __init__(self, appliance: Appliance,
                  truth: Optional[GroundTruthConstants] = None,
                  tracer: Tracer = NULL_TRACER,
-                 compiled: bool = True,
                  metrics: MetricsRegistry = NULL_METRICS,
                  parallel: Optional[bool] = None,
                  executor: Optional[str] = None):
         self.appliance = appliance
         self.tracer = tracer
-        self.executor = resolve_executor(executor, compiled)
-        self.compiled = self.executor != "reference"
+        self.executor = resolve_executor(executor)
         self.metrics = metrics
         self.parallel = resolve_parallel(parallel, default=False)
         self.runtime = DmsRuntime(appliance, truth, tracer,
-                                  compiled=self.compiled, metrics=metrics,
-                                  parallel=self.parallel,
-                                  executor=self.executor)
+                                  metrics=metrics, executor=self.executor)
         self._step_pool = WorkerPool(
             min(MAX_STEP_WORKERS, max(2, appliance.node_count)),
             "repro-step")
@@ -281,27 +273,24 @@ class DsqlRunner:
 
 
 def run_reference(appliance: Appliance, sql: str,
-                  compiled: bool = True,
                   executor: Optional[str] = None) -> QueryResult:
     """Execute ``sql`` against the single-system image (ground truth).
 
-    The bound tree is normalized first so comma-joins become hash joins —
-    the naive interpreter would otherwise materialize raw cross products.
-    The image itself is cached on the appliance (invalidated on loads and
-    drops), so repeated reference runs skip re-gathering every fragment.
-    ``compiled=False`` forces the tree-walking evaluator; ``executor``
-    names any of the four backends outright.
+    Runs on the tree-walking reference interpreter unless ``executor``
+    names another backend (``"numpy"`` runs the production executor on
+    the image, as a group of one).  The bound tree is normalized first
+    so comma-joins become hash joins — the naive interpreter would
+    otherwise materialize raw cross products.  The image itself is
+    cached on the appliance (invalidated on loads and drops), so
+    repeated reference runs skip re-gathering every fragment.
     """
     statement = parse_query(sql)
     query = normalize(Binder(appliance.catalog).bind(statement))
-    backend = resolve_executor(executor, compiled)
-    if backend == "numpy":
-        interpreter = NumpyInterpreter(appliance.single_system_image())
-    elif backend == "vectorized":
-        interpreter = VectorInterpreter(appliance.single_system_image())
+    image = appliance.single_system_image()
+    if resolve_executor(executor or "reference") == "numpy":
+        interpreter = NumpyInterpreter(image)
     else:
-        interpreter = PlanInterpreter(appliance.single_system_image(),
-                                      compiled=backend != "reference")
+        interpreter = PlanInterpreter(image)
     rows = interpreter.run_query(query)
     return QueryResult(
         columns=list(query.output_names),

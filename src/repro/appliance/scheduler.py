@@ -1,16 +1,15 @@
-"""Parallel appliance runtime: step DAG scheduling + node worker pools.
+"""Parallel appliance runtime: step DAG scheduling.
 
-The paper's appliance is shared-nothing MPP (§2.1): every compute node
-runs its DSQL fragment *concurrently*, and steps whose inputs are
-independent subtrees can overlap.  This module supplies the reusable
-scheduling layer the runtime builds on:
+The paper's appliance is shared-nothing MPP (§2.1): steps whose inputs
+are independent subtrees can overlap.  (Every compute node running a
+step's fragment at once is what the production executor does by
+running the step once over the whole node group.)  This module supplies
+the scheduling layer the runner builds on:
 
 * :func:`resolve_parallel` — the parallel/serial knob with an
   environment-variable override (``REPRO_PARALLEL_RUNTIME``), so CI can
   force either path over the whole test suite;
-* :class:`WorkerPool` — a lazily created thread pool with deterministic,
-  input-ordered result gathering (``map_ordered``), used both for
-  node-parallel fragment execution and for step scheduling;
+* :class:`WorkerPool` — a lazily created thread pool the steps run on;
 * :class:`StepDag` — the data-dependency DAG over a DSQL plan's steps,
   derived from each step's input temp tables vs. every earlier step's
   ``destination_table``;
@@ -19,16 +18,14 @@ scheduling layer the runtime builds on:
   waves), so independent join subtrees — e.g. TPC-H Q5's bushy shape —
   overlap instead of running in index order.
 
-Determinism contract: schedulers never change *what* is computed, only
-*when*.  Results are always merged in node-id / step-index order, so
-rows, stats and profiles are identical to the serial backend.
+Determinism contract: the scheduler never changes *what* is computed,
+only *when*.  Results are always merged in step-index order, so rows,
+stats and profiles are identical to the serial walk.
 
-A note on the GIL: the simulated node work is pure Python, so on a
-stock CPython build threads interleave rather than truly overlap; the
-wall-clock wins of the parallel runtime come from the shuffle routing
-fast path and broadcast copy elimination, while the DAG/thread layer is
-the structural piece that scales on GIL-free builds (and keeps the
-scheduler reusable, in the spirit of GLADE's multi-query batching).
+A note on the GIL: on a stock CPython build step threads interleave
+rather than truly overlap, so the DAG runtime measures slower than the
+serial walk (EXPERIMENTS.md, "Parallel runtime") and is opt-in; it is
+the structural piece that scales on GIL-free builds.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import re
 import threading
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ExecutionError
 
@@ -68,14 +65,12 @@ def resolve_parallel(explicit: Optional[bool], default: bool) -> bool:
 
 
 class WorkerPool:
-    """A lazily created thread pool with ordered gathering.
+    """A lazily created thread pool.
 
-    The pool is not created until the first call that actually has
-    concurrent work (two or more items), so serial runners and
-    single-node appliances never pay for a thread.  When the pool object
-    is garbage collected its executor is shut down without joining, so
-    short-lived runners (tests, benchmarks) do not accumulate idle
-    threads.
+    The pool is not created until the first :meth:`submit`, so serial
+    runners never pay for a thread.  When the pool object is garbage
+    collected its executor is shut down without joining, so short-lived
+    runners (tests, benchmarks) do not accumulate idle threads.
     """
 
     def __init__(self, max_workers: int, name: str = "repro-worker"):
@@ -98,21 +93,6 @@ class WorkerPool:
 
     def submit(self, fn: Callable, *args):
         return self._ensure().submit(fn, *args)
-
-    def map_ordered(self, fn: Callable, items: Sequence) -> List:
-        """Apply ``fn`` to every item; results in **input order**.
-
-        All submitted tasks are waited for even when one raises, so no
-        task is left running against shared state; the first failure (in
-        input order) is then re-raised.
-        """
-        items = list(items)
-        if len(items) <= 1 or self.max_workers <= 1:
-            return [fn(item) for item in items]
-        executor = self._ensure()
-        futures = [executor.submit(fn, item) for item in items]
-        wait(futures)
-        return [future.result() for future in futures]
 
     def close(self) -> None:
         with self._lock:

@@ -17,8 +17,7 @@ the reproduction:
 * :class:`AdmissionController` — bounded queueing with priority
   classes, a max-in-flight limit, and typed timeout/reject errors;
 * :class:`ExecutionOptions` — the one frozen options surface shared by
-  :class:`repro.session.PdwSession` and the service (replaces the old
-  scattered ``compiled=``/``parallel=``/``trace=``/``hints=`` kwargs);
+  :class:`repro.session.PdwSession` and the service;
 * :mod:`repro.service.traffic` — the traffic generator driving N
   concurrent clients through a parameterized TPC-H mix, reporting
   p50/p95/p99 latency and queries/sec.

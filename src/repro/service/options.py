@@ -1,22 +1,16 @@
 """``ExecutionOptions`` — the one options surface for session and service.
 
-Historically every knob travelled as its own keyword argument:
-``PdwSession(compiled=..., parallel=..., trace=...)`` at construction,
-``hints=`` on every verb, ``profile=`` on the runner.  The options object
-replaces that scatter: one frozen dataclass, resolved once per call, that
-both :class:`repro.session.PdwSession` and
-:class:`repro.service.PdwService` accept::
+Every knob that shapes a compile-and-execute call travels in one frozen
+dataclass, resolved once per call, that both
+:class:`repro.session.PdwSession` and :class:`repro.service.PdwService`
+accept — at construction and on every verb::
 
     from repro import ExecutionOptions, PdwSession
 
-    opts = ExecutionOptions(compiled=False, hints={"orders": "replicate"})
+    opts = ExecutionOptions(executor="reference",
+                            hints={"orders": "replicate"})
     session = PdwSession(options=opts)
     result = session.run("SELECT COUNT(*) AS n FROM lineitem")
-
-The old keyword spellings keep working for one release behind a
-:class:`DeprecationWarning` shim (:func:`warn_deprecated_option`);
-internal callers have been migrated and CI fails if any repo-internal
-code path raises the warning.
 
 ``parallel=None`` means "resolve from the ``REPRO_PARALLEL_RUNTIME``
 environment variable, else the serial runtime" — :meth:`resolved`
@@ -26,7 +20,6 @@ been resolved never re-reads the environment.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Tuple, Union
 
@@ -66,16 +59,10 @@ class ExecutionOptions:
     """Everything that shapes one compile-and-execute call.
 
     * ``executor`` — which execution backend runs step SQL on the
-      nodes: ``"reference"`` (tree-walking interpreter), ``"compiled"``
-      (closure backend), ``"vectorized"`` (columnar batch kernels,
-      :mod:`repro.vector`) or ``"numpy"`` (typed ndarray kernels and
-      a columnar DMS data plane, the default).  ``None`` derives from
-      the legacy ``compiled`` flag;
-    * ``compiled`` — legacy boolean: ``False`` spells the reference
-      interpreter, ``True`` the default backend; kept in sync with
-      ``executor`` (an explicit ``executor`` wins, and ``compiled`` is
-      re-derived as ``executor != "reference"``);
-    * ``parallel`` — the thread-pool appliance runtime; ``None`` defers
+      nodes: ``"numpy"`` (typed ndarray kernels over a whole node
+      group and a columnar DMS data plane, the default; ``None`` means
+      it) or ``"reference"`` (the tree-walking oracle);
+    * ``parallel`` — the step-DAG appliance runtime; ``None`` defers
       to the ``REPRO_PARALLEL_RUNTIME`` environment variable and then
       to the serial runtime, the default at every layer (the pool
       measures slower than the serial walk under the GIL —
@@ -97,7 +84,6 @@ class ExecutionOptions:
       :class:`~repro.obs.requests.RequestRegistry`.
     """
 
-    compiled: bool = True
     executor: Optional[str] = None
     parallel: Optional[bool] = None
     trace: bool = True
@@ -113,12 +99,8 @@ class ExecutionOptions:
     env_resolved: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        # Normalize the backend pair: an explicit executor is canonical
-        # and re-derives the legacy boolean; executor=None derives from
-        # compiled so old callers see unchanged behaviour.
-        canonical = resolve_executor(self.executor, self.compiled)
-        object.__setattr__(self, "executor", canonical)
-        object.__setattr__(self, "compiled", canonical != "reference")
+        object.__setattr__(self, "executor",
+                           resolve_executor(self.executor))
         if self.hints is not None and not isinstance(self.hints, tuple):
             object.__setattr__(self, "hints", normalize_hints(self.hints))
         if self.priority not in PRIORITY_CLASSES:
@@ -162,22 +144,8 @@ class ExecutionOptions:
         return replace(self, hints=normalize_hints(hints))
 
     def override(self, **changes) -> "ExecutionOptions":
-        """A copy with the given fields replaced (``hints`` normalized).
-
-        ``compiled=`` without an accompanying ``executor=`` is treated
-        as a backend change (the stored executor would otherwise win
-        during re-normalization and silently ignore it)."""
+        """A copy with the given fields replaced (``hints`` normalized)."""
         if "hints" in changes:
             changes["hints"] = normalize_hints(changes["hints"])
-        if "compiled" in changes and "executor" not in changes:
-            changes["executor"] = (
-                "compiled" if changes["compiled"] else "reference")
         return replace(self, **changes)
 
-
-def warn_deprecated_option(old: str, new: str, stacklevel: int = 3) -> None:
-    """Emit the one-release deprecation warning for a legacy kwarg."""
-    warnings.warn(
-        f"{old} is deprecated; pass "
-        f"ExecutionOptions({new}) via options= instead",
-        DeprecationWarning, stacklevel=stacklevel)

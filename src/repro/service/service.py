@@ -17,8 +17,8 @@ call flows through
    the pre-split step SQL (no re-parse), so concurrent executions
    never collide on the appliance;
 4. **execution** on the shared :class:`repro.appliance.runner.DsqlRunner`
-   (the serial walk by default; steps DAG-scheduled and nodes
-   thread-parallel when the parallel runtime is on);
+   (the serial walk by default; steps DAG-scheduled on a thread pool
+   when the parallel runtime is on);
 5. **accounting** — per-tenant counters, phase latency histograms and
    cache/admission gauges on the service's
    :class:`~repro.obs.metrics.MetricsRegistry`, rendered by

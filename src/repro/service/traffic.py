@@ -225,7 +225,7 @@ def run_traffic(service, *,
             template = rng.choices(templates, weights=weights)[0]
             sql = template.make_sql(rng)
             # Derive from the service's defaults so knobs like
-            # use_plan_cache / compiled survive into each arrival.
+            # use_plan_cache / executor survive into each arrival.
             options = service.options.override(
                 tenant=tenant, priority=_draw_priority(rng),
                 timeout_seconds=timeout_seconds)

@@ -32,36 +32,24 @@ so the one-liner from the README works::
 
 Every knob travels in one frozen
 :class:`repro.service.ExecutionOptions` object accepted at construction
-(``PdwSession(options=...)``) and on every verb (``run(options=...)``);
-the old scattered kwargs (``compiled=``, ``parallel=``, ``trace=``,
-per-call ``hints=``) still work behind a :class:`DeprecationWarning`
-shim for one release.
+(``PdwSession(options=...)``) and on every verb (``run(options=...)``).
 
 Execution uses the numpy backend by default — each DSQL step's SQL is
-parsed + bound once and re-run on every compute node over typed
-ndarrays, and DMS steps move those columns, not row tuples, into the
-next step's temp table.  The ``executor`` option picks another backend
-by name:
-``ExecutionOptions(executor="vectorized")`` (CLI: ``--executor
-vectorized``) runs steps batch-at-a-time over columnar Python lists
-(:mod:`repro.vector`), ``ExecutionOptions(executor="compiled")``
-compiles scalar expressions to Python closures and runs row at a time,
-and ``ExecutionOptions(executor="reference")`` (CLI:
-``--no-compiled-exec`` or ``--executor reference``) forces the
-tree-walking reference interpreter.  The legacy ``compiled=`` kwarg
-maps onto the reference/compiled pair.
+parsed + bound once and run once over every source node's fragment
+stacked, on typed ndarrays, and DMS steps move those columns, not row
+tuples, into the next step's temp table.
+``ExecutionOptions(executor="reference")`` (CLI: ``--executor
+reference``) runs the tree-walking reference interpreter instead, node
+by node — the oracle the differential tests compare against.
 
 The session defaults to the **serial appliance runtime** of §2.4: one
-step at a time, one node at a time.
-``PdwSession(options=ExecutionOptions(parallel=True))`` (CLI:
-``--parallel-runtime``) selects the thread-pool runtime instead — DSQL
-steps scheduled as a dependency DAG (independent join subtrees overlap)
-and each step's per-node fragments on a thread pool with fast-path
-shuffle routing, merged deterministically so results and stats are
-identical to the serial walk; under the GIL it measures slower than
-the serial walk (EXPERIMENTS.md, PR 17), which is why it is opt-in.
-The ``REPRO_PARALLEL_RUNTIME`` environment variable overrides the
-default for whole test-suite sweeps.
+step at a time.  ``PdwSession(options=ExecutionOptions(parallel=True))``
+(CLI: ``--parallel-runtime``) schedules DSQL steps as a dependency DAG
+on a thread pool instead (independent join subtrees overlap), with
+results and stats identical to the serial walk; under the GIL it
+measures slower than the serial walk (EXPERIMENTS.md, "Parallel
+runtime"), which is why it is opt-in.  The ``REPRO_PARALLEL_RUNTIME`` environment variable
+overrides the default for whole test-suite sweeps.
 
 Telemetry is on by default (the session is the observability surface; the
 low-level classes default to the no-op tracer): every compile and run
@@ -104,13 +92,9 @@ from repro.pdw.dsql import StepKind
 from repro.pdw.engine import CompiledQuery, PdwEngine
 from repro.pdw.enumerator import PdwConfig
 from repro.pdw.why import PlanChoice, explain_plan_choice, render_plan_choice
-from repro.service.options import ExecutionOptions, warn_deprecated_option
+from repro.service.options import ExecutionOptions
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.workloads.tpch_datagen import build_tpch_appliance
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so
-#: the deprecated spellings warn only when actually used.
-_UNSET = object()
 
 
 @dataclass
@@ -142,10 +126,7 @@ class PdwSession:
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  requests: Optional[RequestRegistry] = None,
-                 query_store: Optional[QueryStore] = None,
-                 trace=_UNSET,
-                 compiled=_UNSET,
-                 parallel=_UNSET):
+                 query_store: Optional[QueryStore] = None):
         if (appliance is None) != (shell is None):
             raise ReproError(
                 "pass both appliance and shell, or neither "
@@ -156,24 +137,9 @@ class PdwSession:
         self.sql = sql
         self.appliance = appliance
         self.shell = shell
-        opts = options if options is not None else ExecutionOptions()
-        # Deprecated kwarg spellings fold into the options object.
-        if trace is not _UNSET:
-            warn_deprecated_option("PdwSession(trace=...)",
-                                   f"trace={trace!r}")
-            opts = opts.override(trace=trace)
-        if compiled is not _UNSET:
-            executor = "compiled" if compiled else "reference"
-            warn_deprecated_option("PdwSession(compiled=...)",
-                                   f"executor={executor!r}")
-            opts = opts.override(executor=executor)
-        if parallel is not _UNSET:
-            warn_deprecated_option("PdwSession(parallel=...)",
-                                   f"parallel={parallel!r}")
-            opts = opts.override(parallel=parallel)
-        opts = opts.resolved()
+        opts = (options if options is not None
+                else ExecutionOptions()).resolved()
         self.options = opts
-        self.compiled = opts.compiled
         self.executor = opts.executor
         self.parallel = opts.parallel
         if tracer is None:
@@ -211,18 +177,12 @@ class PdwSession:
 
     # -- options plumbing ------------------------------------------------------
 
-    def _call_options(self, options: Optional[ExecutionOptions],
-                      hints=_UNSET) -> ExecutionOptions:
+    def _call_options(self, options: Optional[ExecutionOptions]
+                      ) -> ExecutionOptions:
         """The effective options for one verb call: per-call object,
-        else the session's; the deprecated ``hints=`` kwarg folds in
-        with a warning."""
-        opts = (options if options is not None
+        else the session's."""
+        return (options if options is not None
                 else self.options).resolved()
-        if hints is not _UNSET and hints is not None:
-            warn_deprecated_option("hints=", f"hints={hints!r}",
-                                   stacklevel=4)
-            opts = opts.override(hints=hints)
-        return opts
 
     def _runner_for(self, opts: ExecutionOptions) -> DsqlRunner:
         key = (opts.executor, bool(opts.parallel))
@@ -237,12 +197,11 @@ class PdwSession:
 
     # -- the three verbs -------------------------------------------------------
 
-    def compile(self, sql: Optional[str] = None,
-                hints=_UNSET, *,
+    def compile(self, sql: Optional[str] = None, *,
                 options: Optional[ExecutionOptions] = None
                 ) -> CompiledQuery:
         """Compile SQL (or the session's bound query) into a DSQL plan."""
-        opts = self._call_options(options, hints)
+        opts = self._call_options(options)
         resolved = self._resolve(sql)
         # EXPLAIN over sys.dm_pdw_* must see the views registered and
         # populated before binding.
@@ -251,25 +210,16 @@ class PdwSession:
             self.refresh_system_views()
         return self.engine.compile(resolved, hints=opts.hints_dict)
 
-    def run(self, sql: Optional[str] = None,
-            hints=_UNSET, *,
-            options: Optional[ExecutionOptions] = None,
-            compiled=_UNSET) -> QueryResult:
+    def run(self, sql: Optional[str] = None, *,
+            options: Optional[ExecutionOptions] = None) -> QueryResult:
         """Compile and execute on the appliance.
 
         The :class:`QueryResult` carries the client rows and per-step
         stats, plus the compiled-plan handle (``result.plan``) and a
         wall-clock compile/execute breakdown (``result.timing``);
-        iterating the result iterates its rows.  The deprecated
-        ``compiled=`` kwarg maps onto the ``executor`` option
-        (``True`` → ``"compiled"``, ``False`` → ``"reference"``).
+        iterating the result iterates its rows.
         """
-        opts = self._call_options(options, hints)
-        if compiled is not _UNSET:
-            executor = "compiled" if compiled else "reference"
-            warn_deprecated_option("run(compiled=...)",
-                                   f"executor={executor!r}")
-            opts = opts.override(executor=executor)
+        opts = self._call_options(options)
         resolved = self._resolve(sql)
         request = self.requests.begin(resolved, tenant=opts.tenant,
                                       priority=opts.priority)
@@ -315,19 +265,17 @@ class PdwSession:
     def explain(self, sql: Optional[str] = None,
                 analyze: bool = False,
                 verbose: bool = False,
-                optimizer: bool = False,
-                hints=_UNSET, *,
+                optimizer: bool = False, *,
                 options: Optional[ExecutionOptions] = None) -> str:
         """Render the compiled plan; ``analyze=True`` also executes it and
         appends the per-step estimated-vs-actual table;
         ``optimizer=True`` recompiles with the search-space recorder on
         and appends the "why this plan" §2.5 baseline diff plus the
         enumeration/prune/enforce trace."""
-        opts = self._call_options(options, hints)
         if optimizer:
-            compiled, trace, choice = self.plan_choice(sql, options=opts)
+            compiled, trace, choice = self.plan_choice(sql, options=options)
         else:
-            compiled = self.compile(sql, options=opts)
+            compiled = self.compile(sql, options=options)
         text = compiled.explain(verbose=verbose)
         if analyze:
             analyses, result = self.analyze_plan(compiled)
@@ -349,8 +297,7 @@ class PdwSession:
             ])
         return text
 
-    def profile(self, sql: Optional[str] = None,
-                hints=_UNSET, *,
+    def profile(self, sql: Optional[str] = None, *,
                 options: Optional[ExecutionOptions] = None
                 ) -> QueryProfile:
         """Compile and execute with per-node / per-operator profiling on.
@@ -362,7 +309,7 @@ class PdwSession:
         metrics registry is live the profile is also folded into it, so
         ``session.metrics.render_prometheus()`` includes the run.
         """
-        opts = self._call_options(options, hints)
+        opts = self._call_options(options)
         resolved = self._resolve(sql)
         compiled = self.compile(resolved, options=opts)
         result = self._runner_for(opts).run(compiled.dsql_plan,
@@ -378,18 +325,15 @@ class PdwSession:
             profile_to_metrics(profile, self.metrics)
         return profile
 
-    def profile_report(self, sql: Optional[str] = None,
-                       hints=_UNSET, *,
+    def profile_report(self, sql: Optional[str] = None, *,
                        options: Optional[ExecutionOptions] = None) -> str:
         """:meth:`profile` rendered as per-step and per-operator tables
         with skew and Q-error columns."""
-        opts = self._call_options(options, hints)
-        return render_profile_report(self.profile(sql, options=opts))
+        return render_profile_report(self.profile(sql, options=options))
 
     # -- optimizer search-space tracing ----------------------------------------
 
-    def optimizer_trace(self, sql: Optional[str] = None,
-                        hints=_UNSET, *,
+    def optimizer_trace(self, sql: Optional[str] = None, *,
                         options: Optional[ExecutionOptions] = None
                         ) -> Tuple[CompiledQuery, OptimizerTrace]:
         """Compile with a live :class:`repro.obs.OptimizerTrace`.
@@ -398,15 +342,14 @@ class PdwSession:
         and every downstream artifact are identical to an untraced
         compilation of the same query.
         """
-        opts = self._call_options(options, hints)
+        opts = self._call_options(options)
         trace = OptimizerTrace()
         compiled = self.engine.compile(self._resolve(sql),
                                        hints=opts.hints_dict,
                                        opt_trace=trace)
         return compiled, trace
 
-    def plan_choice(self, sql: Optional[str] = None,
-                    hints=_UNSET, *,
+    def plan_choice(self, sql: Optional[str] = None, *,
                     options: Optional[ExecutionOptions] = None
                     ) -> Tuple[CompiledQuery, OptimizerTrace, PlanChoice]:
         """Traced compilation plus the §2.5 baseline comparison.
@@ -415,8 +358,7 @@ class PdwSession:
         comparison are folded into it as ``pdw_optimizer_*`` series, so
         ``session.metrics.render_prometheus()`` includes the run.
         """
-        opts = self._call_options(options, hints)
-        compiled, trace = self.optimizer_trace(sql, options=opts)
+        compiled, trace = self.optimizer_trace(sql, options=options)
         choice = explain_plan_choice(compiled, self.shell)
         if self.metrics.enabled:
             optimizer_trace_to_metrics(trace, self.metrics,
@@ -424,13 +366,11 @@ class PdwSession:
         return compiled, trace, choice
 
     def why(self, sql: Optional[str] = None,
-            hints=_UNSET,
             top_k: int = 10, *,
             options: Optional[ExecutionOptions] = None) -> str:
         """"Why did the optimizer pick this plan?" — the rendered §2.5
         baseline diff followed by the search-space trace tables."""
-        opts = self._call_options(options, hints)
-        _compiled, trace, choice = self.plan_choice(sql, options=opts)
+        _compiled, trace, choice = self.plan_choice(sql, options=options)
         return "\n".join([
             render_plan_choice(choice),
             "",

@@ -1,18 +1,17 @@
-"""Columnar row fragments for the vectorized executor.
+"""Columnar fragments of native Python values — the object-column
+fallback's batch.
 
-A :class:`ColumnBatch` is the unit of data flowing between vectorized
-operators: a mapping from bound column-variable id to one Python
-sequence per column, plus the row count.  Columns may be lists *or*
-tuples (scans transpose storage tuples at C speed), and batches are
-treated as immutable — operators that keep rows build new batches (or
-alias whole columns, which is safe for the same reason the row
-backends may share env dicts through identity projections: nothing
-downstream mutates them).
+A :class:`ColumnBatch` is what the list kernels
+(:mod:`repro.vector.kernels`) evaluate over: a mapping from bound
+column-variable id to one Python sequence per column, plus the row
+count.  The production executor hands one over wherever an array form
+would not be bit-identical (:meth:`repro.vector.np_batch.ArrayBatch.
+native`).  Columns may be lists *or* tuples, and batches are treated as
+immutable — operators that keep rows build new batches (or alias whole
+columns: nothing downstream mutates them).
 
 Row order is meaningful: position ``i`` across all columns is row
-``i``, and operators preserve the same row order the row-at-a-time
-interpreters produce, so the three backends are comparable
-row-for-row, not merely as multisets.
+``i``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ class ColumnBatch:
 
     ``length`` is authoritative — a batch can have zero columns but a
     positive row count (e.g. a scan that feeds only ``COUNT(*)``), which
-    mirrors the row backends' empty per-row env dicts.
+    mirrors the reference interpreter's empty per-row env dicts.
     """
 
     __slots__ = ("columns", "length")
@@ -45,8 +44,8 @@ class ColumnBatch:
         ``ids`` restricts the gather to those column ids — the kernel
         narrowing paths use it so a short-circuited sub-expression pays
         only for the columns it actually reads.  Ids absent from the
-        batch are skipped, preserving the row backends' "unbound column
-        raises at reference time" behaviour.
+        batch are skipped, preserving the reference interpreter's
+        "unbound column raises at reference time" behaviour.
         """
         columns = self.columns
         if ids is None:
@@ -56,10 +55,6 @@ class ColumnBatch:
         return ColumnBatch(
             {cid: [col[i] for i in indices] for cid, col in items},
             len(indices))
-
-    def row(self, i: int) -> Dict[int, object]:
-        """Row ``i`` as an env dict (diagnostics / differential tests)."""
-        return {cid: col[i] for cid, col in self.columns.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ColumnBatch(rows={self.length}, "

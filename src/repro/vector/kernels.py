@@ -1,13 +1,18 @@
-"""Vectorized compilation of bound scalar expressions into column kernels.
+"""List kernels: bound scalar expressions compiled for object columns.
 
-Where :mod:`repro.algebra.compiler` turns a ``ScalarExpr`` tree into a
-closure ``env -> value`` applied once per row, this module turns the
-same tree into a *kernel* ``ColumnBatch -> column`` applied once per
-batch: the interpreter overhead (dispatch, attribute traffic, frame
+This is the production executor's object-column fallback.  Where
+:func:`repro.algebra.evaluator.evaluate` walks a ``ScalarExpr`` tree
+once per row, this module turns the tree into a *kernel*
+``ColumnBatch -> column`` applied once per batch of native Python
+values: the interpreter overhead (dispatch, attribute traffic, frame
 setup) is paid per column instead of per row, and the inner loops are
-list comprehensions over whole columns.
+list comprehensions over whole columns.  The numpy kernels
+(:mod:`repro.vector.np_kernels`) call it wherever an array form would
+not be bit-identical — object columns, LIKE, ``||``, scalar functions
+and casts over several string columns, and each dictionary's distinct
+values.
 
-Semantics are the row backends' semantics, by construction:
+Semantics are the reference interpreter's semantics, by construction:
 
 * SQL three-valued logic — NULL (``None``) operands propagate through
   comparisons/arithmetic, AND/OR follow Kleene semantics;
@@ -16,21 +21,21 @@ Semantics are the row backends' semantics, by construction:
   argument ``k-1``, and CASE evaluates each WHEN condition (and its
   result) only on rows no earlier arm claimed, so a guarded expression
   like ``x <> 0 AND 10 / x > 1`` never divides on the rows the guard
-  excluded — exactly the rows the row backends never evaluate it on;
+  excluded — exactly the rows the reference interpreter never evaluates
+  it on;
 * error behaviour matches — missing columns raise
   :class:`~repro.algebra.evaluator.UnboundColumn`, division by zero
   raises :class:`ExecutionError` at batch-evaluation time, never at
   compile time.  (One documented divergence: when *different operands*
-  of one expression would each error on *different rows*, the vectorized
-  backend evaluates column-major and may surface the other operand's
-  error first.  The error type and message are the same; only which of
+  of one expression would each error on *different rows*, a kernel
+  evaluates column-major and may surface the other operand's error
+  first.  The error type and message are the same; only which of
   several simultaneous errors wins can differ.  DESIGN §5 discusses
   this.)
 
 LIKE patterns compile to regexes and IN lists to hash sets once per
-kernel.  Kernels are memoized per expression *identity* (same rationale
-and same bounded-cache shape as the closure compiler's memo), so a
-cached step's bound tree re-run on every compute node compiles each
+kernel.  Kernels are memoized per expression *identity*, so a cached
+step's bound tree re-run by every later execution compiles each
 expression exactly once.
 """
 
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.algebra import expressions as ex
 from repro.algebra.evaluator import (
@@ -68,10 +73,10 @@ _PLAIN_ARITHMETIC: Dict[str, Callable] = {
     "*": operator.mul,
 }
 
-# Identity-keyed memo, mirroring repro.algebra.compiler._CACHE: value
-# equality would conflate Constant(0) with Constant(False), entries pin
-# their key expression so a live id cannot be reused, and the cache is
-# bounded and lock-guarded for the parallel runtime's node workers.
+# Identity-keyed memo: value equality would conflate Constant(0) with
+# Constant(False), entries pin their key expression so a live id cannot
+# be reused, and the cache is bounded (cleared whole at the limit) and
+# lock-guarded for concurrent service clients and step-DAG workers.
 _CACHE: Dict[int, Tuple[ex.ScalarExpr, Kernel]] = {}
 _CACHE_LIMIT = 8192
 _CACHE_LOCK = threading.RLock()
@@ -89,22 +94,6 @@ def compile_kernel(expr: ex.ScalarExpr) -> Kernel:
             _CACHE.clear()
         _CACHE[key] = (expr, fn)
         return fn
-
-
-def compile_selection(expr: Optional[ex.ScalarExpr]
-                      ) -> Callable[[ColumnBatch], List[int]]:
-    """Compile a predicate into ``batch -> selection vector``: the
-    indices of rows where the predicate is True (NULL counts as False,
-    as in the row backends' ``is True`` filter)."""
-    if expr is None:
-        return lambda batch: list(range(batch.length))
-    kernel = compile_kernel(expr)
-
-    def select(batch: ColumnBatch) -> List[int]:
-        return [i for i, value in enumerate(kernel(batch))
-                if value is True]
-
-    return select
 
 
 def clear_kernel_cache() -> None:
@@ -352,8 +341,8 @@ def _compile_bool_op(expr: ex.BoolOp) -> Kernel:
     # AND decides on False, OR on True; a non-decisive non-NULL value
     # leaves the running Kleene state (the complement) unchanged, NULL
     # turns it to NULL.  Rows keep evaluating later arguments until
-    # decided — exactly the row backends' loop, which only early-exits
-    # on the decisive value.
+    # decided — exactly the evaluator's loop, which only early-exits on
+    # the decisive value.
     decisive = expr.op != "AND"
 
     def bool_op(batch):

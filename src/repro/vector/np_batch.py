@@ -186,7 +186,7 @@ class NumpyColumn:
         return self.mask
 
     def is_true_mask(self) -> np.ndarray:
-        """Rows whose value ``is True`` — the row backends' filter and
+        """Rows whose value ``is True`` — the reference filter and
         join-residual test (NULL and non-bool values count as False)."""
         if self.kind == "b":
             if self.mask is None:
@@ -252,7 +252,7 @@ def column_from_list(values: Sequence) -> NumpyColumn:
     Type-exact on purpose: ``bool`` is an ``int`` subclass and
     ``datetime.datetime`` quacks like ``date`` but does not round-trip
     through ordinals, so mixed or subclassed columns land in the object
-    kind, where semantics are the row backends' by construction.
+    kind, where semantics are the evaluator's by construction.
     """
     n = len(values)
     if not isinstance(values, list):

@@ -1,9 +1,7 @@
 """Numpy batch-at-a-time logical-plan execution: the production
 executor (``executor="numpy"``, the default).
 
-:class:`NumpyInterpreter` subclasses
-:class:`~repro.vector.executor.VectorInterpreter` and overrides every
-operator with an array fast path over
+:class:`NumpyInterpreter` runs every operator over
 :class:`~repro.vector.np_batch.ArrayBatch` fragments — and runs a tree
 **once for a whole node group**: every node of a DSQL step runs the
 same SQL over its own fragment, so the fragments are stacked in node
@@ -32,24 +30,27 @@ as its own run would have produced them (DESIGN §5c):
   (:mod:`repro.vector.np_kernels`);
 * the single-key hash join sorts the build side's int64 key column
   once (stable argsort) and probes with two ``searchsorted`` calls,
-  emitting candidates in the row backends' exact order (left-major,
-  matches in right-scan order) with vectorized range arithmetic; two
-  placed sides match on (segment, key) folded into one int64;
+  emitting candidates in the reference interpreter's exact order
+  (left-major, matches in right-scan order) with vectorized range
+  arithmetic; two placed sides match on (segment, key) folded into one
+  int64; other keys go through one hash dict over native values;
 * GROUP BY factorizes the key columns to dense group codes
   (``np.unique`` + first-occurrence reordering, mixed-radix for
   multiple keys with the segment as the leading digit; a
   dictionary-encoded string key *is* its codes) and aggregates with
   sequential C reductions — ``np.bincount`` with weights accumulates
-  float SUMs left-to-right exactly like the row backends' ``total +=
-  value`` loop, so results are bit-identical, not merely close.
+  float SUMs left-to-right exactly like the reference interpreter's
+  ``total += value`` loop, so results are bit-identical, not merely
+  close.
 
 Every fast path checks its preconditions at runtime (column kinds,
 int64 overflow headroom, NaN absence where ordering semantics differ)
-and otherwise falls back to the parent's list implementation over the
-native view of the columns it needs — parity first, speed where it is
-safe.  Stats counters, observer events, group order, row order and
-error behaviour all match the reference interpreter; the differential
-suites pin them on the full TPC-H workload and on generated data.
+and otherwise falls back to a loop over the native view of the columns
+it needs (the list kernels of :mod:`repro.vector.kernels` for
+expressions) — parity first, speed where it is safe.  Stats counters,
+observer events, group order, row order and error behaviour all match
+the reference interpreter; the differential suites pin them on the full
+TPC-H workload and on generated data.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,7 +79,6 @@ from repro.catalog.schema import DistributionKind
 from repro.catalog.statistics import sort_key
 from repro.common.errors import ExecutionError
 from repro.vector.column_batch import ColumnBatch
-from repro.vector.executor import VectorInterpreter
 from repro.vector.np_batch import (
     ArrayBatch,
     ColumnFragment,
@@ -182,11 +181,8 @@ def _fragment_column(fragments: Sequence, index: int) -> NumpyColumn:
 
 _EMPTY_IDX = np.zeros(0, dtype=np.int64)
 
-#: The extra equi-join key the dict fallback matches segments on.
-_SEGMENT_KEY = SimpleNamespace(id=-1)
 
-
-class NumpyInterpreter(VectorInterpreter):
+class NumpyInterpreter:
     """Evaluates a bound logical tree over numpy array batches, once
     for a whole **node group**.
 
@@ -202,20 +198,25 @@ class NumpyInterpreter(VectorInterpreter):
     Counters count what the nodes would have counted: a node-invariant
     batch of ``k`` rows is ``k`` rows on each node.
 
-    Drop-in peer of the other interpreters for a single table map; the
-    DMS runtime selects it for ``executor="numpy"``.  Inherits
-    ``run_query`` and the ORDER BY procedure from
-    :class:`VectorInterpreter`; the operators and the batch
-    representation differ, and :meth:`run_columns` is the exit the
-    others do not have.
+    Drop-in peer of :class:`~repro.appliance.interpreter.
+    PlanInterpreter` (same constructor shape for a single table map,
+    same ``run_query``, same ``InterpreterStats`` counters, same
+    postorder ``observer.record(op, rows_out)`` protocol); the DMS
+    runtime selects it for ``executor="numpy"``.  :meth:`run_columns`
+    is the exit the oracle does not have.
     """
 
     def __init__(self, tables, stats=None, observer=None):
-        group = tables if isinstance(tables, (list, tuple)) else [tables]
+        if stats is None:
+            # Imported here (not at module level): the appliance package
+            # imports this module for executor dispatch, so a top-level
+            # import back into it would be circular.
+            from repro.appliance.interpreter import InterpreterStats
+            stats = InterpreterStats()
+        self.stats = stats
         # The maps are read as given (:func:`_table_fragment` folds
         # case on a miss): no per-node copy per step.
-        super().__init__({}, stats, observer)
-        self.tables = group[0]
+        group = tables if isinstance(tables, (list, tuple)) else [tables]
         self.node_tables: Sequence[Mapping] = group
         self.node_count = len(group)
         if observer is not None and not isinstance(observer,
@@ -231,6 +232,21 @@ class NumpyInterpreter(VectorInterpreter):
                 observer.record(op, rows)
         return batch
 
+    def _dispatch(self, op: LogicalOp) -> ArrayBatch:
+        if isinstance(op, LogicalGet):
+            return self._run_get(op)
+        if isinstance(op, LogicalSelect):
+            return self._run_select(op)
+        if isinstance(op, LogicalProject):
+            return self._run_project(op)
+        if isinstance(op, LogicalJoin):
+            return self._run_join(op)
+        if isinstance(op, LogicalGroupBy):
+            return self._run_group_by(op)
+        if isinstance(op, LogicalUnionAll):
+            return self._run_union(op)
+        raise ExecutionError(f"cannot interpret {type(op).__name__}")
+
     def _rows_on_nodes(self, batch: ArrayBatch) -> int:
         """The batch's rows summed over the nodes holding them."""
         if batch.bounds is None:
@@ -239,21 +255,21 @@ class NumpyInterpreter(VectorInterpreter):
 
     # -- exits --------------------------------------------------------------------
 
+    def run_query(self, query: Query) -> List[Tuple]:
+        """Execute a bound query, honoring ORDER BY and TOP: the rows of
+        :meth:`run_columns`, node by node in node order."""
+        return self.run_columns(query).rows()
+
     def run_columns(self, query: Query) -> ArrayBatch:
         """The columnar exit: the query's output as typed columns keyed
         by output position, each node's ORDER BY / TOP applied to its
-        own rows — same rows, same order as :meth:`run_query`, no tuple
-        built.  What a DMS step hands to the router and the Return step
-        sizes before it builds its rows."""
+        own rows — no tuple built.  What a DMS step hands to the router
+        and the Return step sizes before it builds its rows."""
         started = time.perf_counter()
         try:
             return self._output_batch(query, self.run(query.root))
         finally:
             self.stats.wall_seconds += time.perf_counter() - started
-
-    def _materialize(self, query: Query, batch: ArrayBatch
-                     ) -> List[Tuple]:
-        return self._output_batch(query, batch).rows()
 
     def _output_batch(self, query: Query, batch: ArrayBatch
                       ) -> ArrayBatch:
@@ -263,8 +279,8 @@ class NumpyInterpreter(VectorInterpreter):
                  else bounds.tolist())
         if query.order_by:
             # Sort keys need `sort_key` over Python values: the native
-            # view of the key columns only, and the parent's sort (and
-            # TOP) verbatim over each node's slice of them.
+            # view of the key columns only, and the reference sort (and
+            # TOP) over each node's slice of them.
             keys = batch.native(var.id for var, _ in query.order_by)
             order: List[int] = []
             counts = []
@@ -272,7 +288,7 @@ class NumpyInterpreter(VectorInterpreter):
                 part = keys if stop - start == batch.length else (
                     ColumnBatch({cid: column[start:stop] for cid, column
                                  in keys.columns.items()}, stop - start))
-                rows = self._row_order(query, part)
+                rows = _row_order(query, part)
                 counts.append(len(rows))
                 order.extend([row + start for row in rows] if start
                              else rows)
@@ -426,30 +442,28 @@ class NumpyInterpreter(VectorInterpreter):
                             lseg: Optional[np.ndarray] = None,
                             rseg: Optional[np.ndarray] = None
                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Equi-join candidate pairs as index arrays, in the row
-        backends' emission order; with segment vectors, pairs within
+        """Equi-join candidate pairs as index arrays, in the reference
+        interpreter's emission order; with segment vectors, pairs within
         one node only.  The sort-probe fast path requires both key
         columns int64-typed with identical kind (``i`` or ``d``) —
         identical equality semantics to the dict build; anything else
-        goes through the parent's hash-dict on native values, the
-        segment as one more key."""
+        goes through :func:`_dict_candidates` on native values, the
+        segment as one more key.  A missing key column is all-NULL:
+        nothing matches."""
+        lcols = [left.columns.get(lv.id) for lv, _ in pairs]
+        rcols = [right.columns.get(rv.id) for _, rv in pairs]
+        if any(column is None for column in (*lcols, *rcols)):
+            return _EMPTY_IDX, _EMPTY_IDX
         if len(pairs) == 1:
-            lcol = left.columns.get(pairs[0][0].id)
-            rcol = right.columns.get(pairs[0][1].id)
-            if lcol is None or rcol is None:
-                return _EMPTY_IDX, _EMPTY_IDX
+            lcol, rcol = lcols[0], rcols[0]
             if lcol.kind == rcol.kind and lcol.kind in "id":
                 return _sorted_probe(lcol, rcol, lseg, rseg)
-        left_keys = left.native(lv.id for lv, _ in pairs)
-        right_keys = right.native(rv.id for _, rv in pairs)
+        left_keys = [column.pylist() for column in lcols]
+        right_keys = [column.pylist() for column in rcols]
         if lseg is not None:
-            left_keys.columns[_SEGMENT_KEY.id] = lseg.tolist()
-            right_keys.columns[_SEGMENT_KEY.id] = rseg.tolist()
-            pairs = [*pairs, (_SEGMENT_KEY, _SEGMENT_KEY)]
-        left_list, right_list = VectorInterpreter._hash_candidates(
-            left_keys, right_keys, pairs)
-        return (np.array(left_list, dtype=np.int64),
-                np.array(right_list, dtype=np.int64))
+            left_keys.append(lseg.tolist())
+            right_keys.append(rseg.tolist())
+        return _dict_candidates(left_keys, right_keys)
 
     @staticmethod
     def _np_left_outer(left: ArrayBatch, right: ArrayBatch,
@@ -530,7 +544,7 @@ class NumpyInterpreter(VectorInterpreter):
         Returns ``(inverse, first_rows)``: ``inverse[i]`` is row ``i``'s
         group code, ``first_rows[g]`` the first row of group ``g`` —
         group ``g`` appears before group ``g+1`` in the input, exactly
-        the row backends' dict-insertion group order.  ``segments``
+        the reference interpreter's dict-insertion group order.  ``segments``
         (each row's node) is the leading radix digit: a key value on
         two nodes is two groups.
         """
@@ -568,8 +582,8 @@ class NumpyInterpreter(VectorInterpreter):
         """One aggregate value per group.  The typed reductions are
         sequential C loops (``bincount`` / ``add.at`` / ``minimum.at``
         walk the input in row order), so float accumulation order — and
-        therefore every output bit — matches the row backends' per-group
-        ``total += value``."""
+        therefore every output bit — matches the reference
+        interpreter's per-group ``total += value``."""
         if agg.func == "COUNT" and agg.arg is None:
             return NumpyColumn(
                 "i", np.bincount(inverse, minlength=group_count
@@ -643,8 +657,8 @@ class NumpyInterpreter(VectorInterpreter):
     def _np_aggregate_fallback(agg: ex.AggExpr, argument: NumpyColumn,
                                inverse: np.ndarray,
                                group_count: int) -> NumpyColumn:
-        """Member-list aggregation over native values — the parent's
-        ``_aggregate_column`` reduction loop verbatim (DISTINCT, bool
+        """Member-list aggregation over native values — the reference
+        interpreter's ``_aggregate`` reduction verbatim (DISTINCT, bool
         arithmetic, object values, NaN ordering)."""
         from repro.appliance.interpreter import _distinct  # cycle guard
         members_list: List[List[int]] = [[] for _ in range(group_count)]
@@ -709,6 +723,67 @@ class NumpyInterpreter(VectorInterpreter):
 
 
 # -- helpers --------------------------------------------------------------------
+
+
+def _row_order(query: Query, batch: ColumnBatch) -> List[int]:
+    """The query's ORDER BY (stable, per-key, NULLs first via
+    ``sort_key``) and TOP as a list of row indexes into ``batch`` — a
+    batch of just the sort-key columns, as native values."""
+    order = list(range(batch.length))
+    for var, ascending in reversed(query.order_by):
+        key_col = batch.columns.get(var.id)
+        if key_col is None:
+            continue  # all-NULL sort key: stable no-op
+        order.sort(key=lambda i: sort_key(key_col[i]),
+                   reverse=not ascending)
+    if query.limit is not None:
+        order = order[:query.limit]
+    return order
+
+
+def _dict_candidates(left_keys: List[List], right_keys: List[List]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Equi-join candidate pairs over native key columns through one
+    hash dict, in the reference interpreter's emission order
+    (left-major, each bucket in right-scan order).  A NULL in any key
+    never matches."""
+    left_idx: List[int] = []
+    right_idx: List[int] = []
+    table: Dict[object, List[int]] = {}
+    if len(left_keys) == 1:
+        # One key: the bare values are the dict keys, no tuple per row.
+        lookup = table.get
+        for j, value in enumerate(right_keys[0]):
+            if value is not None:
+                bucket = lookup(value)
+                if bucket is None:
+                    table[value] = [j]
+                else:
+                    bucket.append(j)
+        if table:
+            extend_left = left_idx.extend
+            extend_right = right_idx.extend
+            for i, value in enumerate(left_keys[0]):
+                if value is not None:
+                    bucket = lookup(value)
+                    if bucket:
+                        extend_left([i] * len(bucket))
+                        extend_right(bucket)
+    else:
+        for j, key in enumerate(zip(*right_keys)):
+            if any(value is None for value in key):
+                continue
+            table.setdefault(key, []).append(j)
+        if table:
+            for i, key in enumerate(zip(*left_keys)):
+                if any(value is None for value in key):
+                    continue
+                bucket = table.get(key)
+                if bucket:
+                    left_idx.extend([i] * len(bucket))
+                    right_idx.extend(bucket)
+    return (np.array(left_idx, dtype=np.int64),
+            np.array(right_idx, dtype=np.int64))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -826,8 +901,8 @@ def _column_codes(column: Optional[NumpyColumn], child: ArrayBatch,
 
 
 def _object_codes(values: List) -> Tuple[np.ndarray, int]:
-    """Dict-insertion codes over native values, with the row backends'
-    bool normalization (True stays distinct from 1)."""
+    """Dict-insertion codes over native values, with the reference
+    interpreter's bool normalization (True stays distinct from 1)."""
     codes = np.empty(len(values), dtype=np.int64)
     table: Dict[object, int] = {}
     next_code = 0

@@ -6,11 +6,12 @@ tree compiles into a kernel ``ArrayBatch -> NumpyColumn`` whose inner
 loops are ufunc calls over typed arrays — C loops, one Python step per
 operator instead of one per value.  (They release the GIL too, but at
 a few thousand rows per node per step each call is shorter than a
-thread hand-off: the node thread pool runs the same plans slower than
+thread hand-off: a per-node thread pool ran the same plans slower than
 the serial walk — EXPERIMENTS.md "PR 17" — so the gain is the C loop,
 not overlap.)
 
-Semantics are the row backends' semantics, enforced three ways:
+Semantics are the reference interpreter's semantics, enforced three
+ways:
 
 * **runtime dtype dispatch** — every operator looks at the column
   kinds it actually received and takes the ufunc fast path only when
@@ -126,7 +127,7 @@ def compile_np_selection(expr: Optional[ex.ScalarExpr]
                          ) -> Callable[[ArrayBatch], np.ndarray]:
     """Compile a predicate into ``batch -> keep mask``: a boolean array
     that is True exactly where the predicate value ``is True`` (NULL
-    counts as False, as in the row backends' filter)."""
+    counts as False, as in the reference interpreter's filter)."""
     if expr is None:
         return lambda batch: np.ones(batch.length, dtype=np.bool_)
     kernel = compile_np_kernel(expr)
@@ -535,7 +536,7 @@ def _compile_arithmetic(expr: ex.Arithmetic) -> NKernel:
 def _kleene_state(column: NumpyColumn, decisive: bool
                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """``(decided, null)`` masks for one AND/OR argument column
-    (``null`` is ``None`` without NULLs), under the row backends'
+    (``null`` is ``None`` without NULLs), under the evaluator's
     identity test: only the exact Python bool ``decisive`` decides,
     NULL stays NULL, any other value leaves the running state
     unchanged."""
@@ -651,7 +652,7 @@ def _compile_bool_op(expr: ex.BoolOp) -> NKernel:
             return whole_batch(batch)
         # Something here can raise, or reads a column that is missing
         # or of no typed kind: evaluate argument k only on the rows
-        # still undecided after argument k-1, as the row backends do.
+        # still undecided after argument k-1, as the evaluator does.
         decided, nulls = _kleene_state(kernels[0](batch), decisive)
         values = decided.copy() if decisive else ~decided
         null_out = (np.zeros(batch.length, dtype=np.bool_)

@@ -215,8 +215,7 @@ def test_numpy_reads_a_temp_written_as_row_tuples(mini_appliance):
     assert got == want == ([(None, "y")], ["a", "s"])
 
 
-@pytest.mark.parametrize("executor", ["numpy", "vectorized", "compiled",
-                                      "reference"])
+@pytest.mark.parametrize("executor", ["numpy", "reference"])
 def test_every_executor_reads_a_column_fragment(executor, mini_appliance):
     scratch_temp(mini_appliance, "TEMP_ID_9")
     node = mini_appliance.compute[0]

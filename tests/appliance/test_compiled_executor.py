@@ -1,7 +1,7 @@
-"""Compiled-backend integration tests.
+"""Executor integration tests.
 
-* both executor backends produce identical multisets on the full TPC-H
-  workload (the compiled backend's correctness contract);
+* both executors produce identical multisets on the full TPC-H
+  workload (the production executor's correctness contract);
 * the per-step plan cache parses/binds each DSQL step's SQL exactly once
   per execution (telemetry counters) and survives temp-table name reuse
   across queries (eviction regression);
@@ -26,21 +26,21 @@ from tests.conftest import canonical
 
 @pytest.mark.parametrize("name", query_names())
 def test_backends_agree_on_tpch_suite(name, tpch, tpch_engine):
-    """Compiled and interpreted execution: identical result multisets."""
+    """Default and reference execution: identical result multisets."""
     appliance, _ = tpch
     plan = tpch_engine.compile(TPCH_QUERIES[name]).dsql_plan
-    compiled = DsqlRunner(appliance, compiled=True).run(plan)
-    interpreted = DsqlRunner(appliance, compiled=False).run(plan)
-    assert compiled.columns == interpreted.columns
-    assert compiled.sorted_rows() == interpreted.sorted_rows()
+    default = DsqlRunner(appliance).run(plan)
+    interpreted = DsqlRunner(appliance, executor="reference").run(plan)
+    assert default.columns == interpreted.columns
+    assert default.sorted_rows() == interpreted.sorted_rows()
 
 
 def test_count_distinct_agrees_across_backends(tpch):
     appliance, _ = tpch
     sql = ("SELECT COUNT(DISTINCT o_custkey) AS n, "
            "COUNT(DISTINCT o_orderpriority) AS p FROM orders")
-    assert (run_reference(appliance, sql, compiled=True).rows
-            == run_reference(appliance, sql, compiled=False).rows)
+    assert (run_reference(appliance, sql, executor="numpy").rows
+            == run_reference(appliance, sql).rows)
 
 
 class TestStepCache:
@@ -104,7 +104,8 @@ class TestStepCache:
         plan = tpch_engine.compile(
             "SELECT COUNT(*) AS n FROM lineitem").dsql_plan
         tracer = Tracer()
-        DsqlRunner(appliance, tracer=tracer, compiled=False).run(plan)
+        DsqlRunner(appliance, tracer=tracer,
+                   executor="reference").run(plan)
         assert tracer.counter("exec.compile_cache_miss") == 0
         assert tracer.counter("exec.compile_cache_hit") == 0
 

@@ -1,6 +1,6 @@
-"""Concurrent hammers for the caches the parallel runtime shares across
-node/step worker threads: the DMS parse/bind cache, the appliance's
-single-system image, the expression-compiler identity memo, and the
+"""Concurrent hammers for the caches that concurrent service clients
+and step-DAG workers share: the DMS parse/bind cache, the appliance's
+single-system image, the kernel compilers' identity memos, and the
 telemetry/metrics counters."""
 
 from __future__ import annotations
@@ -8,14 +8,18 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro.algebra import expressions as ex
-from repro.algebra.compiler import clear_cache, compile_expr
 from repro.appliance.dms_runtime import DmsRuntime
 from repro.appliance.storage import Appliance
 from repro.catalog.schema import Column, TableDef, hash_distributed
 from repro.common.types import INTEGER
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry import Tracer
+from repro.vector import kernels, np_kernels
+from repro.vector.column_batch import ColumnBatch
+from repro.vector.np_batch import ArrayBatch, column_from_list
 
 THREADS = 8
 ROUNDS = 25
@@ -43,7 +47,7 @@ def _hammer(work, threads: int = THREADS) -> None:
 class TestBindCacheThreadSafety:
     def test_concurrent_bind_hits_like_serial(self, mini_appliance):
         tracer = Tracer()
-        runtime = DmsRuntime(mini_appliance, tracer=tracer, parallel=True)
+        runtime = DmsRuntime(mini_appliance, tracer=tracer)
         sqls = [
             "SELECT a FROM t WHERE a < 10",
             "SELECT b FROM t WHERE b = 3",
@@ -64,7 +68,7 @@ class TestBindCacheThreadSafety:
 
         _hammer(work)
         # The lock is held across bind, so exactly one miss per distinct
-        # SQL — identical hit/miss accounting to the serial backend.
+        # SQL — identical hit/miss accounting to a single caller.
         total = THREADS * ROUNDS * len(sqls)
         assert tracer.counter("exec.compile_cache_miss") == len(sqls)
         assert tracer.counter("exec.compile_cache_hit") == total - len(sqls)
@@ -74,7 +78,7 @@ class TestBindCacheThreadSafety:
         schemas: each schema binds once, and every thread reads its own
         temp through the alias, at its own schema's column position."""
         tracer = Tracer()
-        runtime = DmsRuntime(mini_appliance, tracer=tracer, parallel=True)
+        runtime = DmsRuntime(mini_appliance, tracer=tracer)
         node = mini_appliance.compute[0]
         for index in range(THREADS):
             columns = [Column("a", INTEGER), Column("pad", INTEGER)]
@@ -153,12 +157,30 @@ class TestApplianceImageThreadSafety:
                     if table.is_temp]
 
 
-class TestCompilerMemoThreadSafety:
-    def test_concurrent_identity_memo(self):
-        clear_cache()
-        column = ex.ColumnVar(1, "a", INTEGER)
-        shared = ex.Arithmetic("+", column, ex.Constant(1, INTEGER))
-        env = {1: 41}
+def _run_np(kernel, values):
+    batch = ArrayBatch({1: column_from_list(values)}, len(values))
+    return kernel(batch).pylist()
+
+
+def _run_list(kernel, values):
+    return kernel(ColumnBatch({1: list(values)}, len(values)))
+
+
+#: (compiler, its module — for the memo and its limit, batch runner).
+MEMOS = [
+    pytest.param(np_kernels.compile_np_kernel, np_kernels, _run_np,
+                 id="numpy"),
+    pytest.param(kernels.compile_kernel, kernels, _run_list, id="list"),
+]
+
+COLUMN = ex.ColumnVar(1, "a", INTEGER)
+
+
+class TestKernelMemoThreadSafety:
+    @pytest.mark.parametrize("compile_tree, module, run", MEMOS)
+    def test_concurrent_identity_memo(self, compile_tree, module, run):
+        module._CACHE.clear()
+        shared = ex.Arithmetic("+", COLUMN, ex.Constant(1, INTEGER))
         compiled: list = []
         lock = threading.Lock()
 
@@ -166,18 +188,46 @@ class TestCompilerMemoThreadSafety:
             # mix of one shared tree (memo hits) and private trees
             # (memo inserts) racing on the same dict
             private = ex.Arithmetic(
-                "*", column, ex.Constant(index + 1, INTEGER))
+                "*", COLUMN, ex.Constant(index + 1, INTEGER))
             for _ in range(ROUNDS):
-                fn = compile_expr(shared)
-                assert fn(env) == 42
-                assert compile_expr(private)(env) == 41 * (index + 1)
+                kernel = compile_tree(shared)
+                assert run(kernel, [41, None]) == [42, None]
+                assert run(compile_tree(private), [41]) == [
+                    41 * (index + 1)]
                 with lock:
-                    compiled.append(fn)
+                    compiled.append(kernel)
 
         _hammer(work)
-        # identity memo: every caller got one compiled closure object
+        # identity memo: every caller got one kernel object
         assert len(set(map(id, compiled))) == 1
-        clear_cache()
+        module._CACHE.clear()
+
+    @pytest.mark.parametrize("compile_tree, module, run", MEMOS)
+    def test_clear_at_limit_under_contention(self, compile_tree, module,
+                                             run, monkeypatch):
+        """Far more distinct trees than the memo holds: every thread
+        keeps getting correct kernels while the memo is cleared under
+        it, and the memo never exceeds its limit."""
+        limit = 16
+        monkeypatch.setattr(module, "_CACHE_LIMIT", limit)
+        module._CACHE.clear()
+
+        def work(index: int) -> None:
+            for round_no in range(ROUNDS):
+                addend = index * ROUNDS + round_no
+                expr = ex.Arithmetic("+", COLUMN,
+                                     ex.Constant(addend, INTEGER))
+                assert run(compile_tree(expr), [1, 2]) == [
+                    1 + addend, 2 + addend]
+                assert len(module._CACHE) <= limit
+
+        _hammer(work)
+        assert THREADS * ROUNDS > limit
+        assert len(module._CACHE) <= limit
+        # Still a memo after all those clears.
+        expr = ex.Arithmetic("-", COLUMN, ex.Constant(1, INTEGER))
+        assert compile_tree(expr) is compile_tree(expr)
+        module._CACHE.clear()
 
 
 class TestTelemetryThreadSafety:

@@ -96,10 +96,13 @@ def test_bushy_tpch_plan_exposes_step_parallelism(tpch_engine):
 
 
 def test_parallel_runtime_with_interpreter_backend(tpch, tpch_engine):
-    """parallel=True composes with compiled=False (re-parse per node)."""
+    """parallel=True composes with the reference executor (re-parse
+    per node), profiles included."""
     appliance, _ = tpch
     plan = tpch_engine.compile(TPCH_QUERIES["Q12"]).dsql_plan
-    serial = DsqlRunner(appliance, parallel=False, compiled=False).run(plan)
-    parallel = DsqlRunner(appliance, parallel=True, compiled=False).run(plan)
+    serial = DsqlRunner(appliance, parallel=False,
+                        executor="reference").run(plan, profile=True)
+    parallel = DsqlRunner(appliance, parallel=True,
+                          executor="reference").run(plan, profile=True)
     assert canonical(parallel.rows) == canonical(serial.rows)
     assert stats_view(parallel.step_stats) == stats_view(serial.step_stats)

@@ -1,4 +1,4 @@
-"""ExecutionOptions: the unified options surface and its shims."""
+"""ExecutionOptions: the unified options surface."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.service.options import PRIORITY_CLASSES, normalize_hints
 class TestDefaults:
     def test_defaults(self):
         opts = ExecutionOptions()
-        assert opts.compiled is True
+        assert opts.executor == "numpy"
         assert opts.parallel is None
         assert opts.trace is True
         assert opts.profile is False
@@ -29,7 +29,7 @@ class TestDefaults:
     def test_frozen(self):
         opts = ExecutionOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            opts.compiled = False
+            opts.executor = "reference"
 
     def test_equal_and_hashable(self):
         a = ExecutionOptions(hints={"orders": "replicate"})
@@ -114,35 +114,7 @@ class TestEnvResolution:
         assert resolved.resolved(default_parallel=False) is resolved
 
 
-class TestDeprecationShims:
-    """The old kwarg spellings still work, but warn."""
-
-    def test_session_ctor_kwargs_warn_and_apply(self, tpch):
-        appliance, shell = tpch
-        with pytest.warns(DeprecationWarning, match="compiled"):
-            session = PdwSession(appliance=appliance, shell=shell,
-                                 compiled=False)
-        assert session.options.compiled is False
-        with pytest.warns(DeprecationWarning, match="trace"):
-            session = PdwSession(appliance=appliance, shell=shell,
-                                 trace=False)
-        assert session.options.trace is False
-        assert not session.metrics.enabled
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            session = PdwSession(appliance=appliance, shell=shell,
-                                 parallel=False)
-        assert session.options.parallel is False
-
-    def test_per_call_hints_kwarg_warns(self, tpch):
-        appliance, shell = tpch
-        session = PdwSession(appliance=appliance, shell=shell)
-        with pytest.warns(DeprecationWarning, match="hints"):
-            compiled = session.compile(
-                "SELECT COUNT(*) AS n FROM orders, customer "
-                "WHERE o_custkey = c_custkey",
-                hints={"customer": "replicate"})
-        assert compiled is not None
-
+class TestSessionOptionsIntegration:
     def test_options_spelling_is_clean(self, tpch):
         appliance, shell = tpch
         with warnings.catch_warnings():
@@ -156,8 +128,6 @@ class TestDeprecationShims:
                 "WHERE o_custkey = c_custkey")
         assert result.rows
 
-
-class TestSessionOptionsIntegration:
     def test_run_attaches_plan_and_timing(self, tpch):
         appliance, shell = tpch
         session = PdwSession(appliance=appliance, shell=shell,

@@ -6,8 +6,8 @@ group at once; the reference router never sees a column and routes one
 source at a time.  Every case routes the same rows both ways — the
 column side from ``column_from_list`` columns and ``batch_row_bytes``
 sizes, the row side from the tuples and ``row_bytes``, merged in source
-order as the row backends' runtime merges them — and compares what
-each target stores (through its row view) and every byte count.
+order as the oracle's runtime merges them — and compares what each
+target stores (through its row view) and every byte count.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def columns_of(rows, bounds=None):
 
 def route_rows(operation, per_source, source_ids, node_count,
                hash_index=0):
-    """The row backends' runtime in miniature: every source through the
+    """The oracle's runtime in miniature: every source through the
     reference router, the deliveries merged in source order.  Returns
     (target → (rows, bytes), per-source network bytes, transfers)."""
     runtime = DmsRuntime(Appliance(node_count))
@@ -299,8 +299,8 @@ class TestEdges:
 class TestRuntimeRouterSelection:
     def test_every_backend_and_runtime_agrees_on_a_shuffling_join(
             self, tpch, tpch_engine):
-        """numpy moves columns, the other backends rows — serial and
-        parallel runtimes alike — with the same step accounting."""
+        """numpy moves columns, the oracle rows — serial and parallel
+        runtimes alike — with the same step accounting."""
         appliance, _ = tpch
         plan = tpch_engine.compile(
             "SELECT c.c_custkey, o.o_custkey FROM customer c, orders o "
@@ -309,15 +309,14 @@ class TestRuntimeRouterSelection:
         from repro.appliance.runner import DsqlRunner
 
         results = {}
-        for executor, parallel in (("compiled", False),
-                                   ("vectorized", False),
-                                   ("vectorized", True),
+        for executor, parallel in (("reference", False),
+                                   ("reference", True),
                                    ("numpy", False),
                                    ("numpy", True)):
             result = DsqlRunner(appliance, executor=executor,
                                 parallel=parallel).run(plan)
             results[(executor, parallel)] = result
-        base = results[("compiled", False)]
+        base = results[("reference", False)]
         for key, result in results.items():
             assert result.sorted_rows() == base.sorted_rows(), key
             assert [s.rows_moved for s in result.step_stats] == \

@@ -1,12 +1,14 @@
-"""Columnar backends ⇄ row backends equivalence on the full TPC-H
-workload.
+"""Production executor ⇄ reference interpreter equivalence.
 
-The vectorized and numpy executors change *how* step SQL is evaluated
-(columnar batches / typed ndarrays instead of rows), never *what* is
-computed: rows, row order under ORDER BY, per-step byte/row accounting
-and the interpreter counters must all be identical to the compiled
-backend's.  The runner tests leave ``parallel`` unset, so the suite
-exercises the serial walk normally and the DAG runtime under
+The numpy executor changes *how* step SQL is evaluated (typed ndarrays
+over a whole node group instead of env dicts node by node), never
+*what* is computed: rows, row order under ORDER BY and the interpreter
+counters and observer events must all be the oracle's.  (The full
+TPC-H suite's rows, ``stats_view`` and simulated seconds at 1, 2, 3 and
+8 nodes are pinned by ``test_default_executor_matches_reference`` in
+``tests/appliance/test_columnar_dms.py``.)
+The runner tests leave ``parallel`` unset, so the suite exercises the
+serial walk normally and the DAG runtime under
 ``REPRO_PARALLEL_RUNTIME=1`` (CI runs tier-1 both ways); explicit
 ``parallel=True`` cases keep the serial CI leg honest too.
 """
@@ -21,40 +23,15 @@ from repro.common.executors import EXECUTORS
 from repro.optimizer.binder import Binder
 from repro.optimizer.normalize import normalize
 from repro.sql.parser import parse_query
-from repro.vector.executor import VectorInterpreter
 from repro.vector.np_executor import NumpyInterpreter
-from repro.workloads.tpch_queries import TPCH_QUERIES, query_names
+from repro.workloads.tpch_queries import TPCH_QUERIES
 
 from tests.conftest import canonical
 from tests.integration.test_parallel_equivalence import stats_view
 
-#: The two columnar backends; each must be indistinguishable from the
-#: compiled row backend in everything but speed.
-COLUMNAR = ("vectorized", "numpy")
-
-
-@pytest.mark.parametrize("executor", COLUMNAR)
-@pytest.mark.parametrize("name", query_names())
-def test_columnar_matches_compiled_on_tpch_suite(name, executor, tpch,
-                                                 tpch_engine):
-    appliance, _ = tpch
-    plan = tpch_engine.compile(TPCH_QUERIES[name]).dsql_plan
-    compiled = DsqlRunner(appliance, executor="compiled").run(plan)
-    columnar = DsqlRunner(appliance, executor=executor).run(plan)
-    assert columnar.columns == compiled.columns
-    assert columnar.sorted_rows() == compiled.sorted_rows()
-    if plan.order_by:
-        assert columnar.rows == compiled.rows
-    # Byte/row accounting, per-node operator actuals and simulated
-    # times are merged identically — exact floats, not approximations.
-    assert (stats_view(columnar.step_stats)
-            == stats_view(compiled.step_stats))
-    assert columnar.elapsed_seconds == compiled.elapsed_seconds
-    assert columnar.dms_seconds == compiled.dms_seconds
-
 
 @pytest.mark.parametrize("name", ["Q1", "Q3", "Q5", "Q12"])
-def test_all_four_backends_agree(name, tpch, tpch_engine):
+def test_both_executors_agree(name, tpch, tpch_engine):
     appliance, _ = tpch
     plan = tpch_engine.compile(TPCH_QUERIES[name]).dsql_plan
     results = {
@@ -67,15 +44,13 @@ def test_all_four_backends_agree(name, tpch, tpch_engine):
         assert result.sorted_rows() == reference.sorted_rows(), executor
 
 
-@pytest.mark.parametrize("executor", COLUMNAR)
 @pytest.mark.parametrize("name", ["Q1", "Q5"])
-def test_columnar_parallel_matches_serial(name, executor, tpch,
-                                          tpch_engine):
+def test_numpy_parallel_matches_serial(name, tpch, tpch_engine):
     appliance, _ = tpch
     plan = tpch_engine.compile(TPCH_QUERIES[name]).dsql_plan
-    serial = DsqlRunner(appliance, executor=executor,
+    serial = DsqlRunner(appliance, executor="numpy",
                         parallel=False).run(plan)
-    parallel = DsqlRunner(appliance, executor=executor,
+    parallel = DsqlRunner(appliance, executor="numpy",
                           parallel=True).run(plan)
     assert parallel.sorted_rows() == serial.sorted_rows()
     if plan.order_by:
@@ -84,13 +59,12 @@ def test_columnar_parallel_matches_serial(name, executor, tpch,
             == stats_view(serial.step_stats))
 
 
-@pytest.mark.parametrize("executor", COLUMNAR)
-def test_run_reference_columnar_backends(executor, tpch):
+def test_run_reference_numpy(tpch):
     appliance, _ = tpch
     sql = ("SELECT COUNT(DISTINCT o_custkey) AS n, "
            "COUNT(DISTINCT o_orderpriority) AS p FROM orders")
-    assert (run_reference(appliance, sql, executor=executor).rows
-            == run_reference(appliance, sql, executor="reference").rows)
+    assert (run_reference(appliance, sql, executor="numpy").rows
+            == run_reference(appliance, sql).rows)
 
 
 def test_empty_scalar_aggregate_neutral_row(tpch):
@@ -106,34 +80,28 @@ def test_empty_group_by_result(tpch):
     appliance, _ = tpch
     sql = ("SELECT l_returnflag, COUNT(*) AS n FROM lineitem "
            "WHERE l_quantity < -1 GROUP BY l_returnflag")
-    for executor in ("compiled", "vectorized", "numpy"):
+    for executor in EXECUTORS:
         assert run_reference(appliance, sql, executor=executor).rows == []
 
 
-def columnar_interpreter(executor):
-    return NumpyInterpreter if executor == "numpy" else VectorInterpreter
-
-
 class TestInterpreterStatsParity:
-    """The columnar interpreters must feed the same counters into the
-    simulated relational-time model as the row interpreters — Union
-    adds nothing, Get counts scans, everything else rows_processed."""
+    """The numpy interpreter must feed the same counters into the
+    simulated relational-time model as the reference interpreter —
+    Union adds nothing, Get counts scans, everything else
+    rows_processed."""
 
-    def run_both(self, tpch, sql, executor):
+    def run_both(self, tpch, sql):
         appliance, _ = tpch
         image = appliance.single_system_image()
         query = normalize(Binder(appliance.catalog).bind(
             parse_query(sql)))
         row_stats = InterpreterStats()
-        vec_stats = InterpreterStats()
-        rows = PlanInterpreter(image, stats=row_stats,
-                               compiled=True).run_query(query)
-        interpreter = columnar_interpreter(executor)
-        vec_rows = interpreter(image, stats=vec_stats).run_query(query)
-        assert canonical(vec_rows) == canonical(rows)
-        return row_stats, vec_stats
+        np_stats = InterpreterStats()
+        rows = PlanInterpreter(image, stats=row_stats).run_query(query)
+        np_rows = NumpyInterpreter(image, stats=np_stats).run_query(query)
+        assert canonical(np_rows) == canonical(rows)
+        return row_stats, np_stats
 
-    @pytest.mark.parametrize("executor", COLUMNAR)
     @pytest.mark.parametrize("sql", [
         "SELECT COUNT(*) AS n FROM lineitem WHERE l_discount > 0.01",
         ("SELECT c_name FROM customer, orders "
@@ -142,15 +110,14 @@ class TestInterpreterStatsParity:
          "FROM lineitem GROUP BY l_returnflag, l_linestatus"),
         "SELECT n_name FROM nation ORDER BY n_name LIMIT 5",
     ])
-    def test_counters_match(self, tpch, sql, executor):
-        row_stats, vec_stats = self.run_both(tpch, sql, executor)
-        assert vec_stats.rows_scanned == row_stats.rows_scanned
-        assert vec_stats.rows_processed == row_stats.rows_processed
+    def test_counters_match(self, tpch, sql):
+        row_stats, np_stats = self.run_both(tpch, sql)
+        assert np_stats.rows_scanned == row_stats.rows_scanned
+        assert np_stats.rows_processed == row_stats.rows_processed
 
 
 class TestObserverParity:
-    @pytest.mark.parametrize("executor", COLUMNAR)
-    def test_postorder_operator_counts_match(self, tpch, executor):
+    def test_postorder_operator_counts_match(self, tpch):
         appliance, _ = tpch
         image = appliance.single_system_image()
         sql = ("SELECT c_name FROM customer, orders "
@@ -165,10 +132,8 @@ class TestObserverParity:
             def record(self, op, rows_out):
                 self.events.append((type(op).__name__, rows_out))
 
-        row_rec, vec_rec = Recorder(), Recorder()
-        PlanInterpreter(image, compiled=True,
-                        observer=row_rec).run_query(query)
-        interpreter = columnar_interpreter(executor)
-        interpreter(image, observer=vec_rec).run_query(query)
-        assert vec_rec.events == row_rec.events
-        assert vec_rec.events  # something was actually observed
+        row_rec, np_rec = Recorder(), Recorder()
+        PlanInterpreter(image, observer=row_rec).run_query(query)
+        NumpyInterpreter(image, observer=np_rec).run_query(query)
+        assert np_rec.events == row_rec.events
+        assert np_rec.events  # something was actually observed

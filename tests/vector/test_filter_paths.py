@@ -126,7 +126,9 @@ def batches(draw):
 
 
 def rows_of(batch):
-    return [batch.row(i) for i in range(batch.length)]
+    """Each row of ``batch`` as an env dict, for the evaluator."""
+    return [{cid: column[i] for cid, column in batch.columns.items()}
+            for i in range(batch.length)]
 
 
 def same(got, want):

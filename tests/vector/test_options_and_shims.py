@@ -1,66 +1,68 @@
-"""The ``executor`` option surface: normalization, overrides, session
-shims, runner caching, bind-cache participation and service wiring."""
+"""The ``executor`` option surface: normalization, overrides, runner
+caching, bind-cache participation and service wiring."""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro import ExecutionOptions, PdwService, PdwSession
+from repro import ExecutionOptions, PdwService, PdwSession, run_reference
+from repro.appliance.runner import DsqlRunner
 from repro.common.errors import ReproError
 from repro.common.executors import EXECUTORS, resolve_executor
-from repro.appliance.runner import DsqlRunner
 from repro.telemetry import Tracer
 
 SQL = ("SELECT l_returnflag, COUNT(*) AS n FROM lineitem "
        "GROUP BY l_returnflag ORDER BY l_returnflag")
 
+#: The executor names the two deleted backends had.
+RETIRED = ("compiled", "vectorized")
+
 
 class TestResolveExecutor:
-    def test_none_derives_from_compiled(self):
-        assert resolve_executor(None, True) == "numpy"
-        assert resolve_executor(None, False) == "reference"
+    def test_none_is_the_default(self):
+        assert resolve_executor(None) == "numpy"
 
     def test_explicit_name_wins(self):
+        assert EXECUTORS == ("reference", "numpy")
         for name in EXECUTORS:
-            assert resolve_executor(name, True) == name
-            assert resolve_executor(name, False) == name
+            assert resolve_executor(name) == name
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(ReproError):
-            resolve_executor("jit", True)
+    @pytest.mark.parametrize("name", ("jit",) + RETIRED)
+    def test_unknown_name_raises(self, name):
+        with pytest.raises(ReproError, match="unknown executor"):
+            resolve_executor(name)
 
 
 class TestExecutionOptions:
-    def test_default_is_compiled(self):
-        opts = ExecutionOptions()
-        assert opts.executor == "numpy"
-        assert opts.compiled is True
+    def test_default_is_numpy(self):
+        assert ExecutionOptions().executor == "numpy"
 
-    def test_executor_rederives_compiled(self):
-        assert ExecutionOptions(executor="reference").compiled is False
-        assert ExecutionOptions(executor="vectorized").compiled is True
+    def test_reference_is_kept(self):
+        assert ExecutionOptions(executor="reference").executor == \
+            "reference"
 
-    def test_legacy_compiled_false_means_reference(self):
-        opts = ExecutionOptions(compiled=False)
-        assert opts.executor == "reference"
-
-    def test_unknown_executor_raises(self):
+    @pytest.mark.parametrize("name", ("gpu",) + RETIRED)
+    def test_unknown_executor_raises(self, name):
         with pytest.raises(ReproError):
-            ExecutionOptions(executor="gpu")
+            ExecutionOptions(executor=name)
 
-    def test_override_compiled_translates_to_executor(self):
-        opts = ExecutionOptions(executor="vectorized")
-        flipped = opts.override(compiled=False)
-        assert flipped.executor == "reference"
-        assert flipped.compiled is False
-        back = flipped.override(compiled=True)
-        assert back.executor == "compiled"
-
-    def test_override_executor_rederives_compiled(self):
+    def test_override_executor(self):
         opts = ExecutionOptions().override(executor="reference")
-        assert opts.compiled is False
+        assert opts.executor == "reference"
+        assert opts.override(executor=None).executor == "numpy"
+
+    def test_no_legacy_boolean(self):
+        with pytest.raises(TypeError):
+            ExecutionOptions(compiled=False)
+
+
+@pytest.mark.parametrize("executor", RETIRED)
+def test_runners_refuse_retired_executors(executor, mini_appliance):
+    with pytest.raises(ReproError):
+        DsqlRunner(mini_appliance, executor=executor)
+    with pytest.raises(ReproError):
+        run_reference(mini_appliance, "SELECT a FROM t",
+                      executor=executor)
 
 
 class TestSessionWiring:
@@ -68,58 +70,34 @@ class TestSessionWiring:
     def session(self):
         return PdwSession(
             scale=0.001, node_count=4,
-            options=ExecutionOptions(executor="vectorized"))
+            options=ExecutionOptions(executor="reference"))
 
     def test_session_exposes_executor(self, session):
-        assert session.executor == "vectorized"
-        assert session.compiled is True
-        assert session.runner.executor == "vectorized"
+        assert session.executor == "reference"
+        assert session.runner.executor == "reference"
 
     def test_runner_cache_keyed_by_executor(self, session):
         base = session.run(SQL)
         other = session.run(
-            SQL, options=session.options.override(executor="compiled"))
+            SQL, options=session.options.override(executor="numpy"))
         assert list(base.rows) == list(other.rows)
         keys = set(session._runners)
-        assert ("vectorized", session.parallel) in keys
-        assert ("compiled", session.parallel) in keys
+        assert ("reference", session.parallel) in keys
+        assert ("numpy", session.parallel) in keys
 
-    def test_run_compiled_shim_single_warning(self, session):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = session.run(SQL, compiled=False)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "executor='reference'" in str(deprecations[0].message)
-        assert "via options= instead" in str(deprecations[0].message)
-        assert list(result.rows) == list(session.run(SQL).rows)
-        assert ("reference", session.parallel) in session._runners
-
-    def test_constructor_compiled_shim_single_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            session = PdwSession(scale=0.001, node_count=4,
-                                 compiled=False)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert session.executor == "reference"
-
-    def test_options_path_emits_no_warnings(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            session = PdwSession(
-                scale=0.001, node_count=4,
-                options=ExecutionOptions(executor="vectorized"))
-            session.run(SQL)
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
+    def test_removed_kwargs_are_type_errors(self, session):
+        with pytest.raises(TypeError):
+            session.run(SQL, compiled=False)
+        with pytest.raises(TypeError):
+            session.compile(SQL, hints={"lineitem": "replicate"})
+        with pytest.raises(TypeError):
+            PdwSession(appliance=session.appliance, shell=session.shell,
+                       trace=False)
 
 
 def test_front_doors_default_to_numpy_on_the_serial_runtime(monkeypatch):
-    """What a user gets without picking a knob — and the thread pool
-    still one switch away."""
+    """What a user gets without picking a knob — and the step DAG still
+    one switch away."""
     from repro import build_tpch_appliance
     appliance, shell = build_tpch_appliance(scale=0.001, node_count=2)
 
@@ -130,37 +108,38 @@ def test_front_doors_default_to_numpy_on_the_serial_runtime(monkeypatch):
         session = PdwSession(appliance=appliance, shell=shell,
                              options=options)
         resolved = (options or ExecutionOptions()).resolved()
-        return [(session.options, session.runner.runtime),
-                (service.options, service.runner.runtime),
+        return [(session.options, session.runner),
+                (service.options, service.runner),
                 (resolved, None)]
 
     monkeypatch.delenv("REPRO_PARALLEL_RUNTIME", raising=False)
-    for opts, runtime in front_doors():
+    for opts, runner in front_doors():
         assert (opts.executor, opts.parallel) == ("numpy", False)
-        if runtime is not None:
-            assert (runtime.executor, runtime.parallel) == ("numpy", False)
-    for opts, runtime in front_doors(ExecutionOptions(parallel=True)):
+        if runner is not None:
+            assert (runner.executor, runner.parallel) == ("numpy", False)
+            assert runner.runtime.executor == "numpy"
+    for opts, runner in front_doors(ExecutionOptions(parallel=True)):
         assert opts.parallel is True
-        assert runtime is None or runtime.parallel is True
+        assert runner is None or runner.parallel is True
     monkeypatch.setenv("REPRO_PARALLEL_RUNTIME", "1")
-    for opts, runtime in front_doors():
+    for opts, runner in front_doors():
         assert opts.parallel is True
-        assert runtime is None or runtime.parallel is True
+        assert runner is None or runner.parallel is True
 
 
 class TestBindCache:
-    def test_vectorized_backend_uses_step_bind_cache(self, tpch,
-                                                     tpch_engine):
-        """Only the reference backend bypasses the per-step plan cache;
-        vectorized shares the parse-and-bind-once contract."""
+    def test_numpy_executor_uses_step_bind_cache(self, tpch, tpch_engine):
+        """Only the reference executor bypasses the per-step plan cache;
+        the production executor parses and binds each step once."""
         appliance, _ = tpch
         plan = tpch_engine.compile(
             "SELECT COUNT(*) AS n FROM lineitem").dsql_plan
-        tracer = Tracer()
-        DsqlRunner(appliance, tracer=tracer,
-                   executor="vectorized").run(plan)
+        runner = DsqlRunner(appliance, tracer=Tracer())
+        runner.run(plan)
+        runner.run(plan)
+        tracer = runner.tracer
         assert tracer.counter("exec.compile_cache_miss") == len(plan.steps)
-        assert tracer.counter("exec.compile_cache_hit") > 0
+        assert tracer.counter("exec.compile_cache_hit") == len(plan.steps)
 
     def test_reference_backend_still_bypasses_cache(self, tpch,
                                                     tpch_engine):
@@ -174,14 +153,12 @@ class TestBindCache:
 
 
 class TestServiceWiring:
-    def test_cached_plans_rebind_into_vectorized_backend(self):
-        """A plan-cache hit executes on whichever backend the service
-        was configured with — plans are backend-agnostic."""
-        from repro.service import PdwService
-
+    def test_cached_plans_rebind_into_either_executor(self):
+        """A plan-cache hit executes on whichever executor the service
+        was configured with — plans are executor-agnostic."""
         sql = "SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 30"
         rows = {}
-        for executor in ("compiled", "vectorized"):
+        for executor in EXECUTORS:
             service = PdwService(
                 scale=0.001, node_count=4,
                 options=ExecutionOptions(executor=executor))
@@ -194,4 +171,4 @@ class TestServiceWiring:
                 rows[executor] = list(second.rows)
             finally:
                 service.close()
-        assert rows["vectorized"] == rows["compiled"]
+        assert rows["numpy"] == rows["reference"]

@@ -1,11 +1,10 @@
-"""Observability under the columnar backends.
+"""Observability under both executors.
 
 ``profile=True`` must keep collecting per-node / per-operator actuals
-when steps execute on columnar batches or typed ndarrays: the full
+when steps execute on typed ndarrays over a whole node group: the full
 structured profile — skew coverage, Q-errors, transfer matrices,
-operator postorder — is bit-identical to the compiled backend's, and
-the ``profile`` CLI works end to end with ``--executor vectorized`` and
-``--executor numpy``.
+operator postorder — is bit-identical to the reference interpreter's,
+and the ``profile`` CLI works end to end with either ``--executor``.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.appliance.runner import DsqlRunner
+from repro.common.executors import EXECUTORS
 from repro.obs.profiler import build_query_profile
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
@@ -29,26 +29,25 @@ def profile_for(appliance, plan, sql, executor):
     )
 
 
-@pytest.mark.parametrize("executor", ["vectorized", "numpy"])
 @pytest.mark.parametrize("name", ["Q1", "Q5", "Q12"])
-def test_columnar_profile_matches_compiled(name, executor, tpch,
-                                           tpch_engine):
+def test_numpy_profile_matches_reference(name, tpch, tpch_engine):
     appliance, _ = tpch
     sql = TPCH_QUERIES[name]
     plan = tpch_engine.compile(sql).dsql_plan
-    compiled = profile_for(appliance, plan, sql, "compiled")
-    columnar = profile_for(appliance, plan, sql, executor)
+    reference = profile_for(appliance, plan, sql, "reference")
+    numpy = profile_for(appliance, plan, sql, "numpy")
     # Identical operator postorder (same joins, same shapes), identical
     # Q-error and skew tables — the whole structured export matches.
-    assert columnar.to_dict() == compiled.to_dict()
+    assert numpy.to_dict() == reference.to_dict()
 
 
-def test_vectorized_profile_has_join_operator_actuals(tpch, tpch_engine):
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_profile_has_join_operator_actuals(executor, tpch, tpch_engine):
     appliance, _ = tpch
     sql = ("SELECT COUNT(*) AS n FROM lineitem, orders "
            "WHERE l_orderkey = o_orderkey")
     plan = tpch_engine.compile(sql).dsql_plan
-    profile = profile_for(appliance, plan, sql, "vectorized")
+    profile = profile_for(appliance, plan, sql, executor)
     labels = [operator.label for operator in profile.operators]
     assert any("Join" in label for label in labels), labels
     assert profile.operators
@@ -56,8 +55,8 @@ def test_vectorized_profile_has_join_operator_actuals(tpch, tpch_engine):
         assert operator.actual_rows >= 0
 
 
-@pytest.mark.parametrize("executor", ["vectorized", "numpy"])
-def test_profile_cli_runs_columnar(capsys, executor):
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_profile_cli_runs(capsys, executor):
     from repro.__main__ import main
 
     code = main([
@@ -73,15 +72,14 @@ def test_profile_cli_runs_columnar(capsys, executor):
     assert "q-err" in out
 
 
-def test_run_cli_vectorized_matches_compiled(capsys):
+def test_run_cli_numpy_matches_reference(capsys):
     from repro.__main__ import main
 
     sql = "SELECT n_name FROM nation ORDER BY n_name LIMIT 3"
     outputs = {}
-    for executor in ("compiled", "vectorized", "numpy"):
+    for executor in EXECUTORS:
         code = main(["--scale", "0.001", "--nodes", "4",
                      "--executor", executor, "run", sql])
         assert code == 0
         outputs[executor] = capsys.readouterr().out.splitlines()[:4]
-    assert outputs["vectorized"] == outputs["compiled"]
-    assert outputs["numpy"] == outputs["compiled"]
+    assert outputs["numpy"] == outputs["reference"]
