@@ -355,8 +355,13 @@ def _cmd_serve(args) -> int:
 
     service, report = _run_service_traffic(args)
     print(render_report(report))
-    hits = service.plan_cache.stats()["hits"]
+    cache = service.plan_cache.stats()
+    hits = cache["hits"]
     print(f"pdw_service_plan_cache_hits {hits}")
+    # Shapes parsed vs. templates compiled into the cache: equal when
+    # the parser runs once per shape, not once per query.
+    print(f"pdw_service_plan_cache_shape_parses {cache['shape_parses']}")
+    print(f"pdw_service_plan_cache_inserts {cache['inserts']}")
     # Fold the flight recorder into the service registry so the serve
     # output and --prometheus carry the pdw_request_* series (including
     # pdw_request_slow_total against the configured --slow-seconds).
@@ -372,6 +377,10 @@ def _cmd_serve(args) -> int:
     failures = []
     if hits <= 0:
         failures.append("plan cache recorded no hits")
+    if cache["shape_parses"] != cache["inserts"]:
+        failures.append(
+            f"{cache['shape_parses']} shape parses for "
+            f"{cache['inserts']} cached shapes")
     if report.completed <= 0:
         failures.append("no queries completed")
     if report.p99 <= 0:

@@ -40,15 +40,15 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algebra.logical import Query
+from repro.algebra.logical import Query, collect_gets
 from repro.algebra.properties import DistKind
 from repro.appliance.interpreter import InterpreterStats, PlanInterpreter
+from repro.appliance.prepared import PreparedPlan, PreparedStep
 from repro.appliance.storage import (
     Appliance,
     CONTROL_NODE,
@@ -58,6 +58,7 @@ from repro.appliance.storage import (
     node_for_row,
     row_bytes,
 )
+from repro.catalog.schema import Catalog
 from repro.common.errors import DmsError
 from repro.common.executors import resolve_executor
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
@@ -65,7 +66,7 @@ from repro.obs.profiler import OperatorObserver
 from repro.obs.requests import NULL_REQUEST
 from repro.optimizer.binder import Binder
 from repro.pdw.dms import DmsOperation
-from repro.pdw.dsql import DsqlStep, canonical_step_sql
+from repro.pdw.dsql import DsqlPlan, DsqlStep
 from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.vector.np_batch import (
@@ -149,23 +150,6 @@ class StepExecutionStats:
 
     def total_bytes(self) -> int:
         return sum(self.reader_bytes.values())
-
-
-@dataclass
-class _CachedStep:
-    """A step's SQL parsed + bound once, reusable on every node and by
-    every later execution of the same plan."""
-
-    query: Query
-    #: Lower-cased temp-table names the tree was bound to, in
-    #: :func:`canonical_step_sql` order; a later execution reads its
-    #: own temps under these names.
-    temps: Tuple[str, ...]
-
-
-# Bounded so a long-lived session executing many distinct queries cannot
-# grow the cache without limit (steps are tiny; the bound trees are not).
-_STEP_CACHE_LIMIT = 256
 
 
 #: One routed delivery of the oracle: (target node id, rows, bytes).
@@ -300,6 +284,33 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
     return routing
 
 
+def _hash_index(step: DsqlStep) -> Optional[int]:
+    """Position of a move's hash column in its destination temp."""
+    if step.hash_column is None:
+        return None
+    return step.destination_table.column_index(step.hash_column)
+
+
+def _node_tables(node: NodeStorage, tables, temps, columnar: bool
+                 ) -> Dict[str, object]:
+    """The fragments of ``node`` one step reads: each of ``tables`` as
+    stored (a table the node does not hold is left out, for the
+    interpreter to report), and each ``(name read, name stored)`` temp
+    of ``temps`` — as stored for the columnar executor, as rows for the
+    oracle.  Each read is one atomic dict lookup: a system-view refresh
+    on another thread may swap ``dm_pdw_*`` fragments meanwhile."""
+    stored = node.tables
+    view = {}
+    for name in tables:
+        fragment = stored.get(name)
+        if fragment is not None:
+            view[name] = fragment if columnar else node.rows(name)
+    read = node.fragment if columnar else node.rows
+    for name, actual in temps:
+        view[name] = read(actual)
+    return view
+
+
 @dataclass
 class _SourceRun:
     """One node's extract+route output under the oracle, merged in
@@ -327,21 +338,20 @@ class DmsRuntime:
     by node, in node-id order, and routes row tuples through
     :meth:`_route_batch_reference`.
 
-    Under the default executor each DSQL step's SQL text is parsed and
-    bound **once** and the bound plan is re-run by every later
-    execution — the node DBMS of §2.4 keeps the compiled statement of a
-    re-issued step.  The bound tree is keyed on the step text with
-    per-execution temp names canonicalised
-    (:func:`repro.pdw.dsql.canonical_step_sql`) plus the column
-    signature of every temp table the step reads, and a later execution
-    reads its own temps through aliases in the per-node table snapshot;
-    so a re-executed plan re-uses the tree and, through the
-    expression-identity memos, its compiled kernels, while the same
-    text over a different temp schema binds afresh.  The oracle
-    re-parses per node.  Cache effectiveness is observable through the
-    ``exec.compile_cache_hit`` / ``exec.compile_cache_miss`` telemetry
-    counters; the cache is lock-guarded, so concurrent steps (the step
-    DAG of :class:`repro.appliance.runner.DsqlRunner`) share it safely.
+    Under the default executor a plan's steps are parsed and bound
+    **once**, at the plan's first execution (:meth:`prepared`), and
+    every later execution runs the prepared steps — the node DBMS of
+    §2.4 keeps the compiled statement of a re-issued step.  A step of
+    an execution copy (:meth:`repro.pdw.dsql.DsqlPlan.bind`, or a cached
+    template stamped out by :func:`repro.service.plan_cache.
+    instantiate_plan`) names its template and this execution's literal
+    values and temp names; the runtime runs the template's bound tree —
+    a path copy when the literals reach its slots — over exactly the
+    fragments it reads, this execution's temps under the template's
+    names.  A prepared plan is counted as ``exec.compile_cache_miss``
+    per step when built and ``exec.compile_cache_hit`` per step when
+    re-used.  The oracle parses and binds the step's rendered SQL on
+    every node.
     """
 
     def __init__(self, appliance: Appliance,
@@ -354,7 +364,7 @@ class DmsRuntime:
         self.tracer = tracer
         self.executor = resolve_executor(executor)
         self.metrics = metrics
-        # Profiled runs (DsqlRunner.run(profile=True)) flip this on to
+        # Profiled runs (DsqlRunner.run(plan, profile=True)) flip this on to
         # collect transfer matrices and per-operator actuals.
         self.profiling = False
         # The five metric families a step reports into, resolved once
@@ -381,12 +391,13 @@ class DmsRuntime:
                 "Measured wall-clock seconds per node task per DSQL step",
                 labelnames=("step", "op", "node")),
         )
-        self._cache_lock = threading.RLock()
-        self._step_cache: "OrderedDict[tuple, _CachedStep]" = OrderedDict()
+        self._prepare_lock = threading.Lock()
 
     def _record_movement(self, stats: StepExecutionStats,
-                         operation: Optional[DmsOperation]) -> None:
-        """Aggregate per-operation-kind byte/row/time counters."""
+                         operation: Optional[DmsOperation],
+                         prepared: Optional[PreparedStep] = None) -> None:
+        """Aggregate per-operation-kind byte/row/time counters — through
+        ``prepared``'s resolved metric children when there is one."""
         tracer = self.tracer
         kind = operation.value if operation is not None else "return"
         if tracer.enabled:
@@ -401,25 +412,111 @@ class DmsRuntime:
             tracer.count(f"dms.bytes.{kind}", moved)
             tracer.count(f"dms.seconds.{kind}", stats.movement_seconds)
         families = self._metric_families
-        if families is not None:
-            (rows_counter, bytes_counter, moved_counter, seconds_histogram,
-             wall_gauge) = families
-            step = str(stats.step_index)
-            for node, rows in stats.node_rows.items():
-                rows_counter.labels(step=step, op=kind,
-                                    node=str(node)).inc(rows)
-            for node, nbytes in stats.reader_bytes.items():
-                bytes_counter.labels(step=step, op=kind,
-                                     node=str(node)).inc(nbytes)
-            moved_counter.labels(op=kind).inc(stats.rows_moved)
-            seconds_histogram.labels(op=kind).observe(
-                stats.elapsed_seconds)
-            # Measured (not simulated) per-node wall clock of the
-            # extract+route task — the skew a real scheduler would see
-            # (under the numpy executor, the group's wall ÷ n).
-            for node, wall in stats.node_wall_seconds.items():
-                wall_gauge.labels(step=step, op=kind,
-                                  node=str(node)).set(wall)
+        if families is None:
+            return
+        children: Dict[Tuple[int, int], object] = {}
+        if prepared is not None:
+            resolved = prepared.metric_children
+            if resolved is None or resolved[0] is not families:
+                resolved = prepared.metric_children = (families, children)
+            children = resolved[1]
+        step = str(stats.step_index)
+
+        def child(family: int, node: int):
+            # A child is resolved (and so created) only when first
+            # reported into: the series rendered are the ones reported.
+            found = children.get((family, node))
+            if found is None:
+                labels = {"op": kind}
+                if node is not None:
+                    labels.update(step=step, node=str(node))
+                found = children[(family, node)] = \
+                    families[family].labels(**labels)
+            return found
+
+        for node, rows in stats.node_rows.items():
+            child(0, node).inc(rows)
+        for node, nbytes in stats.reader_bytes.items():
+            child(1, node).inc(nbytes)
+        child(2, None).inc(stats.rows_moved)
+        child(3, None).observe(stats.elapsed_seconds)
+        # Measured (not simulated) per-node wall clock of the
+        # extract+route task — the skew a real scheduler would see
+        # (under the numpy executor, the group's wall ÷ n).
+        for node, wall in stats.node_wall_seconds.items():
+            child(4, node).set(wall)
+
+    # -- preparation ---------------------------------------------------------------
+
+    def prepared(self, plan: DsqlPlan) -> PreparedPlan:
+        """``plan``'s steps parsed and bound once, kept on the plan:
+        built on the first call (counted a compile-cache miss per step),
+        re-used after (a hit per step).  Racing first calls build
+        once."""
+        prepared = plan.prepared
+        if prepared is None:
+            with self._prepare_lock:
+                prepared = plan.prepared
+                if prepared is None:
+                    prepared = plan.prepared = self._prepare(plan)
+                    self.tracer.count("exec.compile_cache_miss",
+                                      len(plan.steps))
+                    return prepared
+        self.tracer.count("exec.compile_cache_hit", len(plan.steps))
+        return prepared
+
+    def _prepare(self, plan: DsqlPlan) -> PreparedPlan:
+        """Parse and bind every step against the appliance's tables and
+        the plan's own temp tables, under the names the plan gives
+        them."""
+        temps = [step.destination_table for step in plan.steps
+                 if step.destination_table is not None]
+        catalog = Catalog(
+            [table for table in self.appliance.catalog.tables()
+             if not table.is_temp] + temps)
+        positions = {table.name.lower(): position
+                     for position, table in enumerate(temps)}
+        return PreparedPlan([self._prepare_step(step, catalog, positions)
+                             for step in plan.steps])
+
+    def _prepare_step(self, step: DsqlStep, catalog: Catalog,
+                      temps: Dict[str, int]) -> PreparedStep:
+        query = Binder(catalog).bind(parse_query(step.sql))
+        names = dict.fromkeys(get.table.name.lower()
+                              for get in collect_gets(query.root))
+        return PreparedStep(
+            step.index, query,
+            tables=tuple(name for name in names if name not in temps),
+            temps=tuple((name, temps[name]) for name in names
+                        if name in temps),
+            sources=tuple(node.node_id for node in self._source_nodes(step)),
+            hash_index=_hash_index(step))
+
+    def _group(self, step: DsqlStep
+               ) -> Tuple[PreparedStep, Query, List[NodeStorage],
+                          List[Dict[str, object]]]:
+        """What the numpy executor runs for one execution of ``step``:
+        its prepared step, the tree with this execution's literals, the
+        source nodes and, per source node, the fragments the tree reads
+        — this execution's temps under the names the tree reads them
+        by.  A step outside any plan execution (no binding) is bound as
+        its SQL stands, temps under their own names."""
+        binding = step.binding
+        if binding is None:
+            prepared = self._prepare_step(step, self.appliance.catalog, {})
+            query, temps = prepared.query, ()
+        else:
+            template = binding.template
+            prepared = (template.prepared
+                        or self.prepared(template)).steps[step.index]
+            query = prepared.bound_query(binding.literals)
+            temps = [(name, binding.temps[position])
+                     for name, position in prepared.temps]
+        sources = [self.appliance.node_storage(node_id)
+                   for node_id in prepared.sources]
+        return prepared, query, sources, [
+            _node_tables(node, prepared.tables, temps, columnar=True)
+            for node in sources]
 
     # -- node-local SQL ------------------------------------------------------------
 
@@ -427,72 +524,23 @@ class DmsRuntime:
                         stats: Optional[InterpreterStats] = None,
                         observer: Optional[OperatorObserver] = None
                         ) -> Tuple[List[Tuple], List[str]]:
-        """Bind (cached) and execute a step's SQL on one node."""
-        interpreter, query = self._interpreter(sql, [node], stats,
-                                               observer)
+        """Parse, bind and execute a step's SQL on one node."""
+        interpreter, query = self._interpreter(sql, node, stats, observer)
         return interpreter.run_query(query), query.output_names
 
-    def _interpreter(self, sql: str, nodes: List[NodeStorage],
+    def _interpreter(self, sql: str, node: NodeStorage,
                      stats: Optional[InterpreterStats], observer):
-        """This executor's interpreter over ``nodes``' tables, and the
-        step's bound tree for it to run.  The numpy executor takes a
-        whole group (and an observer per node); the oracle one node at
-        a time."""
-        query, temps = self._bind_step(sql)
-        # The numpy executor scans a temp as stored — a column fragment
-        # as it stands; the oracle reads its rows.
+        """This executor's interpreter over the fragments of ``node``
+        that ``sql`` reads (the numpy one as a group of one), and the
+        step's tree bound afresh for it to run."""
+        query = Binder(self.appliance.catalog).bind(parse_query(sql))
+        names = dict.fromkeys(get.table.name.lower()
+                              for get in collect_gets(query.root))
         columnar = self.executor == "numpy"
-        group = []
-        for node in nodes:
-            # Snapshot the node's table map before handing it over: a
-            # system-view refresh on another thread swaps dm_pdw_*
-            # fragments in and out of the live dict, and the interpreter
-            # constructors iterate their input.  dict.copy() is a single
-            # atomic op; the values are shared fragment references, so
-            # this costs one small dict per node per step.
-            tables = node.tables.copy()
-            view = node.fragment if columnar else node.rows
-            for bound, actual in temps:
-                tables[bound] = view(actual)
-            group.append(tables)
+        tables = _node_tables(node, names, (), columnar)
         if columnar:
-            interpreter = NumpyInterpreter(group, stats, observer)
-        else:
-            interpreter = PlanInterpreter(group[0], stats, observer)
-        return interpreter, query
-
-    def _bind_step(self, sql: str
-                   ) -> Tuple[Query, Tuple[Tuple[str, str], ...]]:
-        """The bound tree for ``sql`` plus a (name the tree reads it
-        under, this execution's name) pair for every temp table the
-        step reads.  Parses + binds once per canonical step text and
-        temp schema; re-runs hit the cache.
-
-        Lock-guarded: concurrent steps and service clients call this
-        at once, and the first caller must finish binding before the
-        others read the entry (same hit/miss counts as one caller)."""
-        catalog = self.appliance.catalog
-        canonical, temps = canonical_step_sql(sql)
-        if self.executor == "reference":
-            # The oracle re-parses per node, exactly the old cost.
-            return (Binder(catalog).bind(parse_query(sql)),
-                    tuple(zip(temps, temps)))
-        # Two plans can emit one step text over different temp schemas.
-        key = (canonical, tuple(tuple(catalog.table(name).columns)
-                                for name in temps))
-        with self._cache_lock:
-            cached = self._step_cache.get(key)
-            if cached is not None:
-                self._step_cache.move_to_end(key)
-                self.tracer.count("exec.compile_cache_hit")
-            else:
-                self.tracer.count("exec.compile_cache_miss")
-                cached = _CachedStep(
-                    Binder(catalog).bind(parse_query(sql)), temps)
-                self._step_cache[key] = cached
-                if len(self._step_cache) > _STEP_CACHE_LIMIT:
-                    self._step_cache.popitem(last=False)
-        return cached.query, tuple(zip(cached.temps, temps))
+            return NumpyInterpreter([tables], stats, observer), query
+        return PlanInterpreter(tables, stats, observer), query
 
     def _source_nodes(self, step: DsqlStep) -> List[NodeStorage]:
         location = step.source_location
@@ -525,7 +573,7 @@ class DmsRuntime:
             sql_stats = InterpreterStats()
             observer = OperatorObserver() if profiling else None
             interpreter, query = self._interpreter(
-                step.sql, [source], sql_stats, observer)
+                step.sql, source, sql_stats, observer)
             source_id = source.node_id
             output = interpreter.run_query(query)
             if operation is None and source_id == CONTROL_NODE:
@@ -563,20 +611,20 @@ class DmsRuntime:
         return [run_one(source) for source in self._source_nodes(step)]
 
     def _run_group(self, step: DsqlStep, stats: StepExecutionStats
-                   ) -> Tuple[ArrayBatch, List[str]]:
-        """Run a step's SQL once over its whole source group — the
-        numpy executor.  Returns the output as positional columns with
-        one segment per source (a node-invariant output spelled out per
-        source: each of them holds it) and the output names; records on
-        ``stats`` what the interpreter counted, ``node_rows`` keyed by
-        source node id in source order."""
-        sources = self._source_nodes(step)
+                   ) -> Tuple[ArrayBatch, List[str], PreparedStep]:
+        """Run a step's prepared tree once over its whole source group —
+        the numpy executor.  Returns the output as positional columns
+        with one segment per source (a node-invariant output spelled out
+        per source: each of them holds it), the output names and the
+        prepared step; records on ``stats`` what the interpreter
+        counted, ``node_rows`` keyed by source node id in source
+        order."""
+        prepared, query, sources, tables = self._group(step)
         source_ids = [source.node_id for source in sources]
         sql_stats = InterpreterStats()
         observers = ([OperatorObserver() for _ in sources]
                      if self.profiling else None)
-        interpreter, query = self._interpreter(step.sql, sources,
-                                               sql_stats, observers)
+        interpreter = NumpyInterpreter(tables, sql_stats, observers)
         output = interpreter.run_columns(query).segmented(len(sources))
         stats.relational_rows = (sql_stats.rows_scanned
                                  + sql_stats.rows_processed)
@@ -587,7 +635,7 @@ class DmsRuntime:
             stats.node_operators = {
                 source_id: observer.records
                 for source_id, observer in zip(source_ids, observers)}
-        return output, query.output_names
+        return output, query.output_names, prepared
 
     def _report_nodes(self, stats: StepExecutionStats, read: List[int],
                       started: float, request) -> None:
@@ -610,14 +658,11 @@ class DmsRuntime:
         self.appliance.create_temp_table(step.destination_table)
 
         stats = StepExecutionStats(step.index, movement.operation)
-        hash_index = (
-            step.destination_table.column_index(step.hash_column)
-            if step.hash_column is not None else None
-        )
+        prepared = None
         if self.executor == "numpy":
-            self._move_group(step, stats, hash_index, started, request)
+            prepared = self._move_group(step, stats, started, request)
         else:
-            self._move_rows(step, stats, hash_index, request)
+            self._move_rows(step, stats, _hash_index(step), request)
 
         reader, network, writer, bulk = stats.component_times(
             self.truth, movement.operation.uses_hashing)
@@ -628,20 +673,19 @@ class DmsRuntime:
         stats.elapsed_seconds = (stats.movement_seconds
                                  + stats.relational_seconds)
         stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats, movement.operation)
+        self._record_movement(stats, movement.operation, prepared)
         return stats
 
     def _move_group(self, step: DsqlStep, stats: StepExecutionStats,
-                    hash_index: Optional[int], started: float,
-                    request) -> None:
+                    started: float, request) -> PreparedStep:
         """The numpy executor's move: one run, one sizing pass, one
         router for the whole source group; the accounting is read off
         the router's source × target sums."""
-        output, _ = self._run_group(step, stats)
+        output, _, prepared = self._run_group(step, stats)
         source_ids = list(stats.node_rows)
         routing = route_group(
             step.movement.operation, output, source_ids,
-            batch_row_bytes(output), hash_index,
+            batch_row_bytes(output), prepared.hash_index,
             self.appliance.node_count, transfers=self.profiling)
         stats.reader_bytes = dict(zip(source_ids, routing.read))
         stats.network_bytes = {
@@ -654,6 +698,7 @@ class DmsRuntime:
         for target_id, fragment in routing.stored.items():
             self.appliance.node_storage(target_id).adopt(name, fragment)
         self._report_nodes(stats, routing.read, started, request)
+        return prepared
 
     def _move_rows(self, step: DsqlStep, stats: StepExecutionStats,
                    hash_index: Optional[int], request) -> None:
@@ -778,8 +823,9 @@ class DmsRuntime:
         started = time.perf_counter()
         stats = StepExecutionStats(step.index, None)
         profiling = self.profiling
+        prepared = None
         if self.executor == "numpy":
-            output, names = self._run_group(step, stats)
+            output, names, prepared = self._run_group(step, stats)
             source_ids = list(stats.node_rows)
             if source_ids == [CONTROL_NODE]:
                 read = [0]  # already at the control node
@@ -825,5 +871,5 @@ class DmsRuntime:
         stats.elapsed_seconds = (stats.movement_seconds
                                  + stats.relational_seconds)
         stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats, None)
+        self._record_movement(stats, None, prepared)
         return rows, names, stats

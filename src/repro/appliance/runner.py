@@ -157,7 +157,10 @@ class DsqlRunner:
 
     def run(self, plan: DsqlPlan, keep_temps: bool = False,
             profile: bool = False, request=NULL_REQUEST) -> QueryResult:
-        """Execute a DSQL plan.  ``profile=True`` additionally collects
+        """Execute a DSQL plan: an execution copy of a template
+        (:meth:`~repro.pdw.dsql.DsqlPlan.bind`) runs the template's
+        prepared steps; any other plan is its own template, prepared at
+        its first run.  ``profile=True`` additionally collects
         per-node per-operator actuals and per-movement transfer matrices
         onto each step's :class:`StepExecutionStats` (see
         :func:`repro.obs.profiler.build_query_profile`).  ``request`` is
@@ -168,6 +171,10 @@ class DsqlRunner:
         rows: List[Tuple] = []
         names: List[str] = list(plan.output_names)
         tracer = self.tracer
+        if plan.steps and plan.steps[0].binding is None:
+            plan = plan.bind()  # the plan is its own template
+        if self.executor == "numpy" and plan.steps:
+            self.runtime.prepared(plan.steps[0].binding.template)
         self.runtime.profiling = profile
         if request.enabled:
             request.begin_plan(plan)

@@ -179,25 +179,37 @@ def batch_row_bytes(batch: ArrayBatch) -> np.ndarray:
 
 def column_owners(column: NumpyColumn, node_count: int) -> np.ndarray:
     """``pdw_hash(v) % node_count`` for every value of a distribution-
-    key column, as int64.  Integer columns hash in one vectorized CRC32
-    pass (:func:`~repro.vector.np_batch.crc32_int64`), dictionary-
-    encoded strings once per dictionary entry; any other kind hashes
-    its native values one by one."""
+    key column, in the narrowest unsigned dtype that holds a node id
+    (``uint8`` up to 256 nodes) — so a stable sort by owner is numpy's
+    radix sort.  Integer columns hash in one vectorized CRC32 pass
+    (:func:`~repro.vector.np_batch.crc32_int64`), dictionary-encoded
+    strings once per dictionary entry; any other kind hashes its
+    native values one by one."""
+    dtype = _owner_dtype(node_count)
     if column.kind == "i":
         owners = (crc32_int64(column.values)
-                  % np.uint32(node_count)).astype(np.int64)
+                  % np.uint32(node_count)).astype(dtype)
         if column.mask is not None:
             owners[column.mask] = 0  # pdw_hash(None) == 0
         return owners
     if column.kind == "s":
-        owners = column.dictionary.derived(
-            "pdw_hash", _entry_hashes)[column.values] % node_count
+        owners = (column.dictionary.derived(
+            "pdw_hash", _entry_hashes)[column.values]
+            % node_count).astype(dtype)
         if column.mask is not None:
             owners[column.mask] = 0
         return owners
     return np.fromiter(
         (pdw_hash(v) % node_count for v in column.pylist()),
-        np.int64, len(column))
+        dtype, len(column))
+
+
+def _owner_dtype(node_count: int) -> type:
+    if node_count <= 1 << 8:
+        return np.uint8
+    if node_count <= 1 << 16:
+        return np.uint16
+    return np.int64
 
 
 #: What a node holds for one table: row tuples, or the column pieces a

@@ -9,7 +9,8 @@ Two backends execute DSQL step SQL on the compute nodes:
   the package;
 * ``"reference"`` — the tree-walking interpreter, row at a time, node
   by node (the oracle every differential test compares against; it
-  also bypasses the step bind cache so every node re-parses).
+  parses and binds the step SQL on every node instead of running the
+  prepared steps).
 """
 
 from __future__ import annotations

@@ -76,13 +76,12 @@ DEFAULT_REGRESSION_FACTOR = 1.5
 #: the detector trusts their means.
 DEFAULT_MIN_EXECUTIONS = 2
 
-# Normalizing SQL (literal lifting) costs a parse; both query text and
-# template step SQL repeat heavily across executions, so memoize by the
-# raw string.  Bounded: cleared wholesale past the limit (simpler than
-# LRU and the limit is far above any real working set).
-_MEMO_LIMIT = 4096
+# Template step SQL repeats on every execution of a plan, so its
+# normalized key is memoized by the raw string.  Bounded: cleared
+# wholesale past the limit (simpler than LRU and the limit is far above
+# any real working set).
+_STEP_MEMO_LIMIT = 4096
 _memo_lock = threading.Lock()
-_shape_key_memo: Dict[str, str] = {}
 _step_key_memo: Dict[str, str] = {}
 
 
@@ -101,17 +100,11 @@ def normalized_shape_key(sql: str) -> str:
     """The store's shape key: the plan cache's parameterized key,
     computed **without hints** so hinted and unhinted executions of the
     same text share one shape (that is what makes a hint-forced plan
-    change visible as two plans of one shape)."""
-    with _memo_lock:
-        key = _shape_key_memo.get(sql)
-    if key is not None:
-        return key
-    key = _parameterized_key(sql)
-    with _memo_lock:
-        if len(_shape_key_memo) >= _MEMO_LIMIT:
-            _shape_key_memo.clear()
-        _shape_key_memo[sql] = key
-    return key
+    change visible as two plans of one shape).  For callers that hold
+    no :class:`~repro.service.plan_cache.QueryShape` of the text — the
+    service passes its shape's ``text_key`` to :meth:`QueryStore.stamp`
+    instead."""
+    return _parameterized_key(sql)
 
 
 def _normalized_step_key(step_sql: str) -> str:
@@ -121,7 +114,7 @@ def _normalized_step_key(step_sql: str) -> str:
         return key
     key = _parameterized_key(step_sql)
     with _memo_lock:
-        if len(_step_key_memo) >= _MEMO_LIMIT:
+        if len(_step_key_memo) >= _STEP_MEMO_LIMIT:
             _step_key_memo.clear()
         _step_key_memo[step_sql] = key
     return key
@@ -406,7 +399,8 @@ class QueryStore:
     def stamp(self, sql: str, plan, result, *,
               schema_version: int = 0,
               cache_hit: bool = False,
-              timing=None) -> None:
+              timing=None,
+              shape_key: Optional[str] = None) -> None:
         """Record one completed execution.
 
         ``plan`` must be the **template** DSQL plan
@@ -415,7 +409,9 @@ class QueryStore:
         :class:`~repro.appliance.runner.QueryResult`; ``timing`` the
         wall-clock :class:`~repro.appliance.runner.ExecutionTiming`
         breakdown when the caller has one (defaults to
-        ``result.timing``).
+        ``result.timing``).  ``shape_key`` is ``sql``'s hint-free
+        parameterized key when the caller normalized it already
+        (default: :func:`normalized_shape_key`).
         """
         if timing is None:
             timing = getattr(result, "timing", None)
@@ -444,7 +440,8 @@ class QueryStore:
             queue = compile_s = 0.0
             execute = wall
         self.record_execution(
-            normalized_shape_key(sql), plan_shape_digest(plan),
+            shape_key if shape_key is not None
+            else normalized_shape_key(sql), plan_shape_digest(plan),
             example_sql=sql,
             schema_version=schema_version,
             cache_hit=cache_hit,
@@ -714,8 +711,8 @@ class NullQueryStore(QueryStore):
         pass
 
     def stamp(self, sql, plan, result, *, schema_version=0,
-              cache_hit=False, timing=None):
-        del sql, plan, result, schema_version, cache_hit, timing
+              cache_hit=False, timing=None, shape_key=None):
+        del sql, plan, result, schema_version, cache_hit, timing, shape_key
 
     def record_execution(self, shape_key, plan_hash, **kwargs):
         del shape_key, plan_hash, kwargs

@@ -151,6 +151,23 @@ def _parse_date_literal(text: str) -> datetime.date:
         raise BindError(f"bad date literal {text!r}") from exc
 
 
+def bind_literal(value: object, is_date: bool = False) -> ex.Constant:
+    """The constant a literal binds to: the binder's conversion, and a
+    prepared step's when it swaps a literal's value in its bound tree
+    (:mod:`repro.appliance.prepared`)."""
+    if is_date:
+        return ex.Constant(_parse_date_literal(str(value)), DATE)
+    if isinstance(value, str):
+        return ex.Constant(value, varchar(max(1, len(value))))
+    if isinstance(value, bool):
+        return ex.Constant(value, BOOLEAN)
+    if isinstance(value, float):
+        return ex.Constant(value, DOUBLE)
+    if value is None:
+        return ex.Constant(None, None)
+    return ex.Constant(value, INTEGER)
+
+
 class _AggregateCollector:
     """Rewrites aggregate calls in an expression into fresh variables and
     collects the (var, AggExpr) definitions for the GroupBy operator."""
@@ -714,18 +731,7 @@ class Binder:
                      collector: Optional[_AggregateCollector] = None,
                      ) -> ex.ScalarExpr:
         if isinstance(node, ast.Literal):
-            if node.is_date:
-                return ex.Constant(_parse_date_literal(str(node.value)), DATE)
-            value = node.value
-            if isinstance(value, str):
-                return ex.Constant(value, varchar(max(1, len(value))))
-            if isinstance(value, bool):
-                return ex.Constant(value, BOOLEAN)
-            if isinstance(value, float):
-                return ex.Constant(value, DOUBLE)
-            if value is None:
-                return ex.Constant(None, None)
-            return ex.Constant(value, INTEGER)
+            return bind_literal(node.value, node.is_date)
 
         if isinstance(node, ast.ColumnRef):
             return scope.resolve(node.name, node.qualifier)
@@ -795,10 +801,8 @@ class Binder:
             for value_node in node.values:
                 if not isinstance(value_node, ast.Literal):
                     raise BindError("IN list values must be literals")
-                if value_node.is_date:
-                    values.append(_parse_date_literal(str(value_node.value)))
-                else:
-                    values.append(value_node.value)
+                values.append(bind_literal(value_node.value,
+                                           value_node.is_date).value)
             return ex.InListExpr(operand, tuple(values), node.negated)
 
         if isinstance(node, ast.IsNull):

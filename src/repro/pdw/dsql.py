@@ -19,10 +19,8 @@ across multiple compute nodes").
 from __future__ import annotations
 
 import enum
-import re
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra import expressions as ex
 from repro.algebra.logical import LogicalGet
@@ -53,30 +51,19 @@ def execution_temp_name(name: str, execution_id: int) -> str:
     return f"{name}_E{execution_id}"
 
 
-# A string literal (matched so that it is skipped) or a temp-table name
-# with its optional execution suffix.
-_TEMP_REFERENCE = re.compile(
-    r"'(?:[^']|'')*'|\b(" + TEMP_PREFIX + r"\d+)(?:_E\d+)?\b",
-    re.IGNORECASE)
+@dataclass(frozen=True, eq=False)
+class PlanBinding:
+    """What one execution of a plan runs with, set on each of its steps:
+    the ``template`` plan whose prepared steps it runs (the runtime
+    prepares a template at its first execution and keeps the result on
+    ``template.prepared``), the literal values it swaps into their slots
+    (slot key → new literal, see :mod:`repro.appliance.prepared`; empty
+    for the template's own), and this execution's name of every temp
+    table, in the template's step order."""
 
-
-@lru_cache(maxsize=256)
-def canonical_step_sql(sql: str) -> Tuple[str, Tuple[str, ...]]:
-    """Step SQL with every :func:`execution_temp_name` suffix stripped
-    (the same text for every execution of a plan), plus the lower-cased
-    name, suffix and all, of each temp table the step reads, in order
-    of first appearance.  Text inside string literals is never touched.
-    Memoized: every node of a step asks for the same text."""
-    temps: Dict[str, str] = {}
-
-    def strip(match: "re.Match") -> str:
-        canonical = match.group(1)
-        if canonical is None:
-            return match.group(0)  # a string literal
-        temps.setdefault(canonical.lower(), match.group(0).lower())
-        return canonical
-
-    return _TEMP_REFERENCE.sub(strip, sql), tuple(temps.values())
+    template: "DsqlPlan"
+    literals: Mapping
+    temps: Tuple[str, ...]
 
 
 class StepKind(enum.Enum):
@@ -101,6 +88,9 @@ class DsqlStep:
     #: Per-operator cardinality estimates of the step's source fragment
     #: (postorder), joined against runtime actuals by the profiler.
     operator_estimates: List[OperatorEstimate] = field(default_factory=list)
+    #: Set on a step of an execution copy (:class:`PlanBinding`).
+    binding: Optional[PlanBinding] = field(default=None, repr=False,
+                                           compare=False)
 
     def describe(self) -> str:
         if self.kind is StepKind.RETURN:
@@ -125,6 +115,28 @@ class DsqlPlan:
     order_by: List[Tuple[str, bool]] = field(default_factory=list)
     limit: Optional[int] = None
     total_cost: float = 0.0
+    #: The steps parsed and bound once
+    #: (:class:`repro.appliance.prepared.PreparedPlan`), built by the
+    #: runtime at the plan's first execution.
+    prepared: Optional[object] = field(default=None, repr=False,
+                                       compare=False)
+
+    @property
+    def temp_names(self) -> Tuple[str, ...]:
+        """The destination temp table of every DMS step, in step
+        order."""
+        return tuple(step.destination_table.name for step in self.steps
+                     if step.destination_table is not None)
+
+    def bind(self, literals: Mapping = None,
+             temps: Optional[Sequence[str]] = None) -> "DsqlPlan":
+        """An execution copy of this plan: every step carries one
+        :class:`PlanBinding` to it (``literals`` swapped in, ``temps``
+        the execution's temp names, default the plan's own)."""
+        binding = PlanBinding(self, literals or {},
+                              tuple(temps or self.temp_names))
+        return replace(self, steps=[replace(step, binding=binding)
+                                    for step in self.steps])
 
     @property
     def movement_steps(self) -> List[DsqlStep]:

@@ -62,10 +62,17 @@ class CompiledQuery:
     pdw_config: Optional[PdwConfig] = None
     opt_trace: Optional[OptimizerTrace] = None
     # The DSQL steps' SQL pre-split around literals and temp-table
-    # names; built on first use by
-    # ``repro.service.plan_cache.instantiate_plan``.
-    prepared_steps: Optional[list] = field(default=None, repr=False,
-                                           compare=False)
+    # names, for rendering an execution's step text; built on first use
+    # by ``repro.service.plan_cache.instantiate_plan``.
+    step_text: Optional[list] = field(default=None, repr=False,
+                                      compare=False)
+
+    @property
+    def prepared(self):
+        """The template's steps parsed and bound once
+        (:class:`repro.appliance.prepared.PreparedPlan`), kept on its
+        DSQL plan; ``None`` until the plan's first execution."""
+        return self.dsql_plan.prepared
 
     @property
     def plan_cost(self) -> float:

@@ -3,25 +3,36 @@
 Industrial optimizers treat plan caching as table stakes: the same query
 template arrives thousands of times per second with different literals,
 and compiling each arrival from scratch would melt the control node.
-The cache here implements the classic recipe:
+The cache here implements the classic recipe, and a hit is a lex plus a
+value bind — no parser, no binder:
 
-1. **Normalize** (:func:`parameterize`): parse the query, lift every
-   predicate/select literal to a positional parameter marker, and use
-   the re-rendered SQL — markers instead of constants — as the cache
-   key.  ``SELECT ... WHERE o_orderdate < DATE '1995-03-15'`` and the
-   same query with ``'1997-06-01'`` share one key.
+1. **Normalize** (:func:`parameterize`): lift every predicate/select
+   literal to a positional parameter marker and use the re-rendered SQL
+   — markers instead of constants — as the cache key.  ``SELECT ...
+   WHERE o_orderdate < DATE '1995-03-15'`` and the same query with
+   ``'1997-06-01'`` share one key.  Only the first sight of a text's
+   *skeleton* (its token stream with every literal a slot,
+   :func:`repro.sql.lexer.skeleton`) runs the parser; it records which
+   literal tokens became parameters — with a folded unary minus and a
+   ``DATE`` prefix — and which are structural, and a bounded memo keyed
+   on the skeleton and the structural tokens' values answers every
+   later text from its literal tokens alone, converted exactly as the
+   parser converts them (:func:`repro.sql.lexer.literal_value`).
 2. **Compile with sniffed constants**: on a miss the *original* SQL
    (real literals) is compiled, so cardinality estimation sees honest
    constants, and the resulting :class:`~repro.pdw.engine.CompiledQuery`
    is cached as the template for its shape.
 3. **Re-bind on hit** (:func:`bind_params` + :func:`instantiate_plan`):
-   a hit substitutes the new call's literals into every DSQL step's SQL,
-   so the cached plan *shape* executes with the new constants and
-   returns exactly the rows a fresh compilation would.  Each template
-   step is parsed once and kept split around its literals and temp-table
-   names, so stamping out an execution is a string join — the paper's
-   node DBMS keeps the compiled statement of a re-issued step (§2.4),
-   and a cache hit here never re-parses one either.
+   the template's DSQL steps are parsed and bound once, at its first
+   execution (:mod:`repro.appliance.prepared`) — the paper's node DBMS
+   keeps the compiled statement of a re-issued step (§2.4).  A hit maps
+   each changed template value to the *slot* its literal bound to in
+   the prepared trees (:func:`slot_literals`); the runtime runs a path
+   copy of each tree the new values reach, so the cached plan *shape*
+   executes with the new constants and returns exactly the rows a fresh
+   compilation would.  The step SQL is still rendered (a string join
+   over each step split once) for the oracle, the DMVs and the Query
+   Store.
 
 **What is never folded to a marker** — ``TOP n`` / ``LIMIT`` (the limit
 is part of the plan: the control-node merge and per-step SQL bake it
@@ -30,17 +41,19 @@ in), literals inside interval/structure functions (``DATEADD``,
 literals (positional semantics).  Those constants stay in the cache key,
 so ``TOP 10`` and ``TOP 1000`` are distinct entries.  When a new
 parameter vector cannot be substituted unambiguously (two parameter
-positions shared one template value but now diverge, or a parameter
-value collides with a structural constant in the template), the lookup
-reports a miss and the query recompiles — correctness never depends on
-substitution being possible.
+positions shared one template value but now diverge, a parameter value
+collides with a structural constant in the template, or a changed value
+has no slot because the optimizer folded its literal away), the lookup
+reports a miss and the query recompiles privately — correctness never
+depends on substitution being possible.
 
 Entries are LRU-evicted beyond ``capacity`` and invalidated when the
 appliance's ``schema_version`` moves (DDL or data loads change the
 statistics the template was costed against).  Hints participate in the
 key, so a hinted query never reuses an unhinted plan.  All counters land
 on the service's :class:`~repro.obs.metrics.MetricsRegistry` as
-``pdw_service_plan_cache_*`` series.
+``pdw_service_plan_cache_*`` series — ``shape_parses`` counts the
+first-sight parses, once per shape.
 """
 
 from __future__ import annotations
@@ -49,24 +62,23 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.appliance.prepared import LeafKey, ParamValue, literal_key
 from repro.common.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.pdw.dsql import DsqlPlan, execution_temp_name
+from repro.pdw.dsql import DsqlPlan, PlanBinding, execution_temp_name
 from repro.pdw.engine import CompiledQuery
 from repro.sql import ast_nodes as ast
-from repro.sql.parser import parse_query
+from repro.sql.lexer import TokenType, literal_value, skeleton
+from repro.sql.parser import LiteralSources, parse_query
 
 #: Functions whose literal arguments shape the plan structurally —
 #: interval arithmetic and string-position arguments feed cardinality
 #: and output schema in ways a marker must not hide.  Their literals
 #: stay verbatim in the cache key.
 STABLE_FUNCTIONS = frozenset({"DATEADD", "SUBSTRING", "EXTRACT", "YEAR"})
-
-#: One literal's identity: (type name, value, is_date).  The type name
-#: keeps ``True`` and ``1`` apart (Python hashes them equal).
-ParamValue = Tuple[str, object, bool]
 
 
 def _param_value(literal: ast.Literal) -> ParamValue:
@@ -87,11 +99,18 @@ class _Marker:
 
 @dataclass(frozen=True)
 class QueryShape:
-    """The normalized identity of a query: key + lifted parameters."""
+    """The normalized identity of a query: key + lifted parameters.
+
+    ``key`` includes the hints; ``text_key`` is the key of the text
+    alone (the Query Store's shape).  ``parsed`` says whether computing
+    this shape ran the parser and taught the memo a shape it did not
+    hold — the first sight of its skeleton and structural values."""
 
     key: str
     params: Tuple[ParamValue, ...]
     structural: FrozenSet[ParamValue]
+    text_key: str = ""
+    parsed: bool = field(default=False, compare=False)
 
     @property
     def param_count(self) -> int:
@@ -195,10 +214,110 @@ def _transform_statement(stmt, fn: LiteralFn) -> None:
 
 # -- normalization --------------------------------------------------------------
 
+#: Where a parameter comes from in a text's literal tokens: (ordinal of
+#: its token among them, negated by folded unary minus, is a date).
+_Role = Tuple[int, bool, bool]
+#: One literal token as :func:`repro.sql.lexer.skeleton` returns it.
+_Token = Tuple[TokenType, str]
+
+
+@dataclass(frozen=True)
+class _Lifted:
+    """What the first parse of a skeleton learned: the hint-free key,
+    the parameter roles in order, the structural set."""
+
+    key: str
+    roles: Tuple[_Role, ...]
+    structural: FrozenSet[ParamValue]
+
+
+def _token_param(token: _Token, negated: bool, is_date: bool
+                 ) -> ParamValue:
+    """A literal token as the parameter the parse would have lifted."""
+    value = literal_value(*token)
+    if negated:
+        value = -value
+    return (type(value).__name__, value, is_date)
+
+
+def _lift(sql: str) -> Tuple[str, Tuple[ParamValue, ...],
+                             FrozenSet[ParamValue], Optional[List[_Role]]]:
+    """Parse ``sql``, lift its literals: (hint-free key, parameters,
+    structural set, each parameter's role — ``None`` when one did not
+    come from a literal token)."""
+    sources: LiteralSources = {}
+    statement = parse_query(sql, sources)
+    params: List[ParamValue] = []
+    roles: Optional[List[_Role]] = []
+    structural: set = set()
+
+    def lift(literal: ast.Literal, stable: bool) -> Optional[ast.Expr]:
+        nonlocal roles
+        if (literal.value is None or isinstance(literal.value, bool)
+                or stable):
+            # NULL / TRUE / FALSE are predicate structure, not data;
+            # stable-context constants shape the plan.
+            structural.add(_param_value(literal))
+            return None
+        params.append(_param_value(literal))
+        source = sources.get(id(literal))
+        if source is None or roles is None:
+            roles = None
+        else:
+            roles.append((source[0], source[1], literal.is_date))
+        return ast.Literal(_Marker(len(params) - 1), is_date=False)
+
+    _transform_statement(statement, lift)
+    return statement.to_sql(), tuple(params), frozenset(structural), roles
+
+
+def _hinted(key: str, hints: Optional[Tuple[Tuple[str, str], ...]]) -> str:
+    if not hints:
+        return key
+    return key + " /*hints:" + ",".join(
+        f"{table}={strategy}" for table, strategy in hints) + "*/"
+
+
+def parameterize_by_parse(sql: str,
+                          hints: Optional[Tuple[Tuple[str, str], ...]]
+                          = None) -> QueryShape:
+    """:func:`parameterize` by the parser alone, every time: the
+    reference the skeleton memo is held to."""
+    key, params, structural, _roles = _lift(sql)
+    return QueryShape(_hinted(key, hints), params, structural, key,
+                      parsed=True)
+
+
+#: Skeletons remembered, least recently seen evicted; per skeleton, the
+#: structural-value combinations remembered (cleared when full).
+SKELETON_LIMIT = 512
+SHAPES_PER_SKELETON = 64
+
+# skeleton → (ordinals of its structural literal tokens,
+#             {their values: _Lifted})
+_SKELETONS: "OrderedDict[Tuple[str, ...], Tuple[Tuple[int, ...], Dict[tuple, _Lifted]]]" = OrderedDict()
+_SKELETONS_LOCK = threading.Lock()
+
+
+def clear_shape_memo() -> None:
+    """Forget every skeleton (tests)."""
+    with _SKELETONS_LOCK:
+        _SKELETONS.clear()
+
+
 def parameterize(sql: str,
                  hints: Optional[Tuple[Tuple[str, str], ...]] = None
                  ) -> QueryShape:
     """Lift literals to markers; return the query's cache identity.
+
+    The text is lexed into its skeleton — the token stream with every
+    literal a slot — and looked up in a bounded memo.  A memo entry
+    says which literal tokens are parameters (in order, with a folded
+    unary minus and a ``DATE`` prefix) and which are structural; the
+    structural tokens' values are part of the lookup.  Only a text
+    whose skeleton and structural values were never seen is parsed
+    (:func:`parameterize_by_parse`); every other call converts its
+    parameter tokens exactly as the parser converts literals.
 
     ``TOP``/``LIMIT`` values are integer attributes of the statement
     (not literal nodes), so they survive into the key by construction;
@@ -206,28 +325,45 @@ def parameterize(sql: str,
     and recorded in ``structural`` so :func:`bind_params` can refuse
     ambiguous substitutions.
     """
-    statement = parse_query(sql)
-    params: List[ParamValue] = []
-    structural: set = set()
-
-    def lift(literal: ast.Literal, stable: bool) -> Optional[ast.Expr]:
-        if literal.value is None or isinstance(literal.value, bool):
-            # NULL / TRUE / FALSE are predicate structure, not data.
-            structural.add(_param_value(literal))
-            return None
-        if stable:
-            structural.add(_param_value(literal))
-            return None
-        params.append(_param_value(literal))
-        return ast.Literal(_Marker(len(params) - 1), is_date=False)
-
-    _transform_statement(statement, lift)
-    key = statement.to_sql()
-    if hints:
-        key += " /*hints:" + ",".join(
-            f"{table}={strategy}" for table, strategy in hints) + "*/"
-    return QueryShape(key=key, params=tuple(params),
-                      structural=frozenset(structural))
+    parts, tokens = skeleton(sql)
+    entry = _SKELETONS.get(parts)
+    lifted = None
+    if entry is not None:
+        fixed, shapes = entry
+        lifted = shapes.get(tuple(tokens[ordinal] for ordinal in fixed))
+    if lifted is not None:
+        with _SKELETONS_LOCK:
+            if parts in _SKELETONS:
+                _SKELETONS.move_to_end(parts)
+        params = tuple(_token_param(tokens[ordinal], negated, is_date)
+                       for ordinal, negated, is_date in lifted.roles)
+        return QueryShape(_hinted(lifted.key, hints), params,
+                          lifted.structural, lifted.key)
+    key, params, structural, roles = _lift(sql)
+    learned = True
+    if roles is not None and params == tuple(
+            _token_param(tokens[ordinal], negated, is_date)
+            for ordinal, negated, is_date in roles):
+        lifted_ordinals = {ordinal for ordinal, _, _ in roles}
+        fixed = tuple(ordinal for ordinal in range(len(tokens))
+                      if ordinal not in lifted_ordinals)
+        values = tuple(tokens[ordinal] for ordinal in fixed)
+        with _SKELETONS_LOCK:
+            entry = _SKELETONS.get(parts)
+            if entry is None or entry[0] != fixed:
+                entry = _SKELETONS[parts] = (fixed, {})
+            _SKELETONS.move_to_end(parts)
+            while len(_SKELETONS) > SKELETON_LIMIT:
+                _SKELETONS.popitem(last=False)
+            shapes = entry[1]
+            # A racing first sight of the same text parsed too, but
+            # only one of them teaches the memo.
+            learned = values not in shapes
+            if len(shapes) >= SHAPES_PER_SKELETON:
+                shapes.clear()
+            shapes[values] = _Lifted(key, tuple(roles), structural)
+    return QueryShape(_hinted(key, hints), params, structural, key,
+                      parsed=learned)
 
 
 def bind_params(template: Tuple[ParamValue, ...],
@@ -259,13 +395,31 @@ def bind_params(template: Tuple[ParamValue, ...],
     return mapping
 
 
+@lru_cache(maxsize=4096)
+def _slot_of(value: ParamValue) -> LeafKey:
+    return literal_key(value)
+
+
+def slot_literals(mapping: Optional[Dict[ParamValue, ParamValue]]
+                  ) -> Optional[Dict[LeafKey, ParamValue]]:
+    """``mapping`` keyed by the literal slot each template value binds
+    to (:func:`repro.appliance.prepared.literal_key`), or ``None`` when
+    two template values bind to one slot but map to different values
+    (``DATE '1995-3-1'`` and ``DATE '1995-03-01'``)."""
+    literals: Dict[LeafKey, ParamValue] = {}
+    for old, new in (mapping or {}).items():
+        key = _slot_of(old)
+        if literals.setdefault(key, new) != new:
+            return None
+    return literals
+
+
 def rewrite_literals(sql: str,
                      mapping: Dict[ParamValue, ParamValue]) -> str:
     """Re-render ``sql`` with every literal found in ``mapping``
     replaced by its new value.  The reference for what
     :func:`instantiate_plan` substitutes (the tests hold the two
-    together); DSQL step SQL is always parseable (the runtime itself
-    parses it per step)."""
+    together); DSQL step SQL is always parseable."""
     statement = parse_query(sql)
 
     def substitute(literal: ast.Literal, stable: bool
@@ -283,22 +437,22 @@ def rewrite_literals(sql: str,
 
 # -- plan instantiation ---------------------------------------------------------
 
-#: A template step's SQL split for re-binding: plain ``str`` text, an
+#: A template step's SQL split for rendering: plain ``str`` text, an
 #: ``int`` (the plan's n-th destination temp table, renamed per
-#: execution) or a ``(ParamValue, text)`` literal (re-rendered when the
-#: mapping replaces its value, else ``text``).
-PreparedStep = Tuple[object, ...]
+#: execution) or a ``(LeafKey, text)`` literal (re-rendered when the
+#: execution swaps its slot, else ``text``).
+StepText = Tuple[object, ...]
 
 
-def _prepare_step(sql: str, temp_names: List[str]) -> PreparedStep:
+def _split_step(sql: str, temp_names: List[str]) -> StepText:
     """Parse ``sql`` once and split its rendering around every literal
-    :func:`rewrite_literals` would visit and every temp-table name."""
+    and every temp-table name."""
     statement = parse_query(sql)
-    literals: List[Tuple[ParamValue, str]] = []
+    literals: List[Tuple[LeafKey, str]] = []
 
     def lift(literal: ast.Literal, stable: bool) -> ast.Expr:
-        del stable  # every literal gets a slot; the mapping decides
-        literals.append((_param_value(literal), literal.to_sql()))
+        del stable  # every literal gets a slot; the execution decides
+        literals.append((_slot_of(_param_value(literal)), literal.to_sql()))
         return ast.Literal(_Marker(len(literals) - 1))
 
     _transform_statement(statement, lift)
@@ -337,34 +491,38 @@ def instantiate_plan(compiled: CompiledQuery,
 
     Two rewrites happen here:
 
-    * **parameter substitution** — when ``mapping`` is non-empty, each
-      step's SQL carries the new literal values;
+    * **parameter substitution** — when ``mapping`` is non-empty, the
+      execution swaps the new values into the template's literal slots
+      (:func:`slot_literals`), and each step's SQL carries them;
     * **temp-table namespacing** — every destination temp table gets an
       execution-unique name (``TEMP_ID_1`` → ``TEMP_ID_1_E42``) and all
       step SQL referencing it is renamed, so concurrent executions of
       the same (or different) plans never collide on the appliance.
 
-    The template's steps are parsed and split once, on first use, and
-    kept on ``compiled``; after that an execution is a string join per
-    step.  Returns the new plan plus the temp names this execution
-    owns; the caller drops exactly those afterwards.
+    Every step carries a :class:`~repro.pdw.dsql.PlanBinding` to the
+    template, so the runtime runs the template's prepared steps and
+    never this SQL; the text is for the oracle, the DMVs and the Query
+    Store.  The template's steps are parsed and split once, on first
+    use, and kept on ``compiled``; after that an execution is a string
+    join per step.  Returns the new plan plus the temp names this
+    execution owns; the caller drops exactly those afterwards.
     """
     template = compiled.dsql_plan
-    prepared = compiled.prepared_steps
-    if prepared is None:
+    split = compiled.step_text
+    if split is None:
         # Racing first executions build equal tuples; last store wins.
-        temp_names = [step.destination_table.name
-                      for step in template.steps
-                      if step.destination_table is not None]
-        prepared = compiled.prepared_steps = [
-            _prepare_step(step.sql, temp_names) for step in template.steps]
-    names = [execution_temp_name(step.destination_table.name, execution_id)
-             for step in template.steps
-             if step.destination_table is not None]
-    mapping = mapping or {}
+        split = compiled.step_text = [
+            _split_step(step.sql, list(template.temp_names))
+            for step in template.steps]
+    literals = slot_literals(mapping)
+    if literals is None:
+        raise ReproError("literal substitution binds one slot twice")
+    names = [execution_temp_name(name, execution_id)
+             for name in template.temp_names]
+    binding = PlanBinding(template, literals, tuple(names))
     owned = iter(names)
     steps = []
-    for step, parts in zip(template.steps, prepared):
+    for step, parts in zip(template.steps, split):
         rendered = []
         for part in parts:
             if type(part) is str:
@@ -372,14 +530,14 @@ def instantiate_plan(compiled: CompiledQuery,
             elif type(part) is int:
                 rendered.append(names[part])
             else:
-                new = mapping.get(part[0])
+                new = literals.get(part[0])
                 if new is None:
                     rendered.append(part[1])
                 else:
                     _type_name, value, is_date = new
                     rendered.append(
                         ast.Literal(value, is_date=is_date).to_sql())
-        changes = {"sql": "".join(rendered)}
+        changes = {"sql": "".join(rendered), "binding": binding}
         if step.destination_table is not None:
             changes["destination_table"] = replace(
                 step.destination_table, name=next(owned))
@@ -425,6 +583,8 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self.shape_parses = 0
+        self.inserts = 0
 
     # -- metric plumbing -------------------------------------------------------
 
@@ -441,6 +601,19 @@ class PlanCache:
                 "Entries currently cached").set(len(self._entries))
 
     # -- operations ------------------------------------------------------------
+
+    def shape(self, sql: str,
+              hints: Optional[Tuple[Tuple[str, str], ...]] = None
+              ) -> QueryShape:
+        """:func:`parameterize`, counting the first-sight parses
+        (``pdw_service_plan_cache_shape_parses``): once per shape, not
+        once per query."""
+        shape = parameterize(sql, hints)
+        if shape.parsed:
+            with self._lock:
+                self.shape_parses += 1
+            self._count("shape_parses")
+        return shape
 
     def lookup(self, shape: QueryShape,
                schema_version: int) -> Optional[CacheEntry]:
@@ -482,6 +655,7 @@ class PlanCache:
                 return existing
             self._entries[entry.shape.key] = entry
             self._entries.move_to_end(entry.shape.key)
+            self.inserts += 1
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
@@ -515,4 +689,6 @@ class PlanCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
+                "shape_parses": self.shape_parses,
+                "inserts": self.inserts,
             }

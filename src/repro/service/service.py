@@ -13,9 +13,9 @@ call flows through
    compiled once per shape on a miss (single-flight: concurrent misses
    on the same shape wait for one compilation);
 3. **instantiation** — the cached template is stamped out for this
-   execution: new literals and private temp-table names joined into
-   the pre-split step SQL (no re-parse), so concurrent executions
-   never collide on the appliance;
+   execution: its prepared steps (parsed and bound once) with the new
+   literals swapped into their slots and private temp-table names, so
+   concurrent executions never collide on the appliance;
 4. **execution** on the shared :class:`repro.appliance.runner.DsqlRunner`
    (the serial walk by default; steps DAG-scheduled on a thread pool
    when the parallel runtime is on);
@@ -64,7 +64,7 @@ from repro.service.plan_cache import (
     QueryShape,
     bind_params,
     instantiate_plan,
-    parameterize,
+    slot_literals,
 )
 from repro.telemetry import NULL_TRACER
 from repro.workloads.tpch_datagen import build_tpch_appliance
@@ -199,7 +199,7 @@ class PdwService:
             raise
         try:
             request.compiling()
-            compiled, cache_hit, compile_seconds, mapping = \
+            compiled, cache_hit, compile_seconds, mapping, shape = \
                 self._compiled_for(sql, opts)
             plan, temp_names = instantiate_plan(
                 compiled, mapping, next(self._execution_ids))
@@ -240,7 +240,8 @@ class PdwService:
             self.query_store.stamp(
                 sql, compiled.dsql_plan, result,
                 schema_version=self.appliance.schema_version,
-                cache_hit=cache_hit, timing=result.timing)
+                cache_hit=cache_hit, timing=result.timing,
+                shape_key=shape.text_key if shape is not None else None)
         self._account(opts, outcome="ok", seconds=total,
                       timing=result.timing, cache_hit=cache_hit)
         return result
@@ -283,18 +284,21 @@ class PdwService:
     # -- plan acquisition ------------------------------------------------------
 
     def _compiled_for(self, sql: str, opts: ExecutionOptions):
-        """(compiled template, cache_hit, compile_seconds, mapping).
+        """(compiled template, cache_hit, compile_seconds, mapping,
+        shape).
 
         Cache path: normalize, look up, and on a miss compile exactly
         once per shape (per-key single-flight around one global compile
         lock — the engine shares mutable optimizer state).  A hit whose
-        parameter vector cannot be bound unambiguously falls back to a
-        private compilation, uncached.
+        parameter vector cannot be bound unambiguously, or whose new
+        values would not all land in the template's literal slots (a
+        literal the optimizer folded away), falls back to a private
+        compilation, uncached.
         """
         if not opts.use_plan_cache:
             compiled, seconds = self._compile(sql, opts)
-            return compiled, False, seconds, None
-        shape = parameterize(sql, hints=opts.hints)
+            return compiled, False, seconds, None, None
+        shape = self.plan_cache.shape(sql, opts.hints)
         version = self.appliance.schema_version
         entry = self.plan_cache.lookup(shape, version)
         if entry is None:
@@ -302,17 +306,30 @@ class PdwService:
                 shape, sql, opts, version)
             if not racing_hit:
                 entry.executions += 1
-                return entry.compiled, False, seconds, None
+                return entry.compiled, False, seconds, None, shape
         mapping = bind_params(entry.shape.params, shape.params,
                               entry.shape.structural)
+        if mapping and not self._binds(entry.compiled, mapping):
+            mapping = None
         if mapping is None:
             # Ambiguous substitution: recompile privately for
             # correctness; keep the cached template for future calls.
             entry.misses_ambiguous += 1
             compiled, seconds = self._compile(sql, opts)
-            return compiled, False, seconds, None
+            return compiled, False, seconds, None, shape
         entry.executions += 1
-        return entry.compiled, True, 0.0, mapping or None
+        return entry.compiled, True, 0.0, mapping or None, shape
+
+    def _binds(self, compiled: CompiledQuery, mapping) -> bool:
+        """Whether ``mapping``'s new values can be swapped into the
+        template's prepared steps: one slot per template value, and a
+        slot for each."""
+        literals = slot_literals(mapping)
+        if literals is None:
+            return False
+        prepared = (compiled.prepared
+                    or self.runner.runtime.prepared(compiled.dsql_plan))
+        return prepared.binds(literals)
 
     def _compile_into_cache(self, shape: QueryShape, sql: str,
                             opts: ExecutionOptions, version: int):

@@ -17,11 +17,16 @@ Expression parsing uses classic precedence climbing; subqueries appear as
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SqlSyntaxError
 from repro.sql import ast_nodes as ast
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, literal_value, tokenize
+
+#: Where each literal node of a parse came from: ``id(literal)`` →
+#: (ordinal of its NUMBER/STRING token among the text's literal tokens,
+#: whether a unary minus was folded into it an odd number of times).
+LiteralSources = Dict[int, Tuple[int, bool]]
 
 _COMPARISON_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 _TYPE_KEYWORDS = (
@@ -31,11 +36,22 @@ _TYPE_KEYWORDS = (
 
 
 class Parser:
-    """One-shot parser over a token stream; use :func:`parse`."""
+    """One-shot parser over a token stream; use :func:`parse`.
 
-    def __init__(self, text: str):
+    With ``sources`` given, every literal node made from a NUMBER or
+    STRING token is recorded there (:data:`LiteralSources`)."""
+
+    def __init__(self, text: str,
+                 sources: Optional[LiteralSources] = None):
         self._tokens = tokenize(text)
         self._pos = 0
+        self._sources = sources
+        if sources is not None:
+            literal_positions = [
+                position for position, token in enumerate(self._tokens)
+                if token.type in (TokenType.NUMBER, TokenType.STRING)]
+            self._ordinals = {position: ordinal for ordinal, position
+                              in enumerate(literal_positions)}
 
     # -- token helpers ------------------------------------------------------
 
@@ -64,6 +80,14 @@ class Parser:
             self._advance()
             return True
         return False
+
+    def _literal(self, value: object, position: int,
+                 is_date: bool = False) -> ast.Literal:
+        """A literal node for the token at ``position``."""
+        literal = ast.Literal(value, is_date=is_date)
+        if self._sources is not None:
+            self._sources[id(literal)] = (self._ordinals[position], False)
+        return literal
 
     def _expect_keyword(self, name: str) -> Token:
         if not self._current.is_keyword(name):
@@ -426,7 +450,13 @@ class Parser:
             if (isinstance(operand, ast.Literal)
                     and isinstance(operand.value, (int, float))
                     and not isinstance(operand.value, bool)):
-                return ast.Literal(-operand.value)
+                folded = ast.Literal(-operand.value)
+                if self._sources is not None:
+                    source = self._sources.pop(id(operand), None)
+                    if source is not None:
+                        self._sources[id(folded)] = (source[0],
+                                                     not source[1])
+                return folded
             return ast.UnaryOp("-", operand)
         if self._accept_operator("+"):
             return self._parse_unary()
@@ -435,15 +465,11 @@ class Parser:
     def _parse_primary(self) -> ast.Expr:
         token = self._current
 
-        if token.type is TokenType.NUMBER:
+        if token.type in (TokenType.NUMBER, TokenType.STRING):
+            position = self._pos
             self._advance()
-            text = token.value
-            value: object = float(text) if "." in text else int(text)
-            return ast.Literal(value)
-
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ast.Literal(token.value)
+            return self._literal(literal_value(token.type, token.value),
+                                 position)
 
         if token.is_keyword("NULL"):
             self._advance()
@@ -455,8 +481,9 @@ class Parser:
 
         if token.is_keyword("DATE") and self._peek().type is TokenType.STRING:
             self._advance()
-            literal = self._advance()
-            return ast.Literal(literal.value, is_date=True)
+            position = self._pos
+            return self._literal(self._advance().value, position,
+                                 is_date=True)
 
         if token.is_keyword("CAST"):
             return self._parse_cast()
@@ -554,9 +581,11 @@ class Parser:
         return ast.Cast(operand, type_name)
 
 
-def parse(text: str) -> ast.Statement:
-    """Parse one SQL statement."""
-    return Parser(text).parse_statement()
+def parse(text: str,
+          sources: Optional[LiteralSources] = None) -> ast.Statement:
+    """Parse one SQL statement (recording literal origins into
+    ``sources`` when given)."""
+    return Parser(text, sources).parse_statement()
 
 
 def parse_select(text: str) -> ast.SelectStatement:
@@ -567,9 +596,9 @@ def parse_select(text: str) -> ast.SelectStatement:
     return statement
 
 
-def parse_query(text: str):
+def parse_query(text: str, sources: Optional[LiteralSources] = None):
     """Parse a statement that must be a SELECT or a UNION of SELECTs."""
-    statement = parse(text)
+    statement = parse(text, sources)
     if not isinstance(statement, (ast.SelectStatement, ast.UnionSelect)):
         raise SqlSyntaxError("expected a query")
     return statement

@@ -105,6 +105,9 @@ _KIND_DTYPE = {
 
 _KIND_FILL = {"i": 0, "f": 0.0, "b": False, "d": datetime.date.min}
 
+#: Day number (``date.toordinal``) of the datetime64 epoch, 1970-01-01.
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
 
 class StringDictionary:
     """The distinct ``str`` values of dictionary-encoded columns.
@@ -163,8 +166,9 @@ class NumpyColumn:
         out = self._pylist
         if out is None:
             if self.kind == "d":
-                fromordinal = datetime.date.fromordinal
-                out = [fromordinal(o) for o in self.values.tolist()]
+                # One C pass: day numbers → datetime64 → date objects.
+                out = (self.values - _EPOCH_ORDINAL).astype(
+                    "datetime64[D]").astype(object).tolist()
             elif self.kind == "s":
                 out = self.dictionary.entries[self.values].tolist()
             else:

@@ -88,7 +88,7 @@ def test_column_owners_are_pdw_hash_modulo(values):
     column = column_from_list(values)
     for node_count in NODE_COUNTS:
         owners = column_owners(column, node_count)
-        assert owners.dtype == np.int64
+        assert owners.dtype == np.uint8  # a radix-sortable node id
         assert owners.tolist() == [pdw_hash(v) % node_count
                                    for v in values]
 

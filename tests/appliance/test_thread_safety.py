@@ -1,5 +1,5 @@
 """Concurrent hammers for the caches that concurrent service clients
-and step-DAG workers share: the DMS parse/bind cache, the appliance's
+and step-DAG workers share: plan preparation, the appliance's
 single-system image, the kernel compilers' identity memos, and the
 telemetry/metrics counters."""
 
@@ -11,11 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.algebra import expressions as ex
+from repro.algebra.properties import hashed_on
 from repro.appliance.dms_runtime import DmsRuntime
 from repro.appliance.storage import Appliance
 from repro.catalog.schema import Column, TableDef, hash_distributed
 from repro.common.types import INTEGER
 from repro.obs.metrics import MetricsRegistry
+from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
 from repro.telemetry import Tracer
 from repro.vector import kernels, np_kernels
 from repro.vector.column_batch import ColumnBatch
@@ -44,39 +46,47 @@ def _hammer(work, threads: int = THREADS) -> None:
         raise errors[0]
 
 
-class TestBindCacheThreadSafety:
-    def test_concurrent_bind_hits_like_serial(self, mini_appliance):
+def _return_plan(sql: str) -> DsqlPlan:
+    """A one-step plan returning ``sql`` over the hash-distributed
+    table."""
+    return DsqlPlan(steps=[DsqlStep(index=0, kind=StepKind.RETURN, sql=sql,
+                                    source_location=hashed_on(1))],
+                    output_names=[])
+
+
+class TestPreparationThreadSafety:
+    def test_concurrent_preparation_like_serial(self, mini_appliance):
         tracer = Tracer()
         runtime = DmsRuntime(mini_appliance, tracer=tracer)
-        sqls = [
+        plans = [_return_plan(sql) for sql in (
             "SELECT a FROM t WHERE a < 10",
             "SELECT b FROM t WHERE b = 3",
             "SELECT k, label FROM dim",
             "SELECT a, s FROM t WHERE a > 50",
-        ]
-        expected = {
-            sql: runtime._bind_step(sql)[0].output_names for sql in sqls
-        }
-        runtime._step_cache.clear()
-        tracer.reset()
+        )]
+        expected = [DmsRuntime(mini_appliance).prepared(plan).steps[0]
+                    .query.output_names for plan in plans]
+        for plan in plans:
+            plan.prepared = None
 
         def work(index: int) -> None:
             for _ in range(ROUNDS):
-                for sql in sqls:
-                    query, _aliases = runtime._bind_step(sql)
-                    assert query.output_names == expected[sql]
+                for plan, names in zip(plans, expected):
+                    prepared = runtime.prepared(plan)
+                    assert prepared.steps[0].query.output_names == names
 
         _hammer(work)
-        # The lock is held across bind, so exactly one miss per distinct
-        # SQL — identical hit/miss accounting to a single caller.
-        total = THREADS * ROUNDS * len(sqls)
-        assert tracer.counter("exec.compile_cache_miss") == len(sqls)
-        assert tracer.counter("exec.compile_cache_hit") == total - len(sqls)
+        # The lock is held across the first preparation, so exactly one
+        # miss per plan — identical accounting to a single caller.
+        total = THREADS * ROUNDS * len(plans)
+        assert tracer.counter("exec.compile_cache_miss") == len(plans)
+        assert tracer.counter("exec.compile_cache_hit") == total - len(plans)
 
     def test_concurrent_bind_across_temp_schemas(self, mini_appliance):
-        """One canonical step text over per-execution temps of two
-        schemas: each schema binds once, and every thread reads its own
-        temp through the alias, at its own schema's column position."""
+        """Steps outside any plan over per-execution temps of two
+        schemas: every call binds its own text afresh, so every thread
+        reads its own temp at its own schema's column position, and no
+        prepared plan is built or counted."""
         tracer = Tracer()
         runtime = DmsRuntime(mini_appliance, tracer=tracer)
         node = mini_appliance.compute[0]
@@ -98,7 +108,7 @@ class TestBindCacheThreadSafety:
                 assert (rows, names) == ([(index,)], ["a"])
 
         _hammer(work)
-        assert tracer.counter("exec.compile_cache_miss") == 2
+        assert tracer.counter("exec.compile_cache_miss") == 0
 
 
 class TestApplianceImageThreadSafety:

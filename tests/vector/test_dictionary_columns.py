@@ -230,7 +230,7 @@ def test_widths_and_owners_are_the_per_value_definitions(values, data):
         assert sizes.tolist() == [row_bytes((v,)) for v in vals]
         for node_count in NODE_COUNTS:
             owners = column_owners(col, node_count)
-            assert owners.dtype == np.int64
+            assert owners.dtype == np.uint8  # a radix-sortable node id
             assert owners.tolist() == [pdw_hash(v) % node_count
                                        for v in vals]
 

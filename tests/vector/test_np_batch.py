@@ -14,6 +14,7 @@ from repro.vector.column_batch import ColumnBatch
 from repro.vector.np_batch import (
     ArrayBatch,
     ColumnFragment,
+    NumpyColumn,
     column_from_list,
     concat_columns,
     crc32_int64,
@@ -47,6 +48,21 @@ class TestColumnRoundTrip:
                 assert out != out
                 continue
             assert out == want and type(out) is type(want)
+
+    def test_date_decode_covers_the_whole_date_range(self):
+        """Day numbers 1 and 3 652 059 (``date.min`` / ``date.max``)
+        decode to the dates ``fromordinal`` gives, and a masked row is
+        NULL whatever its slot holds."""
+        ordinals = np.array([1, 3652059, 0, 730120, 719163],
+                            dtype=np.int64)
+        mask = np.array([False, False, True, False, True])
+        got = NumpyColumn("d", ordinals, mask).pylist()
+        assert got == [datetime.date.min, datetime.date.max, None,
+                       datetime.date.fromordinal(730120), None]
+        assert all(type(value) is datetime.date
+                   for value in got if value is not None)
+        assert NumpyColumn("d", ordinals[:2]).pylist() == [
+            datetime.date.min, datetime.date.max]
 
     def test_typed_kinds(self):
         assert column_from_list([1, 2]).kind == "i"
@@ -107,9 +123,23 @@ class TestVectorizedHash:
     def test_owner_vector_matches_modulo(self, node_count):
         keys = list(range(-50, 50)) + [2 ** 62, -2 ** 62]
         owners = column_owners(column_from_list(keys), node_count)
-        assert owners.dtype == np.int64
+        assert owners.dtype == np.uint8  # a radix-sortable node id
         assert owners.tolist() == [pdw_hash(k) % node_count
                                    for k in keys]
+
+    @pytest.mark.parametrize("node_count,dtype", [
+        (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+        (65537, np.int64)])
+    def test_owners_take_the_narrowest_node_id_type(self, node_count,
+                                                    dtype):
+        keys = list(range(-300, 300))
+        for column in (column_from_list(keys),
+                       column_from_list([str(k) for k in keys] * 2),
+                       column_from_list([float(k) for k in keys])):
+            owners = column_owners(column, node_count)
+            assert owners.dtype == dtype
+            assert owners.tolist() == [pdw_hash(v) % node_count
+                                       for v in column.pylist()]
 
     @pytest.mark.parametrize("keys", [
         [1, 2, None],
