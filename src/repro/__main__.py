@@ -12,7 +12,6 @@ WHERE l_orderkey = o_orderkey"
 WHERE l_orderkey = o_orderkey"
     python -m repro calibrate --nodes 8
     python -m repro serve --clients 4 --queries 8
-    python -m repro bench --clients 8 --queries 12
     python -m repro requests --clients 4 --queries 8
     python -m repro querystore --clients 4 --queries 8 \
 --hint customer=shuffle --regressions
@@ -21,9 +20,8 @@ WHERE l_orderkey = o_orderkey"
 a parameterized TPC-H traffic mix — concurrent clients, parameterized
 plan cache, admission control — and prints latency percentiles,
 throughput and cache statistics; ``serve --smoke`` is the CI guard
-(requires plan-cache hits and a reported p99).  ``bench`` is the same flow
-sized as a throughput benchmark, optionally appending its report to a
-results file.
+(requires plan-cache hits and a reported p99).  Throughput is measured
+by ``benchmarks/pdwbench`` (its ``serve_mix`` workload).
 
 ``requests`` drives the same traffic mix and then *dogfoods* the
 ``sys.dm_pdw_*`` system views: the per-status request counts and the
@@ -197,25 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the service metrics registry in "
                             "Prometheus text format")
 
-    bench = sub.add_parser(
-        "bench",
-        help="service throughput benchmark: p50/p95/p99 + queries/sec")
-    bench.add_argument("--clients", type=int, default=8,
-                       help="concurrent client threads (default 8)")
-    bench.add_argument("--queries", type=int, default=12,
-                       help="queries per client (default 12)")
-    bench.add_argument("--seed", type=int, default=2012,
-                       help="traffic RNG seed (default 2012)")
-    bench.add_argument("--max-in-flight", type=int,
-                       default=DEFAULT_MAX_IN_FLIGHT,
-                       help="admission: concurrent executions (default 1)")
-    bench.add_argument("--max-queue", type=int, default=64,
-                       help="admission: wait-queue bound (default 64)")
-    bench.add_argument("--cache-size", type=int, default=64,
-                       help="plan cache capacity (default 64)")
-    bench.add_argument("--output", metavar="PATH",
-                       help="also append the report to PATH")
-
     requests = sub.add_parser(
         "requests",
         help="drive the service, then query the sys.dm_pdw_* system "
@@ -325,13 +304,9 @@ def _cli_options(args) -> ExecutionOptions:
         parallel=True if args.parallel_runtime else None)
 
 
-def _run_service_traffic(args):
-    """Build a service, drive the traffic mix, return (service, report).
-
-    The service is closed before returning; its metrics/stats stay
-    readable.
-    """
-    from repro.service import PdwService, run_traffic
+def _cmd_serve(args) -> int:
+    from repro.obs.export import requests_to_metrics
+    from repro.service import PdwService, render_report, run_traffic
 
     service = PdwService(
         scale=args.scale, node_count=args.nodes,
@@ -339,21 +314,14 @@ def _run_service_traffic(args):
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
         plan_cache_size=args.cache_size,
-        slow_seconds=getattr(args, "slow_seconds", None))
+        slow_seconds=args.slow_seconds)
     try:
         report = run_traffic(service, clients=args.clients,
                              queries_per_client=args.queries,
                              seed=args.seed)
     finally:
+        # Closed before reporting; its metrics and stats stay readable.
         service.close()
-    return service, report
-
-
-def _cmd_serve(args) -> int:
-    from repro.obs.export import requests_to_metrics
-    from repro.service import render_report
-
-    service, report = _run_service_traffic(args)
     print(render_report(report))
     cache = service.plan_cache.stats()
     hits = cache["hits"]
@@ -390,20 +358,6 @@ def _cmd_serve(args) -> int:
             print(f"SMOKE FAIL: {failure}", file=sys.stderr)
         return 1
     print("smoke ok")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.service import render_report
-
-    service, report = _run_service_traffic(args)
-    del service
-    text = render_report(report)
-    print(text)
-    if args.output:
-        with open(args.output, "a", encoding="utf-8") as handle:
-            handle.write(text + "\n\n")
-        print(f"-- appended report to {args.output}", file=sys.stderr)
     return 0
 
 
@@ -590,8 +544,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "requests":
         return _cmd_requests(args)
     if args.command == "querystore":

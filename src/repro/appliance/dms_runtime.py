@@ -30,10 +30,11 @@ each source node, in node-id order, runs the SQL on the tree-walking
 interpreter and routes its own rows through the reference router's
 per-row ``dict.setdefault`` accounting
 (:meth:`DmsRuntime._route_batch_reference`), and the deliveries are
-merged in node-id order.  Broadcast-style moves deliver one shared row
-list (or column fragment) to every target under both executors (the
-destination node copies only if it later mutates), instead of
-materializing N copies of every row.
+merged in node-id order into one row fragment per target
+(:meth:`~repro.vector.np_batch.ColumnFragment.from_rows`).
+Broadcast-style moves deliver one shared row list (or column fragment)
+to every target under both executors — stored fragments are never
+mutated — instead of materializing N copies of every row.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.appliance.storage import (
     batch_row_bytes,
     column_owners,
     node_for_row,
+    place_rows,
     row_bytes,
 )
 from repro.catalog.schema import Catalog
@@ -153,9 +155,8 @@ class StepExecutionStats:
 
 
 #: One routed delivery of the oracle: (target node id, rows, bytes).
-#: The row list may be *shared* between targets (broadcast) — consumers
-#: must treat it as immutable and go through ``NodeStorage.adopt`` /
-#: ``insert`` which copy on mutation.
+#: The row list may be *shared* between targets (broadcast); it is
+#: stored as it stands and never mutated.
 Delivery = Tuple[int, List[Tuple], int]
 
 
@@ -193,15 +194,16 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
     ``source_ids[k]``'s rows at ``bounds[k]:bounds[k + 1]``; ``sizes``
     its per-row byte widths (:func:`~repro.appliance.storage.
     batch_row_bytes`).  Owners come straight from the key column
-    (:func:`~repro.appliance.storage.column_owners`).  A shuffle
-    gathers every column once into owner order by a *stable* sort: the
-    rows are source-major already, so each target's rows come out in
-    source order and, within a source, in that source's output order —
-    exactly the concatenation of per-source buckets the reference
-    router appends.  A trim keeps the rows whose owner is their own source
-    (sources ascend, so those are in owner order as they stand).
-    Either way the rows are stored once, with the targets as bounds,
-    and every compute node gets its view
+    (:func:`~repro.appliance.storage.column_owners`).  A shuffle's
+    rows are stored by :func:`~repro.appliance.storage.place_rows`,
+    which a load's are too: gathered once into owner order by a
+    *stable* sort, and the rows are source-major already, so each
+    target's rows come out in source order and, within a source, in
+    that source's output order — exactly the concatenation of
+    per-source buckets the reference router appends.  A trim places
+    the rows whose owner is their own source.  Either way the rows are
+    stored once, with the targets as bounds, and every compute node
+    gets its view
     (:meth:`~repro.vector.np_batch.ColumnFragment.of_node`).  The
     source × target matrix of rows and bytes is one ``bincount`` over
     ``source · n + owner`` (float64 weights sum integers below 2^53
@@ -228,10 +230,8 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
         cells = segments * node_count + owners
         if operation is DmsOperation.TRIM_MOVE:
             keep = owners == ids[segments]
-            stacked = batch.compress(keep)
+            batch, owners = batch.compress(keep), owners[keep]
             cells, sizes = cells[keep], sizes[keep]
-        else:
-            stacked = batch.take(np.argsort(owners, kind="stable"))
         shape = (sources, node_count)
         rows = np.bincount(
             cells, minlength=sources * node_count).reshape(shape)
@@ -239,17 +239,14 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
             cells, weights=sizes, minlength=sources * node_count
         ).astype(np.int64).reshape(shape)
         arrived = rows.sum(axis=0)
-        stacked = ArrayBatch(stacked.gathered().columns, stacked.length,
-                             offsets(arrived))
         kept_local = np.where(
             local, nbytes[np.arange(sources), np.where(local, ids, 0)], 0)
         routing.sent = (nbytes.sum(axis=1) - kept_local).tolist()
         written = nbytes.sum(axis=0).tolist()
         routing.received = {target: written[target]
                             for target in np.flatnonzero(arrived).tolist()}
-        routing.stored = {
-            target: ColumnFragment.of_node(stacked, target)
-            for target in range(node_count)}
+        routing.stored = dict(enumerate(
+            place_rows(batch, owners, node_count)))
         if transfers:
             for source, target in zip(*(axis.tolist()
                                         for axis in np.nonzero(rows))):
@@ -696,7 +693,7 @@ class DmsRuntime:
         stats.transfers = routing.transfers
         name = step.destination_table.name
         for target_id, fragment in routing.stored.items():
-            self.appliance.node_storage(target_id).adopt(name, fragment)
+            self.appliance.node_storage(target_id).store(name, fragment)
         self._report_nodes(stats, routing.read, started, request)
         return prepared
 
@@ -739,18 +736,15 @@ class DmsRuntime:
                     stats.network_bytes.get(source_id, 0) + run.sent)
 
         for target_id, batches in received.items():
-            node = self.appliance.node_storage(target_id)
             incoming = received_bytes[target_id]
             stats.writer_bytes[target_id] = incoming
             stats.bulk_bytes[target_id] = incoming
-            if len(batches) == 1:
-                # Single batch (broadcast share, or a lone shuffle
-                # bucket): alias it into storage; the node copies only
-                # if it later mutates.
-                node.adopt(destination.name, batches[0])
-            else:
-                for batch in batches:
-                    node.insert(destination.name, batch)
+            # A single batch (a broadcast's shared list, a lone shuffle
+            # bucket) is stored as it stands, never copied.
+            rows = (batches[0] if len(batches) == 1
+                    else [row for batch in batches for row in batch])
+            self.appliance.node_storage(target_id).store(
+                destination.name, ColumnFragment.from_rows(rows))
 
     def _route_batch_reference(self, operation: DmsOperation,
                                rows: List[Tuple], sizes: List[int],

@@ -50,6 +50,7 @@ from repro.optimizer.normalize import normalize
 from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
 from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
+from repro.vector.np_batch import ColumnFragment
 from repro.vector.np_executor import NumpyInterpreter
 
 #: Upper bound on concurrently executing DSQL steps.  Plans are small
@@ -285,7 +286,8 @@ def run_reference(appliance: Appliance, sql: str,
 
     Runs on the tree-walking reference interpreter unless ``executor``
     names another backend (``"numpy"`` runs the production executor on
-    the image, as a group of one).  The bound tree is normalized first
+    the image's rows as row fragments, a group of one, each column
+    encoded as the query reads it).  The bound tree is normalized first
     so comma-joins become hash joins — the naive interpreter would
     otherwise materialize raw cross products.  The image itself is
     cached on the appliance (invalidated on loads and drops), so
@@ -295,7 +297,9 @@ def run_reference(appliance: Appliance, sql: str,
     query = normalize(Binder(appliance.catalog).bind(statement))
     image = appliance.single_system_image()
     if resolve_executor(executor or "reference") == "numpy":
-        interpreter = NumpyInterpreter(image)
+        interpreter = NumpyInterpreter({
+            name: ColumnFragment.from_rows(rows)
+            for name, rows in image.items()})
     else:
         interpreter = PlanInterpreter(image)
     rows = interpreter.run_query(query)

@@ -3,10 +3,14 @@
 Models the PDW appliance of §2.1: N compute nodes, each hosting a DBMS
 instance with its fragment of every hash-distributed table and a full copy
 of every replicated table; one control node with its own (shell/staging)
-storage.  Rows are plain tuples in table-column order; a temp table the
-numpy executor's DMS steps wrote is held as typed columns instead
-(:class:`~repro.vector.np_batch.ColumnFragment`) and turns into tuples
-only for a reader that asks for :meth:`NodeStorage.rows`.
+storage.  Every table a node holds — base table, temp, system view — is
+one :class:`~repro.vector.np_batch.ColumnFragment` of typed columns,
+which turns into row tuples (in table-column order) only for a reader
+that asks for :meth:`NodeStorage.rows`.  A node owns its fragment from
+the moment a load places it: a load encodes every column once and
+stores a hash-distributed table through the same placement a shuffle's
+output takes (:func:`place_rows`), so the first query over it scans
+columns like every later one.
 
 The distribution hash and the byte-accounting unit are defined here
 twice over — per value (:func:`pdw_hash`, :func:`value_bytes`) and per
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +38,9 @@ from repro.vector.np_batch import (
     ArrayBatch,
     ColumnFragment,
     NumpyColumn,
+    column_from_list,
     crc32_int64,
+    offsets,
 )
 
 
@@ -212,46 +218,54 @@ def _owner_dtype(node_count: int) -> type:
     return np.int64
 
 
-#: What a node holds for one table: row tuples, or the column pieces a
-#: DMS step delivered.
-Fragment = Union[List[Tuple], ColumnFragment]
+def place_rows(batch: ArrayBatch, owners: np.ndarray,
+               node_count: int) -> List[ColumnFragment]:
+    """Store ``batch``'s rows on the nodes ``owners`` names — how every
+    hash placement stores rows, a load's and a shuffle's alike: once,
+    gathered into owner order by a *stable* sort (each node's rows keep
+    their order in ``batch``), the nodes as the batch's bounds, and one
+    :meth:`~repro.vector.np_batch.ColumnFragment.of_node` view per
+    node."""
+    order = np.argsort(owners, kind="stable")
+    stacked = ArrayBatch(
+        batch.take(order).gathered().columns, batch.length,
+        offsets(np.bincount(owners, minlength=node_count)))
+    return [ColumnFragment.of_node(stacked, node)
+            for node in range(node_count)]
 
 
-def _rows_of(fragment: Fragment) -> List[Tuple]:
-    """A fragment as row tuples: the list itself, or a column
-    fragment's row view (derived once, in the order a row delivery
-    would have stored)."""
-    if isinstance(fragment, ColumnFragment):
-        return fragment.rows()
-    return fragment
+def _encoded(rows: List[Tuple], width: int) -> ArrayBatch:
+    """Row tuples as positional typed columns, each sniffed once."""
+    columns = list(zip(*rows)) if rows else [()] * width
+    return ArrayBatch({position: column_from_list(values)
+                       for position, values in enumerate(columns)},
+                      len(rows))
 
 
 class NodeStorage:
-    """One node's table fragments: table name → :data:`Fragment`.
+    """One node's table fragments: table name →
+    :class:`~repro.vector.np_batch.ColumnFragment`.
 
-    A fragment may be **adopted** rather than inserted: broadcast moves
-    deliver one shared row list (or column piece) to every node, and
-    :meth:`adopt` aliases it in place of copying.  Adopted fragments
-    are copy-on-write — the first :meth:`insert` into an adopted table
-    materializes a private row list — so sharing is invisible to
-    mutating callers.  Readers must already treat fragments as
-    read-only.
+    Fragments are never mutated: :meth:`store` replaces whatever the
+    table held, so a fragment shared between nodes (a replicated table,
+    a broadcast) or grabbed by a running scan stays as it was.
     """
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self.tables: Dict[str, Fragment] = {}
-        self._adopted: Set[str] = set()
+        self.tables: Dict[str, ColumnFragment] = {}
 
     def create(self, name: str) -> None:
-        self.tables.setdefault(name.lower(), [])
+        self.tables.setdefault(name.lower(), ColumnFragment.from_rows([]))
 
     def drop(self, name: str) -> None:
-        key = name.lower()
-        self.tables.pop(key, None)
-        self._adopted.discard(key)
+        self.tables.pop(name.lower(), None)
 
-    def fragment(self, name: str) -> Fragment:
+    def store(self, name: str, fragment: ColumnFragment) -> None:
+        """Make ``fragment`` the table's contents on this node."""
+        self.tables[name.lower()] = fragment
+
+    def fragment(self, name: str) -> ColumnFragment:
         """The table's fragment as stored."""
         try:
             return self.tables[name.lower()]
@@ -262,29 +276,7 @@ class NodeStorage:
 
     def rows(self, name: str) -> List[Tuple]:
         """The table's fragment as row tuples."""
-        return _rows_of(self.fragment(name))
-
-    def insert(self, name: str, rows: Iterable[Tuple]) -> None:
-        key = name.lower()
-        if key in self._adopted:
-            self.tables[key] = list(self.rows(name))
-            self._adopted.discard(key)
-        self.rows(name).extend(rows)
-
-    def adopt(self, name: str, fragment: Fragment) -> None:
-        """Alias ``fragment`` as the table's storage without copying.
-
-        Only an empty table can adopt; a non-empty one falls back to a
-        copying :meth:`insert` of the fragment's rows.  The caller must
-        not mutate ``fragment`` afterwards (the DMS runtime delivers
-        shared broadcast batches exactly once and drops its
-        reference)."""
-        if len(self.fragment(name)):
-            self.insert(name, _rows_of(fragment))
-            return
-        key = name.lower()
-        self.tables[key] = fragment
-        self._adopted.add(key)
+        return self.fragment(name).rows()
 
 
 CONTROL_NODE = -1
@@ -349,7 +341,17 @@ class Appliance:
                 self._invalidate_image()
 
     def load_rows(self, name: str, rows: Iterable[Tuple]) -> int:
-        """Route rows to their nodes per the table's distribution.
+        """Place rows on their nodes per the table's distribution.
+
+        A load is a shuffle from the control node: every column is
+        encoded once, and a hash-distributed table is stored the way a
+        shuffle stores its output (:func:`place_rows`) — owners read off
+        the distribution column (:func:`column_owners`; per row through
+        :func:`node_for_row` only for a multi-column distribution).  A
+        replicated or control-node table is one fragment, shared by the
+        nodes holding it.  Loading into a table that has rows places
+        the old rows and the new ones afresh: each node keeps its old
+        rows, then gets its new ones, in input order.
 
         Returns the number of rows loaded and updates the table's global
         ``row_count``.
@@ -359,51 +361,54 @@ class Appliance:
 
     def _load_rows_locked(self, name: str, rows: Iterable[Tuple]) -> int:
         table = self.catalog.table(name)
-        rows = list(rows)
-        kind = table.distribution.kind
-        if kind is DistributionKind.REPLICATED:
-            for node in self.compute:
-                node.insert(table.name, rows)
-        elif kind is DistributionKind.CONTROL:
-            self.control.insert(table.name, rows)
+        loaded = list(rows)
+        rows = self.table_rows_everywhere(table.name) + loaded
+        batch = _encoded(rows, len(table.columns))
+        if table.distribution.kind is DistributionKind.HASH:
+            indexes = [table.column_index(column)
+                       for column in table.distribution.columns]
+            if len(indexes) == 1:
+                owners = column_owners(batch.columns[indexes[0]],
+                                       self.node_count)
+            else:
+                owners = np.fromiter(
+                    (node_for_row(row, indexes, self.node_count)
+                     for row in rows),
+                    _owner_dtype(self.node_count), len(rows))
+            for node, fragment in zip(
+                    self.compute,
+                    place_rows(batch, owners, self.node_count)):
+                node.store(table.name, fragment)
         else:
-            hash_indexes = [
-                table.column_index(col) for col in table.distribution.columns
-            ]
-            buckets: List[List[Tuple]] = [[] for _ in range(self.node_count)]
-            for row in rows:
-                buckets[node_for_row(row, hash_indexes,
-                                     self.node_count)].append(row)
-            for node, bucket in zip(self.compute, buckets):
-                node.insert(table.name, bucket)
-        table.row_count += len(rows)
+            shared = ColumnFragment([batch])
+            for node in self._nodes_holding(table):
+                node.store(table.name, shared)
+        table.row_count += len(loaded)
         if table.is_system:
             self._image_cache = None
         elif not table.is_temp:
             self._invalidate_image()
-        return len(rows)
+        return len(loaded)
 
     def replace_system_rows(self, name: str, rows: List[Tuple]) -> int:
         """Swap a system (DMV) pseudo-table's contents atomically.
 
-        The fresh row list is built first and *aliased* onto every
-        holding node (replicated system views share one list, exactly
-        like a broadcast delivery), so an in-progress scan keeps the
-        list it already grabbed — no torn reads — and the next scan
-        sees the new snapshot.  The reference image is refreshed but
+        The fresh snapshot is one row fragment stored on every holding
+        node (replicated system views share it, exactly like a
+        broadcast delivery), so an in-progress scan keeps the fragment
+        it already grabbed — no torn reads — and the next scan sees the
+        new snapshot.  The reference image is refreshed but
         ``schema_version`` is **not** bumped: a DMV refresh must never
         invalidate the plan cache.
         """
-        shared = list(rows)
+        shared = ColumnFragment.from_rows(list(rows))
         with self._lock:
             table = self.catalog.table(name)
             if not table.is_system:
                 raise ExecutionError(
                     f"table {name!r} is not a system view")
             for node in self._nodes_holding(table):
-                node.drop(name)
-                node.create(name)
-                node.adopt(name, shared)
+                node.store(name, shared)
             table.row_count = len(shared)
             self._image_cache = None
         return len(shared)
@@ -481,15 +486,16 @@ class Appliance:
                 continue
             kind = table.distribution.kind
             if kind is DistributionKind.HASH:
-                fragments = [node.rows(table.name) for node in self.compute]
+                fragments = [node.fragment(table.name)
+                             for node in self.compute]
             elif kind is DistributionKind.REPLICATED:
-                fragments = [self.compute[0].rows(table.name)]
+                fragments = [self.compute[0].fragment(table.name)]
             else:
-                fragments = [self.control.rows(table.name)]
+                fragments = [self.control.fragment(table.name)]
             for column_index, column in enumerate(table.columns):
                 locals_: List[ColumnStats] = [
                     ColumnStats.build(
-                        [row[column_index] for row in fragment], num_buckets)
+                        fragment.column(column_index).pylist(), num_buckets)
                     for fragment in fragments
                 ]
                 merged = merge_column_stats(locals_, num_buckets)

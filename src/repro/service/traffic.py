@@ -10,8 +10,8 @@ just repeat-the-string), driven by ``clients`` threads issuing
 
 :func:`run_traffic` returns a :class:`TrafficReport` with p50/p95/p99
 latency, queries/sec, per-template counts and the service's cache and
-admission statistics; :func:`render_report` formats it for the CLI and
-the throughput benchmark.
+admission statistics; :func:`render_report` formats it for the CLI's
+``serve``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ stores a column as a typed ndarray with an explicit NULL mask, a
 repeating string column as int64 codes into a dictionary, and only what
 is left as Python objects; kernels, filters, joins and aggregates run
 inside numpy's C loops, a filter carries a selection vector instead of
-copying, and the columns move through DMS as they are.
+copying, and the columns move through DMS as they are.  Node storage
+holds every table in the same form (``ColumnFragment``): a load encodes
+each column once.
 
 Where an array form would not be bit-identical, the numpy kernels fall
 back on the list kernels (:mod:`repro.vector.kernels`) over a

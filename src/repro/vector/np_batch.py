@@ -1,4 +1,5 @@
-"""Dtype-aware numpy column fragments for the numpy executor.
+"""Dtype-aware numpy columns: what node storage holds and what the
+numpy executor computes over.
 
 An :class:`ArrayBatch` is the numpy counterpart of
 :class:`~repro.vector.column_batch.ColumnBatch`: a mapping from bound
@@ -44,20 +45,20 @@ merged dictionaries (:func:`concat_columns`) are merely duplicate-free.
 
 The **native-value boundary** is load-bearing for bit-identical
 equivalence: every value that leaves a batch — materialized result
-rows, the row view of a temp fragment, group keys, fallback-kernel
-inputs, non-integer distribution keys — goes through
-:meth:`NumpyColumn.pylist`, which produces native Python
-``int``/``float``/``bool`` objects (via ``ndarray.tolist``) and
+rows, the row view of a stored fragment, group keys, fallback-kernel
+inputs, non-integer distribution keys, the values statistics are built
+from — goes through :meth:`NumpyColumn.pylist`, which produces native
+Python ``int``/``float``/``bool`` objects (via ``ndarray.tolist``) and
 restores ``None``, ``datetime.date`` and the dictionary's ``str``
 objects.  numpy scalars must never escape: ``np.int64`` is not an
 ``int`` subclass (``row_bytes`` would size it differently) and
 ``repr(np.float64(x))`` is not ``repr(x)`` under numpy 2 (``pdw_hash``
 hashes the repr), so a leaked scalar silently changes byte accounting
-and row routing.  DMS steps do *not* cross the boundary: a step's
-output leaves the interpreter as an :class:`ArrayBatch` of positional
-columns, is sized, hashed and split column-wise, and lands in the
-destination node as a :class:`ColumnFragment` the next step scans
-directly.
+and row routing.  Loads and DMS steps do *not* cross the boundary: a
+table's rows are encoded once when they are loaded, a step's output
+leaves the interpreter as an :class:`ArrayBatch` of positional
+columns, and both are sized, hashed and split column-wise and land on
+their nodes as :class:`ColumnFragment` s the next step scans directly.
 
 Columns and batches are immutable by convention, exactly like
 ``ColumnBatch`` — operators that keep rows build new arrays, and a
@@ -649,76 +650,100 @@ def _merge_dictionaries(columns: List[NumpyColumn]
 
 
 class ColumnFragment:
-    """A temp table's fragment on one node, as the DMS runtime
-    delivered it: positional :class:`ArrayBatch` pieces, never row
-    tuples.
+    """What one node holds of one table — a base table or a temp — as
+    typed columns.  The only thing node storage holds.
 
-    A move that hands every target the same rows (broadcast,
-    partition) shares one fragment of one piece between them.  A move
-    that splits its rows between the targets (shuffle, trim) stores
-    them **once**, gathered into target order with the targets as the
-    batch's ``bounds``, and gives node ``i`` the view :meth:`of_node`
-    makes: rows ``bounds[i]:bounds[i + 1]``, sliced only when something
-    asks this node for its own rows.  The next step's group scan reads
-    ``stacked`` itself.
+    A fragment is one of three shapes:
 
-    The numpy executor scans :meth:`column` directly; everything that
-    wants rows (the other executors, the oracle, DMVs, tests) reads
-    :meth:`rows`, derived on demand in exactly the order a row-tuple
-    delivery would have stored.  Every view is built at most once.
-    Immutable: ``NodeStorage.insert`` copies the row view before
-    appending.
+    * **pieces** — positional :class:`ArrayBatch` pieces in order: a
+      replicated or control-node table's one batch, or what a move that
+      hands every target the same rows (broadcast, partition) shares
+      between them;
+    * **a node's view of a stacked batch** (:meth:`of_node`) — rows that
+      belong to different nodes are stored **once**, gathered into node
+      order with the nodes as the batch's ``bounds`` (a hash-distributed
+      table at load, a shuffle's or trim's output), and node ``i`` holds
+      rows ``bounds[i]:bounds[i + 1]``, sliced only when something asks
+      this node for its own rows.  A group scan over every node reads
+      ``stacked`` itself;
+    * **rows** (:meth:`from_rows`) — row-born data (the oracle's
+      deliveries, system views, the reference image): the given rows
+      are the row view, and a column is encoded the first time it is
+      read.
+
+    The numpy executor scans :meth:`column`; everything that wants rows
+    (the oracle, tests) reads :meth:`rows`, derived on demand in node
+    order.  The row view and every encoded or concatenated column are
+    built at most once; a view's column slices are not kept, so a
+    reader that asks one for Python values leaves nothing behind.
+    Immutable: storing a fragment replaces whatever the node held, so a
+    fragment shared between nodes or held by a running scan never
+    changes under its readers.
     """
 
-    __slots__ = ("stacked", "node", "length", "_pieces", "_columns",
+    __slots__ = ("stacked", "node", "length", "pieces", "_columns",
                  "_rows")
 
     def __init__(self, pieces: Optional[List[ArrayBatch]],
-                 stacked: Optional[ArrayBatch] = None, node: int = 0):
+                 stacked: Optional[ArrayBatch] = None, node: int = 0,
+                 rows: Optional[List[Tuple]] = None):
         self.stacked = stacked
         self.node = node
-        self._pieces = pieces  # a view cuts its one piece when asked
-        self.length = (
-            sum(piece.length for piece in pieces) if stacked is None
-            else int(stacked.bounds[node + 1] - stacked.bounds[node]))
+        self.pieces = pieces
+        if stacked is not None:
+            self.length = int(stacked.bounds[node + 1]
+                              - stacked.bounds[node])
+        elif pieces is not None:
+            self.length = sum(piece.length for piece in pieces)
+        else:
+            self.length = len(rows)
         self._columns: Dict[int, NumpyColumn] = {}
-        self._rows: Optional[List[Tuple]] = None
+        self._rows = rows
 
     @classmethod
     def of_node(cls, stacked: ArrayBatch, node: int) -> "ColumnFragment":
         """Node ``node``'s rows of ``stacked`` (a batch with bounds)."""
         return cls(None, stacked, node)
 
+    @classmethod
+    def from_rows(cls, rows: List[Tuple]) -> "ColumnFragment":
+        """Row tuples as a fragment: ``rows`` is its row view (the
+        caller must not mutate it), each column encoded when first
+        read."""
+        return cls(None, rows=rows)
+
     def __len__(self) -> int:
         return self.length
 
-    @property
-    def pieces(self) -> List[ArrayBatch]:
-        pieces = self._pieces
-        if pieces is None:
-            # Benign race under the parallel runtime, here and below:
-            # two readers may both build; the results are equivalent.
-            bounds = self.stacked.bounds
-            pieces = self._pieces = [self.stacked.slice(
-                int(bounds[self.node]), int(bounds[self.node + 1]))]
-        return pieces
+    def _own_slice(self) -> ArrayBatch:
+        bounds = self.stacked.bounds
+        return self.stacked.slice(int(bounds[self.node]),
+                                  int(bounds[self.node + 1]))
 
     def column(self, index: int) -> NumpyColumn:
         """Column ``index`` over the whole fragment."""
+        if self.stacked is not None:
+            return self._own_slice().columns[index]
         pieces = self.pieces
-        if len(pieces) == 1:
+        if pieces is not None and len(pieces) == 1:
             return pieces[0].columns[index]
         column = self._columns.get(index)
         if column is None:
-            column = self._columns[index] = concat_columns(
-                [(piece.columns[index], piece.length)
-                 for piece in pieces])
+            # Benign race under the parallel runtime, here and in
+            # rows(): two readers may both build; the results are
+            # equivalent.
+            column = self._columns[index] = (
+                column_from_list([row[index] for row in self._rows])
+                if pieces is None else concat_columns(
+                    [(piece.columns[index], piece.length)
+                     for piece in pieces]))
         return column
 
     def rows(self) -> List[Tuple]:
         rows = self._rows
         if rows is None:
-            pieces = self.pieces
+            pieces = ([self._own_slice()] if self.stacked is not None
+                      else self.pieces)
             if len(pieces) == 1:
                 rows = pieces[0].rows()
             else:
@@ -730,20 +755,16 @@ class ColumnFragment:
         return f"ColumnFragment(rows={self.length})"
 
 
-def stacked_fragments(fragments: Sequence) -> Optional[ArrayBatch]:
+def stacked_fragments(fragments: Sequence[ColumnFragment]
+                      ) -> Optional[ArrayBatch]:
     """The batch ``fragments`` are the per-node views of, when they are
-    exactly that — every node of one stacked temp, in node order — so a
+    exactly that — every node of one stacked table, in node order — so a
     group scan can read it whole; else ``None``."""
-    first = fragments[0]
-    if not isinstance(first, ColumnFragment) or first.stacked is None:
-        return None
-    stacked = first.stacked
-    if len(stacked.bounds) != len(fragments) + 1:
+    stacked = fragments[0].stacked
+    if stacked is None or len(stacked.bounds) != len(fragments) + 1:
         return None
     for node, fragment in enumerate(fragments):
-        if (not isinstance(fragment, ColumnFragment)
-                or fragment.stacked is not stacked
-                or fragment.node != node):
+        if fragment.stacked is not stacked or fragment.node != node:
             return None
     return stacked
 

@@ -12,14 +12,13 @@ grouping, UNION ALL and per-node ORDER BY / TOP take the node as a
 leading segment, so a node's rows stay contiguous and come out exactly
 as its own run would have produced them (DESIGN §5c):
 
-* scans columnarize the needed storage columns into typed arrays —
-  repeating strings into dictionary codes — once per (base table, node
-  group, column), stacked over the group's fragments, and cache them,
-  so repeated steps over the same fragments skip the transpose, the
-  type sniff and the encoding entirely; a temp table the DMS runtime
-  stored as columns (:class:`~repro.vector.np_batch.ColumnFragment`) is
-  read as it stands — a hash-distributed one whole, with its target
-  bounds, no concat;
+* scans read the typed columns node storage holds
+  (:class:`~repro.vector.np_batch.ColumnFragment`) as they stand — a
+  load encoded a base table's columns, repeating strings as dictionary
+  codes, and a DMS step's output never stopped being columns — so no
+  scan transposes rows, sniffs types or encodes anything; a table
+  stored once for all its nodes (hash-distributed, or a shuffle's
+  output) is read whole, with its node bounds, no concat;
 * filters evaluate the predicate to one boolean mask and hand on a
   batch that carries the selected row indexes; joins hand on one with
   an index vector per side.  A column is gathered the first time an
@@ -55,9 +54,7 @@ TPC-H workload and on generated data.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,63 +93,7 @@ from repro.vector.np_kernels import (
     compile_np_selection,
 )
 
-# -- scan columnarization cache ---------------------------------------------------
-#
-# One entry per base table per node group: the table's columns over the
-# group's fragments stacked in node order (a replicated table, or a
-# group of one, is one fragment).  Keyed by (id(rows), len(rows)) of
-# every fragment: NodeStorage.insert grows a table's row list *in
-# place*, so identity alone is not a fingerprint — but (identity,
-# length) is, because inserts are append-only and every other mutation
-# path (adopt / copy-on-write) replaces the list object.  Entries pin
-# the row lists, so a live cache key's ids cannot be reused.  The whole
-# appliance is one group, so the entry count is the table count, not
-# tables × nodes.  Temp-table fragments stay out: each is scanned by
-# one step and then dropped, so caching them would pin dead row lists
-# and let temp churn push base-table columns out of the LRU.
-
-_SCAN_CACHE_LIMIT = 128
-_ScanKey = Tuple[Tuple[int, int], ...]
-_SCAN_CACHE: "OrderedDict[_ScanKey, Tuple[Sequence[List[Tuple]], Dict[int, NumpyColumn]]]" = (
-    OrderedDict())
-_SCAN_LOCK = threading.Lock()
-
-
-def clear_scan_cache() -> None:
-    """Drop cached scan columns (tests / memory pressure)."""
-    with _SCAN_LOCK:
-        _SCAN_CACHE.clear()
-
-
-def _scan_columns(fragments: Sequence[List[Tuple]],
-                  indexes: List[int]) -> Dict[int, NumpyColumn]:
-    """Typed columns over ``fragments`` stacked in order, for the
-    requested storage indexes, cached per (row-list identity, length)
-    of every fragment."""
-    key = tuple((id(rows), len(rows)) for rows in fragments)
-    with _SCAN_LOCK:
-        entry = _SCAN_CACHE.get(key)
-        if entry is None:
-            entry = (fragments, {})
-            _SCAN_CACHE[key] = entry
-            if len(_SCAN_CACHE) > _SCAN_CACHE_LIMIT:
-                _SCAN_CACHE.popitem(last=False)
-        else:
-            _SCAN_CACHE.move_to_end(key)
-        cached = entry[1]
-        missing = [i for i in indexes if i not in cached]
-    if missing:
-        built = {i: column_from_list([row[i] for rows in fragments
-                                      for row in rows])
-                 for i in missing}
-        with _SCAN_LOCK:
-            # Benign race: two workers may build the same column; the
-            # last store wins and both results are equivalent.
-            cached.update(built)
-    return cached
-
-
-def _table_fragment(tables: Mapping, name: str):
+def _table_fragment(tables: Mapping, name: str) -> ColumnFragment:
     """``tables[name]``, table names compared case-insensitively (node
     storage keys are lower-cased already)."""
     lowered = name.lower()
@@ -166,17 +107,13 @@ def _table_fragment(tables: Mapping, name: str):
     return fragment
 
 
-def _fragment_column(fragments: Sequence, index: int) -> NumpyColumn:
-    """Column ``index`` of temp-table ``fragments`` stacked in order:
-    column fragments as they stand, row lists sniffed."""
-    pieces = [
-        (fragment.column(index) if isinstance(fragment, ColumnFragment)
-         else column_from_list([row[index] for row in fragment]),
-         len(fragment))
-        for fragment in fragments]
-    if len(pieces) == 1:
-        return pieces[0][0]
-    return concat_columns(pieces)
+def _fragment_column(fragments: Sequence[ColumnFragment],
+                     index: int) -> NumpyColumn:
+    """Column ``index`` of ``fragments`` stacked in order."""
+    if len(fragments) == 1:
+        return fragments[0].column(index)
+    return concat_columns([(fragment.column(index), len(fragment))
+                           for fragment in fragments])
 
 
 _EMPTY_IDX = np.zeros(0, dtype=np.int64)
@@ -335,16 +272,12 @@ class NumpyInterpreter:
                 length, bounds)
         stacked = stacked_fragments(fragments)
         if stacked is not None:
-            # A temp its DMS step stored once for all its targets: no
-            # rows to transpose, no types to sniff, nothing to concat.
+            # A table stored once for all its nodes (a hash-distributed
+            # load, a shuffle's output): nothing to concat.
             by_index = stacked.columns
-        elif op.table.is_temp or any(
-                isinstance(fragment, ColumnFragment)
-                for fragment in fragments):
+        else:
             by_index = {index: _fragment_column(fragments, index)
                         for index in set(indexes)}
-        else:
-            by_index = _scan_columns(fragments, indexes)
         return ArrayBatch(
             {var.id: by_index[index]
              for var, index in zip(op.columns, indexes)},

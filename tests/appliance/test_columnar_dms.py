@@ -193,7 +193,7 @@ def test_shuffle_key_edges(keys, node_count):
 
 def scratch_temp(appliance, name, rows=None, columns=("a", "s")):
     """Register a one-off temp ``name(a, s)`` (the DMS runtime's own
-    create path), optionally loaded the row way."""
+    create path), optionally loaded through ``load_rows``."""
     types = {"a": INTEGER, "s": varchar(10)}
     table = TableDef(name, [Column(c, types[c]) for c in columns],
                      REPLICATED, is_temp=True)
@@ -208,18 +208,23 @@ def test_numpy_reads_a_temp_written_as_row_tuples(mini_appliance):
     scratch_temp(mini_appliance, "TEMP_ID_9", rows)
     sql = "SELECT T.a AS a, T.s AS s FROM TEMP_ID_9 AS T WHERE T.s = 'y'"
     node = mini_appliance.compute[1]
-    assert isinstance(node.fragment("TEMP_ID_9"), list)
-    got = DmsRuntime(mini_appliance).run_sql_on_node(sql, node)
-    want = DmsRuntime(mini_appliance, executor="reference"
-                      ).run_sql_on_node(sql, node)
-    assert got == want == ([(None, "y")], ["a", "s"])
+    # A load encodes the rows; the oracle's deliveries store them as
+    # they stand, columns encoded when first scanned.
+    assert node.fragment("TEMP_ID_9").pieces is not None
+    for fragment in (node.fragment("TEMP_ID_9"),
+                     ColumnFragment.from_rows(rows)):
+        node.store("TEMP_ID_9", fragment)
+        got = DmsRuntime(mini_appliance).run_sql_on_node(sql, node)
+        want = DmsRuntime(mini_appliance, executor="reference"
+                          ).run_sql_on_node(sql, node)
+        assert got == want == ([(None, "y")], ["a", "s"])
 
 
 @pytest.mark.parametrize("executor", ["numpy", "reference"])
 def test_every_executor_reads_a_column_fragment(executor, mini_appliance):
     scratch_temp(mini_appliance, "TEMP_ID_9")
     node = mini_appliance.compute[0]
-    node.adopt("TEMP_ID_9", ColumnFragment([
+    node.store("TEMP_ID_9", ColumnFragment([
         ArrayBatch({0: column_from_list([1, None]),
                     1: column_from_list(["x", "y"])}, 2),
         ArrayBatch({0: column_from_list([3]),
@@ -237,7 +242,7 @@ def test_zero_column_pieces_still_count(executor, mini_appliance):
     # (length is authoritative): COUNT(*) has no column to read.
     scratch_temp(mini_appliance, "TEMP_ID_9", columns=())
     node = mini_appliance.compute[0]
-    node.adopt("TEMP_ID_9",
+    node.store("TEMP_ID_9",
                ColumnFragment([ArrayBatch({}, 3), ArrayBatch({}, 2)]))
     assert node.rows("TEMP_ID_9") == [()] * 5
     rows, _ = DmsRuntime(mini_appliance, executor=executor
@@ -246,7 +251,7 @@ def test_zero_column_pieces_still_count(executor, mini_appliance):
     assert rows == [(5,)]
 
 
-def test_broadcast_piece_is_shared_and_copied_on_write(rig):
+def test_broadcast_piece_is_shared_and_never_mutated(rig):
     appliance, engine = rig
     plan = engine.compile(SHAPES["COUNT"]).dsql_plan
     step = plan.movement_steps[0]
@@ -262,12 +267,12 @@ def test_broadcast_piece_is_shared_and_copied_on_write(rig):
             # One immutable piece per source, shared by every target.
             assert all(mine is theirs for mine, theirs in
                        zip(node.fragment(temp).pieces, pieces))
-        first.insert(temp, [(-1,)])
+        # Storing on one node replaces its fragment, nobody else's.
+        first.store(temp, ColumnFragment.from_rows(before + [(-1,)]))
         assert first.rows(temp) == before + [(-1,)]
-        assert isinstance(first.fragment(temp), list)
         assert sum(len(piece) for piece in pieces) == len(before)
         for node in others:
-            assert isinstance(node.fragment(temp), ColumnFragment)
+            assert node.fragment(temp).pieces is pieces
             assert node.rows(temp) == before
     finally:
         appliance.drop_temp_tables()

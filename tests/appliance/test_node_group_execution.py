@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.vector.np_batch as np_batch
 import repro.vector.np_executor as np_executor
 from repro import PdwEngine
 from repro.algebra.expressions import ColumnVar
@@ -60,6 +61,7 @@ from repro.pdw.dms import DataMovement, DmsOperation
 from repro.pdw.dsql import DsqlStep, StepKind
 from repro.service import PdwService
 from repro.sql.parser import parse_query
+from repro.vector.np_batch import ArrayBatch
 from repro.vector.np_executor import NumpyInterpreter
 from repro.workloads.tpch_datagen import build_tpch_appliance
 
@@ -389,17 +391,20 @@ def test_a_shuffled_temp_is_stored_once_and_scanned_whole(node_count,
         fragments = [node.fragment(temp) for node in appliance.compute]
         stacked = {id(fragment.stacked) for fragment in fragments}
         assert len(stacked) == 1 and fragments[0].stacked is not None
-        assert all(fragment._pieces is None for fragment in fragments)
+        assert all(fragment.pieces is None for fragment in fragments)
 
         def no_concat(pieces):
             raise AssertionError("a stacked temp was re-assembled")
 
+        def no_slice(batch, start, stop):
+            raise AssertionError("a node's rows were cut to scan them")
+
         monkeypatch.setattr(np_executor, "concat_columns", no_concat)
+        # Nothing is sliced to scan it ...
+        monkeypatch.setattr(ArrayBatch, "slice", no_slice)
         sql = f"SELECT g, COUNT(*) AS n, MIN(s) AS lo FROM {temp} GROUP BY g"
         follow = step_for(appliance, sql)
         rows, _, stats = runtime.execute_return(follow)
-        # Nothing was sliced to scan it ...
-        assert all(fragment._pieces is None for fragment in fragments)
         monkeypatch.undo()
         # ... and a row reader still sees each node's own rows.
         expected, produced, _ = per_node(runtime, follow)
@@ -545,43 +550,36 @@ def test_an_empty_fragment_is_an_empty_table_not_an_absent_one():
     assert stats.node_rows == {0: 2, 1: 0, 2: 1, 3: 0}
 
 
-# -- the scan cache holds a table per group, not a fragment per node ----------------------------
+# -- a load encodes; a scan never does ------------------------------------------------
 
-def test_base_columns_are_encoded_once_at_32_nodes(monkeypatch):
-    """8 TPC-H tables × 32 fragments outgrew the 128-entry per-fragment
-    cache: every execution re-encoded its base columns, silently.  One
-    stacked entry per table per group cannot."""
-    appliance, shell = build_tpch_appliance(scale=0.001, node_count=32)
-    tables = ["lineitem", "orders", "customer", "part", "partsupp",
-              "supplier", "nation", "region"]
+@pytest.mark.parametrize("node_count", [8, 32])
+def test_a_fresh_appliances_first_execution_encodes_no_base_column(
+        node_count, monkeypatch):
+    """A load stores every base table as typed columns, so neither the
+    first execution over a fresh appliance nor any cached one sniffs or
+    encodes a column: what a scan reads is what the load stored."""
+    appliance, shell = build_tpch_appliance(scale=0.001,
+                                            node_count=node_count)
     keys = {"lineitem": "l_orderkey", "orders": "o_orderkey",
             "customer": "c_custkey", "part": "p_partkey",
             "partsupp": "ps_partkey", "supplier": "s_suppkey",
             "nation": "n_nationkey", "region": "r_regionkey"}
+    statements = [f"SELECT COUNT(*) AS n, MAX({key}) AS hi FROM {name}"
+                  for name, key in keys.items()]
+    expected = [run_reference(appliance, sql).rows for sql in statements]
     service = PdwService(appliance=appliance, shell=shell)
-    np_executor.clear_scan_cache()
-    encoded = []
-    real = np_executor.column_from_list
 
-    def counting(values):
-        encoded.append(len(values))
-        return real(values)
+    def trap(values):
+        raise AssertionError(f"a scan encoded {len(values)} values")
 
-    monkeypatch.setattr(np_executor, "column_from_list", counting)
+    monkeypatch.setattr(np_executor, "column_from_list", trap)
+    monkeypatch.setattr(np_batch, "column_from_list", trap)
     try:
-        statements = [f"SELECT COUNT(*) AS n, MAX({keys[name]}) AS hi "
-                      f"FROM {name}" for name in tables]
-        first = [service.execute(sql).rows for sql in statements]
-        assert sum(encoded) >= sum(
-            len(appliance.table_rows_everywhere(name))
-            for name in tables if name not in ("nation", "region"))
-        assert 0 < len(np_executor._SCAN_CACHE) <= len(tables)
-        del encoded[:]
+        first = [service.execute(sql) for sql in statements]
         again = [service.execute(sql) for sql in statements]
-        assert all(result.cache_hit for result in again)
-        assert [result.rows for result in again] == first
-        assert encoded == []
     finally:
         service.close()
-    np_executor.clear_scan_cache()
-    assert not np_executor._SCAN_CACHE
+    assert not any(result.cache_hit for result in first)
+    assert all(result.cache_hit for result in again)
+    assert [result.rows for result in first] == expected
+    assert [result.rows for result in again] == expected

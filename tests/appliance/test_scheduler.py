@@ -21,6 +21,7 @@ from repro.catalog.schema import Column, ON_CONTROL, TableDef
 from repro.common.errors import ExecutionError
 from repro.common.types import INTEGER
 from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
+from repro.vector.np_batch import ColumnFragment
 
 
 def _temp(name: str) -> TableDef:
@@ -219,35 +220,47 @@ class TestResolveParallel:
             resolve_parallel(None, default=False)
 
 
-class TestAdoptCopyOnWrite:
-    def test_adopt_aliases_then_insert_copies(self):
+class TestStoreReplaces:
+    def test_storing_replaces_what_the_table_held(self):
         node = NodeStorage(0)
         node.create("TEMP_ID_1")
-        shared = [(1,), (2,)]
-        node.adopt("TEMP_ID_1", shared)
-        assert node.rows("TEMP_ID_1") is shared
-        node.insert("TEMP_ID_1", [(3,)])
-        # mutation materialized a private copy; the shared list is intact
-        assert shared == [(1,), (2,)]
-        assert node.rows("TEMP_ID_1") == [(1,), (2,), (3,)]
-        assert node.rows("TEMP_ID_1") is not shared
+        first = ColumnFragment.from_rows([(1,), (2,)])
+        node.store("TEMP_ID_1", first)
+        assert node.fragment("TEMP_ID_1") is first
+        second = ColumnFragment.from_rows([(3,)])
+        node.store("temp_id_1", second)
+        assert node.fragment("TEMP_ID_1") is second
+        assert node.rows("TEMP_ID_1") == [(3,)]
+        # The replaced fragment is as it was for anyone still reading it.
+        assert first.rows() == [(1,), (2,)]
 
-    def test_adopt_into_nonempty_fragment_copies(self):
-        node = NodeStorage(0)
-        node.create("TEMP_ID_1")
-        node.insert("TEMP_ID_1", [(0,)])
-        shared = [(1,)]
-        node.adopt("TEMP_ID_1", shared)
-        assert node.rows("TEMP_ID_1") == [(0,), (1,)]
-        assert shared == [(1,)]  # untouched
+    def test_a_shared_fragment_is_never_mutated(self):
+        nodes = [NodeStorage(i) for i in range(3)]
+        rows = [(1,), (2,)]
+        shared = ColumnFragment.from_rows(rows)
+        for node in nodes:
+            node.create("TEMP_ID_1")
+            node.store("TEMP_ID_1", shared)
+        nodes[0].store("TEMP_ID_1", ColumnFragment.from_rows([(0,)]))
+        assert rows == [(1,), (2,)]
+        assert shared.rows() is rows and len(shared) == 2
+        assert shared.column(0).pylist() == [1, 2]
+        for node in nodes[1:]:
+            assert node.fragment("TEMP_ID_1") is shared
 
-    def test_drop_clears_adoption(self):
+    def test_drop_then_create_gives_an_empty_fragment(self):
         node = NodeStorage(0)
         node.create("TEMP_ID_1")
-        shared = [(1,)]
-        node.adopt("TEMP_ID_1", shared)
+        shared = ColumnFragment.from_rows([(1,)])
+        node.store("TEMP_ID_1", shared)
         node.drop("TEMP_ID_1")
         node.create("TEMP_ID_1")
-        node.insert("TEMP_ID_1", [(2,)])
-        assert shared == [(1,)]
-        assert node.rows("TEMP_ID_1") == [(2,)]
+        fragment = node.fragment("TEMP_ID_1")
+        assert isinstance(fragment, ColumnFragment)
+        assert fragment is not shared
+        assert len(fragment) == 0 and node.rows("TEMP_ID_1") == []
+        assert shared.rows() == [(1,)]
+        # Creating an existing table keeps what it holds.
+        node.store("TEMP_ID_1", shared)
+        node.create("TEMP_ID_1")
+        assert node.fragment("TEMP_ID_1") is shared

@@ -21,7 +21,11 @@ from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
 from repro.telemetry import Tracer
 from repro.vector import kernels, np_kernels
 from repro.vector.column_batch import ColumnBatch
-from repro.vector.np_batch import ArrayBatch, column_from_list
+from repro.vector.np_batch import (
+    ArrayBatch,
+    ColumnFragment,
+    column_from_list,
+)
 
 THREADS = 8
 ROUNDS = 25
@@ -97,9 +101,9 @@ class TestPreparationThreadSafety:
             mini_appliance.create_temp_table(TableDef(
                 f"TEMP_ID_1_E{index}", columns, hash_distributed("a"),
                 is_temp=True))
-            node.insert(f"TEMP_ID_1_E{index}",
-                        [(index, -1) if columns[0].name == "a"
-                         else (-1, index)])
+            node.store(f"TEMP_ID_1_E{index}", ColumnFragment.from_rows(
+                [(index, -1) if columns[0].name == "a"
+                 else (-1, index)]))
 
         def work(index: int) -> None:
             for _ in range(ROUNDS):

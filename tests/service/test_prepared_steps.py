@@ -46,7 +46,7 @@ from repro.service.plan_cache import (
 from repro.sql.lexer import TokenType, skeleton, tokenize
 from repro.sql.parser import parse_query
 from repro.telemetry import Tracer
-from repro.vector import np_executor, np_kernels
+from repro.vector import np_kernels
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
 from tests.conftest import canonical
@@ -224,30 +224,29 @@ RECOMPILED = {"Q4", "Q20"}
 def test_kernel_memo_and_base_scan_columns_are_flat_over_500_hits(
         fresh_service, tpch):
     appliance, _ = tpch
-    np_kernels.clear_np_kernel_cache()  # both are process-wide
-    np_executor.clear_scan_cache()
+    np_kernels.clear_np_kernel_cache()  # process-wide
     statements = [shape.format(date=date)
                   for shape in SHAPES[1:] for date in SEEN]
     for sql in statements:
         fresh_service.execute(sql)
-    base_fragments = {
-        id(rows) for node in (appliance.control, *appliance.compute)
-        for name, rows in node.tables.items()
-        if not appliance.catalog.table(name).is_temp}
+
+    def base_fragments():
+        return {(node.node_id, name): fragment
+                for node in (appliance.control, *appliance.compute)
+                for name, fragment in node.tables.items()
+                if not appliance.catalog.table(name).is_temp}
+
+    before = base_fragments()
     kernels = len(np_kernels._CACHE)
-    # One entry per base table per node group, keyed by the group's
-    # fragments: (identity, length) of each.
-    scans = set(np_executor._SCAN_CACHE)
-    assert scans and {fragment for key in scans
-                      for fragment, _ in key} <= base_fragments
-    assert len(scans) <= len(list(appliance.catalog.tables()))
     for sql in itertools.islice(itertools.cycle(statements), 500):
         fresh_service.execute(sql)
     # A hit re-uses the bound tree, hence its expressions' kernels ...
     assert len(np_kernels._CACHE) == kernels
-    # ... and temp fragments never enter the scan cache, so no base
-    # table's columns were pushed out and no dropped row list is pinned.
-    assert set(np_executor._SCAN_CACHE) == scans
+    # ... and scans the base tables' fragments as the load stored them:
+    # the same objects, nothing re-stored or re-encoded.
+    after = base_fragments()
+    assert after.keys() == before.keys()
+    assert all(after[key] is fragment for key, fragment in before.items())
 
 
 # -- (c) the text against the reference ----------------------------------------------

@@ -207,7 +207,7 @@ class TestColumnRouterMatchesReference:
         whole = routing.stored[0].stacked
         assert whole.bounds.tolist()[-1] == len(batch)
         # A node's rows are cut from the one gather only when asked.
-        assert all(fragment._pieces is None
+        assert all(fragment.pieces is None
                    for fragment in routing.stored.values())
         assert routing.stored[2].column(1).values.base is not None
 

@@ -23,6 +23,7 @@ from repro.common.executors import EXECUTORS
 from repro.optimizer.binder import Binder
 from repro.optimizer.normalize import normalize
 from repro.sql.parser import parse_query
+from repro.vector.np_batch import ColumnFragment
 from repro.vector.np_executor import NumpyInterpreter
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
@@ -84,6 +85,12 @@ def test_empty_group_by_result(tpch):
         assert run_reference(appliance, sql, executor=executor).rows == []
 
 
+def fragments(image):
+    """The image's row lists as the fragments node storage holds."""
+    return {name: ColumnFragment.from_rows(rows)
+            for name, rows in image.items()}
+
+
 class TestInterpreterStatsParity:
     """The numpy interpreter must feed the same counters into the
     simulated relational-time model as the reference interpreter —
@@ -98,7 +105,8 @@ class TestInterpreterStatsParity:
         row_stats = InterpreterStats()
         np_stats = InterpreterStats()
         rows = PlanInterpreter(image, stats=row_stats).run_query(query)
-        np_rows = NumpyInterpreter(image, stats=np_stats).run_query(query)
+        np_rows = NumpyInterpreter(fragments(image),
+                                   stats=np_stats).run_query(query)
         assert canonical(np_rows) == canonical(rows)
         return row_stats, np_stats
 
@@ -134,6 +142,7 @@ class TestObserverParity:
 
         row_rec, np_rec = Recorder(), Recorder()
         PlanInterpreter(image, observer=row_rec).run_query(query)
-        NumpyInterpreter(image, observer=np_rec).run_query(query)
+        NumpyInterpreter(fragments(image),
+                         observer=np_rec).run_query(query)
         assert np_rec.events == row_rec.events
         assert np_rec.events  # something was actually observed
