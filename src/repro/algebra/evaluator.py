@@ -1,9 +1,11 @@
 """Evaluation of bound scalar expressions.
 
-One evaluator serves three masters: constant folding in the normalizer,
-row-at-a-time evaluation in the appliance's node executor, and direct
-evaluation in tests.  SQL three-valued logic is honoured: ``None`` is NULL,
-comparisons with NULL yield NULL, and AND/OR follow Kleene semantics.
+One evaluator serves four masters: constant folding in the normalizer,
+row-at-a-time evaluation in the reference executor, the numpy kernels'
+row fallback (whatever has no array form), and direct evaluation in
+tests — it is the spec every kernel is held to.  SQL three-valued logic
+is honoured: ``None`` is NULL, comparisons with NULL yield NULL, and
+AND/OR follow Kleene semantics.
 """
 
 from __future__ import annotations
@@ -194,11 +196,15 @@ def _scalar_function(expr: ex.FuncExpr, env):
     return apply_scalar_function(expr.name.upper(), args)
 
 
+SUBSTRING_LENGTH_ERROR = "invalid length passed to SUBSTRING"
+
+
 def apply_scalar_function(name: str, args):
     """Dispatch a scalar function over already-evaluated, non-NULL args.
 
-    Shared by the tree-walking evaluator and the list kernels
-    (:mod:`repro.vector.kernels`) so both agree exactly.
+    The spec the numpy kernels' array forms are held to
+    (``SUBSTRING``'s ``strings.slice`` in :mod:`repro.vector.np_kernels`
+    implements exactly these bounds).
     """
     if name == "DATEADD":
         unit, amount, base = args
@@ -221,8 +227,13 @@ def apply_scalar_function(name: str, args):
         raise ExecutionError(f"unsupported DATEADD unit {unit!r}")
 
     if name == "SUBSTRING":
+        # T-SQL: characters start..start+length-1 that exist — a start
+        # before 1 still counts toward the length; a negative length is
+        # an error.  (Python's negative indices must not leak in.)
         text, start, length = str(args[0]), int(args[1]), int(args[2])
-        return text[start - 1:start - 1 + length]
+        if length < 0:
+            raise ExecutionError(SUBSTRING_LENGTH_ERROR)
+        return text[max(start - 1, 0):max(start - 1 + length, 0)]
 
     if name in ("YEAR", "MONTH", "DAY"):
         date_value = _cast(args[0], TypeKind.DATE)

@@ -122,12 +122,8 @@ def _value_widths(column: NumpyColumn) -> Union[int, np.ndarray]:
             sizes[mask] = 1  # NULL
         return sizes
     if kind == "o":
-        # Mostly strings (``max(1, len)``; every other width is >= 1
-        # already), anything else one value at a time.
-        sizes = np.fromiter(
-            (len(v) if type(v) is str else value_bytes(v)
-             for v in values.tolist()), np.int64, len(values))
-        return np.maximum(sizes, 1, out=sizes)
+        return np.fromiter(map(value_bytes, values.tolist()), np.int64,
+                           len(values))
     if kind == "i":
         if len(values) and (values.min() < _INT32_MIN
                             or values.max() > _INT32_MAX):
@@ -148,9 +144,9 @@ def _entry_widths(entries: np.ndarray
                    ) -> Tuple[np.ndarray, Optional[int]]:
     """:func:`value_bytes` of every entry of a string dictionary, and
     the one width they all share (``None`` when they differ)."""
-    widths = np.fromiter(map(len, entries.tolist()), np.int64,
-                         len(entries))
-    np.maximum(widths, 1, out=widths)  # '' is one byte
+    # ``str_len`` counts code points, as ``len`` does.
+    widths = np.maximum(np.strings.str_len(entries), 1).astype(
+        np.int64, copy=False)  # '' is one byte
     uniform = (int(widths[0])
                if len(widths) and bool((widths == widths[0]).all())
                else None)

@@ -1,11 +1,9 @@
 """Dtype-aware numpy columns: what node storage holds and what the
 numpy executor computes over.
 
-An :class:`ArrayBatch` is the numpy counterpart of
-:class:`~repro.vector.column_batch.ColumnBatch`: a mapping from bound
-column-variable id to one :class:`NumpyColumn` per column, plus the row
-count.  A :class:`NumpyColumn` pairs a typed ndarray with an explicit
-NULL mask:
+An :class:`ArrayBatch` maps bound column-variable id to one
+:class:`NumpyColumn` per column, plus the row count.  A
+:class:`NumpyColumn` pairs a typed ndarray with an explicit NULL mask:
 
 ======  ===============  =========================================
 kind    values dtype     notes
@@ -18,9 +16,9 @@ kind    values dtype     notes
                          (``date.toordinal()`` — a bijection, so
                          comparisons vectorize and values round-trip
                          exactly)
-``s``   int64            ``str`` values that repeat (distinct ≤ half
-                         the rows), as codes into the column's
-                         :class:`StringDictionary`
+``s``   int64            ``str`` values, as codes into the column's
+                         :class:`StringDictionary` (``StringDType``
+                         entries)
 ``o``   object           everything else; NULLs inline as ``None``
 ======  ===============  =========================================
 
@@ -30,27 +28,32 @@ never carry a mask.  The typed kinds are what make the executor go:
 ufuncs, gathers and ``bincount`` over int64/float64/bool arrays are C
 loops, where an object column costs a Python-level step per value.
 
-A dictionary-encoded column (``s``) is a string column to everything
-that reads it through :meth:`NumpyColumn.pylist` — which is every path
-that does not know about codes — and an int64 column to the paths that
-do: grouping uses the codes as group codes, a single-column expression
-is evaluated once per distinct value *present* and gathered by code,
-byte widths and distribution hashes are computed per dictionary entry.
+Every list whose non-NULL values are all exactly ``str`` is a
+dictionary-encoded column (``s``), repeating or not — an all-distinct
+column is a dictionary with an entry per row.  It is a string column to
+everything that reads it through :meth:`NumpyColumn.pylist` — every
+path that does not know about codes — and an int64 column to the paths
+that do: grouping uses the codes as group codes, a single-column
+expression is evaluated once per distinct value *present* and gathered
+by code, string kernels run ``numpy.strings`` over the entries, byte
+widths and distribution hashes are computed per dictionary entry.
 ``take`` / ``compress`` / ``slice`` share the parent's dictionary, so
 after a filter it may hold **stale** entries no row has; nothing may
 evaluate an entry without first checking that a row carries its code
 (unless the evaluation is total over ``str``), and nothing may read an
-order into the codes — they are positions of first occurrence, and
-merged dictionaries (:func:`concat_columns`) are merely duplicate-free.
+order into the codes — merged dictionaries (:func:`concat_columns`) and
+kernel results (:func:`encode_strings`) are merely duplicate-free.  A
+``str`` the string kernels cannot take — a lone surrogate, or one
+holding NUL (:func:`string_array`) — keeps its column an object column.
 
 The **native-value boundary** is load-bearing for bit-identical
 equivalence: every value that leaves a batch — materialized result
-rows, the row view of a stored fragment, group keys, fallback-kernel
-inputs, non-integer distribution keys, the values statistics are built
-from — goes through :meth:`NumpyColumn.pylist`, which produces native
-Python ``int``/``float``/``bool`` objects (via ``ndarray.tolist``) and
-restores ``None``, ``datetime.date`` and the dictionary's ``str``
-objects.  numpy scalars must never escape: ``np.int64`` is not an
+rows, the row view of a stored fragment, group keys, the evaluator's
+row-fallback inputs, non-integer distribution keys, the values
+statistics are built from — goes through :meth:`NumpyColumn.pylist`,
+which produces native Python ``int``/``float``/``bool`` objects (via
+``ndarray.tolist``) and restores ``None``, ``datetime.date`` and the
+dictionary's entries as ``str`` objects.  numpy scalars must never escape: ``np.int64`` is not an
 ``int`` subclass (``row_bytes`` would size it differently) and
 ``repr(np.float64(x))`` is not ``repr(x)`` under numpy 2 (``pdw_hash``
 hashes the repr), so a leaked scalar silently changes byte accounting
@@ -60,11 +63,11 @@ leaves the interpreter as an :class:`ArrayBatch` of positional
 columns, and both are sized, hashed and split column-wise and land on
 their nodes as :class:`ColumnFragment` s the next step scans directly.
 
-Columns and batches are immutable by convention, exactly like
-``ColumnBatch`` — operators that keep rows build new arrays, and a
-batch that is *some rows of* another (:meth:`ArrayBatch.take`) carries
-the index vector and gathers a column the first time something reads
-it, so a filter or a join copies only the columns its consumers use.
+Columns and batches are immutable by convention — operators that keep
+rows build new arrays, and a batch that is *some rows of* another
+(:meth:`ArrayBatch.take`) carries the index vector and gathers a column
+the first time something reads it, so a filter or a join copies only
+the columns its consumers use.
 
 A batch belongs to a **node group** (DESIGN §5c): ``bounds`` is an
 int64 vector of ``n + 1`` offsets — rows ``bounds[i]:bounds[i + 1]``
@@ -79,11 +82,9 @@ from __future__ import annotations
 import datetime
 import zlib
 from collections.abc import Mapping
-from itertools import chain
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -92,7 +93,8 @@ from typing import (
 
 import numpy as np
 
-from repro.vector.column_batch import ColumnBatch
+#: The dtype of dictionary entries: variable-width UTF-8 strings.
+STRINGS = np.dtypes.StringDType()
 
 #: Kinds whose ``values`` array is numeric (int64/float64/bool) and
 #: whose NULLs live in ``mask``.
@@ -113,8 +115,8 @@ _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 class StringDictionary:
     """The distinct ``str`` values of dictionary-encoded columns.
 
-    ``entries`` is an object array of exact ``str`` objects, duplicate-
-    free and in no meaningful order.  Every column derived from another
+    ``entries`` is a ``StringDType`` array, duplicate-free and in no
+    meaningful order.  Every column derived from another
     by ``take`` / ``compress`` / ``slice`` shares its dictionary, so
     :meth:`derived` computes a per-entry result (byte widths,
     distribution hashes) once for all of them.
@@ -171,7 +173,11 @@ class NumpyColumn:
                 out = (self.values - _EPOCH_ORDINAL).astype(
                     "datetime64[D]").astype(object).tolist()
             elif self.kind == "s":
-                out = self.dictionary.entries[self.values].tolist()
+                entries = self.dictionary.entries
+                if len(entries) < len(self.values):
+                    # Decode each entry once, then gather the objects.
+                    entries = entries.astype(object)
+                out = entries[self.values].tolist()
             else:
                 out = self.values.tolist()
             if self.mask is not None:
@@ -238,6 +244,11 @@ class NumpyColumn:
             None if self.mask is None else self.mask[start:stop],
             self.dictionary)
 
+    def strings(self) -> np.ndarray:
+        """An ``s`` column's values as a ``StringDType`` array, row by
+        row (a NULL row holds whatever entry its fill code names)."""
+        return self.dictionary.entries[self.values]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nulls = int(self.null_mask().sum())
         return (f"NumpyColumn(kind={self.kind!r}, rows={len(self)}, "
@@ -254,10 +265,11 @@ def null_column(length: int) -> NumpyColumn:
 def column_from_list(values: Sequence) -> NumpyColumn:
     """Sniff a Python column into the narrowest :class:`NumpyColumn`.
 
-    Type-exact on purpose: ``bool`` is an ``int`` subclass and
+    Type-exact on purpose: ``bool`` is an ``int`` subclass,
     ``datetime.datetime`` quacks like ``date`` but does not round-trip
-    through ordinals, so mixed or subclassed columns land in the object
-    kind, where semantics are the evaluator's by construction.
+    through ordinals, and a ``str`` subclass is not a ``str``, so mixed
+    or subclassed columns land in the object kind, where semantics are
+    the evaluator's by construction.
     """
     n = len(values)
     if not isinstance(values, list):
@@ -309,19 +321,32 @@ def _typed_column(kind: str, values: List, nullable: bool,
     return NumpyColumn(kind, arr, mask)
 
 
+def string_array(values: Sequence[str]) -> Optional[np.ndarray]:
+    """``values`` as a ``StringDType`` array, or ``None`` when one of
+    them holds a character the string kernels cannot take: a lone
+    surrogate (UTF-8 cannot hold it) or NUL (``numpy.strings`` reads
+    a trailing one as padding: ``str_len('a\\x00') == 1``)."""
+    if "\x00" in "".join(values):
+        return None
+    try:
+        return np.array(values, dtype=STRINGS)
+    except UnicodeEncodeError:
+        return None
+
+
 def _string_column(values: List, nullable: bool,
                    n: int) -> Optional[NumpyColumn]:
     """``values`` (exact ``str`` or ``None``) dictionary-encoded, or
-    ``None`` when they do not repeat: more distinct values than half
-    the rows.  Entries are in first-occurrence order; every loop here
-    is a C loop over the list (``dict.fromkeys``, ``map``)."""
+    ``None`` when :func:`string_array` cannot hold them.  Entries are in
+    first-occurrence order; every loop here is a C loop over the list
+    (``dict.fromkeys``, ``map``)."""
     distinct = dict.fromkeys(values)
     if nullable:
         del distinct[None]
-    if 2 * len(distinct) > n:
+    entries = string_array(list(distinct))
+    if entries is None:
         return None
-    entries = list(distinct)
-    code_of = dict(zip(entries, range(len(entries))))
+    code_of = dict(zip(distinct, range(len(entries))))
     if nullable:
         code_of[None] = -1
     codes = np.fromiter(map(code_of.__getitem__, values), np.int64, n)
@@ -329,8 +354,31 @@ def _string_column(values: List, nullable: bool,
     if nullable:
         mask = codes < 0
         codes[mask] = 0
-    return NumpyColumn("s", codes, mask,
-                       StringDictionary(_object_array(entries)))
+    return NumpyColumn("s", codes, mask, StringDictionary(entries))
+
+
+def encode_strings(strings: np.ndarray,
+                   mask: Optional[np.ndarray] = None) -> NumpyColumn:
+    """A kernel's string result — a ``StringDType`` array, ``mask``
+    marking NULL rows whatever their slots hold — as an ``s`` column:
+    the entries are its distinct values (sorted), the codes
+    ``np.unique``'s inverse.  All-NULL or empty: the object column
+    :func:`column_from_list` would make."""
+    if mask is not None and not mask.any():
+        mask = None
+    if mask is None:
+        if not len(strings):
+            return null_column(0)
+        entries, codes = np.unique(strings, return_inverse=True)
+    else:
+        valid = ~mask
+        if not valid.any():
+            return null_column(len(strings))
+        entries, inverse = np.unique(strings[valid], return_inverse=True)
+        codes = np.zeros(len(strings), dtype=np.int64)
+        codes[valid] = inverse
+    return NumpyColumn("s", codes.astype(np.int64, copy=False), mask,
+                       StringDictionary(entries))
 
 
 def const_column(value, length: int) -> NumpyColumn:
@@ -349,9 +397,11 @@ def const_column(value, length: int) -> NumpyColumn:
     elif vtype is datetime.date:
         return NumpyColumn("d", np.full(length, value.toordinal(),
                                         np.int64))
-    elif vtype is str and length >= 2:
-        return NumpyColumn("s", np.zeros(length, np.int64), None,
-                           StringDictionary(_object_array([value])))
+    elif vtype is str:
+        entries = string_array([value])
+        if entries is not None:
+            return NumpyColumn("s", np.zeros(length, np.int64), None,
+                               StringDictionary(entries))
     arr = np.empty(length, dtype=object)
     arr[:] = value
     return NumpyColumn("o", arr)
@@ -421,7 +471,7 @@ class ArrayBatch:
     """One columnar fragment over :class:`NumpyColumn` columns.
 
     ``length`` is authoritative (zero-column batches with positive row
-    counts exist, as for :class:`ColumnBatch`).  ``columns`` is a
+    counts exist: a scan that feeds only ``COUNT(*)``).  ``columns`` is a
     ``dict``, or for a batch :meth:`take` / :func:`join_batches` made a
     mapping that gathers each column on first read.
 
@@ -463,16 +513,6 @@ class ArrayBatch:
                 rows = [()] * self.length
             self._rows = rows
         return rows
-
-    def native(self, ids: Iterable[int]) -> ColumnBatch:
-        """The native-value view of columns ``ids`` — what a list-path
-        fallback reads, and no column more.  An id the batch lacks
-        stays missing, so a list kernel raises ``UnboundColumn`` where
-        it reads it."""
-        columns = self.columns
-        return ColumnBatch(
-            {cid: columns[cid].pylist() for cid in ids if cid in columns},
-            self.length)
 
     def take(self, indices: np.ndarray,
              bounds: Optional[np.ndarray] = None) -> "ArrayBatch":
@@ -573,14 +613,6 @@ def join_batches(left: ArrayBatch, right: ArrayBatch,
                       rebound(left.bounds, left_idx))
 
 
-def from_column_batch(batch: ColumnBatch) -> ArrayBatch:
-    """Sniff every column of a list batch into typed arrays."""
-    return ArrayBatch(
-        {cid: column_from_list(col)
-         for cid, col in batch.columns.items()},
-        batch.length)
-
-
 def concat_columns(pieces: List[Tuple[Optional[NumpyColumn], int]]
                    ) -> NumpyColumn:
     """Concatenate ``(column, length)`` pieces into one column
@@ -624,29 +656,31 @@ def _merge_dictionaries(columns: List[NumpyColumn]
     """One dictionary for all ``columns`` and each column's codes in
     it.  Pieces cut from one column (a shuffle's slices, UNION ALL over
     one table) share theirs and keep their codes; otherwise the entries
-    are unioned — a piece with fewer rows than entries contributes its
-    rows' values instead, so the work is bounded by the rows, not by
-    what an upstream filter left behind in the dictionary — and the
-    codes re-mapped by one gather per piece."""
+    are unioned by one ``np.unique`` — a piece with fewer rows than
+    entries contributes its rows' values instead, so the work is
+    bounded by the rows, not by what an upstream filter left behind in
+    the dictionary — and the codes re-mapped by one gather per piece."""
     first = columns[0].dictionary
     if all(column.dictionary is first for column in columns):
         return first, [column.values for column in columns]
-    sources: List[Tuple[List[str], Optional[np.ndarray]]] = []
+    sources: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
     for column in columns:
         entries, codes = column.dictionary.entries, column.values
         if len(codes) < len(entries):
-            sources.append((entries[codes].tolist(), None))
+            sources.append((entries[codes], None))
         else:
-            sources.append((entries.tolist(), codes))
-    merged = list(dict.fromkeys(
-        chain.from_iterable(values for values, _ in sources)))
-    code_of = dict(zip(merged, range(len(merged))))
+            sources.append((entries, codes))
+    merged, inverse = np.unique(
+        np.concatenate([values for values, _ in sources]),
+        return_inverse=True)
+    inverse = inverse.astype(np.int64, copy=False)
     recoded = []
+    start = 0
     for values, codes in sources:
-        new_codes = np.fromiter(map(code_of.__getitem__, values),
-                                np.int64, len(values))
+        new_codes = inverse[start:start + len(values)]
+        start += len(values)
         recoded.append(new_codes if codes is None else new_codes[codes])
-    return StringDictionary(_object_array(merged)), recoded
+    return StringDictionary(merged), recoded
 
 
 class ColumnFragment:

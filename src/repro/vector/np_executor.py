@@ -14,8 +14,8 @@ as its own run would have produced them (DESIGN §5c):
 
 * scans read the typed columns node storage holds
   (:class:`~repro.vector.np_batch.ColumnFragment`) as they stand — a
-  load encoded a base table's columns, repeating strings as dictionary
-  codes, and a DMS step's output never stopped being columns — so no
+  load encoded a base table's columns, strings as dictionary codes,
+  and a DMS step's output never stopped being columns — so no
   scan transposes rows, sniffs types or encodes anything; a table
   stored once for all its nodes (hash-distributed, or a shuffle's
   output) is read whole, with its node bounds, no concat;
@@ -45,8 +45,8 @@ as its own run would have produced them (DESIGN §5c):
 Every fast path checks its preconditions at runtime (column kinds,
 int64 overflow headroom, NaN absence where ordering semantics differ)
 and otherwise falls back to a loop over the native view of the columns
-it needs (the list kernels of :mod:`repro.vector.kernels` for
-expressions) — parity first, speed where it is safe.  Stats counters,
+it needs (for expressions, the evaluator itself, row by row) — parity
+first, speed where it is safe.  Stats counters,
 observer events, group order, row order and error behaviour all match
 the reference interpreter; the differential suites pin them on the full
 TPC-H workload and on generated data.
@@ -75,7 +75,6 @@ from repro.algebra.logical import (
 from repro.catalog.schema import DistributionKind
 from repro.catalog.statistics import sort_key
 from repro.common.errors import ExecutionError
-from repro.vector.column_batch import ColumnBatch
 from repro.vector.np_batch import (
     ArrayBatch,
     ColumnFragment,
@@ -218,14 +217,16 @@ class NumpyInterpreter:
             # Sort keys need `sort_key` over Python values: the native
             # view of the key columns only, and the reference sort (and
             # TOP) over each node's slice of them.
-            keys = batch.native(var.id for var, _ in query.order_by)
+            columns = batch.columns
+            keys = {var.id: columns[var.id].pylist()
+                    for var, _ in query.order_by if var.id in columns}
             order: List[int] = []
             counts = []
             for start, stop in zip(spans, spans[1:]):
-                part = keys if stop - start == batch.length else (
-                    ColumnBatch({cid: column[start:stop] for cid, column
-                                 in keys.columns.items()}, stop - start))
-                rows = _row_order(query, part)
+                part = keys if stop - start == batch.length else {
+                    cid: column[start:stop]
+                    for cid, column in keys.items()}
+                rows = _row_order(query, part, stop - start)
                 counts.append(len(rows))
                 order.extend([row + start for row in rows] if start
                              else rows)
@@ -658,13 +659,14 @@ class NumpyInterpreter:
 # -- helpers --------------------------------------------------------------------
 
 
-def _row_order(query: Query, batch: ColumnBatch) -> List[int]:
+def _row_order(query: Query, keys: Dict[int, List], length: int
+               ) -> List[int]:
     """The query's ORDER BY (stable, per-key, NULLs first via
-    ``sort_key``) and TOP as a list of row indexes into ``batch`` — a
-    batch of just the sort-key columns, as native values."""
-    order = list(range(batch.length))
+    ``sort_key``) and TOP as a list of row indexes into ``length`` rows
+    whose sort-key columns, as native values, are ``keys``."""
+    order = list(range(length))
     for var, ascending in reversed(query.order_by):
-        key_col = batch.columns.get(var.id)
+        key_col = keys.get(var.id)
         if key_col is None:
             continue  # all-NULL sort key: stable no-op
         order.sort(key=lambda i: sort_key(key_col[i]),

@@ -1,17 +1,16 @@
 """Numpy compilation of bound scalar expressions into array kernels.
 
-The production executor's expression compiler, beside the list kernels
-of :mod:`repro.vector.kernels` it falls back on: the same ``ScalarExpr``
-tree compiles into a kernel ``ArrayBatch -> NumpyColumn`` whose inner
-loops are ufunc calls over typed arrays — C loops, one Python step per
-operator instead of one per value.  (They release the GIL too, but at
-a few thousand rows per node per step each call is shorter than a
-thread hand-off: a per-node thread pool ran the same plans slower than
-the serial walk — EXPERIMENTS.md "PR 17" — so the gain is the C loop,
-not overlap.)
+The production executor's one expression compiler: a bound
+``ScalarExpr`` tree compiles into a kernel ``ArrayBatch -> NumpyColumn``
+whose inner loops are ufunc calls over typed arrays — C loops, one
+Python step per operator instead of one per value.  (They release the
+GIL too, but at a few thousand rows per node per step each call is
+shorter than a thread hand-off: a per-node thread pool ran the same
+plans slower than the serial walk — EXPERIMENTS.md "PR 17" — so the
+gain is the C loop, not overlap.)
 
-Semantics are the reference interpreter's semantics, enforced three
-ways:
+Semantics are the evaluator's (:func:`repro.algebra.evaluator.evaluate`,
+the spec), enforced four ways:
 
 * **runtime dtype dispatch** — every operator looks at the column
   kinds it actually received and takes the ufunc fast path only when
@@ -19,16 +18,27 @@ ways:
   int64/float64 mixed comparison vectorizes only while the int side
   fits in 2^53, because Python compares int-to-float exactly and
   float64 promotion does not — a literal operand is broadcast by the
-  ufunc under the same rule, never materialized); otherwise it
-  evaluates elementwise over the columns' native-value views, which
-  *is* the list kernel's loop;
+  ufunc under the same rule, never materialized); otherwise it applies
+  the evaluator's own scalar rule (``_compare``, ``_arithmetic``,
+  ``_cast``) value by value over the columns' native-value views;
+* **strings as arrays** — a dictionary-encoded column's entries are a
+  ``StringDType`` array, so comparisons with a literal or another
+  string column, ``IN``, LIKE patterns made of ``%`` and literal text
+  (``==``, ``startswith``, ``endswith``, a ``find`` chain),
+  ``SUBSTRING`` with integer literal arguments (``strings.slice``) and
+  ``||`` of two strings (``strings.add``) are ``numpy.strings`` calls —
+  per dictionary entry where one column is read, gathered by code.
+  UTF-8 byte order is code-point order, which is Python's ``str``
+  order.  A string result is re-encoded by ``np.unique``
+  (:func:`~repro.vector.np_batch.encode_strings`), so every dictionary
+  stays duplicate-free — GROUP BY reads codes as group codes;
 * **once per distinct value** — an expression that reads exactly one
   column, over a batch that holds it dictionary-encoded
   (:class:`~repro.vector.np_batch.StringDictionary`), is evaluated by
-  the list kernel on the distinct values *present* in the batch and
-  gathered by code (:func:`_once_per_distinct`): string comparisons,
-  ``IN``, ``LIKE``, functions and casts of strings, CASE over one
-  string column.  Entries no row has are never evaluated;
+  its own kernel over a batch of the distinct values *present* and
+  gathered by code (:func:`_once_per_distinct`): entries no row has are
+  never evaluated, so a CAST or the row fallback never sees a value an
+  upstream filter removed;
 * **whole-batch or narrowing AND/OR** — when no argument can raise
   (column/literal and column/column comparisons, ``IS NULL``, ``IN``,
   ``LIKE``, ``NOT``/AND/OR of those) and every column read is present
@@ -38,25 +48,27 @@ ways:
   sub-batch is cut.  Anything else (arithmetic, CAST, functions, CASE,
   a bare column, an object column, a missing column) keeps **masked
   narrowing**: argument ``k`` sees only the rows still undecided after
-  ``k-1``, CASE arms only their rows — the array form of the list
-  kernels' selection-vector narrowing, so a guarded ``x <> 0 AND
-  10 / x > 1`` never divides on excluded rows.  A narrowed batch
-  gathers only the columns its argument reads
+  ``k-1``, CASE arms only their rows — the evaluator's short circuit,
+  so a guarded ``x <> 0 AND 10 / x > 1`` never divides on excluded
+  rows.  A narrowed batch gathers only the columns its argument reads
   (:meth:`~repro.vector.np_batch.ArrayBatch.take`).
 
 Three-valued logic travels in the explicit NULL mask
 (:class:`~repro.vector.np_batch.NumpyColumn`), so NULL propagation is
 one mask OR per binary operator.  Division by zero checks
 ``(divisor == 0) & ~null`` over the whole column and raises the same
-:class:`ExecutionError` before computing anything.  Expressions with
-no array form over the columns they got (LIKE, ``||``, scalar
-functions and casts over object columns or over several string
-columns) delegate to the pure-Python list kernel over the native view
-of the columns they read — parity by construction, at worst the old
-speed.
+:class:`ExecutionError` before computing anything.  What has no array
+form over the columns it got — LIKE with ``_``, scalar functions with
+non-literal arguments, ``||`` with a non-string operand, ``IN`` and
+LIKE over an object column — runs the evaluator itself, row by row,
+over the native values of the columns the expression reads
+(:func:`_row_fallback`): parity by construction, row-major like the
+oracle.
 
-Kernels are memoized per expression identity with the same bounded
-cache shape as the list compiler.
+Kernels are memoized per expression identity: bounded, cleared whole
+at the limit, lock-guarded for concurrent service clients and step-DAG
+workers — and keyed by identity because value equality would conflate
+``Constant(0)`` with ``Constant(False)``.
 """
 
 from __future__ import annotations
@@ -68,20 +80,25 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algebra import expressions as ex
-from repro.algebra.evaluator import UnboundColumn, _cast
+from repro.algebra.evaluator import (
+    SUBSTRING_LENGTH_ERROR,
+    UnboundColumn,
+    _arithmetic,
+    _cast,
+    _compare,
+    evaluate,
+)
 from repro.common.errors import ExecutionError
 from repro.common.types import TypeKind
-from repro.vector.column_batch import ColumnBatch
-from repro.vector.kernels import (
-    _COMPARISONS,
-    _PLAIN_ARITHMETIC,
-    compile_kernel,
-)
 from repro.vector.np_batch import (
+    STRINGS,
     ArrayBatch,
     NumpyColumn,
+    StringDictionary,
     column_from_list,
     const_column,
+    encode_strings,
+    string_array,
 )
 
 #: A numpy kernel: one typed output column per input batch.
@@ -102,7 +119,8 @@ _ARITH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply}
 #: under which int↔float promotion loses nothing.
 _EXACT_FLOAT_INT = 2 ** 53
 
-# Identity-keyed memo; same rationale and shape as kernels._CACHE.
+# Identity-keyed memo; entries pin their key expression so a live id
+# cannot be reused.
 _CACHE: Dict[int, Tuple[ex.ScalarExpr, NKernel]] = {}
 _CACHE_LIMIT = 8192
 _CACHE_LOCK = threading.RLock()
@@ -152,16 +170,21 @@ def _merge_masks(left: Optional[np.ndarray],
     return left | right
 
 
-def _list_fallback(expr: ex.ScalarExpr) -> NKernel:
-    """Run the pure-Python list kernel over the native view of the
-    columns ``expr`` reads — exact parity by construction (including
-    narrowing and errors; a column the batch lacks stays missing, so
-    the list kernel raises :class:`UnboundColumn` where it reads it)."""
-    kernel = compile_kernel(expr)
+def _row_fallback(expr: ex.ScalarExpr) -> NKernel:
+    """The evaluator, row by row, over the native values of the
+    columns ``expr`` reads — exact parity by construction, short
+    circuits and errors included (a column the batch lacks is missing
+    from every row's environment, so :class:`UnboundColumn` is raised
+    by the first row that reads it)."""
     used = sorted(expr.columns_used())
 
     def run(batch: ArrayBatch) -> NumpyColumn:
-        return column_from_list(kernel(batch.native(used)))
+        columns = batch.columns
+        ids = [cid for cid in used if cid in columns]
+        rows = (zip(*[columns[cid].pylist() for cid in ids]) if ids
+                else [()] * batch.length)
+        return column_from_list(
+            [evaluate(expr, dict(zip(ids, row))) for row in rows])
 
     return run
 
@@ -193,50 +216,79 @@ def _int_bounds(column: NumpyColumn) -> Tuple[int, int]:
 
 def _compile(expr: ex.ScalarExpr) -> NKernel:
     kernel = _compile_node(expr)
-    if isinstance(expr, (ex.ColumnVar, ex.Constant)):
-        return kernel
     used = expr.columns_used()
-    if len(used) != 1 or (isinstance(expr, ex.IsNullExpr)
-                          and isinstance(expr.operand, ex.ColumnVar)):
-        # ``s IS NULL`` is the one string expression with an array
-        # form: the mask.
+    if len(used) != 1 or _reads_entries(expr):
         return kernel
-    return _once_per_distinct(expr, next(iter(used)), kernel)
+    return _once_per_distinct(next(iter(used)), kernel)
 
 
-def _once_per_distinct(expr: ex.ScalarExpr, var_id: int,
-                       array_kernel: NKernel) -> NKernel:
-    """``expr`` reads exactly one column.  Over a batch that holds it
-    dictionary-encoded no operator has an array form (a string
-    comparison, ``IN``, ``LIKE``, a function or cast of a string), but
-    the expression is a function of that one value: the list kernel
-    evaluates it once per distinct value *present* in the batch — and
-    on NULL if some row is — and the results are gathered by code.  A
-    stale dictionary entry (one an upstream filter left no row for) is
-    never evaluated, so it can neither raise nor be observed; a value
-    some row has raises exactly what the per-row loop would."""
+def _reads_entries(expr: ex.ScalarExpr) -> bool:
+    """Whether ``expr`` is a bare column, or a test whose own kernel
+    reads a bare column's mask or dictionary entries and is total over
+    them — ``IS NULL``, a comparison with a string literal, ``IN``, a
+    ``%``-pattern LIKE — so running it once per distinct value would
+    only add a gather."""
+    if isinstance(expr, ex.Comparison):
+        for column, literal in ((expr.left, expr.right),
+                                (expr.right, expr.left)):
+            if (isinstance(column, ex.ColumnVar)
+                    and isinstance(literal, ex.Constant)):
+                return _text(literal.value) is not None
+        return False
+    if isinstance(expr, (ex.IsNullExpr, ex.InListExpr, ex.LikeExpr)):
+        if not isinstance(expr.operand, ex.ColumnVar):
+            return False
+        if isinstance(expr, ex.InListExpr):
+            return _string_table(expr.values) is not None
+        if isinstance(expr, ex.LikeExpr):
+            return _like_parts(expr.pattern) is not None
+        return True
+    return isinstance(expr, ex.ColumnVar)
 
-    def evaluate(batch: ArrayBatch) -> NumpyColumn:
+
+def _once_per_distinct(var_id: int, kernel: NKernel) -> NKernel:
+    """``kernel``'s expression reads exactly one column, so over a batch
+    that holds it dictionary-encoded the expression is a function of
+    the entry: ``kernel`` runs over a batch of the distinct values
+    *present* — one row per entry some row carries, one NULL row if
+    some row is NULL — and the results are gathered by code.  A stale
+    dictionary entry (one an upstream filter left no row for) is never
+    evaluated, so it can neither raise nor be observed; a value some
+    row has raises exactly what the per-row loop would.  A column whose
+    rows carry every entry once is that batch already."""
+
+    def evaluate_distinct(batch: ArrayBatch) -> NumpyColumn:
         column = batch.columns.get(var_id)
         if column is None or column.kind != "s":
-            return array_kernel(batch)
+            return kernel(batch)
         codes, mask = column.values, column.mask
+        if mask is not None and not mask.any():
+            mask = None
         entries = column.dictionary.entries
-        present = np.flatnonzero(np.bincount(
-            codes if mask is None else codes[~mask],
-            minlength=len(entries)))
-        values = entries[present].tolist()
+        valid = codes if mask is None else codes[~mask]
+        counts = np.bincount(valid, minlength=len(entries))
+        if len(valid) == len(entries) and counts.max() == 1:
+            return kernel(batch)
+        present = np.flatnonzero(counts)
+        distinct = len(present)
         position = np.empty(len(entries), dtype=np.int64)
-        position[present] = np.arange(len(present))
+        position[present] = np.arange(distinct)
         rows = position[codes]
-        if mask is not None and mask.any():
-            rows[mask] = len(values)
-            values.append(None)
-        results = compile_kernel(expr)(
-            ColumnBatch({var_id: values}, len(values)))
-        return column_from_list(results).take(rows)
+        sub_codes = np.arange(distinct, dtype=np.int64)
+        sub_mask = None
+        if mask is not None:
+            rows[mask] = distinct
+            sub_codes = np.append(sub_codes, 0)
+            sub_mask = np.arange(distinct + 1) == distinct
+        # All rows NULL: the one NULL row still needs an entry to name.
+        dictionary = StringDictionary(
+            entries[present] if distinct else entries[:1])
+        sub = ArrayBatch(
+            {var_id: NumpyColumn("s", sub_codes, sub_mask, dictionary)},
+            len(sub_codes))
+        return kernel(sub).take(rows)
 
-    return evaluate
+    return evaluate_distinct
 
 
 def _compile_node(expr: ex.ScalarExpr) -> NKernel:
@@ -289,22 +341,23 @@ def _compile_node(expr: ex.ScalarExpr) -> NKernel:
     if isinstance(expr, ex.AggExpr):
         return _raising("aggregate evaluated outside GroupBy")
 
-    if isinstance(expr, (ex.LikeExpr, ex.FuncExpr)):
-        # Regex matching and scalar-function dispatch are per-value
-        # Python work either way — reuse the list kernel verbatim.
-        return _list_fallback(expr)
+    if isinstance(expr, ex.LikeExpr):
+        return _compile_like(expr)
 
-    return _list_fallback(expr)
+    if isinstance(expr, ex.FuncExpr):
+        return _compile_function(expr)
+
+    return _row_fallback(expr)
 
 
 # -- comparison ------------------------------------------------------------------
 
 
 def _compile_comparison(expr: ex.Comparison) -> NKernel:
-    compare = _COMPARISONS.get(expr.op)
-    if compare is None:
-        return _raising(f"unknown comparison {expr.op}")
-    ufunc = _COMPARE_UFUNCS[expr.op]
+    op = expr.op
+    ufunc = _COMPARE_UFUNCS.get(op)
+    if ufunc is None:
+        return _raising(f"unknown comparison {op}")
 
     for side, other in ((expr.left, expr.right),
                         (expr.right, expr.left)):
@@ -312,7 +365,7 @@ def _compile_comparison(expr: ex.Comparison) -> NKernel:
                 and not isinstance(other, ex.Constant)):
             if side.value is not None:
                 return _compile_literal_comparison(
-                    compile_np_kernel(other), side.value, compare, ufunc,
+                    compile_np_kernel(other), side.value, op, ufunc,
                     literal_first=side is expr.left)
             # NULL-constant comparison: the other side still evaluates
             # (UnboundColumn / error parity); the result is all-NULL.
@@ -335,6 +388,9 @@ def _compile_comparison(expr: ex.Comparison) -> NKernel:
         rc = right(batch)
         lk, rk = lc.kind, rc.kind
         fast = False
+        if lk == rk == "s":
+            return NumpyColumn("b", ufunc(lc.strings(), rc.strings()),
+                               _merge_masks(lc.mask, rc.mask))
         if lk == rk and lk in "ifbd":
             fast = True
         elif lk in "ifb" and rk in "ifb":
@@ -350,11 +406,19 @@ def _compile_comparison(expr: ex.Comparison) -> NKernel:
             return NumpyColumn("b", values,
                                _merge_masks(lc.mask, rc.mask))
         return column_from_list([
-            None if lv is None or rv is None else compare(lv, rv)
+            _compare(op, lv, rv)
             for lv, rv in zip(lc.pylist(), rc.pylist())
         ])
 
     return comparison
+
+
+def _text(value) -> Optional[str]:
+    """``value`` when it is an exact ``str`` the string kernels can
+    take (:func:`~repro.vector.np_batch.string_array`), else ``None``."""
+    if type(value) is str and string_array([value]) is not None:
+        return value
+    return None
 
 
 def _literal_operand(column: NumpyColumn, value):
@@ -376,25 +440,28 @@ def _literal_operand(column: NumpyColumn, value):
     return int(value) if -2 ** 63 <= value < 2 ** 63 else None
 
 
-def _compile_literal_comparison(operand: NKernel, value, compare,
+def _compile_literal_comparison(operand: NKernel, value, op: str,
                                 ufunc, literal_first: bool) -> NKernel:
     """Column-vs-literal comparison: the ufunc broadcasts the literal,
-    no constant column is built."""
+    no constant column is built; a string column compares its entries
+    and gathers by code."""
+    text = _text(value)
 
     def compare_literal(batch):
         col = operand(batch)
-        scalar = _literal_operand(col, value)
+        encoded = col.kind == "s"
+        scalar = text if encoded else _literal_operand(col, value)
         if scalar is not None:
-            values = (ufunc(scalar, col.values) if literal_first
-                      else ufunc(col.values, scalar))
-            return NumpyColumn("b", values, col.mask)
+            values = col.dictionary.entries if encoded else col.values
+            result = (ufunc(scalar, values) if literal_first
+                      else ufunc(values, scalar))
+            return NumpyColumn("b", result[col.values] if encoded
+                               else result, col.mask)
         if literal_first:
             return column_from_list([
-                None if v is None else compare(value, v)
-                for v in col.pylist()])
+                _compare(op, value, v) for v in col.pylist()])
         return column_from_list([
-            None if v is None else compare(v, value)
-            for v in col.pylist()])
+            _compare(op, v, value) for v in col.pylist()])
 
     return compare_literal
 
@@ -432,8 +499,7 @@ def _compile_arithmetic(expr: ex.Arithmetic) -> NKernel:
     left = compile_np_kernel(expr.left)
     right = compile_np_kernel(expr.right)
 
-    if op in _PLAIN_ARITHMETIC:
-        apply = _PLAIN_ARITHMETIC[op]
+    if op in _ARITH_UFUNCS:
         ufunc = _ARITH_UFUNCS[op]
         product = op == "*"
 
@@ -459,7 +525,7 @@ def _compile_arithmetic(expr: ex.Arithmetic) -> NKernel:
                     return NumpyColumn("f", ufunc(lv, rv),
                                        _merge_masks(lc.mask, rc.mask))
             return column_from_list([
-                None if lv is None or rv is None else apply(lv, rv)
+                _arithmetic(op, lv, rv)
                 for lv, rv in zip(lc.pylist(), rc.pylist())
             ])
 
@@ -509,23 +575,25 @@ def _compile_arithmetic(expr: ex.Arithmetic) -> NKernel:
                 values = (np.remainder(lv, safe_rv) if modulo
                           else np.true_divide(lv, safe_rv))
                 return NumpyColumn("f", values, nulls)
-            out = []
-            append = out.append
-            for lval, rval in zip(lc.pylist(), rc.pylist()):
-                if lval is None or rval is None:
-                    append(None)
-                elif rval == 0:
-                    raise ExecutionError("division by zero")
-                elif modulo:
-                    append(lval % rval)
-                else:
-                    append(lval / rval)
-            return column_from_list(out)
+            return column_from_list([
+                _arithmetic(op, lval, rval)
+                for lval, rval in zip(lc.pylist(), rc.pylist())])
 
         return divide
 
     if op == "||":
-        return _list_fallback(expr)
+        fallback = _row_fallback(expr)
+
+        def concat(batch):
+            lc = left(batch)
+            rc = right(batch)
+            if lc.kind == rc.kind == "s":
+                return encode_strings(
+                    np.strings.add(lc.strings(), rc.strings()),
+                    _merge_masks(lc.mask, rc.mask))
+            return fallback(batch)
+
+        return concat
 
     return _raising(f"unknown arithmetic operator {op}")
 
@@ -672,7 +740,7 @@ def _compile_bool_op(expr: ex.BoolOp) -> NKernel:
             active[hit] = False
             # NULL at an undecided position turns the state NULL but
             # keeps the row active; non-decisive non-NULL leaves the
-            # state untouched — exactly the list kernel's loop.
+            # state untouched — exactly the evaluator's loop.
             if nulls_sub is not None:
                 null_out[indices[nulls_sub & ~decided_sub]] = True
         return NumpyColumn("b", values,
@@ -723,7 +791,8 @@ def _compile_in_list(expr: ex.InListExpr) -> NKernel:
         for v in numeric_table)
     date_table = [v.toordinal() for v in values
                   if type(v) is datetime.date]
-    fallback = _list_fallback(expr)
+    string_table = _string_table(values)
+    fallback = _row_fallback(expr)
 
     def in_list(batch):
         col = operand(batch)
@@ -742,9 +811,111 @@ def _compile_in_list(expr: ex.InListExpr) -> NKernel:
                      else np.zeros(len(col.values), dtype=np.bool_))
             return NumpyColumn("b", ~found if negated else found,
                                col.mask)
+        if kind == "s" and string_table is not None:
+            found = np.isin(col.dictionary.entries, string_table)
+            return NumpyColumn("b", (found != negated)[col.values],
+                               col.mask)
         return fallback(batch)
 
     return in_list
+
+
+# -- strings ---------------------------------------------------------------------
+
+
+def _string_table(values) -> Optional[np.ndarray]:
+    """The ``str`` members of an IN list as the table ``np.isin`` probes
+    dictionary entries with — only a ``str`` can equal a ``str`` — or
+    ``None`` when a member leaves no array form (a ``str`` subclass may
+    redefine equality; see :func:`~repro.vector.np_batch.string_array`
+    for the rest)."""
+    texts = [v for v in values if isinstance(v, str)]
+    if any(type(v) is not str for v in texts):
+        return None
+    return string_array(texts)
+
+
+def _like_parts(pattern: str) -> Optional[List[str]]:
+    """The literal runs of a LIKE pattern between its ``%`` wildcards,
+    or ``None`` when it has no array form (a ``_``, or a character the
+    string kernels cannot take)."""
+    if "_" in pattern or _text(pattern) is None:
+        return None
+    return pattern.split("%")
+
+
+def _like_matches(strings: np.ndarray, parts: List[str]) -> np.ndarray:
+    """Which of ``strings`` match the ``%``-pattern of ``parts``: equal
+    to the one part, or starting with the first, ending with the last,
+    long enough for both, and holding the middle ones in order — each
+    found leftmost after the one before (greedy leftmost placement
+    matches whenever any placement does)."""
+    if len(parts) == 1:
+        return strings == parts[0]
+    head, *middle, tail = parts
+    lengths = np.strings.str_len(strings)
+    matched = (np.strings.startswith(strings, head)
+               & np.strings.endswith(strings, tail)
+               & (lengths >= len(head) + len(tail)))
+    position = len(head)
+    end = lengths - len(tail)
+    for part in middle:
+        if part:
+            found = np.strings.find(strings, part, position, end)
+            matched &= found >= 0
+            position = found + len(part)
+    return matched
+
+
+def _compile_like(expr: ex.LikeExpr) -> NKernel:
+    fallback = _row_fallback(expr)
+    parts = _like_parts(expr.pattern)
+    if parts is None:
+        return fallback
+    operand = compile_np_kernel(expr.operand)
+    negated = expr.negated
+
+    def like(batch):
+        col = operand(batch)
+        if col.kind != "s":
+            return fallback(batch)
+        matched = _like_matches(col.dictionary.entries, parts)
+        return NumpyColumn("b", (matched != negated)[col.values],
+                           col.mask)
+
+    return like
+
+
+def _compile_function(expr: ex.FuncExpr) -> NKernel:
+    """``SUBSTRING(s, start, length)`` with integer literal bounds is
+    one ``strings.slice`` over the entries — the evaluator's bounds: a
+    start before 1 clips to the first character, and a negative length
+    raises once some row is not NULL.  Every other call is the row
+    fallback's."""
+    fallback = _row_fallback(expr)
+    if expr.name.upper() != "SUBSTRING" or len(expr.args) != 3:
+        return fallback
+    text, start, length = expr.args
+    if not all(isinstance(arg, ex.Constant) and type(arg.value) is int
+               and abs(arg.value) < 2 ** 62 for arg in (start, length)):
+        return fallback
+    operand = compile_np_kernel(text)
+    first = max(start.value - 1, 0)
+    stop = max(start.value - 1 + length.value, 0)
+    negative = length.value < 0
+
+    def substring(batch):
+        col = operand(batch)
+        if col.kind != "s":
+            return fallback(batch)
+        if negative and not col.null_mask().all():
+            raise ExecutionError(SUBSTRING_LENGTH_ERROR)
+        sliced = encode_strings(
+            np.strings.slice(col.dictionary.entries, first, stop))
+        return NumpyColumn("s", sliced.values[col.values], col.mask,
+                           sliced.dictionary)
+
+    return substring
 
 
 # -- casts -----------------------------------------------------------------------
@@ -787,6 +958,9 @@ def _compile_cast(expr: ex.CastExpr) -> NKernel:
                 return NumpyColumn(
                     "b", np.ones(len(col.values), dtype=np.bool_),
                     col.mask)
+        elif kind in (TypeKind.VARCHAR, TypeKind.CHAR):
+            if ck == "s":
+                return col  # str() of an exact str is itself
         return column_from_list(
             [_cast(value, kind) for value in col.pylist()])
 
@@ -832,29 +1006,49 @@ def _scatter_arms(length: int,
                   arms: List[Tuple[np.ndarray, NumpyColumn]],
                   unset: np.ndarray) -> NumpyColumn:
     """Assemble per-arm result columns back into row order.  Same-kind
-    typed arms scatter into one typed array; mixed kinds rebuild
-    through native values (exactly the list kernel's result list)."""
+    typed arms scatter into one typed array (string arms into one
+    ``StringDType`` array, re-encoded); mixed kinds scatter their
+    native values into one object array and are sniffed like the
+    evaluator's result list."""
     if len(arms) == 1 and not unset.any():
         indices, col = arms[0]
         if len(indices) == length:
             return col
     kinds = {col.kind for _, col in arms}
-    if len(kinds) == 1 and (kind := kinds.pop()) in "ifbd":
+    kind = kinds.pop() if len(kinds) == 1 else "o"
+    if kind in "ifbds":
         values = np.zeros(length, dtype=(
-            np.bool_ if kind == "b" else
+            STRINGS if kind == "s" else np.bool_ if kind == "b" else
             np.float64 if kind == "f" else np.int64))
         if kind == "d":
             values[:] = 1  # date ordinals are >= 1
         mask = unset.copy()  # un-taken rows are NULL
         for indices, col in arms:
-            values[indices] = col.values
+            values[indices] = col.strings() if kind == "s" else col.values
             if col.mask is not None:
                 mask[indices] = col.mask
+        if kind == "s":
+            return encode_strings(values, mask)
         return NumpyColumn(kind, values,
                            mask if mask.any() else None)
-    out: List = [None] * length
+    out = np.empty(length, dtype=object)  # un-taken rows are NULL
     for indices, col in arms:
-        arm_values = col.pylist()
-        for position, i in enumerate(indices.tolist()):
-            out[i] = arm_values[position]
-    return column_from_list(out)
+        out[indices] = _objects(col)
+    return column_from_list(out.tolist())
+
+
+def _objects(column: NumpyColumn) -> np.ndarray:
+    """A column's native values as an object array: numbers and bools
+    convert in C (``astype(object)`` makes exact Python ``int`` /
+    ``float`` / ``bool``), other kinds through :meth:`NumpyColumn.
+    pylist`."""
+    if column.kind == "o":
+        return column.values
+    if column.kind not in "ifb":
+        values = np.empty(len(column), dtype=object)
+        values[:] = column.pylist()
+        return values
+    values = column.values.astype(object)
+    if column.mask is not None:
+        values[column.mask] = None
+    return values

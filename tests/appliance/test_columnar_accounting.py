@@ -116,8 +116,10 @@ def test_batch_row_sizes_are_row_bytes(data, length, width):
     ("f", [float("nan"), -0.0, None, float("inf")]),
     ("b", [True, None, False]),
     ("d", [datetime.date.min, None, datetime.date.max]),
-    ("o", ["", "é", None, "日本語"]),
+    # A lone surrogate is the one str a StringDType entry cannot hold.
+    ("o", ["", "é", None, "日本語", "\ud800"]),
     ("o", [None, None]),
+    ("s", ["", "é", None, "日本語"]),
 ])
 def test_each_column_kind_on_its_edges(kind, values):
     column = column_from_list(values)

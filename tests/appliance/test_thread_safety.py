@@ -1,6 +1,6 @@
 """Concurrent hammers for the caches that concurrent service clients
 and step-DAG workers share: plan preparation, the appliance's
-single-system image, the kernel compilers' identity memos, and the
+single-system image, the kernel compiler's identity memo, and the
 telemetry/metrics counters."""
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from repro.common.types import INTEGER
 from repro.obs.metrics import MetricsRegistry
 from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
 from repro.telemetry import Tracer
-from repro.vector import kernels, np_kernels
-from repro.vector.column_batch import ColumnBatch
+from repro.vector import np_kernels
 from repro.vector.np_batch import (
     ArrayBatch,
     ColumnFragment,
     column_from_list,
 )
+
+from tests.vector.test_kernels import object_column
 
 THREADS = 8
 ROUNDS = 25
@@ -176,15 +177,19 @@ def _run_np(kernel, values):
     return kernel(batch).pylist()
 
 
-def _run_list(kernel, values):
-    return kernel(ColumnBatch({1: list(values)}, len(values)))
+def _run_object(kernel, values):
+    batch = ArrayBatch({1: object_column(values)}, len(values))
+    return kernel(batch).pylist()
 
 
-#: (compiler, its module — for the memo and its limit, batch runner).
+#: (compiler, its module — for the memo and its limit, batch runner):
+#: the one compiler over typed columns, and over object columns (its
+#: per-value paths).
 MEMOS = [
     pytest.param(np_kernels.compile_np_kernel, np_kernels, _run_np,
                  id="numpy"),
-    pytest.param(kernels.compile_kernel, kernels, _run_list, id="list"),
+    pytest.param(np_kernels.compile_np_kernel, np_kernels, _run_object,
+                 id="object"),
 ]
 
 COLUMN = ex.ColumnVar(1, "a", INTEGER)

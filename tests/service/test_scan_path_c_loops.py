@@ -6,24 +6,30 @@ filter), Q12 (string ``IN``, a string CASE under SUM, a join) — runs its
 node-local SQL on C loops only:
 
 * strings are dictionary codes: the per-row dict probe
-  (``_object_codes``) never runs, and no list kernel, native-value
-  conversion or sort sees more values than a column has *distinct*
-  ones;
+  (``_object_codes``) never runs, no expression takes the evaluator's
+  row fallback, and no native-value conversion or sort sees more
+  values than a column has *distinct* ones;
 * filters select, they do not copy: the only columns gathered are the
   ones a later operator reads, counted per query and pinned;
 * a step runs once for its whole node group: one interpreter per step
   per execution, and the gathers above are per step, not per node.
+
+The templates whose strings do not repeat — names, phone numbers:
+Q5, Q14, Q16, Q20 and Q22 (``SUBSTRING(c_phone, 1, 2)`` under ``IN``
+and GROUP BY) — hold to the string half at eight nodes: their string
+expressions are ``numpy.strings`` calls over dictionary entries.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
 
 import repro.vector.np_executor as np_executor
+import repro.vector.np_kernels as np_kernels
 from repro.service import PdwService
-from repro.vector.column_batch import ColumnBatch
 from repro.vector.np_batch import NumpyColumn
 from repro.workloads.tpch_datagen import build_tpch_appliance
 from repro.workloads.tpch_queries import TPCH_QUERIES
@@ -37,9 +43,27 @@ FEW = 16
 #: whole node group.  Q6: the two columns its SUM reads (before
 #: selection vectors: 23 per node, every column of the scan once per
 #: conjunct).  Q1 keeps nearly every row and reads six columns of them,
-#: then routes eleven output columns: its copies are its work.  Per
-#: node before node groups: 31 / 2 / 14 on each of four.
-COPIES = {"Q1": 31, "Q6": 2, "Q12": 14}
+#: then routes eleven output columns: its copies are its work.  Q12's
+#: ``l_shipmode IN (…)`` reads the dictionary entries and gathers its
+#: answer by code, with no per-distinct result to gather back (14
+#: before).  Per node before node groups: 31 / 2 / 14 on each of four.
+COPIES = {"Q1": 31, "Q6": 2, "Q12": 13}
+
+
+def no_row_fallback(monkeypatch):
+    """Make the evaluator's row fallback inside a kernel fail loudly."""
+
+    def row_by_row(expr, env=None):
+        raise AssertionError(f"row fallback over {expr}")
+
+    monkeypatch.setattr(np_kernels, "evaluate", row_by_row)
+
+
+def no_dict_probe(monkeypatch):
+    def probe(values):
+        raise AssertionError("per-row dict probe over a string key")
+
+    monkeypatch.setattr(np_executor, "_object_codes", probe)
 
 
 @pytest.fixture(scope="module")
@@ -56,22 +80,11 @@ def test_cached_scan_query_runs_on_c_loops(name, front_door, monkeypatch):
     assert service.options.executor == "numpy"
     sql = TPCH_QUERIES[name]
     first = service.execute(sql)  # compile, bind, warm the memos
-
-    def no_dict_probe(values):
-        raise AssertionError("per-row dict probe over a string key")
-
-    monkeypatch.setattr(np_executor, "_object_codes", no_dict_probe)
+    no_dict_probe(monkeypatch)
+    no_row_fallback(monkeypatch)
 
     seen = Counter()
     copies = Counter()
-
-    real_batch = ColumnBatch.__init__
-
-    def list_batch(self, columns, length):
-        seen["list kernel rows"] = max(seen["list kernel rows"], length)
-        real_batch(self, columns, length)
-
-    monkeypatch.setattr(ColumnBatch, "__init__", list_batch)
 
     real_pylist = NumpyColumn.pylist
 
@@ -93,13 +106,9 @@ def test_cached_scan_query_runs_on_c_loops(name, front_door, monkeypatch):
     again = service.execute(sql)
     assert again.cache_hit
     assert again.rows == first.rows and again.rows
-    scanned = max(len(node.rows("lineitem"))
+    scanned = max(len(node.fragment("lineitem"))
                   for node in service.appliance.compute)
     assert FEW < scanned
-    # Strings were looked at (Q1, Q12) — a few values at a time.
-    if name != "Q6":
-        assert 0 < seen["list kernel rows"]
-    assert seen["list kernel rows"] <= FEW
     assert seen["native values"] <= FEW
     assert sum(copies.values()) == COPIES[name], dict(copies)
 
@@ -138,3 +147,35 @@ def test_one_interpreter_per_step_per_cached_execution(
     assert sorted(built) == sorted(len(stats.node_rows)
                                    for stats in again.step_stats)
     assert max(built) == nodes
+
+
+def _inside_a_kernel() -> bool:
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_globals.get("__name__") == np_kernels.__name__:
+            return True
+        frame = frame.f_back
+    return False
+
+
+@pytest.mark.parametrize("name", ["Q5", "Q14", "Q16", "Q20", "Q22"])
+def test_cached_string_query_runs_no_row_fallback(name, eight_nodes,
+                                                  monkeypatch):
+    service = eight_nodes
+    sql = TPCH_QUERIES[name]
+    first = service.execute(sql)
+    no_dict_probe(monkeypatch)
+    no_row_fallback(monkeypatch)
+    real_pylist = NumpyColumn.pylist
+
+    def pylist(self):
+        values = real_pylist(self)
+        if _inside_a_kernel():
+            assert len(values) <= len(set(values)), (
+                "per-row Python over a column whose values repeat")
+        return values
+
+    monkeypatch.setattr(NumpyColumn, "pylist", pylist)
+    again = service.execute(sql)
+    assert again.cache_hit
+    assert again.rows == first.rows

@@ -74,11 +74,11 @@ def assert_reads_like(column: NumpyColumn, values):
 
 @settings(max_examples=300, deadline=None)
 @given(values=st.one_of(repeating, any_strings))
-def test_round_trip_and_the_repeat_rule(values):
+def test_round_trip_and_every_str_list_is_encoded(values):
     column = column_from_list(values)
     assert_reads_like(column, values)
     present = [v for v in values if v is not None]
-    if present and 2 * len(set(present)) <= len(values):
+    if present and "\x00" not in "".join(present):
         assert column.kind == "s"
         entries = column.dictionary.entries.tolist()
         assert sorted(entries) == sorted(set(present))  # duplicate-free
@@ -88,9 +88,8 @@ def test_round_trip_and_the_repeat_rule(values):
 
 
 def test_what_stays_an_object_column():
-    assert column_from_list(["a", "b", "c"]).kind == "o"      # distinct
-    assert column_from_list(["a", "a", "b", "b"]).kind == "s"  # 2 of 4
-    assert column_from_list(["a", "a", "b", "c"]).kind == "o"  # 3 of 4
+    assert column_from_list(["a", "b", "c"]).kind == "s"      # distinct
+    assert column_from_list(["a", "a", "b", "c"]).kind == "s"
     assert column_from_list(["a", None, None, None]).kind == "s"
     assert column_from_list([None, None]).kind == "o"          # no string
     assert column_from_list(["a", "a", 1, 1]).kind == "o"      # mixed
@@ -98,6 +97,11 @@ def test_what_stays_an_object_column():
     column = column_from_list(mixed)
     assert column.kind == "o"                                  # subclass
     same_values(column.pylist(), mixed)
+    for odd in (["a", "\ud800", None],                         # no UTF-8
+                ["a", "b\x00", None]):      # numpy.strings stops at NUL
+        column = column_from_list(odd)
+        assert column.kind == "o"
+        same_values(column.pylist(), odd)
 
 
 def test_empty_string_is_a_value_not_null():
@@ -119,10 +123,11 @@ def test_nfc_and_nfd_spellings_stay_distinct():
     assert pdw_hash(NFC) != pdw_hash(NFD)
 
 
-def test_a_string_constant_is_encoded_when_it_repeats():
-    assert const_column("x", 1).kind == "o"
-    column = const_column("x", 5)
-    assert column.kind == "s" and column.pylist() == ["x"] * 5
+def test_a_string_constant_is_encoded():
+    for length in (0, 1, 5):
+        column = const_column("x", length)
+        assert column.kind == "s" and column.pylist() == ["x"] * length
+    assert const_column("\ud800", 2).kind == "o"
 
 
 # -- take / compress / slice / concat ----------------------------------------------------

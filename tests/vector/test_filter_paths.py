@@ -24,18 +24,11 @@ from repro.algebra import expressions as ex
 from repro.algebra.evaluator import UnboundColumn, evaluate
 from repro.common.errors import ExecutionError
 from repro.common.types import DATE, DOUBLE, INTEGER, varchar
-from repro.vector import (
-    ColumnBatch,
-    clear_np_kernel_cache,
-    compile_kernel,
-    compile_np_kernel,
-)
+from repro.vector import clear_np_kernel_cache, compile_np_kernel
 from repro.vector import np_kernels
-from repro.vector.np_batch import (
-    ArrayBatch,
-    column_from_list,
-    from_column_batch,
-)
+from repro.vector.np_batch import ArrayBatch, column_from_list
+
+from tests.vector.test_kernels import Rows, as_objects, typed
 
 A = ex.ColumnVar(1, "a", INTEGER)
 B = ex.ColumnVar(2, "b", INTEGER)
@@ -119,7 +112,7 @@ def batches(draw):
         return draw(st.lists(st.sampled_from(values), min_size=n,
                              max_size=n))
 
-    return ColumnBatch({
+    return Rows({
         A.id: column(INT_VALUES), B.id: column(INT_VALUES[2:-2]),
         C.id: column(FLOAT_VALUES), D.id: column(DATE_VALUES),
         S.id: column(STR_VALUES)}, n)
@@ -157,13 +150,14 @@ def narrowing_kernel(expr):
 def test_whole_batch_equals_narrowing_equals_the_evaluator(expr, batch):
     assert np_kernels._total_requirements(expr) is not None
     expected = [evaluate(expr, env) for env in rows_of(batch)]
-    arrays = from_column_batch(batch)
+    arrays = typed(batch)
     clear_np_kernel_cache()
     whole = compile_np_kernel(expr)(arrays)
     assert whole.kind in "bo"
     same(whole.pylist(), expected)
     same(narrowing_kernel(expr)(arrays).pylist(), expected)
-    same(compile_kernel(expr)(batch), expected)
+    # Over object columns every argument narrows, row by row.
+    same(compile_np_kernel(expr)(as_objects(batch)).pylist(), expected)
 
 
 def test_a_total_predicate_cuts_no_sub_batch(monkeypatch):
@@ -173,7 +167,7 @@ def test_a_total_predicate_cuts_no_sub_batch(monkeypatch):
         ex.BoolOp("OR", (ex.Comparison("<", C, const(24)),
                          ex.InListExpr(S, ("MAIL", "SHIP"), False))),
         ex.NotExpr(ex.IsNullExpr(A, False))))
-    batch = from_column_batch(ColumnBatch({
+    batch = typed(Rows({
         A.id: [1, None, 3, 4], C.id: [1.0, 2.0, 30.0, None],
         D.id: [datetime.date(1994, 5, 1)] * 3 + [datetime.date(1996, 1, 1)],
         S.id: ["MAIL", "AIR", "AIR", "MAIL"]}, 4))
@@ -198,9 +192,15 @@ def test_a_total_predicate_cuts_no_sub_batch(monkeypatch):
 # -- what must keep narrowing ---------------------------------------------------------
 
 def run_np(expr, columns, length):
-    batch = ColumnBatch(columns, length)
     clear_np_kernel_cache()
-    return compile_np_kernel(expr)(from_column_batch(batch)).pylist()
+    return compile_np_kernel(expr)(typed(Rows(columns, length))).pylist()
+
+
+def run_evaluator(expr, columns, length):
+    """The spec, row by row."""
+    return [evaluate(expr, {cid: column[i]
+                            for cid, column in columns.items()})
+            for i in range(length)]
 
 
 ZERO = const(0)
@@ -262,7 +262,7 @@ def test_a_non_bool_argument_leaves_the_state_unchanged(op):
     expected = [evaluate(expr, {A.id: a, B.id: b})
                 for a, b in zip(columns[A.id], columns[B.id])]
     same(run_np(expr, columns, 6), expected)
-    same(compile_kernel(expr)(ColumnBatch(columns, 6)), expected)
+    same(run_evaluator(expr, columns, 6), expected)
 
 
 @pytest.mark.parametrize("values, raises", [
@@ -278,10 +278,10 @@ def test_a_missing_column_raises_at_reference_time(values, raises):
         with pytest.raises(UnboundColumn):
             run_np(expr, columns, 3)
         with pytest.raises(UnboundColumn):
-            compile_kernel(expr)(ColumnBatch(columns, 3))
+            run_evaluator(expr, columns, 3)
     else:
         assert run_np(expr, columns, 3) == [False] * 3
-        assert compile_kernel(expr)(ColumnBatch(columns, 3)) == [False] * 3
+        assert run_evaluator(expr, columns, 3) == [False] * 3
 
 
 def test_a_comparison_across_kinds_is_not_evaluated_on_decided_rows():
@@ -290,7 +290,7 @@ def test_a_comparison_across_kinds_is_not_evaluated_on_decided_rows():
                              ex.Comparison("<", D, const(5))))
     columns = {A.id: [1, 2], D.id: [datetime.date(1994, 1, 1)] * 2}
     assert run_np(expr, columns, 2) == [False, False]
-    assert compile_kernel(expr)(ColumnBatch(columns, 2)) == [False, False]
+    assert run_evaluator(expr, columns, 2) == [False, False]
     with pytest.raises(TypeError):
         run_np(expr, {**columns, A.id: [-1, 2]}, 2)
 
@@ -307,7 +307,7 @@ def test_an_object_column_keeps_narrowing():
 # -- a lazily gathered batch -------------------------------------------------------------
 
 def test_a_taken_batch_gathers_only_what_is_read_and_misses_like_a_dict():
-    batch = from_column_batch(ColumnBatch(
+    batch = typed(Rows(
         {A.id: [1, 2, 3, 4], B.id: [5, 6, 7, 8], S.id: list("xyxy")}, 4))
     taken = batch.take(np.array([3, 1]))
     assert len(taken) == 2 and set(taken.columns) == {A.id, B.id, S.id}

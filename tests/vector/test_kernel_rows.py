@@ -1,8 +1,9 @@
 """Kernel ⇄ evaluator parity, one row at a time.
 
-Every column compiler — the typed ndarray kernels and the list kernels
-they fall back on — must agree with the tree-walking evaluator on every
-expression: values, NULL propagation and error behaviour alike.  Each
+The column compiler must agree with the tree-walking evaluator on every
+expression — over typed columns (``numpy``) and over columns forced to
+the object kind, where operators take the evaluator's row fallback
+(``object``): values, NULL propagation and error behaviour alike.  Each
 case here runs on a one-row batch, so there is no column-major latitude
 (``tests/vector/test_kernels.py`` allows a multi-row batch to surface
 another row's error): the kernel's outcome, error class included, must
@@ -24,17 +25,18 @@ from repro.algebra import expressions as ex
 from repro.algebra.evaluator import UnboundColumn, evaluate
 from repro.common.errors import ExecutionError
 from repro.common.types import BOOLEAN, DOUBLE, INTEGER, varchar
-from repro.vector import compile_kernel, compile_np_selection
-from repro.vector.np_batch import from_column_batch
+from repro.vector import compile_np_selection
 
 from tests.vector.test_kernels import (
     INT_A,
     KERNEL_COMPILERS,
     STR_S,
     ExprGen,
+    as_objects,
     batch_of,
     make_envs,
     outcome,
+    typed,
 )
 
 
@@ -53,21 +55,19 @@ def assert_agree(compiler, expr, env):
         assert (compiled[1] is None) == (interpreted[1] is None)
 
 
-def list_accepts(predicate, env):
-    """Whether the list kernel keeps the row: its value ``is True``."""
-    if predicate is None:
-        return True
-    return compile_kernel(predicate)(batch_of([env]))[0] is True
+def accepts_with(convert):
+    def accepts(predicate, env):
+        """Whether the selection keeps the row: its value ``is
+        True``."""
+        mask = compile_np_selection(predicate)(convert(batch_of([env])))
+        assert mask.shape == (1,) and mask.dtype == np.bool_
+        return bool(mask[0])
+
+    return accepts
 
 
-def np_accepts(predicate, env):
-    mask = compile_np_selection(predicate)(from_column_batch(batch_of([env])))
-    assert mask.shape == (1,) and mask.dtype == np.bool_
-    return bool(mask[0])
-
-
-ACCEPTORS = [pytest.param(list_accepts, id="list"),
-             pytest.param(np_accepts, id="numpy")]
+ACCEPTORS = [pytest.param(accepts_with(as_objects), id="object"),
+             pytest.param(accepts_with(typed), id="numpy")]
 
 NULL = ex.Constant(None)
 ONE = ex.Constant(1)
@@ -188,6 +188,26 @@ class TestScalarFunctions:
             STR_S, ex.Constant(2), ex.Constant(3))), {4: "abcdef"})
         assert_agree(compiler, ex.FuncExpr("YEAR", (
             ex.Constant(datetime.date(1995, 5, 5)),)), {})
+
+    @pytest.mark.parametrize("start,length,expected", [
+        (1, 2, "ab"), (0, 3, "ab"), (-1, 5, "abc"), (-2, 2, ""),
+        (5, 10, "ef"), (7, 1, ""), (2, 0, "")])
+    def test_substring_bounds_are_t_sql(self, compiler, start, length,
+                                        expected):
+        # A start before 1 counts toward the length; Python's negative
+        # indices must not leak in.
+        expr = ex.FuncExpr("SUBSTRING", (
+            STR_S, ex.Constant(start), ex.Constant(length)))
+        assert evaluate(expr, {4: "abcdef"}) == expected
+        assert run_row(compiler, expr, {4: "abcdef"}) == expected
+
+    def test_substring_negative_length_raises(self, compiler):
+        expr = ex.FuncExpr("SUBSTRING", (
+            STR_S, ex.Constant(1), ex.Constant(-1)))
+        with pytest.raises(ExecutionError):
+            evaluate(expr, {4: "abc"})
+        assert_agree(compiler, expr, {4: "abc"})
+        assert_agree(compiler, expr, {4: None})  # never reached: NULL
 
     def test_null_argument_short_circuits(self, compiler):
         expr = ex.FuncExpr("SUBSTRING", (STR_S, NULL, ex.Constant(3)))

@@ -14,16 +14,20 @@ generator; environments become batches by fixing the bound-column set
 once per batch (a batch either has a column for every row or for none —
 exactly the shape the executor feeds kernels).
 
-Every differential case runs against BOTH column compilers: the
-pure-Python list kernels and the typed ndarray kernels of
-:mod:`repro.vector.np_kernels` — same expression, same batch, outputs
-compared value-for-value (``pylist()`` restores native Python values,
-so identity checks like ``value is None`` apply unchanged).
+Every differential case runs the one compiler,
+:mod:`repro.vector.np_kernels`, over the batch twice: with its columns
+sniffed into typed arrays (``numpy``), and with every input column
+forced to the object kind (``object``), so the evaluator's row
+fallback runs wherever an operator has no array form — same
+expression, same rows, outputs compared value-for-value (``pylist()``
+restores native Python values, so identity checks like ``value is
+None`` apply unchanged).
 """
 
 from __future__ import annotations
 
 import random
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 import pytest
@@ -33,14 +37,11 @@ from repro.algebra.evaluator import UnboundColumn, evaluate
 from repro.common.errors import ExecutionError
 from repro.common.types import BOOLEAN, DOUBLE, INTEGER, varchar
 from repro.vector import (
-    ColumnBatch,
-    clear_kernel_cache,
     clear_np_kernel_cache,
-    compile_kernel,
     compile_np_kernel,
     compile_np_selection,
 )
-from repro.vector.np_batch import from_column_batch
+from repro.vector.np_batch import ArrayBatch, NumpyColumn, column_from_list
 
 INT_A = ex.ColumnVar(1, "a", INTEGER)
 INT_B = ex.ColumnVar(2, "b", INTEGER)
@@ -130,49 +131,77 @@ class ExprGen:
             negated=self.rng.random() < 0.5)
 
 
-def list_compiler(expr):
-    """Compile with the list kernels: ``ColumnBatch -> list``."""
-    return compile_kernel(expr)
+class Rows(NamedTuple):
+    """A test batch before it meets a kernel: native values per bound
+    column id, and the row count (zero-column batches keep theirs)."""
+
+    columns: Dict[int, List]
+    length: int
+
+
+def object_column(values) -> NumpyColumn:
+    """``values`` as an object column, whatever their types."""
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return NumpyColumn("o", array)
+
+
+def typed(batch: Rows) -> ArrayBatch:
+    """Every column sniffed into its typed kind."""
+    return ArrayBatch({cid: column_from_list(col)
+                       for cid, col in batch.columns.items()},
+                      batch.length)
+
+
+def as_objects(batch: Rows) -> ArrayBatch:
+    """Every column forced to the object kind: no array form applies,
+    so each operator takes its Python path (the evaluator's row
+    fallback, or the evaluator's scalar rule per value)."""
+    return ArrayBatch({cid: object_column(col)
+                       for cid, col in batch.columns.items()},
+                      batch.length)
+
+
+def object_compiler(expr):
+    """The numpy kernel over object columns: ``Rows -> list``."""
+    kernel = compile_np_kernel(expr)
+    return lambda batch: kernel(as_objects(batch)).pylist()
 
 
 def np_compiler(expr):
-    """Compile with the numpy kernels, adapted to the same signature —
-    the batch is sniffed into typed arrays and the result column comes
-    back as native Python values."""
+    """The numpy kernel over typed columns, adapted to the same
+    signature — the result column comes back as native Python
+    values."""
     kernel = compile_np_kernel(expr)
-    return lambda batch: kernel(from_column_batch(batch)).pylist()
+    return lambda batch: kernel(typed(batch)).pylist()
 
 
-def run_list_kernel(expr, batch):
-    return list_compiler(expr)(batch)
+def run_object_kernel(expr, batch):
+    return object_compiler(expr)(batch)
 
 
 def run_np_kernel(expr, batch):
     return np_compiler(expr)(batch)
 
 
-def run_list_selection(predicate, batch):
-    """The selection vector the list kernel's values imply: the rows
-    whose value ``is True`` (NULL counts as False)."""
-    if predicate is None:
-        return list(range(batch.length))
-    return [i for i, value in enumerate(compile_kernel(predicate)(batch))
-            if value is True]
-
-
-def run_np_selection(predicate, batch):
-    mask = compile_np_selection(predicate)(from_column_batch(batch))
+def run_object_selection(predicate, batch):
+    mask = compile_np_selection(predicate)(as_objects(batch))
     return np.flatnonzero(mask).tolist()
 
 
-#: Each runner maps (expr, ColumnBatch) to a plain list of native
-#: Python values; each compiler maps expr to a ``ColumnBatch -> list``
-#: callable (for tests that pin compile-time vs batch-time behaviour).
-KERNEL_RUNNERS = [pytest.param(run_list_kernel, id="list"),
+def run_np_selection(predicate, batch):
+    mask = compile_np_selection(predicate)(typed(batch))
+    return np.flatnonzero(mask).tolist()
+
+
+#: Each runner maps (expr, Rows) to a plain list of native Python
+#: values; each compiler maps expr to a ``Rows -> list`` callable (for
+#: tests that pin compile-time vs batch-time behaviour).
+KERNEL_RUNNERS = [pytest.param(run_object_kernel, id="object"),
                   pytest.param(run_np_kernel, id="numpy")]
-KERNEL_COMPILERS = [pytest.param(list_compiler, id="list"),
+KERNEL_COMPILERS = [pytest.param(object_compiler, id="object"),
                     pytest.param(np_compiler, id="numpy")]
-SELECTION_RUNNERS = [pytest.param(run_list_selection, id="list"),
+SELECTION_RUNNERS = [pytest.param(run_object_selection, id="object"),
                      pytest.param(run_np_selection, id="numpy")]
 
 NULL = ex.Constant(None)
@@ -189,12 +218,12 @@ COLUMN_VALUES = [
 
 
 def batch_of(rows_envs):
-    """A ColumnBatch from per-row environments sharing one key set."""
+    """A batch from per-row environments sharing one key set."""
     if not rows_envs:
-        return ColumnBatch({}, 0)
+        return Rows({}, 0)
     ids = rows_envs[0].keys()
     assert all(env.keys() == ids for env in rows_envs)
-    return ColumnBatch(
+    return Rows(
         {cid: [env[cid] for env in rows_envs] for cid in ids},
         len(rows_envs))
 
@@ -250,7 +279,7 @@ class TestThreeValuedLogic:
     ])
     def test_kleene_and(self, args, expected, run):
         expr = ex.BoolOp("AND", tuple(ex.Constant(a, BOOLEAN) for a in args))
-        column = run(expr, ColumnBatch({}, 3))
+        column = run(expr, Rows({}, 3))
         assert column == [expected] * 3
         assert all(value is expected for value in column)
 
@@ -261,7 +290,7 @@ class TestThreeValuedLogic:
     ])
     def test_kleene_or(self, args, expected, run):
         expr = ex.BoolOp("OR", tuple(ex.Constant(a, BOOLEAN) for a in args))
-        column = run(expr, ColumnBatch({}, 2))
+        column = run(expr, Rows({}, 2))
         assert column == [expected] * 2
         assert all(value is expected for value in column)
 
@@ -345,9 +374,9 @@ class TestNarrowing:
         # decided by the first — the row backends never evaluate it.
         never = ex.Arithmetic("/", ONE, ex.Constant(0))
         expr = ex.BoolOp("AND", (ex.Constant(False, BOOLEAN), never))
-        assert run(expr, ColumnBatch({}, 4)) == [False] * 4
+        assert run(expr, Rows({}, 4)) == [False] * 4
         expr = ex.BoolOp("OR", (ex.Constant(True, BOOLEAN), never))
-        assert run(expr, ColumnBatch({}, 4)) == [True] * 4
+        assert run(expr, Rows({}, 4)) == [True] * 4
 
 
 # -- error parity -----------------------------------------------------------------
@@ -360,7 +389,7 @@ class TestErrorParity:
             expr = ex.Arithmetic(op, ONE, ex.Constant(0))
             kernel = compiler(expr)  # compiling must not raise
             with pytest.raises(ExecutionError):
-                kernel(ColumnBatch({}, 2))
+                kernel(Rows({}, 2))
 
     def test_division_error_beats_null_left_operand(self):
         assert_batch_agrees(ex.Arithmetic("/", NULL, ex.Constant(0)), [{}])
@@ -369,7 +398,7 @@ class TestErrorParity:
     def test_unbound_column_raises(self, run):
         expr = ex.Arithmetic("+", INT_A, ONE)
         with pytest.raises(UnboundColumn):
-            run(expr, ColumnBatch({}, 1))
+            run(expr, Rows({}, 1))
 
     @pytest.mark.parametrize("run", KERNEL_RUNNERS)
     def test_null_constant_comparison_still_binds_other_side(self, run):
@@ -378,7 +407,7 @@ class TestErrorParity:
         # backend.
         expr = ex.Comparison("=", INT_A, NULL)
         with pytest.raises(UnboundColumn):
-            run(expr, ColumnBatch({}, 1))
+            run(expr, Rows({}, 1))
         assert_batch_agrees(expr, [{1: v} for v in (None, 1, 2)])
 
     @pytest.mark.parametrize("compiler", KERNEL_COMPILERS)
@@ -386,13 +415,13 @@ class TestErrorParity:
                                                              compiler):
         kernel = compiler(ex.AggExpr("SUM", INT_A))
         with pytest.raises(ExecutionError):
-            kernel(ColumnBatch({1: [3]}, 1))
+            kernel(Rows({1: [3]}, 1))
 
     @pytest.mark.parametrize("compiler", KERNEL_COMPILERS)
     def test_unknown_function_raises_at_batch_time(self, compiler):
         kernel = compiler(ex.FuncExpr("NO_SUCH_FN", (ONE,)))
         with pytest.raises(ExecutionError):
-            kernel(ColumnBatch({}, 1))
+            kernel(Rows({}, 1))
 
 
 # -- selection vectors ------------------------------------------------------------
@@ -401,12 +430,12 @@ class TestErrorParity:
 class TestSelection:
     @pytest.mark.parametrize("select", SELECTION_RUNNERS)
     def test_none_predicate_selects_all(self, select):
-        assert select(None, ColumnBatch({}, 4)) == [0, 1, 2, 3]
+        assert select(None, Rows({}, 4)) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("select", SELECTION_RUNNERS)
     def test_null_counts_as_false(self, select):
         predicate = ex.Comparison("=", INT_A, ONE)
-        batch = ColumnBatch({1: [1, 2, None, 1]}, 4)
+        batch = Rows({1: [1, 2, None, 1]}, 4)
         assert select(predicate, batch) == [0, 3]
 
     @pytest.mark.parametrize("select", SELECTION_RUNNERS)
@@ -431,24 +460,28 @@ class TestSelection:
 
 class TestKernelCache:
     def test_memoized_per_expression_object(self):
-        clear_kernel_cache()
-        expr = ex.Comparison("<", INT_A, TWO)
-        assert compile_kernel(expr) is compile_kernel(expr)
+        # A tree with no array form (LIKE with `_`): its row fallback
+        # is memoized like any kernel.
+        clear_np_kernel_cache()
+        expr = ex.LikeExpr(STR_S, "a_c")
+        assert compile_np_kernel(expr) is compile_np_kernel(expr)
 
     def test_memo_distinguishes_equal_but_typed_constants(self):
         # Constant(0) == Constant(False) under dataclass equality, but
-        # the `is True` Kleene checks must tell them apart.
-        clear_kernel_cache()
-        zero = ex.BoolOp("AND", (ex.Constant(0),))
-        false = ex.BoolOp("AND", (ex.Constant(False),))
-        env_zero = compile_kernel(zero)(ColumnBatch({}, 1))[0]
-        env_false = compile_kernel(false)(ColumnBatch({}, 1))[0]
-        assert env_zero is evaluate(zero, {})
-        assert env_false is evaluate(false, {})
+        # the `is True` Kleene checks must tell them apart — here with
+        # the second argument on the row fallback.
+        clear_np_kernel_cache()
+        like = ex.LikeExpr(STR_S, "_")
+        zero = ex.BoolOp("AND", (ex.Constant(0), like))
+        false = ex.BoolOp("AND", (ex.Constant(False), like))
+        batch = Rows({4: ["x"]}, 1)
+        assert run_object_kernel(zero, batch) == [True]
+        assert run_object_kernel(false, batch) == [False]
+        assert run_object_kernel(zero, batch)[0] is evaluate(zero, {4: "x"})
 
     def test_empty_batch_yields_empty_column(self):
         expr = ex.Arithmetic("+", INT_A, ONE)
-        assert compile_kernel(expr)(ColumnBatch({1: []}, 0)) == []
+        assert run_object_kernel(expr, Rows({1: []}, 0)) == []
 
     def test_np_kernels_memoized_per_expression_object(self):
         clear_np_kernel_cache()
@@ -459,13 +492,13 @@ class TestKernelCache:
         clear_np_kernel_cache()
         zero = ex.BoolOp("AND", (ex.Constant(0),))
         false = ex.BoolOp("AND", (ex.Constant(False),))
-        assert run_np_kernel(zero, ColumnBatch({}, 1))[0] is evaluate(zero, {})
-        assert (run_np_kernel(false, ColumnBatch({}, 1))[0]
+        assert run_np_kernel(zero, Rows({}, 1))[0] is evaluate(zero, {})
+        assert (run_np_kernel(false, Rows({}, 1))[0]
                 is evaluate(false, {}))
 
     def test_np_empty_batch_yields_empty_column(self):
         expr = ex.Arithmetic("+", INT_A, ONE)
-        assert run_np_kernel(expr, ColumnBatch({1: []}, 0)) == []
+        assert run_np_kernel(expr, Rows({1: []}, 0)) == []
 
 
 # -- randomized differential sweep ------------------------------------------------

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.appliance.storage import column_owners, pdw_hash
-from repro.vector.column_batch import ColumnBatch
 from repro.vector.np_batch import (
     ArrayBatch,
     ColumnFragment,
@@ -18,7 +17,6 @@ from repro.vector.np_batch import (
     column_from_list,
     concat_columns,
     crc32_int64,
-    from_column_batch,
 )
 
 ROUND_TRIPS = [
@@ -69,7 +67,9 @@ class TestColumnRoundTrip:
         assert column_from_list([1.0, None]).kind == "f"
         assert column_from_list([True]).kind == "b"
         assert column_from_list([datetime.date(2000, 1, 1)]).kind == "d"
-        assert column_from_list(["x"]).kind == "o"
+        assert column_from_list(["x"]).kind == "s"
+        # A lone surrogate is the one str StringDType cannot hold.
+        assert column_from_list(["x", "\ud800"]).kind == "o"
         # datetime.datetime is NOT a date column (ordinal would drop
         # the time part) — it stays object.
         assert column_from_list(
@@ -92,18 +92,20 @@ class TestColumnRoundTrip:
 
 
 class TestBatchConversion:
-    def test_from_column_batch_preserves_shape(self):
-        batch = ColumnBatch({1: [1, 2], 2: ["a", None]}, 2)
-        converted = from_column_batch(batch)
-        assert isinstance(converted, ArrayBatch)
+    def test_sniffed_batch_preserves_shape(self):
+        columns = {1: [1, 2], 2: ["a", None]}
+        converted = ArrayBatch(
+            {cid: column_from_list(col) for cid, col in columns.items()},
+            2)
         assert converted.length == 2
         assert {cid: column.pylist()
-                for cid, column in converted.columns.items()
-                } == batch.columns
+                for cid, column in converted.columns.items()} == columns
 
     def test_native_view_is_cached_per_column(self):
-        converted = from_column_batch(ColumnBatch({1: [1, 2, 3]}, 3))
-        assert converted.columns[1].pylist() is converted.columns[1].pylist()
+        for values in ([1, 2, 3], ["a", "b", "a", None]):
+            column = column_from_list(values)
+            assert column.pylist() is column.pylist()
+            assert column.pylist() == values
 
 
 class TestVectorizedHash:
