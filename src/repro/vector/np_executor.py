@@ -27,20 +27,22 @@ as its own run would have produced them (DESIGN §5c):
   gathers exactly the step's output columns before it returns;
 * projections run the numpy kernel compiler
   (:mod:`repro.vector.np_kernels`);
-* the single-key hash join sorts the build side's int64 key column
-  once (stable argsort) and probes with two ``searchsorted`` calls,
-  emitting candidates in the reference interpreter's exact order
-  (left-major, matches in right-scan order) with vectorized range
-  arithmetic; two placed sides match on (segment, key) folded into one
-  int64; other keys go through one hash dict over native values;
-* GROUP BY factorizes the key columns to dense group codes
-  (``np.unique`` + first-occurrence reordering, mixed-radix for
-  multiple keys with the segment as the leading digit; a
-  dictionary-encoded string key *is* its codes) and aggregates with
-  sequential C reductions — ``np.bincount`` with weights accumulates
-  float SUMs left-to-right exactly like the reference interpreter's
-  ``total += value`` loop, so results are bit-identical, not merely
-  close.
+* every equality between values — equi-join keys, GROUP BY keys,
+  DISTINCT aggregate arguments — is decided by one key encoder,
+  :func:`_key_codes`: one int64 code per row, equal exactly when the
+  segments and every key value are (mixed radix, the segment as the
+  leading digit; a dictionary-encoded string key *is* its codes);
+* the hash join encodes both sides' keys in one code space, sorts the
+  build side's codes once (stable argsort) and probes with two
+  ``searchsorted`` calls, emitting candidates in the reference
+  interpreter's exact order (left-major, matches in right-scan order)
+  with vectorized range arithmetic;
+* GROUP BY factorizes the key codes to dense group codes (``np.unique``
+  + first-occurrence reordering), a DISTINCT aggregate keeps the first
+  row of each (group, value), and both aggregate with sequential C
+  reductions — ``np.bincount`` with weights accumulates float SUMs
+  left-to-right exactly like the reference interpreter's ``total +=
+  value`` loop, so results are bit-identical, not merely close.
 
 Every fast path checks its preconditions at runtime (column kinds,
 int64 overflow headroom, NaN absence where ordering semantics differ)
@@ -317,14 +319,11 @@ class NumpyInterpreter:
                                       + self._rows_on_nodes(right))
         # A node-invariant right side joins every node's left rows as
         # it stands.  Two placed sides match within a node only: the
-        # segment becomes one more key.  (An invariant left over a
+        # segment becomes the leading key.  (An invariant left over a
         # placed right is spelled out per node first — the output is
         # left-major.)
-        lseg = rseg = None
         if right.bounds is not None:
             left = left.segmented(self.node_count)
-            lseg = segment_ids(left.bounds)
-            rseg = segment_ids(right.bounds)
         left_ids = frozenset(var.id for var in op.left.output_columns())
         right_ids = frozenset(var.id for var in op.right.output_columns())
         pairs = ex.equi_join_pairs(op.predicate, left_ids, right_ids)
@@ -332,11 +331,12 @@ class NumpyInterpreter:
         if pairs and len(pairs) == len(ex.conjuncts(op.predicate)):
             residual = None
         if pairs:
-            left_idx, right_idx = self._np_hash_candidates(
-                left, right, pairs, lseg, rseg)
-        elif lseg is not None:
+            left_idx, right_idx = self._np_hash_candidates(left, right,
+                                                           pairs)
+        elif right.bounds is not None:
             # Nested loop within each node: a left row meets its own
             # node's right rows.
+            lseg = segment_ids(left.bounds)
             counts = np.diff(right.bounds)[lseg]
             left_idx = np.repeat(
                 np.arange(left.length, dtype=np.int64), counts)
@@ -372,32 +372,36 @@ class NumpyInterpreter:
         raise ExecutionError(f"unsupported join kind {kind}")
 
     @staticmethod
-    def _np_hash_candidates(left: ArrayBatch, right: ArrayBatch, pairs,
-                            lseg: Optional[np.ndarray] = None,
-                            rseg: Optional[np.ndarray] = None
+    def _np_hash_candidates(left: ArrayBatch, right: ArrayBatch, pairs
                             ) -> Tuple[np.ndarray, np.ndarray]:
         """Equi-join candidate pairs as index arrays, in the reference
-        interpreter's emission order; with segment vectors, pairs within
-        one node only.  The sort-probe fast path requires both key
-        columns int64-typed with identical kind (``i`` or ``d``) —
-        identical equality semantics to the dict build; anything else
-        goes through :func:`_dict_candidates` on native values, the
-        segment as one more key.  A missing key column is all-NULL:
-        nothing matches."""
+        interpreter's emission order.  Each key pair is encoded jointly
+        — both sides in one code space, under the oracle's dict
+        equality — with two placed sides' segments as the leading
+        digit, so rows pair within one node only; rows with a NULL in
+        any key are dropped and :func:`_sorted_probe` pairs the rest.
+        A missing key column is all-NULL: nothing matches."""
         lcols = [left.columns.get(lv.id) for lv, _ in pairs]
         rcols = [right.columns.get(rv.id) for _, rv in pairs]
-        if any(column is None for column in (*lcols, *rcols)):
+        split = left.length
+        if (not split or not right.length
+                or any(column is None for column in (*lcols, *rcols))):
             return _EMPTY_IDX, _EMPTY_IDX
-        if len(pairs) == 1:
-            lcol, rcol = lcols[0], rcols[0]
-            if lcol.kind == rcol.kind and lcol.kind in "id":
-                return _sorted_probe(lcol, rcol, lseg, rseg)
-        left_keys = [column.pylist() for column in lcols]
-        right_keys = [column.pylist() for column in rcols]
-        if lseg is not None:
-            left_keys.append(lseg.tolist())
-            right_keys.append(rseg.tolist())
-        return _dict_candidates(left_keys, right_keys)
+        segments, node_count = None, 1
+        if right.bounds is not None:
+            node_count = len(right.bounds) - 1
+            segments = np.concatenate((segment_ids(left.bounds),
+                                       segment_ids(right.bounds)))
+        codes, nulls = _key_codes(list(zip(lcols, rcols)),
+                                  split + right.length, segments,
+                                  node_count, bools_apart=False)
+        lkeys, rkeys = codes[:split], codes[split:]
+        if nulls is None or not nulls.any():
+            return _sorted_probe(lkeys, rkeys)
+        lrows = np.flatnonzero(~nulls[:split])
+        rrows = np.flatnonzero(~nulls[split:])
+        left_idx, right_idx = _sorted_probe(lkeys[lrows], rkeys[rrows])
+        return lrows[left_idx], rrows[right_idx]
 
     @staticmethod
     def _np_left_outer(left: ArrayBatch, right: ArrayBatch,
@@ -478,33 +482,20 @@ class NumpyInterpreter:
         Returns ``(inverse, first_rows)``: ``inverse[i]`` is row ``i``'s
         group code, ``first_rows[g]`` the first row of group ``g`` —
         group ``g`` appears before group ``g+1`` in the input, exactly
-        the reference interpreter's dict-insertion group order.  ``segments``
-        (each row's node) is the leading radix digit: a key value on
-        two nodes is two groups.
+        the reference interpreter's dict-insertion group order.  The key
+        codes are :func:`_key_codes` under GROUP BY's equality (NULL is
+        a value, ``True`` is not ``1``); ``segments`` (each row's node)
+        is their leading digit: a key value on two nodes is two groups.
         """
         length = child.length
         if not length:
             return _EMPTY_IDX, _EMPTY_IDX
-
-        combined = segments
-        radix = node_count
-        for key_id in key_ids:
-            codes, cardinality = _column_codes(
-                child.columns.get(key_id), child, length)
-            if combined is None:
-                combined = codes
-            else:
-                if radix * cardinality >= 2 ** 62:
-                    # Mixed radix about to leave int64 (a dictionary's
-                    # cardinality counts stale entries too): re-code
-                    # the prefix densely, at most one code per row.
-                    uniques, combined = np.unique(combined,
-                                                  return_inverse=True)
-                    radix = len(uniques)
-                combined = combined * np.int64(cardinality) + codes
-            radix *= cardinality
+        codes, _ = _key_codes([(child.columns.get(key_id),)
+                               for key_id in key_ids],
+                              length, segments, node_count,
+                              bools_apart=True)
         uniques, first_index, inverse = np.unique(
-            combined, return_index=True, return_inverse=True)
+            codes, return_index=True, return_inverse=True)
         order = np.argsort(first_index, kind="stable")
         rank = np.empty(len(uniques), dtype=np.int64)
         rank[order] = np.arange(len(uniques), dtype=np.int64)
@@ -517,20 +508,30 @@ class NumpyInterpreter:
         sequential C loops (``bincount`` / ``add.at`` / ``minimum.at``
         walk the input in row order), so float accumulation order — and
         therefore every output bit — matches the reference
-        interpreter's per-group ``total += value``."""
+        interpreter's per-group ``total += value``.  A DISTINCT
+        aggregate is the same aggregate over the first row of each
+        (group, value), NULLs dropped, in row order — the oracle's
+        ``_distinct`` — under its set equality (``True == 1 == 1.0``)."""
         if agg.func == "COUNT" and agg.arg is None:
             return NumpyColumn(
                 "i", np.bincount(inverse, minlength=group_count
                                  ).astype(np.int64))
         argument = compile_np_kernel(agg.arg)(child)
+        if agg.distinct:
+            codes, nulls = _key_codes([(argument,)], len(argument),
+                                      inverse, group_count,
+                                      bools_apart=False)
+            rows = np.sort(np.unique(codes, return_index=True)[1])
+            if nulls is not None:
+                rows = rows[~nulls[rows]]
+            argument, inverse = argument.take(rows), inverse[rows]
         kind = argument.kind
-        if agg.func == "COUNT" and not agg.distinct and kind != "o":
-            # Any masked kind counts its non-NULL rows the same way.
-            mask = argument.mask
+        if agg.func == "COUNT":
+            if kind == "o" or argument.mask is not None:
+                inverse = inverse[~argument.null_mask()]
             return NumpyColumn("i", np.bincount(
-                inverse if mask is None else inverse[~mask],
-                minlength=group_count).astype(np.int64))
-        if not agg.distinct and kind in "ifd":
+                inverse, minlength=group_count).astype(np.int64))
+        if kind in "ifd":
             values = argument.values
             if kind == "f" and bool(np.isnan(values).any()):
                 # NaN breaks min/max comparison parity with the row
@@ -544,8 +545,6 @@ class NumpyInterpreter:
             counts = np.bincount(groups, minlength=group_count)
             empty = counts == 0
             mask = empty if bool(empty.any()) else None
-            if agg.func == "COUNT":
-                return NumpyColumn("i", counts.astype(np.int64))
             if agg.func == "SUM":
                 if kind == "f":
                     sums = np.bincount(groups, weights=kept,
@@ -591,10 +590,9 @@ class NumpyInterpreter:
     def _np_aggregate_fallback(agg: ex.AggExpr, argument: NumpyColumn,
                                inverse: np.ndarray,
                                group_count: int) -> NumpyColumn:
-        """Member-list aggregation over native values — the reference
-        interpreter's ``_aggregate`` reduction verbatim (DISTINCT, bool
+        """Member-list SUM / MIN / MAX over native values — the
+        reference interpreter's ``_aggregate`` reduction verbatim (bool
         arithmetic, object values, NaN ordering)."""
-        from repro.appliance.interpreter import _distinct  # cycle guard
         members_list: List[List[int]] = [[] for _ in range(group_count)]
         for i, group in enumerate(inverse.tolist()):
             members_list[group].append(i)
@@ -604,11 +602,7 @@ class NumpyInterpreter:
         for members in members_list:
             values = [value for i in members
                       if (value := column[i]) is not None]
-            if agg.distinct:
-                values = _distinct(values)
-            if agg.func == "COUNT":
-                append(len(values))
-            elif not values:
+            if not values:
                 append(None)
             elif agg.func == "SUM":
                 total = values[0]
@@ -676,51 +670,6 @@ def _row_order(query: Query, keys: Dict[int, List], length: int
     return order
 
 
-def _dict_candidates(left_keys: List[List], right_keys: List[List]
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Equi-join candidate pairs over native key columns through one
-    hash dict, in the reference interpreter's emission order
-    (left-major, each bucket in right-scan order).  A NULL in any key
-    never matches."""
-    left_idx: List[int] = []
-    right_idx: List[int] = []
-    table: Dict[object, List[int]] = {}
-    if len(left_keys) == 1:
-        # One key: the bare values are the dict keys, no tuple per row.
-        lookup = table.get
-        for j, value in enumerate(right_keys[0]):
-            if value is not None:
-                bucket = lookup(value)
-                if bucket is None:
-                    table[value] = [j]
-                else:
-                    bucket.append(j)
-        if table:
-            extend_left = left_idx.extend
-            extend_right = right_idx.extend
-            for i, value in enumerate(left_keys[0]):
-                if value is not None:
-                    bucket = lookup(value)
-                    if bucket:
-                        extend_left([i] * len(bucket))
-                        extend_right(bucket)
-    else:
-        for j, key in enumerate(zip(*right_keys)):
-            if any(value is None for value in key):
-                continue
-            table.setdefault(key, []).append(j)
-        if table:
-            for i, key in enumerate(zip(*left_keys)):
-                if any(value is None for value in key):
-                    continue
-                bucket = table.get(key)
-                if bucket:
-                    left_idx.extend([i] * len(bucket))
-                    right_idx.extend(bucket)
-    return (np.array(left_idx, dtype=np.int64),
-            np.array(right_idx, dtype=np.int64))
-
-
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``arange(starts[k], starts[k] + counts[k])`` for every ``k``,
     concatenated."""
@@ -729,67 +678,27 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + np.repeat(starts - before, counts))
 
 
-def _segment_keys(lvalues: np.ndarray, rvalues: np.ndarray,
-                  lseg: np.ndarray, rseg: np.ndarray
+def _sorted_probe(lkeys: np.ndarray, rkeys: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """One int64 key per row that is equal exactly when segment and
-    value both are: ``segment · span + (value − min)`` while that fits,
-    else over dense ranks of the values of both sides."""
-    nodes = int(max(lseg[-1], rseg[-1])) + 1
-    low = min(int(lvalues.min()), int(rvalues.min()))
-    span = max(int(lvalues.max()), int(rvalues.max())) - low + 1
-    if span * nodes < 2 ** 62:
-        low = np.int64(low)
-    else:
-        uniques, ranks = np.unique(np.concatenate((lvalues, rvalues)),
-                                   return_inverse=True)
-        ranks = ranks.astype(np.int64, copy=False)
-        lvalues, rvalues = ranks[:len(lvalues)], ranks[len(lvalues):]
-        low, span = np.int64(0), len(uniques)
-    span = np.int64(span)
-    return lseg * span + (lvalues - low), rseg * span + (rvalues - low)
+    """Candidate pairs for one code space's int64 key codes via sort +
+    searchsorted.
 
-
-def _sorted_probe(lcol: NumpyColumn, rcol: NumpyColumn,
-                  lseg: Optional[np.ndarray] = None,
-                  rseg: Optional[np.ndarray] = None
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs for one int64 key pair via sort + searchsorted.
-
-    A stable argsort of the build (right) keys keeps equal keys in
+    A stable argsort of the build (right) codes keeps equal codes in
     right-scan order, so the slice ``lo[i]:hi[i]`` for probe row ``i``
-    enumerates its matches exactly as the dict bucket would; emitting
-    probe rows in order makes the result left-major.  NULL keys (the
-    masks) never match, as in the dict build/probe.  With segment
-    vectors the key is (segment, value): rows pair within a node only,
-    and a node's matches come in its own right-scan order.
+    enumerates its matches exactly as the reference dict bucket would;
+    emitting probe rows in order makes the result left-major.
     """
-    lvalues, rvalues = lcol.values, rcol.values
-    if not len(lvalues) or not len(rvalues):
+    if not len(lkeys) or not len(rkeys):
         return _EMPTY_IDX, _EMPTY_IDX
-    if lseg is not None:
-        lvalues, rvalues = _segment_keys(lvalues, rvalues, lseg, rseg)
-    if rcol.mask is not None and rcol.mask.any():
-        rvalid = np.flatnonzero(~rcol.mask)
-        rvalues = rvalues[rvalid]
-        if not len(rvalues):
-            return _EMPTY_IDX, _EMPTY_IDX
-    else:
-        rvalid = None
-    order = np.argsort(rvalues, kind="stable")
-    sorted_keys = rvalues[order]
-    right_map = order if rvalid is None else rvalid[order]
-
-    lo = np.searchsorted(sorted_keys, lvalues, side="left")
-    hi = np.searchsorted(sorted_keys, lvalues, side="right")
+    order = np.argsort(rkeys, kind="stable")
+    sorted_keys = rkeys[order]
+    lo = np.searchsorted(sorted_keys, lkeys, side="left")
+    hi = np.searchsorted(sorted_keys, lkeys, side="right")
     counts = hi - lo
-    if lcol.mask is not None:
-        counts = np.where(lcol.mask, 0, counts)
     if not counts.any():
         return _EMPTY_IDX, _EMPTY_IDX
-    left_idx = np.repeat(
-        np.arange(len(lvalues), dtype=np.int64), counts)
-    return left_idx, right_map[_ranges(lo, counts)].astype(np.int64)
+    left_idx = np.repeat(np.arange(len(lkeys), dtype=np.int64), counts)
+    return left_idx, order[_ranges(lo, counts)]
 
 
 def _int_sum_safe(values: np.ndarray) -> bool:
@@ -801,52 +710,130 @@ def _int_sum_safe(values: np.ndarray) -> bool:
     return bound * len(values) < 2 ** 62
 
 
-def _column_codes(column: Optional[NumpyColumn], child: ArrayBatch,
-                  length: int) -> Tuple[np.ndarray, int]:
-    """Injective int64 codes for one key column (NULL gets its own
-    code).  Code *order* is arbitrary — the caller re-factorizes the
-    combined codes into first-occurrence order."""
-    if column is None:
-        return np.zeros(length, dtype=np.int64), 1
-    kind = column.kind
-    if kind == "b":
-        codes = column.values.astype(np.int64)
-        if column.mask is not None:
-            codes = np.where(column.mask, np.int64(2), codes)
-        return codes, 3
-    if kind in "ifds":
-        values = column.values
-        if kind == "f" and bool(np.isnan(values).any()):
-            # NaN group keys: dict semantics (identity/equality) do
-            # not match np.unique's NaN handling — use the dict loop.
-            return _object_codes(column.pylist())
-        if kind == "s":
-            # Dictionary codes are injective already (entries are
-            # duplicate-free); stale entries only leave gaps.
-            codes, cardinality = values, len(column.dictionary)
+# -- the key encoder ------------------------------------------------------------
+
+
+def _key_codes(columns: Sequence[Sequence[Optional[NumpyColumn]]],
+               length: int, segments: Optional[np.ndarray],
+               node_count: int, bools_apart: bool
+               ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One int64 code per row for a key of several columns, and the
+    rows holding a NULL in any of them (``None`` when none do).
+
+    Each entry of ``columns`` is one key column as pieces whose rows,
+    stacked, are the ``length`` rows — a join's two sides, encoded in
+    one code space; one column otherwise (``None`` = missing = all
+    NULL).  Two rows get equal codes exactly when their ``segments``
+    (values below ``node_count``; ``None`` = one segment) are equal and
+    each key value is equal under the equality rule: with
+    ``bools_apart`` GROUP BY's (``True`` is not ``1``), else the
+    oracle's dict and set equality that joins and DISTINCT use
+    (``True == 1 == 1.0``).  NULL has a code of its own; callers for
+    which NULL equals nothing drop the NULL rows.  The codes are mixed
+    radix, the segment as the leading digit; their order means
+    nothing.
+    """
+    if not length:
+        return _EMPTY_IDX, None
+    combined, radix, nulls = segments, node_count, None
+    for pieces in columns:
+        codes, cardinality, mask = _column_codes(pieces, length, radix,
+                                                 bools_apart)
+        if mask is not None:
+            nulls = mask if nulls is None else nulls | mask
+        if combined is None:
+            combined = codes
         else:
-            uniques, inverse = np.unique(values, return_inverse=True)
-            codes = inverse.astype(np.int64)
+            if radix * cardinality >= 2 ** 62:
+                # Mixed radix about to leave int64 (a dictionary's
+                # cardinality counts stale entries too): re-code the
+                # prefix densely, at most one code per row.
+                uniques, combined = np.unique(combined,
+                                              return_inverse=True)
+                radix = len(uniques)
+            combined = combined * np.int64(cardinality)
+            combined += codes
+        radix *= cardinality
+    return combined, nulls
+
+
+def _column_codes(pieces: Sequence[Optional[NumpyColumn]], length: int,
+                  radix: int, bools_apart: bool
+                  ) -> Tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """``(codes, cardinality, nulls)`` for one key column over
+    ``pieces`` stacked: injective codes below ``cardinality``, NULL
+    one more value, ``nulls`` its rows (``None`` when no piece has a
+    NULL).  ``i`` / ``d`` values are ``value − min`` over every piece
+    while ``span · radix < 2^62``, else dense ranks; other pieces are
+    first made one column by :func:`concat_columns` (one merged
+    dictionary; pieces of different kinds rebuilt through native
+    values).  ``s`` are its dictionary codes, ``b`` 0 / 1, ``f``
+    without NaN ``np.unique`` ranks (``-0.0`` is ``0.0``); object
+    values and NaN take :func:`_object_codes` (NaN, a fresh object per
+    row, equals nothing)."""
+    first = pieces[0]
+    if first is None:
+        return (np.zeros(length, dtype=np.int64), 1,
+                np.ones(length, dtype=np.bool_))
+    kind = first.kind
+    if kind in "id" and all(piece.kind == kind for piece in pieces):
+        nulls = None
+        if any(piece.mask is not None for piece in pieces):
+            nulls = np.concatenate([piece.null_mask() for piece in pieces])
+        low = min(int(piece.values.min()) for piece in pieces)
+        span = max(int(piece.values.max()) for piece in pieces) - low + 1
+        if span * radix < 2 ** 62:
+            cardinality = span
+            codes = np.empty(length, dtype=np.int64)
+            start = 0
+            for piece in pieces:
+                stop = start + len(piece)
+                np.subtract(piece.values, low, out=codes[start:stop])
+                start = stop
+        else:
+            uniques, codes = np.unique(
+                np.concatenate([piece.values for piece in pieces]),
+                return_inverse=True)
             cardinality = len(uniques)
-        if column.mask is not None:
-            codes = np.where(column.mask, np.int64(cardinality), codes)
-            cardinality += 1
-        return codes, cardinality
-    return _object_codes(column.pylist())
+    else:
+        column = first if len(pieces) == 1 else concat_columns(
+            [(piece, len(piece)) for piece in pieces])
+        kind = column.kind
+        if kind in "id":
+            # Pieces of different kinds whose values are all one type.
+            return _column_codes([column], length, radix, bools_apart)
+        nulls = column.mask
+        if kind == "s":
+            # Dictionary entries are duplicate-free: the codes are
+            # injective already (stale entries only leave gaps).
+            codes, cardinality = column.values, len(column.dictionary)
+        elif kind == "b":
+            codes, cardinality = column.values.astype(np.int64), 2
+        elif kind == "f" and not np.isnan(column.values).any():
+            uniques, codes = np.unique(column.values, return_inverse=True)
+            cardinality = len(uniques)
+        else:
+            return _object_codes(column.pylist(), bools_apart)
+    if nulls is None:
+        return codes.astype(np.int64, copy=False), cardinality, None
+    return (np.where(nulls, np.int64(cardinality), codes),
+            cardinality + 1, nulls)
 
 
-def _object_codes(values: List) -> Tuple[np.ndarray, int]:
-    """Dict-insertion codes over native values, with the reference
-    interpreter's bool normalization (True stays distinct from 1)."""
-    codes = np.empty(len(values), dtype=np.int64)
+def _object_codes(values: List, bools_apart: bool
+                  ) -> Tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """Dict-insertion codes over native values — the oracle's own
+    comparison: its dict and set (``True == 1 == 1.0``, NaN equal only
+    to the same object), or with ``bools_apart`` GROUP BY's
+    ``_group_key`` (``True`` stays distinct from ``1``).  ``None`` is
+    one more value; returns ``(codes, cardinality, NULL rows)``."""
+    if bools_apart:
+        values = [("b", value) if value.__class__ is bool else value
+                  for value in values]
     table: Dict[object, int] = {}
-    next_code = 0
-    for i, value in enumerate(values):
-        if value.__class__ is bool:
-            value = ("b", value)
-        code = table.get(value)
-        if code is None:
-            table[value] = code = next_code
-            next_code += 1
-        codes[i] = code
-    return codes, max(next_code, 1)
+    code_of = table.setdefault
+    codes = np.fromiter((code_of(value, len(table)) for value in values),
+                        np.int64, len(values))
+    null = table.get(None)
+    return (codes, max(len(table), 1),
+            None if null is None else codes == null)

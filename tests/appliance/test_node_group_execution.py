@@ -12,7 +12,8 @@ on its own would have given.
 The per-node side is rebuilt here from public pieces — the same
 interpreter over a group of one (``DmsRuntime.run_sql_on_node``), rows
 sized with ``row_bytes``, routed by the reference row router and merged
-in source-node order — over generated tables with empty and one-row
+in source-node order; each node's own run is held to the reference
+interpreter's too — over generated tables with empty and one-row
 nodes, heavy skew, a column that is all-NULL on one node only (stacked
 sniffing then types it differently from per-node sniffing: values,
 value types and bytes are compared, never kinds), NaN / −0.0 floats,
@@ -148,8 +149,17 @@ SIDES = {"dd": ("t", "u"), "dr": ("t", "r"), "rd": ("r", "t")}
 KEYED = {"key": "a.k = b.k",
          "multi": "a.k = b.k AND a.g = b.g",
          "string": "a.s = b.s",
+         "float": "a.x = b.x",
+         "int_float": "a.z = b.x",
+         "three": "a.k = b.k AND a.g = b.g AND a.z = b.z",
+         "string_int": "a.s = b.s AND a.k = b.k",
          "residual": "a.g = b.g AND a.z < b.z",
          "theta": "a.z < b.z"}
+#: Every DISTINCT aggregate over a float, an int, a string and an
+#: object column (g holds ints beyond int64).
+DISTINCTS = ", ".join(f"{func}(DISTINCT {column}) AS {func[:2]}_{column}"
+                      for column in "xzsg"
+                      for func in ("COUNT", "SUM", "MIN"))
 
 SHAPES = {
     "scan": "SELECT k, g, x, s, z FROM t",
@@ -177,6 +187,14 @@ SHAPES = {
     "top": "SELECT TOP 2 k, s FROM t",
     "top_ordered": "SELECT TOP 3 k, x, s FROM t ORDER BY x DESC, s ASC",
     "ordered": "SELECT k, g FROM t ORDER BY g ASC, k DESC",
+    "distinct_grouped": f"SELECT g, {DISTINCTS} FROM t GROUP BY g",
+    "distinct_scalar": f"SELECT {DISTINCTS} FROM t",
+    "distinct_over_nothing": (f"SELECT g, {DISTINCTS} FROM t "
+                              "WHERE z < -1000 GROUP BY g"),
+    "distinct_scalar_over_nothing": (f"SELECT {DISTINCTS} FROM t "
+                                     "WHERE z < -1000"),
+    "distinct_object": ("SELECT s, COUNT(DISTINCT g) AS dg, "
+                        "SUM(DISTINCT g) AS sg FROM t GROUP BY s"),
     "group_of_join": ("SELECT a.g AS g, COUNT(*) AS n, SUM(b.z) AS sz "
                       "FROM t AS a INNER JOIN u AS b ON a.k = b.k "
                       "GROUP BY a.g"),
@@ -306,7 +324,26 @@ def assert_same_stats(actual, expected, context):
         assert all(type(n) is int for n in getattr(actual, name).values())
 
 
-def assert_group_is_the_per_node_loop(appliance, sql, move, context):
+def assert_nodes_run_as_the_oracle(appliance, step, produced, context):
+    """Every source node's own run of the step under the default
+    executor (``produced``, ``None`` if one raised) is the reference
+    interpreter's: rows in order, value types exact — or an error."""
+    oracle = DmsRuntime(appliance, executor="reference")
+    for node in oracle._source_nodes(step):
+        try:
+            rows, _ = oracle.run_sql_on_node(step.sql, node)
+        except ExecutionError:
+            assert produced is None, (node.node_id, context)
+            return
+        assert produced is not None, (node.node_id, context)
+        assert exact(rows) == exact(produced[node.node_id]), (
+            node.node_id, context)
+
+
+def assert_group_is_the_per_node_loop(appliance, sql, move, context,
+                                      oracle=False):
+    """The step's group run against :func:`per_node` — and with
+    ``oracle``, each node's run against the reference interpreter's."""
     runtime = DmsRuntime(appliance)
     assert runtime.executor == "numpy"
     runtime.profiling = True  # transfers + per-operator rows too
@@ -314,6 +351,8 @@ def assert_group_is_the_per_node_loop(appliance, sql, move, context):
     try:
         expected, produced, stored = per_node(runtime, step)
     except ExecutionError as error:
+        if oracle:
+            assert_nodes_run_as_the_oracle(appliance, step, None, context)
         # A row the SQL cannot evaluate (generated data): the group
         # must refuse the step the same way.
         with pytest.raises(type(error)) as raised:
@@ -322,6 +361,8 @@ def assert_group_is_the_per_node_loop(appliance, sql, move, context):
         assert str(raised.value) == str(error), context
         appliance.drop_temp_tables()
         return
+    if oracle:
+        assert_nodes_run_as_the_oracle(appliance, step, produced, context)
     try:
         if move is None:
             rows, _, actual = runtime.execute_return(step)
@@ -349,7 +390,8 @@ def test_every_step_runs_as_its_nodes_would_have(appliance, data):
                                max_size=len(SHAPES)))
     for (name, sql), move in zip(SHAPES.items(), moves):
         context = (name, appliance.node_count)
-        assert_group_is_the_per_node_loop(appliance, sql, None, context)
+        assert_group_is_the_per_node_loop(appliance, sql, None, context,
+                                          oracle=True)
         assert_group_is_the_per_node_loop(appliance, sql, move,
                                           (*context, move[0].value))
 
@@ -453,6 +495,34 @@ def test_end_to_end_against_the_reference_interpreter(appliance):
         assert canonical(result.rows) == canonical(expected.rows), sql
         assert not any(table.is_temp
                        for table in appliance.catalog.tables())
+
+
+# -- the two equality rules -------------------------------------------------------------
+
+@pytest.mark.parametrize("executor", ["numpy", "reference"])
+def test_group_by_keeps_true_apart_from_1_and_joins_and_distinct_do_not(
+        executor):
+    """GROUP BY compares as the oracle's ``_group_key`` (``True`` is not
+    ``1``); a join and a DISTINCT aggregate compare as its dict and set
+    (``True == 1``).  One object column holds both."""
+    appliance = Appliance(2)
+    for name in ("t", "u"):
+        appliance.create_table(TableDef(name, list(COLUMNS), REPLICATED))
+    appliance.load_rows("t", [(1, True, 0.5, "a", 1), (2, 1, 0.5, "a", 1),
+                              (3, True, 0.5, "a", 1)])
+    appliance.load_rows("u", [(7, 1, 0.5, "a", 1)])
+    assert appliance.compute[0].fragment("t").column(1).kind == "o"
+    runtime = DmsRuntime(appliance, executor=executor)
+
+    def run(sql):
+        return exact(runtime.run_sql_on_node(sql, appliance.compute[0])[0])
+
+    assert run("SELECT COUNT(DISTINCT g) AS n, MIN(DISTINCT g) AS lo "
+               "FROM t") == exact([(1, True)])
+    assert run("SELECT g, COUNT(*) AS n FROM t GROUP BY g") == exact(
+        [(True, 2), (1, 1)])
+    assert run("SELECT a.k AS k, b.k AS bk FROM t AS a INNER JOIN u AS b "
+               "ON a.g = b.g") == exact([(1, 7), (2, 7), (3, 7)])
 
 
 # -- errors and emptiness ------------------------------------------------------------------

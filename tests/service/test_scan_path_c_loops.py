@@ -17,7 +17,9 @@ node-local SQL on C loops only:
 The templates whose strings do not repeat — names, phone numbers:
 Q5, Q14, Q16, Q20 and Q22 (``SUBSTRING(c_phone, 1, 2)`` under ``IN``
 and GROUP BY) — hold to the string half at eight nodes: their string
-expressions are ``numpy.strings`` calls over dictionary entries.
+expressions are ``numpy.strings`` calls over dictionary entries.  Key
+equality is codes too: Q5's and Q20's two-key joins read no native
+value, and Q16's ``COUNT(DISTINCT …)`` reduces no member list.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def no_row_fallback(monkeypatch):
 
 
 def no_dict_probe(monkeypatch):
-    def probe(values):
+    def probe(values, bools_apart):
         raise AssertionError("per-row dict probe over a string key")
 
     monkeypatch.setattr(np_executor, "_object_codes", probe)
@@ -176,6 +178,59 @@ def test_cached_string_query_runs_no_row_fallback(name, eight_nodes,
         return values
 
     monkeypatch.setattr(NumpyColumn, "pylist", pylist)
+    again = service.execute(sql)
+    assert again.cache_hit
+    assert again.rows == first.rows
+
+
+def _innermost_operator() -> str:
+    """The ``NumpyInterpreter._run_*`` method whose own work the caller
+    is part of (an operator runs its children inside its frame)."""
+    frame = sys._getframe(2)
+    while frame is not None:
+        name = frame.f_code.co_name
+        if (name.startswith("_run_")
+                and frame.f_globals.get("__name__") == np_executor.__name__):
+            return name
+        frame = frame.f_back
+    return ""
+
+
+@pytest.mark.parametrize("name", ["Q5", "Q20"])
+def test_cached_multi_key_join_compares_codes_not_values(
+        name, eight_nodes, monkeypatch):
+    """Q5 and Q20 join on two keys: the join encodes them into int64
+    codes, it never asks a column for its native values."""
+    service = eight_nodes
+    sql = TPCH_QUERIES[name]
+    first = service.execute(sql)
+    real_pylist = NumpyColumn.pylist
+
+    def pylist(self):
+        assert _innermost_operator() != "_run_join", (
+            f"a join read {len(self)} native values")
+        return real_pylist(self)
+
+    monkeypatch.setattr(NumpyColumn, "pylist", pylist)
+    again = service.execute(sql)
+    assert again.cache_hit
+    assert again.rows == first.rows
+
+
+def test_cached_count_distinct_runs_on_the_typed_path(eight_nodes,
+                                                      monkeypatch):
+    """Q16's ``COUNT(DISTINCT ps_suppkey)`` keeps the first row of each
+    (group, value) by code and counts with ``bincount``: no member
+    lists."""
+    service = eight_nodes
+    sql = TPCH_QUERIES["Q16"]
+    first = service.execute(sql)
+
+    def fallback(*args):
+        raise AssertionError("member-list aggregation")
+
+    monkeypatch.setattr(np_executor.NumpyInterpreter,
+                        "_np_aggregate_fallback", staticmethod(fallback))
     again = service.execute(sql)
     assert again.cache_hit
     assert again.rows == first.rows
