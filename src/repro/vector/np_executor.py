@@ -31,18 +31,25 @@ as its own run would have produced them (DESIGN §5c):
   DISTINCT aggregate arguments — is decided by one key encoder,
   :func:`_key_codes`: one int64 code per row, equal exactly when the
   segments and every key value are (mixed radix, the segment as the
-  leading digit; a dictionary-encoded string key *is* its codes);
-* the hash join encodes both sides' keys in one code space, sorts the
-  build side's codes once (stable argsort) and probes with two
-  ``searchsorted`` calls, emitting candidates in the reference
+  leading digit; a dictionary-encoded string key *is* its codes).  The
+  codes are dense — every code below a cardinality of at most
+  :data:`CODES_PER_ROW` per row, a sparser key re-coded by one
+  ``np.unique`` — so every consumer indexes tables by code
+  (``tests/vector/test_key_codes.py`` pins the bound and holds the
+  consumers to the sort-based ones they replaced);
+* the hash join encodes both sides' keys in one code space and reads
+  each probe row's matches off two tables indexed by code — the build
+  side's count per code and each code's start in the build side's
+  stable (radix) sort by code — emitting candidates in the reference
   interpreter's exact order (left-major, matches in right-scan order)
-  with vectorized range arithmetic;
-* GROUP BY factorizes the key codes to dense group codes (``np.unique``
-  + first-occurrence reordering), a DISTINCT aggregate keeps the first
-  row of each (group, value), and both aggregate with sequential C
-  reductions — ``np.bincount`` with weights accumulates float SUMs
-  left-to-right exactly like the reference interpreter's ``total +=
-  value`` loop, so results are bit-identical, not merely close.
+  with vectorized range arithmetic (:func:`_dense_probe`);
+* GROUP BY numbers the key codes in first-occurrence order off a table
+  of each code's first row, a DISTINCT aggregate keeps those first
+  rows of each (group, value) (:func:`_first_occurrences`), and both
+  aggregate with sequential C reductions — ``np.bincount`` with
+  weights accumulates float SUMs left-to-right exactly like the
+  reference interpreter's ``total += value`` loop, so results are
+  bit-identical, not merely close.
 
 Every fast path checks its preconditions at runtime (column kinds,
 int64 overflow headroom, NaN absence where ordering semantics differ)
@@ -379,7 +386,7 @@ class NumpyInterpreter:
         — both sides in one code space, under the oracle's dict
         equality — with two placed sides' segments as the leading
         digit, so rows pair within one node only; rows with a NULL in
-        any key are dropped and :func:`_sorted_probe` pairs the rest.
+        any key are dropped and :func:`_dense_probe` pairs the rest.
         A missing key column is all-NULL: nothing matches."""
         lcols = [left.columns.get(lv.id) for lv, _ in pairs]
         rcols = [right.columns.get(rv.id) for _, rv in pairs]
@@ -392,15 +399,16 @@ class NumpyInterpreter:
             node_count = len(right.bounds) - 1
             segments = np.concatenate((segment_ids(left.bounds),
                                        segment_ids(right.bounds)))
-        codes, nulls = _key_codes(list(zip(lcols, rcols)),
-                                  split + right.length, segments,
-                                  node_count, bools_apart=False)
+        codes, cardinality, nulls = _key_codes(
+            list(zip(lcols, rcols)), split + right.length, segments,
+            node_count, bools_apart=False)
         lkeys, rkeys = codes[:split], codes[split:]
         if nulls is None or not nulls.any():
-            return _sorted_probe(lkeys, rkeys)
+            return _dense_probe(lkeys, rkeys, cardinality)
         lrows = np.flatnonzero(~nulls[:split])
         rrows = np.flatnonzero(~nulls[split:])
-        left_idx, right_idx = _sorted_probe(lkeys[lrows], rkeys[rrows])
+        left_idx, right_idx = _dense_probe(lkeys[lrows], rkeys[rrows],
+                                           cardinality)
         return lrows[left_idx], rrows[right_idx]
 
     @staticmethod
@@ -490,16 +498,10 @@ class NumpyInterpreter:
         length = child.length
         if not length:
             return _EMPTY_IDX, _EMPTY_IDX
-        codes, _ = _key_codes([(child.columns.get(key_id),)
-                               for key_id in key_ids],
-                              length, segments, node_count,
-                              bools_apart=True)
-        uniques, first_index, inverse = np.unique(
-            codes, return_index=True, return_inverse=True)
-        order = np.argsort(first_index, kind="stable")
-        rank = np.empty(len(uniques), dtype=np.int64)
-        rank[order] = np.arange(len(uniques), dtype=np.int64)
-        return rank[inverse], first_index[order]
+        codes, cardinality, _ = _key_codes(
+            [(child.columns.get(key_id),) for key_id in key_ids],
+            length, segments, node_count, bools_apart=True)
+        return _first_occurrences(codes, cardinality)
 
     def _np_aggregate(self, agg: ex.AggExpr, child: ArrayBatch,
                       inverse: np.ndarray,
@@ -518,10 +520,10 @@ class NumpyInterpreter:
                                  ).astype(np.int64))
         argument = compile_np_kernel(agg.arg)(child)
         if agg.distinct:
-            codes, nulls = _key_codes([(argument,)], len(argument),
-                                      inverse, group_count,
-                                      bools_apart=False)
-            rows = np.sort(np.unique(codes, return_index=True)[1])
+            codes, cardinality, nulls = _key_codes(
+                [(argument,)], len(argument), inverse, group_count,
+                bools_apart=False)
+            _, rows = _first_occurrences(codes, cardinality)
             if nulls is not None:
                 rows = rows[~nulls[rows]]
             argument, inverse = argument.take(rows), inverse[rows]
@@ -678,27 +680,72 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + np.repeat(starts - before, counts))
 
 
-def _sorted_probe(lkeys: np.ndarray, rkeys: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs for one code space's int64 key codes via sort +
-    searchsorted.
+def _dense_probe(lkeys: np.ndarray, rkeys: np.ndarray, cardinality: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs for one code space's dense key codes (every code
+    below ``cardinality``) through tables indexed by code.
 
-    A stable argsort of the build (right) codes keeps equal codes in
-    right-scan order, so the slice ``lo[i]:hi[i]`` for probe row ``i``
-    enumerates its matches exactly as the reference dict bucket would;
-    emitting probe rows in order makes the result left-major.
+    ``counts[c]`` is the build (right) side's rows holding code ``c``
+    and ``starts[c]`` the first of them in the build side's stable sort
+    by code, so probe row ``i``'s matches are a gather of ``n =
+    counts[lkeys[i]]`` rows from ``starts[lkeys[i]]`` — right-scan
+    order, exactly as the reference dict bucket enumerates them;
+    emitting probe rows in order makes the result left-major.  A
+    duplicate-free build side needs no sort: a code's one row is
+    scattered to its slot.
     """
     if not len(lkeys) or not len(rkeys):
         return _EMPTY_IDX, _EMPTY_IDX
-    order = np.argsort(rkeys, kind="stable")
-    sorted_keys = rkeys[order]
-    lo = np.searchsorted(sorted_keys, lkeys, side="left")
-    hi = np.searchsorted(sorted_keys, lkeys, side="right")
-    counts = hi - lo
-    if not counts.any():
+    counts = np.bincount(rkeys, minlength=cardinality)
+    matches = counts[lkeys]
+    if not matches.any():
         return _EMPTY_IDX, _EMPTY_IDX
-    left_idx = np.repeat(np.arange(len(lkeys), dtype=np.int64), counts)
-    return left_idx, order[_ranges(lo, counts)]
+    if counts.max() == 1:
+        row = np.empty(cardinality, dtype=np.int64)
+        row[rkeys] = np.arange(len(rkeys), dtype=np.int64)
+        left_idx = np.flatnonzero(matches)
+        return left_idx, row[lkeys[left_idx]]
+    order = _radix_order(rkeys, cardinality)
+    ordered = rkeys[order]
+    # Each code's start is the running sum of ``counts``, read off the
+    # heads of the sorted codes' runs: no sequential pass over every
+    # code (a cumsum over the table costs more than the radix sort).
+    heads = np.flatnonzero(np.diff(ordered, prepend=-1))
+    starts = np.zeros(cardinality, dtype=np.int64)
+    starts[ordered[heads]] = heads
+    left_idx = np.repeat(np.arange(len(lkeys), dtype=np.int64), matches)
+    return left_idx, order[_ranges(starts[lkeys], matches)]
+
+
+def _radix_order(codes: np.ndarray, cardinality: int) -> np.ndarray:
+    """The stable sort permutation of codes below ``cardinality``: an
+    LSD radix sort over 16-bit digits, one pass per digit — numpy's
+    stable sort of ``uint16`` is a radix sort (of wider integers a
+    timsort, ~5× slower on 7 500 rows)."""
+    order = np.argsort(codes.astype(np.uint16), kind="stable")
+    shift = 16
+    while cardinality > 1 << shift:
+        digit = (codes[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def _first_occurrences(codes: np.ndarray, cardinality: int
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(inverse, first_rows)`` for dense codes (every code below
+    ``cardinality``): each row's code numbered in first-occurrence
+    order, and the first row holding each code present, in row order.  A
+    table of each code's first row (one ``minimum.at`` over the rows),
+    read back per row: a row is a first row when it is its code's, and
+    the running count of first rows is the numbering — no sort."""
+    length = len(codes)
+    rows = np.arange(length, dtype=np.int64)
+    first = np.full(cardinality, length, dtype=np.int64)
+    np.minimum.at(first, codes, rows)
+    row_first = first[codes]
+    is_first = row_first == rows
+    return (np.cumsum(is_first) - 1)[row_first], np.flatnonzero(is_first)
 
 
 def _int_sum_safe(values: np.ndarray) -> bool:
@@ -713,12 +760,24 @@ def _int_sum_safe(values: np.ndarray) -> bool:
 # -- the key encoder ------------------------------------------------------------
 
 
+#: The density bound on key codes: :func:`_key_codes` hands its
+#: consumers at most this many codes per row, so a table indexed by
+#: code costs a small multiple of the rows.  A sparser key is re-coded
+#: by one ``np.unique``.  DESIGN §5b "Dense codes": on pdwbench's key
+#: shapes the earliest crossover against that sort is a join's, between
+#: 7 and 14 codes per row, and at 16 a DISTINCT's table showed in peak
+#: memory.
+CODES_PER_ROW = 8
+
+
 def _key_codes(columns: Sequence[Sequence[Optional[NumpyColumn]]],
                length: int, segments: Optional[np.ndarray],
                node_count: int, bools_apart: bool
-               ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One int64 code per row for a key of several columns, and the
-    rows holding a NULL in any of them (``None`` when none do).
+               ) -> Tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """``(codes, cardinality, nulls)`` for a key of several columns:
+    one int64 code per row, every code in ``[0, cardinality)`` with
+    ``cardinality`` at most :data:`CODES_PER_ROW` per row (at least 1),
+    and the rows holding a NULL in any column (``None`` when none do).
 
     Each entry of ``columns`` is one key column as pieces whose rows,
     stacked, are the ``length`` rows — a join's two sides, encoded in
@@ -730,12 +789,13 @@ def _key_codes(columns: Sequence[Sequence[Optional[NumpyColumn]]],
     oracle's dict and set equality that joins and DISTINCT use
     (``True == 1 == 1.0``).  NULL has a code of its own; callers for
     which NULL equals nothing drop the NULL rows.  The codes are mixed
-    radix, the segment as the leading digit; their order means
-    nothing.
+    radix, the segment as the leading digit, re-coded by
+    :func:`_dense_recode` when sparse; their order means nothing.
     """
     if not length:
-        return _EMPTY_IDX, None
-    combined, radix, nulls = segments, node_count, None
+        return _EMPTY_IDX, 1, None
+    combined, nulls = segments, None
+    radix = 1 if segments is None else node_count
     for pieces in columns:
         codes, cardinality, mask = _column_codes(pieces, length, radix,
                                                  bools_apart)
@@ -746,15 +806,21 @@ def _key_codes(columns: Sequence[Sequence[Optional[NumpyColumn]]],
         else:
             if radix * cardinality >= 2 ** 62:
                 # Mixed radix about to leave int64 (a dictionary's
-                # cardinality counts stale entries too): re-code the
-                # prefix densely, at most one code per row.
-                uniques, combined = np.unique(combined,
-                                              return_inverse=True)
-                radix = len(uniques)
+                # cardinality counts stale entries too).
+                combined, radix = _dense_recode(combined)
             combined = combined * np.int64(cardinality)
             combined += codes
         radix *= cardinality
-    return combined, nulls
+    if radix > CODES_PER_ROW * length:
+        combined, radix = _dense_recode(combined)
+    return combined, radix, nulls
+
+
+def _dense_recode(codes: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``codes`` as dense ranks, at most one code per row, and their
+    cardinality."""
+    uniques, ranks = np.unique(codes, return_inverse=True)
+    return ranks, len(uniques)
 
 
 def _column_codes(pieces: Sequence[Optional[NumpyColumn]], length: int,

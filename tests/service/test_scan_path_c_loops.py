@@ -20,6 +20,13 @@ and GROUP BY) — hold to the string half at eight nodes: their string
 expressions are ``numpy.strings`` calls over dictionary entries.  Key
 equality is codes too: Q5's and Q20's two-key joins read no native
 value, and Q16's ``COUNT(DISTINCT …)`` reduces no member list.
+
+Key codes are dense: a join, GROUP BY or DISTINCT indexes tables by
+code, and a key with more than ``CODES_PER_ROW`` codes per row is
+re-coded by one ``np.unique`` first.  On pdwbench's ``exec_shuffle``
+set-up (scale 0.005, eight nodes) its JOIN and GRP keys are dense, and
+DIST's sparsest one, ``l_suppkey × l_partkey × node`` at ``l_quantity
+< 5`` (~167 codes per row), is re-coded once.
 """
 
 from __future__ import annotations
@@ -234,3 +241,50 @@ def test_cached_count_distinct_runs_on_the_typed_path(eight_nodes,
     again = service.execute(sql)
     assert again.cache_hit
     assert again.rows == first.rows
+
+
+@pytest.fixture(scope="module")
+def shuffle_bench():
+    """pdwbench's ``exec_shuffle`` appliance: scale 0.005, eight nodes."""
+    appliance, shell = build_tpch_appliance(scale=0.005, node_count=8)
+    service = PdwService(appliance=appliance, shell=shell)
+    yield service
+    service.close()
+
+
+#: pdwbench's JOIN, GRP and DIST templates
+#: (``benchmarks/pdwbench/templates.py``).
+SHUFFLE_SHAPES = {
+    "JOIN": """SELECT c_custkey, o_orderdate FROM orders, customer
+               WHERE o_custkey = c_custkey AND o_totalprice > {}""",
+    "GRP": """SELECT o_custkey, COUNT(*) AS order_count,
+                     SUM(o_totalprice) AS total
+              FROM orders WHERE o_orderdate >= DATE '{}-01-01'
+              GROUP BY o_custkey""",
+    "DIST": """SELECT DISTINCT l_suppkey, l_partkey FROM lineitem
+               WHERE l_quantity < {}""",
+}
+
+
+@pytest.mark.parametrize("name,literal,recodes", [
+    ("JOIN", 100, 0), ("JOIN", 200000, 0),
+    ("GRP", 1993, 0), ("GRP", 1997, 0),
+    ("DIST", 5, 1),
+])
+def test_benchmark_keys_fall_on_their_side_of_the_density_rule(
+        name, literal, recodes, shuffle_bench, monkeypatch):
+    service = shuffle_bench
+    sql = SHUFFLE_SHAPES[name].format(literal)
+    first = service.execute(sql)
+    recoded = []
+    real = np_executor._dense_recode
+
+    def counting(codes):
+        recoded.append(len(codes))
+        return real(codes)
+
+    monkeypatch.setattr(np_executor, "_dense_recode", counting)
+    again = service.execute(sql)
+    assert again.cache_hit
+    assert again.rows == first.rows and again.rows
+    assert len(recoded) == recodes, recoded
