@@ -84,6 +84,8 @@ class ColumnEquivalence:
 
     def __init__(self):
         self._parent: Dict[int, int] = {}
+        # id -> representative, filled by lookups; a union clears it.
+        self._representatives: Dict[int, int] = {}
 
     def _find(self, x: int) -> int:
         parent = self._parent.setdefault(x, x)
@@ -97,6 +99,7 @@ class ColumnEquivalence:
         root_a, root_b = self._find(a), self._find(b)
         if root_a != root_b:
             self._parent[root_b] = root_a
+            self._representatives.clear()
 
     def add_from_predicate(self, predicate: Optional[ScalarExpr]) -> None:
         """Record every ``col = col`` conjunct of ``predicate``."""
@@ -107,10 +110,13 @@ class ColumnEquivalence:
                 self.add_equality(conj.left.id, conj.right.id)
 
     def are_equivalent(self, a: int, b: int) -> bool:
-        return self._find(a) == self._find(b)
+        return self.representative(a) == self.representative(b)
 
     def representative(self, x: int) -> int:
-        return self._find(x)
+        rep = self._representatives.get(x)
+        if rep is None:
+            rep = self._representatives[x] = self._find(x)
+        return rep
 
     def equivalence_class(self, x: int) -> FrozenSet[int]:
         root = self._find(x)

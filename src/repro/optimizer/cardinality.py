@@ -79,7 +79,10 @@ class StatsContext:
         return self.shell.column_stats(table, column)
 
     def width_of(self, var: ex.ColumnVar) -> float:
-        return self.var_widths.get(var.id, float(var.sql_type.width))
+        width = self.var_widths.get(var.id)
+        if width is None:  # the type's width only on a miss
+            width = float(var.sql_type.width)
+        return width
 
     def row_width(self, vars: Iterable[ex.ColumnVar]) -> float:
         return sum(self.width_of(v) for v in vars) or 4.0

@@ -111,6 +111,9 @@ class Memo:
         # expression key -> (owning group id, the expression itself)
         self._dedup: Dict[tuple, Tuple[int, GroupExpression]] = {}
         self._parent: List[int] = []  # union-find over group ids
+        # (root, topological order) of the last ``topological_order``
+        # call; any change to the MEMO drops it.
+        self._order: Optional[Tuple[int, List[int]]] = None
 
     # -- union-find ----------------------------------------------------------
 
@@ -140,6 +143,7 @@ class Memo:
                 keep_group.expressions.append(expr)
             self._dedup[expr.key] = (keeper, kept)
         self._parent[absorbed] = keeper
+        self._order = None
         keep_group.explored = keep_group.explored and gone_group.explored
         return keeper
 
@@ -150,6 +154,7 @@ class Memo:
         group = Group(len(self.groups), output_vars, cardinality, row_width)
         self.groups.append(group)
         self._parent.append(group.id)
+        self._order = None
         return group
 
     def merge_equivalent(self, a: int, b: int) -> int:
@@ -165,7 +170,7 @@ class Memo:
         after merges and carries no information).
         """
         group_id = self.find(group_id)
-        children = tuple(self.find(c) for c in children)
+        children = self._canonical(children)
         if group_id in children:
             return None
         expr = GroupExpression(op, children, is_logical)
@@ -178,7 +183,14 @@ class Memo:
             return existing
         self.groups[group_id].expressions.append(expr)
         self._dedup[expr.key] = (group_id, expr)
+        self._order = None
         return expr
+
+    def _canonical(self, children: Sequence[int]) -> Tuple[int, ...]:
+        """Canonical ids of ``children``; a root is its own answer."""
+        parent = self._parent
+        return tuple([c if parent[c] == c else self.find(c)
+                      for c in children])
 
     def group_for_expression(self, op: LogicalOp,
                              children: Sequence[int]) -> int:
@@ -186,7 +198,7 @@ class Memo:
 
         New groups get logical properties estimated from the children.
         """
-        children = tuple(self.find(c) for c in children)
+        children = self._canonical(children)
         found = self._dedup.get((op.local_key(), children))
         if found is not None:
             return self.find(found[0])
@@ -240,8 +252,14 @@ class Memo:
 
 def topological_order(memo: Memo, root: int) -> List[int]:
     """Canonical group ids reachable from ``root``, children before parents
-    (the bottom-up order the PDW enumerator wants)."""
+    (the bottom-up order the PDW enumerator wants).
+
+    The order is kept on the MEMO until the MEMO changes, so the PDW
+    side's three walks (equivalence, interesting properties, enumeration)
+    cost one."""
     root = memo.find(root)
+    if memo._order is not None and memo._order[0] == root:
+        return list(memo._order[1])
     order: List[int] = []
     visited = set()
 
@@ -256,4 +274,5 @@ def topological_order(memo: Memo, root: int) -> List[int]:
         order.append(group_id)
 
     visit(root)
-    return order
+    memo._order = (root, order)
+    return list(order)

@@ -315,6 +315,7 @@ _OPERATORS = {
 # ... and back: name in the document -> (operator class, family).
 _OPERATORS_BY_NAME = {name: (cls, family)
                       for cls, (name, family) in _OPERATORS.items()}
+_JOIN_KINDS = {kind.value: kind for kind in JoinKind}
 
 
 def memo_to_xml(memo: Memo, root_group: int,
@@ -498,7 +499,13 @@ def memo_from_xml(xml_text: str, shell: ShellDatabase,
 
 class _MemoReader:
     """Rebuilds the MEMO; every reference in the document is resolved
-    through a lookup that names the id when it leads nowhere."""
+    through a lookup that names the id when it leads nowhere.
+
+    A MEMO repeats the same id lists many times over (every alternative
+    of a join names the same two children, every scan of a table the same
+    columns), so each distinct ``children=`` / ``outputs=`` / ``cols=`` /
+    ``keys=`` string is resolved once per document.
+    """
 
     def __init__(self, shell: ShellDatabase):
         self.shell = shell
@@ -506,6 +513,8 @@ class _MemoReader:
         self.vars_by_id: Dict[int, ex.ColumnVar] = {}
         self.exprs: Dict[str, ex.ScalarExpr] = {}
         self.groups: Dict[int, int] = {}   # id in the document -> in memo
+        self._var_lists: Dict[str, Tuple[ex.ColumnVar, ...]] = {}
+        self._group_lists: Dict[str, Tuple[int, ...]] = {}
 
     def parse(self, xml_text: str) -> ParsedMemo:
         document = ET.fromstring(xml_text)
@@ -528,7 +537,7 @@ class _MemoReader:
         shells = []
         for group_el in document.findall("group"):
             group = memo._new_group(
-                self._vars(group_el.get("outputs", "")),
+                self._var_tuple(group_el.get("outputs", "")),
                 float(group_el.get("rows", "0")),
                 float(group_el.get("width", "0")),
             )
@@ -556,24 +565,36 @@ class _MemoReader:
             self.stats.var_origins[var_id] = (
                 column.get("table"), column.get("table-column"))
 
-    def _vars(self, ids: str) -> List[ex.ColumnVar]:
-        try:
-            return [self.vars_by_id[int(v)] for v in ids.split()]
-        except KeyError as error:
-            raise OptimizerError(
-                f"memo XML references unknown column #{error.args[0]}"
-            ) from None
+    def _var_tuple(self, ids: str) -> Tuple[ex.ColumnVar, ...]:
+        found = self._var_lists.get(ids)
+        if found is None:
+            try:
+                found = tuple([self.vars_by_id[int(v)] for v in ids.split()])
+            except KeyError as error:
+                raise OptimizerError(
+                    f"memo XML references unknown column #{error.args[0]}"
+                ) from None
+            self._var_lists[ids] = found
+        return found
 
-    def _groups(self, ids: str) -> List[int]:
-        try:
-            return [self.groups[int(g)] for g in ids.split()]
-        except KeyError as error:
-            raise OptimizerError(
-                f"memo XML references unknown group {error.args[0]}"
-            ) from None
+    def _vars(self, ids: str) -> List[ex.ColumnVar]:
+        return list(self._var_tuple(ids))
+
+    def _groups(self, ids: str) -> Tuple[int, ...]:
+        """Memo ids of the groups named; call once every group exists."""
+        found = self._group_lists.get(ids)
+        if found is None:
+            try:
+                found = tuple([self.groups[int(g)] for g in ids.split()])
+            except KeyError as error:
+                raise OptimizerError(
+                    f"memo XML references unknown group {error.args[0]}"
+                ) from None
+            self._group_lists[ids] = found
+        return found
 
     def _var(self, element: ET.Element) -> ex.ColumnVar:
-        return self._vars(element.get("var"))[0]
+        return self._var_tuple(element.get("var"))[0]
 
     def _expr(self, ref: str) -> ex.ScalarExpr:
         try:
@@ -594,7 +615,12 @@ class _MemoReader:
                 f"unknown operator {name!r} in memo XML") from None
 
         if family == _JOIN:
-            kind = JoinKind(element.get("join-kind"))
+            kind_name = element.get("join-kind")
+            try:
+                kind = _JOIN_KINDS[kind_name]
+            except KeyError:
+                raise OptimizerError(
+                    f"unknown join kind {kind_name!r} in memo XML") from None
             ref = element.get("pred")
             predicate = None if ref is None else self._expr(ref)
             if name == "Join":

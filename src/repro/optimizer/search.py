@@ -30,7 +30,7 @@ Exploration details:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.algebra import expressions as ex
 from repro.algebra import physical as phys
@@ -364,7 +364,14 @@ def _collect_region(op: LogicalOp) -> Tuple[List[LogicalOp],
 
 
 class _RegionProblem:
-    """Dynamic-programming join enumeration over one region."""
+    """Dynamic-programming join enumeration over one region.
+
+    The problem object lives for one region of one compilation and keeps
+    the facts every split of a subset asks for: the subset's columns,
+    each equivalence class's smallest variable on it, and one
+    ``Comparison`` per synthesized (left, right) equality, so equal split
+    predicates are one object.
+    """
 
     def __init__(self, memo: Memo, leaf_groups: List[int],
                  leaf_cols: List[FrozenSet[int]],
@@ -375,12 +382,17 @@ class _RegionProblem:
         self.leaf_cols = leaf_cols
         self.n = len(leaf_groups)
         self.equivalence = equivalence
-        self.non_equi: List[ex.ScalarExpr] = []
-        self.applied_equalities: Set[ex.Comparison] = set()
+        # Non-equi conjuncts with the columns each one uses.
+        self.non_equi: List[Tuple[ex.ScalarExpr, FrozenSet[int]]] = []
         # Map equivalence class representative → {leaf index → var with
         # smallest id on that leaf}, used to synthesize join equalities.
         self.class_vars: Dict[int, Dict[int, ex.ColumnVar]] = {}
         self._analyze(conjuncts)
+        self._classes = list(self.class_vars.values())
+        self._cols: Dict[int, FrozenSet[int]] = {}
+        self._smallest: Dict[int, Tuple[Optional[ex.ColumnVar], ...]] = {}
+        self._equalities: Dict[Tuple[int, int], ex.Comparison] = {}
+        self._predicates: Dict[Tuple[int, ...], ex.ScalarExpr] = {}
 
     def _analyze(self, conjuncts: List[ex.ScalarExpr]) -> None:
         var_lookup: Dict[int, ex.ColumnVar] = {}
@@ -391,7 +403,7 @@ class _RegionProblem:
                 var_lookup[conj.left.id] = conj.left
                 var_lookup[conj.right.id] = conj.right
             else:
-                self.non_equi.append(conj)
+                self.non_equi.append((conj, frozenset(conj.columns_used())))
         for var_id, var in var_lookup.items():
             rep = self.equivalence.representative(var_id)
             leaf = self._leaf_of(var_id)
@@ -409,50 +421,72 @@ class _RegionProblem:
         return None
 
     def _cols_of_set(self, mask: int) -> FrozenSet[int]:
-        cols: Set[int] = set()
-        for index in range(self.n):
-            if mask & (1 << index):
-                cols |= self.leaf_cols[index]
-        return frozenset(cols)
+        cols = self._cols.get(mask)
+        if cols is None:
+            cols = self._cols[mask] = frozenset().union(
+                *[self.leaf_cols[index] for index in _mask_indices(mask)])
+        return cols
+
+    def _smallest_vars(self, mask: int
+                       ) -> Tuple[Optional[ex.ColumnVar], ...]:
+        """Each class's smallest-id variable on the leaves of ``mask``
+        (None where the class has none there), in class order."""
+        smallest = self._smallest.get(mask)
+        if smallest is None:
+            leaves = _mask_indices(mask)
+            smallest = self._smallest[mask] = tuple(
+                _smallest_var(per_leaf, leaves) for per_leaf in self._classes)
+        return smallest
+
+    def _equality(self, left_var: ex.ColumnVar,
+                  right_var: ex.ColumnVar) -> ex.Comparison:
+        key = (left_var.id, right_var.id)
+        equality = self._equalities.get(key)
+        if equality is None:
+            equality = self._equalities[key] = ex.Comparison(
+                "=", left_var, right_var)
+        return equality
 
     def _predicate_for_split(self, left_mask: int,
                              right_mask: int) -> Optional[ex.ScalarExpr]:
         """Join predicate connecting two leaf sets: one equality per
         equivalence class spanning both sides, plus non-equi conjuncts
         that become applicable exactly at this join."""
-        left_leaves = _mask_indices(left_mask)
-        right_leaves = _mask_indices(right_mask)
-        parts: List[ex.ScalarExpr] = []
-        for per_leaf in self.class_vars.values():
-            left_var = _smallest_var(per_leaf, left_leaves)
-            right_var = _smallest_var(per_leaf, right_leaves)
-            if left_var is not None and right_var is not None:
-                parts.append(ex.Comparison("=", left_var, right_var))
-        whole = self._cols_of_set(left_mask | right_mask)
-        left_cols = self._cols_of_set(left_mask)
-        right_cols = self._cols_of_set(right_mask)
-        for conj in self.non_equi:
-            used = set(conj.columns_used())
-            if (used <= whole and not used <= left_cols
-                    and not used <= right_cols):
-                parts.append(conj)
-        return ex.make_conjunction(parts)
-
-    def _residual_filters(self, mask: int, sub_masks: Sequence[int]
-                          ) -> List[ex.ScalarExpr]:
-        del mask, sub_masks
-        return []
+        parts: List[ex.ScalarExpr] = [
+            self._equality(left_var, right_var)
+            for left_var, right_var in zip(self._smallest_vars(left_mask),
+                                           self._smallest_vars(right_mask))
+            if left_var is not None and right_var is not None]
+        if self.non_equi:
+            whole = self._cols_of_set(left_mask | right_mask)
+            left_cols = self._cols_of_set(left_mask)
+            right_cols = self._cols_of_set(right_mask)
+            for conj, used in self.non_equi:
+                if (used <= whole and not used <= left_cols
+                        and not used <= right_cols):
+                    parts.append(conj)
+        if not parts:
+            return None
+        # Every part is held by this object, so identities are a key.
+        key = tuple([id(part) for part in parts])
+        predicate = self._predicates.get(key)
+        if predicate is None:
+            predicate = self._predicates[key] = ex.make_conjunction(parts)
+        return predicate
 
     def _make_join_group(self, left_group: int, right_group: int,
                          predicate: Optional[ex.ScalarExpr]) -> int:
-        kind = JoinKind.INNER if predicate is not None else JoinKind.CROSS
-        join = detached_join(kind, predicate)
-        return self.memo.group_for_expression(join,
+        return self.memo.group_for_expression(_join_operator(predicate),
                                               (left_group, right_group))
 
     # -- exhaustive DP ---------------------------------------------------------
 
     def enumerate_exhaustive(self) -> int:
+        """One group per subset: the first usable split creates it (the
+        subset's only cardinality estimate), every later split is one more
+        expression in it.  A split whose join the MEMO already holds merges
+        that group in, keeping the lower id, as ``add_expression`` does."""
+        memo = self.memo
         best: Dict[int, int] = {}
         for index, group in enumerate(self.leaf_groups):
             best[1 << index] = group
@@ -479,12 +513,13 @@ class _RegionProblem:
             for left_mask, right_mask, predicate in splits:
                 if left_mask not in best or right_mask not in best:
                     continue
-                new_group = self._make_join_group(
-                    best[left_mask], best[right_mask], predicate)
+                left, right = best[left_mask], best[right_mask]
                 if group_id is None:
-                    group_id = new_group
+                    group_id = self._make_join_group(left, right, predicate)
                 else:
-                    group_id = self.memo.merge_equivalent(group_id, new_group)
+                    memo.add_expression(group_id, _join_operator(predicate),
+                                        (left, right))
+                    group_id = memo.find(group_id)
             if group_id is None:
                 raise OptimizerError("join region has an unreachable subset")
             best[mask] = group_id
@@ -557,6 +592,11 @@ class _RegionProblem:
                 group_id, self.leaf_groups[index], predicate)
             mask |= 1 << index
         return group_id
+
+
+def _join_operator(predicate: Optional[ex.ScalarExpr]) -> LogicalJoin:
+    kind = JoinKind.INNER if predicate is not None else JoinKind.CROSS
+    return detached_join(kind, predicate)
 
 
 def _mask_indices(mask: int) -> List[int]:
@@ -652,6 +692,7 @@ def extract_best_serial_plan(memo: Memo, root_group: int,
     """Bottom-up dynamic programming over physical expressions."""
     best: Dict[int, Tuple[float, GroupExpression]] = {}
     in_progress: Set[int] = set()
+    groups = memo.groups  # read by canonical ids only: no find
 
     def best_cost(group_id: int) -> float:
         group_id = memo.find(group_id)
@@ -666,10 +707,12 @@ def extract_best_serial_plan(memo: Memo, root_group: int,
             children = [memo.find(c) for c in expr.children]
             if group_id in children:
                 continue
-            child_cost = sum(best_cost(c) for c in children)
+            # A child costed before is a table hit, not a call.
+            child_cost = sum([best[c][0] if c in best else best_cost(c)
+                              for c in children])
             if child_cost == float("inf"):
                 continue
-            child_rows = tuple(memo.group(c).cardinality for c in children)
+            child_rows = tuple([groups[c].cardinality for c in children])
             local = cost_model.local_cost(expr.op, group.cardinality,
                                           child_rows)
             total = child_cost + local

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.algebra import expressions as ex
 from repro.algebra.logical import (
@@ -66,7 +66,6 @@ from repro.pdw.interesting import (
     PropertyKey,
     REPLICATED_KEY,
     build_equivalence,
-    concrete_hash_column,
     derive_interesting_properties,
     property_key_of,
 )
@@ -99,15 +98,25 @@ class PdwConfig:
                     "(use 'replicate' or 'shuffle')")
 
 
+_UNSET = object()
+
+
 class PdwOption:
     """One PDW group expression: a plan fragment with a distribution.
 
     ``op`` is a logical operator or a :class:`DataMovement`; ``children``
     are PdwOptions (structural sharing keeps memory linear in the number
     of retained options).
+
+    ``key`` and ``hash_classes`` are the distribution read through the
+    optimizer's column equivalence: the property key it delivers and the
+    class of each hash column (None unless HASHED).  The optimizer fills
+    each on first use (:meth:`PdwOptimizer._key_of`,
+    :meth:`PdwOptimizer._hash_classes_of`), so neither is computed twice.
     """
 
-    __slots__ = ("op", "children", "group_id", "distribution", "cost")
+    __slots__ = ("op", "children", "group_id", "distribution", "cost",
+                 "key", "hash_classes")
 
     def __init__(self, op, children: Tuple["PdwOption", ...], group_id: int,
                  distribution: Distribution, cost: float):
@@ -116,6 +125,8 @@ class PdwOption:
         self.group_id = group_id
         self.distribution = distribution
         self.cost = cost
+        self.key: Optional[PropertyKey] = None
+        self.hash_classes = _UNSET
 
 
 @dataclass
@@ -148,6 +159,9 @@ class PdwOptimizer:
         self.equivalence = equivalence or build_equivalence(memo, root_group)
         self.options: Dict[int, List[PdwOption]] = {}
         self.options_considered = 0
+        # group id -> (output column ids, class -> lowest-id output column)
+        self._group_facts: Dict[int, Tuple[FrozenSet[int],
+                                           Dict[int, ex.ColumnVar]]] = {}
         self.tracer = tracer
         self.opt_trace = opt_trace
 
@@ -235,8 +249,7 @@ class PdwOptimizer:
                 considered=self.options_considered - considered_before,
                 retained=tuple(
                     (self._describe_option(o),
-                     format_property_key(property_key_of(
-                         o.distribution, self.equivalence)),
+                     format_property_key(self._key_of(o)),
                      o.cost)
                     for o in pruned))
 
@@ -292,11 +305,9 @@ class PdwOptimizer:
                       children: List[int]) -> List[PdwOption]:
         left_options = self.options.get(children[0], ())
         right_options = self.options.get(children[1], ())
-        left_group = self.memo.group(children[0])
-        right_group = self.memo.group(children[1])
-        left_ids = frozenset(v.id for v in left_group.output_vars)
-        right_ids = frozenset(v.id for v in right_group.output_vars)
-        pairs = ex.equi_join_pairs(op.predicate, left_ids, right_ids)
+        pairs = ex.equi_join_pairs(op.predicate,
+                                   self._facts_of(children[0])[0],
+                                   self._facts_of(children[1])[0])
 
         # Two hashed inputs are aligned when every (left, right) hash
         # column pair falls into the equivalence classes of one equi-join
@@ -310,21 +321,23 @@ class PdwOptimizer:
             right_class = representative(right_var.id)
             aligned_classes.add((left_class, right_class))
             aligned_classes.add((right_class, left_class))
-        right_classes = [self._hash_classes(o.distribution)
-                         for o in right_options]
+        right_classes = [self._hash_classes_of(o) for o in right_options]
         relational_cost = self._relational_cost(group_id)
+        kind = op.kind
+        output_distribution = self._join_output_distribution
 
         result: List[PdwOption] = []
         for left in left_options:
-            left_hash = self._hash_classes(left.distribution)
+            left_hash = self._hash_classes_of(left)
+            left_distribution = left.distribution
             for right, right_hash in zip(right_options, right_classes):
                 hashed_aligned = (
                     left_hash is not None and right_hash is not None
                     and len(left_hash) == len(right_hash)
-                    and all(pair in aligned_classes
-                            for pair in zip(left_hash, right_hash)))
-                distribution = self._join_output_distribution(
-                    op.kind, left.distribution, right.distribution,
+                    and aligned_classes.issuperset(zip(left_hash,
+                                                       right_hash)))
+                distribution = output_distribution(
+                    kind, left_distribution, right.distribution,
                     hashed_aligned)
                 if distribution is None:
                     continue
@@ -340,6 +353,42 @@ class PdwOptimizer:
             return None
         representative = self.equivalence.representative
         return tuple(representative(c) for c in distribution.columns)
+
+    def _hash_classes_of(self, option: PdwOption
+                         ) -> Optional[Tuple[int, ...]]:
+        classes = option.hash_classes
+        if classes is _UNSET:
+            classes = option.hash_classes = self._hash_classes(
+                option.distribution)
+        return classes
+
+    def _key_of(self, option: PdwOption) -> PropertyKey:
+        """The property key ``option`` delivers."""
+        key = option.key
+        if key is None:
+            key = option.key = property_key_of(option.distribution,
+                                               self.equivalence)
+        return key
+
+    def _facts_of(self, group_id: int
+                  ) -> Tuple[FrozenSet[int], Dict[int, ex.ColumnVar]]:
+        """A group's output column ids and, per equivalence class, its
+        lowest-id output column in that class (the concrete shuffle
+        target of an enforced hash property).  The MEMO does not change
+        during enumeration, so each group's facts are read once."""
+        facts = self._group_facts.get(group_id)
+        if facts is None:
+            representative = self.equivalence.representative
+            lowest: Dict[int, ex.ColumnVar] = {}
+            output_vars = self.memo.group(group_id).output_vars
+            for var in output_vars:
+                rep = representative(var.id)
+                current = lowest.get(rep)
+                if current is None or var.id < current.id:
+                    lowest[rep] = var
+            facts = self._group_facts[group_id] = (
+                frozenset([var.id for var in output_vars]), lowest)
+        return facts
 
     @staticmethod
     def _join_output_distribution(
@@ -554,7 +603,7 @@ class PdwOptimizer:
         interesting = self.interesting.get(group_id, set())
         best_by_key: Dict[PropertyKey, PdwOption] = {}
         for option in candidates:
-            key = property_key_of(option.distribution, self.equivalence)
+            key = self._key_of(option)
             if key not in interesting:
                 continue
             current = best_by_key.get(key)
@@ -566,15 +615,13 @@ class PdwOptimizer:
         if self.tracer.enabled:
             for option in candidates:
                 if id(option) not in kept:
-                    key = property_key_of(option.distribution,
-                                          self.equivalence)
+                    key = self._key_of(option)
                     self.tracer.count(f"pdw.pruned.{key[0]}")
         if self.opt_trace.enabled:
             for option in candidates:
                 if id(option) in kept:
                     continue
-                key = property_key_of(option.distribution,
-                                      self.equivalence)
+                key = self._key_of(option)
                 # The option that covers the victim's slot: the cheapest
                 # retained option delivering the same property, else the
                 # overall winner.
@@ -605,8 +652,7 @@ class PdwOptimizer:
             best_index = -1
             candidates = [] if opt_trace.enabled else None
             for option in options:
-                if property_key_of(option.distribution,
-                                   self.equivalence) == key:
+                if self._key_of(option) == key:
                     continue  # already delivers the property
                 movement = classify_movement(option.distribution, target,
                                              hash_columns)
@@ -730,10 +776,8 @@ class PdwOptimizer:
         if key == CONTROL_KEY:
             return ON_CONTROL_DIST, ()
         if key[0] == "hash":
-            try:
-                var = concrete_hash_column(self.memo, group_id, key[1],
-                                           self.equivalence)
-            except KeyError:
+            var = self._facts_of(group_id)[1].get(key[1])
+            if var is None:
                 return None, ()
             return hashed_on(var.id), (var,)
         return None, ()

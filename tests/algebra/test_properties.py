@@ -1,6 +1,10 @@
 """Distribution property and column equivalence tests."""
 
+from typing import Dict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.expressions import ColumnVar, Comparison
 from repro.algebra.properties import (
@@ -82,6 +86,84 @@ class TestColumnEquivalence:
         eq = ColumnEquivalence()
         eq.add_equality(5, 9)
         assert eq.representative(5) == eq.representative(9)
+
+
+class _ReferenceEquivalence:
+    """The union-find as it was before representatives were cached:
+    every lookup walks ``_find``."""
+
+    def __init__(self):
+        self._parent: Dict[int, int] = {}
+
+    def _find(self, x: int) -> int:
+        parent = self._parent.setdefault(x, x)
+        if parent != x:
+            root = self._find(parent)
+            self._parent[x] = root
+            return root
+        return x
+
+    def add_equality(self, a: int, b: int) -> None:
+        root_a, root_b = self._find(a), self._find(b)
+        if root_a != root_b:
+            self._parent[root_b] = root_a
+
+    def representative(self, x: int) -> int:
+        return self._find(x)
+
+    def equivalence_class(self, x: int):
+        root = self._find(x)
+        return frozenset(
+            member for member in self._parent if self._find(member) == root
+        ) or frozenset((x,))
+
+
+_IDS = st.integers(min_value=0, max_value=11)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _IDS, _IDS),
+        st.tuples(st.just("rep"), _IDS, _IDS),
+        st.tuples(st.just("same"), _IDS, _IDS),
+        st.tuples(st.just("class"), _IDS, _IDS),
+        st.tuples(st.just("copy"), _IDS, _IDS),
+    ),
+    max_size=60)
+
+
+class TestRepresentativeCache:
+    """``representative`` answers from a cache that every union clears;
+    interleaved unions and lookups must agree with the uncached walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_STEPS)
+    def test_interleaved_calls_match_the_uncached_find(self, steps):
+        cached = ColumnEquivalence()
+        reference = _ReferenceEquivalence()
+        for action, a, b in steps:
+            if action == "add":
+                cached.add_equality(a, b)
+                reference.add_equality(a, b)
+            elif action == "rep":
+                assert cached.representative(a) == reference.representative(a)
+            elif action == "same":
+                assert cached.are_equivalent(a, b) == (
+                    reference.representative(a)
+                    == reference.representative(b))
+            elif action == "class":
+                assert (cached.equivalence_class(a)
+                        == reference.equivalence_class(a))
+            else:  # a copy starts from the same classes, then diverges
+                cached = cached.copy()
+        for x in range(12):
+            assert cached.representative(x) == reference.representative(x)
+
+    def test_a_union_after_a_lookup_moves_the_representative(self):
+        eq = ColumnEquivalence()
+        eq.add_equality(1, 2)
+        assert eq.representative(3) == 3
+        eq.add_equality(1, 3)
+        assert eq.representative(3) == eq.representative(1)
+        assert eq.are_equivalent(2, 3)
 
 
 class TestSatisfies:

@@ -149,6 +149,47 @@ class TestTopologicalOrder:
         order = topological_order(memo, root)
         assert len(order) == len(memo.canonical_groups()) - 1
 
+    def test_kept_order_follows_every_change(self, memo_env):
+        """The order is kept on the MEMO between calls; a new expression
+        or a merge must show in the next call."""
+
+        def walked(memo, root):
+            order, seen = [], set()
+
+            def visit(group_id):
+                group_id = memo.find(group_id)
+                if group_id not in seen:
+                    seen.add(group_id)
+                    for expr in memo.group(group_id).expressions:
+                        for child in expr.children:
+                            visit(child)
+                    order.append(group_id)
+
+            visit(root)
+            return order
+
+        memo, root, _ = memo_env("SELECT c_name FROM customer")
+        first = topological_order(memo, root)
+        assert first == walked(memo, root)
+        first.append(-1)  # callers get their own list
+        assert topological_order(memo, root) == walked(memo, root)
+
+        var = memo.group(root).output_vars[0]
+        above = memo.group_for_expression(
+            detached_select(ex.Comparison(">", var, ex.Constant(1))), (root,))
+        assert topological_order(memo, above) == walked(memo, above)
+        # A second parent for the root, in a group the walk has not met.
+        other = memo.group_for_expression(
+            detached_select(ex.Comparison(">", var, ex.Constant(2))), (root,))
+        assert other not in topological_order(memo, above)
+        memo.add_expression(
+            above, detached_select(ex.Comparison(">", var, ex.Constant(3))),
+            (other,))
+        assert other in topological_order(memo, above)
+        assert topological_order(memo, above) == walked(memo, above)
+        survivor = memo.merge_equivalent(above, other)
+        assert topological_order(memo, survivor) == walked(memo, survivor)
+
 
 class TestDump:
     def test_dump_mentions_groups(self, memo_env):

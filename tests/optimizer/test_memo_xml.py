@@ -291,6 +291,31 @@ class TestParserStrictness:
         with pytest.raises(OptimizerError, match="group 4711"):
             memo_from_xml(broken, shell)
 
+    def test_unknown_join_kind(self, shell, xml):
+        broken, count = re.subn(r'join-kind="\w+"', 'join-kind="sideways"',
+                                xml, count=1)
+        assert count == 1
+        with pytest.raises(OptimizerError, match="'sideways'"):
+            memo_from_xml(broken, shell)
+
+    def test_a_repeated_id_list_is_read_once_into_separate_lists(
+            self, shell, xml):
+        """The reader resolves each distinct ``cols=`` string once, but
+        every operator still owns its list."""
+        parsed = memo_from_xml(xml, shell)
+        scans = [expr.op for group in parsed.memo.canonical_groups()
+                 for expr in group.expressions
+                 if hasattr(expr.op, "table")]
+        by_cols = {}
+        for scan in scans:
+            by_cols.setdefault(tuple(v.id for v in scan.columns),
+                               []).append(scan.columns)
+        shared = [lists for lists in by_cols.values() if len(lists) > 1]
+        assert shared  # each Get has its TableScan alternative
+        for lists in shared:
+            assert all(a == lists[0] and a is not lists[0]
+                       for a in lists[1:])
+
     def test_stray_child_is_not_taken_for_the_join_predicate(self, shell,
                                                              xml):
         join = re.search(r'<expr [^>]*op="Join"[^>]*/>', xml).group()

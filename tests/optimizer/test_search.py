@@ -8,6 +8,8 @@ from repro.catalog.schema import Catalog, Column, TableDef, hash_distributed
 from repro.catalog.shell_db import ShellDatabase
 from repro.common.types import INTEGER
 from repro.optimizer.search import OptimizerConfig, SerialOptimizer
+from repro.workloads.tpch_queries import TPCH_QUERIES
+from tests.service.test_scan_path_c_loops import SHUFFLE_SHAPES
 
 
 @pytest.fixture()
@@ -210,3 +212,62 @@ class TestSeededGreedy:
                "AND t3.k = t4.k")
         result = optimizer.optimize_sql(sql)
         assert result.best_serial_plan is not None
+
+
+#: pdwbench's JOIN, GRP and DIST shapes, one literal each.
+BENCH_SHAPES = {
+    name: SHUFFLE_SHAPES[name].format(literal)
+    for name, literal in (("JOIN", 1000), ("GRP", 1995), ("DIST", 10))
+}
+
+#: (groups kept, groups ever created) by a fresh serial memo.  The kept
+#: count is the search space and must not move; the created count is
+#: what the join DP costs.  A subset of a join region gets one group, so
+#: every region subset is created once (Q5's six-table region used to
+#: create a group per split and merge it away: 301 created for 73 kept).
+MEMO_GROUPS = {
+    "Q1": (6, 6), "Q3": (15, 16), "Q4": (16, 17), "Q5": (73, 74),
+    "Q6": (6, 6), "Q10": (23, 24), "Q12": (8, 8), "Q13": (9, 9),
+    "Q14": (8, 8), "Q16": (10, 11), "Q17": (17, 18), "Q18": (22, 22),
+    "Q19": (8, 9), "Q20": (32, 33), "Q22": (14, 14),
+    "JOIN": (6, 6), "GRP": (6, 6), "DIST": (5, 5),
+}
+
+
+class TestJoinRegionGroups:
+    def test_every_query_is_pinned(self):
+        assert set(MEMO_GROUPS) == set(TPCH_QUERIES) | set(BENCH_SHAPES)
+
+    @pytest.mark.parametrize("name", sorted(MEMO_GROUPS))
+    def test_groups_kept_and_created(self, name, tpch_shell):
+        sql = {**TPCH_QUERIES, **BENCH_SHAPES}[name]
+        result = SerialOptimizer(tpch_shell).optimize_sql(
+            sql, extract_serial=False)
+        memo = result.memo
+        assert (len(memo.canonical_groups()), len(memo.groups)) \
+            == MEMO_GROUPS[name]
+
+    def test_equal_split_predicates_are_one_object(self, tpch_shell):
+        result = SerialOptimizer(tpch_shell).optimize_sql(
+            TPCH_QUERIES["Q5"], extract_serial=False)
+
+        def query_joins(op):
+            if isinstance(op, LogicalJoin):
+                yield op
+            for child in op.children:
+                yield from query_joins(child)
+
+        # The query's own join operators keep their predicates; every
+        # other join predicate was synthesized by the region DP.
+        written = {id(join.predicate)
+                   for join in query_joins(result.query.root)}
+        synthesized = {}
+        for group in result.memo.canonical_groups():
+            for expr in group.logical_expressions:
+                predicate = getattr(expr.op, "predicate", None)
+                if (isinstance(expr.op, LogicalJoin)
+                        and id(predicate) not in written):
+                    synthesized.setdefault(predicate, set()).add(
+                        id(predicate))
+        assert len(synthesized) >= 5
+        assert all(len(ids) == 1 for ids in synthesized.values())
