@@ -35,7 +35,10 @@ which owns the appliance, shell database, engine and telemetry tracer::
     print(session.trace_report())          # nested span tree
 
 **Which API do I want?**  Use :class:`PdwSession` when you want the whole
-pipeline with sane defaults and telemetry.  Drop to the low-level pieces —
+pipeline with sane defaults and telemetry, and :class:`PdwService` to
+serve many client threads; the session is a subclass of the service,
+so both run every query through one control-node core (plan cache,
+admission, request and Query Store hooks).  Drop to the low-level pieces —
 :class:`PdwEngine` (compile SQL against a shell database you built
 yourself) and :class:`DsqlRunner` (execute a DSQL plan on an appliance) —
 when you need custom schemas, configs, or to hold the intermediate

@@ -310,11 +310,11 @@ def _cmd_serve(args) -> int:
 
     service = PdwService(
         scale=args.scale, node_count=args.nodes,
-        options=_cli_options(args),
+        options=_cli_options(args).override(
+            slow_seconds=args.slow_seconds),
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
-        plan_cache_size=args.cache_size,
-        slow_seconds=args.slow_seconds)
+        plan_cache_size=args.cache_size)
     try:
         report = run_traffic(service, clients=args.clients,
                              queries_per_client=args.queries,

@@ -67,20 +67,22 @@ class ExecutionOptions:
       to the serial runtime, the default at every layer (the pool
       measures slower than the serial walk under the GIL —
       EXPERIMENTS.md, PR 17);
-    * ``trace`` — whether the session allocates a live tracer/metrics
-      registry (resolved once at construction; the no-op tracer costs
-      nothing);
+    * ``trace`` — whether a front door builds live default sinks
+      (metrics registry, request registry, Query Store; the session
+      also a tracer), read once at construction — a sink passed in
+      wins, and the no-op forms cost nothing;
     * ``profile`` — collect per-node/per-operator actuals and transfer
       matrices during execution;
     * ``hints`` — §3.1 distributed-execution hints, normalized to a
       sorted tuple of (table, strategy) pairs (mappings accepted);
-    * ``use_plan_cache`` — let :class:`repro.service.PdwService` serve
-      this query from the parameterized plan cache;
+    * ``use_plan_cache`` — serve this query from the parameterized
+      plan cache (``False`` compiles it privately), at either front
+      door;
     * ``priority`` / ``tenant`` / ``timeout_seconds`` — admission
-      class, accounting identity and queue-wait bound for service calls;
+      class, accounting identity and queue-wait bound for every call;
     * ``slow_seconds`` — the flight recorder's slow-query threshold
       (``None`` keeps :data:`repro.obs.requests.DEFAULT_SLOW_SECONDS`);
-      consumed when the session/service builds its default
+      consumed when a front door builds its default
       :class:`~repro.obs.requests.RequestRegistry`.
     """
 

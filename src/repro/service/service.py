@@ -1,9 +1,10 @@
-"""``PdwService`` — the multi-user front end over one appliance.
+"""``PdwService`` — the control node: one compile-and-run core over one
+appliance.
 
-Where :class:`repro.session.PdwSession` is one user compiling and running
-one query at a time, the service is the control node of a busy appliance:
-many client threads call :meth:`PdwService.execute` concurrently and each
-call flows through
+Every query either front door runs goes through :meth:`PdwService.execute`
+(:class:`repro.session.PdwSession` is a subclass that adds a bound
+default query, a live tracer and the view verbs).  Many client threads
+may call it concurrently, and each call flows through
 
 1. **admission** — :class:`repro.service.AdmissionController` grants an
    execution slot (bounded queue, priority classes, typed
@@ -16,17 +17,22 @@ call flows through
    execution: its prepared steps (parsed and bound once) with the new
    literals swapped into their slots and private temp-table names, so
    concurrent executions never collide on the appliance;
-4. **execution** on the shared :class:`repro.appliance.runner.DsqlRunner`
-   (the serial walk by default; steps DAG-scheduled on a thread pool
-   when the parallel runtime is on);
-5. **accounting** — per-tenant counters, phase latency histograms and
-   cache/admission gauges on the service's
-   :class:`~repro.obs.metrics.MetricsRegistry`, rendered by
-   :meth:`PdwService.metrics_text` in Prometheus text format.
+4. **execution** on the call's :class:`repro.appliance.runner.DsqlRunner`,
+   one per ``(executor, parallel)`` pair, built on first use (the serial
+   walk by default; steps DAG-scheduled on a thread pool when the
+   parallel runtime is on);
+5. **accounting** — the request registry, the Query Store, and
+   per-tenant counters, phase latency histograms and cache/admission
+   gauges on the :class:`~repro.obs.metrics.MetricsRegistry`, rendered
+   by :meth:`PdwService.metrics_text` in Prometheus text format.
 
-Every call returns the same enriched
-:class:`~repro.appliance.runner.QueryResult` the session produces —
-rows, columns, the compiled-plan handle, the cache-hit flag and a
+Each sink (metrics, request registry, Query Store) is live iff
+``options.trace`` (the default) unless one is passed in.  The tracer
+defaults to the no-op tracer; pass ``tracer=`` to trace served queries
+end to end.
+
+Every call returns an enriched :class:`~repro.appliance.runner.QueryResult`
+— rows, columns, the compiled-plan handle, the cache-hit flag and a
 queue/compile/execute timing breakdown.
 """
 
@@ -36,15 +42,19 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.appliance.runner import DsqlRunner, ExecutionTiming, QueryResult
 from repro.appliance.storage import Appliance
 from repro.catalog.shell_db import ShellDatabase
 from repro.common.errors import ReproError, ServiceClosedError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.query_store import QueryStore
-from repro.obs.requests import DEFAULT_SLOW_SECONDS, RequestRegistry
+from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.query_store import NULL_QUERY_STORE, QueryStore
+from repro.obs.requests import (
+    DEFAULT_SLOW_SECONDS,
+    NULL_REQUESTS,
+    RequestRegistry,
+)
 from repro.obs.system_views import (
     mentions_system_views,
     refresh_system_views,
@@ -66,7 +76,7 @@ from repro.service.plan_cache import (
     instantiate_plan,
     slot_literals,
 )
-from repro.telemetry import NULL_TRACER
+from repro.telemetry import NULL_TRACER, Tracer
 from repro.workloads.tpch_datagen import build_tpch_appliance
 
 
@@ -83,6 +93,8 @@ class PdwService:
     executions only take turns, more slowly than a queue would make
     them.  Concurrent clients are queued by priority, not refused
     (``max_queue``); pass a larger ``max_in_flight`` to overlap them.
+    A ``tracer`` records spans from one thread at a time, so trace a
+    service only while a single client drives it.
     """
 
     def __init__(self, *,
@@ -93,15 +105,13 @@ class PdwService:
                  options: Optional[ExecutionOptions] = None,
                  serial_config: Optional[OptimizerConfig] = None,
                  pdw_config: Optional[PdwConfig] = None,
+                 tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 plan_cache_size: int = 64,
-                 max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-                 max_queue: int = 32,
-                 default_timeout_seconds: Optional[float] = None,
-                 admission: Optional[AdmissionController] = None,
                  requests: Optional[RequestRegistry] = None,
                  query_store: Optional[QueryStore] = None,
-                 slow_seconds: Optional[float] = None):
+                 plan_cache_size: int = 64,
+                 max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
+                 max_queue: int = 32):
         if (appliance is None) != (shell is None):
             raise ReproError(
                 "pass both appliance and shell, or neither "
@@ -111,41 +121,37 @@ class PdwService:
                                                     node_count=node_count)
         self.appliance = appliance
         self.shell = shell
-        self.options = (options or ExecutionOptions()).resolved()
-        # The service *is* an observability surface: metrics default on.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.engine = PdwEngine(shell, serial_config, pdw_config,
-                                tracer=NULL_TRACER)
-        self.runner = DsqlRunner(appliance, tracer=NULL_TRACER,
-                                 executor=self.options.executor,
-                                 metrics=self.metrics,
-                                 parallel=self.options.parallel)
-        self.plan_cache = PlanCache(plan_cache_size, metrics=self.metrics)
-        self.admission = admission or AdmissionController(
-            max_in_flight=max_in_flight, max_queue=max_queue,
-            default_timeout_seconds=default_timeout_seconds,
-            metrics=self.metrics)
-        # Request lifecycle: live by default (the service is the busy
-        # appliance's control node); pass a shared registry to correlate
-        # with sessions, or NULL_REQUESTS to opt out entirely.  The
-        # slow-query threshold resolves ctor arg > options field >
-        # module default; an explicitly passed registry keeps its own.
-        if requests is not None:
-            self.requests = requests
-        else:
-            threshold = slow_seconds
-            if threshold is None:
-                threshold = self.options.slow_seconds
-            if threshold is None:
-                threshold = DEFAULT_SLOW_SECONDS
-            self.requests = RequestRegistry(
-                slow_threshold_seconds=threshold)
-        # Query store: the persistent plan/runtime-stats history, live
-        # by default; pass NULL_QUERY_STORE to opt out at zero cost.
-        self.query_store = (query_store if query_store is not None
-                            else QueryStore())
-        if self.requests.enabled or self.query_store.enabled:
+        opts = self.options = (options if options is not None
+                               else ExecutionOptions()).resolved()
+        # One defaults rule: each sink is live iff options.trace, and a
+        # sink passed in wins (share one to correlate front doors, pass
+        # its NULL_* form to opt out).
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        if metrics is None:
+            metrics = MetricsRegistry() if opts.trace else NULL_METRICS
+        self.metrics = metrics
+        if requests is None:
+            threshold = (opts.slow_seconds if opts.slow_seconds
+                         is not None else DEFAULT_SLOW_SECONDS)
+            requests = (RequestRegistry(slow_threshold_seconds=threshold)
+                        if opts.trace else NULL_REQUESTS)
+        self.requests = requests
+        if query_store is None:
+            query_store = QueryStore() if opts.trace else NULL_QUERY_STORE
+        self.query_store = query_store
+        if requests.enabled or query_store.enabled:
             register_system_views(appliance)
+        self.engine = PdwEngine(shell, serial_config, pdw_config,
+                                tracer=self.tracer)
+        # Per-call options may pick another executor or runtime; each
+        # pair gets one runner, built on first use and kept.
+        self._runners: Dict[Tuple[str, bool], DsqlRunner] = {}
+        self._runners_lock = threading.Lock()
+        self.runner = self._runner_for(opts)
+        self.plan_cache = PlanCache(plan_cache_size, metrics=metrics)
+        self.admission = AdmissionController(
+            max_in_flight=max_in_flight, max_queue=max_queue,
+            metrics=metrics)
         self._compile_lock = threading.Lock()
         self._key_locks: Dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
@@ -173,7 +179,7 @@ class PdwService:
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
-        opts = (options or self.options).resolved()
+        opts = self._call_options(options)
         overrides = {}
         if tenant is not None:
             overrides["tenant"] = tenant
@@ -187,9 +193,7 @@ class PdwService:
         request = self.requests.begin(sql, tenant=opts.tenant,
                                       priority=opts.priority)
         # Refresh after begin so a DMV query observes itself (queued).
-        if (self.requests.enabled or self.query_store.enabled) \
-                and mentions_system_views(sql):
-            self.refresh_system_views()
+        self._refresh_views_for(sql)
         try:
             ticket = self.admission.admit(
                 priority=opts.priority, tenant=opts.tenant,
@@ -205,8 +209,9 @@ class PdwService:
                 compiled, mapping, next(self._execution_ids))
             execute_started = time.perf_counter()
             try:
-                result = self.runner.run(plan, keep_temps=True,
-                                         request=request)
+                result = self._runner_for(opts).run(
+                    plan, keep_temps=True, profile=opts.profile,
+                    request=request)
             finally:
                 for name in temp_names:
                     self.appliance.drop_table(name)
@@ -280,6 +285,35 @@ class PdwService:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # -- per-call plumbing -----------------------------------------------------
+
+    def _call_options(self, options: Optional[ExecutionOptions]
+                      ) -> ExecutionOptions:
+        """The effective options for one call: the per-call object,
+        else the constructor's."""
+        return (options if options is not None
+                else self.options).resolved()
+
+    def _runner_for(self, opts: ExecutionOptions) -> DsqlRunner:
+        key = (opts.executor, bool(opts.parallel))
+        runner = self._runners.get(key)
+        if runner is None:
+            with self._runners_lock:
+                runner = self._runners.get(key)
+                if runner is None:
+                    runner = self._runners[key] = DsqlRunner(
+                        self.appliance, tracer=self.tracer,
+                        executor=opts.executor, metrics=self.metrics,
+                        parallel=opts.parallel)
+        return runner
+
+    def _refresh_views_for(self, sql: str) -> None:
+        """Populate the system views before binding a query that reads
+        them."""
+        if (self.requests.enabled or self.query_store.enabled) \
+                and mentions_system_views(sql):
+            self.refresh_system_views()
 
     # -- plan acquisition ------------------------------------------------------
 

@@ -1,28 +1,34 @@
-"""``PdwSession`` — the unified front door to the reproduction.
+"""``PdwSession`` — one user's front door to the reproduction.
 
-The session owns the four pieces every caller previously wired by hand
-(appliance, shell database, compilation engine, tracer) and exposes the
-three verbs that cover the pipeline end to end:
+A session is a :class:`repro.service.PdwService` — the one control-node
+core: engine, runners, plan cache, admission, request registry, Query
+Store and metrics — plus three things of its own: a bound default
+query, a live tracer by default, and the views over the pipeline:
 
-* :meth:`PdwSession.compile` — SQL text → :class:`CompiledQuery`;
-* :meth:`PdwSession.run` — compile + execute on the appliance →
-  :class:`QueryResult`;
+* :meth:`PdwSession.compile` — SQL text → :class:`CompiledQuery`, an
+  uncached compilation;
+* :meth:`PdwSession.run` — :meth:`~repro.service.PdwService.execute`
+  on the bound query: admitted, served from the plan cache (a repeated
+  shape is a hit), run on the appliance → :class:`QueryResult`;
 * :meth:`PdwSession.explain` — human-readable plan report;
   ``explain(analyze=True)`` *executes* the plan and renders a per-DSQL-step
   table of estimated vs. actual rows / DMS bytes / simulated seconds — the
   reproduction's EXPLAIN ANALYZE;
-* :meth:`PdwSession.profile` — compile + execute with per-node /
-  per-operator profiling: skew statistics over the DMS transfer matrices
-  and Q-errors joining optimizer estimates against runtime actuals
-  (:meth:`profile_report` renders the tables; ``repro profile`` on the
-  CLI);
+* :meth:`PdwSession.profile` — one request run through ``execute`` with
+  per-node / per-operator profiling: skew statistics over the DMS
+  transfer matrices and Q-errors joining optimizer estimates against
+  runtime actuals (:meth:`profile_report` renders the tables; ``repro
+  profile`` on the CLI);
 * :meth:`PdwSession.why` — compile with the optimizer search-space
   recorder on and render "why this plan": the winning distributed plan
   against the §2.5 parallelized-serial baseline (per-subtree DMS cost
   deltas) plus the enumeration/prune/enforce trace tables
   (``repro why`` on the CLI; ``explain(optimizer=True)`` appends the
   same section).  :meth:`PdwSession.optimizer_trace` and
-  :meth:`PdwSession.plan_choice` return the structured forms.
+  :meth:`PdwSession.plan_choice` return the structured forms;
+* :meth:`trace_report`, :meth:`stats_report` and
+  :meth:`requests_report` — the span tree, the counter totals and the
+  flight recorder as text.
 
 A session created with just SQL text binds that text as its default query,
 so the one-liner from the README works::
@@ -32,43 +38,38 @@ so the one-liner from the README works::
 
 Every knob travels in one frozen
 :class:`repro.service.ExecutionOptions` object accepted at construction
-(``PdwSession(options=...)``) and on every verb (``run(options=...)``).
+(``PdwSession(options=...)``) and on every verb (``run(options=...)``);
+each option means the same here as at the service.  Execution uses the
+numpy backend on the serial appliance runtime of §2.4 by default
+(``executor="reference"`` runs the tree-walking oracle,
+``parallel=True`` the step-DAG runtime).
 
-Execution uses the numpy backend by default — each DSQL step's SQL is
-parsed + bound once and run once over every source node's fragment
-stacked, on typed ndarrays, and DMS steps move those columns, not row
-tuples, into the next step's temp table.
-``ExecutionOptions(executor="reference")`` (CLI: ``--executor
-reference``) runs the tree-walking reference interpreter instead, node
-by node — the oracle the differential tests compare against.
+Telemetry is on by default: with ``options.trace`` set the session
+builds a :class:`~repro.telemetry.Tracer` (the service's default is the
+no-op tracer), so every compile and run appends spans to
+:attr:`PdwSession.tracer`.
 
-The session defaults to the **serial appliance runtime** of §2.4: one
-step at a time.  ``PdwSession(options=ExecutionOptions(parallel=True))``
-(CLI: ``--parallel-runtime``) schedules DSQL steps as a dependency DAG
-on a thread pool instead (independent join subtrees overlap), with
-results and stats identical to the serial walk; under the GIL it
-measures slower than the serial walk (EXPERIMENTS.md, "Parallel
-runtime"), which is why it is opt-in.  The ``REPRO_PARALLEL_RUNTIME`` environment variable
-overrides the default for whole test-suite sweeps.
-
-Telemetry is on by default (the session is the observability surface; the
-low-level classes default to the no-op tracer): every compile and run
-appends spans to :attr:`PdwSession.tracer`, and :meth:`trace_report` /
-:meth:`stats_report` render the span tree and the counter totals.
+Two consequences of sharing the service's core: a session keeps up to
+64 cached compilations (each with its MEMO, XML and DSQL plan) alive
+for its lifetime, and its runs pass admission with the service's
+defaults — one query in flight, 32 waiting — so a session shared by
+more than 33 threads at once raises
+:class:`~repro.common.errors.QueueFullError` for the excess.  Use
+:class:`~repro.service.PdwService` with a larger ``max_queue`` for
+many concurrent clients.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.appliance.runner import DsqlRunner, ExecutionTiming, QueryResult
+from repro.appliance.runner import QueryResult
 from repro.appliance.storage import Appliance
 from repro.catalog.shell_db import ShellDatabase
 from repro.common.errors import ReproError
 from repro.obs.export import optimizer_trace_to_metrics, profile_to_metrics
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.opt_trace import OptimizerTrace
 from repro.obs.profiler import QueryProfile, build_query_profile
 from repro.obs.report import (
@@ -76,25 +77,16 @@ from repro.obs.report import (
     render_profile_report,
     render_requests_report,
 )
-from repro.obs.query_store import NULL_QUERY_STORE, QueryStore
-from repro.obs.requests import (
-    DEFAULT_SLOW_SECONDS,
-    NULL_REQUESTS,
-    RequestRegistry,
-)
-from repro.obs.system_views import (
-    mentions_system_views,
-    refresh_system_views,
-    register_system_views,
-)
+from repro.obs.query_store import QueryStore
+from repro.obs.requests import RequestRegistry
 from repro.optimizer.search import OptimizerConfig
 from repro.pdw.dsql import StepKind
-from repro.pdw.engine import CompiledQuery, PdwEngine
+from repro.pdw.engine import CompiledQuery
 from repro.pdw.enumerator import PdwConfig
 from repro.pdw.why import PlanChoice, explain_plan_choice, render_plan_choice
 from repro.service.options import ExecutionOptions
-from repro.telemetry import NULL_TRACER, Tracer
-from repro.workloads.tpch_datagen import build_tpch_appliance
+from repro.service.service import PdwService
+from repro.telemetry import Tracer
 
 
 @dataclass
@@ -112,8 +104,9 @@ class StepAnalysis:
     actual_seconds: float     # simulated elapsed (movement + local SQL)
 
 
-class PdwSession:
-    """Owns appliance + shell + engine + tracer; the recommended API."""
+class PdwSession(PdwService):
+    """The control-node core with a bound default query, a live tracer
+    by default, and the view verbs; the recommended API."""
 
     def __init__(self, sql: Optional[str] = None, *,
                  scale: float = 0.002,
@@ -127,140 +120,43 @@ class PdwSession:
                  metrics: Optional[MetricsRegistry] = None,
                  requests: Optional[RequestRegistry] = None,
                  query_store: Optional[QueryStore] = None):
-        if (appliance is None) != (shell is None):
-            raise ReproError(
-                "pass both appliance and shell, or neither "
-                "(a shell database must describe its appliance)")
-        if appliance is None:
-            appliance, shell = build_tpch_appliance(scale=scale,
-                                                    node_count=node_count)
+        options = (options if options is not None
+                   else ExecutionOptions()).resolved()
+        if tracer is None and options.trace:
+            tracer = Tracer()
+        super().__init__(scale=scale, node_count=node_count,
+                         appliance=appliance, shell=shell,
+                         options=options, serial_config=serial_config,
+                         pdw_config=pdw_config, tracer=tracer,
+                         metrics=metrics, requests=requests,
+                         query_store=query_store)
         self.sql = sql
-        self.appliance = appliance
-        self.shell = shell
-        opts = (options if options is not None
-                else ExecutionOptions()).resolved()
-        self.options = opts
-        self.executor = opts.executor
-        self.parallel = opts.parallel
-        if tracer is None:
-            tracer = Tracer() if opts.trace else NULL_TRACER
-        self.tracer = tracer
-        if metrics is None:
-            metrics = MetricsRegistry() if opts.trace else NULL_METRICS
-        self.metrics = metrics
-        # Request-lifecycle registry: live whenever tracing is (it is the
-        # observability surface), shareable across sessions/services by
-        # passing the same registry object in.
-        if requests is None:
-            threshold = (opts.slow_seconds if opts.slow_seconds
-                         is not None else DEFAULT_SLOW_SECONDS)
-            requests = (RequestRegistry(slow_threshold_seconds=threshold)
-                        if opts.trace else NULL_REQUESTS)
-        self.requests = requests
-        # Query store: live whenever tracing is (same rule as the
-        # flight recorder); pass NULL_QUERY_STORE to opt out.
-        if query_store is None:
-            query_store = QueryStore() if opts.trace else NULL_QUERY_STORE
-        self.query_store = query_store
-        if requests.enabled or query_store.enabled:
-            register_system_views(appliance)
-        self.engine = PdwEngine(shell, serial_config, pdw_config,
-                                tracer=tracer)
-        self.runner = DsqlRunner(appliance, tracer=tracer,
-                                 executor=opts.executor, metrics=metrics,
-                                 parallel=opts.parallel)
-        # Per-call options may flip executor/parallel; variant runners
-        # are built lazily and reused.
-        self._runners: Dict[Tuple[str, bool], DsqlRunner] = {
-            (opts.executor, opts.parallel): self.runner,
-        }
-
-    # -- options plumbing ------------------------------------------------------
-
-    def _call_options(self, options: Optional[ExecutionOptions]
-                      ) -> ExecutionOptions:
-        """The effective options for one verb call: per-call object,
-        else the session's."""
-        return (options if options is not None
-                else self.options).resolved()
-
-    def _runner_for(self, opts: ExecutionOptions) -> DsqlRunner:
-        key = (opts.executor, bool(opts.parallel))
-        runner = self._runners.get(key)
-        if runner is None:
-            runner = DsqlRunner(self.appliance, tracer=self.tracer,
-                                executor=opts.executor,
-                                metrics=self.metrics,
-                                parallel=opts.parallel)
-            self._runners[key] = runner
-        return runner
-
-    # -- the three verbs -------------------------------------------------------
 
     def compile(self, sql: Optional[str] = None, *,
                 options: Optional[ExecutionOptions] = None
                 ) -> CompiledQuery:
-        """Compile SQL (or the session's bound query) into a DSQL plan."""
+        """Compile SQL (or the session's bound query) into a DSQL plan,
+        bypassing the plan cache."""
         opts = self._call_options(options)
         resolved = self._resolve(sql)
         # EXPLAIN over sys.dm_pdw_* must see the views registered and
         # populated before binding.
-        if (self.requests.enabled or self.query_store.enabled) \
-                and mentions_system_views(resolved):
-            self.refresh_system_views()
-        return self.engine.compile(resolved, hints=opts.hints_dict)
+        self._refresh_views_for(resolved)
+        with self._compile_lock:
+            return self.engine.compile(resolved, hints=opts.hints_dict)
 
     def run(self, sql: Optional[str] = None, *,
             options: Optional[ExecutionOptions] = None) -> QueryResult:
-        """Compile and execute on the appliance.
+        """:meth:`~repro.service.PdwService.execute` on ``sql`` or the
+        session's bound query.
 
         The :class:`QueryResult` carries the client rows and per-step
-        stats, plus the compiled-plan handle (``result.plan``) and a
-        wall-clock compile/execute breakdown (``result.timing``);
-        iterating the result iterates its rows.
+        stats, plus the compiled-plan handle (``result.plan``), the
+        plan-cache verdict and a wall-clock queue/compile/execute
+        breakdown (``result.timing``); iterating the result iterates
+        its rows.
         """
-        opts = self._call_options(options)
-        resolved = self._resolve(sql)
-        request = self.requests.begin(resolved, tenant=opts.tenant,
-                                      priority=opts.priority)
-        # Refresh after begin so a DMV query observes itself (queued).
-        if (self.requests.enabled or self.query_store.enabled) \
-                and mentions_system_views(resolved):
-            self.refresh_system_views()
-        started = time.perf_counter()
-        try:
-            request.compiling()
-            compiled = self.engine.compile(resolved,
-                                           hints=opts.hints_dict)
-            compile_seconds = time.perf_counter() - started
-            execute_started = time.perf_counter()
-            result = self._runner_for(opts).run(compiled.dsql_plan,
-                                                profile=opts.profile,
-                                                request=request)
-            execute_seconds = time.perf_counter() - execute_started
-        except Exception as exc:
-            request.failed(str(exc),
-                           total_seconds=time.perf_counter() - started)
-            raise
-        total_seconds = time.perf_counter() - started
-        result.plan = compiled
-        result.timing = ExecutionTiming(
-            compile_seconds=compile_seconds,
-            execute_seconds=execute_seconds,
-            total_seconds=total_seconds,
-        )
-        result.request_id = request.request_id
-        request.complete(rows=len(result.rows), cache_hit=False,
-                         queue_seconds=0.0,
-                         compile_seconds=compile_seconds,
-                         execute_seconds=execute_seconds,
-                         total_seconds=total_seconds)
-        if self.query_store.enabled:
-            self.query_store.stamp(
-                resolved, compiled.dsql_plan, result,
-                schema_version=self.appliance.schema_version,
-                cache_hit=False, timing=result.timing)
-        return result
+        return self.execute(self._resolve(sql), options=options)
 
     def explain(self, sql: Optional[str] = None,
                 analyze: bool = False,
@@ -278,7 +174,7 @@ class PdwSession:
             compiled = self.compile(sql, options=options)
         text = compiled.explain(verbose=verbose)
         if analyze:
-            analyses, result = self.analyze_plan(compiled)
+            analyses, result = self.analyze_plan(compiled, options=options)
             text = "\n".join([
                 text,
                 "",
@@ -300,7 +196,9 @@ class PdwSession:
     def profile(self, sql: Optional[str] = None, *,
                 options: Optional[ExecutionOptions] = None
                 ) -> QueryProfile:
-        """Compile and execute with per-node / per-operator profiling on.
+        """One request through :meth:`~repro.service.PdwService.execute`
+        with per-node / per-operator profiling on and the plan cache
+        off.
 
         Returns a :class:`repro.obs.profiler.QueryProfile`: per-step skew
         statistics over the DMS transfer matrices, per-operator actual row
@@ -309,13 +207,13 @@ class PdwSession:
         metrics registry is live the profile is also folded into it, so
         ``session.metrics.render_prometheus()`` includes the run.
         """
-        opts = self._call_options(options)
         resolved = self._resolve(sql)
-        compiled = self.compile(resolved, options=opts)
-        result = self._runner_for(opts).run(compiled.dsql_plan,
-                                            profile=True)
+        # Compiled fresh, so the estimates are for this call's literals
+        # and not for those of a cached template.
+        result = self.execute(resolved, options=self._call_options(
+            options).override(profile=True, use_plan_cache=False))
         profile = build_query_profile(
-            compiled.dsql_plan.steps, result.step_stats,
+            result.plan.dsql_plan.steps, result.step_stats,
             node_count=self.appliance.node_count,
             sql=resolved,
             elapsed_seconds=result.elapsed_seconds,
@@ -344,9 +242,10 @@ class PdwSession:
         """
         opts = self._call_options(options)
         trace = OptimizerTrace()
-        compiled = self.engine.compile(self._resolve(sql),
-                                       hints=opts.hints_dict,
-                                       opt_trace=trace)
+        with self._compile_lock:
+            compiled = self.engine.compile(self._resolve(sql),
+                                           hints=opts.hints_dict,
+                                           opt_trace=trace)
         return compiled, trace
 
     def plan_choice(self, sql: Optional[str] = None, *,
@@ -379,11 +278,13 @@ class PdwSession:
 
     # -- EXPLAIN ANALYZE internals --------------------------------------------
 
-    def analyze_plan(self, compiled: CompiledQuery
+    def analyze_plan(self, compiled: CompiledQuery, *,
+                     options: Optional[ExecutionOptions] = None
                      ) -> Tuple[List[StepAnalysis], QueryResult]:
-        """Execute a compiled plan and join each DSQL step's estimates
-        with its measured execution stats."""
-        result = self.runner.run(compiled.dsql_plan)
+        """Execute a compiled plan on the call's runner and join each
+        DSQL step's estimates with its measured execution stats."""
+        result = self._runner_for(self._call_options(options)).run(
+            compiled.dsql_plan)
         analyses: List[StepAnalysis] = []
         for step, stats in zip(compiled.dsql_plan.steps, result.step_stats):
             if step.kind is StepKind.DMS:
@@ -408,22 +309,12 @@ class PdwSession:
             ))
         return analyses, result
 
-    # -- request lifecycle / system views --------------------------------------
-
-    def refresh_system_views(self) -> None:
-        """Materialize the ``sys.dm_pdw_*`` and ``sys.query_store_*``
-        snapshot tables from the live request registry and query store.
-        Called automatically whenever a query mentions a system view;
-        callable directly to pre-warm them."""
-        refresh_system_views(self.appliance, self.requests,
-                             query_store=self.query_store)
+    # -- reports ---------------------------------------------------------------
 
     def requests_report(self, slow_only: bool = False) -> str:
         """The flight recorder rendered as terminal tables (the
         ``repro requests`` output)."""
         return render_requests_report(self.requests, slow_only=slow_only)
-
-    # -- telemetry reports -----------------------------------------------------
 
     def trace_report(self) -> str:
         """The nested span tree accumulated so far."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import PdwEngine
+from repro.appliance.dms_runtime import DmsRuntime
 from repro.appliance.storage import Appliance
 from repro.catalog.schema import (
     Catalog,
@@ -44,6 +45,21 @@ def tpch_shell(tpch):
 @pytest.fixture(scope="session")
 def tpch_engine(tpch_shell):
     return PdwEngine(tpch_shell)
+
+
+@pytest.fixture()
+def return_executors(monkeypatch):
+    """The executor of every ``DmsRuntime`` that ran a Return step while
+    the fixture is live, in call order."""
+    seen = []
+    execute_return = DmsRuntime.execute_return
+
+    def spy(self, *args, **kwargs):
+        seen.append(self.executor)
+        return execute_return(self, *args, **kwargs)
+
+    monkeypatch.setattr(DmsRuntime, "execute_return", spy)
+    return seen
 
 
 def make_mini_catalog() -> Catalog:

@@ -61,6 +61,17 @@ class TestExplainAnalyze:
                 assert analysis.estimated_rows > 0
                 assert analysis.estimated_bytes > 0
 
+    def test_analyze_runs_on_the_calls_executor(self, session,
+                                                return_executors):
+        reference = ExecutionOptions(executor="reference")
+        session.explain(TPCH_QUERIES["Q12"], analyze=True,
+                        options=reference)
+        assert return_executors == ["reference"]
+        compiled = session.compile(TPCH_QUERIES["Q12"])
+        session.analyze_plan(compiled, options=reference)
+        session.analyze_plan(compiled)
+        assert return_executors == ["reference", "reference", "numpy"]
+
     def test_rendered_table(self, session):
         text = session.explain(TPCH_QUERIES["Q12"], analyze=True)
         assert "est rows" in text and "act rows" in text

@@ -170,3 +170,20 @@ class TestSessionWiring:
             if step.kind is StepKind.RETURN:
                 kinds = [e.kind for e in step.operator_estimates]
                 assert "GroupBy" in kinds
+
+
+class TestProfileAfterRun:
+    def test_profile_compiles_for_its_own_literals(self, tpch):
+        """Profiling a shape the session already ran gives the Q-errors
+        of a fresh compilation, not those of the cached template."""
+        from repro.workloads.tpch_queries import Q1
+        shifted = Q1.replace("1998-09-02", "1995-06-17")
+        assert shifted != Q1
+        appliance, shell = tpch
+        warm = PdwSession(appliance=appliance, shell=shell)
+        warm.run(Q1)
+        fresh = PdwSession(appliance=appliance, shell=shell)
+        expected = fresh.profile(shifted)
+        got = warm.profile(shifted)
+        assert got.step_q_errors() == expected.step_q_errors()
+        assert got.operator_q_errors() == expected.operator_q_errors()

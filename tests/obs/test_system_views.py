@@ -103,13 +103,19 @@ class TestSessionPath:
         assert my_workers
         assert {row[2] for row in my_workers} <= set(range(NODES))
 
-    def test_empty_service_views_exist_on_session_path(self, session):
-        # The session has no plan cache / admission controller, so those
-        # views are queryable but empty.
+    def test_service_views_describe_the_session_core(self, session):
+        # A session runs through the core's plan cache and admission
+        # controller, so their views describe the session's own.
         assert session.run(
             "SELECT shape_key FROM sys.dm_pdw_plan_cache").rows == []
+        session.run("SELECT COUNT(*) AS n FROM nation")
+        cached = session.run(
+            "SELECT shape_key, execution_count FROM sys.dm_pdw_plan_cache "
+            "WHERE execution_count = 1")
+        assert any("nation" in row[0] for row in cached.rows)
+        # Views refresh before admission: the DMV query is not in flight.
         assert session.run(
-            "SELECT in_flight FROM sys.dm_pdw_admission").rows == []
+            "SELECT in_flight FROM sys.dm_pdw_admission").rows == [(0,)]
 
     def test_refresh_does_not_bump_schema_version(self, session):
         session.run("SELECT COUNT(*) AS n FROM nation")

@@ -8,6 +8,7 @@ identical to an uncached serial session across the TPC-H suite.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from tests.conftest import canonical
 from tests.integration.test_parallel_equivalence import stats_view
 from repro import ExecutionOptions, PdwSession
+from repro.appliance.runner import DsqlRunner
 from repro.service import PdwService, run_traffic
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
@@ -35,6 +37,13 @@ def baseline_session(tpch):
                       options=ExecutionOptions(trace=False))
 
 
+def run_uncached(session, sql):
+    """The oracle: a fresh compilation whose raw plan runs on the
+    session's default runner — no plan cache, parameter binding or
+    admission, so it shares none of the served path it checks."""
+    return session.runner.run(session.compile(sql).dsql_plan)
+
+
 class TestQueryResultSurface:
     def test_fields_on_miss_and_hit(self, service):
         sql = "SELECT COUNT(*) AS n FROM orders WHERE o_orderkey < 100"
@@ -52,7 +61,7 @@ class TestQueryResultSurface:
     def test_columns_preserved(self, service, baseline_session):
         sql = "SELECT n_name, n_nationkey FROM nation ORDER BY n_name"
         result = service.execute(sql)
-        expected = baseline_session.run(sql)
+        expected = run_uncached(baseline_session, sql)
         assert result.columns == expected.columns
         assert result.rows == expected.rows
 
@@ -125,7 +134,8 @@ class TestConcurrencyHammer:
             baseline = PdwSession(appliance=appliance, shell=shell,
                                   options=ExecutionOptions(trace=False))
             for sql in set(arrivals):
-                expected[sql] = canonical(baseline.run(sql).rows)
+                expected[sql] = canonical(
+                    run_uncached(baseline, sql).rows)
 
             failures = []
 
@@ -297,7 +307,7 @@ class TestTpchSuiteEquivalence:
                                                        parallel=False))
         try:
             for name, sql in TPCH_QUERIES.items():
-                uncached = baseline.run(sql)
+                uncached = run_uncached(baseline, sql)
                 expected = canonical(uncached.rows)
                 miss = service.execute(sql)
                 hit = service.execute(sql)
@@ -313,9 +323,84 @@ class TestTpchSuiteEquivalence:
         assert stats["hits"] == len(TPCH_QUERIES)
 
 
+class TestPerCallOptions:
+    """Per-call ``executor``, ``parallel`` and ``profile`` pick the
+    runner and what it collects, whatever the service defaults are."""
+
+    SQL = ("SELECT c_mktsegment, COUNT(*) AS n FROM customer, orders "
+           "WHERE c_custkey = o_custkey GROUP BY c_mktsegment")
+
+    def test_per_call_executor(self, service, return_executors):
+        assert service.options.executor == "numpy"
+        result = service.execute(
+            self.SQL, options=ExecutionOptions(executor="reference"))
+        assert return_executors == ["reference"]
+        assert canonical(result.rows) == canonical(
+            service.execute(self.SQL).rows)
+        assert return_executors == ["reference", "numpy"]
+
+    def test_per_call_parallel(self, service, monkeypatch):
+        ran_on = []
+        run = DsqlRunner.run
+
+        def spy(runner, *args, **kwargs):
+            ran_on.append((runner.executor, runner.parallel))
+            return run(runner, *args, **kwargs)
+
+        monkeypatch.setattr(DsqlRunner, "run", spy)
+        flipped = not service.options.parallel
+        service.execute(self.SQL,
+                        options=ExecutionOptions(parallel=flipped))
+        service.execute(self.SQL)
+        assert ran_on == [("numpy", flipped),
+                          ("numpy", service.options.parallel)]
+
+    def test_one_runner_per_pair_under_racing_clients(self, tpch):
+        appliance, shell = tpch
+        service = PdwService(appliance=appliance, shell=shell)
+        variants = [ExecutionOptions(executor=executor, parallel=parallel)
+                    .resolved()
+                    for executor in ("numpy", "reference")
+                    for parallel in (False, True)]
+        seen = [[] for _ in range(8)]
+        barrier = threading.Barrier(len(seen))
+
+        def client(out):
+            barrier.wait()
+            for _ in range(50):
+                for opts in variants:
+                    out.append(service._runner_for(opts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(out,))
+                       for out in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert len({id(runner) for out in seen for runner in out}) == 4
+        assert len(service._runners) == 4
+
+    def test_profile_fills_every_step(self, service):
+        result = service.execute(
+            self.SQL, options=ExecutionOptions(profile=True))
+        assert len(result.step_stats) == 3
+        for stats in result.step_stats:
+            assert stats.node_operators and stats.transfers
+        plain = service.execute(self.SQL)
+        assert not any(stats.node_operators or stats.transfers
+                       for stats in plain.step_stats)
+
+
 class TestSlowThreshold:
-    """The slow-query threshold resolves ctor arg > options field >
-    module default; an explicitly passed registry keeps its own."""
+    """The slow-query threshold resolves options field > module
+    default; an explicitly passed registry keeps its own."""
 
     def test_resolution_order(self, tpch):
         from repro.obs.requests import (DEFAULT_SLOW_SECONDS,
@@ -325,27 +410,23 @@ class TestSlowThreshold:
         via_options = PdwService(
             appliance=appliance, shell=shell,
             options=ExecutionOptions(slow_seconds=5.0))
-        via_ctor = PdwService(
-            appliance=appliance, shell=shell,
-            options=ExecutionOptions(slow_seconds=5.0),
-            slow_seconds=0.25)
         shared = RequestRegistry(slow_threshold_seconds=9.0)
-        via_registry = PdwService(appliance=appliance, shell=shell,
-                                  slow_seconds=0.25, requests=shared)
+        via_registry = PdwService(
+            appliance=appliance, shell=shell,
+            options=ExecutionOptions(slow_seconds=0.25), requests=shared)
         try:
             assert default.requests.slow_threshold_seconds \
                 == DEFAULT_SLOW_SECONDS
             assert via_options.requests.slow_threshold_seconds == 5.0
-            assert via_ctor.requests.slow_threshold_seconds == 0.25
             assert via_registry.requests.slow_threshold_seconds == 9.0
         finally:
-            for svc in (default, via_options, via_ctor, via_registry):
+            for svc in (default, via_options, via_registry):
                 svc.close()
 
     def test_slow_request_counted(self, tpch):
         appliance, shell = tpch
         service = PdwService(appliance=appliance, shell=shell,
-                             slow_seconds=0.0)
+                             options=ExecutionOptions(slow_seconds=0.0))
         try:
             service.execute("SELECT COUNT(*) AS n FROM nation")
             # Threshold zero: every completed request is slow.

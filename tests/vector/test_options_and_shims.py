@@ -73,7 +73,7 @@ class TestSessionWiring:
             options=ExecutionOptions(executor="reference"))
 
     def test_session_exposes_executor(self, session):
-        assert session.executor == "reference"
+        assert session.options.executor == "reference"
         assert session.runner.executor == "reference"
 
     def test_runner_cache_keyed_by_executor(self, session):
@@ -82,8 +82,8 @@ class TestSessionWiring:
             SQL, options=session.options.override(executor="numpy"))
         assert list(base.rows) == list(other.rows)
         keys = set(session._runners)
-        assert ("reference", session.parallel) in keys
-        assert ("numpy", session.parallel) in keys
+        assert ("reference", session.options.parallel) in keys
+        assert ("numpy", session.options.parallel) in keys
 
     def test_removed_kwargs_are_type_errors(self, session):
         with pytest.raises(TypeError):
