@@ -30,8 +30,8 @@ parse → optimize → execute path, followed by the flight recorder's
 request and step tables.  ``--slow`` restricts to requests over the
 slow-query threshold; ``--json`` prints the flight-recorder events as a
 JSON array; ``--jsonl PATH`` writes the schema-validated event log;
-``--prometheus PATH`` writes the ``pdw_request_*`` series alongside the
-service metrics.
+``--prometheus PATH`` writes the service metrics, whose
+``pdw_service_*`` series count every finished request.
 
 ``querystore`` drives the same mix and then reads the Query Store — the
 persistent per-shape plan + runtime-stats history — back through the
@@ -226,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the schema-validated "
                                "request_complete event log")
     requests.add_argument("--prometheus", metavar="PATH",
-                          help="write pdw_request_* series (plus the "
-                               "service metrics) in Prometheus text "
-                               "format")
+                          help="write the service metrics in "
+                               "Prometheus text format")
 
     querystore = sub.add_parser(
         "querystore",
@@ -305,7 +304,6 @@ def _cli_options(args) -> ExecutionOptions:
 
 
 def _cmd_serve(args) -> int:
-    from repro.obs.export import requests_to_metrics
     from repro.service import PdwService, render_report, run_traffic
 
     service = PdwService(
@@ -330,12 +328,9 @@ def _cmd_serve(args) -> int:
     # the parser runs once per shape, not once per query.
     print(f"pdw_service_plan_cache_shape_parses {cache['shape_parses']}")
     print(f"pdw_service_plan_cache_inserts {cache['inserts']}")
-    # Fold the flight recorder into the service registry so the serve
-    # output and --prometheus carry the pdw_request_* series (including
-    # pdw_request_slow_total against the configured --slow-seconds).
-    requests_to_metrics(service.requests, service.metrics)
-    slow = service.requests.stats()["slow"]
-    print(f"pdw_request_slow_total {slow}")
+    # Finished queries at or over the configured --slow-seconds.
+    slow = service.metrics.snapshot().get("pdw_service_slow_total", {})
+    print(f"pdw_service_slow_total {int(sum(slow.values()))}")
     if args.prometheus:
         with open(args.prometheus, "w", encoding="utf-8") as handle:
             handle.write(service.metrics_text())
@@ -365,7 +360,6 @@ def _cmd_requests(args) -> int:
     from repro.obs.export import (
         events_to_jsonl,
         requests_to_events,
-        requests_to_metrics,
         validate_events,
     )
     from repro.obs.report import render_requests_report
@@ -421,7 +415,6 @@ def _cmd_requests(args) -> int:
         print(f"-- wrote {len(events)} events to {args.jsonl}",
               file=sys.stderr)
     if args.prometheus:
-        requests_to_metrics(registry, service.metrics)
         with open(args.prometheus, "w", encoding="utf-8") as handle:
             handle.write(service.metrics_text())
         print(f"-- wrote metrics to {args.prometheus}", file=sys.stderr)

@@ -25,6 +25,13 @@ columnar end to end — only the Return step builds row tuples — and
 every number in :class:`StepExecutionStats` is the oracle's, bit for
 bit.
 
+A step reports what happened only through the
+:class:`StepExecutionStats` it returns, plus the tracer's ``dms.*``
+counters: the runtime holds no metrics registry and no request handle.
+The control node writes every fact about a step from those stats — the
+runner's ``end_step`` fills the request's per-step and per-node rows,
+and the service's completion writes the step and DMS metric series.
+
 The oracle (``executor="reference"``) keeps the paper's literal shape:
 each source node, in node-id order, runs the SQL on the tree-walking
 interpreter and routes its own rows through the reference router's
@@ -63,9 +70,7 @@ from repro.appliance.storage import (
 from repro.catalog.schema import Catalog
 from repro.common.errors import DmsError
 from repro.common.executors import resolve_executor
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.profiler import OperatorObserver
-from repro.obs.requests import NULL_REQUEST
 from repro.optimizer.binder import Binder
 from repro.pdw.dms import DmsOperation
 from repro.pdw.dsql import DsqlPlan, DsqlStep
@@ -354,94 +359,33 @@ class DmsRuntime:
     def __init__(self, appliance: Appliance,
                  truth: Optional[GroundTruthConstants] = None,
                  tracer: Tracer = NULL_TRACER,
-                 metrics: MetricsRegistry = NULL_METRICS,
                  executor: Optional[str] = None):
         self.appliance = appliance
         self.truth = truth or GroundTruthConstants()
         self.tracer = tracer
         self.executor = resolve_executor(executor)
-        self.metrics = metrics
         # Profiled runs (DsqlRunner.run(plan, profile=True)) flip this on to
         # collect transfer matrices and per-operator actuals.
         self.profiling = False
-        # The five metric families a step reports into, resolved once
-        # (registration is by name under the registry lock).
-        self._metric_families = None if not metrics.enabled else (
-            metrics.counter(
-                "pdw_step_rows_total",
-                "Rows produced per source node per DSQL step",
-                labelnames=("step", "op", "node")),
-            metrics.counter(
-                "pdw_step_reader_bytes_total",
-                "Bytes read per source node per DSQL step",
-                labelnames=("step", "op", "node")),
-            metrics.counter(
-                "pdw_dms_rows_moved_total",
-                "Rows moved per DMS operation kind",
-                labelnames=("op",)),
-            metrics.histogram(
-                "pdw_step_seconds",
-                "Simulated elapsed seconds per DSQL step",
-                labelnames=("op",)),
-            metrics.gauge(
-                "pdw_step_node_wall_seconds",
-                "Measured wall-clock seconds per node task per DSQL step",
-                labelnames=("step", "op", "node")),
-        )
         self._prepare_lock = threading.Lock()
 
     def _record_movement(self, stats: StepExecutionStats,
-                         operation: Optional[DmsOperation],
-                         prepared: Optional[PreparedStep] = None) -> None:
-        """Aggregate per-operation-kind byte/row/time counters — through
-        ``prepared``'s resolved metric children when there is one."""
+                         operation: Optional[DmsOperation]) -> None:
+        """Aggregate per-operation-kind byte/row/time tracer counters."""
         tracer = self.tracer
-        kind = operation.value if operation is not None else "return"
-        if tracer.enabled:
-            # DMS steps read every moved row on the source side; the
-            # Return step only ships network bytes up to the control node.
-            moved = (stats.total_bytes() if operation is not None
-                     else sum(stats.network_bytes.values()))
-            tracer.count("dms.rows_moved", stats.rows_moved)
-            tracer.count("dms.bytes_moved", moved)
-            tracer.count("dms.seconds", stats.movement_seconds)
-            tracer.count(f"dms.rows.{kind}", stats.rows_moved)
-            tracer.count(f"dms.bytes.{kind}", moved)
-            tracer.count(f"dms.seconds.{kind}", stats.movement_seconds)
-        families = self._metric_families
-        if families is None:
+        if not tracer.enabled:
             return
-        children: Dict[Tuple[int, int], object] = {}
-        if prepared is not None:
-            resolved = prepared.metric_children
-            if resolved is None or resolved[0] is not families:
-                resolved = prepared.metric_children = (families, children)
-            children = resolved[1]
-        step = str(stats.step_index)
-
-        def child(family: int, node: int):
-            # A child is resolved (and so created) only when first
-            # reported into: the series rendered are the ones reported.
-            found = children.get((family, node))
-            if found is None:
-                labels = {"op": kind}
-                if node is not None:
-                    labels.update(step=step, node=str(node))
-                found = children[(family, node)] = \
-                    families[family].labels(**labels)
-            return found
-
-        for node, rows in stats.node_rows.items():
-            child(0, node).inc(rows)
-        for node, nbytes in stats.reader_bytes.items():
-            child(1, node).inc(nbytes)
-        child(2, None).inc(stats.rows_moved)
-        child(3, None).observe(stats.elapsed_seconds)
-        # Measured (not simulated) per-node wall clock of the
-        # extract+route task — the skew a real scheduler would see
-        # (under the numpy executor, the group's wall ÷ n).
-        for node, wall in stats.node_wall_seconds.items():
-            child(4, node).set(wall)
+        kind = operation.value if operation is not None else "return"
+        # DMS steps read every moved row on the source side; the
+        # Return step only ships network bytes up to the control node.
+        moved = (stats.total_bytes() if operation is not None
+                 else sum(stats.network_bytes.values()))
+        tracer.count("dms.rows_moved", stats.rows_moved)
+        tracer.count("dms.bytes_moved", moved)
+        tracer.count("dms.seconds", stats.movement_seconds)
+        tracer.count(f"dms.rows.{kind}", stats.rows_moved)
+        tracer.count(f"dms.bytes.{kind}", moved)
+        tracer.count(f"dms.seconds.{kind}", stats.movement_seconds)
 
     # -- preparation ---------------------------------------------------------------
 
@@ -555,12 +499,9 @@ class DmsRuntime:
     # -- movement execution -----------------------------------------------------------
 
     def _run_sources(self, step: DsqlStep,
-                     hash_index: Optional[int],
-                     request=NULL_REQUEST) -> List[_SourceRun]:
+                     hash_index: Optional[int]) -> List[_SourceRun]:
         """Run extract+route for every source node of a step, one node
-        at a time in source-node order — the oracle.  ``request``
-        receives one ``node_done`` progress report per source node as
-        it finishes — the live feed behind ``sys.dm_pdw_dms_workers``."""
+        at a time in source-node order — the oracle."""
         node_count = self.appliance.node_count
         operation = step.movement.operation if step.movement else None
         profiling = self.profiling
@@ -588,7 +529,7 @@ class DmsRuntime:
                 deliveries, sent = self._route_batch_reference(
                     operation, output, sizes, hash_index,
                     node_count, source_id)
-            run = _SourceRun(
+            return _SourceRun(
                 node_id=source_id,
                 output=output,
                 names=query.output_names,
@@ -600,10 +541,6 @@ class DmsRuntime:
                 observer=observer,
                 wall_seconds=time.perf_counter() - started,
             )
-            if request.enabled:
-                request.node_done(step.index, source_id, len(output),
-                                  sizes_total, run.wall_seconds)
-            return run
 
         return [run_one(source) for source in self._source_nodes(step)]
 
@@ -634,20 +571,14 @@ class DmsRuntime:
                 for source_id, observer in zip(source_ids, observers)}
         return output, query.output_names, prepared
 
-    def _report_nodes(self, stats: StepExecutionStats, read: List[int],
-                      started: float, request) -> None:
-        """Per-node wall clock and progress of a group step: the nodes
-        ran as one, so each is reported the group's wall time ÷ n."""
-        share = (time.perf_counter() - started) / len(read)
-        for (source_id, rows), nbytes in zip(stats.node_rows.items(),
-                                             read):
-            stats.node_wall_seconds[source_id] = share
-            if request.enabled:
-                request.node_done(stats.step_index, source_id, rows,
-                                  nbytes, share)
+    @staticmethod
+    def _share_wall(stats: StepExecutionStats, started: float) -> None:
+        """Per-node wall clock of a group step: the nodes ran as one, so
+        each is given the group's wall time ÷ n."""
+        share = (time.perf_counter() - started) / len(stats.node_rows)
+        stats.node_wall_seconds = dict.fromkeys(stats.node_rows, share)
 
-    def execute_movement(self, step: DsqlStep,
-                         request=NULL_REQUEST) -> StepExecutionStats:
+    def execute_movement(self, step: DsqlStep) -> StepExecutionStats:
         if step.movement is None or step.destination_table is None:
             raise DmsError(f"step {step.index} is not a DMS step")
         started = time.perf_counter()
@@ -655,11 +586,10 @@ class DmsRuntime:
         self.appliance.create_temp_table(step.destination_table)
 
         stats = StepExecutionStats(step.index, movement.operation)
-        prepared = None
         if self.executor == "numpy":
-            prepared = self._move_group(step, stats, started, request)
+            self._move_group(step, stats, started)
         else:
-            self._move_rows(step, stats, _hash_index(step), request)
+            self._move_rows(step, stats, _hash_index(step))
 
         reader, network, writer, bulk = stats.component_times(
             self.truth, movement.operation.uses_hashing)
@@ -670,11 +600,11 @@ class DmsRuntime:
         stats.elapsed_seconds = (stats.movement_seconds
                                  + stats.relational_seconds)
         stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats, movement.operation, prepared)
+        self._record_movement(stats, movement.operation)
         return stats
 
     def _move_group(self, step: DsqlStep, stats: StepExecutionStats,
-                    started: float, request) -> PreparedStep:
+                    started: float) -> None:
         """The numpy executor's move: one run, one sizing pass, one
         router for the whole source group; the accounting is read off
         the router's source × target sums."""
@@ -694,11 +624,10 @@ class DmsRuntime:
         name = step.destination_table.name
         for target_id, fragment in routing.stored.items():
             self.appliance.node_storage(target_id).store(name, fragment)
-        self._report_nodes(stats, routing.read, started, request)
-        return prepared
+        self._share_wall(stats, started)
 
     def _move_rows(self, step: DsqlStep, stats: StepExecutionStats,
-                   hash_index: Optional[int], request) -> None:
+                   hash_index: Optional[int]) -> None:
         """The oracle's move: every source routed on its own, the
         deliveries merged in source-node order."""
         destination = step.destination_table
@@ -706,7 +635,7 @@ class DmsRuntime:
         received_bytes: Dict[int, int] = {}
         profiling = self.profiling
 
-        for run in self._run_sources(step, hash_index, request):
+        for run in self._run_sources(step, hash_index):
             source_id = run.node_id
             stats.relational_rows += run.relational_rows
             stats.reader_bytes[source_id] = (
@@ -810,16 +739,15 @@ class DmsRuntime:
 
     # -- return step --------------------------------------------------------------------
 
-    def execute_return(self, step: DsqlStep,
-                       request=NULL_REQUEST) -> Tuple[List[Tuple], List[str],
-                                                      StepExecutionStats]:
+    def execute_return(self, step: DsqlStep
+                       ) -> Tuple[List[Tuple], List[str],
+                                  StepExecutionStats]:
         """Run the final Return SQL and gather rows at the control node."""
         started = time.perf_counter()
         stats = StepExecutionStats(step.index, None)
         profiling = self.profiling
-        prepared = None
         if self.executor == "numpy":
-            output, names, prepared = self._run_group(step, stats)
+            output, names, _ = self._run_group(step, stats)
             source_ids = list(stats.node_rows)
             if source_ids == [CONTROL_NODE]:
                 read = [0]  # already at the control node
@@ -835,11 +763,11 @@ class DmsRuntime:
             # The one place a column batch becomes tuples: the sources'
             # rows in source order.
             rows = output.rows()
-            self._report_nodes(stats, read, started, request)
+            self._share_wall(stats, started)
         else:
             rows = []
             names: List[str] = []
-            for run in self._run_sources(step, None, request):
+            for run in self._run_sources(step, None):
                 source_id = run.node_id
                 stats.relational_rows += run.relational_rows
                 if source_id != CONTROL_NODE:
@@ -865,5 +793,5 @@ class DmsRuntime:
         stats.elapsed_seconds = (stats.movement_seconds
                                  + stats.relational_seconds)
         stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats, None, prepared)
+        self._record_movement(stats, None)
         return rows, names, stats

@@ -188,7 +188,7 @@ class PreparedStep:
     ``temps`` pairs each temp it reads (the name the tree reads it
     under) with the position of the step that writes it, among the
     plan's temp-writing steps.  ``slots`` are the tree's literal slot
-    keys.  The runtime resolves ``metric_children`` on first use."""
+    keys."""
 
     def __init__(self, index: int, query: Query, tables: Tuple[str, ...],
                  temps: Tuple[Tuple[str, int], ...],
@@ -201,9 +201,6 @@ class PreparedStep:
         self.hash_index = hash_index
         self.slots = literal_leaves(query)
         self._slot_order = tuple(self.slots)
-        #: (metric families, {(family, node): child}) of the registry
-        #: this step last reported into.
-        self.metric_children: Optional[tuple] = None
         self._copies: "OrderedDict[tuple, Query]" = OrderedDict()
         self._lock = threading.Lock()
 

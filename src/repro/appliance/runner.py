@@ -41,7 +41,6 @@ from repro.appliance.scheduler import (
 )
 from repro.appliance.storage import Appliance
 from repro.catalog.statistics import sort_key
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.requests import NULL_REQUEST
 from repro.common.errors import ExecutionError
 from repro.common.executors import resolve_executor
@@ -142,16 +141,14 @@ class DsqlRunner:
     def __init__(self, appliance: Appliance,
                  truth: Optional[GroundTruthConstants] = None,
                  tracer: Tracer = NULL_TRACER,
-                 metrics: MetricsRegistry = NULL_METRICS,
                  parallel: Optional[bool] = None,
                  executor: Optional[str] = None):
         self.appliance = appliance
         self.tracer = tracer
         self.executor = resolve_executor(executor)
-        self.metrics = metrics
         self.parallel = resolve_parallel(parallel, default=False)
         self.runtime = DmsRuntime(appliance, truth, tracer,
-                                  metrics=metrics, executor=self.executor)
+                                  executor=self.executor)
         self._step_pool = WorkerPool(
             min(MAX_STEP_WORKERS, max(2, appliance.node_count)),
             "repro-step")
@@ -165,9 +162,12 @@ class DsqlRunner:
         per-node per-operator actuals and per-movement transfer matrices
         onto each step's :class:`StepExecutionStats` (see
         :func:`repro.obs.profiler.build_query_profile`).  ``request`` is
-        the live request-lifecycle handle (default: the shared no-op) —
-        step begin/end and per-node progress are reported through it so
-        concurrent DMV readers see the execution at step granularity."""
+        the live request-lifecycle handle (default: the shared no-op):
+        the plan's start and each step's begin and end — with its stats,
+        per-node rows included — are reported through it, so concurrent
+        DMV readers see the execution at step granularity.  The runner
+        writes no metric series; the service does, once the request
+        finishes."""
         stats: List[StepExecutionStats] = []
         rows: List[Tuple] = []
         names: List[str] = list(plan.output_names)
@@ -190,12 +190,10 @@ class DsqlRunner:
                             request.begin_step(step.index)
                             if step.kind is StepKind.DMS:
                                 step_stats = \
-                                    self.runtime.execute_movement(
-                                        step, request=request)
+                                    self.runtime.execute_movement(step)
                             else:
                                 rows, names, step_stats = \
-                                    self.runtime.execute_return(
-                                        step, request=request)
+                                    self.runtime.execute_return(step)
                             request.end_step(step.index, step_stats)
                             stats.append(step_stats)
                             if tracer.enabled:
@@ -235,11 +233,10 @@ class DsqlRunner:
             step = plan.steps[index]
             request.begin_step(index)
             if step.kind is StepKind.DMS:
-                step_stats = self.runtime.execute_movement(
-                    step, request=request)
+                step_stats = self.runtime.execute_movement(step)
             else:
                 step_rows, step_names, step_stats = \
-                    self.runtime.execute_return(step, request=request)
+                    self.runtime.execute_return(step)
                 returned[index] = (step_rows, step_names)
             request.end_step(index, step_stats)
             return step_stats

@@ -46,7 +46,6 @@ from repro.obs.export import (
     query_store_to_metrics,
     request_to_event,
     requests_to_events,
-    requests_to_metrics,
     validate_event,
     validate_events,
     validate_jsonl,
@@ -189,7 +188,6 @@ __all__ = [
     "render_query_store_report",
     "request_to_event",
     "requests_to_events",
-    "requests_to_metrics",
     "query_store_to_events",
     "query_store_to_metrics",
     "NULL_QUERY_STORE",

@@ -13,10 +13,13 @@ space):
   (hand-rolled validation — no third-party schema library is assumed in
   the environment);
 * **JSON profile document** — the nested ``QueryProfile.to_dict()`` form;
-* **Prometheus text** — labeled series via :func:`profile_to_metrics` /
-  :func:`optimizer_trace_to_metrics` into a
-  :class:`repro.obs.metrics.MetricsRegistry` plus the registry's
-  ``render_prometheus``.
+* **Prometheus text** — labeled series via :func:`profile_to_metrics`,
+  :func:`optimizer_trace_to_metrics` and :func:`query_store_to_metrics`
+  into a :class:`repro.obs.metrics.MetricsRegistry` plus the registry's
+  ``render_prometheus``.  Each sink writes only the facts its source
+  alone holds: the ``pdw_service_*``, ``pdw_step_*`` and ``pdw_dms_*``
+  series of a request are written once, by
+  :class:`repro.service.PdwService` as the request finishes.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "validate_jsonl",
     "profile_to_metrics",
     "optimizer_trace_to_metrics",
-    "requests_to_metrics",
     "query_store_to_metrics",
 ]
 
@@ -542,18 +544,15 @@ def profile_to_metrics(profile: QueryProfile,
     """Record a profile into a registry as labeled series.
 
     Families: ``pdw_operator_rows_total{step,op,node}``,
-    ``pdw_step_rows_total{step,op,node}``,
     ``pdw_step_received_bytes_total{step,node}``,
     ``pdw_step_skew_cov{step}`` / ``pdw_step_receive_skew_cov{step}``
     gauges, and a ``pdw_q_error`` histogram over every joined
-    estimate/actual pair.
+    estimate/actual pair — the facts only a profile knows.  A step's
+    source rows are not among them: the service writes
+    ``pdw_step_rows_total`` once, from the request's step stats.
     """
     if not registry.enabled:
         return
-    step_rows = registry.counter(
-        "pdw_step_rows_total",
-        "Rows produced per source node per DSQL step",
-        labelnames=("step", "op", "node"))
     received = registry.counter(
         "pdw_step_received_bytes_total",
         "Bytes received per destination node per DSQL step",
@@ -575,9 +574,6 @@ def profile_to_metrics(profile: QueryProfile,
         "Q-error of every joined estimate/actual pair")
     for step in profile.steps:
         step_label = str(step.index)
-        for node, rows in step.source_rows.items():
-            step_rows.labels(step=step_label, op=step.operation,
-                             node=str(node)).inc(rows)
         for node, nbytes in step.received_bytes.items():
             received.labels(step=step_label, node=str(node)).inc(nbytes)
         source_skew.labels(step=step_label).set(step.source_skew.cov)
@@ -675,67 +671,18 @@ def optimizer_trace_to_metrics(trace: OptimizerTrace,
         ).set(plan_choice.delta)
 
 
-def requests_to_metrics(requests: RequestRegistry,
-                        registry: MetricsRegistry) -> None:
-    """Record the flight recorder into a registry as ``pdw_request_*``
-    series.
-
-    Families: ``pdw_request_total{status,tenant}`` counter,
-    ``pdw_request_seconds{phase}`` histogram (queue / compile /
-    execute / total phases of every completed request),
-    ``pdw_request_rows_total``, ``pdw_request_cache_hits_total`` and
-    ``pdw_request_slow_total`` counters, plus a
-    ``pdw_request_in_flight`` gauge over currently active requests.
-    """
-    if not registry.enabled or not requests.enabled:
-        return
-    total = registry.counter(
-        "pdw_request_total",
-        "Completed requests by terminal status and tenant",
-        labelnames=("status", "tenant"))
-    seconds = registry.histogram(
-        "pdw_request_seconds",
-        "Request wall-clock seconds per lifecycle phase",
-        labelnames=("phase",))
-    rows_total = registry.counter(
-        "pdw_request_rows_total",
-        "Rows returned to clients across completed requests")
-    cache_hits = registry.counter(
-        "pdw_request_cache_hits_total",
-        "Completed requests served from the plan cache")
-    slow_total = registry.counter(
-        "pdw_request_slow_total",
-        "Completed requests exceeding the slow-query threshold")
-    in_flight = registry.gauge(
-        "pdw_request_in_flight",
-        "Requests currently active (queued, compiling or running)")
-    threshold = requests.slow_threshold_seconds
-    for record in requests.completed():
-        total.labels(status=record.status, tenant=record.tenant).inc()
-        seconds.labels(phase="queue").observe(record.queue_seconds)
-        seconds.labels(phase="compile").observe(record.compile_seconds)
-        seconds.labels(phase="execute").observe(record.execute_seconds)
-        seconds.labels(phase="total").observe(record.total_seconds)
-        rows_total.inc(record.rows_returned)
-        if record.cache_hit:
-            cache_hits.inc()
-        if record.is_slow(threshold):
-            slow_total.inc()
-    in_flight.set(len(requests.active()))
-
-
 def query_store_to_metrics(store, registry: MetricsRegistry) -> None:
     """Record a :class:`repro.obs.query_store.QueryStore` into a
     registry as ``pdw_query_store_*`` series.
 
-    Families: gauges ``pdw_query_store_shapes``,
-    ``pdw_query_store_plans``, ``pdw_query_store_regressions`` and
-    ``pdw_query_store_max_q_error``; counters
-    ``pdw_query_store_executions_total``,
-    ``pdw_query_store_rows_total``,
-    ``pdw_query_store_bytes_moved_total`` and
-    ``pdw_query_store_seconds_total{phase}`` (queue / compile /
-    execute / total simulated).
+    Every family is a gauge set to the store's current figure, so an
+    export is idempotent — exporting twice publishes the same values:
+    ``pdw_query_store_shapes``, ``pdw_query_store_plans``,
+    ``pdw_query_store_regressions``, ``pdw_query_store_max_q_error``,
+    ``pdw_query_store_executions``, ``pdw_query_store_rows``,
+    ``pdw_query_store_bytes_moved`` and
+    ``pdw_query_store_seconds{phase}`` (queue / compile / execute /
+    elapsed, the last simulated).
     """
     if not registry.enabled or not store.enabled:
         return
@@ -774,24 +721,24 @@ def query_store_to_metrics(store, registry: MetricsRegistry) -> None:
         "pdw_query_store_max_q_error",
         "Worst per-step cardinality Q-error observed across all plans",
     ).set(max_q)
-    registry.counter(
-        "pdw_query_store_executions_total",
+    registry.gauge(
+        "pdw_query_store_executions",
         "Executions aggregated into the query store",
-    ).inc(executions)
-    registry.counter(
-        "pdw_query_store_rows_total",
+    ).set(executions)
+    registry.gauge(
+        "pdw_query_store_rows",
         "Rows returned across all store-recorded executions",
-    ).inc(rows)
-    registry.counter(
-        "pdw_query_store_bytes_moved_total",
+    ).set(rows)
+    registry.gauge(
+        "pdw_query_store_bytes_moved",
         "DMS bytes moved across all store-recorded executions",
-    ).inc(bytes_moved)
-    seconds_total = registry.counter(
-        "pdw_query_store_seconds_total",
+    ).set(bytes_moved)
+    seconds = registry.gauge(
+        "pdw_query_store_seconds",
         "Store-recorded seconds per lifecycle phase "
         "(elapsed is simulated)",
         labelnames=("phase",))
-    seconds_total.labels(phase="queue").inc(queue)
-    seconds_total.labels(phase="compile").inc(compile_s)
-    seconds_total.labels(phase="execute").inc(execute)
-    seconds_total.labels(phase="elapsed").inc(elapsed)
+    seconds.labels(phase="queue").set(queue)
+    seconds.labels(phase="compile").set(compile_s)
+    seconds.labels(phase="execute").set(execute)
+    seconds.labels(phase="elapsed").set(elapsed)

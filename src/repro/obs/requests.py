@@ -11,16 +11,19 @@ admitted through :class:`repro.session.PdwSession` or
            -> complete | failed | rejected
 
 with per-step (:class:`StepProgress`) and per-node progress counters
-updated *in flight* by hooks in :class:`repro.appliance.runner.DsqlRunner`,
-the DAG scheduler and :class:`repro.appliance.dms_runtime.DmsRuntime`.
+updated *in flight*, at step granularity, by hooks in
+:class:`repro.appliance.runner.DsqlRunner` and the DAG scheduler: a
+step's per-node rows, bytes and wall time are read off its
+:class:`~repro.appliance.dms_runtime.StepExecutionStats` when it ends.
 
 Completed records move into a bounded ring buffer — the **flight
 recorder** — with a slow-query threshold, so a busy service retains the
 recent past at fixed memory cost.  :mod:`repro.obs.export` turns the
-recorder into schema-validated ``request_complete`` JSONL events and
-``pdw_request_*`` Prometheus series;
+recorder into schema-validated ``request_complete`` JSONL events;
 :mod:`repro.obs.system_views` snapshots registry state into replicated
-pseudo-tables the engine itself can query.
+pseudo-tables the engine itself can query.  The recorder is bounded, so
+it is no source of counts: the service writes each finished request's
+``pdw_service_*`` series once, as it finishes.
 
 Zero-overhead default: :data:`NULL_REQUESTS` / :data:`NULL_REQUEST`
 follow the ``NULL_TRACER`` / ``NULL_OPT_TRACE`` contract — shared no-op
@@ -86,8 +89,8 @@ class StepProgress:
     """Live per-step accounting for one request's DSQL step.
 
     ``status`` walks ``pending -> scheduled -> running -> complete``;
-    the per-node dicts fill in as each node's extract+route task
-    finishes, so a concurrent DMV read sees partial progress.
+    the per-node dicts fill in when the step ends, so a concurrent DMV
+    read sees the steps finished so far.
     """
 
     index: int
@@ -138,9 +141,9 @@ class RequestHandle:
     """The mutation surface one in-flight request's instrumentation uses.
 
     Handed out by :meth:`RequestRegistry.begin` and threaded through the
-    session/service, the runner (``run(plan, request=...)``), the DAG
-    scheduler and the DMS runtime.  Every method takes the registry lock,
-    so concurrent DMV snapshots never see torn rows.
+    service, the runner (``run(plan, request=...)``) and the DAG
+    scheduler.  Every method takes the registry lock, so concurrent DMV
+    snapshots never see torn rows.
     """
 
     enabled = True
@@ -208,23 +211,14 @@ class RequestHandle:
             record.status = ("moving data" if step.kind == "DMS"
                              else "running")
 
-    def node_done(self, index: int, node_id: int, rows: int,
-                  nbytes: int, wall_seconds: float) -> None:
-        """One node's extract+route task for step ``index`` finished."""
-        with self._registry._lock:
-            steps = self._record.steps
-            if not (0 <= index < len(steps)):
-                return
-            step = steps[index]
-            step.node_rows[node_id] = step.node_rows.get(node_id, 0) + rows
-            step.node_bytes[node_id] = (step.node_bytes.get(node_id, 0)
-                                        + nbytes)
-            step.node_wall_seconds[node_id] = (
-                step.node_wall_seconds.get(node_id, 0.0) + wall_seconds)
-
     def end_step(self, index: int, stats) -> None:
         """Step ``index`` finished with its
-        :class:`~repro.appliance.dms_runtime.StepExecutionStats`."""
+        :class:`~repro.appliance.dms_runtime.StepExecutionStats`: the
+        step's totals and, per executing node, its rows, wall time and
+        bytes — read by a DMS step, sent to the control node by the
+        Return step."""
+        node_bytes = (stats.reader_bytes if stats.operation is not None
+                      else stats.network_bytes)
         with self._registry._lock:
             record = self._record
             if not (0 <= index < len(record.steps)):
@@ -232,11 +226,13 @@ class RequestHandle:
             step = record.steps[index]
             step.status = "complete"
             step.rows_moved = stats.rows_moved
-            step.bytes_moved = (stats.total_bytes()
-                                if stats.operation is not None
-                                else sum(stats.network_bytes.values()))
+            step.bytes_moved = sum(node_bytes.values())
             step.elapsed_seconds = stats.elapsed_seconds
             step.wall_seconds = stats.wall_seconds
+            step.node_rows = dict(stats.node_rows)
+            step.node_bytes = {node: node_bytes.get(node, 0)
+                               for node in stats.node_rows}
+            step.node_wall_seconds = dict(stats.node_wall_seconds)
             record.status = "running"
 
     # -- terminal transitions ---------------------------------------------------
@@ -375,9 +371,6 @@ class NullRequestHandle:
 
     def begin_step(self, index):
         del index
-
-    def node_done(self, index, node_id, rows, nbytes, wall_seconds):
-        del index, node_id, rows, nbytes, wall_seconds
 
     def end_step(self, index, stats):
         del index, stats

@@ -21,10 +21,17 @@ may call it concurrently, and each call flows through
    one per ``(executor, parallel)`` pair, built on first use (the serial
    walk by default; steps DAG-scheduled on a thread pool when the
    parallel runtime is on);
-5. **accounting** — the request registry, the Query Store, and
-   per-tenant counters, phase latency histograms and cache/admission
-   gauges on the :class:`~repro.obs.metrics.MetricsRegistry`, rendered
-   by :meth:`PdwService.metrics_text` in Prometheus text format.
+5. **accounting** — once, when the request finishes
+   (:meth:`PdwService._finish`): the request record is completed (or
+   failed), the Query Store stamped, and the request's series written
+   to the :class:`~repro.obs.metrics.MetricsRegistry` — per-tenant
+   counters, phase latency histograms, rows and slow requests, and
+   its steps' rows, bytes and times read off their
+   :class:`~repro.appliance.dms_runtime.StepExecutionStats` — beside
+   the cache and admission gauges, rendered by
+   :meth:`PdwService.metrics_text` in Prometheus text format.  Each
+   of these facts has this one writer: the runtime and the runner
+   write no series.
 
 Each sink (metrics, request registry, Query Store) is live iff
 ``options.trace`` (the default) unless one is passed in.  The tracer
@@ -79,6 +86,34 @@ from repro.service.plan_cache import (
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.workloads.tpch_datagen import build_tpch_appliance
 
+#: The series :meth:`PdwService._finish` writes for a finished request:
+#: (name, kind, help, label names).
+_REQUEST_SERIES = (
+    ("pdw_service_queries_total", "counter",
+     "Queries per tenant, priority and outcome",
+     ("tenant", "priority", "outcome")),
+    ("pdw_service_tenant_seconds_total", "counter",
+     "Wall-clock seconds consumed per tenant", ("tenant",)),
+    ("pdw_service_latency_seconds", "histogram",
+     "End-to-end and per-phase service latency", ("phase",)),
+    ("pdw_service_rows_total", "counter",
+     "Rows returned to clients by completed queries", ()),
+    ("pdw_service_slow_total", "counter",
+     "Finished queries at or over the slow-query threshold", ()),
+    ("pdw_step_rows_total", "counter",
+     "Rows produced per source node per DSQL step",
+     ("step", "op", "node")),
+    ("pdw_step_reader_bytes_total", "counter",
+     "Bytes read per source node per DSQL step", ("step", "op", "node")),
+    ("pdw_dms_rows_moved_total", "counter",
+     "Rows moved per DMS operation kind", ("op",)),
+    ("pdw_step_seconds", "histogram",
+     "Simulated elapsed seconds per DSQL step", ("op",)),
+    ("pdw_step_node_wall_seconds", "gauge",
+     "Measured wall-clock seconds per node task per DSQL step",
+     ("step", "op", "node")),
+)
+
 
 class PdwService:
     """Accepts many concurrent queries over one simulated appliance.
@@ -130,12 +165,25 @@ class PdwService:
         if metrics is None:
             metrics = MetricsRegistry() if opts.trace else NULL_METRICS
         self.metrics = metrics
+        # Each request series resolved once per label values, here, by
+        # its one writer: {(name, *label values): child}.
+        self._families = {
+            name: getattr(metrics, kind)(name, help, labelnames=labels)
+            for name, kind, help, labels in _REQUEST_SERIES}
+        self._series: Dict[tuple, object] = {}
+        if metrics.enabled:  # the label-free totals render from zero
+            for name, _kind, _help, labels in _REQUEST_SERIES:
+                if not labels:
+                    self._child(name)
+        threshold = (opts.slow_seconds if opts.slow_seconds is not None
+                     else DEFAULT_SLOW_SECONDS)
         if requests is None:
-            threshold = (opts.slow_seconds if opts.slow_seconds
-                         is not None else DEFAULT_SLOW_SECONDS)
             requests = (RequestRegistry(slow_threshold_seconds=threshold)
                         if opts.trace else NULL_REQUESTS)
         self.requests = requests
+        # pdw_service_slow_total counts against the recorder's threshold.
+        self._slow_seconds = (requests.slow_threshold_seconds
+                              if requests.enabled else threshold)
         if query_store is None:
             query_store = QueryStore() if opts.trace else NULL_QUERY_STORE
         self.query_store = query_store
@@ -217,38 +265,18 @@ class PdwService:
                     self.appliance.drop_table(name)
             execute_seconds = time.perf_counter() - execute_started
         except Exception as exc:
-            self.admission.release(ticket)
-            request.failed(str(exc),
-                           total_seconds=time.perf_counter() - started)
-            self._account(opts, outcome="failed",
-                          seconds=time.perf_counter() - started)
+            self._finish(sql, opts, request, ticket, started, error=exc)
             raise
-        self.admission.release(ticket)
-        total = time.perf_counter() - started
         result.plan = compiled
         result.cache_hit = cache_hit
         result.timing = ExecutionTiming(
             queue_seconds=ticket.queued_seconds,
             compile_seconds=compile_seconds,
             execute_seconds=execute_seconds,
-            total_seconds=total,
         )
         result.request_id = request.request_id
-        request.complete(rows=len(result.rows), cache_hit=cache_hit,
-                         queue_seconds=ticket.queued_seconds,
-                         compile_seconds=compile_seconds,
-                         execute_seconds=execute_seconds,
-                         total_seconds=total)
-        if self.query_store.enabled:
-            # Stamp the *template* plan — instantiated plans carry
-            # per-execution temp names that would split the hash.
-            self.query_store.stamp(
-                sql, compiled.dsql_plan, result,
-                schema_version=self.appliance.schema_version,
-                cache_hit=cache_hit, timing=result.timing,
-                shape_key=shape.text_key if shape is not None else None)
-        self._account(opts, outcome="ok", seconds=total,
-                      timing=result.timing, cache_hit=cache_hit)
+        self._finish(sql, opts, request, ticket, started, result=result,
+                     shape=shape)
         return result
 
     def submit(self, sql: str, **kwargs) -> "Future[QueryResult]":
@@ -304,8 +332,7 @@ class PdwService:
                 if runner is None:
                     runner = self._runners[key] = DsqlRunner(
                         self.appliance, tracer=self.tracer,
-                        executor=opts.executor, metrics=self.metrics,
-                        parallel=opts.parallel)
+                        executor=opts.executor, parallel=opts.parallel)
         return runner
 
     def _refresh_views_for(self, sql: str) -> None:
@@ -399,34 +426,82 @@ class PdwService:
 
     # -- accounting ------------------------------------------------------------
 
-    def _account(self, opts: ExecutionOptions, outcome: str,
-                 seconds: float,
-                 timing: Optional[ExecutionTiming] = None,
-                 cache_hit: bool = False) -> None:
+    def _finish(self, sql: str, opts: ExecutionOptions, request, ticket,
+                started: float, result: Optional[QueryResult] = None,
+                shape: Optional[QueryShape] = None,
+                error: Optional[BaseException] = None) -> None:
+        """Record one admitted request as it finishes, once: release its
+        admission slot, complete its record (``result``) or fail it
+        (``error``), stamp the Query Store with a completed one, and
+        write its metric series.  A failed request writes no step
+        series, as it writes no Query Store row."""
+        self.admission.release(ticket)
+        total = time.perf_counter() - started
+        if result is None:
+            request.failed(str(error), total_seconds=total)
+        else:
+            timing = result.timing
+            timing.total_seconds = total
+            request.complete(rows=len(result.rows),
+                             cache_hit=result.cache_hit,
+                             queue_seconds=timing.queue_seconds,
+                             compile_seconds=timing.compile_seconds,
+                             execute_seconds=timing.execute_seconds,
+                             total_seconds=total)
+            if self.query_store.enabled:
+                # Stamp the *template* plan — instantiated plans carry
+                # per-execution temp names that would split the hash.
+                self.query_store.stamp(
+                    sql, result.plan.dsql_plan, result,
+                    schema_version=self.appliance.schema_version,
+                    cache_hit=result.cache_hit, timing=timing,
+                    shape_key=shape.text_key if shape is not None
+                    else None)
         if not self.metrics.enabled:
             return
-        self.metrics.counter(
-            "pdw_service_queries_total",
-            "Queries per tenant, priority and outcome",
-            labelnames=("tenant", "priority", "outcome"),
-        ).labels(tenant=opts.tenant, priority=opts.priority,
-                 outcome=outcome).inc()
-        self.metrics.counter(
-            "pdw_service_tenant_seconds_total",
-            "Wall-clock seconds consumed per tenant",
-            labelnames=("tenant",),
-        ).labels(tenant=opts.tenant).inc(seconds)
-        latency = self.metrics.histogram(
-            "pdw_service_latency_seconds",
-            "End-to-end and per-phase service latency",
-            labelnames=("phase",))
-        latency.labels(phase="total").observe(seconds)
-        if timing is not None:
-            latency.labels(phase="queue").observe(timing.queue_seconds)
-            latency.labels(phase="compile").observe(
-                timing.compile_seconds)
-            latency.labels(phase="execute").observe(
-                timing.execute_seconds)
+        series = self._child
+        series("pdw_service_queries_total", opts.tenant, opts.priority,
+               "failed" if result is None else "ok").inc()
+        series("pdw_service_tenant_seconds_total", opts.tenant).inc(total)
+        series("pdw_service_latency_seconds", "total").observe(total)
+        if total >= self._slow_seconds:
+            series("pdw_service_slow_total").inc()
+        if result is None:
+            return
+        for phase, seconds in (("queue", timing.queue_seconds),
+                               ("compile", timing.compile_seconds),
+                               ("execute", timing.execute_seconds)):
+            series("pdw_service_latency_seconds", phase).observe(seconds)
+        series("pdw_service_rows_total").inc(len(result.rows))
+        for stats in result.step_stats:
+            step = stats.step_index
+            op = (stats.operation.value if stats.operation is not None
+                  else "return")
+            for node, rows in stats.node_rows.items():
+                series("pdw_step_rows_total", step, op, node).inc(rows)
+            for node, nbytes in stats.reader_bytes.items():
+                series("pdw_step_reader_bytes_total", step, op,
+                       node).inc(nbytes)
+            series("pdw_dms_rows_moved_total", op).inc(stats.rows_moved)
+            series("pdw_step_seconds", op).observe(stats.elapsed_seconds)
+            # Measured (not simulated) per-node wall clock of the
+            # extract+route task (under the numpy executor, the group's
+            # wall ÷ n).
+            for node, wall in stats.node_wall_seconds.items():
+                series("pdw_step_node_wall_seconds", step, op,
+                       node).set(wall)
+
+    def _child(self, name: str, *values):
+        """The child of request series ``name`` for ``values`` (its
+        label values in order), resolved on first use and kept: the
+        series rendered are the ones written."""
+        key = (name,) + values
+        child = self._series.get(key)
+        if child is None:
+            family = self._families[name]
+            child = self._series[key] = family.labels(
+                **dict(zip(family.labelnames, values)))
+        return child
 
     # -- introspection ---------------------------------------------------------
 

@@ -13,8 +13,10 @@ import pytest
 from repro.appliance.interpreter import PlanInterpreter
 from repro.obs.export import profile_to_events, validate_events
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.requests import RequestRegistry
 from repro.obs.profiler import OperatorObserver
 from repro.obs.report import render_profile_report
+from repro.pdw.dms import DmsOperation
 from repro.pdw.dsql import StepKind
 from repro.service import ExecutionOptions
 from repro.session import PdwSession
@@ -170,6 +172,24 @@ class TestSessionWiring:
             if step.kind is StepKind.RETURN:
                 kinds = [e.kind for e in step.operator_estimates]
                 assert "GroupBy" in kinds
+
+
+class TestStepRowsOneWriter:
+    def test_profile_counts_step_rows_once(self, tpch):
+        """After a profile, pdw_step_rows_total holds each node's rows
+        of each step once, under the DMS operation vocabulary."""
+        appliance, shell = tpch
+        session = PdwSession(appliance=appliance, shell=shell,
+                             options=ExecutionOptions(trace=False),
+                             metrics=MetricsRegistry(),
+                             requests=RequestRegistry())
+        session.profile(JOIN_SQL)
+        (record,) = session.requests.completed()
+        series = session.metrics.snapshot()["pdw_step_rows_total"]
+        assert sum(series.values()) == sum(
+            sum(step.node_rows.values()) for step in record.steps) > 0
+        vocabulary = {op.value for op in DmsOperation} | {"return"}
+        assert {dict(labels)["op"] for labels in series} <= vocabulary
 
 
 class TestProfileAfterRun:

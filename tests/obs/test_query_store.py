@@ -10,6 +10,8 @@ import pytest
 
 import repro.obs.query_store as qs
 from repro import PdwSession
+from repro.obs.export import query_store_to_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.service import ExecutionOptions
 from repro.obs.query_store import (
     NULL_QUERY_STORE,
@@ -45,6 +47,24 @@ def _record(store, shape="q", plan="p1", **overrides):
                   execute_seconds=0.2, steps=(), now=1000.0)
     kwargs.update(overrides)
     store.record_execution(shape, plan, **kwargs)
+
+
+class TestMetricsExport:
+    def test_export_is_idempotent(self):
+        store = QueryStore()
+        _record(store)
+        _record(store, rows=5)
+        _record(store, shape="q2", plan="p9")
+        registry = MetricsRegistry()
+        query_store_to_metrics(store, registry)
+        first = registry.snapshot()
+        assert first["pdw_query_store_executions"][()] == 3
+        assert first["pdw_query_store_rows"][()] == 25
+        assert first["pdw_query_store_bytes_moved"][()] == 300
+        assert first["pdw_query_store_seconds"][
+            (("phase", "queue"),)] == pytest.approx(0.3)
+        query_store_to_metrics(store, registry)
+        assert registry.snapshot() == first
 
 
 class TestShapeKeys:

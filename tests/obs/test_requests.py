@@ -3,15 +3,15 @@ exports and the NULL_REQUESTS zero-overhead contract."""
 
 import threading
 
+import pytest
+
 import repro.obs.requests as requests_module
-from repro import PdwSession
+from repro import PdwService, PdwSession
 from repro.obs.export import (
     request_to_event,
     requests_to_events,
-    requests_to_metrics,
     validate_events,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.requests import (
     NULL_REQUEST,
     NULL_REQUESTS,
@@ -21,6 +21,7 @@ from repro.obs.requests import (
     plan_digest,
 )
 from repro.service.options import ExecutionOptions
+from repro.workloads.tpch_datagen import build_tpch_appliance
 
 
 # -- plan / stats stand-ins (the handle only duck-types its inputs) -----------
@@ -47,17 +48,19 @@ class FakePlan:
 
 
 class FakeStats:
+    """One step's stats, all of it done by ``node``: a DMS step's bytes
+    are read there, a Return step's sent from there."""
+
     def __init__(self, rows=10, nbytes=400, operation="Shuffle",
-                 elapsed=0.25, wall=0.01):
+                 elapsed=0.25, wall=0.01, node=2):
         self.rows_moved = rows
         self.operation = operation
         self.elapsed_seconds = elapsed
         self.wall_seconds = wall
-        self._bytes = nbytes
-        self.network_bytes = {0: nbytes}
-
-    def total_bytes(self):
-        return self._bytes
+        self.node_rows = {node: rows}
+        self.node_wall_seconds = {node: wall}
+        self.reader_bytes = {node: nbytes} if operation else {}
+        self.network_bytes = {} if operation else {node: nbytes}
 
 
 def make_plan():
@@ -98,23 +101,25 @@ class TestLifecycle:
         assert record.status == "moving data"  # DMS step
         assert record.current_step == 0
 
-        handle.node_done(0, node_id=2, rows=7, nbytes=70,
-                        wall_seconds=0.001)
-        handle.node_done(0, node_id=2, rows=3, nbytes=30,
-                        wall_seconds=0.001)
-        assert record.steps[0].node_rows == {2: 10}
-        assert record.steps[0].node_bytes == {2: 100}
+        # Per-node progress arrives with the step's stats, at its end.
+        assert record.steps[0].node_rows == {}
 
         handle.end_step(0, FakeStats())
         assert record.status == "running"
         assert record.steps[0].status == "complete"
         assert record.steps[0].rows_moved == 10
         assert record.steps[0].bytes_moved == 400
+        assert record.steps[0].node_rows == {2: 10}
+        assert record.steps[0].node_bytes == {2: 400}  # reader bytes
+        assert record.steps[0].node_wall_seconds == {2: 0.01}
 
         handle.begin_step(1)
         assert record.status == "running"  # Return step, not DMS
-        handle.end_step(1, FakeStats(operation=None, nbytes=55))
+        handle.end_step(1, FakeStats(rows=4, operation=None, nbytes=55,
+                                     node=3))
         assert record.steps[1].bytes_moved == 55  # network bytes sum
+        assert record.steps[1].node_rows == {3: 4}
+        assert record.steps[1].node_bytes == {3: 55}  # network bytes
 
         handle.complete(rows=4, cache_hit=True, queue_seconds=0.1,
                         compile_seconds=0.2, execute_seconds=0.3,
@@ -147,7 +152,6 @@ class TestLifecycle:
         handle = registry.begin("a")
         handle.step_scheduled(5)
         handle.begin_step(5)
-        handle.node_done(5, 0, 1, 1, 0.0)
         handle.end_step(5, FakeStats())
         assert handle.record.steps == []
 
@@ -214,22 +218,49 @@ class TestExports:
         event["surprise"] = 1
         assert validate_events([event]) != []
 
-    def test_metrics_series(self):
-        registry = self._completed_registry()
-        registry.begin("live")  # in flight
-        metrics = MetricsRegistry()
-        requests_to_metrics(registry, metrics)
-        snapshot = metrics.snapshot()
-        totals = snapshot["pdw_request_total"]
-        assert totals[(("status", "complete"), ("tenant", "t9"))] == 1
-        assert totals[(("status", "failed"), ("tenant", "default"))] == 1
-        assert snapshot["pdw_request_rows_total"][()] == 3
-        assert snapshot["pdw_request_cache_hits_total"][()] == 1
-        assert snapshot["pdw_request_slow_total"][()] == 1
-        assert snapshot["pdw_request_in_flight"][()] == 1
-        text = metrics.render_prometheus()
-        assert 'pdw_request_seconds_bucket{le="+Inf",phase="total"} 2' \
-            in text
+
+@pytest.fixture(scope="module")
+def counted_service():
+    """Ten requests — nine complete, one failed — through a service
+    whose flight recorder keeps four, on a private appliance."""
+    appliance, shell = build_tpch_appliance(scale=0.001, node_count=2)
+    registry = RequestRegistry(capacity=4, slow_threshold_seconds=0.0)
+    service = PdwService(appliance=appliance, shell=shell,
+                         requests=registry)
+    try:
+        results = [service.execute(
+            f"SELECT n_name FROM nation WHERE n_nationkey < {k}")
+            for k in range(9)]
+        with pytest.raises(Exception):
+            service.execute("SELECT no_such_column FROM nation")
+    finally:
+        service.close()
+    return service, results
+
+
+class TestServiceSeries:
+    """The service writes each finished request's series once: counts
+    stay exact past the recorder's capacity, and rendering reads."""
+
+    def test_counts_are_exact(self, counted_service):
+        service, results = counted_service
+        assert len(service.requests.completed()) == 4
+        snapshot = service.metrics.snapshot()
+        queries = snapshot["pdw_service_queries_total"]
+        assert sum(queries.values()) == 10
+        assert queries[(("outcome", "failed"), ("priority", "normal"),
+                        ("tenant", "default"))] == 1
+        assert snapshot["pdw_service_rows_total"][()] == \
+            sum(len(result.rows) for result in results) == 36
+        # A zero threshold makes every finished request slow.
+        assert snapshot["pdw_service_slow_total"][()] == 10
+        assert "pdw_request_total" not in snapshot
+
+    def test_rendering_is_idempotent(self, counted_service):
+        service, _results = counted_service
+        first = service.metrics_text()
+        assert "pdw_service_queries_total" in first
+        assert service.metrics_text() == first
 
 
 class TestNullRegistry:
@@ -250,7 +281,6 @@ class TestNullRegistry:
         NULL_REQUEST.begin_plan(make_plan())
         NULL_REQUEST.step_scheduled(0)
         NULL_REQUEST.begin_step(0)
-        NULL_REQUEST.node_done(0, 1, 2, 3, 0.4)
         NULL_REQUEST.end_step(0, FakeStats())
         NULL_REQUEST.complete(rows=5)
         NULL_REQUEST.failed("x")
@@ -293,8 +323,7 @@ class TestConcurrentRegistry:
                     handle = registry.begin(f"w{n}-{i}")
                     handle.begin_plan(make_plan())
                     handle.begin_step(0)
-                    handle.node_done(0, n, 1, 10, 0.0)
-                    handle.end_step(0, FakeStats())
+                    handle.end_step(0, FakeStats(node=n))
                     handle.complete(rows=1)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)

@@ -77,6 +77,15 @@ def test_concurrent_reads_during_service_hammer(service):
     # DMV snapshot is internally consistent.
     finished = service.requests.stats()["finished"]
     assert sum(finished.values()) >= report.completed
+    # The clients wrote the request and step series concurrently: none
+    # of their updates may be lost.
+    snapshot = service.metrics.snapshot()
+    assert sum(snapshot["pdw_service_queries_total"].values()) == \
+        finished.get("complete", 0) + finished.get("failed", 0)
+    assert sum(snapshot["pdw_step_rows_total"].values()) == sum(
+        sum(step.node_rows.values())
+        for record in service.requests.completed()
+        if record.status == "complete" for step in record.steps)
     result = service.execute(
         "SELECT status, COUNT(*) AS n "
         "FROM sys.dm_pdw_exec_requests GROUP BY status")

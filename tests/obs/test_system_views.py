@@ -2,12 +2,15 @@
 parse -> optimize -> execute path from sessions, the service and the
 CLI — including step-granularity visibility of in-flight queries."""
 
+import json
 import threading
 
 import pytest
 
 from repro import PdwSession, PdwService
-from repro.obs.requests import NULL_REQUEST, RequestRegistry
+from repro.obs.requests import RequestRegistry
+from repro.pdw.dsql import StepKind
+from repro.service import ExecutionOptions
 from repro.obs.system_views import (
     SYSTEM_VIEW_NAMES,
     mentions_system_views,
@@ -15,6 +18,7 @@ from repro.obs.system_views import (
     system_view_defs,
 )
 from repro.workloads.tpch_datagen import build_tpch_appliance
+from repro.workloads.tpch_queries import TPCH_QUERIES
 
 SCALE = 0.001
 NODES = 4
@@ -162,10 +166,10 @@ class TestInFlightVisibility:
         release = threading.Event()
         original = session_a.runner.runtime.execute_return
 
-        def gated_return(step, request=NULL_REQUEST):
+        def gated_return(step):
             started.set()
             assert release.wait(timeout=10), "reader never released us"
-            return original(step, request=request)
+            return original(step)
 
         monkeypatch.setattr(session_a.runner.runtime, "execute_return",
                             gated_return)
@@ -198,6 +202,41 @@ class TestInFlightVisibility:
         assert outcome["result"].rows == [(25,)]
         record = registry.find(outcome["result"].request_id)
         assert record.status == "complete"
+
+
+class TestDmsWorkers:
+    @pytest.mark.parametrize("executor", ["numpy", "reference"])
+    def test_rows_match_step_stats(self, executor):
+        """Every TPC-H query at 3 nodes: each sys.dm_pdw_dms_workers row
+        carries its step's per-node rows, bytes (read by a DMS step,
+        sent by the Return step) and wall time, as the stats hold them."""
+        appliance, shell = build_tpch_appliance(scale=SCALE, node_count=3)
+        service = PdwService(appliance=appliance, shell=shell,
+                             options=ExecutionOptions(executor=executor))
+        try:
+            results = [service.execute(sql)
+                       for sql in TPCH_QUERIES.values()]
+            workers = service.execute(
+                "SELECT request_id, step_index, pdw_node_id, "
+                "rows_processed, bytes_processed, wall_ms "
+                "FROM sys.dm_pdw_dms_workers")
+        finally:
+            service.close()
+        expected = {}
+        for result in results:
+            for step, stats in zip(result.plan.dsql_plan.steps,
+                                   result.step_stats):
+                node_bytes = (stats.reader_bytes
+                              if step.kind is StepKind.DMS
+                              else stats.network_bytes)
+                for node, rows in stats.node_rows.items():
+                    expected[(result.request_id, stats.step_index,
+                              node)] = (
+                        rows, node_bytes.get(node, 0),
+                        stats.node_wall_seconds[node] * 1e3)
+        got = {tuple(row[:3]): tuple(row[3:]) for row in workers.rows}
+        assert len(got) == len(workers.rows)
+        assert got == expected
 
 
 class TestServicePath:
@@ -288,4 +327,12 @@ class TestCli:
         text = jsonl.read_text(encoding="utf-8")
         assert validate_jsonl(text) == []
         assert '"event": "request_complete"' in text
-        assert "pdw_request_total" in prom.read_text(encoding="utf-8")
+        # Every finished request is counted once in the service series.
+        finished = sum(
+            1 for line in text.splitlines()
+            if json.loads(line)["status"] in ("complete", "failed"))
+        counted = sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in prom.read_text(encoding="utf-8").splitlines()
+            if line.startswith("pdw_service_queries_total{"))
+        assert counted == finished > 0
