@@ -124,7 +124,7 @@ from repro.service import (
     PlanCache,
     parameterize,
 )
-from repro.session import PdwSession, StepAnalysis
+from repro.session import PdwSession
 from repro.telemetry import NULL_TRACER, Span, Tracer
 from repro.workloads.tpch_datagen import build_tpch_appliance
 from repro.workloads.tpch_queries import TPCH_QUERIES
@@ -190,7 +190,6 @@ __all__ = [
     "SerialOptimizer",
     "ShellDatabase",
     "Span",
-    "StepAnalysis",
     "TableDef",
     "Tracer",
     "TPCH_QUERIES",

@@ -158,6 +158,16 @@ class StepExecutionStats:
     def total_bytes(self) -> int:
         return sum(self.reader_bytes.values())
 
+    def moved_node_bytes(self) -> Dict[int, int]:
+        """Bytes each node moved: read at a DMS step's sources, sent up
+        to the control node by the Return step."""
+        return (self.reader_bytes if self.operation is not None
+                else self.network_bytes)
+
+    def moved_bytes(self) -> int:
+        """The bytes the step moved (:meth:`moved_node_bytes` summed)."""
+        return sum(self.moved_node_bytes().values())
+
 
 #: One routed delivery of the oracle: (target node id, rows, bytes).
 #: The row list may be *shared* between targets (broadcast); it is
@@ -369,17 +379,14 @@ class DmsRuntime:
         self.profiling = False
         self._prepare_lock = threading.Lock()
 
-    def _record_movement(self, stats: StepExecutionStats,
-                         operation: Optional[DmsOperation]) -> None:
+    def _record_movement(self, stats: StepExecutionStats) -> None:
         """Aggregate per-operation-kind byte/row/time tracer counters."""
         tracer = self.tracer
         if not tracer.enabled:
             return
-        kind = operation.value if operation is not None else "return"
-        # DMS steps read every moved row on the source side; the
-        # Return step only ships network bytes up to the control node.
-        moved = (stats.total_bytes() if operation is not None
-                 else sum(stats.network_bytes.values()))
+        kind = (stats.operation.value if stats.operation is not None
+                else "return")
+        moved = stats.moved_bytes()
         tracer.count("dms.rows_moved", stats.rows_moved)
         tracer.count("dms.bytes_moved", moved)
         tracer.count("dms.seconds", stats.movement_seconds)
@@ -600,7 +607,7 @@ class DmsRuntime:
         stats.elapsed_seconds = (stats.movement_seconds
                                  + stats.relational_seconds)
         stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats, movement.operation)
+        self._record_movement(stats)
         return stats
 
     def _move_group(self, step: DsqlStep, stats: StepExecutionStats,
@@ -793,5 +800,5 @@ class DmsRuntime:
         stats.elapsed_seconds = (stats.movement_seconds
                                  + stats.relational_seconds)
         stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats, None)
+        self._record_movement(stats)
         return rows, names, stats

@@ -22,7 +22,7 @@ needs to be *checked* rather than assumed:
   history (:class:`QueryStore` / :data:`NULL_QUERY_STORE`): every
   completed execution aggregated per normalized shape × plan hash, with
   JSONL persistence and plan-regression detection — the fifth lens, and
-  ROADMAP item 3's correction-cache substrate;
+  ROADMAP item 11's correction-cache substrate;
 * :mod:`repro.obs.system_views` — the eight virtual system views
   (``sys.dm_pdw_*`` plus ``sys.query_store_*``), snapshot-materialized
   as replicated pseudo-tables so they are queryable through the normal
@@ -123,7 +123,6 @@ from repro.obs.requests import (
     RequestRegistry,
     StepProgress,
     TERMINAL_STATES,
-    plan_digest,
 )
 from repro.obs.system_views import (
     SYSTEM_VIEW_NAMES,
@@ -209,7 +208,6 @@ __all__ = [
     "RequestRegistry",
     "StepProgress",
     "TERMINAL_STATES",
-    "plan_digest",
     "SYSTEM_VIEW_NAMES",
     "mentions_system_views",
     "refresh_system_views",

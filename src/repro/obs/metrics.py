@@ -50,10 +50,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 
 # Value mutations (`self.value += amount`) are read-modify-writes, and
-# the DMS runtime increments series from node/step worker threads under
-# the parallel runtime.  One shared lock keeps every series consistent;
-# the critical sections are a few arithmetic ops, far cheaper than the
-# label lookup that precedes them.
+# concurrent requests write the same series: each client thread's
+# `PdwService._finish` records its finished request.  One shared lock
+# keeps every series consistent; the critical sections are a few
+# arithmetic ops, far cheaper than the label lookup that precedes them.
 _VALUE_LOCK = threading.Lock()
 
 

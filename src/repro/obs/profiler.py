@@ -40,6 +40,7 @@ __all__ = [
     "StepProfile",
     "QueryProfile",
     "build_query_profile",
+    "step_profile",
 ]
 
 CONTROL_NODE = -1
@@ -156,12 +157,16 @@ class SkewStats:
         return self.max_value / self.mean
 
 
+#: The skew of no values at all.
+NO_SKEW = SkewStats(count=0, max_value=0.0, mean=0.0, cov=0.0)
+
+
 def skew_stats(values: Iterable[float]) -> SkewStats:
     """Max/mean/CoV of per-node values (zeros count: an idle node *is*
     skew)."""
     data = [float(v) for v in values]
     if not data:
-        return SkewStats(count=0, max_value=0.0, mean=0.0, cov=0.0)
+        return NO_SKEW
     mean = sum(data) / len(data)
     if mean == 0.0:
         return SkewStats(count=len(data), max_value=max(data), mean=0.0,
@@ -240,7 +245,12 @@ class OperatorProfile:
 
 @dataclass
 class StepProfile:
-    """One DSQL step: movement accounting, skew, transfer matrix."""
+    """One DSQL step: movement accounting, skew, transfer matrix.
+
+    The one place a step's estimates meet its actuals: EXPLAIN ANALYZE,
+    ``repro profile`` and the Query Store all read their step rows off
+    :func:`step_profile`, which :func:`build_query_profile` extends with
+    the per-node columns (left empty by :func:`step_profile`)."""
 
     index: int
     kind: str           # "DMS" or "Return"
@@ -252,11 +262,13 @@ class StepProfile:
     estimated_seconds: float
     actual_seconds: float
     q_error: float
-    source_rows: Dict[int, int]
-    source_skew: SkewStats
-    received_bytes: Dict[int, int]
-    receive_skew: SkewStats
-    transfers: Dict[Tuple[int, int], Tuple[int, int]]  # (src,dst)→(rows,bytes)
+    source_rows: Dict[int, int] = field(default_factory=dict)
+    source_skew: SkewStats = NO_SKEW
+    received_bytes: Dict[int, int] = field(default_factory=dict)
+    receive_skew: SkewStats = NO_SKEW
+    # (src, dst) → (rows, bytes)
+    transfers: Dict[Tuple[int, int], Tuple[int, int]] = field(
+        default_factory=dict)
     operators: List[OperatorProfile] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -344,46 +356,48 @@ def build_query_profile(steps: Sequence, step_stats: Sequence, *,
     here to keep this module import-free.  The stats must come from a
     profiled run (``DsqlRunner.run(plan, profile=True)``) for operator
     actuals and transfer matrices to be present; otherwise only the
-    step-level columns are populated.
+    step-level columns are populated.  ``node_count`` only zero-fills
+    the received bytes of idle compute nodes.
     """
     profiles: List[StepProfile] = []
     for step, stats in zip(steps, step_stats):
-        is_dms = step.movement is not None
-        if is_dms:
-            operation = step.movement.describe()
-            actual_bytes = sum(stats.reader_bytes.values())
-        else:
-            operation = "Return"
-            actual_bytes = sum(stats.network_bytes.values())
-        transfers = {
+        profile = step_profile(step, stats)
+        profile.transfers = {
             key: (entry[0], entry[1])
             for key, entry in (getattr(stats, "transfers", {}) or {}).items()
         }
-        received = _received_bytes(transfers, node_count)
-        profiles.append(StepProfile(
-            index=step.index,
-            kind="DMS" if is_dms else "Return",
-            operation=operation,
-            estimated_rows=step.estimated_rows,
-            actual_rows=stats.rows_moved,
-            estimated_bytes=step.estimated_bytes,
-            actual_bytes=actual_bytes,
-            estimated_seconds=step.estimated_cost,
-            actual_seconds=stats.elapsed_seconds,
-            q_error=q_error(step.estimated_rows, stats.rows_moved),
-            source_rows=dict(stats.node_rows),
-            source_skew=skew_stats(stats.node_rows.values()),
-            received_bytes=received,
-            receive_skew=skew_stats(received.values()),
-            transfers=transfers,
-            operators=_join_operators(step, stats),
-        ))
+        profile.received_bytes = _received_bytes(profile.transfers,
+                                                 node_count)
+        profile.receive_skew = skew_stats(profile.received_bytes.values())
+        profile.source_rows = dict(stats.node_rows)
+        profile.source_skew = skew_stats(stats.node_rows.values())
+        profile.operators = _join_operators(step, stats)
+        profiles.append(profile)
     return QueryProfile(
         sql=sql,
         node_count=node_count,
         steps=profiles,
         elapsed_seconds=elapsed_seconds,
         dms_seconds=dms_seconds,
+    )
+
+
+def step_profile(step, stats) -> StepProfile:
+    """Join one DSQL step's estimates with its execution stats: the
+    step-level columns only, without the per-node ones
+    :func:`build_query_profile` adds (the Query Store's row, cheap
+    enough for every served request)."""
+    return StepProfile(
+        index=step.index,
+        kind=step.kind_label,
+        operation=step.label,
+        estimated_rows=step.estimated_rows,
+        actual_rows=stats.rows_moved,
+        estimated_bytes=step.estimated_bytes,
+        actual_bytes=stats.moved_bytes(),
+        estimated_seconds=step.estimated_cost,
+        actual_seconds=stats.elapsed_seconds,
+        q_error=q_error(step.estimated_rows, stats.rows_moved),
     )
 
 

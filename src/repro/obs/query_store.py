@@ -18,7 +18,7 @@ DSQL plan's steps).  Each (shape, plan) bucket accumulates
   (:func:`repro.obs.profiler.q_error`);
 * first/last-seen timestamps and the schema_version in effect.
 
-This is ROADMAP item 3's correction-cache substrate: observed
+This is ROADMAP item 11's correction-cache substrate: observed
 cardinalities keyed by (shape, step), durable across restarts via JSONL
 :meth:`QueryStore.save` / :meth:`QueryStore.load` (the persisted lines
 *are* schema-valid ``query_store_flush`` events).
@@ -47,7 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.profiler import q_error
+from repro.obs.profiler import q_error, step_profile
 
 __all__ = [
     "StepCardinality",
@@ -76,15 +76,6 @@ DEFAULT_REGRESSION_FACTOR = 1.5
 #: the detector trusts their means.
 DEFAULT_MIN_EXECUTIONS = 2
 
-# Template step SQL repeats on every execution of a plan, so its
-# normalized key is memoized by the raw string.  Bounded: cleared
-# wholesale past the limit (simpler than LRU and the limit is far above
-# any real working set).
-_STEP_MEMO_LIMIT = 4096
-_memo_lock = threading.Lock()
-_step_key_memo: Dict[str, str] = {}
-
-
 def _parameterized_key(sql: str) -> str:
     """``parameterize(sql).key`` with a whitespace-flattening fallback
     for text the parameterizer cannot handle.  Imported lazily —
@@ -107,45 +98,32 @@ def normalized_shape_key(sql: str) -> str:
     return _parameterized_key(sql)
 
 
-def _normalized_step_key(step_sql: str) -> str:
-    with _memo_lock:
-        key = _step_key_memo.get(step_sql)
-    if key is not None:
-        return key
-    key = _parameterized_key(step_sql)
-    with _memo_lock:
-        if len(_step_key_memo) >= _STEP_MEMO_LIMIT:
-            _step_key_memo.clear()
-        _step_key_memo[step_sql] = key
-    return key
-
-
 def plan_shape_digest(plan) -> str:
-    """A literal-insensitive fingerprint of a **template** DSQL plan.
+    """The plan hash: a literal-insensitive fingerprint of a
+    **template** DSQL plan, shared by the Query Store's ``plan_hash``
+    and the request record's ``plan_digest``.
 
-    Unlike :func:`repro.obs.requests.plan_digest` (raw step SQL), each
-    step's SQL is parameterized first, so two compilations of the same
-    shape with different literals — a cache miss after an eviction, an
-    uncached private recompile — share a hash, while a genuinely
-    different plan (movement strategy, step structure) does not.  Hash
-    the template (``compiled.dsql_plan``), never an instantiated plan:
-    instantiation renames temp tables per execution.
+    Each step's SQL is parameterized first, so two compilations of the
+    same shape with different literals — a cache miss after an
+    eviction, an uncached private recompile — share a hash, while a
+    genuinely different plan (movement strategy, step structure) does
+    not.  Hash the template (``compiled.dsql_plan``), never an
+    instantiated plan: instantiation renames temp tables per execution.
+    Computed once per template and kept on it (``plan.shape_hash``).
     """
+    cached = plan.shape_hash
+    if cached is not None:
+        return cached
     digest = hashlib.sha1()
     for step in plan.steps:
-        movement = getattr(step, "movement", None)
-        operation = movement.describe() if movement is not None else "Return"
-        digest.update(operation.encode("utf-8", "replace"))
+        digest.update(step.label.encode("utf-8", "replace"))
         digest.update(b"\x00")
         digest.update(
-            _normalized_step_key(step.sql).encode("utf-8", "replace"))
+            _parameterized_key(step.sql).encode("utf-8", "replace"))
         digest.update(b"\x00")
-    return digest.hexdigest()[:12]
-
-
-def _step_operation(step) -> str:
-    movement = getattr(step, "movement", None)
-    return movement.describe() if movement is not None else "Return"
+    # Racing first requests compute the same hash; last store wins.
+    cached = plan.shape_hash = digest.hexdigest()[:12]
+    return cached
 
 
 @dataclass
@@ -416,20 +394,11 @@ class QueryStore:
         if timing is None:
             timing = getattr(result, "timing", None)
         step_stats = getattr(result, "step_stats", ())
-        steps: List[Tuple[int, str, str, float, int]] = []
-        bytes_moved = 0
-        for step, stats in zip(plan.steps, step_stats):
-            if stats.operation is not None:
-                step_bytes = stats.total_bytes()
-            else:
-                step_bytes = sum(stats.network_bytes.values())
-            bytes_moved += step_bytes
-            steps.append((step.index,
-                          "DMS" if getattr(step, "movement", None)
-                          is not None else "Return",
-                          _step_operation(step),
-                          float(step.estimated_rows),
-                          int(stats.rows_moved)))
+        profiles = [step_profile(step, stats)
+                    for step, stats in zip(plan.steps, step_stats)]
+        steps = [(step.index, step.kind, step.operation,
+                  float(step.estimated_rows), int(step.actual_rows))
+                 for step in profiles]
         if timing is not None:
             wall = timing.total_seconds
             queue = timing.queue_seconds
@@ -446,7 +415,7 @@ class QueryStore:
             schema_version=schema_version,
             cache_hit=cache_hit,
             rows=len(result.rows),
-            bytes_moved=bytes_moved,
+            bytes_moved=sum(step.actual_bytes for step in profiles),
             elapsed_seconds=result.elapsed_seconds,
             wall_seconds=wall,
             queue_seconds=queue,
@@ -612,7 +581,7 @@ class QueryStore:
 
     def observed_cardinalities(self, shape_key: str
                                ) -> Dict[int, float]:
-        """ROADMAP item 3's hook: mean observed rows per step index of
+        """ROADMAP item 11's hook: mean observed rows per step index of
         the shape's current plan (empty when unknown)."""
         with self._lock:
             shape = self._shapes.get(shape_key)

@@ -1,5 +1,8 @@
 """Human-readable rendering of query profiles and optimizer traces.
 
+``render_analyze_table`` produces the EXPLAIN ANALYZE table: one row
+of estimated vs. actual rows, bytes and seconds per DSQL step.
+
 ``render_profile_report`` produces the ``repro profile`` output: a
 per-step table (movement, skew coefficient, Q-error), a per-operator
 table (per-node row counts, skew, Q-error), and the workload-style
@@ -21,14 +24,15 @@ plan-regression verdicts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.opt_trace import OptimizerTrace
-from repro.obs.profiler import QueryProfile
+from repro.obs.profiler import QueryProfile, StepProfile
 from repro.obs.requests import RequestRecord, RequestRegistry
 
 __all__ = [
     "render_table",
+    "render_analyze_table",
     "render_step_table",
     "render_operator_table",
     "render_profile_report",
@@ -91,6 +95,43 @@ def _fmt_q(q: Optional[float]) -> str:
     if q >= 1000:
         return f"{q:.3g}"
     return f"{q:.2f}"
+
+
+def render_analyze_table(steps: Sequence[StepProfile]) -> str:
+    """The EXPLAIN ANALYZE table: one aligned row per DSQL step plus a
+    totals row under a second rule.
+
+    "est s (DMS)" is the DMS cost model's *data-movement* prediction only
+    — local SQL extraction time is outside the model (§5) — whereas
+    "act s" is the full simulated step time, so the two columns are not
+    directly comparable on movement-light steps.
+    """
+    headers = ["step", "operation", "est rows", "act rows",
+               "est bytes", "act bytes", "est s (DMS)", "act s"]
+    rows = [[
+        str(s.index),
+        s.operation,
+        f"{s.estimated_rows:.0f}",
+        str(s.actual_rows),
+        f"{s.estimated_bytes:.0f}",
+        str(s.actual_bytes),
+        f"{s.estimated_seconds:.6f}",
+        f"{s.actual_seconds:.6f}",
+    ] for s in steps]
+    rows.append([
+        "",
+        "total",
+        f"{sum(s.estimated_rows for s in steps):.0f}",
+        str(sum(s.actual_rows for s in steps)),
+        f"{sum(s.estimated_bytes for s in steps):.0f}",
+        str(sum(s.actual_bytes for s in steps)),
+        f"{sum(s.estimated_seconds for s in steps):.6f}",
+        f"{sum(s.actual_seconds for s in steps):.6f}",
+    ])
+    lines = render_table(headers, rows,
+                         left_columns=frozenset({1})).split("\n")
+    lines.insert(-1, lines[1])  # the rule again, above the totals
+    return "\n".join(lines)
 
 
 def render_step_table(profile: QueryProfile) -> str:

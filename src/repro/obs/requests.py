@@ -34,13 +34,14 @@ the record constructors to prove it).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
+
+from repro.obs.query_store import plan_shape_digest
 
 __all__ = [
     "StepProgress",
@@ -53,7 +54,6 @@ __all__ = [
     "NULL_REQUESTS",
     "REQUEST_STATES",
     "TERMINAL_STATES",
-    "plan_digest",
 ]
 
 #: Every status a request can report, in lifecycle order.
@@ -68,20 +68,6 @@ DEFAULT_CAPACITY = 256
 
 #: Default slow-query threshold in *measured* seconds end to end.
 DEFAULT_SLOW_SECONDS = 1.0
-
-
-def plan_digest(plan) -> str:
-    """A short stable fingerprint of a DSQL plan's step SQL.
-
-    Two executions of the same cached template share a digest even when
-    their literals differ only through parameter binding of the same
-    text, so the recorder groups repeats of one plan shape.
-    """
-    digest = hashlib.sha1()
-    for step in plan.steps:
-        digest.update(step.sql.encode("utf-8", "replace"))
-        digest.update(b"\x00")
-    return digest.hexdigest()[:12]
 
 
 @dataclass
@@ -169,23 +155,13 @@ class RequestHandle:
             self._record.status = "compiling"
 
     def begin_plan(self, plan) -> None:
-        """The runner is about to execute ``plan``: materialize one
+        """The service is about to run ``plan``: materialize one
         :class:`StepProgress` per DSQL step and go ``running``."""
         record = self._record
-        digest = plan_digest(plan)
-        steps = []
-        for step in plan.steps:
-            movement = getattr(step, "movement", None)
-            if movement is not None:
-                kind = "DMS"
-                operation = movement.describe()
-            else:
-                kind = "Return"
-                operation = "Return"
-            steps.append(StepProgress(index=step.index, kind=kind,
-                                      operation=operation))
+        steps = [StepProgress(index=step.index, kind=step.kind_label,
+                              operation=step.label)
+                 for step in plan.steps]
         with self._registry._lock:
-            record.plan_digest = digest
             record.step_count = len(steps)
             record.steps = steps
             record.status = "running"
@@ -217,8 +193,7 @@ class RequestHandle:
         step's totals and, per executing node, its rows, wall time and
         bytes — read by a DMS step, sent to the control node by the
         Return step."""
-        node_bytes = (stats.reader_bytes if stats.operation is not None
-                      else stats.network_bytes)
+        node_bytes = stats.moved_node_bytes()
         with self._registry._lock:
             record = self._record
             if not (0 <= index < len(record.steps)):
@@ -226,7 +201,7 @@ class RequestHandle:
             step = record.steps[index]
             step.status = "complete"
             step.rows_moved = stats.rows_moved
-            step.bytes_moved = sum(node_bytes.values())
+            step.bytes_moved = stats.moved_bytes()
             step.elapsed_seconds = stats.elapsed_seconds
             step.wall_seconds = stats.wall_seconds
             step.node_rows = dict(stats.node_rows)
@@ -241,8 +216,14 @@ class RequestHandle:
                  queue_seconds: float = 0.0,
                  compile_seconds: float = 0.0,
                  execute_seconds: float = 0.0,
-                 total_seconds: float = 0.0) -> None:
+                 total_seconds: float = 0.0, plan=None) -> None:
+        """The request finished: ``plan`` is the template that ran, whose
+        plan hash (:func:`~repro.obs.query_store.plan_shape_digest`)
+        becomes the record's ``plan_digest``.  Hashed here, after the
+        admission slot is released, not when the plan starts."""
         record = self._record
+        if plan is not None:
+            record.plan_digest = plan_shape_digest(plan)
         record.rows_returned = rows
         record.cache_hit = cache_hit
         record.queue_seconds = queue_seconds
@@ -377,9 +358,9 @@ class NullRequestHandle:
 
     def complete(self, rows=0, cache_hit=False, queue_seconds=0.0,
                  compile_seconds=0.0, execute_seconds=0.0,
-                 total_seconds=0.0):
+                 total_seconds=0.0, plan=None):
         del rows, cache_hit, queue_seconds, compile_seconds
-        del execute_seconds, total_seconds
+        del execute_seconds, total_seconds, plan
 
     def failed(self, error, total_seconds=0.0):
         del error, total_seconds

@@ -92,6 +92,19 @@ class DsqlStep:
     binding: Optional[PlanBinding] = field(default=None, repr=False,
                                            compare=False)
 
+    @property
+    def label(self) -> str:
+        """The step's operation as every lens shows it: its movement
+        (``"ShuffleMove(k)"``) or ``"Return"``."""
+        return (self.movement.describe() if self.movement is not None
+                else "Return")
+
+    @property
+    def kind_label(self) -> str:
+        """The step's kind as every lens shows it: ``"DMS"`` or
+        ``"Return"``."""
+        return "DMS" if self.movement is not None else "Return"
+
     def describe(self) -> str:
         if self.kind is StepKind.RETURN:
             header = f"DSQL step {self.index}: Return"
@@ -120,6 +133,11 @@ class DsqlPlan:
     #: runtime at the plan's first execution.
     prepared: Optional[object] = field(default=None, repr=False,
                                        compare=False)
+    #: The template's literal-insensitive plan hash
+    #: (:func:`repro.obs.query_store.plan_shape_digest`), computed at
+    #: its first request.
+    shape_hash: Optional[str] = field(default=None, repr=False,
+                                      compare=False)
 
     @property
     def temp_names(self) -> Tuple[str, ...]:

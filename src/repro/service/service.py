@@ -447,7 +447,8 @@ class PdwService:
                              queue_seconds=timing.queue_seconds,
                              compile_seconds=timing.compile_seconds,
                              execute_seconds=timing.execute_seconds,
-                             total_seconds=total)
+                             total_seconds=total,
+                             plan=result.plan.dsql_plan)
             if self.query_store.enabled:
                 # Stamp the *template* plan — instantiated plans carry
                 # per-execution temp names that would split the hash.

@@ -11,7 +11,8 @@ query, a live tracer by default, and the views over the pipeline:
   on the bound query: admitted, served from the plan cache (a repeated
   shape is a hit), run on the appliance → :class:`QueryResult`;
 * :meth:`PdwSession.explain` — human-readable plan report;
-  ``explain(analyze=True)`` *executes* the plan and renders a per-DSQL-step
+  ``explain(analyze=True)`` runs the query as one request through
+  ``execute`` (as :meth:`profile` does) and renders a per-DSQL-step
   table of estimated vs. actual rows / DMS bytes / simulated seconds — the
   reproduction's EXPLAIN ANALYZE;
 * :meth:`PdwSession.profile` — one request run through ``execute`` with
@@ -61,8 +62,7 @@ many concurrent clients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.appliance.runner import QueryResult
 from repro.appliance.storage import Appliance
@@ -73,6 +73,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.opt_trace import OptimizerTrace
 from repro.obs.profiler import QueryProfile, build_query_profile
 from repro.obs.report import (
+    render_analyze_table,
     render_optimizer_trace_report,
     render_profile_report,
     render_requests_report,
@@ -80,28 +81,12 @@ from repro.obs.report import (
 from repro.obs.query_store import QueryStore
 from repro.obs.requests import RequestRegistry
 from repro.optimizer.search import OptimizerConfig
-from repro.pdw.dsql import StepKind
 from repro.pdw.engine import CompiledQuery
 from repro.pdw.enumerator import PdwConfig
 from repro.pdw.why import PlanChoice, explain_plan_choice, render_plan_choice
 from repro.service.options import ExecutionOptions
 from repro.service.service import PdwService
 from repro.telemetry import Tracer
-
-
-@dataclass
-class StepAnalysis:
-    """One row of the EXPLAIN ANALYZE table: estimate vs. measurement."""
-
-    index: int
-    kind: str                 # "DMS" or "Return"
-    operation: str            # movement description or "Return"
-    estimated_rows: float
-    actual_rows: int
-    estimated_bytes: float
-    actual_bytes: int
-    estimated_seconds: float  # DMS cost model prediction
-    actual_seconds: float     # simulated elapsed (movement + local SQL)
 
 
 class PdwSession(PdwService):
@@ -163,22 +148,27 @@ class PdwSession(PdwService):
                 verbose: bool = False,
                 optimizer: bool = False, *,
                 options: Optional[ExecutionOptions] = None) -> str:
-        """Render the compiled plan; ``analyze=True`` also executes it and
-        appends the per-step estimated-vs-actual table;
+        """Render the compiled plan; ``analyze=True`` also runs the query
+        as one request (as :meth:`profile` does), renders the plan that
+        ran and appends the per-step estimated-vs-actual table;
         ``optimizer=True`` recompiles with the search-space recorder on
         and appends the "why this plan" §2.5 baseline diff plus the
-        enumeration/prune/enforce trace."""
+        enumeration/prune/enforce trace.  With both, the trace is that
+        second compile's, of the same text: the same plan as the one
+        that ran."""
         if optimizer:
             compiled, trace, choice = self.plan_choice(sql, options=options)
-        else:
+        elif not analyze:
             compiled = self.compile(sql, options=options)
+        if analyze:
+            result, profile = self._analyzed(sql, options)
+            compiled = result.plan  # the plan that ran
         text = compiled.explain(verbose=verbose)
         if analyze:
-            analyses, result = self.analyze_plan(compiled, options=options)
             text = "\n".join([
                 text,
                 "",
-                render_analysis_table(analyses),
+                render_analyze_table(profile.steps),
                 f"-- {len(result.rows)} result rows, "
                 f"{result.elapsed_seconds * 1e3:.3f} ms simulated "
                 f"({result.dms_seconds * 1e3:.3f} ms data movement)",
@@ -207,18 +197,7 @@ class PdwSession(PdwService):
         metrics registry is live the profile is also folded into it, so
         ``session.metrics.render_prometheus()`` includes the run.
         """
-        resolved = self._resolve(sql)
-        # Compiled fresh, so the estimates are for this call's literals
-        # and not for those of a cached template.
-        result = self.execute(resolved, options=self._call_options(
-            options).override(profile=True, use_plan_cache=False))
-        profile = build_query_profile(
-            result.plan.dsql_plan.steps, result.step_stats,
-            node_count=self.appliance.node_count,
-            sql=resolved,
-            elapsed_seconds=result.elapsed_seconds,
-            dms_seconds=result.dms_seconds,
-        )
+        _result, profile = self._analyzed(sql, options, profile=True)
         if self.metrics.enabled:
             profile_to_metrics(profile, self.metrics)
         return profile
@@ -276,39 +255,6 @@ class PdwSession(PdwService):
             render_optimizer_trace_report(trace, top_k=top_k),
         ])
 
-    # -- EXPLAIN ANALYZE internals --------------------------------------------
-
-    def analyze_plan(self, compiled: CompiledQuery, *,
-                     options: Optional[ExecutionOptions] = None
-                     ) -> Tuple[List[StepAnalysis], QueryResult]:
-        """Execute a compiled plan on the call's runner and join each
-        DSQL step's estimates with its measured execution stats."""
-        result = self._runner_for(self._call_options(options)).run(
-            compiled.dsql_plan)
-        analyses: List[StepAnalysis] = []
-        for step, stats in zip(compiled.dsql_plan.steps, result.step_stats):
-            if step.kind is StepKind.DMS:
-                kind = "DMS"
-                operation = (step.movement.describe() if step.movement
-                             else "Move")
-                actual_bytes = stats.total_bytes()
-            else:
-                kind = "Return"
-                operation = "Return"
-                actual_bytes = sum(stats.network_bytes.values())
-            analyses.append(StepAnalysis(
-                index=step.index,
-                kind=kind,
-                operation=operation,
-                estimated_rows=step.estimated_rows,
-                actual_rows=stats.rows_moved,
-                estimated_bytes=step.estimated_bytes,
-                actual_bytes=actual_bytes,
-                estimated_seconds=step.estimated_cost,
-                actual_seconds=stats.elapsed_seconds,
-            ))
-        return analyses, result
-
     # -- reports ---------------------------------------------------------------
 
     def requests_report(self, slow_only: bool = False) -> str:
@@ -338,6 +284,25 @@ class PdwSession(PdwService):
 
     # -- plumbing --------------------------------------------------------------
 
+    def _analyzed(self, sql: Optional[str],
+                  options: Optional[ExecutionOptions], **overrides
+                  ) -> Tuple[QueryResult, QueryProfile]:
+        """One request through :meth:`~repro.service.PdwService.execute`
+        with the plan cache off — compiled fresh, so the estimates are
+        for this call's literals and not for those of a cached template
+        — and its steps' estimates joined with their actuals."""
+        resolved = self._resolve(sql)
+        result = self.execute(resolved, options=self._call_options(
+            options).override(use_plan_cache=False, **overrides))
+        profile = build_query_profile(
+            result.plan.dsql_plan.steps, result.step_stats,
+            node_count=self.appliance.node_count,
+            sql=resolved,
+            elapsed_seconds=result.elapsed_seconds,
+            dms_seconds=result.dms_seconds,
+        )
+        return result, profile
+
     def _resolve(self, sql: Optional[str]) -> str:
         resolved = sql if sql is not None else self.sql
         if resolved is None:
@@ -345,59 +310,3 @@ class PdwSession(PdwService):
                 "no SQL given: pass sql to the method or bind a query "
                 "when creating the PdwSession")
         return resolved
-
-
-def render_analysis_table(analyses: List[StepAnalysis]) -> str:
-    """The EXPLAIN ANALYZE table: one aligned row per DSQL step plus a
-    totals row.
-
-    "est s (DMS)" is the DMS cost model's *data-movement* prediction only
-    — local SQL extraction time is outside the model (§5) — whereas
-    "act s" is the full simulated step time, so the two columns are not
-    directly comparable on movement-light steps.
-    """
-    headers = ["step", "operation", "est rows", "act rows",
-               "est bytes", "act bytes", "est s (DMS)", "act s"]
-    rows = [[
-        str(a.index),
-        a.operation,
-        f"{a.estimated_rows:.0f}",
-        str(a.actual_rows),
-        f"{a.estimated_bytes:.0f}",
-        str(a.actual_bytes),
-        f"{a.estimated_seconds:.6f}",
-        f"{a.actual_seconds:.6f}",
-    ] for a in analyses]
-    if analyses:
-        rows.append([
-            "",
-            "total",
-            f"{sum(a.estimated_rows for a in analyses):.0f}",
-            str(sum(a.actual_rows for a in analyses)),
-            f"{sum(a.estimated_bytes for a in analyses):.0f}",
-            str(sum(a.actual_bytes for a in analyses)),
-            f"{sum(a.estimated_seconds for a in analyses):.6f}",
-            f"{sum(a.actual_seconds for a in analyses):.6f}",
-        ])
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-
-    def fmt(cells: List[str]) -> str:
-        padded = []
-        for i, cell in enumerate(cells):
-            # left-align the operation column, right-align numbers
-            if i == 1:
-                padded.append(cell.ljust(widths[i]))
-            else:
-                padded.append(cell.rjust(widths[i]))
-        return "  ".join(padded).rstrip()
-
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines += [fmt(r) for r in rows[:len(analyses)]]
-    if analyses:
-        lines.append(fmt(["-" * w for w in widths]))
-        lines.append(fmt(rows[-1]))
-    return "\n".join(lines)

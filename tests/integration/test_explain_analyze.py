@@ -1,16 +1,19 @@
 """PdwSession / EXPLAIN ANALYZE integration tests.
 
-The per-step "actual" columns of ``explain(analyze=True)`` must agree
-with what an independent ``DsqlRunner`` execution of the same plan
-measures, and the rendered report must carry the estimated-vs-actual
-table the ISSUE's acceptance criteria describe.
+``explain(analyze=True)`` is one request through ``execute``: its
+per-step "actual" columns must agree with what an independent
+``DsqlRunner`` execution of the same plan measures, the rendered report
+must carry the estimated-vs-actual table, and the run must show up in
+the request DMV, the Query Store and the service's series exactly once.
 """
 
 import pytest
 
+import repro.session as session_module
 from repro import ExecutionOptions, PdwSession, TPCH_QUERIES
 from repro.appliance.runner import DsqlRunner
 from repro.common.errors import ReproError
+from repro.obs.profiler import build_query_profile
 from repro.pdw.dsql import StepKind
 
 ANALYZE_QUERIES = ["Q1", "Q12", "Q14"]
@@ -22,41 +25,92 @@ def session(tpch):
     return PdwSession(appliance=appliance, shell=shell)
 
 
+def analyze(session, monkeypatch, sql, **kwargs):
+    """``session.explain(sql, analyze=True)``: the text, the one
+    :class:`QueryResult` its ``execute`` call returned, and the
+    :class:`StepProfile` rows its table was rendered from."""
+    results, profiles = [], []
+    execute = type(session).execute
+
+    def spy_execute(self, *args, **inner):
+        result = execute(self, *args, **inner)
+        results.append(result)
+        return result
+
+    def spy_profile(*args, **inner):
+        profile = build_query_profile(*args, **inner)
+        profiles.append(profile)
+        return profile
+
+    monkeypatch.setattr(type(session), "execute", spy_execute)
+    monkeypatch.setattr(session_module, "build_query_profile", spy_profile)
+    text = session.explain(sql, analyze=True, **kwargs)
+    monkeypatch.undo()
+    assert len(results) == 1 and len(profiles) == 1
+    steps = profiles[0].steps
+    # The table's step rows are these profiles, cell by cell.
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.split()[:2] == ["step", "operation"]) + 2
+    rows = []
+    for line in lines[start:]:
+        if line.lstrip().startswith("-"):
+            break
+        cells = line.split()
+        rows.append((cells[0], " ".join(cells[1:-6]), *cells[-6:]))
+    assert rows == [(str(s.index), s.operation,
+                     f"{s.estimated_rows:.0f}", str(s.actual_rows),
+                     f"{s.estimated_bytes:.0f}", str(s.actual_bytes),
+                     f"{s.estimated_seconds:.6f}",
+                     f"{s.actual_seconds:.6f}") for s in steps]
+    return text, results[0], steps
+
+
 class TestExplainAnalyze:
     @pytest.mark.parametrize("name", ANALYZE_QUERIES)
-    def test_actuals_match_runner(self, session, tpch, name):
+    def test_actuals_match_runner(self, session, tpch, monkeypatch, name):
         appliance, _shell = tpch
-        compiled = session.compile(TPCH_QUERIES[name])
-        analyses, result = session.analyze_plan(compiled)
+        text, result, steps = analyze(session, monkeypatch,
+                                      TPCH_QUERIES[name])
+        plan = result.plan.dsql_plan
+        # The plan shown is the one that ran, compiled as compile() does.
+        assert text.startswith(result.plan.explain())
+        assert plan.describe() == \
+            session.compile(TPCH_QUERIES[name]).dsql_plan.describe()
 
-        reference = DsqlRunner(appliance).run(compiled.dsql_plan)
-        assert len(analyses) == len(compiled.dsql_plan.steps)
-        assert len(reference.step_stats) == len(analyses)
+        reference = DsqlRunner(appliance).run(plan)
+        assert len(steps) == len(plan.steps)
+        assert len(reference.step_stats) == len(steps)
 
-        for analysis, stats, step in zip(analyses, reference.step_stats,
-                                         compiled.dsql_plan.steps):
+        for analysis, stats, step in zip(steps, reference.step_stats,
+                                         plan.steps):
             assert analysis.index == step.index
             assert analysis.actual_rows == stats.rows_moved
             if step.kind is StepKind.DMS:
                 assert analysis.kind == "DMS"
+                assert analysis.operation == step.movement.describe()
                 assert analysis.actual_bytes == stats.total_bytes()
             else:
                 assert analysis.kind == "Return"
+                assert analysis.operation == "Return"
                 assert analysis.actual_bytes == sum(
                     stats.network_bytes.values())
             assert analysis.actual_seconds == pytest.approx(
                 stats.elapsed_seconds)
             assert analysis.estimated_rows == step.estimated_rows
+            assert analysis.estimated_bytes == step.estimated_bytes
             assert analysis.estimated_seconds == step.estimated_cost
 
         # The joined result rows equal a plain run of the same plan.
         assert result.sorted_rows() == reference.sorted_rows()
+        assert f"-- {len(reference.rows)} result rows" in text
 
     @pytest.mark.parametrize("name", ANALYZE_QUERIES)
-    def test_estimates_present_for_movement_steps(self, session, name):
-        compiled = session.compile(TPCH_QUERIES[name])
-        analyses, _result = session.analyze_plan(compiled)
-        for analysis in analyses:
+    def test_estimates_present_for_movement_steps(self, session,
+                                                  monkeypatch, name):
+        _text, _result, steps = analyze(session, monkeypatch,
+                                        TPCH_QUERIES[name])
+        for analysis in steps:
             if analysis.kind == "DMS" and analysis.actual_rows:
                 assert analysis.estimated_rows > 0
                 assert analysis.estimated_bytes > 0
@@ -67,10 +121,49 @@ class TestExplainAnalyze:
         session.explain(TPCH_QUERIES["Q12"], analyze=True,
                         options=reference)
         assert return_executors == ["reference"]
-        compiled = session.compile(TPCH_QUERIES["Q12"])
-        session.analyze_plan(compiled, options=reference)
-        session.analyze_plan(compiled)
-        assert return_executors == ["reference", "reference", "numpy"]
+        session.explain(TPCH_QUERIES["Q12"], analyze=True)
+        assert return_executors == ["reference", "numpy"]
+
+    def test_analyze_is_one_request(self, tpch):
+        """EXPLAIN ANALYZE is a request, as ``profile()`` is: one
+        ``complete`` DMV row, one Query Store execution and one
+        ``pdw_service_queries_total`` count."""
+        appliance, shell = tpch
+        session = PdwSession(appliance=appliance, shell=shell)
+        sql = TPCH_QUERIES["Q12"]
+        session.explain(sql, analyze=True)
+        executions = session.query_store.stats()["executions"]
+        queries = session.metrics.snapshot()["pdw_service_queries_total"]
+        dmv = session.run(
+            "SELECT request_id, plan_digest FROM sys.dm_pdw_exec_requests "
+            "WHERE status = 'complete'")
+        record = session.requests.completed()[0]
+        assert record.sql == sql
+        assert dmv.rows == [(record.request_id, record.plan_digest)]
+        assert executions == 1
+        assert queries == {(("outcome", "ok"), ("priority", "normal"),
+                            ("tenant", "default")): 1}
+
+    def test_analyze_with_optimizer_shows_the_plan_it_traced(
+            self, session, monkeypatch):
+        """The trace comes from a second, recorder-on compile of the
+        same text: its plan is the one that ran."""
+        plans = []
+        plan_choice = type(session).plan_choice
+
+        def spy(self, *args, **inner):
+            compiled, trace, choice = plan_choice(self, *args, **inner)
+            plans.append(compiled)
+            return compiled, trace, choice
+
+        monkeypatch.setattr(type(session), "plan_choice", spy)
+        text, result, _steps = analyze(session, monkeypatch,
+                                       TPCH_QUERIES["Q12"], optimizer=True)
+        assert len(plans) == 1
+        assert plans[0].dsql_plan.describe() == \
+            result.plan.dsql_plan.describe()
+        assert plans[0].plan_cost == result.plan.plan_cost
+        assert text.startswith(result.plan.explain())
 
     def test_rendered_table(self, session):
         text = session.explain(TPCH_QUERIES["Q12"], analyze=True)

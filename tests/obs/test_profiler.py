@@ -2,6 +2,7 @@
 
 import math
 
+from repro.appliance.dms_runtime import StepExecutionStats
 from repro.obs.profiler import (
     CONTROL_NODE,
     OperatorEstimate,
@@ -11,8 +12,10 @@ from repro.obs.profiler import (
     operator_kind,
     q_error,
     skew_stats,
+    step_profile,
     summarize_q_errors,
 )
+from repro.pdw.dsql import DsqlStep
 
 
 class TestSkewStats:
@@ -208,18 +211,20 @@ class FakeStep:
         self.estimated_cost = estimated_cost
         self.operator_estimates = list(operator_estimates)
 
+    label = DsqlStep.label
+    kind_label = DsqlStep.kind_label
 
-class FakeStats:
-    def __init__(self, rows_moved=0, elapsed_seconds=0.0,
-                 reader_bytes=None, network_bytes=None, node_rows=None,
-                 transfers=None, node_operators=None):
-        self.rows_moved = rows_moved
-        self.elapsed_seconds = elapsed_seconds
-        self.reader_bytes = reader_bytes or {}
-        self.network_bytes = network_bytes or {}
-        self.node_rows = node_rows or {}
-        self.transfers = transfers or {}
-        self.node_operators = node_operators or {}
+
+def FakeStats(operation=None, rows_moved=0, elapsed_seconds=0.0,
+              reader_bytes=None, network_bytes=None, node_rows=None,
+              transfers=None, node_operators=None):
+    """A step's stats; ``operation`` is set for a DMS step's."""
+    return StepExecutionStats(
+        step_index=0, operation=operation, rows_moved=rows_moved,
+        elapsed_seconds=elapsed_seconds,
+        reader_bytes=reader_bytes or {},
+        network_bytes=network_bytes or {}, node_rows=node_rows or {},
+        transfers=transfers or {}, node_operators=node_operators or {})
 
 
 class TestBuildQueryProfile:
@@ -227,7 +232,7 @@ class TestBuildQueryProfile:
         step = FakeStep(0, movement=FakeMovement(), estimated_rows=50,
                         estimated_bytes=500, estimated_cost=0.25)
         stats = FakeStats(
-            rows_moved=100, elapsed_seconds=0.5,
+            "shuffle", rows_moved=100, elapsed_seconds=0.5,
             reader_bytes={0: 600, 1: 400},
             node_rows={0: 60, 1: 40},
             transfers={(0, 1): [60, 600], (1, 0): [40, 400]},
@@ -237,14 +242,38 @@ class TestBuildQueryProfile:
                                       dms_seconds=0.4)
         assert profile.node_count == 2
         sp = profile.steps[0]
+        assert sp.index == 0
         assert sp.kind == "DMS"
         assert sp.operation == "ShuffleMove(c)"
+        assert sp.estimated_rows == 50
         assert sp.actual_rows == 100
+        assert sp.estimated_bytes == 500
         assert sp.actual_bytes == 1000
+        assert sp.estimated_seconds == 0.25
+        assert sp.actual_seconds == 0.5
         assert sp.q_error == 2.0
         assert sp.source_rows == {0: 60, 1: 40}
         assert sp.received_bytes == {0: 400, 1: 600}
         assert sp.transfers[(0, 1)] == (60, 600)
+
+    def test_step_profile_is_the_step_level_join(self):
+        """The Query Store's row: the step-level columns of the full
+        profile, without the per-node ones."""
+        step = FakeStep(0, movement=FakeMovement(), estimated_rows=50,
+                        estimated_bytes=500, estimated_cost=0.25)
+        stats = FakeStats(
+            "shuffle", rows_moved=100, elapsed_seconds=0.5,
+            reader_bytes={0: 600, 1: 400}, node_rows={0: 60, 1: 40},
+            transfers={(0, 1): [60, 600], (1, 0): [40, 400]})
+        full = build_query_profile([step], [stats], node_count=2).steps[0]
+        light = step_profile(step, stats)
+        for name in ("index", "kind", "operation", "estimated_rows",
+                     "actual_rows", "estimated_bytes", "actual_bytes",
+                     "estimated_seconds", "actual_seconds", "q_error"):
+            assert getattr(light, name) == getattr(full, name)
+        assert light.source_rows == light.received_bytes == {}
+        assert light.transfers == {} and light.operators == []
+        assert light.source_skew == light.receive_skew == skew_stats([])
 
     def test_return_step_uses_network_bytes(self):
         step = FakeStep(1, estimated_rows=3)

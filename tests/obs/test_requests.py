@@ -7,6 +7,7 @@ import pytest
 
 import repro.obs.requests as requests_module
 from repro import PdwService, PdwSession
+from repro.appliance.dms_runtime import StepExecutionStats
 from repro.obs.export import (
     request_to_event,
     requests_to_events,
@@ -18,8 +19,9 @@ from repro.obs.requests import (
     REQUEST_STATES,
     RequestRegistry,
     TERMINAL_STATES,
-    plan_digest,
 )
+from repro.obs.query_store import plan_shape_digest
+from repro.pdw.dsql import DsqlStep
 from repro.service.options import ExecutionOptions
 from repro.workloads.tpch_datagen import build_tpch_appliance
 
@@ -41,26 +43,26 @@ class FakeStep:
         self.sql = sql
         self.movement = movement
 
+    label = DsqlStep.label
+    kind_label = DsqlStep.kind_label
+
 
 class FakePlan:
     def __init__(self, steps):
         self.steps = steps
+        self.shape_hash = None
 
 
-class FakeStats:
+def FakeStats(rows=10, nbytes=400, operation="Shuffle", elapsed=0.25,
+              wall=0.01, node=2):
     """One step's stats, all of it done by ``node``: a DMS step's bytes
     are read there, a Return step's sent from there."""
-
-    def __init__(self, rows=10, nbytes=400, operation="Shuffle",
-                 elapsed=0.25, wall=0.01, node=2):
-        self.rows_moved = rows
-        self.operation = operation
-        self.elapsed_seconds = elapsed
-        self.wall_seconds = wall
-        self.node_rows = {node: rows}
-        self.node_wall_seconds = {node: wall}
-        self.reader_bytes = {node: nbytes} if operation else {}
-        self.network_bytes = {} if operation else {node: nbytes}
+    return StepExecutionStats(
+        step_index=0, operation=operation, rows_moved=rows,
+        elapsed_seconds=elapsed, wall_seconds=wall,
+        node_rows={node: rows}, node_wall_seconds={node: wall},
+        reader_bytes={node: nbytes} if operation else {},
+        network_bytes={} if operation else {node: nbytes})
 
 
 def make_plan():
@@ -90,7 +92,7 @@ class TestLifecycle:
         handle.begin_plan(make_plan())
         assert record.status == "running"
         assert record.step_count == 2
-        assert record.plan_digest == plan_digest(make_plan())
+        assert record.plan_digest == ""  # hashed as it completes
         assert [s.kind for s in record.steps] == ["DMS", "Return"]
         assert record.steps[0].operation == "Shuffle on k"
 
@@ -123,8 +125,9 @@ class TestLifecycle:
 
         handle.complete(rows=4, cache_hit=True, queue_seconds=0.1,
                         compile_seconds=0.2, execute_seconds=0.3,
-                        total_seconds=0.6)
+                        total_seconds=0.6, plan=make_plan())
         assert record.status == "complete"
+        assert record.plan_digest == plan_shape_digest(make_plan())
         assert not record.is_active
         assert record.current_step == -1
         assert record.ended_at is not None
@@ -301,7 +304,7 @@ class TestNullRegistry:
 
         for name in ("RequestRecord", "StepProgress", "RequestHandle"):
             monkeypatch.setattr(requests_module, name, boom)
-        monkeypatch.setattr(requests_module, "plan_digest", boom)
+        monkeypatch.setattr(requests_module, "plan_shape_digest", boom)
 
         appliance, shell = tpch
         session = PdwSession(appliance=appliance, shell=shell,
@@ -344,11 +347,47 @@ class TestConcurrentRegistry:
 
 class TestPlanDigest:
     def test_digest_is_stable_and_text_sensitive(self):
-        plan_a = FakePlan([FakeStep(0, "SELECT a FROM t")])
-        plan_b = FakePlan([FakeStep(0, "SELECT b FROM t")])
-        assert plan_digest(plan_a) == plan_digest(plan_a)
-        assert plan_digest(plan_a) != plan_digest(plan_b)
-        assert len(plan_digest(plan_a)) == 12
+        plan_a = FakePlan([FakeStep(0, "SELECT a FROM t WHERE a = 1")])
+        plan_a2 = FakePlan([FakeStep(0, "SELECT a FROM t WHERE a = 2")])
+        plan_b = FakePlan([FakeStep(0, "SELECT b FROM t WHERE a = 1")])
+        assert plan_shape_digest(plan_a) == plan_shape_digest(plan_a)
+        assert plan_shape_digest(plan_a) == plan_shape_digest(plan_a2)
+        assert plan_shape_digest(plan_a) != plan_shape_digest(plan_b)
+        assert len(plan_shape_digest(plan_a)) == 12
+        # Computed once per template, and kept on it.
+        assert plan_a.shape_hash == plan_shape_digest(plan_a)
 
     def test_terminal_states_subset_of_states(self):
         assert TERMINAL_STATES <= set(REQUEST_STATES)
+
+
+class TestOnePlanHash:
+    """A template has one plan hash: the request DMV's ``plan_digest``
+    is the Query Store's ``plan_hash``, whatever the cache did."""
+
+    def test_a_template_has_one_hash_in_the_dmv_and_the_query_store(self):
+        appliance, shell = build_tpch_appliance(scale=0.001, node_count=2)
+        service = PdwService(appliance=appliance, shell=shell)
+        template = ("SELECT c_name, o_orderdate FROM orders, customer "
+                    "WHERE o_custkey = c_custkey AND o_totalprice > {}")
+        uncached = ExecutionOptions(use_plan_cache=False)
+        try:
+            runs = [service.execute(template.format(1000)),    # miss
+                    service.execute(template.format(1000)),    # hit
+                    service.execute(template.format(90000)),   # hit
+                    service.execute(template.format(1000),
+                                    options=uncached)]
+            assert [run.cache_hit for run in runs] == \
+                [False, True, True, False]
+            joined = service.execute(
+                "SELECT r.request_id, r.plan_digest, q.execution_count "
+                "FROM sys.dm_pdw_exec_requests r, "
+                "sys.query_store_runtime_stats q "
+                "WHERE r.plan_digest = q.plan_hash "
+                "AND r.status = 'complete'")
+        finally:
+            service.close()
+        assert sorted(row[0] for row in joined.rows) == \
+            sorted(run.request_id for run in runs)
+        assert len({row[1] for row in joined.rows}) == 1
+        assert {row[2] for row in joined.rows} == {4}
