@@ -21,7 +21,8 @@ and routed once (:func:`route_group`).  Per-node rows, bytes and
 ownership are read off the bounds and one source × target matrix, not
 off ``n`` runs; a hash-distributed temp is stored once, in target
 order, and every node holds a view of its own rows.  The data plane is
-columnar end to end — only the Return step builds row tuples — and
+columnar end to end — the Return step hands its columns to the control
+node, which builds the client's row tuples — and
 every number in :class:`StepExecutionStats` is the oracle's, bit for
 bit.
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -747,9 +748,14 @@ class DmsRuntime:
     # -- return step --------------------------------------------------------------------
 
     def execute_return(self, step: DsqlStep
-                       ) -> Tuple[List[Tuple], List[str],
-                                  StepExecutionStats]:
-        """Run the final Return SQL and gather rows at the control node."""
+                       ) -> Tuple[Union[ArrayBatch, List[Tuple]],
+                                  List[str], StepExecutionStats]:
+        """Run the final Return SQL and gather its output at the control
+        node, the sources' rows in source order: under the numpy
+        executor the output batch, whose tuples the control node builds
+        once it has ordered and cut them
+        (:meth:`~repro.appliance.runner.DsqlRunner.run`); under the
+        reference executor the row tuples."""
         started = time.perf_counter()
         stats = StepExecutionStats(step.index, None)
         profiling = self.profiling
@@ -767,12 +773,9 @@ class DmsRuntime:
                         stats.node_rows.items(), read):
                     stats.transfers[(source_id, CONTROL_NODE)] = [
                         count, nbytes]
-            # The one place a column batch becomes tuples: the sources'
-            # rows in source order.
-            rows = output.rows()
             self._share_wall(stats, started)
         else:
-            rows = []
+            output = []
             names: List[str] = []
             for run in self._run_sources(step, None):
                 source_id = run.node_id
@@ -790,9 +793,9 @@ class DmsRuntime:
                         len(run.output),
                         stats.network_bytes.get(source_id, 0),
                     ]
-                rows.extend(run.output)
+                output.extend(run.output)
                 names = run.names
-            stats.rows_moved = len(rows)
+            stats.rows_moved = len(output)
         stats.movement_seconds = max(
             stats.network_bytes.values(), default=0) * self.truth.network
         stats.relational_seconds = (
@@ -801,4 +804,4 @@ class DmsRuntime:
                                  + stats.relational_seconds)
         stats.wall_seconds = time.perf_counter() - started
         self._record_movement(stats)
-        return rows, names, stats
+        return output, names, stats

@@ -2,8 +2,8 @@
 
 ``DsqlRunner.run`` executes a compiled :class:`repro.pdw.dsql.DsqlPlan`
 against a simulated appliance: DMS steps move data into temp tables, the
-Return step gathers result tuples through the control node, which applies
-the final ORDER BY / TOP and hands the result to the "client".
+Return step gathers the result through the control node, which applies
+the final ORDER BY / TOP and hands the result rows to the "client".
 
 With the parallel runtime on (``parallel=True``, or the
 ``REPRO_PARALLEL_RUNTIME`` environment override) the runner derives a
@@ -22,7 +22,15 @@ the same multiset of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pdw.engine import CompiledQuery
@@ -49,8 +57,8 @@ from repro.optimizer.normalize import normalize
 from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
 from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
-from repro.vector.np_batch import ColumnFragment
-from repro.vector.np_executor import NumpyInterpreter
+from repro.vector.np_batch import ArrayBatch, ColumnFragment
+from repro.vector.np_executor import NumpyInterpreter, order_rows
 
 #: Upper bound on concurrently executing DSQL steps.  Plans are small
 #: (a handful of steps), so a narrow step pool keeps the thread count
@@ -169,7 +177,7 @@ class DsqlRunner:
         writes no metric series; the service does, once the request
         finishes."""
         stats: List[StepExecutionStats] = []
-        rows: List[Tuple] = []
+        output: Union[ArrayBatch, List[Tuple]] = []
         names: List[str] = list(plan.output_names)
         tracer = self.tracer
         if plan.steps and plan.steps[0].binding is None:
@@ -182,8 +190,8 @@ class DsqlRunner:
         try:
             with tracer.span("execute"):
                 if self.parallel and len(plan.steps) > 1:
-                    rows, names, stats = self._run_dag(plan, rows, names,
-                                                       request)
+                    output, names, stats = self._run_dag(
+                        plan, output, names, request)
                 else:
                     for step in plan.steps:
                         with tracer.span(self._step_label(step)) as span:
@@ -192,7 +200,7 @@ class DsqlRunner:
                                 step_stats = \
                                     self.runtime.execute_movement(step)
                             else:
-                                rows, names, step_stats = \
+                                output, names, step_stats = \
                                     self.runtime.execute_return(step)
                             request.end_step(step.index, step_stats)
                             stats.append(step_stats)
@@ -200,7 +208,7 @@ class DsqlRunner:
                                 span.set("rows", step_stats.rows_moved)
                                 span.set("simulated_seconds",
                                          step_stats.elapsed_seconds)
-                rows = self._finalize(plan, names, rows)
+                rows = self._finalize(plan, names, output)
         finally:
             self.runtime.profiling = False
             if not keep_temps:
@@ -218,16 +226,18 @@ class DsqlRunner:
                 + (step.movement.operation.value
                    if step.movement else "return"))
 
-    def _run_dag(self, plan: DsqlPlan, rows: List[Tuple],
+    def _run_dag(self, plan: DsqlPlan,
+                 output: Union[ArrayBatch, List[Tuple]],
                  names: List[str], request=NULL_REQUEST
-                 ) -> Tuple[List[Tuple], List[str],
+                 ) -> Tuple[Union[ArrayBatch, List[Tuple]], List[str],
                             List[StepExecutionStats]]:
         """DAG-scheduled execution: submit each step once its input
         temp tables are materialized.  Worker threads must not touch
         the tracer's span stack, so per-step spans are emitted post-hoc
         (index order, measured durations attached as attributes)."""
         dag = StepDag(plan)
-        returned: Dict[int, Tuple[List[Tuple], List[str]]] = {}
+        returned: Dict[int, Tuple[Union[ArrayBatch, List[Tuple]],
+                                  List[str]]] = {}
 
         def execute(index: int) -> StepExecutionStats:
             step = plan.steps[index]
@@ -235,9 +245,9 @@ class DsqlRunner:
             if step.kind is StepKind.DMS:
                 step_stats = self.runtime.execute_movement(step)
             else:
-                step_rows, step_names, step_stats = \
+                step_output, step_names, step_stats = \
                     self.runtime.execute_return(step)
-                returned[index] = (step_rows, step_names)
+                returned[index] = (step_output, step_names)
             request.end_step(index, step_stats)
             return step_stats
 
@@ -254,24 +264,36 @@ class DsqlRunner:
                              step_stats.elapsed_seconds)
                     span.set("wall_seconds", step_stats.wall_seconds)
         for index in sorted(returned):
-            rows, names = returned[index]
-        return rows, names, stats
+            output, names = returned[index]
+        return output, names, stats
 
     def _finalize(self, plan: DsqlPlan, names: List[str],
-                  rows: List[Tuple]) -> List[Tuple]:
-        """Control-node merge: global ORDER BY and TOP over gathered rows."""
-        if plan.order_by:
-            positions = []
-            for column, ascending in plan.order_by:
-                try:
-                    positions.append((names.index(column), ascending))
-                except ValueError:
-                    raise ExecutionError(
-                        f"ORDER BY column {column!r} missing from result")
-            for position, ascending in reversed(positions):
-                rows = sorted(rows,
-                              key=lambda row: sort_key(row[position]),
-                              reverse=not ascending)
+                  output: Union[ArrayBatch, List[Tuple]]) -> List[Tuple]:
+        """Control-node merge: global ORDER BY and TOP over the gathered
+        output, then the client's rows.  The numpy Return step's batch
+        is ordered and cut as columns (:func:`order_rows`), and tuples
+        are built for the kept rows only; the reference executor's
+        tuples keep their own ``sort_key`` sort, so the oracle orders
+        rows independently of the production path."""
+        positions = []
+        for column, ascending in plan.order_by:
+            try:
+                positions.append((names.index(column), ascending))
+            except ValueError:
+                raise ExecutionError(
+                    f"ORDER BY column {column!r} missing from result")
+        if isinstance(output, ArrayBatch):
+            if not positions and plan.limit is None:
+                return output.rows()
+            order, _ = order_rows(
+                [(output.columns[position], ascending)
+                 for position, ascending in positions],
+                output.length, limit=plan.limit)
+            return output.rows(order)
+        rows = output
+        for position, ascending in reversed(positions):
+            rows = sorted(rows, key=lambda row: sort_key(row[position]),
+                          reverse=not ascending)
         if plan.limit is not None:
             rows = rows[:plan.limit]
         return rows

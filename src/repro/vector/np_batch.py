@@ -80,6 +80,7 @@ group of one).
 from __future__ import annotations
 
 import datetime
+import threading
 import zlib
 from collections.abc import Mapping
 from typing import (
@@ -110,6 +111,61 @@ _KIND_FILL = {"i": 0, "f": 0.0, "b": False, "d": datetime.date.min}
 
 #: Day number (``date.toordinal``) of the datetime64 epoch, 1970-01-01.
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
+#: Most days the shared date table spans (about 179 years, 2.5 MiB of
+#: ``date`` objects at most).
+DAY_TABLE_DAYS = 1 << 16
+
+
+def _dates_of(days: np.ndarray) -> np.ndarray:
+    """Day numbers as an object array of ``date``: one C pass through
+    ``datetime64``."""
+    return (days - _EPOCH_ORDINAL).astype("datetime64[D]").astype(object)
+
+
+class _DayTable:
+    """One shared ``date`` object per day number over a contiguous span,
+    so decoding a date column is a gather.  The span grows to cover the
+    columns decoded; a column it cannot cover within
+    :data:`DAY_TABLE_DAYS` days moves it (or, wider still, is decoded
+    on its own).  Readers take the current ``(first day, dates)`` pair
+    in one read; a writer builds a new pair under the lock."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._span: Tuple[int, np.ndarray] = (0, np.empty(0, dtype=object))
+
+    def decode(self, days: np.ndarray, mask: Optional[np.ndarray]) -> List:
+        """``days`` as ``date`` objects; masked slots hold any date."""
+        present = days if mask is None else days[~mask]
+        if not len(present):
+            return [None] * len(days)
+        low, high = int(present.min()), int(present.max()) + 1
+        first, dates = self._span
+        if not first <= low or not high <= first + len(dates):
+            if high - low > DAY_TABLE_DAYS:
+                return _dates_of(days).tolist()
+            first, dates = self._cover(low, high)
+        index = days - first
+        if mask is not None:
+            index[mask] = 0
+        return dates.take(index).tolist()
+
+    def _cover(self, low: int, high: int) -> Tuple[int, np.ndarray]:
+        with self._lock:
+            first, dates = self._span
+            if first <= low and high <= first + len(dates):
+                return first, dates
+            if len(dates):
+                wider = (min(low, first), max(high, first + len(dates)))
+                if wider[1] - wider[0] <= DAY_TABLE_DAYS:
+                    low, high = wider
+            span = self._span = (low, _dates_of(
+                np.arange(low, high, dtype=np.int64)))
+            return span
+
+
+_DAYS = _DayTable()
 
 
 class StringDictionary:
@@ -169,9 +225,7 @@ class NumpyColumn:
         out = self._pylist
         if out is None:
             if self.kind == "d":
-                # One C pass: day numbers → datetime64 → date objects.
-                out = (self.values - _EPOCH_ORDINAL).astype(
-                    "datetime64[D]").astype(object).tolist()
+                out = _DAYS.decode(self.values, self.mask)
             elif self.kind == "s":
                 entries = self.dictionary.entries
                 if len(entries) < len(self.values):
@@ -499,11 +553,20 @@ class ArrayBatch:
     def __len__(self) -> int:
         return self.length
 
-    def rows(self) -> List[Tuple]:
+    def rows(self, indices: Optional[np.ndarray] = None) -> List[Tuple]:
         """The batch as native row tuples, columns in key order — where
         a positional batch crosses the native-value boundary.  Built
         once: a broadcast piece shared by every node shares its row
-        view too, so callers must treat the list as read-only."""
+        view too, so callers must treat the list as read-only.  With
+        ``indices``, only those rows, in that order: each column's
+        native values are picked and a tuple is built per picked row
+        (a list the caller owns)."""
+        if indices is not None:
+            if not self.columns:
+                return [()] * len(indices)
+            picks = indices.tolist()
+            return list(zip(*[map(column.pylist().__getitem__, picks)
+                              for column in self.columns.values()]))
         rows = self._rows
         if rows is None:
             if self.columns:
@@ -808,25 +871,35 @@ def stacked_fragments(fragments: Sequence[ColumnFragment]
 # CRC-32 is affine over GF(2) in the message: for messages of one
 # length, crc(a ^ b) == crc(a) ^ crc(b) ^ crc(0).  A 16-byte message is
 # the XOR of its sixteen single-byte messages, so its CRC is the XOR of
-# one table entry per byte position — table[position][byte] ==
-# crc(that byte alone) ^ crc(0) — and crc(0).  An int64's upper eight
-# bytes are its sign extension, all 0x00 or all 0xFF: their entries fold
-# into one constant per sign, leaving eight lookups per value.
+# one table entry per byte position — crc(that byte alone) ^ crc(0) —
+# and crc(0).  An int64's upper eight bytes are its sign extension, all
+# 0x00 or all 0xFF: their entries fold into one constant per sign.  The
+# low eight bytes are four little-endian 16-bit words, and a word's
+# entry is the XOR of its two bytes' entries, so four lookups in 64 Ki
+# tables (1 MiB in all) hash a value.
 
 _MESSAGE_BYTES = 16
 
 
 def _crc32_int64_tables() -> Tuple[np.ndarray, int, int]:
     zero = zlib.crc32(bytes(_MESSAGE_BYTES))
-    tables = np.zeros((8, 256), dtype=np.uint32)
+    bytes_at = np.zeros((8, 256), dtype=np.uint32)
     message = bytearray(_MESSAGE_BYTES)
     for position in range(8):
         for byte in range(256):
             message[position] = byte
-            tables[position, byte] = zlib.crc32(message) ^ zero
+            bytes_at[position, byte] = zlib.crc32(message) ^ zero
         message[position] = 0
+    # Word ``high << 8 | low`` at word position p.  Each table is
+    # written in place: building it through freed 256 KiB temporaries
+    # measurably raised page faults in later large allocations.
+    words = np.empty((4, 1 << 16), dtype=np.uint32)
+    for position in range(4):
+        np.bitwise_xor(bytes_at[2 * position + 1][:, None],
+                       bytes_at[2 * position][None, :],
+                       out=words[position].reshape(256, 256))
     negative = zlib.crc32(bytes(8) + b"\xff" * 8)
-    return tables, zero, negative
+    return words, zero, negative
 
 
 _CRC32_TABLES, _CRC32_NON_NEGATIVE, _CRC32_NEGATIVE = _crc32_int64_tables()
@@ -835,13 +908,13 @@ _CRC32_TABLES, _CRC32_NON_NEGATIVE, _CRC32_NEGATIVE = _crc32_int64_tables()
 def crc32_int64(values: np.ndarray) -> np.ndarray:
     """``zlib.crc32(v.to_bytes(16, "little", signed=True))`` for a whole
     int64 column at once, as uint32 — bit-identical to
-    :func:`repro.appliance.storage.pdw_hash` on ints.  Eight table
-    lookups per value (one per low byte, vectorized across the rows)
-    XORed onto the constant its sign contributes."""
+    :func:`repro.appliance.storage.pdw_hash` on ints.  Four table
+    lookups per value (one per low 16-bit word, vectorized across the
+    rows) XORed onto the constant its sign contributes."""
     v = np.ascontiguousarray(values, dtype="<i8")
-    data = v.view(np.uint8).reshape(-1, 8)
+    words = v.view("<u2").reshape(-1, 4)
     crc = np.where(v < 0, np.uint32(_CRC32_NEGATIVE),
                    np.uint32(_CRC32_NON_NEGATIVE))
-    for position in range(8):
-        crc ^= _CRC32_TABLES[position][data[:, position]]
+    for position in range(4):
+        crc ^= _CRC32_TABLES[position].take(words[:, position])
     return crc

@@ -209,7 +209,7 @@ class NumpyInterpreter:
         """The columnar exit: the query's output as typed columns keyed
         by output position, each node's ORDER BY / TOP applied to its
         own rows — no tuple built.  What a DMS step hands to the router
-        and the Return step sizes before it builds its rows."""
+        and the Return step sizes and hands to the control node."""
         started = time.perf_counter()
         try:
             return self._output_batch(query, self.run(query.root))
@@ -219,34 +219,15 @@ class NumpyInterpreter:
     def _output_batch(self, query: Query, batch: ArrayBatch
                       ) -> ArrayBatch:
         # ORDER BY and TOP are per node: every segment on its own.
-        bounds = batch.bounds
-        spans = ([0, batch.length] if bounds is None
-                 else bounds.tolist())
-        if query.order_by:
-            # Sort keys need `sort_key` over Python values: the native
-            # view of the key columns only, and the reference sort (and
-            # TOP) over each node's slice of them.
+        if query.order_by or (query.limit is not None
+                              and query.limit < batch.length):
             columns = batch.columns
-            keys = {var.id: columns[var.id].pylist()
-                    for var, _ in query.order_by if var.id in columns}
-            order: List[int] = []
-            counts = []
-            for start, stop in zip(spans, spans[1:]):
-                part = keys if stop - start == batch.length else {
-                    cid: column[start:stop]
-                    for cid, column in keys.items()}
-                rows = _row_order(query, part, stop - start)
-                counts.append(len(rows))
-                order.extend([row + start for row in rows] if start
-                             else rows)
-            batch = batch.take(
-                np.array(order, dtype=np.int64),
-                None if bounds is None else offsets(counts))
-        elif query.limit is not None and query.limit < batch.length:
-            counts = np.minimum(np.diff(spans), query.limit)
-            batch = batch.take(
-                _ranges(np.array(spans[:-1], dtype=np.int64), counts),
-                None if bounds is None else offsets(counts))
+            order, bounds = order_rows(
+                [(columns[var.id], ascending)
+                 for var, ascending in query.order_by
+                 if var.id in columns],  # an absent key is all NULL
+                batch.length, batch.bounds, query.limit)
+            batch = batch.take(order, bounds)
         # Reading the output columns is what gathers them: the batch
         # that leaves holds each outright, and the copying is timed as
         # this step's node SQL.
@@ -655,21 +636,97 @@ class NumpyInterpreter:
 # -- helpers --------------------------------------------------------------------
 
 
-def _row_order(query: Query, keys: Dict[int, List], length: int
-               ) -> List[int]:
-    """The query's ORDER BY (stable, per-key, NULLs first via
-    ``sort_key``) and TOP as a list of row indexes into ``length`` rows
-    whose sort-key columns, as native values, are ``keys``."""
-    order = list(range(length))
-    for var, ascending in reversed(query.order_by):
-        key_col = keys.get(var.id)
-        if key_col is None:
-            continue  # all-NULL sort key: stable no-op
-        order.sort(key=lambda i: sort_key(key_col[i]),
-                   reverse=not ascending)
-    if query.limit is not None:
-        order = order[:query.limit]
-    return order
+def order_rows(keys: Sequence[Tuple[NumpyColumn, bool]], length: int,
+               bounds: Optional[np.ndarray] = None,
+               limit: Optional[int] = None
+               ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """ORDER BY ``keys`` — ``(column, ascending)`` pairs, first key
+    first — then TOP ``limit``, over each segment of ``length`` rows
+    with ``bounds`` (one segment when ``None``) on its own: the kept
+    rows' indexes, segment by segment, and their bounds.
+
+    The order is :func:`~repro.catalog.statistics.sort_key`'s, each key
+    a stable sort (DESC as ``reverse=True``: ties keep their order), so
+    it is one stable ``np.lexsort`` over a numeric key per column
+    (:func:`_lexsort_keys`) with the segment as the leading key.  A key
+    with no such image — an object column, floats holding NaN (which
+    ``sort_key`` leaves unordered) — takes the ``sort_key`` loop."""
+    lexsort_keys = _lexsort_keys(keys)
+    if lexsort_keys is None:
+        order = _sort_key_order(keys, length, bounds)
+    elif lexsort_keys:
+        if bounds is not None and len(bounds) > 2:
+            lexsort_keys.append(segment_ids(bounds))
+        order = np.lexsort(lexsort_keys)
+    else:
+        order = np.arange(length, dtype=np.int64)
+    if limit is None:
+        return order, bounds
+    if bounds is None:
+        return order[:limit], None
+    counts = np.minimum(np.diff(bounds), limit)
+    return order[_ranges(bounds[:-1], counts)], offsets(counts)
+
+
+def _lexsort_keys(keys: Sequence[Tuple[NumpyColumn, bool]]
+                  ) -> Optional[List[np.ndarray]]:
+    """``np.lexsort`` keys (least significant first) ordering rows as
+    ``sort_key`` orders ``keys``' values, or ``None`` when one of them
+    has no numeric image.  A column holds one kind, so a value's image
+    is its number — bool, int and float on one float axis, a date's
+    ordinal, a string's rank among its dictionary's entries (code
+    point order, ranked once per dictionary) — and a NULL is its own
+    most significant key, below every value; DESC negates both."""
+    lexsort_keys: List[np.ndarray] = []
+    for column, ascending in reversed(keys):
+        kind, values, mask = column.kind, column.values, column.mask
+        if kind == "f":
+            nan = np.isnan(values)
+            if mask is not None:
+                nan &= ~mask
+            if nan.any():
+                return None
+            key = values
+        elif kind == "i" or kind == "b":
+            key = values.astype(np.float64)
+        elif kind == "d":
+            key = values
+        elif kind == "s":
+            key = column.dictionary.derived("rank", _entry_ranks)[values]
+        else:
+            return None
+        if mask is not None and mask.any():
+            # Every NULL ties with every other, whatever its slot holds.
+            key = np.where(mask, 0, key)
+            lexsort_keys.append(key if ascending else -key)
+            lexsort_keys.append(~mask if ascending else mask)
+        else:
+            lexsort_keys.append(key if ascending else -key)
+    return lexsort_keys
+
+
+def _entry_ranks(entries: np.ndarray) -> np.ndarray:
+    """Each dictionary entry's dense rank in code point order (equal
+    strings, should a dictionary hold any, share one)."""
+    return np.unique(entries, return_inverse=True)[1].astype(
+        np.int64, copy=False)
+
+
+def _sort_key_order(keys: Sequence[Tuple[NumpyColumn, bool]],
+                    length: int, bounds: Optional[np.ndarray]
+                    ) -> np.ndarray:
+    """:func:`order_rows`' order by one stable ``sort_key`` sort per
+    key, last key first, over each segment's native values."""
+    columns = [(column.pylist(), ascending) for column, ascending in keys]
+    spans = [0, length] if bounds is None else bounds.tolist()
+    order: List[int] = []
+    for start, stop in zip(spans, spans[1:]):
+        rows = list(range(start, stop))
+        for values, ascending in reversed(columns):
+            rows.sort(key=lambda i: sort_key(values[i]),
+                      reverse=not ascending)
+        order.extend(rows)
+    return np.array(order, dtype=np.int64)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

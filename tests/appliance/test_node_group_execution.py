@@ -266,12 +266,14 @@ def exact(rows):
             for row in rows]
 
 
-def per_node(runtime, step):
+def per_node(runtime, step, runs=None):
     """Run ``step`` one source node at a time — the same interpreter
     over groups of one — and route every source on its own with the
     reference row router, merged in source order as the row backends'
     runtime merges.  Returns (stats, rows per source, rows per
-    target)."""
+    target).  ``runs`` memoizes each node's run of a SQL text (its
+    rows, relational rows and operator records) for a caller that runs
+    one text over unchanged tables more than once."""
     appliance = runtime.appliance
     operation = step.movement.operation if step.movement else None
     hash_index = (step.destination_table.column_index(step.hash_column)
@@ -280,15 +282,21 @@ def per_node(runtime, step):
     produced, stored = {}, {}
     for source in runtime._source_nodes(step):
         source_id = source.node_id
-        counters, observer = InterpreterStats(), OperatorObserver()
-        rows, _ = runtime.run_sql_on_node(step.sql, source, counters,
-                                          observer)
+        run = None if runs is None else runs.get((step.sql, source_id))
+        if run is None:
+            counters, observer = InterpreterStats(), OperatorObserver()
+            rows, _ = runtime.run_sql_on_node(step.sql, source, counters,
+                                              observer)
+            run = (rows, counters.rows_scanned + counters.rows_processed,
+                   observer.records)
+            if runs is not None:
+                runs[(step.sql, source_id)] = run
+        rows, relational_rows, records = run
         sizes = [row_bytes(row) for row in rows]
         produced[source_id] = rows
-        stats.relational_rows += (counters.rows_scanned
-                                  + counters.rows_processed)
+        stats.relational_rows += relational_rows
         stats.node_rows[source_id] = len(rows)
-        stats.node_operators[source_id] = observer.records
+        stats.node_operators[source_id] = records
         stats.rows_moved += len(rows)
         if operation is None:
             if source_id != CONTROL_NODE:
@@ -341,15 +349,16 @@ def assert_nodes_run_as_the_oracle(appliance, step, produced, context):
 
 
 def assert_group_is_the_per_node_loop(appliance, sql, move, context,
-                                      oracle=False):
-    """The step's group run against :func:`per_node` — and with
-    ``oracle``, each node's run against the reference interpreter's."""
+                                      oracle=False, runs=None):
+    """The step's group run against :func:`per_node` (``runs`` is its
+    memo) — and with ``oracle``, each node's run against the reference
+    interpreter's."""
     runtime = DmsRuntime(appliance)
     assert runtime.executor == "numpy"
     runtime.profiling = True  # transfers + per-operator rows too
     step = step_for(appliance, sql, move)
     try:
-        expected, produced, stored = per_node(runtime, step)
+        expected, produced, stored = per_node(runtime, step, runs)
     except ExecutionError as error:
         if oracle:
             assert_nodes_run_as_the_oracle(appliance, step, None, context)
@@ -365,9 +374,9 @@ def assert_group_is_the_per_node_loop(appliance, sql, move, context,
         assert_nodes_run_as_the_oracle(appliance, step, produced, context)
     try:
         if move is None:
-            rows, _, actual = runtime.execute_return(step)
+            output, _, actual = runtime.execute_return(step)
             # Every node's rows, in its own order, in node order.
-            assert exact(rows) == exact(
+            assert exact(output.rows()) == exact(
                 [row for source in produced.values() for row in source]
             ), context
         else:
@@ -388,12 +397,16 @@ def assert_group_is_the_per_node_loop(appliance, sql, move, context,
 def test_every_step_runs_as_its_nodes_would_have(appliance, data):
     moves = data.draw(st.lists(st.sampled_from(MOVES), min_size=len(SHAPES),
                                max_size=len(SHAPES)))
+    # The Return step and the move run one SQL text over the same base
+    # tables: each node's run of it is made once and checked twice.
+    runs = {}
     for (name, sql), move in zip(SHAPES.items(), moves):
         context = (name, appliance.node_count)
         assert_group_is_the_per_node_loop(appliance, sql, None, context,
-                                          oracle=True)
+                                          oracle=True, runs=runs)
         assert_group_is_the_per_node_loop(appliance, sql, move,
-                                          (*context, move[0].value))
+                                          (*context, move[0].value),
+                                          runs=runs)
 
 
 @pytest.mark.parametrize("move", MOVES, ids=lambda m: m[0].value)
@@ -446,11 +459,11 @@ def test_a_shuffled_temp_is_stored_once_and_scanned_whole(node_count,
         monkeypatch.setattr(ArrayBatch, "slice", no_slice)
         sql = f"SELECT g, COUNT(*) AS n, MIN(s) AS lo FROM {temp} GROUP BY g"
         follow = step_for(appliance, sql)
-        rows, _, stats = runtime.execute_return(follow)
+        output, _, stats = runtime.execute_return(follow)
         monkeypatch.undo()
         # ... and a row reader still sees each node's own rows.
         expected, produced, _ = per_node(runtime, follow)
-        assert exact(rows) == exact(
+        assert exact(output.rows()) == exact(
             [row for source in produced.values() for row in source])
         assert stats.node_rows == expected.node_rows
         for node in appliance.compute:
@@ -606,16 +619,16 @@ def test_a_table_absent_from_one_nodes_map_is_not_on_this_node():
 def test_an_empty_fragment_is_an_empty_table_not_an_absent_one():
     appliance = loaded(4, [[1, 2], [], [5], []])
     runtime = DmsRuntime(appliance)
-    rows, _, stats = runtime.execute_return(step_for(
+    output, _, stats = runtime.execute_return(step_for(
         appliance, "SELECT COUNT(*) AS n, SUM(z) AS total, MIN(s) AS lo "
                    "FROM t"))
     # One row from every node, the empty ones included.
-    assert rows == [(2, 3, "1"), (0, None, None), (1, 5, "5"),
-                    (0, None, None)]
+    assert output.rows() == [(2, 3, "1"), (0, None, None), (1, 5, "5"),
+                             (0, None, None)]
     assert stats.node_rows == {0: 1, 1: 1, 2: 1, 3: 1}
-    rows, _, stats = runtime.execute_return(step_for(
+    output, _, stats = runtime.execute_return(step_for(
         appliance, "SELECT z, COUNT(*) AS n FROM t GROUP BY z"))
-    assert sorted(rows, key=lambda row: sort_key(row[0])) == [
+    assert sorted(output.rows(), key=lambda row: sort_key(row[0])) == [
         (1, 1), (2, 1), (5, 1)]
     assert stats.node_rows == {0: 2, 1: 0, 2: 1, 3: 0}
 

@@ -4,7 +4,8 @@ Through the front door (``PdwService``, default options) a DMS step's
 output stays typed columns from the kernels that made it to the scan of
 the step that reads it: nothing sizes a value with ``value_bytes``,
 nothing builds a row to route it, and nothing turns a column back into
-Python values until the Return step assembles the client's rows.
+Python values until the control node has ordered the Return step's
+batch and assembles the client's rows.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from collections import Counter
 import repro.appliance.dms_runtime as dms_runtime
 import repro.appliance.storage as storage
 from repro.appliance.dms_runtime import DmsRuntime
+from repro.appliance.runner import DsqlRunner
 from repro.service import PdwService
 from repro.vector.np_batch import ArrayBatch, NumpyColumn
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
 
-def test_cached_q13_builds_rows_only_in_its_return_step(tpch, monkeypatch):
+def test_cached_q13_builds_rows_only_at_the_control_node(tpch,
+                                                          monkeypatch):
     appliance, shell = tpch
     service = PdwService(appliance=appliance, shell=shell)
     try:
@@ -44,8 +47,8 @@ def test_cached_q13_builds_rows_only_in_its_return_step(tpch, monkeypatch):
         current = []
         calls = Counter()
 
-        def under(name):
-            real = getattr(DmsRuntime, name)
+        def under(cls, name):
+            real = getattr(cls, name)
 
             def wrapped(self, *args, **kwargs):
                 current.append(name)
@@ -54,19 +57,20 @@ def test_cached_q13_builds_rows_only_in_its_return_step(tpch, monkeypatch):
                 finally:
                     current.pop()
 
-            monkeypatch.setattr(DmsRuntime, name, wrapped)
+            monkeypatch.setattr(cls, name, wrapped)
 
         def counted(cls, method):
             real = getattr(cls, method)
 
-            def counting(self):
+            def counting(self, *args):
                 calls[(method, current[-1] if current else None)] += 1
-                return real(self)
+                return real(self, *args)
 
             monkeypatch.setattr(cls, method, counting)
 
-        under("execute_movement")
-        under("execute_return")
+        under(DmsRuntime, "execute_movement")
+        under(DmsRuntime, "execute_return")
+        under(DsqlRunner, "_finalize")
         counted(NumpyColumn, "pylist")
         counted(ArrayBatch, "rows")
 
@@ -75,12 +79,13 @@ def test_cached_q13_builds_rows_only_in_its_return_step(tpch, monkeypatch):
         assert again.rows == first.rows
         moved = sum(s.rows_moved for s in again.step_stats[:-1])
         assert moved > appliance.node_count  # real data moved
-        # Every conversion happened under the Return step — none while
-        # a DMS step ran, none outside a step (the temps were dropped
-        # as column fragments, never viewed as rows).
-        assert calls and {step for _, step in calls} == {"execute_return"}
+        # Every conversion happened in the control node's merge, after
+        # its ORDER BY — none while a DMS step or the Return step ran,
+        # none elsewhere (the temps were dropped as column fragments,
+        # never viewed as rows).
+        assert calls and {step for _, step in calls} == {"_finalize"}
         # ... and once: the Return step's node group is one batch.
         assert len(again.step_stats[-1].node_rows) > 1
-        assert calls[("rows", "execute_return")] == 1
+        assert calls[("rows", "_finalize")] == 1
     finally:
         service.close()

@@ -21,6 +21,10 @@ expressions are ``numpy.strings`` calls over dictionary entries.  Key
 equality is codes too: Q5's and Q20's two-key joins read no native
 value, and Q16's ``COUNT(DISTINCT …)`` reduces no member list.
 
+ORDER BY is a ``np.lexsort`` over typed keys: a cached Q1, Q3, Q13 or
+Q16 calls ``sort_key`` neither inside a step (each node's ORDER BY)
+nor at the control node (the final ORDER BY / TOP).
+
 Key codes are dense: a join, GROUP BY or DISTINCT indexes tables by
 code, and a key with more than ``CODES_PER_ROW`` codes per row is
 re-coded by one ``np.unique`` first.  On pdwbench's ``exec_shuffle``
@@ -36,6 +40,7 @@ from collections import Counter
 
 import pytest
 
+import repro.appliance.runner as runner
 import repro.vector.np_executor as np_executor
 import repro.vector.np_kernels as np_kernels
 from repro.service import PdwService
@@ -156,6 +161,28 @@ def test_one_interpreter_per_step_per_cached_execution(
     assert sorted(built) == sorted(len(stats.node_rows)
                                    for stats in again.step_stats)
     assert max(built) == nodes
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q3", "Q13", "Q16"])
+def test_cached_order_by_calls_no_sort_key(name, eight_nodes,
+                                           monkeypatch):
+    service = eight_nodes
+    sql = TPCH_QUERIES[name]
+    first = service.execute(sql)
+    calls = Counter()
+    for where, module in (("step", np_executor), ("control", runner)):
+        real = module.sort_key
+
+        def counting(value, where=where, real=real):
+            calls[where] += 1
+            return real(value)
+
+        monkeypatch.setattr(module, "sort_key", counting)
+    again = service.execute(sql)
+    assert again.cache_hit
+    assert again.rows == first.rows and again.rows
+    assert "ORDER BY" in sql
+    assert calls == Counter(), dict(calls)
 
 
 def _inside_a_kernel() -> bool:

@@ -1,14 +1,19 @@
-"""Typed-array column representation: sniffing, NULL masks, round-trips
-and the vectorized CRC32 hash's parity with ``pdw_hash``."""
+"""Typed-array column representation: sniffing, NULL masks, round-trips,
+the shared date table, and the vectorized CRC32 hash's parity with
+``pdw_hash`` and with the eight-table version it replaced."""
 
 from __future__ import annotations
 
 import datetime
 import random
+import sys
+import threading
+import zlib
 
 import numpy as np
 import pytest
 
+import repro.vector.np_batch as np_batch
 from repro.appliance.storage import column_owners, pdw_hash
 from repro.vector.np_batch import (
     ArrayBatch,
@@ -33,6 +38,37 @@ ROUND_TRIPS = [
     [2 ** 80, 1],   # beyond int64 → object column
     [1, 2.5],       # mixed numeric → object column (exact semantics)
 ]
+
+
+# -- the replaced eight-table CRC32, kept verbatim as the reference -----
+
+_MESSAGE_BYTES = 16
+
+
+def _crc32_int64_tables():
+    zero = zlib.crc32(bytes(_MESSAGE_BYTES))
+    tables = np.zeros((8, 256), dtype=np.uint32)
+    message = bytearray(_MESSAGE_BYTES)
+    for position in range(8):
+        for byte in range(256):
+            message[position] = byte
+            tables[position, byte] = zlib.crc32(message) ^ zero
+        message[position] = 0
+    negative = zlib.crc32(bytes(8) + b"\xff" * 8)
+    return tables, zero, negative
+
+
+_CRC32_TABLES, _CRC32_NON_NEGATIVE, _CRC32_NEGATIVE = _crc32_int64_tables()
+
+
+def crc32_int64_eight_tables(values):
+    v = np.ascontiguousarray(values, dtype="<i8")
+    data = v.view(np.uint8).reshape(-1, 8)
+    crc = np.where(v < 0, np.uint32(_CRC32_NEGATIVE),
+                   np.uint32(_CRC32_NON_NEGATIVE))
+    for position in range(8):
+        crc ^= _CRC32_TABLES[position][data[:, position]]
+    return crc
 
 
 class TestColumnRoundTrip:
@@ -61,6 +97,65 @@ class TestColumnRoundTrip:
                    for value in got if value is not None)
         assert NumpyColumn("d", ordinals[:2]).pylist() == [
             datetime.date.min, datetime.date.max]
+
+    def test_date_table_and_its_fallback_decode_alike(self):
+        """A column inside the shared table's span gathers its dates; one
+        wider than the span decodes on its own; a NULL row is None
+        whatever its slot holds, and an all-NULL column is all None."""
+        span = np_batch.DAY_TABLE_DAYS
+        start = datetime.date(1992, 1, 1).toordinal()
+        for ordinals in (
+                [start, start + 2500, start + 17, start],
+                [1, 3652059, start],  # wider than the span
+                [start - span // 2, start + span // 2 - 1],
+                [3652059 - 5, 3652059]):
+            days = np.array(ordinals, dtype=np.int64)
+            mask = np.zeros(len(days), dtype=np.bool_)
+            mask[-1] = True
+            days_with_garbage = days.copy()
+            days_with_garbage[-1] = -12345  # no date at all
+            assert NumpyColumn("d", days).pylist() == [
+                datetime.date.fromordinal(d) for d in ordinals]
+            assert NumpyColumn("d", days_with_garbage, mask).pylist() == [
+                *(datetime.date.fromordinal(d) for d in ordinals[:-1]),
+                None]
+        assert NumpyColumn("d", np.array([5, 6]),
+                           np.array([True, True])).pylist() == [None, None]
+        assert NumpyColumn("d", np.zeros(0, np.int64)).pylist() == []
+
+    def test_date_table_is_shared_and_bounded_across_threads(self):
+        """Threads decoding far-apart spans concurrently all get the
+        dates ``fromordinal`` gives; the table never outgrows its bound
+        and hands out one object per day."""
+        span = np_batch.DAY_TABLE_DAYS
+        starts = [1, 700000, 730000, 3652059 - 1000, 730000 + span]
+        errors = []
+
+        def decode(start):
+            days = np.arange(start, start + 1000, 7, dtype=np.int64)
+            want = [datetime.date.fromordinal(d) for d in days.tolist()]
+            for _ in range(20):
+                if NumpyColumn("d", days).pylist() != want:
+                    errors.append(start)
+
+        threads = [threading.Thread(target=decode, args=(start,))
+                   for start in starts * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        first, dates = np_batch._DAYS._span
+        assert len(dates) <= span
+        days = np.array([first, first], dtype=np.int64)
+        once, again = NumpyColumn("d", days).pylist()
+        assert once is again
 
     def test_typed_kinds(self):
         assert column_from_list([1, 2]).kind == "i"
@@ -114,6 +209,28 @@ class TestVectorizedHash:
                 2 ** 63 - 1, -2 ** 63]
         crcs = crc32_int64(np.array(keys, dtype=np.int64))
         assert crcs.tolist() == [pdw_hash(k) for k in keys]
+
+    def test_crc_matches_zlib_on_the_edges(self):
+        keys = [0, -1, 2 ** 31, -2 ** 31, 2 ** 53, -2 ** 53,
+                2 ** 63 - 1, -2 ** 63]
+        crcs = crc32_int64(np.array(keys, dtype=np.int64))
+        assert crcs.dtype == np.uint32
+        assert crcs.tolist() == [
+            zlib.crc32(k.to_bytes(16, "little", signed=True))
+            for k in keys]
+
+    def test_four_word_lookups_are_the_eight_byte_lookups(self):
+        rng = np.random.default_rng(20120520)
+        keys = np.concatenate([
+            rng.integers(-2 ** 63, 2 ** 63 - 1, 5000, dtype=np.int64),
+            rng.integers(-70000, 70000, 5000, dtype=np.int64),
+            np.array([0, -1, 255, 256, 65535, 65536, -65536],
+                     dtype=np.int64)])
+        assert np.array_equal(crc32_int64(keys),
+                              crc32_int64_eight_tables(keys))
+        # A strided view hashes as its contiguous copy does.
+        assert np.array_equal(crc32_int64(keys[::3]),
+                              crc32_int64_eight_tables(keys[::3]))
 
     def test_crc_matches_pdw_hash_randomized(self):
         rng = random.Random(20120520)
