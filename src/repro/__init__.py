@@ -17,8 +17,8 @@ a simulated appliance:
   DMS-only cost model (§3.2, §3.3), plus DSQL generation (§3.4);
 * :mod:`repro.appliance` — the simulated appliance: distributed storage,
   node-local SQL execution, the DMS runtime with byte accounting, the
-  parallel runtime (step-DAG scheduling), and the λ calibration harness
-  (§3.3.3);
+  DSQL runner that walks a plan's steps in order (§2.4), and the λ
+  calibration harness (§3.3.3);
 * :mod:`repro.workloads` — TPC-H schema/generator/queries with the
   paper's placement design.
 
@@ -61,12 +61,6 @@ from repro.appliance.runner import (
     ExecutionTiming,
     QueryResult,
     run_reference,
-)
-from repro.appliance.scheduler import (
-    PARALLEL_ENV_VAR,
-    StepDag,
-    WorkerPool,
-    resolve_parallel,
 )
 from repro.appliance.storage import Appliance
 from repro.catalog.schema import (
@@ -173,10 +167,6 @@ __all__ = [
     "skew_stats",
     "OptimizationResult",
     "OptimizerConfig",
-    "PARALLEL_ENV_VAR",
-    "StepDag",
-    "WorkerPool",
-    "resolve_parallel",
     "PdwConfig",
     "PdwEngine",
     "PdwOptimizer",

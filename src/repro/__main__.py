@@ -63,11 +63,9 @@ Options ``--scale`` and ``--nodes`` size the appliance (defaults: scale
 ``--executor {reference,numpy}`` picks the execution backend by name —
 ``numpy`` (the default) runs each DSQL step once over every node's
 fragment on typed ndarrays, ``reference`` runs the tree-walking oracle
-node by node.  ``--parallel-runtime`` schedules DSQL steps as a
-dependency DAG on a thread pool instead of the default §2.4 serial walk
-(one step at a time); both produce identical rows and stats.  The
-appliance is regenerated deterministically on every invocation, so
-results are reproducible.
+node by node.  Either way DSQL steps run one at a time, as §2.4 walks
+the plan.  The appliance is regenerated deterministically on every
+invocation, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -102,10 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "kernels over each step's whole node "
                              "group, default) or reference (the "
                              "tree-walking oracle, node by node)")
-    parser.add_argument("--parallel-runtime", action="store_true",
-                        help="schedule DSQL steps as a dependency DAG "
-                             "on a thread pool instead of one step at "
-                             "a time")
     sub = parser.add_subparsers(dest="command", required=True)
 
     explain = sub.add_parser(
@@ -298,9 +292,31 @@ def _parse_hints(pairs: List[str]) -> Optional[dict]:
 
 def _cli_options(args) -> ExecutionOptions:
     """ExecutionOptions from the global CLI flags."""
-    return ExecutionOptions(
-        executor=args.executor,
-        parallel=True if args.parallel_runtime else None)
+    return ExecutionOptions(executor=args.executor)
+
+
+def _write_jsonl(path: str, events: List[dict]) -> bool:
+    """Validate ``events`` and write them to ``path`` as JSONL.  On a
+    schema error print each error to stderr, write nothing and return
+    False (the command then exits 1)."""
+    from repro.obs.export import events_to_jsonl, validate_events
+
+    errors = validate_events(events)
+    if errors:
+        for error in errors:
+            print(f"schema error: {error}", file=sys.stderr)
+        return False
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(events_to_jsonl(events))
+    print(f"-- wrote {len(events)} events to {path}", file=sys.stderr)
+    return True
+
+
+def _write_prometheus(path: str, text: str) -> None:
+    """Write Prometheus exposition ``text`` to ``path``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"-- wrote metrics to {path}", file=sys.stderr)
 
 
 def _cmd_serve(args) -> int:
@@ -332,9 +348,7 @@ def _cmd_serve(args) -> int:
     slow = service.metrics.snapshot().get("pdw_service_slow_total", {})
     print(f"pdw_service_slow_total {int(sum(slow.values()))}")
     if args.prometheus:
-        with open(args.prometheus, "w", encoding="utf-8") as handle:
-            handle.write(service.metrics_text())
-        print(f"-- wrote metrics to {args.prometheus}", file=sys.stderr)
+        _write_prometheus(args.prometheus, service.metrics_text())
     if not args.smoke:
         return 0
     failures = []
@@ -357,11 +371,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_requests(args) -> int:
-    from repro.obs.export import (
-        events_to_jsonl,
-        requests_to_events,
-        validate_events,
-    )
+    from repro.obs.export import requests_to_events
     from repro.obs.report import render_requests_report
     from repro.obs.requests import RequestRegistry
     from repro.service import PdwService, run_traffic
@@ -404,31 +414,17 @@ def _cmd_requests(args) -> int:
                   f"{shape_key}")
         print()
         print(render_requests_report(registry, slow_only=args.slow))
-    if args.jsonl:
-        errors = validate_events(events)
-        if errors:
-            for error in errors:
-                print(f"schema error: {error}", file=sys.stderr)
-            return 1
-        with open(args.jsonl, "w", encoding="utf-8") as handle:
-            handle.write(events_to_jsonl(events))
-        print(f"-- wrote {len(events)} events to {args.jsonl}",
-              file=sys.stderr)
+    if args.jsonl and not _write_jsonl(args.jsonl, events):
+        return 1
     if args.prometheus:
-        with open(args.prometheus, "w", encoding="utf-8") as handle:
-            handle.write(service.metrics_text())
-        print(f"-- wrote metrics to {args.prometheus}", file=sys.stderr)
+        _write_prometheus(args.prometheus, service.metrics_text())
     return 0
 
 
 def _cmd_querystore(args) -> int:
     import random
 
-    from repro.obs.export import (
-        events_to_jsonl,
-        query_store_to_metrics,
-        validate_events,
-    )
+    from repro.obs.export import query_store_to_metrics
     from repro.obs.query_store import QueryStore
     from repro.obs.report import (
         render_query_store_regressions,
@@ -496,22 +492,11 @@ def _cmd_querystore(args) -> int:
     if args.save:
         count = store.save(args.save)
         print(f"-- saved {count} shapes to {args.save}", file=sys.stderr)
-    if args.jsonl:
-        events = store.to_events()
-        errors = validate_events(events)
-        if errors:
-            for error in errors:
-                print(f"schema error: {error}", file=sys.stderr)
-            return 1
-        with open(args.jsonl, "w", encoding="utf-8") as handle:
-            handle.write(events_to_jsonl(events))
-        print(f"-- wrote {len(events)} events to {args.jsonl}",
-              file=sys.stderr)
+    if args.jsonl and not _write_jsonl(args.jsonl, store.to_events()):
+        return 1
     if args.prometheus:
         query_store_to_metrics(store, service.metrics)
-        with open(args.prometheus, "w", encoding="utf-8") as handle:
-            handle.write(service.metrics_text())
-        print(f"-- wrote metrics to {args.prometheus}", file=sys.stderr)
+        _write_prometheus(args.prometheus, service.metrics_text())
     return 0
 
 
@@ -555,11 +540,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               optimizer=args.optimizer))
 
     elif args.command == "why":
-        from repro.obs.export import (
-            events_to_jsonl,
-            optimizer_trace_to_events,
-            validate_events,
-        )
+        from repro.obs.export import optimizer_trace_to_events
 
         try:
             hints = _parse_hints(args.hint)
@@ -574,22 +555,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_plan_choice(choice))
         print()
         print(render_optimizer_trace_report(trace, top_k=args.top))
-        if args.jsonl:
-            events = optimizer_trace_to_events(trace, plan_choice=choice)
-            errors = validate_events(events)
-            if errors:
-                for error in errors:
-                    print(f"schema error: {error}", file=sys.stderr)
-                return 1
-            with open(args.jsonl, "w", encoding="utf-8") as handle:
-                handle.write(events_to_jsonl(events))
-            print(f"-- wrote {len(events)} events to {args.jsonl}",
-                  file=sys.stderr)
+        if args.jsonl and not _write_jsonl(
+                args.jsonl,
+                optimizer_trace_to_events(trace, plan_choice=choice)):
+            return 1
         if args.prometheus:
-            with open(args.prometheus, "w", encoding="utf-8") as handle:
-                handle.write(session.metrics.render_prometheus())
-            print(f"-- wrote metrics to {args.prometheus}",
-                  file=sys.stderr)
+            _write_prometheus(args.prometheus,
+                              session.metrics.render_prometheus())
 
     elif args.command == "stats":
         session.compile()
@@ -599,11 +571,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(session.stats_report())
 
     elif args.command == "profile":
-        from repro.obs.export import (
-            events_to_jsonl,
-            profile_to_events,
-            validate_events,
-        )
+        from repro.obs.export import profile_to_events
         from repro.obs.report import render_profile_report
 
         profile = session.profile()
@@ -611,22 +579,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
         else:
             print(render_profile_report(profile))
-        if args.jsonl:
-            events = profile_to_events(profile)
-            errors = validate_events(events)
-            if errors:
-                for error in errors:
-                    print(f"schema error: {error}", file=sys.stderr)
-                return 1
-            with open(args.jsonl, "w", encoding="utf-8") as handle:
-                handle.write(events_to_jsonl(events))
-            print(f"-- wrote {len(events)} events to {args.jsonl}",
-                  file=sys.stderr)
+        if args.jsonl and not _write_jsonl(args.jsonl,
+                                           profile_to_events(profile)):
+            return 1
         if args.prometheus:
-            with open(args.prometheus, "w", encoding="utf-8") as handle:
-                handle.write(session.metrics.render_prometheus())
-            print(f"-- wrote metrics to {args.prometheus}",
-                  file=sys.stderr)
+            _write_prometheus(args.prometheus,
+                              session.metrics.render_prometheus())
 
     else:  # run
         # session.run() rather than a raw runner call, so the query is

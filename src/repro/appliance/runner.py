@@ -4,14 +4,8 @@
 against a simulated appliance: DMS steps move data into temp tables, the
 Return step gathers the result through the control node, which applies
 the final ORDER BY / TOP and hands the result rows to the "client".
-
-With the parallel runtime on (``parallel=True``, or the
-``REPRO_PARALLEL_RUNTIME`` environment override) the runner derives a
-dependency DAG from each step's input temp tables and submits steps the
-moment their inputs are materialized, so independent join subtrees —
-e.g. TPC-H Q5's bushy shape — overlap instead of executing strictly in
-index order.  Step stats are always assembled in index order, so
-results and accounting are identical to the serial walk.
+Steps run one at a time, in index order, as §2.4 walks them; each step
+is already parallel across the compute nodes it runs on.
 
 ``run_reference`` executes the original query on the single-system image
 (all data gathered in one storage map) on the reference interpreter for
@@ -24,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Dict,
     Iterator,
     List,
     Optional,
@@ -41,16 +34,10 @@ from repro.appliance.dms_runtime import (
     StepExecutionStats,
 )
 from repro.appliance.interpreter import PlanInterpreter
-from repro.appliance.scheduler import (
-    StepDag,
-    WorkerPool,
-    resolve_parallel,
-    run_dag,
-)
 from repro.appliance.storage import Appliance
 from repro.catalog.statistics import sort_key
 from repro.obs.requests import NULL_REQUEST
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, ReproError
 from repro.common.executors import resolve_executor
 from repro.optimizer.binder import Binder
 from repro.optimizer.normalize import normalize
@@ -59,12 +46,6 @@ from repro.sql.parser import parse_query
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.vector.np_batch import ArrayBatch, ColumnFragment
 from repro.vector.np_executor import NumpyInterpreter, order_rows
-
-#: Upper bound on concurrently executing DSQL steps.  Plans are small
-#: (a handful of steps), so a narrow step pool keeps the thread count
-#: proportional to the appliance rather than to plan size.
-MAX_STEP_WORKERS = 8
-
 
 @dataclass
 class ExecutionTiming:
@@ -134,32 +115,27 @@ class QueryResult:
 
 
 class DsqlRunner:
-    """Executes DSQL plans: serially one step at a time (§2.4), or —
-    with ``parallel=True`` — as a dependency DAG whose independent
-    steps overlap on a thread pool.
+    """Executes DSQL plans one step at a time, in index order (§2.4).
 
     ``executor`` selects the execution backend by name: ``"numpy"``
     (the default when it is not given) or ``"reference"``.
-    ``parallel=None`` (default) resolves to the serial walk unless the
-    ``REPRO_PARALLEL_RUNTIME`` environment variable overrides it, as
-    it does at the :class:`repro.session.PdwSession` and
-    :class:`repro.service.PdwService` front doors.
     """
 
     def __init__(self, appliance: Appliance,
                  truth: Optional[GroundTruthConstants] = None,
                  tracer: Tracer = NULL_TRACER,
-                 parallel: Optional[bool] = None,
+                 parallel: bool = False,
                  executor: Optional[str] = None):
+        # Read-only leftover: pdwbench's layers.py passes parallel=False.
+        # It goes once that caller is updated (ROADMAP item 4).
+        if parallel:
+            raise ReproError("there is no parallel step runtime: "
+                             "DSQL steps run one at a time")
         self.appliance = appliance
         self.tracer = tracer
         self.executor = resolve_executor(executor)
-        self.parallel = resolve_parallel(parallel, default=False)
         self.runtime = DmsRuntime(appliance, truth, tracer,
                                   executor=self.executor)
-        self._step_pool = WorkerPool(
-            min(MAX_STEP_WORKERS, max(2, appliance.node_count)),
-            "repro-step")
 
     def run(self, plan: DsqlPlan, keep_temps: bool = False,
             profile: bool = False, request=NULL_REQUEST) -> QueryResult:
@@ -189,25 +165,20 @@ class DsqlRunner:
             request.begin_plan(plan)
         try:
             with tracer.span("execute"):
-                if self.parallel and len(plan.steps) > 1:
-                    output, names, stats = self._run_dag(
-                        plan, output, names, request)
-                else:
-                    for step in plan.steps:
-                        with tracer.span(self._step_label(step)) as span:
-                            request.begin_step(step.index)
-                            if step.kind is StepKind.DMS:
-                                step_stats = \
-                                    self.runtime.execute_movement(step)
-                            else:
-                                output, names, step_stats = \
-                                    self.runtime.execute_return(step)
-                            request.end_step(step.index, step_stats)
-                            stats.append(step_stats)
-                            if tracer.enabled:
-                                span.set("rows", step_stats.rows_moved)
-                                span.set("simulated_seconds",
-                                         step_stats.elapsed_seconds)
+                for step in plan.steps:
+                    with tracer.span(self._step_label(step)) as span:
+                        request.begin_step(step.index)
+                        if step.kind is StepKind.DMS:
+                            step_stats = self.runtime.execute_movement(step)
+                        else:
+                            output, names, step_stats = \
+                                self.runtime.execute_return(step)
+                        request.end_step(step.index, step_stats)
+                        stats.append(step_stats)
+                        if tracer.enabled:
+                            span.set("rows", step_stats.rows_moved)
+                            span.set("simulated_seconds",
+                                     step_stats.elapsed_seconds)
                 rows = self._finalize(plan, names, output)
         finally:
             self.runtime.profiling = False
@@ -225,47 +196,6 @@ class DsqlRunner:
         return (f"step{step.index}."
                 + (step.movement.operation.value
                    if step.movement else "return"))
-
-    def _run_dag(self, plan: DsqlPlan,
-                 output: Union[ArrayBatch, List[Tuple]],
-                 names: List[str], request=NULL_REQUEST
-                 ) -> Tuple[Union[ArrayBatch, List[Tuple]], List[str],
-                            List[StepExecutionStats]]:
-        """DAG-scheduled execution: submit each step once its input
-        temp tables are materialized.  Worker threads must not touch
-        the tracer's span stack, so per-step spans are emitted post-hoc
-        (index order, measured durations attached as attributes)."""
-        dag = StepDag(plan)
-        returned: Dict[int, Tuple[Union[ArrayBatch, List[Tuple]],
-                                  List[str]]] = {}
-
-        def execute(index: int) -> StepExecutionStats:
-            step = plan.steps[index]
-            request.begin_step(index)
-            if step.kind is StepKind.DMS:
-                step_stats = self.runtime.execute_movement(step)
-            else:
-                step_output, step_names, step_stats = \
-                    self.runtime.execute_return(step)
-                returned[index] = (step_output, step_names)
-            request.end_step(index, step_stats)
-            return step_stats
-
-        on_submit = request.step_scheduled if request.enabled else None
-        results = run_dag(dag, execute, self._step_pool,
-                          on_submit=on_submit)
-        stats = [results[index] for index in range(len(plan.steps))]
-        tracer = self.tracer
-        if tracer.enabled:
-            for step, step_stats in zip(plan.steps, stats):
-                with tracer.span(self._step_label(step)) as span:
-                    span.set("rows", step_stats.rows_moved)
-                    span.set("simulated_seconds",
-                             step_stats.elapsed_seconds)
-                    span.set("wall_seconds", step_stats.wall_seconds)
-        for index in sorted(returned):
-            output, names = returned[index]
-        return output, names, stats
 
     def _finalize(self, plan: DsqlPlan, names: List[str],
                   output: Union[ArrayBatch, List[Tuple]]) -> List[Tuple]:

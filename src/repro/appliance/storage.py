@@ -293,9 +293,9 @@ class Appliance:
         # storage changes (temp-table churn does not count).  The plan
         # cache stamps entries with this and invalidates on mismatch.
         self.schema_version = 0
-        # Guards catalog/storage DDL and the image cache: under the
-        # parallel runtime, independent DSQL steps create their temp
-        # tables concurrently from worker threads.
+        # Guards catalog/storage DDL and the image cache: concurrent
+        # service executions (max_in_flight > 1, submit / execute_many)
+        # create and drop their temp tables from their client threads.
         self._lock = threading.RLock()
 
     # -- placement ---------------------------------------------------------------

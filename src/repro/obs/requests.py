@@ -12,8 +12,8 @@ admitted through :class:`repro.session.PdwSession` or
 
 with per-step (:class:`StepProgress`) and per-node progress counters
 updated *in flight*, at step granularity, by hooks in
-:class:`repro.appliance.runner.DsqlRunner` and the DAG scheduler: a
-step's per-node rows, bytes and wall time are read off its
+:class:`repro.appliance.runner.DsqlRunner`: a step's per-node rows,
+bytes and wall time are read off its
 :class:`~repro.appliance.dms_runtime.StepExecutionStats` when it ends.
 
 Completed records move into a bounded ring buffer — the **flight
@@ -74,9 +74,9 @@ DEFAULT_SLOW_SECONDS = 1.0
 class StepProgress:
     """Live per-step accounting for one request's DSQL step.
 
-    ``status`` walks ``pending -> scheduled -> running -> complete``;
-    the per-node dicts fill in when the step ends, so a concurrent DMV
-    read sees the steps finished so far.
+    ``status`` walks ``pending -> running -> complete``; the per-node
+    dicts fill in when the step ends, so a concurrent DMV read sees the
+    steps finished so far.
     """
 
     index: int
@@ -127,9 +127,9 @@ class RequestHandle:
     """The mutation surface one in-flight request's instrumentation uses.
 
     Handed out by :meth:`RequestRegistry.begin` and threaded through the
-    service, the runner (``run(plan, request=...)``) and the DAG
-    scheduler.  Every method takes the registry lock, so concurrent DMV
-    snapshots never see torn rows.
+    service and the runner (``run(plan, request=...)``).  Every method
+    takes the registry lock, so concurrent DMV snapshots never see torn
+    rows.
     """
 
     enabled = True
@@ -165,14 +165,6 @@ class RequestHandle:
             record.step_count = len(steps)
             record.steps = steps
             record.status = "running"
-
-    def step_scheduled(self, index: int) -> None:
-        """The DAG scheduler submitted step ``index`` to the pool."""
-        with self._registry._lock:
-            steps = self._record.steps
-            if 0 <= index < len(steps) \
-                    and steps[index].status == "pending":
-                steps[index].status = "scheduled"
 
     def begin_step(self, index: int) -> None:
         with self._registry._lock:
@@ -346,9 +338,6 @@ class NullRequestHandle:
 
     def begin_plan(self, plan):
         del plan
-
-    def step_scheduled(self, index):
-        del index
 
     def begin_step(self, index):
         del index

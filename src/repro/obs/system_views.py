@@ -246,8 +246,8 @@ def refresh_system_views(appliance: Appliance,
     worker_rows: List[Tuple] = []
     if records:
         # Active records mutate in flight (per-node dicts fill in from
-        # worker threads); hold the registry lock while flattening so
-        # no row is built from a half-applied transition.
+        # the threads running them); hold the registry lock while
+        # flattening so no row is built from a half-applied transition.
         with requests._lock:
             for record in records:
                 exec_rows.append(_exec_request_row(record))

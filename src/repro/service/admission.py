@@ -42,7 +42,7 @@ from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.service.options import PRIORITY_CLASSES
 
 #: Execution slots by default: what the data plane can run at once.
-#: Both in-process runtimes execute under one GIL, so a second
+#: Both executors run under one GIL, so a second
 #: concurrent execution adds no throughput — two 4-slot clients convoy
 #: on the GIL hand-off between short numpy calls and finish *fewer*
 #: queries than one — and a waiting query is better off in the queue,

@@ -1,9 +1,9 @@
 """``ExecutionOptions`` — the one options surface for session and service.
 
 Every knob that shapes a compile-and-execute call travels in one frozen
-dataclass, resolved once per call, that both
-:class:`repro.session.PdwSession` and :class:`repro.service.PdwService`
-accept — at construction and on every verb::
+dataclass that both :class:`repro.session.PdwSession` and
+:class:`repro.service.PdwService` accept — at construction and on every
+verb::
 
     from repro import ExecutionOptions, PdwSession
 
@@ -12,18 +12,15 @@ accept — at construction and on every verb::
     session = PdwSession(options=opts)
     result = session.run("SELECT COUNT(*) AS n FROM lineitem")
 
-``parallel=None`` means "resolve from the ``REPRO_PARALLEL_RUNTIME``
-environment variable, else the serial runtime" — :meth:`resolved`
-folds the environment in exactly once, so an options object that has
-been resolved never re-reads the environment.
+No option reads the environment: an options object is exactly what its
+caller built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import ClassVar, Mapping, Optional, Tuple, Union
 
-from repro.appliance.scheduler import resolve_parallel
 from repro.common.errors import ReproError
 from repro.common.executors import resolve_executor
 
@@ -62,11 +59,6 @@ class ExecutionOptions:
       nodes: ``"numpy"`` (typed ndarray kernels over a whole node
       group and a columnar DMS data plane, the default; ``None`` means
       it) or ``"reference"`` (the tree-walking oracle);
-    * ``parallel`` — the step-DAG appliance runtime; ``None`` defers
-      to the ``REPRO_PARALLEL_RUNTIME`` environment variable and then
-      to the serial runtime, the default at every layer (the pool
-      measures slower than the serial walk under the GIL —
-      EXPERIMENTS.md, PR 17);
     * ``trace`` — whether a front door builds live default sinks
       (metrics registry, request registry, Query Store; the session
       also a tracer), read once at construction — a sink passed in
@@ -86,8 +78,12 @@ class ExecutionOptions:
       :class:`~repro.obs.requests.RequestRegistry`.
     """
 
+    #: Read-only leftover, not a field: pdwbench's workloads.py records
+    #: ``options.parallel``.  Steps always run one at a time; this goes
+    #: once that reader is updated (ROADMAP item 4).
+    parallel: ClassVar[bool] = False
+
     executor: Optional[str] = None
-    parallel: Optional[bool] = None
     trace: bool = True
     profile: bool = False
     hints: Optional[Tuple[Tuple[str, str], ...]] = None
@@ -96,9 +92,6 @@ class ExecutionOptions:
     tenant: str = "default"
     timeout_seconds: Optional[float] = None
     slow_seconds: Optional[float] = None
-    #: Set by :meth:`resolved`; a resolved object never re-reads the
-    #: environment (``parallel`` is a concrete bool).
-    env_resolved: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "executor",
@@ -125,21 +118,7 @@ class ExecutionOptions:
     def priority_rank(self) -> int:
         return PRIORITY_CLASSES[self.priority]
 
-    # -- resolution ------------------------------------------------------------
-
-    def resolved(self, default_parallel: bool = False) -> "ExecutionOptions":
-        """Fold the environment into a concrete options object:
-        ``parallel`` from ``REPRO_PARALLEL_RUNTIME`` (explicit value >
-        env var > ``default_parallel``).  Idempotent: an
-        already-resolved object is returned unchanged."""
-        if self.env_resolved:
-            return self
-        return replace(
-            self,
-            parallel=resolve_parallel(self.parallel,
-                                      default=default_parallel),
-            env_resolved=True,
-        )
+    # -- copies ----------------------------------------------------------------
 
     def with_hints(self, hints: HintsInput) -> "ExecutionOptions":
         """A copy carrying ``hints`` (normalized); ``None`` clears them."""

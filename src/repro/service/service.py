@@ -18,9 +18,8 @@ may call it concurrently, and each call flows through
    literals swapped into their slots and private temp-table names, so
    concurrent executions never collide on the appliance;
 4. **execution** on the call's :class:`repro.appliance.runner.DsqlRunner`,
-   one per ``(executor, parallel)`` pair, built on first use (the serial
-   walk by default; steps DAG-scheduled on a thread pool when the
-   parallel runtime is on);
+   one per executor, built on first use, which runs the plan's steps
+   one at a time (§2.4);
 5. **accounting** — once, when the request finishes
    (:meth:`PdwService._finish`): the request record is completed (or
    failed), the Query Store stamped, and the request's series written
@@ -49,7 +48,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.appliance.runner import DsqlRunner, ExecutionTiming, QueryResult
 from repro.appliance.storage import Appliance
@@ -124,7 +123,7 @@ class PdwService:
     warm cache makes compiles rare.  Executions hold one of
     ``max_in_flight`` admission slots; the default is
     :data:`~repro.service.admission.DEFAULT_MAX_IN_FLIGHT` (one),
-    because every runtime executes under one GIL: overlapping
+    because both executors run under one GIL: overlapping
     executions only take turns, more slowly than a queue would make
     them.  Concurrent clients are queued by priority, not refused
     (``max_queue``); pass a larger ``max_in_flight`` to overlap them.
@@ -157,7 +156,7 @@ class PdwService:
         self.appliance = appliance
         self.shell = shell
         opts = self.options = (options if options is not None
-                               else ExecutionOptions()).resolved()
+                               else ExecutionOptions())
         # One defaults rule: each sink is live iff options.trace, and a
         # sink passed in wins (share one to correlate front doors, pass
         # its NULL_* form to opt out).
@@ -191,9 +190,9 @@ class PdwService:
             register_system_views(appliance)
         self.engine = PdwEngine(shell, serial_config, pdw_config,
                                 tracer=self.tracer)
-        # Per-call options may pick another executor or runtime; each
-        # pair gets one runner, built on first use and kept.
-        self._runners: Dict[Tuple[str, bool], DsqlRunner] = {}
+        # Per-call options may pick another executor; each gets one
+        # runner, built on first use and kept.
+        self._runners: Dict[str, DsqlRunner] = {}
         self._runners_lock = threading.Lock()
         self.runner = self._runner_for(opts)
         self.plan_cache = PlanCache(plan_cache_size, metrics=metrics)
@@ -320,19 +319,17 @@ class PdwService:
                       ) -> ExecutionOptions:
         """The effective options for one call: the per-call object,
         else the constructor's."""
-        return (options if options is not None
-                else self.options).resolved()
+        return options if options is not None else self.options
 
     def _runner_for(self, opts: ExecutionOptions) -> DsqlRunner:
-        key = (opts.executor, bool(opts.parallel))
-        runner = self._runners.get(key)
+        runner = self._runners.get(opts.executor)
         if runner is None:
             with self._runners_lock:
-                runner = self._runners.get(key)
+                runner = self._runners.get(opts.executor)
                 if runner is None:
-                    runner = self._runners[key] = DsqlRunner(
+                    runner = self._runners[opts.executor] = DsqlRunner(
                         self.appliance, tracer=self.tracer,
-                        executor=opts.executor, parallel=opts.parallel)
+                        executor=opts.executor)
         return runner
 
     def _refresh_views_for(self, sql: str) -> None:

@@ -41,9 +41,8 @@ Every knob travels in one frozen
 :class:`repro.service.ExecutionOptions` object accepted at construction
 (``PdwSession(options=...)``) and on every verb (``run(options=...)``);
 each option means the same here as at the service.  Execution uses the
-numpy backend on the serial appliance runtime of §2.4 by default
-(``executor="reference"`` runs the tree-walking oracle,
-``parallel=True`` the step-DAG runtime).
+numpy backend by default (``executor="reference"`` runs the
+tree-walking oracle), one DSQL step at a time as §2.4 walks the plan.
 
 Telemetry is on by default: with ``options.trace`` set the session
 builds a :class:`~repro.telemetry.Tracer` (the service's default is the
@@ -105,8 +104,7 @@ class PdwSession(PdwService):
                  metrics: Optional[MetricsRegistry] = None,
                  requests: Optional[RequestRegistry] = None,
                  query_store: Optional[QueryStore] = None):
-        options = (options if options is not None
-                   else ExecutionOptions()).resolved()
+        options = options if options is not None else ExecutionOptions()
         if tracer is None and options.trace:
             tracer = Tracer()
         super().__init__(scale=scale, node_count=node_count,

@@ -113,8 +113,9 @@ class Tracer:
         self.roots: List[Span] = []
         self.counters: Dict[str, float] = {}
         self._stack: List[Span] = []
-        # Counters are incremented from DMS node/step worker threads
-        # under the parallel runtime; `dict[k] = dict.get(k) + v` is a
+        # Counters are incremented from every client thread of a
+        # service running executions concurrently (max_in_flight > 1,
+        # submit / execute_many); `dict[k] = dict.get(k) + v` is a
         # read-modify-write, so it needs the lock.  Spans stay
         # single-threaded by contract (only the coordinating thread
         # opens them).

@@ -193,8 +193,8 @@ class StringDictionary:
         try:
             return self._derived[key]
         except KeyError:
-            # Benign race under the parallel runtime: two readers may
-            # both build; the results are equivalent.
+            # Benign race between concurrent service executions: two
+            # readers may both build; the results are equivalent.
             result = self._derived[key] = build(self.entries)
             return result
 
@@ -826,9 +826,9 @@ class ColumnFragment:
             return pieces[0].columns[index]
         column = self._columns.get(index)
         if column is None:
-            # Benign race under the parallel runtime, here and in
-            # rows(): two readers may both build; the results are
-            # equivalent.
+            # Benign race between concurrent service executions, here
+            # and in rows(): two readers may both build; the results
+            # are equivalent.
             column = self._columns[index] = (
                 column_from_list([row[index] for row in self._rows])
                 if pieces is None else concat_columns(

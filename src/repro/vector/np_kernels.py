@@ -66,9 +66,9 @@ over the native values of the columns the expression reads
 oracle.
 
 Kernels are memoized per expression identity: bounded, cleared whole
-at the limit, lock-guarded for concurrent service clients and step-DAG
-workers — and keyed by identity because value equality would conflate
-``Constant(0)`` with ``Constant(False)``.
+at the limit, lock-guarded for concurrent service executions — and
+keyed by identity because value equality would conflate ``Constant(0)``
+with ``Constant(False)``.
 """
 
 from __future__ import annotations

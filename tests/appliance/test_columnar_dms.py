@@ -9,9 +9,6 @@ number in ``StepExecutionStats`` (with ``profile=True``: the transfer
 matrix and the per-node operator actuals too), and — with
 ``keep_temps=True`` — the rows of every temp table on every node, *in
 order*.
-
-The runners leave ``parallel`` unset, so tier-1's two passes (serial,
-and ``REPRO_PARALLEL_RUNTIME=1``) cover both runtimes.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from repro.vector.np_batch import (
 from repro.workloads.tpch_datagen import build_tpch_appliance
 from repro.workloads.tpch_queries import TPCH_QUERIES, query_names
 
-from tests.integration.test_parallel_equivalence import stats_view
+from tests.conftest import stats_view
 
 NODE_COUNTS = (1, 2, 3, 8)
 

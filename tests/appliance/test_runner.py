@@ -1,12 +1,17 @@
 """DSQL runner tests: step sequencing, control-node merge, temp
 lifecycle."""
 
+import re
+
 import pytest
 
 from repro.appliance.runner import DsqlRunner, QueryResult, run_reference
 from repro.appliance.dms_runtime import StepExecutionStats
 from repro.common.errors import ExecutionError
 from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
+from repro.workloads.tpch_queries import TPCH_QUERIES, query_names
+
+TEMP_NAME = re.compile(r"\bTEMP_ID_\d+\b", re.IGNORECASE)
 
 
 class TestFinalize:
@@ -88,6 +93,81 @@ class TestExecutionLifecycle:
         result = DsqlRunner(mini_appliance).run(compiled.dsql_plan)
         reference = run_reference(mini_appliance, sql)
         assert result.rows == reference.rows
+
+
+class StepRecorder:
+    """A request handle that records the runner's step hooks in order."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def begin_plan(self, plan):
+        self.events.append(("plan", len(plan.steps)))
+
+    def begin_step(self, index):
+        self.events.append(("begin", index))
+
+    def end_step(self, index, stats):
+        self.events.append(("end", index))
+
+
+class TestOneWalk:
+    """``run`` walks the plan once, one step at a time in index order
+    (§2.4): each step ends before the next begins, and every temp table
+    a step reads was written by an earlier step."""
+
+    @pytest.mark.parametrize("name", query_names())
+    def test_tpch_steps_run_in_index_order(self, name, tpch_appliance,
+                                           tpch_engine):
+        plan = tpch_engine.compile(TPCH_QUERIES[name]).dsql_plan
+        written = set()
+        for step in plan.steps:
+            assert {temp.upper() for temp in TEMP_NAME.findall(step.sql)} \
+                <= written, f"step {step.index} reads a later temp"
+            if step.destination_table is not None:
+                written.add(step.destination_table.name.upper())
+        assert plan.steps[-1].kind is StepKind.RETURN
+        recorder = StepRecorder()
+        DsqlRunner(tpch_appliance).run(plan, request=recorder)
+        expected = [("plan", len(plan.steps))]
+        for step in plan.steps:
+            expected += [("begin", step.index), ("end", step.index)]
+        assert recorder.events == expected
+        assert [step.index for step in plan.steps] == \
+            list(range(len(plan.steps)))
+
+    def test_failing_step_stops_the_walk(self, tpch_appliance, tpch_engine,
+                                         monkeypatch):
+        plan = tpch_engine.compile(TPCH_QUERIES["Q5"]).dsql_plan
+        assert len(plan.movement_steps) >= 2
+        runner = DsqlRunner(tpch_appliance)
+        execute_movement = runner.runtime.execute_movement
+
+        def fail_second(step):
+            if step.index == 1:
+                raise ExecutionError("node 1 exploded")
+            return execute_movement(step)
+
+        monkeypatch.setattr(runner.runtime, "execute_movement", fail_second)
+        recorder = StepRecorder()
+        with pytest.raises(ExecutionError, match="node 1 exploded"):
+            runner.run(plan, request=recorder)
+        assert recorder.events == [("plan", len(plan.steps)),
+                                   ("begin", 0), ("end", 0), ("begin", 1)]
+        assert not any(table.is_temp
+                       for table in tpch_appliance.catalog.tables())
+        assert not runner.runtime.profiling
+
+    def test_empty_plan_runs_to_an_empty_result(self, mini_appliance):
+        recorder = StepRecorder()
+        result = DsqlRunner(mini_appliance).run(
+            DsqlPlan(steps=[], output_names=["a"]), request=recorder)
+        assert result.columns == ["a"]
+        assert result.rows == [] and result.step_stats == []
+        assert result.elapsed_seconds == 0
+        assert recorder.events == [("plan", 0)]
 
 
 class TestQueryResult:

@@ -5,6 +5,7 @@ import pytest
 from repro.appliance.storage import (
     Appliance,
     CONTROL_NODE,
+    NodeStorage,
     node_for_row,
     pdw_hash,
     row_bytes,
@@ -19,6 +20,7 @@ from repro.catalog.schema import (
 )
 from repro.common.errors import ExecutionError
 from repro.common.types import INTEGER, varchar
+from repro.vector.np_batch import ColumnFragment
 
 
 def make_appliance(nodes=4):
@@ -120,6 +122,55 @@ class TestTempTables:
         appliance = make_appliance()
         appliance.drop_temp_tables()
         assert appliance.catalog.has_table("h")
+
+
+class TestStoreReplaces:
+    """A step's delivery replaces what its temp table held, and a
+    fragment shared by several nodes is never written in place."""
+
+    def test_storing_replaces_what_the_table_held(self):
+        node = NodeStorage(0)
+        node.create("TEMP_ID_1")
+        first = ColumnFragment.from_rows([(1,), (2,)])
+        node.store("TEMP_ID_1", first)
+        assert node.fragment("TEMP_ID_1") is first
+        second = ColumnFragment.from_rows([(3,)])
+        node.store("temp_id_1", second)
+        assert node.fragment("TEMP_ID_1") is second
+        assert node.rows("TEMP_ID_1") == [(3,)]
+        # The replaced fragment is as it was for anyone still reading it.
+        assert first.rows() == [(1,), (2,)]
+
+    def test_a_shared_fragment_is_never_mutated(self):
+        nodes = [NodeStorage(i) for i in range(3)]
+        rows = [(1,), (2,)]
+        shared = ColumnFragment.from_rows(rows)
+        for node in nodes:
+            node.create("TEMP_ID_1")
+            node.store("TEMP_ID_1", shared)
+        nodes[0].store("TEMP_ID_1", ColumnFragment.from_rows([(0,)]))
+        assert rows == [(1,), (2,)]
+        assert shared.rows() is rows and len(shared) == 2
+        assert shared.column(0).pylist() == [1, 2]
+        for node in nodes[1:]:
+            assert node.fragment("TEMP_ID_1") is shared
+
+    def test_drop_then_create_gives_an_empty_fragment(self):
+        node = NodeStorage(0)
+        node.create("TEMP_ID_1")
+        shared = ColumnFragment.from_rows([(1,)])
+        node.store("TEMP_ID_1", shared)
+        node.drop("TEMP_ID_1")
+        node.create("TEMP_ID_1")
+        fragment = node.fragment("TEMP_ID_1")
+        assert isinstance(fragment, ColumnFragment)
+        assert fragment is not shared
+        assert len(fragment) == 0 and node.rows("TEMP_ID_1") == []
+        assert shared.rows() == [(1,)]
+        # Creating an existing table keeps what it holds.
+        node.store("TEMP_ID_1", shared)
+        node.create("TEMP_ID_1")
+        assert node.fragment("TEMP_ID_1") is shared
 
 
 class TestStatisticsPipeline:

@@ -12,9 +12,6 @@ over the TPC-H tables and over a generated table with NULLs, skew,
 
 The second half pins the bugs the representation invites, each against
 ``run_reference(executor="reference")`` at 1, 3 and 8 nodes.
-
-The runners leave ``parallel`` unset, so tier-1's two passes (serial,
-and ``REPRO_PARALLEL_RUNTIME=1``) cover both runtimes.
 """
 
 from __future__ import annotations

@@ -152,3 +152,23 @@ def canonical(rows):
 
     return sorted((canon_row(r) for r in rows),
                   key=lambda row: tuple(sort_key(v) for v in row))
+
+
+#: The simulated/accounting fields of StepExecutionStats — everything
+#: except the measured wall clocks (``node_wall_seconds`` /
+#: ``wall_seconds``), which legitimately differ from run to run.
+COMPARED_FIELDS = (
+    "step_index", "operation",
+    "reader_bytes", "network_bytes", "writer_bytes", "bulk_bytes",
+    "rows_moved", "relational_rows",
+    "movement_seconds", "relational_seconds", "elapsed_seconds",
+    "node_rows", "transfers", "node_operators",
+)
+
+
+def stats_view(stats):
+    """Per-step accounting without the wall clocks (comparison helper)."""
+    return [
+        {name: getattr(step, name) for name in COMPARED_FIELDS}
+        for step in stats
+    ]

@@ -53,17 +53,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_parallel_runtime_is_the_one_runtime_flag(self, capsys):
-        sql = ("SELECT c_name FROM customer, orders "
-               "WHERE c_custkey = o_custkey ORDER BY c_name LIMIT 2")
-        _, serial = run_cli(capsys, "--scale", "0.001", "--nodes", "4",
-                            "run", sql)
-        code, pooled = run_cli(capsys, "--scale", "0.001", "--nodes", "4",
-                               "--parallel-runtime", "run", sql)
-        assert code == 0
-        assert pooled == serial
-        with pytest.raises(SystemExit):  # its inverse is the default
-            main(["--serial-runtime", "run", sql])
+    @pytest.mark.parametrize("flag", ["--parallel-runtime",
+                                      "--serial-runtime"])
+    def test_there_is_no_runtime_flag(self, flag):
+        with pytest.raises(SystemExit):  # DSQL steps run one at a time
+            main([flag, "run", "SELECT n_name FROM nation"])
 
     def test_join_query_roundtrip(self, capsys):
         code, out = run_cli(
@@ -249,3 +243,30 @@ class TestQuerystoreCli:
         code = main(["--scale", "0.001", "--nodes", "2", "querystore",
                      "--hint", "customer"])
         assert code == 1
+
+
+class TestJsonlSchemaError:
+    """Every ``--jsonl`` writer validates first: one schema error prints
+    ``schema error: ...`` to stderr, writes neither file and exits 1."""
+
+    QUERY = "SELECT n_name FROM nation"
+    TRAFFIC = ("--clients", "1", "--queries", "1")
+
+    @pytest.mark.parametrize("command", ["profile", "why", "requests",
+                                         "querystore"])
+    def test_schema_error_exits_1(self, command, capsys, tmp_path,
+                                  monkeypatch):
+        import repro.obs.export
+
+        monkeypatch.setattr(repro.obs.export, "validate_events",
+                            lambda events: ["injected", "second"])
+        jsonl, prom = tmp_path / "events.jsonl", tmp_path / "metrics.prom"
+        args = (self.TRAFFIC if command in ("requests", "querystore")
+                else (self.QUERY,))
+        code = main(["--scale", "0.001", "--nodes", "2", command, *args,
+                     "--jsonl", str(jsonl), "--prometheus", str(prom)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["schema error: injected",
+                                    "schema error: second"]
+        assert not jsonl.exists() and not prom.exists()

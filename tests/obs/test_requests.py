@@ -96,9 +96,6 @@ class TestLifecycle:
         assert [s.kind for s in record.steps] == ["DMS", "Return"]
         assert record.steps[0].operation == "Shuffle on k"
 
-        handle.step_scheduled(0)
-        assert record.steps[0].status == "scheduled"
-
         handle.begin_step(0)
         assert record.status == "moving data"  # DMS step
         assert record.current_step == 0
@@ -153,7 +150,6 @@ class TestLifecycle:
     def test_out_of_range_step_hooks_are_ignored(self):
         registry = RequestRegistry()
         handle = registry.begin("a")
-        handle.step_scheduled(5)
         handle.begin_step(5)
         handle.end_step(5, FakeStats())
         assert handle.record.steps == []
@@ -282,7 +278,6 @@ class TestNullRegistry:
     def test_all_hooks_are_noops(self):
         NULL_REQUEST.compiling()
         NULL_REQUEST.begin_plan(make_plan())
-        NULL_REQUEST.step_scheduled(0)
         NULL_REQUEST.begin_step(0)
         NULL_REQUEST.end_step(0, FakeStats())
         NULL_REQUEST.complete(rows=5)

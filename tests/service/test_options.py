@@ -16,7 +16,7 @@ class TestDefaults:
     def test_defaults(self):
         opts = ExecutionOptions()
         assert opts.executor == "numpy"
-        assert opts.parallel is None
+        assert opts.parallel is False
         assert opts.trace is True
         assert opts.profile is False
         assert opts.hints is None
@@ -24,7 +24,6 @@ class TestDefaults:
         assert opts.priority == "normal"
         assert opts.tenant == "default"
         assert opts.timeout_seconds is None
-        assert opts.env_resolved is False
 
     def test_frozen(self):
         opts = ExecutionOptions()
@@ -88,32 +87,6 @@ class TestHints:
         assert overridden.hints == hinted.hints
 
 
-class TestEnvResolution:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_RUNTIME", "0")
-        assert ExecutionOptions(parallel=True).resolved().parallel is True
-
-    def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_RUNTIME", "0")
-        resolved = ExecutionOptions().resolved(default_parallel=True)
-        assert resolved.parallel is False
-
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_RUNTIME", raising=False)
-        assert ExecutionOptions().resolved(
-            default_parallel=True).parallel is True
-        assert ExecutionOptions().resolved(
-            default_parallel=False).parallel is False
-
-    def test_resolution_is_idempotent(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_RUNTIME", raising=False)
-        resolved = ExecutionOptions().resolved(default_parallel=True)
-        assert resolved.env_resolved is True
-        # A resolved object never re-reads the environment.
-        monkeypatch.setenv("REPRO_PARALLEL_RUNTIME", "0")
-        assert resolved.resolved(default_parallel=False) is resolved
-
-
 class TestSessionOptionsIntegration:
     def test_options_spelling_is_clean(self, tpch):
         appliance, shell = tpch
@@ -150,17 +123,3 @@ class TestSessionOptionsIntegration:
             "SELECT n_name FROM nation ORDER BY n_name LIMIT 5")
         assert len(result) == 5
         assert list(result) == result.rows
-
-    def test_per_call_options_flip_runtime(self, tpch):
-        appliance, shell = tpch
-        session = PdwSession(appliance=appliance, shell=shell,
-                             options=ExecutionOptions(trace=False))
-        serial = session.run(
-            "SELECT COUNT(*) AS n FROM lineitem",
-            options=ExecutionOptions(parallel=False))
-        parallel = session.run(
-            "SELECT COUNT(*) AS n FROM lineitem",
-            options=ExecutionOptions(parallel=True))
-        assert serial.rows == parallel.rows
-        # Variant runners are cached, not rebuilt per call.
-        assert len(session._runners) <= 3

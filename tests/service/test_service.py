@@ -13,10 +13,8 @@ import threading
 
 import pytest
 
-from tests.conftest import canonical
-from tests.integration.test_parallel_equivalence import stats_view
+from tests.conftest import canonical, stats_view
 from repro import ExecutionOptions, PdwSession
-from repro.appliance.runner import DsqlRunner
 from repro.service import PdwService, run_traffic
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
@@ -293,18 +291,14 @@ class TestDefaultConcurrency:
 
 class TestTpchSuiteEquivalence:
     """Cached execution is identical — rows and per-step accounting —
-    to an uncached serial session across the whole TPC-H suite (miss
-    path AND pure-hit path), on either runtime."""
+    to an uncached session across the whole TPC-H suite (miss path AND
+    pure-hit path)."""
 
-    @pytest.mark.parametrize("parallel", [False, True],
-                             ids=["serial", "pooled"])
-    def test_suite_cached_equals_uncached(self, tpch, parallel):
+    def test_suite_cached_equals_uncached(self, tpch):
         appliance, shell = tpch
-        service = PdwService(appliance=appliance, shell=shell,
-                             options=ExecutionOptions(parallel=parallel))
+        service = PdwService(appliance=appliance, shell=shell)
         baseline = PdwSession(appliance=appliance, shell=shell,
-                              options=ExecutionOptions(trace=False,
-                                                       parallel=False))
+                              options=ExecutionOptions(trace=False))
         try:
             for name, sql in TPCH_QUERIES.items():
                 uncached = run_uncached(baseline, sql)
@@ -324,8 +318,8 @@ class TestTpchSuiteEquivalence:
 
 
 class TestPerCallOptions:
-    """Per-call ``executor``, ``parallel`` and ``profile`` pick the
-    runner and what it collects, whatever the service defaults are."""
+    """Per-call ``executor`` and ``profile`` pick the runner and what it
+    collects, whatever the service defaults are."""
 
     SQL = ("SELECT c_mktsegment, COUNT(*) AS n FROM customer, orders "
            "WHERE c_custkey = o_custkey GROUP BY c_mktsegment")
@@ -339,29 +333,11 @@ class TestPerCallOptions:
             service.execute(self.SQL).rows)
         assert return_executors == ["reference", "numpy"]
 
-    def test_per_call_parallel(self, service, monkeypatch):
-        ran_on = []
-        run = DsqlRunner.run
-
-        def spy(runner, *args, **kwargs):
-            ran_on.append((runner.executor, runner.parallel))
-            return run(runner, *args, **kwargs)
-
-        monkeypatch.setattr(DsqlRunner, "run", spy)
-        flipped = not service.options.parallel
-        service.execute(self.SQL,
-                        options=ExecutionOptions(parallel=flipped))
-        service.execute(self.SQL)
-        assert ran_on == [("numpy", flipped),
-                          ("numpy", service.options.parallel)]
-
-    def test_one_runner_per_pair_under_racing_clients(self, tpch):
+    def test_one_runner_per_executor_under_racing_clients(self, tpch):
         appliance, shell = tpch
         service = PdwService(appliance=appliance, shell=shell)
-        variants = [ExecutionOptions(executor=executor, parallel=parallel)
-                    .resolved()
-                    for executor in ("numpy", "reference")
-                    for parallel in (False, True)]
+        variants = [ExecutionOptions(executor=executor)
+                    for executor in ("numpy", "reference")]
         seen = [[] for _ in range(8)]
         barrier = threading.Barrier(len(seen))
 
@@ -384,8 +360,8 @@ class TestPerCallOptions:
         finally:
             sys.setswitchinterval(interval)
             service.close()
-        assert len({id(runner) for out in seen for runner in out}) == 4
-        assert len(service._runners) == 4
+        assert len({id(runner) for out in seen for runner in out}) == 2
+        assert len(service._runners) == 2
 
     def test_profile_fills_every_step(self, service):
         result = service.execute(

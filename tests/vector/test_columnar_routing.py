@@ -297,10 +297,10 @@ class TestEdges:
 
 
 class TestRuntimeRouterSelection:
-    def test_every_backend_and_runtime_agrees_on_a_shuffling_join(
+    def test_every_backend_agrees_on_a_shuffling_join(
             self, tpch, tpch_engine):
-        """numpy moves columns, the oracle rows — serial and parallel
-        runtimes alike — with the same step accounting."""
+        """numpy moves columns, the oracle rows, with the same step
+        accounting."""
         appliance, _ = tpch
         plan = tpch_engine.compile(
             "SELECT c.c_custkey, o.o_custkey FROM customer c, orders o "
@@ -308,15 +308,10 @@ class TestRuntimeRouterSelection:
         assert plan.movement_steps
         from repro.appliance.runner import DsqlRunner
 
-        results = {}
-        for executor, parallel in (("reference", False),
-                                   ("reference", True),
-                                   ("numpy", False),
-                                   ("numpy", True)):
-            result = DsqlRunner(appliance, executor=executor,
-                                parallel=parallel).run(plan)
-            results[(executor, parallel)] = result
-        base = results[("reference", False)]
+        results = {executor: DsqlRunner(appliance,
+                                         executor=executor).run(plan)
+                   for executor in ("reference", "numpy")}
+        base = results["reference"]
         for key, result in results.items():
             assert result.sorted_rows() == base.sorted_rows(), key
             assert [s.rows_moved for s in result.step_stats] == \

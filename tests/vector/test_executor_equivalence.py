@@ -7,10 +7,6 @@ counters and observer events must all be the oracle's.  (The full
 TPC-H suite's rows, ``stats_view`` and simulated seconds at 1, 2, 3 and
 8 nodes are pinned by ``test_default_executor_matches_reference`` in
 ``tests/appliance/test_columnar_dms.py``.)
-The runner tests leave ``parallel`` unset, so the suite exercises the
-serial walk normally and the DAG runtime under
-``REPRO_PARALLEL_RUNTIME=1`` (CI runs tier-1 both ways); explicit
-``parallel=True`` cases keep the serial CI leg honest too.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from repro.vector.np_executor import NumpyInterpreter
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
 from tests.conftest import canonical
-from tests.integration.test_parallel_equivalence import stats_view
 
 
 @pytest.mark.parametrize("name", ["Q1", "Q3", "Q5", "Q12"])
@@ -43,21 +38,6 @@ def test_both_executors_agree(name, tpch, tpch_engine):
     for executor, result in results.items():
         assert result.columns == reference.columns, executor
         assert result.sorted_rows() == reference.sorted_rows(), executor
-
-
-@pytest.mark.parametrize("name", ["Q1", "Q5"])
-def test_numpy_parallel_matches_serial(name, tpch, tpch_engine):
-    appliance, _ = tpch
-    plan = tpch_engine.compile(TPCH_QUERIES[name]).dsql_plan
-    serial = DsqlRunner(appliance, executor="numpy",
-                        parallel=False).run(plan)
-    parallel = DsqlRunner(appliance, executor="numpy",
-                          parallel=True).run(plan)
-    assert parallel.sorted_rows() == serial.sorted_rows()
-    if plan.order_by:
-        assert parallel.rows == serial.rows
-    assert (stats_view(parallel.step_stats)
-            == stats_view(serial.step_stats))
 
 
 def test_run_reference_numpy(tpch):

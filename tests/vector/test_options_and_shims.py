@@ -81,9 +81,7 @@ class TestSessionWiring:
         other = session.run(
             SQL, options=session.options.override(executor="numpy"))
         assert list(base.rows) == list(other.rows)
-        keys = set(session._runners)
-        assert ("reference", session.options.parallel) in keys
-        assert ("numpy", session.options.parallel) in keys
+        assert {"reference", "numpy"} <= set(session._runners)
 
     def test_removed_kwargs_are_type_errors(self, session):
         with pytest.raises(TypeError):
@@ -95,36 +93,17 @@ class TestSessionWiring:
                        trace=False)
 
 
-def test_front_doors_default_to_numpy_on_the_serial_runtime(monkeypatch):
-    """What a user gets without picking a knob — and the step DAG still
-    one switch away."""
+def test_front_doors_default_to_numpy():
+    """What a user gets without picking a knob."""
     from repro import build_tpch_appliance
     appliance, shell = build_tpch_appliance(scale=0.001, node_count=2)
-
-    def front_doors(options=None):
-        service = PdwService(appliance=appliance, shell=shell,
-                             options=options)
-        service.close()
-        session = PdwSession(appliance=appliance, shell=shell,
-                             options=options)
-        resolved = (options or ExecutionOptions()).resolved()
-        return [(session.options, session.runner),
-                (service.options, service.runner),
-                (resolved, None)]
-
-    monkeypatch.delenv("REPRO_PARALLEL_RUNTIME", raising=False)
-    for opts, runner in front_doors():
-        assert (opts.executor, opts.parallel) == ("numpy", False)
-        if runner is not None:
-            assert (runner.executor, runner.parallel) == ("numpy", False)
-            assert runner.runtime.executor == "numpy"
-    for opts, runner in front_doors(ExecutionOptions(parallel=True)):
-        assert opts.parallel is True
-        assert runner is None or runner.parallel is True
-    monkeypatch.setenv("REPRO_PARALLEL_RUNTIME", "1")
-    for opts, runner in front_doors():
-        assert opts.parallel is True
-        assert runner is None or runner.parallel is True
+    service = PdwService(appliance=appliance, shell=shell)
+    service.close()
+    session = PdwSession(appliance=appliance, shell=shell)
+    for front in (session, service):
+        assert front.options.executor == "numpy"
+        assert front.runner.executor == "numpy"
+        assert front.runner.runtime.executor == "numpy"
 
 
 class TestBindCache:
