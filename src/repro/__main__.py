@@ -23,25 +23,18 @@ throughput and cache statistics; ``serve --smoke`` is the CI guard
 (requires plan-cache hits and a reported p99).  Throughput is measured
 by ``benchmarks/pdwbench`` (its ``serve_mix`` workload).
 
-``requests`` drives the same traffic mix and then *dogfoods* the
-``sys.dm_pdw_*`` system views: the per-status request counts and the
-plan-cache contents are answered by SQL queries through the normal
-parse → optimize → execute path, followed by the flight recorder's
-request and step tables.  ``--slow`` restricts to requests over the
-slow-query threshold; ``--json`` prints the flight-recorder events as a
-JSON array; ``--jsonl PATH`` writes the schema-validated event log;
-``--prometheus PATH`` writes the service metrics, whose
-``pdw_service_*`` series count every finished request.
-
-``querystore`` drives the same mix and then reads the Query Store — the
-persistent per-shape plan + runtime-stats history — back through the
-``sys.query_store_*`` views over normal SQL, prints the plan-history
-tables and the plan-regression verdicts, and exports the store as
-schema-validated ``query_store_flush`` JSONL events, Prometheus
-``pdw_query_store_*`` series, or a reloadable ``--save`` file.
-``--hint TABLE=STRATEGY`` re-runs the mix templates touching that table
-with a §3.1 hint after the plain pass, forcing an alternate plan under
-the same shape so ``--regressions`` has something to flag.
+``requests`` and ``querystore`` drive the same mix and then report
+it as ``SELECT`` statements over the system views, run through the
+normal parse → optimize → execute path: ``requests`` reads the
+``sys.dm_pdw_*`` views (requests per status, the plan cache, the
+completed requests, step detail for every request over ``--slow-ms``),
+``querystore`` the ``sys.query_store_*`` views (hottest shapes, every
+plan of a multi-plan shape) and adds the plan-regression verdicts.
+``querystore --hint TABLE=STRATEGY`` re-runs the mix templates touching
+that table with a §3.1 hint, forcing an alternate plan under the same
+shape; ``--load`` reads back a store its ``--jsonl`` wrote.  The three
+traffic verbs share their traffic, service, threshold and
+``--prometheus`` flags.
 
 ``profile`` executes the query with per-node / per-operator profiling on
 and renders skew + Q-error tables; ``--json`` prints the structured
@@ -73,7 +66,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro import (
     Calibrator,
@@ -82,6 +75,7 @@ from repro import (
     PdwSession,
 )
 from repro.common.executors import EXECUTORS
+from repro.obs.requests import DEFAULT_SLOW_SECONDS
 from repro.service.admission import DEFAULT_MAX_IN_FLIGHT
 
 
@@ -162,86 +156,56 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "calibrate", help="run the lambda calibration (paper 3.3.3)")
 
+    # The flags the three traffic verbs share.
+    traffic = argparse.ArgumentParser(add_help=False)
+    traffic.add_argument("--clients", type=int, default=4,
+                         help="concurrent client threads (default 4)")
+    traffic.add_argument("--queries", type=int, default=8,
+                         help="queries per client (default 8)")
+    traffic.add_argument("--seed", type=int, default=2012,
+                         help="traffic RNG seed (default 2012)")
+    traffic.add_argument("--max-in-flight", type=int,
+                         default=DEFAULT_MAX_IN_FLIGHT,
+                         help="admission: concurrent executions (default 1)")
+    traffic.add_argument("--max-queue", type=int, default=32,
+                         help="admission: wait-queue bound (default 32)")
+    traffic.add_argument("--cache-size", type=int, default=64,
+                         help="plan cache capacity (default 64)")
+    traffic.add_argument("--slow-ms", type=float,
+                         default=DEFAULT_SLOW_SECONDS * 1e3,
+                         help="flight-recorder slow-query threshold in "
+                              "milliseconds (default 1000)")
+    traffic.add_argument("--prometheus", metavar="PATH",
+                         help="write the service metrics registry "
+                              "(querystore: plus pdw_query_store_* "
+                              "series) in Prometheus text format")
+
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[traffic],
         help="run the multi-user serving layer under a TPC-H traffic "
              "mix: plan cache + admission control + percentiles")
-    serve.add_argument("--clients", type=int, default=4,
-                       help="concurrent client threads (default 4)")
-    serve.add_argument("--queries", type=int, default=8,
-                       help="queries per client (default 8)")
-    serve.add_argument("--seed", type=int, default=2012,
-                       help="traffic RNG seed (default 2012)")
-    serve.add_argument("--max-in-flight", type=int,
-                       default=DEFAULT_MAX_IN_FLIGHT,
-                       help="admission: concurrent executions (default 1)")
-    serve.add_argument("--max-queue", type=int, default=32,
-                       help="admission: wait-queue bound (default 32)")
-    serve.add_argument("--cache-size", type=int, default=64,
-                       help="plan cache capacity (default 64)")
-    serve.add_argument("--slow-seconds", type=float, default=None,
-                       help="flight-recorder slow-query threshold in "
-                            "seconds (default 1.0)")
     serve.add_argument("--smoke", action="store_true",
                        help="CI smoke mode: require plan-cache hits and "
                             "a reported p99")
-    serve.add_argument("--prometheus", metavar="PATH",
-                       help="write the service metrics registry in "
-                            "Prometheus text format")
 
     requests = sub.add_parser(
-        "requests",
-        help="drive the service, then query the sys.dm_pdw_* system "
-             "views over SQL and print the request flight recorder")
-    requests.add_argument("--clients", type=int, default=4,
-                          help="concurrent client threads (default 4)")
-    requests.add_argument("--queries", type=int, default=8,
-                          help="queries per client (default 8)")
-    requests.add_argument("--seed", type=int, default=2012,
-                          help="traffic RNG seed (default 2012)")
-    requests.add_argument("--max-in-flight", type=int,
-                          default=DEFAULT_MAX_IN_FLIGHT,
-                          help="admission: concurrent executions "
-                               "(default 1)")
-    requests.add_argument("--max-queue", type=int, default=32,
-                          help="admission: wait-queue bound (default 32)")
-    requests.add_argument("--cache-size", type=int, default=64,
-                          help="plan cache capacity (default 64)")
+        "requests", parents=[traffic],
+        help="drive the service, then report it as SQL over the "
+             "sys.dm_pdw_* system views")
     requests.add_argument("--slow", action="store_true",
                           help="show only requests over the slow-query "
                                "threshold")
-    requests.add_argument("--slow-ms", type=float, default=None,
-                          help="slow-query threshold in milliseconds "
-                               "(default 1000)")
     requests.add_argument("--json", action="store_true",
                           help="print the flight-recorder events as a "
                                "JSON array instead of tables")
     requests.add_argument("--jsonl", metavar="PATH",
                           help="write the schema-validated "
                                "request_complete event log")
-    requests.add_argument("--prometheus", metavar="PATH",
-                          help="write the service metrics in "
-                               "Prometheus text format")
 
     querystore = sub.add_parser(
-        "querystore",
-        help="drive the service, then dogfood the sys.query_store_* "
-             "views and print plan history + regression verdicts")
-    querystore.add_argument("--clients", type=int, default=4,
-                            help="concurrent client threads (default 4)")
-    querystore.add_argument("--queries", type=int, default=8,
-                            help="queries per client (default 8)")
-    querystore.add_argument("--seed", type=int, default=2012,
-                            help="traffic RNG seed (default 2012)")
-    querystore.add_argument("--max-in-flight", type=int,
-                            default=DEFAULT_MAX_IN_FLIGHT,
-                            help="admission: concurrent executions "
-                                 "(default 1)")
-    querystore.add_argument("--max-queue", type=int, default=32,
-                            help="admission: wait-queue bound "
-                                 "(default 32)")
-    querystore.add_argument("--cache-size", type=int, default=64,
-                            help="plan cache capacity (default 64)")
+        "querystore", parents=[traffic],
+        help="drive the service, then report the sys.query_store_* "
+             "views and the plan-regression verdicts")
     querystore.add_argument("--hint", action="append", default=[],
                             metavar="TABLE=STRATEGY",
                             help="after the plain traffic, re-run every "
@@ -259,20 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "prior plan's by this (default 1.5)")
     querystore.add_argument("--regressions", action="store_true",
                             help="print only the regression verdicts")
-    querystore.add_argument("--save", metavar="PATH",
-                            help="persist the store as JSONL "
-                                 "query_store_flush events")
     querystore.add_argument("--load", metavar="PATH",
-                            help="load a previously saved store before "
+                            help="load a store written by --jsonl before "
                                  "the traffic runs (baselines re-keyed "
                                  "to the current schema_version)")
     querystore.add_argument("--jsonl", metavar="PATH",
                             help="write the schema-validated "
                                  "query_store_flush event log")
-    querystore.add_argument("--prometheus", metavar="PATH",
-                            help="write pdw_query_store_* series (plus "
-                                 "the service metrics) in Prometheus "
-                                 "text format")
 
     return parser
 
@@ -290,24 +247,18 @@ def _parse_hints(pairs: List[str]) -> Optional[dict]:
     return hints or None
 
 
-def _cli_options(args) -> ExecutionOptions:
-    """ExecutionOptions from the global CLI flags."""
-    return ExecutionOptions(executor=args.executor)
-
-
 def _write_jsonl(path: str, events: List[dict]) -> bool:
     """Validate ``events`` and write them to ``path`` as JSONL.  On a
     schema error print each error to stderr, write nothing and return
     False (the command then exits 1)."""
-    from repro.obs.export import events_to_jsonl, validate_events
+    from repro.obs.export import validate_events, write_jsonl
 
     errors = validate_events(events)
+    for error in errors:
+        print(f"schema error: {error}", file=sys.stderr)
     if errors:
-        for error in errors:
-            print(f"schema error: {error}", file=sys.stderr)
         return False
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(events_to_jsonl(events))
+    write_jsonl(events, path)
     print(f"-- wrote {len(events)} events to {path}", file=sys.stderr)
     return True
 
@@ -319,106 +270,95 @@ def _write_prometheus(path: str, text: str) -> None:
     print(f"-- wrote metrics to {path}", file=sys.stderr)
 
 
-def _cmd_serve(args) -> int:
-    from repro.service import PdwService, render_report, run_traffic
+def _drive(args, then: Callable, setup: Optional[Callable] = None,
+           **service_kwargs) -> int:
+    """Build the service the traffic flags describe, run ``setup`` on
+    it (when given), drive the TPC-H mix through it and hand it and the
+    traffic report to ``then`` while it is still open; then close it
+    and, if ``then`` returned 0, write ``--prometheus``.  Returns
+    ``then``'s exit code."""
+    from repro.obs.requests import RequestRegistry
+    from repro.service import PdwService, run_traffic
 
     service = PdwService(
         scale=args.scale, node_count=args.nodes,
-        options=_cli_options(args).override(
-            slow_seconds=args.slow_seconds),
+        options=ExecutionOptions(executor=args.executor),
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
-        plan_cache_size=args.cache_size)
+        plan_cache_size=args.cache_size,
+        requests=RequestRegistry(slow_threshold_seconds=args.slow_ms / 1e3),
+        **service_kwargs)
     try:
-        report = run_traffic(service, clients=args.clients,
-                             queries_per_client=args.queries,
-                             seed=args.seed)
+        if setup is not None:
+            setup(service)
+        traffic = run_traffic(service, clients=args.clients,
+                              queries_per_client=args.queries,
+                              seed=args.seed)
+        code = then(service, traffic)
     finally:
-        # Closed before reporting; its metrics and stats stay readable.
         service.close()
-    print(render_report(report))
-    cache = service.plan_cache.stats()
-    hits = cache["hits"]
-    print(f"pdw_service_plan_cache_hits {hits}")
-    # Shapes parsed vs. templates compiled into the cache: equal when
-    # the parser runs once per shape, not once per query.
-    print(f"pdw_service_plan_cache_shape_parses {cache['shape_parses']}")
-    print(f"pdw_service_plan_cache_inserts {cache['inserts']}")
-    # Finished queries at or over the configured --slow-seconds.
-    slow = service.metrics.snapshot().get("pdw_service_slow_total", {})
-    print(f"pdw_service_slow_total {int(sum(slow.values()))}")
-    if args.prometheus:
+    if code == 0 and args.prometheus:
         _write_prometheus(args.prometheus, service.metrics_text())
-    if not args.smoke:
-        return 0
-    failures = []
-    if hits <= 0:
-        failures.append("plan cache recorded no hits")
-    if cache["shape_parses"] != cache["inserts"]:
-        failures.append(
-            f"{cache['shape_parses']} shape parses for "
-            f"{cache['inserts']} cached shapes")
-    if report.completed <= 0:
-        failures.append("no queries completed")
-    if report.p99 <= 0:
-        failures.append("no p99 latency reported")
-    if failures:
+    return code
+
+
+#: The series ``serve`` prints, read from the service's registry: hits,
+#: shapes parsed vs. templates compiled into the cache (equal when the
+#: parser runs once per shape, not once per query), and finished
+#: queries at or over ``--slow-ms``.
+_SERVE_SERIES = ("pdw_service_plan_cache_hits",
+                 "pdw_service_plan_cache_shape_parses",
+                 "pdw_service_plan_cache_inserts",
+                 "pdw_service_slow_total")
+
+
+def _cmd_serve(args) -> int:
+    from repro.service import render_report
+
+    def then(service, traffic) -> int:
+        print(render_report(traffic))
+        snapshot = service.metrics.snapshot()
+        totals = {name: int(sum(snapshot.get(name, {}).values()))
+                  for name in _SERVE_SERIES}
+        for name, value in totals.items():
+            print(f"{name} {value}")
+        if not args.smoke:
+            return 0
+        hits, parses, inserts, _slow = totals.values()
+        failures = [failure for failed, failure in (
+            (hits <= 0, "plan cache recorded no hits"),
+            (parses != inserts,
+             f"{parses} shape parses for {inserts} cached shapes"),
+            (traffic.completed <= 0, "no queries completed"),
+            (traffic.p99 <= 0, "no p99 latency reported")) if failed]
         for failure in failures:
             print(f"SMOKE FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("smoke ok")
-    return 0
+        if failures:
+            return 1
+        print("smoke ok")
+        return 0
+
+    return _drive(args, then)
 
 
 def _cmd_requests(args) -> int:
     from repro.obs.export import requests_to_events
-    from repro.obs.report import render_requests_report
-    from repro.obs.requests import RequestRegistry
-    from repro.service import PdwService, run_traffic
+    from repro.obs.report import requests_report
 
-    registry = RequestRegistry(
-        slow_threshold_seconds=(args.slow_ms / 1e3
-                                if args.slow_ms is not None else 1.0))
-    service = PdwService(
-        scale=args.scale, node_count=args.nodes,
-        options=_cli_options(args),
-        max_in_flight=args.max_in_flight,
-        max_queue=args.max_queue,
-        plan_cache_size=args.cache_size,
-        requests=registry)
-    try:
-        run_traffic(service, clients=args.clients,
-                    queries_per_client=args.queries, seed=args.seed)
-        # Dogfood: the system views answered through the normal SQL path.
-        by_status = service.execute(
-            "SELECT status, COUNT(*) AS n FROM sys.dm_pdw_exec_requests "
-            "GROUP BY status ORDER BY status")
-        cached = service.execute(
-            "SELECT shape_key, hit_count, execution_count "
-            "FROM sys.dm_pdw_plan_cache ORDER BY execution_count DESC, "
-            "shape_key LIMIT 10")
-    finally:
-        service.close()
-    events = requests_to_events(registry)
-    if args.json:
-        print(json.dumps(events, indent=2, sort_keys=True))
-    else:
-        print("SELECT status, COUNT(*) AS n "
-              "FROM sys.dm_pdw_exec_requests GROUP BY status:")
-        for status, n in by_status.rows:
-            print(f"  {status:<10} {n}")
-        print()
-        print("sys.dm_pdw_plan_cache (top 10 by executions):")
-        for shape_key, hit_count, executions in cached.rows:
-            print(f"  hits={hit_count:<4} execs={executions:<4} "
-                  f"{shape_key}")
-        print()
-        print(render_requests_report(registry, slow_only=args.slow))
-    if args.jsonl and not _write_jsonl(args.jsonl, events):
-        return 1
-    if args.prometheus:
-        _write_prometheus(args.prometheus, service.metrics_text())
-    return 0
+    def then(service, _traffic) -> int:
+        if args.json:
+            print(json.dumps(requests_to_events(service.requests),
+                             indent=2, sort_keys=True))
+        else:
+            print(requests_report(service, slow_only=args.slow))
+        # After the report, so its own SELECTs are events too, as they
+        # are pdw_service_queries_total counts.
+        if args.jsonl and not _write_jsonl(
+                args.jsonl, requests_to_events(service.requests)):
+            return 1
+        return 0
+
+    return _drive(args, then)
 
 
 def _cmd_querystore(args) -> int:
@@ -427,33 +367,25 @@ def _cmd_querystore(args) -> int:
     from repro.obs.export import query_store_to_metrics
     from repro.obs.query_store import QueryStore
     from repro.obs.report import (
+        query_store_report,
         render_query_store_regressions,
-        render_query_store_report,
     )
-    from repro.service import DEFAULT_MIX, PdwService, run_traffic
+    from repro.service import DEFAULT_MIX
 
     try:
         hints = _parse_hints(args.hint)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    store = QueryStore(regression_factor=args.factor)
-    service = PdwService(
-        scale=args.scale, node_count=args.nodes,
-        options=_cli_options(args),
-        max_in_flight=args.max_in_flight,
-        max_queue=args.max_queue,
-        plan_cache_size=args.cache_size,
-        query_store=store)
-    try:
-        if args.load:
-            loaded = store.load(
-                args.load,
-                schema_version=service.appliance.schema_version)
-            print(f"-- loaded {loaded} shapes from {args.load}",
-                  file=sys.stderr)
-        run_traffic(service, clients=args.clients,
-                    queries_per_client=args.queries, seed=args.seed)
+
+    def load(service) -> None:
+        loaded = service.query_store.load(
+            args.load, schema_version=service.appliance.schema_version)
+        print(f"-- loaded {loaded} shapes from {args.load}",
+              file=sys.stderr)
+
+    def then(service, _traffic) -> int:
+        store = service.query_store
         if hints:
             # The hinted pass: force an alternate plan for every mix
             # template that touches a hinted table.  Each repeat runs
@@ -470,34 +402,18 @@ def _cmd_querystore(args) -> int:
                     if any(table.lower() in lowered for table in hints):
                         service.execute(sql)
                         service.execute(sql, options=opts)
-        # Dogfood: the query-store views answered through normal SQL.
-        runtime = service.execute(
-            "SELECT query_id, plan_hash, execution_count, mean_ms "
-            "FROM sys.query_store_runtime_stats "
-            "ORDER BY execution_count DESC, query_id, plan_hash "
-            "LIMIT 10")
-    finally:
-        service.close()
-    regressions = store.regressions()
-    if args.regressions:
-        print(render_query_store_regressions(regressions))
-    else:
-        print("SELECT query_id, plan_hash, execution_count, mean_ms "
-              "FROM sys.query_store_runtime_stats (top 10):")
-        for query_id, plan_hash, execs, mean_ms in runtime.rows:
-            print(f"  Q{query_id:<4} {plan_hash}  execs={execs:<4} "
-                  f"mean={mean_ms:.3f} ms")
-        print()
-        print(render_query_store_report(store, top=args.top))
-    if args.save:
-        count = store.save(args.save)
-        print(f"-- saved {count} shapes to {args.save}", file=sys.stderr)
-    if args.jsonl and not _write_jsonl(args.jsonl, store.to_events()):
-        return 1
-    if args.prometheus:
-        query_store_to_metrics(store, service.metrics)
-        _write_prometheus(args.prometheus, service.metrics_text())
-    return 0
+        if args.regressions:
+            print(render_query_store_regressions(store.regressions()))
+        else:
+            print(query_store_report(service, top=args.top))
+        if args.jsonl and not _write_jsonl(args.jsonl, store.to_events()):
+            return 1
+        if args.prometheus:
+            query_store_to_metrics(store, service.metrics)
+        return 0
+
+    return _drive(args, then, setup=load if args.load else None,
+                  query_store=QueryStore(regression_factor=args.factor))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -520,16 +436,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  {label:<14} {fitted:.3e}  (truth {target:.3e})")
         return 0
 
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "requests":
-        return _cmd_requests(args)
-    if args.command == "querystore":
-        return _cmd_querystore(args)
+    traffic = {"serve": _cmd_serve, "requests": _cmd_requests,
+               "querystore": _cmd_querystore}.get(args.command)
+    if traffic is not None:
+        return traffic(args)
 
     session = PdwSession(
         args.sql, scale=args.scale, node_count=args.nodes,
-        options=_cli_options(args))
+        options=ExecutionOptions(executor=args.executor))
 
     if args.command == "memo":
         compiled = session.compile()

@@ -116,7 +116,8 @@ class StepExecutionStats:
     ``node_rows`` (rows each executing node's local SQL produced) is
     always recorded — one dict store per node per step.  The remaining
     profiling fields are populated only under a profiled run
-    (``DsqlRunner.run(plan, profile=True)``): ``transfers`` is the
+    (``profile=True`` on ``DsqlRunner.run`` or on the runtime's
+    ``execute_movement`` / ``execute_return``, per call): ``transfers`` is the
     per-movement N×N matrix ``(source, destination) → [rows, bytes]``
     and ``node_operators`` maps each node to the postorder
     ``(kind, label, rows_out)`` records its interpreter observed.
@@ -375,9 +376,6 @@ class DmsRuntime:
         self.truth = truth or GroundTruthConstants()
         self.tracer = tracer
         self.executor = resolve_executor(executor)
-        # Profiled runs (DsqlRunner.run(plan, profile=True)) flip this on to
-        # collect transfer matrices and per-operator actuals.
-        self.profiling = False
         self._prepare_lock = threading.Lock()
 
     def _record_movement(self, stats: StepExecutionStats) -> None:
@@ -506,18 +504,17 @@ class DmsRuntime:
 
     # -- movement execution -----------------------------------------------------------
 
-    def _run_sources(self, step: DsqlStep,
-                     hash_index: Optional[int]) -> List[_SourceRun]:
+    def _run_sources(self, step: DsqlStep, hash_index: Optional[int],
+                     profile: bool) -> List[_SourceRun]:
         """Run extract+route for every source node of a step, one node
         at a time in source-node order — the oracle."""
         node_count = self.appliance.node_count
         operation = step.movement.operation if step.movement else None
-        profiling = self.profiling
 
         def run_one(source: NodeStorage) -> _SourceRun:
             started = time.perf_counter()
             sql_stats = InterpreterStats()
-            observer = OperatorObserver() if profiling else None
+            observer = OperatorObserver() if profile else None
             interpreter, query = self._interpreter(
                 step.sql, source, sql_stats, observer)
             source_id = source.node_id
@@ -552,7 +549,8 @@ class DmsRuntime:
 
         return [run_one(source) for source in self._source_nodes(step)]
 
-    def _run_group(self, step: DsqlStep, stats: StepExecutionStats
+    def _run_group(self, step: DsqlStep, stats: StepExecutionStats,
+                   profile: bool
                    ) -> Tuple[ArrayBatch, List[str], PreparedStep]:
         """Run a step's prepared tree once over its whole source group —
         the numpy executor.  Returns the output as positional columns
@@ -565,7 +563,7 @@ class DmsRuntime:
         source_ids = [source.node_id for source in sources]
         sql_stats = InterpreterStats()
         observers = ([OperatorObserver() for _ in sources]
-                     if self.profiling else None)
+                     if profile else None)
         interpreter = NumpyInterpreter(tables, sql_stats, observers)
         output = interpreter.run_columns(query).segmented(len(sources))
         stats.relational_rows = (sql_stats.rows_scanned
@@ -586,7 +584,8 @@ class DmsRuntime:
         share = (time.perf_counter() - started) / len(stats.node_rows)
         stats.node_wall_seconds = dict.fromkeys(stats.node_rows, share)
 
-    def execute_movement(self, step: DsqlStep) -> StepExecutionStats:
+    def execute_movement(self, step: DsqlStep,
+                         profile: bool = False) -> StepExecutionStats:
         if step.movement is None or step.destination_table is None:
             raise DmsError(f"step {step.index} is not a DMS step")
         started = time.perf_counter()
@@ -595,9 +594,9 @@ class DmsRuntime:
 
         stats = StepExecutionStats(step.index, movement.operation)
         if self.executor == "numpy":
-            self._move_group(step, stats, started)
+            self._move_group(step, stats, started, profile)
         else:
-            self._move_rows(step, stats, _hash_index(step))
+            self._move_rows(step, stats, _hash_index(step), profile)
 
         reader, network, writer, bulk = stats.component_times(
             self.truth, movement.operation.uses_hashing)
@@ -612,16 +611,16 @@ class DmsRuntime:
         return stats
 
     def _move_group(self, step: DsqlStep, stats: StepExecutionStats,
-                    started: float) -> None:
+                    started: float, profile: bool) -> None:
         """The numpy executor's move: one run, one sizing pass, one
         router for the whole source group; the accounting is read off
         the router's source × target sums."""
-        output, _, prepared = self._run_group(step, stats)
+        output, _, prepared = self._run_group(step, stats, profile)
         source_ids = list(stats.node_rows)
         routing = route_group(
             step.movement.operation, output, source_ids,
             batch_row_bytes(output), prepared.hash_index,
-            self.appliance.node_count, transfers=self.profiling)
+            self.appliance.node_count, transfers=profile)
         stats.reader_bytes = dict(zip(source_ids, routing.read))
         stats.network_bytes = {
             source_id: sent
@@ -635,15 +634,14 @@ class DmsRuntime:
         self._share_wall(stats, started)
 
     def _move_rows(self, step: DsqlStep, stats: StepExecutionStats,
-                   hash_index: Optional[int]) -> None:
+                   hash_index: Optional[int], profile: bool) -> None:
         """The oracle's move: every source routed on its own, the
         deliveries merged in source-node order."""
         destination = step.destination_table
         received: Dict[int, List[List[Tuple]]] = {}
         received_bytes: Dict[int, int] = {}
-        profiling = self.profiling
 
-        for run in self._run_sources(step, hash_index):
+        for run in self._run_sources(step, hash_index, profile):
             source_id = run.node_id
             stats.relational_rows += run.relational_rows
             stats.reader_bytes[source_id] = (
@@ -660,7 +658,7 @@ class DmsRuntime:
                 received.setdefault(target_id, []).append(batch)
                 received_bytes[target_id] = (
                     received_bytes.get(target_id, 0) + batch_bytes)
-                if profiling:
+                if profile:
                     entry = stats.transfers.get((source_id, target_id))
                     if entry is None:
                         stats.transfers[(source_id, target_id)] = [
@@ -747,7 +745,7 @@ class DmsRuntime:
 
     # -- return step --------------------------------------------------------------------
 
-    def execute_return(self, step: DsqlStep
+    def execute_return(self, step: DsqlStep, profile: bool = False
                        ) -> Tuple[Union[ArrayBatch, List[Tuple]],
                                   List[str], StepExecutionStats]:
         """Run the final Return SQL and gather its output at the control
@@ -758,9 +756,8 @@ class DmsRuntime:
         reference executor the row tuples."""
         started = time.perf_counter()
         stats = StepExecutionStats(step.index, None)
-        profiling = self.profiling
         if self.executor == "numpy":
-            output, names, _ = self._run_group(step, stats)
+            output, names, _ = self._run_group(step, stats, profile)
             source_ids = list(stats.node_rows)
             if source_ids == [CONTROL_NODE]:
                 read = [0]  # already at the control node
@@ -768,7 +765,7 @@ class DmsRuntime:
                 read = segment_sums(batch_row_bytes(output),
                                     output.bounds).tolist()
                 stats.network_bytes = dict(zip(source_ids, read))
-            if profiling:
+            if profile:
                 for (source_id, count), nbytes in zip(
                         stats.node_rows.items(), read):
                     stats.transfers[(source_id, CONTROL_NODE)] = [
@@ -777,7 +774,7 @@ class DmsRuntime:
         else:
             output = []
             names: List[str] = []
-            for run in self._run_sources(step, None):
+            for run in self._run_sources(step, None, profile):
                 source_id = run.node_id
                 stats.relational_rows += run.relational_rows
                 if source_id != CONTROL_NODE:
@@ -788,7 +785,7 @@ class DmsRuntime:
                     + run.wall_seconds)
                 if run.observer is not None:
                     stats.node_operators[source_id] = run.observer.records
-                if profiling:
+                if profile:
                     stats.transfers[(source_id, CONTROL_NODE)] = [
                         len(run.output),
                         stats.network_bytes.get(source_id, 0),

@@ -160,7 +160,6 @@ class DsqlRunner:
             plan = plan.bind()  # the plan is its own template
         if self.executor == "numpy" and plan.steps:
             self.runtime.prepared(plan.steps[0].binding.template)
-        self.runtime.profiling = profile
         if request.enabled:
             request.begin_plan(plan)
         try:
@@ -169,10 +168,11 @@ class DsqlRunner:
                     with tracer.span(self._step_label(step)) as span:
                         request.begin_step(step.index)
                         if step.kind is StepKind.DMS:
-                            step_stats = self.runtime.execute_movement(step)
+                            step_stats = self.runtime.execute_movement(
+                                step, profile)
                         else:
                             output, names, step_stats = \
-                                self.runtime.execute_return(step)
+                                self.runtime.execute_return(step, profile)
                         request.end_step(step.index, step_stats)
                         stats.append(step_stats)
                         if tracer.enabled:
@@ -181,7 +181,6 @@ class DsqlRunner:
                                      step_stats.elapsed_seconds)
                 rows = self._finalize(plan, names, output)
         finally:
-            self.runtime.profiling = False
             if not keep_temps:
                 self.appliance.drop_temp_tables()
         return QueryResult(

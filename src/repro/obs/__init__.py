@@ -29,8 +29,9 @@ needs to be *checked* rather than assumed:
   parse → optimize → execute path;
 * :mod:`repro.obs.export` — structured sinks: JSONL event log with
   schema validation, JSON profile documents, Prometheus text;
-* :mod:`repro.obs.report` — the rendered ``repro profile``,
-  ``repro why`` and ``repro requests`` tables;
+* :mod:`repro.obs.report` — the rendered ``repro profile`` and
+  ``repro why`` tables, and the ``repro requests`` / ``repro
+  querystore`` reports as SELECTs over the system views;
 * :mod:`repro.obs.schema_check` — ``python -m repro.obs.schema_check``
   CLI used by CI to validate emitted JSONL.
 """
@@ -42,7 +43,6 @@ from repro.obs.export import (
     optimizer_trace_to_metrics,
     profile_to_events,
     profile_to_metrics,
-    query_store_to_events,
     query_store_to_metrics,
     request_to_event,
     requests_to_events,
@@ -102,15 +102,11 @@ from repro.obs.report import (
     render_optimizer_trace_report,
     render_profile_report,
     render_prune_effectiveness_table,
-    render_query_store_plans_table,
+    query_store_report,
     render_query_store_regressions,
-    render_query_store_report,
-    render_query_store_table,
     render_rejected_movements_table,
-    render_request_steps_table,
-    render_requests_report,
-    render_requests_table,
     render_step_table,
+    requests_report,
 )
 from repro.obs.requests import (
     NULL_REQUEST,
@@ -177,17 +173,12 @@ __all__ = [
     "render_profile_report",
     "render_prune_effectiveness_table",
     "render_rejected_movements_table",
-    "render_request_steps_table",
-    "render_requests_report",
-    "render_requests_table",
     "render_step_table",
-    "render_query_store_table",
-    "render_query_store_plans_table",
     "render_query_store_regressions",
-    "render_query_store_report",
+    "requests_report",
+    "query_store_report",
     "request_to_event",
     "requests_to_events",
-    "query_store_to_events",
     "query_store_to_metrics",
     "NULL_QUERY_STORE",
     "NullQueryStore",

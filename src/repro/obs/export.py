@@ -37,7 +37,6 @@ __all__ = [
     "optimizer_trace_to_events",
     "request_to_event",
     "requests_to_events",
-    "query_store_to_events",
     "events_to_jsonl",
     "write_jsonl",
     "EVENT_SCHEMAS",
@@ -201,14 +200,6 @@ def requests_to_events(registry: RequestRegistry) -> List[dict]:
     threshold = registry.slow_threshold_seconds
     return [request_to_event(record, threshold)
             for record in registry.completed()]
-
-
-def query_store_to_events(store) -> List[dict]:
-    """Flatten a :class:`repro.obs.query_store.QueryStore` into
-    schema-checked ``query_store_flush`` events (one per retained
-    shape).  The same format :meth:`QueryStore.save` persists — a saved
-    store is directly ``schema_check``-able."""
-    return store.to_events()
 
 
 def events_to_jsonl(events: Iterable[dict]) -> str:

@@ -19,9 +19,10 @@ DSQL plan's steps).  Each (shape, plan) bucket accumulates
 * first/last-seen timestamps and the schema_version in effect.
 
 This is ROADMAP item 11's correction-cache substrate: observed
-cardinalities keyed by (shape, step), durable across restarts via JSONL
-:meth:`QueryStore.save` / :meth:`QueryStore.load` (the persisted lines
-*are* schema-valid ``query_store_flush`` events).
+cardinalities keyed by (shape, step), durable across restarts as JSONL:
+:meth:`QueryStore.to_events` are schema-valid ``query_store_flush``
+events, written by :func:`repro.obs.export.write_jsonl` and merged back
+by :meth:`QueryStore.load`.
 
 **Regression detection** (:meth:`QueryStore.regressions`): a shape whose
 *current* plan (the one seen most recently) has a mean simulated latency
@@ -47,6 +48,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.common.errors import ReproError
 from repro.obs.profiler import q_error, step_profile
 
 __all__ = [
@@ -612,22 +614,13 @@ class QueryStore:
 
     def to_events(self) -> List[dict]:
         """One schema-valid ``query_store_flush`` event per shape — the
-        export format *and* the persistence format, so a saved store is
-        directly ``schema_check``-able."""
+        export format *and* the persistence format: written as JSONL
+        they round-trip bit-identically through :meth:`load` (floats
+        survive via ``repr`` exactness)."""
         with self._lock:
             return [{"event": "query_store_flush", **shape.to_dict()}
                     for shape in sorted(self._shapes.values(),
                                         key=lambda s: s.query_id)]
-
-    def save(self, path: str) -> int:
-        """Write the store as JSONL ``query_store_flush`` events;
-        returns the event count.  Round-trips bit-identically through
-        :meth:`load` (floats survive via ``repr`` exactness)."""
-        events = self.to_events()
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-        return len(events)
 
     def load(self, path: str,
              schema_version: Optional[int] = None) -> int:
@@ -638,16 +631,34 @@ class QueryStore:
         history but lose baseline eligibility — a restarted service
         whose data changed never compares new plans against stale
         timings.  Pass ``None`` to restore verbatim.
+
+        Every line is parsed and schema-checked before anything is
+        merged: a line that is not JSON, fails its event schema or does
+        not rebuild into a shape raises :class:`ReproError` naming the
+        line, and the store is left as it was.  Valid events of other
+        types are skipped.
         """
-        loaded = 0
+        # Imported here: export imports requests, which imports this.
+        from repro.obs.export import validate_event
+
+        shapes: List[ShapeStats] = []
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        with self._lock:
-            for line in lines:
-                event = json.loads(line)
-                if event.get("event") != "query_store_flush":
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
                     continue
-                shape = ShapeStats.from_dict(event)
+                try:
+                    event = json.loads(line)
+                    errors = validate_event(event)
+                    if errors:
+                        raise ValueError("; ".join(errors))
+                    if event["event"] == "query_store_flush":
+                        shapes.append(ShapeStats.from_dict(event))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ReproError(
+                        f"{path} line {number}: not a loadable "
+                        f"query_store_flush event: {exc}") from None
+        with self._lock:
+            for shape in shapes:
                 if schema_version is not None:
                     for plan in shape.plans.values():
                         if plan.schema_version != schema_version:
@@ -659,11 +670,10 @@ class QueryStore:
                     self._seq,
                     max((plan.last_seen_seq
                          for plan in shape.plans.values()), default=0))
-                loaded += 1
             while len(self._shapes) > self.max_shapes:
                 self._shapes.popitem(last=False)
                 self._evicted += 1
-        return loaded
+        return len(shapes)
 
 
 class NullQueryStore(QueryStore):
@@ -709,10 +719,6 @@ class NullQueryStore(QueryStore):
 
     def to_events(self):
         return []
-
-    def save(self, path):
-        del path
-        return 0
 
     def load(self, path, schema_version=None):
         del path, schema_version

@@ -13,22 +13,19 @@ Q-error summary line.
 costliest considered-but-rejected movements, and prune effectiveness per
 interesting-property key.
 
-``render_requests_report`` produces the ``repro requests`` output: the
-flight recorder's per-request summary table (status, cache verdict,
-phase timings) plus a per-step actuals table for slow requests.
-
-``render_query_store_report`` produces the ``repro querystore`` output:
-the per-shape history table, the per-plan runtime-stats table, and the
-plan-regression verdicts.
+``requests_report`` and ``query_store_report`` produce the ``repro
+requests`` and ``repro querystore`` outputs: every table is a SELECT
+over the system views through the service's ``execute``, rendered by
+``render_table``; ``render_query_store_regressions`` renders the
+computed plan-regression verdicts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.opt_trace import OptimizerTrace
 from repro.obs.profiler import QueryProfile, StepProfile
-from repro.obs.requests import RequestRecord, RequestRegistry
 
 __all__ = [
     "render_table",
@@ -40,13 +37,9 @@ __all__ = [
     "render_rejected_movements_table",
     "render_prune_effectiveness_table",
     "render_optimizer_trace_report",
-    "render_requests_table",
-    "render_request_steps_table",
-    "render_requests_report",
-    "render_query_store_table",
-    "render_query_store_plans_table",
+    "requests_report",
     "render_query_store_regressions",
-    "render_query_store_report",
+    "query_store_report",
 ]
 
 # Per-node row vectors are shown verbatim up to this many participants;
@@ -291,7 +284,41 @@ def render_optimizer_trace_report(trace: OptimizerTrace,
     return "\n".join(lines)
 
 
-# -- request flight-recorder tables --------------------------------------------
+# -- system-view reports: each table a SELECT through ``execute`` -------------
+
+STATUS_SQL = ("SELECT status, COUNT(*) AS n FROM sys.dm_pdw_exec_requests "
+              "GROUP BY status ORDER BY status")
+PLAN_CACHE_SQL = ("SELECT hit_count, execution_count, shape_key "
+                  "FROM sys.dm_pdw_plan_cache "
+                  "ORDER BY execution_count DESC, shape_key LIMIT 10")
+#: ``{slow}`` is empty, or `` AND is_slow`` for the slow requests only.
+REQUESTS_SQL = ("SELECT request_id, status, cache_hit, total_steps, "
+                "rows_returned, queue_ms, compile_ms, execute_ms, "
+                "total_ms, command, is_slow, request_seq "
+                "FROM sys.dm_pdw_exec_requests WHERE status IN "
+                "('complete', 'failed', 'rejected'){slow} "
+                "ORDER BY request_seq")
+STEPS_SQL = ("SELECT request_id, step_index, kind, operation, status, "
+             "row_count, total_bytes, elapsed_ms, wall_ms "
+             "FROM sys.dm_pdw_request_steps ORDER BY request_id, step_index")
+#: ``{top}`` is the number of shapes shown.
+HOTTEST_SHAPES_SQL = (
+    "SELECT t.query_id, t.execution_count, t.plan_count, p.plan_hash, "
+    "r.mean_ms, t.max_q_error, t.example_sql, t.query_text "
+    "FROM sys.query_store_query_texts t, sys.query_store_plans p, "
+    "sys.query_store_runtime_stats r WHERE p.query_id = t.query_id "
+    "AND p.is_current AND r.query_id = p.query_id "
+    "AND r.plan_hash = p.plan_hash "
+    "ORDER BY t.execution_count DESC, t.query_id LIMIT {top}")
+MULTI_PLAN_SQL = (
+    "SELECT p.query_id, p.plan_hash, p.is_current, p.baseline_eligible, "
+    "p.schema_version, p.execution_count, p.cache_hits, r.mean_ms, "
+    "r.min_ms, r.max_ms, p.bytes_moved, p.max_q_error, t.example_sql, "
+    "t.query_text, p.first_seen FROM sys.query_store_plans p, "
+    "sys.query_store_runtime_stats r, sys.query_store_query_texts t "
+    "WHERE r.query_id = p.query_id AND r.plan_hash = p.plan_hash "
+    "AND t.query_id = p.query_id AND t.plan_count > 1 "
+    "ORDER BY p.query_id, p.first_seen, p.plan_hash")
 
 
 def _clip_sql(sql: str, width: int = 48) -> str:
@@ -299,54 +326,24 @@ def _clip_sql(sql: str, width: int = 48) -> str:
     return flat if len(flat) <= width else flat[: width - 3] + "..."
 
 
-def _fmt_ms(seconds: float) -> str:
-    return f"{seconds * 1e3:.2f}"
-
-
-def render_requests_table(records: List[RequestRecord]) -> str:
-    """One row per request: the ``sys.dm_pdw_exec_requests`` view in
-    terminal form."""
-    headers = ["request", "status", "cache", "steps", "rows",
-               "queue ms", "compile ms", "exec ms", "total ms", "command"]
-    rows = [[
-        r.request_id,
-        r.status,
-        "hit" if r.cache_hit else "miss",
-        str(r.step_count),
-        str(r.rows_returned),
-        _fmt_ms(r.queue_seconds),
-        _fmt_ms(r.compile_seconds),
-        _fmt_ms(r.execute_seconds),
-        _fmt_ms(r.total_seconds),
-        _clip_sql(r.sql),
-    ] for r in records]
-    return render_table(headers, rows, left_columns=frozenset({0, 1, 9}))
-
-
-def render_request_steps_table(record: RequestRecord) -> str:
-    """Per-step actuals for one request: the
-    ``sys.dm_pdw_request_steps`` view in terminal form."""
-    headers = ["step", "kind", "operation", "status", "rows", "bytes",
-               "sim ms", "wall ms"]
-    rows = [[
-        str(s.index),
-        s.kind,
-        s.operation or "-",
-        s.status,
-        str(s.rows_moved),
-        str(s.bytes_moved),
-        _fmt_ms(s.elapsed_seconds),
-        _fmt_ms(s.wall_seconds),
-    ] for s in record.steps]
-    return render_table(headers, rows, left_columns=frozenset({1, 2, 3}))
-
-
-def render_requests_report(registry: RequestRegistry,
-                           slow_only: bool = False) -> str:
-    """The ``repro requests`` output: recorder stats, the per-request
-    table, and step-level detail for every slow request."""
-    stats = registry.stats()
-    records = registry.slow() if slow_only else registry.completed()
+def requests_report(service, slow_only: bool = False) -> str:
+    """The ``repro requests`` report of ``service`` (a
+    :class:`~repro.service.PdwService`): the flight recorder's stats,
+    requests per status, the plan cache, the completed (or only the
+    slow) requests, and step detail for every slow one."""
+    enabled = service.requests.enabled
+    views = [
+        "", "Requests by status (sys.dm_pdw_exec_requests):",
+        render_table(["status", "requests"],
+                     [[status, str(n)] for status, n
+                      in service.execute(STATUS_SQL).rows], frozenset({0})),
+        "", "Plan cache, top 10 by executions (sys.dm_pdw_plan_cache):",
+        render_table(["hits", "execs", "shape"],
+                     [[str(hits), str(execs), shape] for hits, execs, shape
+                      in service.execute(PLAN_CACHE_SQL).rows],
+                     frozenset({2})),
+    ] if enabled else []
+    stats = service.requests.stats()
     finished = ", ".join(f"{status}={count}" for status, count
                          in sorted(stats["finished"].items())) or "none"
     lines = [
@@ -354,74 +351,39 @@ def render_requests_report(registry: RequestRegistry,
         f"retained, {stats['active']} active, {stats['slow']} slow "
         f"(threshold {stats['slow_threshold_seconds'] * 1e3:.0f} ms); "
         f"finished: {finished}",
-    ]
+    ] + views
+    records = (service.execute(REQUESTS_SQL.format(
+        slow=" AND is_slow" if slow_only else "")).rows if enabled else [])
     if not records:
-        lines += ["", "No completed requests recorded."]
-        return "\n".join(lines)
+        return "\n".join(lines + ["", "No completed requests recorded."])
     lines += [
-        "",
-        "Slow requests:" if slow_only else "Completed requests:",
-        render_requests_table(records),
+        "", "Slow requests:" if slow_only else "Completed requests:",
+        render_table(
+            ["request", "status", "cache", "steps", "rows", "queue ms",
+             "compile ms", "exec ms", "total ms", "command"],
+            [[request_id, status, "hit" if hit else "miss", str(steps),
+              str(rows), *(f"{ms:.2f}" for ms in timings),
+              _clip_sql(command)]
+             for (request_id, status, hit, steps, rows, *timings, command,
+                  _slow, _seq) in records],
+            frozenset({0, 1, 9})),
     ]
-    threshold = stats["slow_threshold_seconds"]
-    for record in records:
-        if record.steps and record.is_slow(threshold):
+    steps: Dict[str, List[List[str]]] = {}
+    if any(record[10] for record in records):
+        for (request_id, index, kind, operation, status, rows, nbytes,
+             elapsed, wall) in service.execute(STEPS_SQL).rows:
+            steps.setdefault(request_id, []).append([
+                str(index), kind, operation or "-", status, str(rows),
+                str(nbytes), f"{elapsed:.2f}", f"{wall:.2f}"])
+    for request_id, *_, total, _command, slow, _seq in records:
+        if slow and request_id in steps:
             lines += [
-                "",
-                f"Step detail for {record.request_id} "
-                f"({record.total_seconds * 1e3:.2f} ms):",
-                render_request_steps_table(record),
+                "", f"Step detail for {request_id} ({total:.2f} ms):",
+                render_table(["step", "kind", "operation", "status",
+                              "rows", "bytes", "sim ms", "wall ms"],
+                             steps[request_id], frozenset({1, 2, 3})),
             ]
     return "\n".join(lines)
-
-
-# -- query-store tables --------------------------------------------------------
-
-
-def render_query_store_table(shapes, top: int = 10) -> str:
-    """One row per retained shape (hottest first): the
-    ``sys.query_store_query_texts`` view in terminal form."""
-    ranked = sorted(shapes, key=lambda s: s.execution_count,
-                    reverse=True)[:top]
-    headers = ["query", "execs", "plans", "current", "mean ms",
-               "max q-err", "query text"]
-    rows = []
-    for shape in ranked:
-        current = shape.current_plan()
-        rows.append([
-            f"Q{shape.query_id}",
-            str(shape.execution_count),
-            str(len(shape.plans)),
-            current.plan_hash if current else "-",
-            f"{current.mean_elapsed_seconds * 1e3:.3f}"
-            if current else "-",
-            _fmt_q(max((p.max_q_error for p in shape.plans.values()),
-                       default=1.0)),
-            _clip_sql(shape.example_sql or shape.shape_key),
-        ])
-    return render_table(headers, rows, left_columns=frozenset({0, 3, 6}))
-
-
-def render_query_store_plans_table(shape) -> str:
-    """One row per plan of one shape: the ``sys.query_store_plans`` +
-    ``sys.query_store_runtime_stats`` join in terminal form."""
-    current = shape.current_plan()
-    headers = ["plan", "cur", "base", "sv", "execs", "hits",
-               "mean ms", "min ms", "max ms", "bytes moved", "q-err"]
-    rows = [[
-        plan.plan_hash,
-        "*" if plan is current else "",
-        "y" if plan.baseline_eligible else "n",
-        str(plan.schema_version),
-        str(plan.execution_count),
-        str(plan.cache_hits),
-        f"{plan.mean_elapsed_seconds * 1e3:.3f}",
-        f"{plan.elapsed_seconds_min * 1e3:.3f}",
-        f"{plan.elapsed_seconds_max * 1e3:.3f}",
-        str(plan.bytes_moved_total),
-        _fmt_q(plan.max_q_error),
-    ] for plan in shape.plans.values()]
-    return render_table(headers, rows, left_columns=frozenset({0, 1, 2}))
 
 
 def render_query_store_regressions(regressions) -> str:
@@ -444,10 +406,12 @@ def render_query_store_regressions(regressions) -> str:
     return "\n".join(lines)
 
 
-def render_query_store_report(store, top: int = 10) -> str:
-    """The ``repro querystore`` output: store stats, the hottest-shapes
-    table, per-plan detail for every multi-plan shape, and the
-    regression verdicts."""
+def query_store_report(service, top: int = 10) -> str:
+    """The ``repro querystore`` report of ``service`` (a
+    :class:`~repro.service.PdwService`): the store's stats, the hottest
+    shapes, every plan of each multi-plan shape, and the regression
+    verdicts."""
+    store = service.query_store
     stats = store.stats()
     lines = [
         f"Query store: {stats['shapes']} shapes, {stats['plans']} plans, "
@@ -455,22 +419,37 @@ def render_query_store_report(store, top: int = 10) -> str:
         f"({stats['evicted_shapes']} shapes evicted, "
         f"capacity {stats['max_shapes']})",
     ]
-    shapes = store.shapes()
-    if not shapes:
-        lines += ["", "No executions recorded."]
-        return "\n".join(lines)
+    hottest = (service.execute(HOTTEST_SHAPES_SQL.format(top=int(top))).rows
+               if store.enabled else [])
+    if not hottest:
+        return "\n".join(lines + ["", "No executions recorded."])
     lines += [
-        "",
-        f"Hottest shapes (top {top}):",
-        render_query_store_table(shapes, top),
+        "", f"Hottest shapes (top {top}):",
+        render_table(
+            ["query", "execs", "plans", "current", "mean ms",
+             "max q-err", "query text"],
+            [[f"Q{query_id}", str(execs), str(plans), plan_hash,
+              f"{mean_ms:.3f}", _fmt_q(max_q), _clip_sql(example or text)]
+             for (query_id, execs, plans, plan_hash, mean_ms, max_q,
+                  example, text) in hottest],
+            frozenset({0, 3, 6})),
     ]
-    for shape in shapes:
-        if len(shape.plans) > 1:
-            lines += [
-                "",
-                f"Plans for Q{shape.query_id} "
-                f"({_clip_sql(shape.example_sql or shape.shape_key)}):",
-                render_query_store_plans_table(shape),
-            ]
+    shapes: Dict[int, Tuple[str, List[List[str]]]] = {}
+    for (query_id, plan_hash, current, eligible, version, execs, hits,
+         *timings, moved, max_q, example, text, _first_seen) \
+            in service.execute(MULTI_PLAN_SQL).rows:
+        plans = shapes.setdefault(
+            query_id, (_clip_sql(example or text), []))[1]
+        plans.append([
+            plan_hash, "*" if current else "", "y" if eligible else "n",
+            str(version), str(execs), str(hits),
+            *(f"{ms:.3f}" for ms in timings), str(moved), _fmt_q(max_q)])
+    for query_id, (title, plans) in shapes.items():
+        lines += [
+            "", f"Plans for Q{query_id} ({title}):",
+            render_table(["plan", "cur", "base", "sv", "execs", "hits",
+                          "mean ms", "min ms", "max ms", "bytes moved",
+                          "q-err"], plans, frozenset({0, 1, 2})),
+        ]
     lines += ["", render_query_store_regressions(store.regressions())]
     return "\n".join(lines)

@@ -290,13 +290,6 @@ class RequestRegistry:
         with self._lock:
             return list(self._recorder)
 
-    def slow(self) -> List[RequestRecord]:
-        """Retained records at or above the slow-query threshold."""
-        threshold = self.slow_threshold_seconds
-        with self._lock:
-            return [record for record in self._recorder
-                    if record.is_slow(threshold)]
-
     def snapshot(self) -> List[RequestRecord]:
         """Active then retained records — the DMV materialization set."""
         with self._lock:
@@ -367,7 +360,7 @@ class NullRequestRegistry(RequestRegistry):
     enabled = False
     __slots__ = ()
     capacity = 0
-    slow_threshold_seconds = 0.0
+    slow_threshold_seconds = DEFAULT_SLOW_SECONDS
 
     def __init__(self):  # no per-instance state at all
         pass
@@ -382,9 +375,6 @@ class NullRequestRegistry(RequestRegistry):
     def completed(self):
         return []
 
-    def slow(self):
-        return []
-
     def snapshot(self):
         return []
 
@@ -394,7 +384,8 @@ class NullRequestRegistry(RequestRegistry):
 
     def stats(self):
         return {"active": 0, "retained": 0, "capacity": 0,
-                "slow_threshold_seconds": 0.0, "slow": 0, "finished": {}}
+                "slow_threshold_seconds": DEFAULT_SLOW_SECONDS, "slow": 0,
+                "finished": {}}
 
 
 NULL_REQUESTS = NullRequestRegistry()

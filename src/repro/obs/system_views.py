@@ -9,7 +9,8 @@ execute path), and :func:`refresh_system_views` snapshot-materializes
 their rows on demand from the live sources of truth:
 
 * ``sys.dm_pdw_exec_requests`` — one row per active or retained request
-  (:class:`repro.obs.requests.RequestRegistry`);
+  (:class:`repro.obs.requests.RequestRegistry`), with its numeric
+  submission sequence and the recorder's slow-query verdict;
 * ``sys.dm_pdw_request_steps`` — one row per DSQL step of each request,
   live step status included;
 * ``sys.dm_pdw_dms_workers`` — one row per (request, step, node)
@@ -19,7 +20,8 @@ their rows on demand from the live sources of truth:
 * ``sys.dm_pdw_admission`` — one row of admission-controller state
   (:class:`repro.service.AdmissionController`);
 * ``sys.query_store_query_texts`` — one row per normalized query shape
-  retained by the :class:`repro.obs.query_store.QueryStore`;
+  retained by the :class:`repro.obs.query_store.QueryStore`, with the
+  max Q-error across its plans;
 * ``sys.query_store_plans`` — one row per (shape, plan hash) with
   execution counts, bytes moved and max Q-error;
 * ``sys.query_store_runtime_stats`` — per-plan latency aggregates
@@ -103,6 +105,8 @@ def system_view_defs() -> List[TableDef]:
             Column("execute_ms", DOUBLE),
             Column("total_ms", DOUBLE),
             Column("error_text", varchar(_COMMAND_WIDTH)),
+            Column("request_seq", INTEGER),
+            Column("is_slow", BOOLEAN),
         ], REPLICATED, is_system=True),
         TableDef(REQUEST_STEPS, [
             Column("request_id", varchar(16), nullable=False),
@@ -148,6 +152,7 @@ def system_view_defs() -> List[TableDef]:
             Column("execution_count", INTEGER),
             Column("first_seen", DOUBLE),
             Column("last_seen", DOUBLE),
+            Column("max_q_error", DOUBLE),
         ], REPLICATED, is_system=True),
         TableDef(QS_PLANS, [
             Column("query_id", INTEGER, nullable=False),
@@ -199,7 +204,8 @@ def _one_line(text: str, width: int = _COMMAND_WIDTH) -> str:
     return " ".join(text.split())[:width]
 
 
-def _exec_request_row(record: RequestRecord) -> Tuple:
+def _exec_request_row(record: RequestRecord,
+                      slow_threshold_seconds: float) -> Tuple:
     return (
         record.request_id,
         record.status,
@@ -216,6 +222,8 @@ def _exec_request_row(record: RequestRecord) -> Tuple:
         record.execute_seconds * 1e3,
         record.total_seconds * 1e3,
         _one_line(record.error),
+        _request_id_key(record),
+        record.is_slow(slow_threshold_seconds),
     )
 
 
@@ -250,7 +258,8 @@ def refresh_system_views(appliance: Appliance,
         # flattening so no row is built from a half-applied transition.
         with requests._lock:
             for record in records:
-                exec_rows.append(_exec_request_row(record))
+                exec_rows.append(_exec_request_row(
+                    record, requests.slow_threshold_seconds))
                 for step in record.steps:
                     step_rows.append((
                         record.request_id, step.index, step.kind,
@@ -284,13 +293,10 @@ def refresh_system_views(appliance: Appliance,
     admission_rows: List[Tuple] = []
     if admission is not None:
         stats = admission.stats()
-        rejected = stats.get("rejected_total", {})
-        if isinstance(rejected, dict):
-            rejected = sum(rejected.values())
         admission_rows.append((
             stats["in_flight"], stats["queue_depth"],
             stats["max_in_flight"], stats["max_queue"],
-            stats["admitted_total"], rejected,
+            stats["admitted_total"], sum(stats["rejected_total"].values()),
         ))
 
     text_rows: List[Tuple] = []
@@ -310,6 +316,8 @@ def refresh_system_views(appliance: Appliance,
                     shape.execution_count,
                     shape.first_seen,
                     shape.last_seen,
+                    max((plan.max_q_error for plan in shape.plans.values()),
+                        default=1.0),
                 ))
                 for plan in shape.plans.values():
                     plan_rows.append((

@@ -87,7 +87,6 @@ class AdmissionController:
         self.max_in_flight = max_in_flight
         self.max_queue = max_queue
         self.default_timeout_seconds = default_timeout_seconds
-        self.metrics = metrics
         self._cond = threading.Condition()
         self._heap: List[_Waiter] = []
         self._queued = 0          # live (non-cancelled) waiters
@@ -99,40 +98,45 @@ class AdmissionController:
         self.rejected_total: Dict[str, int] = {
             "queue_full": 0, "timeout": 0, "closed": 0,
         }
+        # Each series resolved once, here; every one renders from zero.
+        gauge, counter = metrics.gauge, metrics.counter
+        self._in_flight_gauge = gauge(
+            "pdw_service_in_flight",
+            "Queries currently holding an execution slot").labels()
+        self._queue_gauge = gauge(
+            "pdw_service_queue_depth",
+            "Queries waiting for an execution slot").labels()
+        self._wait = metrics.histogram(
+            "pdw_service_queue_wait_seconds",
+            "Seconds spent waiting for admission").labels()
+        admitted = counter("pdw_service_admitted_total",
+                           "Queries granted an execution slot",
+                           labelnames=("priority",))
+        rejected = counter("pdw_service_rejected_total",
+                           "Queries refused by admission control",
+                           labelnames=("reason", "priority"))
+        self._admitted = {priority: admitted.labels(priority=priority)
+                          for priority in PRIORITY_CLASSES}
+        self._rejected = {
+            (reason, priority): rejected.labels(reason=reason,
+                                                priority=priority)
+            for reason in self.rejected_total
+            for priority in PRIORITY_CLASSES}
 
     # -- metric plumbing -------------------------------------------------------
 
     def _gauges(self) -> None:
-        if self.metrics.enabled:
-            self.metrics.gauge(
-                "pdw_service_in_flight",
-                "Queries currently holding an execution slot",
-            ).set(self._in_flight)
-            self.metrics.gauge(
-                "pdw_service_queue_depth",
-                "Queries waiting for an execution slot",
-            ).set(self._queued)
+        self._in_flight_gauge.set(self._in_flight)
+        self._queue_gauge.set(self._queued)
 
     def _count_admitted(self, priority: str, waited: float) -> None:
         self.admitted_total += 1
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "pdw_service_admitted_total",
-                "Queries granted an execution slot",
-                labelnames=("priority",)).labels(priority=priority).inc()
-            self.metrics.histogram(
-                "pdw_service_queue_wait_seconds",
-                "Seconds spent waiting for admission",
-            ).observe(waited)
+        self._admitted[priority].inc()
+        self._wait.observe(waited)
 
     def _count_rejected(self, reason: str, priority: str) -> None:
-        self.rejected_total[reason] = self.rejected_total.get(reason, 0) + 1
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "pdw_service_rejected_total",
-                "Queries refused by admission control",
-                labelnames=("reason", "priority"),
-            ).labels(reason=reason, priority=priority).inc()
+        self.rejected_total[reason] += 1
+        self._rejected[(reason, priority)].inc()
 
     # -- the gate --------------------------------------------------------------
 

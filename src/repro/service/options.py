@@ -71,11 +71,11 @@ class ExecutionOptions:
       plan cache (``False`` compiles it privately), at either front
       door;
     * ``priority`` / ``tenant`` / ``timeout_seconds`` — admission
-      class, accounting identity and queue-wait bound for every call;
-    * ``slow_seconds`` — the flight recorder's slow-query threshold
-      (``None`` keeps :data:`repro.obs.requests.DEFAULT_SLOW_SECONDS`);
-      consumed when a front door builds its default
-      :class:`~repro.obs.requests.RequestRegistry`.
+      class, accounting identity and queue-wait bound for every call.
+
+    The slow-query threshold is not an option: it belongs to the
+    :class:`~repro.obs.requests.RequestRegistry` a front door records
+    into (``slow_threshold_seconds``).
     """
 
     #: Read-only leftover, not a field: pdwbench's workloads.py records
@@ -91,7 +91,6 @@ class ExecutionOptions:
     priority: str = "normal"
     tenant: str = "default"
     timeout_seconds: Optional[float] = None
-    slow_seconds: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "executor",
@@ -104,8 +103,6 @@ class ExecutionOptions:
                 f"(use one of {tuple(PRIORITY_CLASSES)})")
         if self.timeout_seconds is not None and self.timeout_seconds < 0:
             raise ReproError("timeout_seconds must be non-negative")
-        if self.slow_seconds is not None and self.slow_seconds < 0:
-            raise ReproError("slow_seconds must be non-negative")
 
     # -- derived views ---------------------------------------------------------
 

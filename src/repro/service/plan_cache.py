@@ -576,7 +576,6 @@ class PlanCache:
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
-        self.metrics = metrics
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.hits = 0
@@ -585,20 +584,15 @@ class PlanCache:
         self.invalidations = 0
         self.shape_parses = 0
         self.inserts = 0
-
-    # -- metric plumbing -------------------------------------------------------
-
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        if self.metrics.enabled:
-            self.metrics.counter(
-                f"pdw_service_plan_cache_{name}",
-                f"Parameterized plan cache {name}").inc(amount)
-
-    def _set_size(self) -> None:
-        if self.metrics.enabled:
-            self.metrics.gauge(
-                "pdw_service_plan_cache_size",
-                "Entries currently cached").set(len(self._entries))
+        # Each series resolved once, here; the counts render from zero.
+        self._counters = {
+            name: metrics.counter(f"pdw_service_plan_cache_{name}",
+                                  f"Parameterized plan cache {name}"
+                                  ).labels()
+            for name in ("hits", "misses", "evictions", "invalidations",
+                         "shape_parses", "inserts")}
+        self._size = metrics.gauge("pdw_service_plan_cache_size",
+                                   "Entries currently cached").labels()
 
     # -- operations ------------------------------------------------------------
 
@@ -612,7 +606,7 @@ class PlanCache:
         if shape.parsed:
             with self._lock:
                 self.shape_parses += 1
-            self._count("shape_parses")
+            self._counters["shape_parses"].inc()
         return shape
 
     def lookup(self, shape: QueryShape,
@@ -627,17 +621,17 @@ class PlanCache:
             if entry is not None and entry.schema_version != schema_version:
                 del self._entries[shape.key]
                 self.invalidations += 1
-                self._count("invalidations")
-                self._set_size()
+                self._counters["invalidations"].inc()
+                self._size.set(len(self._entries))
                 entry = None
             if entry is None:
                 self.misses += 1
-                self._count("misses")
+                self._counters["misses"].inc()
                 return None
             self._entries.move_to_end(shape.key)
             entry.hits += 1
             self.hits += 1
-            self._count("hits")
+            self._counters["hits"].inc()
             return entry
 
     def peek(self, key: str) -> Optional[CacheEntry]:
@@ -656,11 +650,12 @@ class PlanCache:
             self._entries[entry.shape.key] = entry
             self._entries.move_to_end(entry.shape.key)
             self.inserts += 1
+            self._counters["inserts"].inc()
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                self._count("evictions")
-            self._set_size()
+                self._counters["evictions"].inc()
+            self._size.set(len(self._entries))
             return entry
 
     def invalidate_all(self) -> int:
@@ -668,8 +663,8 @@ class PlanCache:
             dropped = len(self._entries)
             self._entries.clear()
             self.invalidations += dropped
-            self._count("invalidations", dropped)
-            self._set_size()
+            self._counters["invalidations"].inc(dropped)
+            self._size.set(len(self._entries))
             return dropped
 
     def __len__(self) -> int:

@@ -57,7 +57,6 @@ from repro.common.errors import ReproError, ServiceClosedError
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.query_store import NULL_QUERY_STORE, QueryStore
 from repro.obs.requests import (
-    DEFAULT_SLOW_SECONDS,
     NULL_REQUESTS,
     RequestRegistry,
 )
@@ -85,9 +84,12 @@ from repro.service.plan_cache import (
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.workloads.tpch_datagen import build_tpch_appliance
 
-#: The series :meth:`PdwService._finish` writes for a finished request:
+#: The series the service writes — the compile histogram on a cache
+#: miss, the rest in :meth:`PdwService._finish` for a finished request:
 #: (name, kind, help, label names).
 _REQUEST_SERIES = (
+    ("pdw_service_compile_seconds", "histogram",
+     "Wall-clock seconds spent compiling on a cache miss", ()),
     ("pdw_service_queries_total", "counter",
      "Queries per tenant, priority and outcome",
      ("tenant", "priority", "outcome")),
@@ -174,15 +176,11 @@ class PdwService:
             for name, _kind, _help, labels in _REQUEST_SERIES:
                 if not labels:
                     self._child(name)
-        threshold = (opts.slow_seconds if opts.slow_seconds is not None
-                     else DEFAULT_SLOW_SECONDS)
         if requests is None:
-            requests = (RequestRegistry(slow_threshold_seconds=threshold)
-                        if opts.trace else NULL_REQUESTS)
+            requests = RequestRegistry() if opts.trace else NULL_REQUESTS
         self.requests = requests
         # pdw_service_slow_total counts against the recorder's threshold.
-        self._slow_seconds = (requests.slow_threshold_seconds
-                              if requests.enabled else threshold)
+        self._slow_threshold = requests.slow_threshold_seconds
         if query_store is None:
             query_store = QueryStore() if opts.trace else NULL_QUERY_STORE
         self.query_store = query_store
@@ -415,10 +413,7 @@ class PdwService:
             compiled = self.engine.compile(sql, hints=opts.hints_dict)
         seconds = time.perf_counter() - started
         if self.metrics.enabled:
-            self.metrics.histogram(
-                "pdw_service_compile_seconds",
-                "Wall-clock seconds spent compiling on a cache miss",
-            ).observe(seconds)
+            self._child("pdw_service_compile_seconds").observe(seconds)
         return compiled, seconds
 
     # -- accounting ------------------------------------------------------------
@@ -462,7 +457,7 @@ class PdwService:
                "failed" if result is None else "ok").inc()
         series("pdw_service_tenant_seconds_total", opts.tenant).inc(total)
         series("pdw_service_latency_seconds", "total").observe(total)
-        if total >= self._slow_seconds:
+        if total >= self._slow_threshold:
             series("pdw_service_slow_total").inc()
         if result is None:
             return

@@ -29,7 +29,9 @@ query, a live tracer by default, and the views over the pipeline:
   :meth:`PdwSession.plan_choice` return the structured forms;
 * :meth:`trace_report`, :meth:`stats_report` and
   :meth:`requests_report` — the span tree, the counter totals and the
-  flight recorder as text.
+  flight recorder as text; the last is SELECTs over the
+  ``sys.dm_pdw_*`` views, run as queries of the session (so they show
+  up in the recorder and the Query Store too).
 
 A session created with just SQL text binds that text as its default query,
 so the one-liner from the README works::
@@ -75,7 +77,7 @@ from repro.obs.report import (
     render_analyze_table,
     render_optimizer_trace_report,
     render_profile_report,
-    render_requests_report,
+    requests_report,
 )
 from repro.obs.query_store import QueryStore
 from repro.obs.requests import RequestRegistry
@@ -256,9 +258,9 @@ class PdwSession(PdwService):
     # -- reports ---------------------------------------------------------------
 
     def requests_report(self, slow_only: bool = False) -> str:
-        """The flight recorder rendered as terminal tables (the
-        ``repro requests`` output)."""
-        return render_requests_report(self.requests, slow_only=slow_only)
+        """The ``repro requests`` report: every table a SELECT over
+        the ``sys.dm_pdw_*`` views, run as requests of this session."""
+        return requests_report(self, slow_only=slow_only)
 
     def trace_report(self) -> str:
         """The nested span tree accumulated so far."""

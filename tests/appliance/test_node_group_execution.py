@@ -355,7 +355,6 @@ def assert_group_is_the_per_node_loop(appliance, sql, move, context,
     interpreter's."""
     runtime = DmsRuntime(appliance)
     assert runtime.executor == "numpy"
-    runtime.profiling = True  # transfers + per-operator rows too
     step = step_for(appliance, sql, move)
     try:
         expected, produced, stored = per_node(runtime, step, runs)
@@ -365,8 +364,8 @@ def assert_group_is_the_per_node_loop(appliance, sql, move, context,
         # A row the SQL cannot evaluate (generated data): the group
         # must refuse the step the same way.
         with pytest.raises(type(error)) as raised:
-            (runtime.execute_movement(step) if move
-             else runtime.execute_return(step))
+            (runtime.execute_movement(step, profile=True) if move
+             else runtime.execute_return(step, profile=True))
         assert str(raised.value) == str(error), context
         appliance.drop_temp_tables()
         return
@@ -374,13 +373,14 @@ def assert_group_is_the_per_node_loop(appliance, sql, move, context,
         assert_nodes_run_as_the_oracle(appliance, step, produced, context)
     try:
         if move is None:
-            output, _, actual = runtime.execute_return(step)
+            # Profiled: transfers and per-operator rows are compared too.
+            output, _, actual = runtime.execute_return(step, profile=True)
             # Every node's rows, in its own order, in node order.
             assert exact(output.rows()) == exact(
                 [row for source in produced.values() for row in source]
             ), context
         else:
-            actual = runtime.execute_movement(step)
+            actual = runtime.execute_movement(step, profile=True)
             temp = step.destination_table.name
             for node in (appliance.control, *appliance.compute):
                 held = (node.rows(temp) if temp.lower() in node.tables

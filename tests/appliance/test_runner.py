@@ -145,10 +145,10 @@ class TestOneWalk:
         runner = DsqlRunner(tpch_appliance)
         execute_movement = runner.runtime.execute_movement
 
-        def fail_second(step):
+        def fail_second(step, profile=False):
             if step.index == 1:
                 raise ExecutionError("node 1 exploded")
-            return execute_movement(step)
+            return execute_movement(step, profile)
 
         monkeypatch.setattr(runner.runtime, "execute_movement", fail_second)
         recorder = StepRecorder()
@@ -158,7 +158,6 @@ class TestOneWalk:
                                    ("begin", 0), ("end", 0), ("begin", 1)]
         assert not any(table.is_temp
                        for table in tpch_appliance.catalog.tables())
-        assert not runner.runtime.profiling
 
     def test_empty_plan_runs_to_an_empty_result(self, mini_appliance):
         recorder = StepRecorder()
@@ -168,6 +167,48 @@ class TestOneWalk:
         assert result.rows == [] and result.step_stats == []
         assert result.elapsed_seconds == 0
         assert recorder.events == [("plan", 0)]
+
+
+class InterleavingRecorder(StepRecorder):
+    """A request handle that starts another, unprofiled run on the same
+    runner when step 1 of its own run begins — a second service
+    execution or a re-entrant call would interleave the same way."""
+
+    def __init__(self, runner, plan):
+        super().__init__()
+        self.runner = runner
+        self.plan = plan
+        self.inner = None
+
+    def begin_step(self, index):
+        super().begin_step(index)
+        if index == 1:
+            # keep_temps: the outer run still reads the temps it wrote.
+            self.inner = self.runner.run(self.plan, keep_temps=True)
+
+
+class TestProfilePerRun:
+    """``profile`` belongs to one run: another run on the same runner
+    neither switches it off nor inherits it."""
+
+    @pytest.mark.parametrize("executor", ["numpy", "reference"])
+    def test_interleaved_run_keeps_the_profile(self, executor,
+                                               tpch_appliance, tpch_engine):
+        plan = tpch_engine.compile(TPCH_QUERIES["Q5"]).dsql_plan
+        other = tpch_engine.compile(
+            "SELECT COUNT(*) AS n FROM nation").dsql_plan
+        runner = DsqlRunner(tpch_appliance, executor=executor)
+        recorder = InterleavingRecorder(runner, other)
+        result = runner.run(plan, profile=True, request=recorder)
+        assert len(result.step_stats) >= 3
+        for stats in result.step_stats:
+            assert stats.node_operators, stats.step_index
+            assert stats.transfers, stats.step_index
+        assert recorder.inner is not None
+        for stats in recorder.inner.step_stats:
+            assert stats.node_operators == {} and stats.transfers == {}
+        assert not any(table.is_temp
+                       for table in tpch_appliance.catalog.tables())
 
 
 class TestQueryResult:

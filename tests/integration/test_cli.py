@@ -59,6 +59,30 @@ class TestCli:
         with pytest.raises(SystemExit):  # DSQL steps run one at a time
             main([flag, "run", "SELECT n_name FROM nation"])
 
+    @pytest.mark.parametrize("argv", [
+        ("serve", "--slow-seconds", "1"),
+        ("querystore", "--save", "store.jsonl"),
+    ])
+    def test_removed_traffic_flags(self, argv):
+        # One threshold flag (--slow-ms); --jsonl is the store's file.
+        with pytest.raises(SystemExit):
+            main(list(argv))
+
+    @pytest.mark.parametrize("verb", ["serve", "requests", "querystore"])
+    def test_traffic_verbs_share_their_flags(self, verb):
+        from repro.__main__ import build_parser
+
+        args = build_parser().parse_args([
+            verb, "--clients", "2", "--queries", "3", "--seed", "7",
+            "--max-in-flight", "2", "--max-queue", "5",
+            "--cache-size", "9", "--slow-ms", "250",
+            "--prometheus", "metrics.prom"])
+        assert (args.clients, args.queries, args.seed, args.max_in_flight,
+                args.max_queue, args.cache_size, args.slow_ms,
+                args.prometheus) == (2, 3, 7, 2, 5, 9, 250.0,
+                                     "metrics.prom")
+        assert build_parser().parse_args([verb]).slow_ms == 1000.0
+
     def test_join_query_roundtrip(self, capsys):
         code, out = run_cli(
             capsys, "--scale", "0.001", "--nodes", "4",
@@ -207,7 +231,7 @@ class TestQuerystoreCli:
         code, out = run_cli(capsys, *self.ARGS)
         assert code == 0
         assert "Query store:" in out
-        assert "sys.query_store_runtime_stats (top 10):" in out
+        assert "Hottest shapes (top 10):" in out
         assert "plan regression(s) detected" in out
 
     def test_regressions_only(self, capsys):
@@ -216,18 +240,15 @@ class TestQuerystoreCli:
         assert "plan regression(s) detected" in out
         assert "slower than prior plan" in out
 
-    def test_jsonl_schema_checks_and_save_round_trip(self, capsys,
-                                                     tmp_path):
+    def test_jsonl_schema_checks_and_loads_back(self, capsys, tmp_path):
         from repro.obs.query_store import QueryStore
         from repro.obs.schema_check import main as check_main
 
         jsonl = tmp_path / "store.jsonl"
-        saved = tmp_path / "saved.jsonl"
         prom = tmp_path / "store.prom"
         code, _out = run_cli(capsys, *self.ARGS,
                              "--jsonl", str(jsonl),
-                             "--prometheus", str(prom),
-                             "--save", str(saved))
+                             "--prometheus", str(prom))
         assert code == 0
         assert check_main([str(jsonl),
                            "--require", "query_store_flush"]) == 0
@@ -236,8 +257,15 @@ class TestQuerystoreCli:
                   if line.startswith("pdw_query_store_shapes ")]
         assert shapes and float(shapes[0].split()[1]) > 0
         reloaded = QueryStore()
-        assert reloaded.load(str(saved)) > 0
+        loaded = reloaded.load(str(jsonl))
+        assert loaded > 0
         assert len(reloaded.regressions(factor=1.2)) >= 1
+        # --load reads what --jsonl wrote.
+        code = main(["--scale", "0.001", "--nodes", "2", "querystore",
+                     "--clients", "1", "--queries", "1", "--regressions",
+                     "--load", str(jsonl)])
+        assert code == 0
+        assert f"-- loaded {loaded} shapes" in capsys.readouterr().err
 
     def test_bad_hint_errors(self):
         code = main(["--scale", "0.001", "--nodes", "2", "querystore",

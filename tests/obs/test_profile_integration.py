@@ -141,10 +141,13 @@ class TestDisabledPathOverhead:
         interpreter = PlanInterpreter(session.appliance.single_system_image())
         assert interpreter.observer is None
 
-    def test_profiling_flag_resets_after_run(self, session):
+    def test_plain_run_after_profiled_run_collects_nothing(self, session):
         compiled = session.compile(JOIN_SQL)
         session.runner.run(compiled.dsql_plan, profile=True)
-        assert session.runner.runtime.profiling is False
+        result = session.runner.run(compiled.dsql_plan)
+        for stats in result.step_stats:
+            assert stats.node_operators == {}
+            assert stats.transfers == {}
 
 
 class TestSessionWiring:

@@ -10,7 +10,8 @@ import pytest
 
 import repro.obs.query_store as qs
 from repro import PdwSession
-from repro.obs.export import query_store_to_metrics
+from repro.common.errors import ReproError
+from repro.obs.export import query_store_to_metrics, write_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ExecutionOptions
 from repro.obs.query_store import (
@@ -219,14 +220,15 @@ class TestPersistence:
         _record(store, shape="a", plan="p2", elapsed_seconds=0.1)
         _record(store, shape="b", plan="p3", rows=5, cache_hit=True)
         path = tmp_path / "store.jsonl"
-        assert store.save(str(path)) == 2
+        assert len(store.to_events()) == 2
+        write_jsonl(store.to_events(), str(path))
         reloaded = QueryStore()
         assert reloaded.load(str(path)) == 2
         assert reloaded.to_events() == store.to_events()
         # ...and the persisted bytes are stable across a round trip
         # (float repr exactness), including the 1/3 mean.
         path2 = tmp_path / "store2.jsonl"
-        reloaded.save(str(path2))
+        write_jsonl(reloaded.to_events(), str(path2))
         assert path2.read_bytes() == path.read_bytes()
 
     def test_saved_events_are_schema_checkable(self, tmp_path):
@@ -234,7 +236,7 @@ class TestPersistence:
         store = QueryStore()
         _record(store, steps=[(0, "Return", "Return", 2.0, 2)])
         path = tmp_path / "store.jsonl"
-        store.save(str(path))
+        write_jsonl(store.to_events(), str(path))
         events = [json.loads(line)
                   for line in path.read_text().splitlines()]
         assert len(events) == 1
@@ -252,7 +254,7 @@ class TestPersistence:
                     schema_version=3)
         assert len(store.regressions()) == 1
         path = tmp_path / "store.jsonl"
-        store.save(str(path))
+        write_jsonl(store.to_events(), str(path))
 
         survivor = QueryStore()
         survivor.load(str(path), schema_version=4)
@@ -278,7 +280,7 @@ class TestPersistence:
         _record(store, shape="a")
         _record(store, shape="b")
         path = tmp_path / "store.jsonl"
-        store.save(str(path))
+        write_jsonl(store.to_events(), str(path))
         reloaded = QueryStore()
         reloaded.load(str(path))
         # New shapes keep allocating past the loaded ids.
@@ -287,13 +289,77 @@ class TestPersistence:
         assert len(ids) == len(set(ids)) == 3
 
 
+class TestLoadIsAllOrNothing:
+    """A file with one bad line merges none of its lines: every line is
+    parsed and schema-checked first, and the typed error names the
+    line."""
+
+    def _saved_lines(self, tmp_path):
+        store = QueryStore()
+        _record(store, shape="a", plan="p1")
+        _record(store, shape="b", plan="p2")
+        path = tmp_path / "store.jsonl"
+        write_jsonl(store.to_events(), str(path))
+        return path, [json.loads(line)
+                      for line in path.read_text().splitlines()]
+
+    def _write(self, path, events):
+        path.write_text("".join(json.dumps(event) + "\n"
+                                for event in events))
+
+    def test_plan_without_hash_merges_nothing(self, tmp_path):
+        path, events = self._saved_lines(tmp_path)
+        del events[1]["plans"][0]["plan_hash"]
+        self._write(path, events)
+        target = QueryStore()
+        _record(target, shape="kept", plan="p0")
+        before = target.to_events()
+        with pytest.raises(ReproError, match="line 2") as raised:
+            target.load(str(path))
+        assert "plan_hash" in str(raised.value)
+        assert target.to_events() == before
+        assert target.find("a") is None
+
+    def test_invalid_json_line_merges_nothing(self, tmp_path):
+        path, events = self._saved_lines(tmp_path)
+        path.write_text(json.dumps(events[0]) + "\n\n{not json\n")
+        target = QueryStore()
+        with pytest.raises(ReproError, match="line 3"):
+            target.load(str(path))
+        assert target.shapes() == []
+
+    def test_step_that_does_not_rebuild_merges_nothing(self, tmp_path):
+        # The flush schema checks that a plan's steps are a list; a step
+        # entry missing its fields fails when the shape is rebuilt.
+        path, events = self._saved_lines(tmp_path)
+        events[0]["plans"][0]["steps"] = [{"index": 0}]
+        self._write(path, events)
+        target = QueryStore()
+        with pytest.raises(ReproError, match="line 1"):
+            target.load(str(path))
+        assert target.shapes() == []
+        assert target.stats()["evicted_shapes"] == 0
+
+    def test_other_valid_events_are_skipped(self, tmp_path):
+        path, events = self._saved_lines(tmp_path)
+        query = {"event": "optimizer_hint", "group": 1, "table": "t",
+                 "strategy": "shuffle", "displaced": [],
+                 "displaced_costs": [], "kept": 1}
+        from repro.obs.export import validate_event
+        assert validate_event(query) == []
+        self._write(path, [query] + events)
+        target = QueryStore()
+        assert target.load(str(path)) == 2
+        assert target.find("a") is not None and target.find("b") is not None
+
+
 class TestNullStore:
     def test_shared_singleton_and_disabled(self):
         assert isinstance(NULL_QUERY_STORE, NullQueryStore)
         assert NULL_QUERY_STORE.enabled is False
         assert QueryStore().enabled is True
 
-    def test_all_paths_are_no_ops(self, tmp_path):
+    def test_all_paths_are_no_ops(self):
         _record(NULL_QUERY_STORE)
         assert NULL_QUERY_STORE.shapes() == []
         assert NULL_QUERY_STORE.find("q") is None
@@ -301,8 +367,6 @@ class TestNullStore:
         assert NULL_QUERY_STORE.observed_cardinalities("q") == {}
         assert NULL_QUERY_STORE.to_events() == []
         assert NULL_QUERY_STORE.stats()["shapes"] == 0
-        path = tmp_path / "null.jsonl"
-        assert NULL_QUERY_STORE.save(str(path)) == 0
 
     def test_disabled_path_allocates_nothing(self, store_env,
                                              monkeypatch):

@@ -94,6 +94,19 @@ class TestSessionPath:
                 assert counts[query_id] == plan_count
 
 
+    def test_shape_max_q_error_is_the_max_over_its_plans(self, session):
+        session.run(JOIN_SQL)
+        session.run(JOIN_SQL, options=session.options.override(
+            hints={"customer": "shuffle"}))
+        shape = session.query_store.find(normalized_shape_key(JOIN_SQL))
+        assert len(shape.plans) == 2
+        rows = session.run(
+            "SELECT query_id, max_q_error "
+            "FROM sys.query_store_query_texts").rows
+        assert dict(rows)[shape.query_id] == max(
+            plan.max_q_error for plan in shape.plans.values())
+
+
 class TestServicePath:
     def test_view_query_does_not_flush_plan_cache(self, service):
         sql = "SELECT COUNT(*) AS n FROM supplier"

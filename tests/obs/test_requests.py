@@ -174,7 +174,9 @@ class TestFlightRecorder:
         fast.complete(total_seconds=0.1)
         slow = registry.begin("slow")
         slow.complete(total_seconds=0.9)
-        assert registry.slow() == [slow.record]
+        threshold = registry.slow_threshold_seconds
+        assert [record.is_slow(threshold)
+                for record in registry.completed()] == [False, True]
         assert registry.stats()["slow"] == 1
 
     def test_snapshot_orders_active_then_retained(self):
@@ -285,7 +287,6 @@ class TestNullRegistry:
         NULL_REQUEST.rejected("y")
         assert NULL_REQUESTS.active() == []
         assert NULL_REQUESTS.completed() == []
-        assert NULL_REQUESTS.slow() == []
         assert NULL_REQUESTS.snapshot() == []
         assert NULL_REQUESTS.find("QID1") is None
         assert NULL_REQUESTS.stats()["finished"] == {}

@@ -150,6 +150,33 @@ class TestSessionPath:
         assert record.rows_returned == 1
 
 
+class TestReportColumns:
+    @pytest.mark.parametrize("threshold", [0.0, 1e6])
+    def test_request_seq_and_slow_verdict(self, obs_env, threshold):
+        """``request_seq`` orders requests as submitted (QID10 after
+        QID9, unlike the id text) and ``is_slow`` is the recorder's
+        own verdict."""
+        appliance, shell = obs_env
+        registry = RequestRegistry(slow_threshold_seconds=threshold)
+        session = PdwSession(appliance=appliance, shell=shell,
+                             requests=registry)
+        for bound in range(10):
+            session.run(f"SELECT COUNT(*) AS n FROM nation "
+                        f"WHERE n_nationkey < {bound}")
+        rows = session.run(
+            "SELECT request_id, request_seq, is_slow "
+            "FROM sys.dm_pdw_exec_requests WHERE status = 'complete' "
+            "ORDER BY request_seq").rows
+        assert [seq for _id, seq, _slow in rows] == list(range(1, 11))
+        assert [request_id for request_id, _seq, _slow in rows] == [
+            f"QID{seq}" for seq in range(1, 11)]
+        verdicts = {record.request_id: record.is_slow(threshold)
+                    for record in registry.completed()}
+        assert all(slow == verdicts[request_id]
+                   for request_id, _seq, slow in rows)
+        assert {bool(slow) for _id, _seq, slow in rows} == {threshold == 0}
+
+
 class TestInFlightVisibility:
     def test_running_query_visible_from_concurrent_session(self, obs_env,
                                                            monkeypatch):
@@ -166,10 +193,10 @@ class TestInFlightVisibility:
         release = threading.Event()
         original = session_a.runner.runtime.execute_return
 
-        def gated_return(step):
+        def gated_return(step, profile=False):
             started.set()
             assert release.wait(timeout=10), "reader never released us"
-            return original(step)
+            return original(step, profile)
 
         monkeypatch.setattr(session_a.runner.runtime, "execute_return",
                             gated_return)

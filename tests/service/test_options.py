@@ -44,15 +44,10 @@ class TestDefaults:
         with pytest.raises(ReproError, match="timeout"):
             ExecutionOptions(timeout_seconds=-1.0)
 
-    def test_negative_slow_seconds_rejected(self):
-        with pytest.raises(ReproError, match="slow_seconds"):
-            ExecutionOptions(slow_seconds=-0.5)
-
-    def test_slow_seconds_default_and_override(self):
-        assert ExecutionOptions().slow_seconds is None
-        assert ExecutionOptions(slow_seconds=0.0).slow_seconds == 0.0
-        opts = ExecutionOptions().override(slow_seconds=2.5)
-        assert opts.slow_seconds == 2.5
+    def test_the_eight_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
+            "executor", "trace", "profile", "hints", "use_plan_cache",
+            "priority", "tenant", "timeout_seconds"]
 
     def test_priority_rank_order(self):
         ranks = [ExecutionOptions(priority=p).priority_rank

@@ -93,6 +93,44 @@ class TestMetricsAccounting:
         finally:
             service.close()
 
+    def test_series_resolved_once_and_equal_to_stats(self, tpch):
+        """The plan cache and admission resolve their series when the
+        service is built: serving queries registers no family, and
+        every pdw_service_plan_cache_* count, inserts included, equals
+        the cache's own stats."""
+        from repro.obs.metrics import MetricsRegistry
+
+        class CountingRegistry(MetricsRegistry):
+            registrations = 0
+
+            def _register(self, *args, **kwargs):
+                self.registrations += 1
+                return super()._register(*args, **kwargs)
+
+        appliance, shell = tpch
+        registry = CountingRegistry()
+        service = PdwService(appliance=appliance, shell=shell,
+                             metrics=registry)
+        try:
+            built = registry.registrations
+            sql = "SELECT COUNT(*) AS n FROM region WHERE r_regionkey < {}"
+            for bound in (2, 3, 4):
+                service.execute(sql.format(bound))
+            service.execute("SELECT COUNT(*) AS n FROM nation")
+            assert registry.registrations == built
+            snapshot = registry.snapshot()
+            stats = service.plan_cache.stats()
+            assert stats["inserts"] == 2
+            for name in ("hits", "misses", "evictions", "invalidations",
+                         "shape_parses", "inserts"):
+                series = snapshot[f"pdw_service_plan_cache_{name}"]
+                assert sum(series.values()) == stats[name], name
+            admitted = snapshot["pdw_service_admitted_total"]
+            assert sum(admitted.values()) \
+                == service.admission.admitted_total == 4
+        finally:
+            service.close()
+
     def test_failed_queries_accounted(self, tpch):
         appliance, shell = tpch
         service = PdwService(appliance=appliance, shell=shell)
@@ -375,37 +413,37 @@ class TestPerCallOptions:
 
 
 class TestSlowThreshold:
-    """The slow-query threshold resolves options field > module
-    default; an explicitly passed registry keeps its own."""
+    """The slow-query threshold is the request registry's: a default
+    registry keeps the module default, a registry passed in keeps its
+    own, and pdw_service_slow_total counts against it."""
 
     def test_resolution_order(self, tpch):
         from repro.obs.requests import (DEFAULT_SLOW_SECONDS,
                                         RequestRegistry)
         appliance, shell = tpch
         default = PdwService(appliance=appliance, shell=shell)
-        via_options = PdwService(
-            appliance=appliance, shell=shell,
-            options=ExecutionOptions(slow_seconds=5.0))
         shared = RequestRegistry(slow_threshold_seconds=9.0)
-        via_registry = PdwService(
-            appliance=appliance, shell=shell,
-            options=ExecutionOptions(slow_seconds=0.25), requests=shared)
+        via_registry = PdwService(appliance=appliance, shell=shell,
+                                  requests=shared)
         try:
             assert default.requests.slow_threshold_seconds \
                 == DEFAULT_SLOW_SECONDS
-            assert via_options.requests.slow_threshold_seconds == 5.0
             assert via_registry.requests.slow_threshold_seconds == 9.0
         finally:
-            for svc in (default, via_options, via_registry):
+            for svc in (default, via_registry):
                 svc.close()
 
     def test_slow_request_counted(self, tpch):
+        from repro.obs.requests import RequestRegistry
         appliance, shell = tpch
-        service = PdwService(appliance=appliance, shell=shell,
-                             options=ExecutionOptions(slow_seconds=0.0))
+        service = PdwService(
+            appliance=appliance, shell=shell,
+            requests=RequestRegistry(slow_threshold_seconds=0.0))
         try:
             service.execute("SELECT COUNT(*) AS n FROM nation")
             # Threshold zero: every completed request is slow.
             assert service.requests.stats()["slow"] >= 1
+            slow = service.metrics.snapshot()["pdw_service_slow_total"]
+            assert sum(slow.values()) >= 1
         finally:
             service.close()
