@@ -73,11 +73,7 @@ from repro.catalog.schema import (
 )
 from repro.catalog.shell_db import ShellDatabase
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.opt_trace import (
-    NULL_OPT_TRACE,
-    OptimizerTrace,
-    OptimizerTraceSummary,
-)
+from repro.obs.opt_trace import OptimizerTrace, OptimizerTraceSummary
 from repro.obs.profiler import (
     QErrorSummary,
     QueryProfile,
@@ -145,7 +141,6 @@ __all__ = [
     "GroundTruthConstants",
     "MetricsRegistry",
     "NULL_METRICS",
-    "NULL_OPT_TRACE",
     "NULL_REQUESTS",
     "NULL_TRACER",
     "RequestRecord",

@@ -37,10 +37,9 @@ traffic verbs share their traffic, service, threshold and
 ``--prometheus`` flags.
 
 ``profile`` executes the query with per-node / per-operator profiling on
-and renders skew + Q-error tables; ``--json`` prints the structured
-profile document instead, ``--jsonl PATH`` writes the validated event
-log, and ``--prometheus PATH`` dumps the session metrics registry in
-Prometheus text format.
+and renders skew + Q-error tables; ``--jsonl PATH`` writes the validated
+event log (``--jsonl /dev/stdout`` prints it), and ``--prometheus PATH``
+dumps the session metrics registry in Prometheus text format.
 
 ``why`` compiles with the optimizer search-space recorder on and answers
 "why did the optimizer pick this plan?": the winning distributed plan is
@@ -64,7 +63,6 @@ invocation, so results are reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable, List, Optional
 
@@ -128,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="execute with per-node/per-operator profiling: skew + Q-error")
     profile.add_argument("sql")
-    profile.add_argument("--json", action="store_true",
-                         help="print the profile document as JSON instead "
-                              "of tables")
     profile.add_argument("--jsonl", metavar="PATH",
                          help="write the schema-validated JSONL event log")
     profile.add_argument("--prometheus", metavar="PATH",
@@ -195,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     requests.add_argument("--slow", action="store_true",
                           help="show only requests over the slow-query "
                                "threshold")
-    requests.add_argument("--json", action="store_true",
-                          help="print the flight-recorder events as a "
-                               "JSON array instead of tables")
     requests.add_argument("--jsonl", metavar="PATH",
                           help="write the schema-validated "
                                "request_complete event log")
@@ -258,6 +250,7 @@ def _write_jsonl(path: str, events: List[dict]) -> bool:
         print(f"schema error: {error}", file=sys.stderr)
     if errors:
         return False
+    sys.stdout.flush()  # a PATH of /dev/stdout lands after the report
     write_jsonl(events, path)
     print(f"-- wrote {len(events)} events to {path}", file=sys.stderr)
     return True
@@ -346,11 +339,7 @@ def _cmd_requests(args) -> int:
     from repro.obs.report import requests_report
 
     def then(service, _traffic) -> int:
-        if args.json:
-            print(json.dumps(requests_to_events(service.requests),
-                             indent=2, sort_keys=True))
-        else:
-            print(requests_report(service, slow_only=args.slow))
+        print(requests_report(service, slow_only=args.slow))
         # After the report, so its own SELECTs are events too, as they
         # are pdw_service_queries_total counts.
         if args.jsonl and not _write_jsonl(
@@ -489,10 +478,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.report import render_profile_report
 
         profile = session.profile()
-        if args.json:
-            print(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(render_profile_report(profile))
+        print(render_profile_report(profile))
         if args.jsonl and not _write_jsonl(args.jsonl,
                                            profile_to_events(profile)):
             return 1

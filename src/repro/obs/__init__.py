@@ -11,8 +11,9 @@ needs to be *checked* rather than assumed:
   joined with the winning plan's cardinality estimates: skew statistics
   (max/mean, coefficient of variation) and Q-error profiles;
 * :mod:`repro.obs.opt_trace` — the optimizer search-space recorder
-  (:class:`OptimizerTrace` / :data:`NULL_OPT_TRACE`): per-group
-  enumeration, prune and enforce accounting, hint overrides;
+  (:class:`OptimizerTrace`, handed to the optimizer only when a trace
+  is wanted): per-group enumeration, prune and enforce accounting, hint
+  overrides;
 * :mod:`repro.obs.requests` — the live request-lifecycle layer
   (:class:`RequestRegistry` / :data:`NULL_REQUESTS`): every query gets a
   ``request_id`` tracked queued → compiling → running → complete, with
@@ -27,8 +28,10 @@ needs to be *checked* rather than assumed:
   (``sys.dm_pdw_*`` plus ``sys.query_store_*``), snapshot-materialized
   as replicated pseudo-tables so they are queryable through the normal
   parse → optimize → execute path;
-* :mod:`repro.obs.export` — structured sinks: JSONL event log with
-  schema validation, JSON profile documents, Prometheus text;
+* :mod:`repro.obs.export` — structured sinks: the JSONL event log
+  (:data:`EVENTS` maps each event kind to the one record type that
+  declares its fields; one generic codec writes, checks and reads every
+  kind) and Prometheus text;
 * :mod:`repro.obs.report` — the rendered ``repro profile`` and
   ``repro why`` tables, and the ``repro requests`` / ``repro
   querystore`` reports as SELECTs over the system views;
@@ -37,7 +40,8 @@ needs to be *checked* rather than assumed:
 """
 
 from repro.obs.export import (
-    EVENT_SCHEMAS,
+    EVENTS,
+    decode_event,
     events_to_jsonl,
     optimizer_trace_to_events,
     optimizer_trace_to_metrics,
@@ -46,6 +50,7 @@ from repro.obs.export import (
     query_store_to_metrics,
     request_to_event,
     requests_to_events,
+    to_event,
     validate_event,
     validate_events,
     validate_jsonl,
@@ -56,8 +61,6 @@ from repro.obs.opt_trace import (
     GroupTrace,
     HintOverrideRecord,
     MovementRecord,
-    NULL_OPT_TRACE,
-    NullOptimizerTrace,
     OptimizerTrace,
     OptimizerTraceSummary,
     PruneRecord,
@@ -129,12 +132,14 @@ from repro.obs.system_views import (
 )
 
 __all__ = [
-    "EVENT_SCHEMAS",
+    "EVENTS",
+    "decode_event",
     "events_to_jsonl",
     "optimizer_trace_to_events",
     "optimizer_trace_to_metrics",
     "profile_to_events",
     "profile_to_metrics",
+    "to_event",
     "validate_event",
     "validate_events",
     "validate_jsonl",
@@ -143,8 +148,6 @@ __all__ = [
     "GroupTrace",
     "HintOverrideRecord",
     "MovementRecord",
-    "NULL_OPT_TRACE",
-    "NullOptimizerTrace",
     "OptimizerTrace",
     "OptimizerTraceSummary",
     "PruneRecord",

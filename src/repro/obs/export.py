@@ -1,18 +1,16 @@
-"""Structured export sinks for query profiles and optimizer traces.
+"""Structured export sinks for query profiles, optimizer traces, the
+flight recorder and the Query Store.
 
-Three formats, two sources of truth
-(:class:`repro.obs.profiler.QueryProfile` for runtime profiles,
-:class:`repro.obs.opt_trace.OptimizerTrace` for the optimizer's search
-space):
+Two formats:
 
-* **JSONL event log** — one self-describing event per line (``query``,
-  ``step``, ``operator`` for profiles; ``optimizer_summary``,
-  ``optimizer_group``, ``optimizer_prune``, ``optimizer_enforce``,
-  ``optimizer_hint``, ``plan_choice`` for traces), append-friendly and
-  greppable; every event is checkable against :data:`EVENT_SCHEMAS`
-  (hand-rolled validation — no third-party schema library is assumed in
-  the environment);
-* **JSON profile document** — the nested ``QueryProfile.to_dict()`` form;
+* **JSONL event log** — one self-describing event per line, append-
+  friendly and greppable.  Each event kind is declared once, as a
+  dataclass whose annotated fields are the event's fields with their
+  JSON types; :data:`EVENTS` maps the ``event`` tag to that record
+  type.  :func:`to_event` writes any registered record and
+  :func:`decode_event` checks and reads one back (the Query Store's
+  ``load`` rebuilds its shapes with it), so what is written and what
+  is read have one definition;
 * **Prometheus text** — labeled series via :func:`profile_to_metrics`,
   :func:`optimizer_trace_to_metrics` and :func:`query_store_to_metrics`
   into a :class:`repro.obs.metrics.MetricsRegistry` plus the registry's
@@ -25,21 +23,43 @@ space):
 from __future__ import annotations
 
 import json
+import typing
+from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.opt_trace import OptimizerTrace
-from repro.obs.profiler import QueryProfile
+from repro.obs.opt_trace import (
+    GroupEvent,
+    HintOverrideRecord,
+    MovementRecord,
+    OptimizerTrace,
+    OptimizerTraceSummary,
+    PlanChoiceEvent,
+    PruneRecord,
+    RetainedOption,
+)
+from repro.obs.profiler import (
+    OperatorEvent,
+    QueryEvent,
+    QueryProfile,
+    StepEvent,
+)
+from repro.obs.query_store import ShapeStats
 from repro.obs.requests import RequestRecord, RequestRegistry
 
 __all__ = [
+    "EVENTS",
+    "StepActual",
+    "RequestEvent",
+    "to_event",
+    "decode_event",
     "profile_to_events",
     "optimizer_trace_to_events",
     "request_to_event",
     "requests_to_events",
     "events_to_jsonl",
     "write_jsonl",
-    "EVENT_SCHEMAS",
     "validate_event",
     "validate_events",
     "validate_jsonl",
@@ -49,154 +69,148 @@ __all__ = [
 ]
 
 
-# -- event log -----------------------------------------------------------------
+@dataclass(frozen=True)
+class StepActual:
+    """One DSQL step of a finished request."""
+
+    step: int
+    kind: str
+    operation: str
+    rows: int
+    bytes: int
+    seconds: float
+
+
+@dataclass(frozen=True)
+class RequestEvent:
+    """One flight-recorder record as the ``request_complete`` event."""
+
+    request_id: str
+    status: str
+    sql: str
+    tenant: str
+    priority: str
+    cache_hit: bool
+    plan_digest: str
+    steps: int
+    rows: int
+    queue_seconds: float
+    compile_seconds: float
+    execute_seconds: float
+    total_seconds: float
+    slow: bool
+    error: str
+    step_actuals: Tuple[StepActual, ...]
+
+
+#: Every JSONL event kind and the record that declares its fields.
+EVENTS: Dict[str, type] = {
+    "query": QueryEvent,
+    "step": StepEvent,
+    "operator": OperatorEvent,
+    "optimizer_summary": OptimizerTraceSummary,
+    "optimizer_group": GroupEvent,
+    "optimizer_prune": PruneRecord,
+    "optimizer_enforce": MovementRecord,
+    "optimizer_hint": HintOverrideRecord,
+    "plan_choice": PlanChoiceEvent,
+    "query_store_flush": ShapeStats,
+    "request_complete": RequestEvent,
+}
+
+_KINDS = {record_type: kind for kind, record_type in EVENTS.items()}
+
+
+# -- writing -------------------------------------------------------------------
+
+
+def to_event(record: object) -> dict:
+    """A registered record as its JSON event: the ``event`` tag plus one
+    entry per field — nested records become objects, tuples and lists
+    arrays, and node-id maps objects keyed by the stringified id."""
+    return {"event": _KINDS[type(record)], **_encode(record)}
+
+
+def _encode(value: object) -> object:
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(key): _encode(item)
+                for key, item in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    return value
 
 
 def profile_to_events(profile: QueryProfile) -> List[dict]:
-    """Flatten a profile into schema-checked events: one ``query`` event,
-    one ``step`` event per DSQL step, one ``operator`` event per joined
-    operator."""
-    summary = profile.q_error_summary()
-    events: List[dict] = [{
-        "event": "query",
-        "sql": profile.sql,
-        "node_count": profile.node_count,
-        "steps": len(profile.steps),
-        "elapsed_seconds": profile.elapsed_seconds,
-        "dms_seconds": profile.dms_seconds,
-        "q_error_count": summary.count,
-        "q_error_median": summary.median,
-        "q_error_p95": summary.p95,
-        "q_error_max": summary.max,
-    }]
-    for step in profile.steps:
-        events.append({"event": "step", **step.to_dict()})
-    for op in profile.operators:
-        events.append({"event": "operator", **op.to_dict()})
-    return events
+    """Flatten a profile into events: one ``query`` event, one ``step``
+    event per DSQL step, one ``operator`` event per joined operator."""
+    return [to_event(record) for record in
+            [profile.event()]
+            + [step.event() for step in profile.steps]
+            + [op.event() for op in profile.operators]]
 
 
 def optimizer_trace_to_events(trace: OptimizerTrace,
                               plan_choice=None) -> List[dict]:
-    """Flatten an optimizer trace into schema-checked events: one
+    """Flatten an optimizer trace into events: one
     ``optimizer_summary``, one ``optimizer_group`` per MEMO group, one
     ``optimizer_prune`` per prune victim, one ``optimizer_enforce`` per
     costed movement, one ``optimizer_hint`` per hint override — plus a
     ``plan_choice`` event when the §2.5 baseline comparison
-    (:class:`repro.pdw.why.PlanChoice`, duck-typed via ``to_dict``) is
+    (:class:`repro.pdw.why.PlanChoice`, duck-typed via ``event``) is
     supplied."""
-    summary = trace.summary()
-    events: List[dict] = [{
-        "event": "optimizer_summary",
-        "groups": summary.groups,
-        "expressions": summary.expressions,
-        "options_considered": summary.options_considered,
-        "options_retained": summary.options_retained,
-        "options_pruned": summary.options_pruned,
-        "enforcers_added": summary.enforcers_added,
-        "movements_considered": summary.movements_considered,
-        "movements_rejected": summary.movements_rejected,
-        "hint_overrides": summary.hint_overrides,
-        "optimize_seconds": summary.optimize_seconds,
-        "plan_cost": summary.plan_cost,
-        "plan_distribution": trace.plan_distribution,
-    }]
-    for group in trace.groups.values():
-        events.append({
-            "event": "optimizer_group",
-            "group": group.group,
-            "interesting": list(group.interesting),
-            "expressions": len(group.enumerated),
-            "options_considered": group.options_considered,
-            "options_retained": group.options_retained,
-            "retained": [
-                {"option": desc, "property_key": key, "cost": cost}
-                for desc, key, cost in group.retained
-            ],
-        })
-    for prune in trace.prunes:
-        events.append({
-            "event": "optimizer_prune",
-            "group": prune.group,
-            "victim": prune.victim,
-            "property_key": prune.property_key,
-            "victim_cost": prune.victim_cost,
-            "survivor": prune.survivor,
-            "survivor_cost": prune.survivor_cost,
-            "cost_delta": prune.cost_delta,
-        })
-    for move in trace.movements:
-        events.append({
-            "event": "optimizer_enforce",
-            "group": move.group,
-            "operation": move.operation,
-            "movement": move.movement,
-            "property_key": move.property_key,
-            "source": move.source,
-            "target": move.target,
-            "rows": move.rows,
-            "row_width": move.row_width,
-            "reader": move.reader,
-            "network": move.network,
-            "writer": move.writer,
-            "bulk_copy": move.bulk_copy,
-            "move_cost": move.move_cost,
-            "total_cost": move.total_cost,
-            "chosen": move.chosen,
-            "context": move.context,
-        })
-    for override in trace.hint_overrides:
-        events.append({
-            "event": "optimizer_hint",
-            "group": override.group,
-            "table": override.table,
-            "strategy": override.strategy,
-            "displaced": list(override.displaced),
-            "displaced_costs": list(override.displaced_costs),
-            "kept": override.kept,
-        })
+    records: List[object] = [trace.summary()]
+    records += [
+        GroupEvent(
+            group=group.group,
+            interesting=group.interesting,
+            expressions=len(group.enumerated),
+            options_considered=group.options_considered,
+            options_retained=group.options_retained,
+            retained=tuple(RetainedOption(*entry)
+                           for entry in group.retained),
+        )
+        for group in trace.groups.values()
+    ]
+    records += trace.prunes + trace.movements + trace.hint_overrides
     if plan_choice is not None:
-        events.append({"event": "plan_choice", **plan_choice.to_dict()})
-    return events
+        records.append(plan_choice.event())
+    return [to_event(record) for record in records]
 
 
 def request_to_event(record: RequestRecord,
                      slow_threshold_seconds: float) -> dict:
     """One flight-recorder record as a ``request_complete`` event."""
-    return {
-        "event": "request_complete",
-        "request_id": record.request_id,
-        "status": record.status,
-        "sql": record.sql,
-        "tenant": record.tenant,
-        "priority": record.priority,
-        "cache_hit": record.cache_hit,
-        "plan_digest": record.plan_digest,
-        "steps": record.step_count,
-        "rows": record.rows_returned,
-        "queue_seconds": record.queue_seconds,
-        "compile_seconds": record.compile_seconds,
-        "execute_seconds": record.execute_seconds,
-        "total_seconds": record.total_seconds,
-        "slow": record.is_slow(slow_threshold_seconds),
-        "error": record.error,
-        "step_actuals": [
-            {
-                "step": step.index,
-                "kind": step.kind,
-                "operation": step.operation,
-                "rows": step.rows_moved,
-                "bytes": step.bytes_moved,
-                "seconds": step.elapsed_seconds,
-            }
-            for step in record.steps
-        ],
-    }
+    return to_event(RequestEvent(
+        request_id=record.request_id,
+        status=record.status,
+        sql=record.sql,
+        tenant=record.tenant,
+        priority=record.priority,
+        cache_hit=record.cache_hit,
+        plan_digest=record.plan_digest,
+        steps=record.step_count,
+        rows=record.rows_returned,
+        queue_seconds=record.queue_seconds,
+        compile_seconds=record.compile_seconds,
+        execute_seconds=record.execute_seconds,
+        total_seconds=record.total_seconds,
+        slow=record.is_slow(slow_threshold_seconds),
+        error=record.error,
+        step_actuals=tuple(
+            StepActual(step=step.index, kind=step.kind,
+                       operation=step.operation, rows=step.rows_moved,
+                       bytes=step.bytes_moved,
+                       seconds=step.elapsed_seconds)
+            for step in record.steps),
+    ))
 
 
 def requests_to_events(registry: RequestRegistry) -> List[dict]:
-    """Flatten the flight recorder into schema-checked
-    ``request_complete`` events (one per retained record)."""
+    """Flatten the flight recorder into ``request_complete`` events (one
+    per retained record)."""
     threshold = registry.slow_threshold_seconds
     return [request_to_event(record, threshold)
             for record in registry.completed()]
@@ -212,295 +226,108 @@ def write_jsonl(events: Iterable[dict], path: str) -> None:
         handle.write(events_to_jsonl(events))
 
 
-# -- schema validation ---------------------------------------------------------
-
-# Field → (type spec, required).  Type specs: a type / tuple of types,
-# "number", "number?" (number or null), "str_int_map" (JSON object keyed
-# by stringified node ids with integer values), or "transfer_list".
-_NUM = "number"
-_OPT_NUM = "number?"
-
-EVENT_SCHEMAS: Dict[str, Dict[str, Tuple[object, bool]]] = {
-    "query": {
-        "sql": (str, True),
-        "node_count": (int, True),
-        "steps": (int, True),
-        "elapsed_seconds": (_NUM, True),
-        "dms_seconds": (_NUM, True),
-        "q_error_count": (int, True),
-        "q_error_median": (_NUM, True),
-        "q_error_p95": (_NUM, True),
-        "q_error_max": (_NUM, True),
-    },
-    "step": {
-        "step": (int, True),
-        "kind": (str, True),
-        "operation": (str, True),
-        "estimated_rows": (_NUM, True),
-        "actual_rows": (int, True),
-        "estimated_bytes": (_NUM, True),
-        "actual_bytes": (int, True),
-        "estimated_seconds": (_NUM, True),
-        "actual_seconds": (_NUM, True),
-        "q_error": (_NUM, True),
-        "source_rows": ("str_int_map", True),
-        "source_skew_cov": (_NUM, True),
-        "source_skew_imbalance": (_NUM, True),
-        "received_bytes": ("str_int_map", True),
-        "receive_skew_cov": (_NUM, True),
-        "transfers": ("transfer_list", True),
-    },
-    "operator": {
-        "step": (int, True),
-        "kind": (str, True),
-        "label": (str, True),
-        "node_rows": ("str_int_map", True),
-        "actual_rows": (int, True),
-        "estimated_rows": (_OPT_NUM, True),
-        "q_error": (_OPT_NUM, True),
-        "skew_cov": (_NUM, True),
-        "skew_imbalance": (_NUM, True),
-    },
-    # -- optimizer search-space trace events -----------------------------------
-    "optimizer_summary": {
-        "groups": (int, True),
-        "expressions": (int, True),
-        "options_considered": (int, True),
-        "options_retained": (int, True),
-        "options_pruned": (int, True),
-        "enforcers_added": (int, True),
-        "movements_considered": (int, True),
-        "movements_rejected": (int, True),
-        "hint_overrides": (int, True),
-        "optimize_seconds": (_NUM, True),
-        "plan_cost": (_NUM, True),
-        "plan_distribution": (str, True),
-    },
-    "optimizer_group": {
-        "group": (int, True),
-        "interesting": ("str_list", True),
-        "expressions": (int, True),
-        "options_considered": (int, True),
-        "options_retained": (int, True),
-        "retained": ("retained_list", True),
-    },
-    "optimizer_prune": {
-        "group": (int, True),
-        "victim": (str, True),
-        "property_key": (str, True),
-        "victim_cost": (_NUM, True),
-        "survivor": (str, True),
-        "survivor_cost": (_NUM, True),
-        "cost_delta": (_NUM, True),
-    },
-    "optimizer_enforce": {
-        "group": (int, True),
-        "operation": (str, True),
-        "movement": (str, True),
-        "property_key": (str, True),
-        "source": (str, True),
-        "target": (str, True),
-        "rows": (_NUM, True),
-        "row_width": (_NUM, True),
-        "reader": (_NUM, True),
-        "network": (_NUM, True),
-        "writer": (_NUM, True),
-        "bulk_copy": (_NUM, True),
-        "move_cost": (_NUM, True),
-        "total_cost": (_NUM, True),
-        "chosen": (bool, True),
-        "context": (str, True),
-    },
-    "optimizer_hint": {
-        "group": (int, True),
-        "table": (str, True),
-        "strategy": (str, True),
-        "displaced": ("str_list", True),
-        "displaced_costs": ("num_list", True),
-        "kept": (int, True),
-    },
-    "plan_choice": {
-        "sql": (str, True),
-        "plan_cost": (_NUM, True),
-        "baseline_cost": (_NUM, True),
-        "delta": (_NUM, True),
-        "delta_pct": (_NUM, True),
-        "baseline_matches": (bool, True),
-        "movements_plan": (int, True),
-        "movements_baseline": (int, True),
-        "movements_shared": (int, True),
-    },
-    # -- query-store flush / persistence events --------------------------------
-    "query_store_flush": {
-        "query_id": (int, True),
-        "shape_key": (str, True),
-        "example_sql": (str, True),
-        "first_seen": (_NUM, True),
-        "last_seen": (_NUM, True),
-        "execution_count": (int, True),
-        "plans": ("plan_stats_list", True),
-    },
-    # -- request flight-recorder events ----------------------------------------
-    "request_complete": {
-        "request_id": (str, True),
-        "status": (str, True),
-        "sql": (str, True),
-        "tenant": (str, True),
-        "priority": (str, True),
-        "cache_hit": (bool, True),
-        "plan_digest": (str, True),
-        "steps": (int, True),
-        "rows": (int, True),
-        "queue_seconds": (_NUM, True),
-        "compile_seconds": (_NUM, True),
-        "execute_seconds": (_NUM, True),
-        "total_seconds": (_NUM, True),
-        "slow": (bool, True),
-        "error": (str, True),
-        "step_actuals": ("step_list", True),
-    },
-}
+# -- reading -------------------------------------------------------------------
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+@lru_cache(maxsize=None)
+def _field_types(record_type: type) -> Dict[str, object]:
+    hints = typing.get_type_hints(record_type)
+    return {f.name: hints[f.name] for f in fields(record_type)}
 
 
-def _check_field(name: str, value: object, spec: object) -> Optional[str]:
-    if spec == _NUM:
-        if not _is_number(value):
-            return f"field {name!r} must be a number, got {value!r}"
+def decode_event(event: object, errors: List[str]) -> Optional[object]:
+    """The record a JSON ``event`` declares, rebuilt from its fields; or
+    ``None``, with every mismatch appended to ``errors``."""
+    if not isinstance(event, dict):
+        errors.append(f"event must be an object, got {type(event).__name__}")
         return None
-    if spec == _OPT_NUM:
-        if value is not None and not _is_number(value):
-            return f"field {name!r} must be a number or null, got {value!r}"
+    kind = event.get("event")
+    record_type = EVENTS.get(kind) if isinstance(kind, str) else None
+    if record_type is None:
+        errors.append(f"unknown event type {kind!r}")
         return None
-    if spec == "str_int_map":
-        if not isinstance(value, dict):
-            return f"field {name!r} must be an object, got {value!r}"
-        for key, entry in value.items():
-            if not isinstance(key, str) or not _lenient_int(key):
-                return f"field {name!r} has non-node key {key!r}"
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                return f"field {name!r}[{key}] must be an int, got {entry!r}"
-        return None
-    if spec == "str_list":
-        if not isinstance(value, list) or not all(
-                isinstance(entry, str) for entry in value):
-            return f"field {name!r} must be a list of strings, got {value!r}"
-        return None
-    if spec == "num_list":
-        if not isinstance(value, list) or not all(
-                _is_number(entry) for entry in value):
-            return f"field {name!r} must be a list of numbers, got {value!r}"
-        return None
-    if spec == "retained_list":
-        if not isinstance(value, list):
-            return f"field {name!r} must be a list, got {value!r}"
-        for entry in value:
-            if not isinstance(entry, dict):
-                return f"field {name!r} entries must be objects"
-            if not isinstance(entry.get("option"), str) \
-                    or not isinstance(entry.get("property_key"), str) \
-                    or not _is_number(entry.get("cost")):
-                return (f"field {name!r} entry needs str 'option', "
-                        f"str 'property_key', number 'cost': {entry!r}")
-        return None
-    if spec == "step_list":
-        if not isinstance(value, list):
-            return f"field {name!r} must be a list, got {value!r}"
-        for entry in value:
-            if not isinstance(entry, dict):
-                return f"field {name!r} entries must be objects"
-            for part in ("step", "rows", "bytes"):
-                if not isinstance(entry.get(part), int) or isinstance(
-                        entry.get(part), bool):
-                    return (f"field {name!r} entry missing int "
-                            f"{part!r}: {entry!r}")
-            for part in ("kind", "operation"):
-                if not isinstance(entry.get(part), str):
-                    return (f"field {name!r} entry missing str "
-                            f"{part!r}: {entry!r}")
-            if not _is_number(entry.get("seconds")):
-                return (f"field {name!r} entry missing number "
-                        f"'seconds': {entry!r}")
-        return None
-    if spec == "plan_stats_list":
-        if not isinstance(value, list):
-            return f"field {name!r} must be a list, got {value!r}"
-        for entry in value:
-            if not isinstance(entry, dict):
-                return f"field {name!r} entries must be objects"
-            if not isinstance(entry.get("plan_hash"), str):
-                return (f"field {name!r} entry missing str "
-                        f"'plan_hash': {entry!r}")
-            for part in ("schema_version", "execution_count",
-                         "cache_hits", "last_seen_seq"):
-                if not isinstance(entry.get(part), int) or isinstance(
-                        entry.get(part), bool):
-                    return (f"field {name!r} entry missing int "
-                            f"{part!r}: {entry!r}")
-            if not isinstance(entry.get("baseline_eligible"), bool):
-                return (f"field {name!r} entry missing bool "
-                        f"'baseline_eligible': {entry!r}")
-            for part in ("elapsed_seconds_total", "wall_seconds_total",
-                         "queue_seconds_total", "compile_seconds_total",
-                         "execute_seconds_total", "max_q_error",
-                         "first_seen", "last_seen"):
-                if not _is_number(entry.get(part)):
-                    return (f"field {name!r} entry missing number "
-                            f"{part!r}: {entry!r}")
-            if not isinstance(entry.get("steps"), list):
-                return (f"field {name!r} entry missing list "
-                        f"'steps': {entry!r}")
-        return None
-    if spec == "transfer_list":
-        if not isinstance(value, list):
-            return f"field {name!r} must be a list, got {value!r}"
-        for entry in value:
-            if not isinstance(entry, dict):
-                return f"field {name!r} entries must be objects"
-            for part in ("src", "dst", "rows", "bytes"):
-                if not isinstance(entry.get(part), int) or isinstance(
-                        entry.get(part), bool):
-                    return (f"field {name!r} entry missing int "
-                            f"{part!r}: {entry!r}")
-        return None
-    if isinstance(value, bool) and spec in (int, float):
-        return f"field {name!r} must be {spec}, got bool"
-    if not isinstance(value, spec):  # type: ignore[arg-type]
-        return f"field {name!r} must be {spec}, got {value!r}"
+    body = {name: value for name, value in event.items() if name != "event"}
+    return _decode_record(record_type, body, "", errors)
+
+
+def _decode_record(record_type: type, data: dict, prefix: str,
+                   errors: List[str]) -> Optional[object]:
+    types = _field_types(record_type)
+    before = len(errors)
+    values = {}
+    for name, declared in types.items():
+        if name not in data:
+            errors.append(f"missing field {prefix + name!r}")
+        else:
+            values[name] = _decode(declared, data[name], prefix + name,
+                                   errors)
+    errors.extend(f"unexpected field {prefix + name!r}"
+                  for name in data if name not in types)
+    return None if len(errors) > before else record_type(**values)
+
+
+def _decode(declared: object, value: object, name: str,
+            errors: List[str]) -> object:
+    """``value`` read as the JSON form of the ``declared`` type: ``int``
+    (never a bool), ``float`` (an int is taken), ``str``, ``bool``,
+    ``Optional[X]``, ``List[X]``, ``Tuple[X, ...]``, ``Dict[int, X]``
+    keyed by stringified node ids, and nested records."""
+    origin = typing.get_origin(declared)
+    args = typing.get_args(declared)
+    if is_dataclass(declared):
+        if isinstance(value, dict):
+            return _decode_record(declared, value, name + ".", errors)
+        expected = "an object"
+    elif origin is typing.Union:  # Optional[X]
+        if value is None:
+            return None
+        inner = next(arg for arg in args if arg is not type(None))
+        return _decode(inner, value, name, errors)
+    elif origin in (list, tuple):
+        if isinstance(value, list):
+            items = [_decode(args[0], item, f"{name}[{index}]", errors)
+                     for index, item in enumerate(value)]
+            return items if origin is list else tuple(items)
+        expected = "a list"
+    elif origin is dict:
+        if isinstance(value, dict):
+            decoded = {}
+            for key, item in value.items():
+                try:
+                    node = int(key)
+                except (TypeError, ValueError):
+                    errors.append(f"field {name!r} has non-node key {key!r}")
+                    continue
+                decoded[node] = _decode(args[1], item, f"{name}[{key}]",
+                                        errors)
+            return decoded
+        expected = "an object"
+    elif declared is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        expected = "a number"
+    elif declared is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        expected = "an int"
+    elif declared is str:
+        if isinstance(value, str):
+            return value
+        expected = "a string"
+    elif declared is bool:
+        if isinstance(value, bool):
+            return value
+        expected = "a bool"
+    else:
+        raise TypeError(f"{name}: no JSON form for {declared!r}")
+    errors.append(f"field {name!r} must be {expected}, got {value!r}")
     return None
-
-
-def _lenient_int(text: str) -> bool:
-    try:
-        int(text)
-        return True
-    except ValueError:
-        return False
 
 
 def validate_event(event: object) -> List[str]:
     """Schema errors for one event (empty list — valid)."""
-    if not isinstance(event, dict):
-        return [f"event must be an object, got {type(event).__name__}"]
-    kind = event.get("event")
-    schema = EVENT_SCHEMAS.get(kind)  # type: ignore[arg-type]
-    if schema is None:
-        return [f"unknown event type {kind!r}"]
     errors: List[str] = []
-    for name, (spec, required) in schema.items():
-        if name not in event:
-            if required:
-                errors.append(f"missing field {name!r}")
-            continue
-        error = _check_field(name, event[name], spec)
-        if error:
-            errors.append(error)
-    for name in event:
-        if name != "event" and name not in schema:
-            errors.append(f"unexpected field {name!r}")
+    decode_event(event, errors)
     return errors
 
 
@@ -686,7 +513,7 @@ def query_store_to_metrics(store, registry: MetricsRegistry) -> None:
     queue = compile_s = execute = elapsed = 0.0
     with store._lock:
         for shape in shapes:
-            for plan in shape.plans.values():
+            for plan in shape.plans:
                 plan_count += 1
                 executions += plan.execution_count
                 rows += plan.rows_returned_total

@@ -16,10 +16,17 @@ itself.  An :class:`OptimizerTrace` handed to
 * **hint overrides** (§3.1): options a ``replicate``/``shuffle`` hint
   displaced, so a forced strategy is auditable after the fact.
 
-The default everywhere is :data:`NULL_OPT_TRACE`, which preserves the
-``NULL_TRACER`` / ``NULL_METRICS`` zero-overhead contract: every method
-is a no-op, nothing is allocated per call, and instrumented code guards
-any loop that would *compute* a trace value on ``trace.enabled``.
+The default everywhere is no trace at all (``opt_trace=None``): the
+instrumented code guards every hook call, and any loop that would
+*compute* a trace value, on ``opt_trace is not None``, so an untraced
+optimization allocates no record.
+
+The records double as JSONL events (:data:`repro.obs.export.EVENTS`):
+:class:`OptimizerTraceSummary` is ``optimizer_summary``,
+:class:`PruneRecord` ``optimizer_prune``, :class:`MovementRecord`
+``optimizer_enforce`` and :class:`HintOverrideRecord`
+``optimizer_hint``; :class:`GroupEvent` and :class:`PlanChoiceEvent`
+are the ``optimizer_group`` and ``plan_choice`` events.
 
 Like :mod:`repro.obs.metrics` and :mod:`repro.obs.profiler`, this module
 is free of ``repro`` imports (operators, distributions and cost
@@ -42,8 +49,9 @@ __all__ = [
     "GroupTrace",
     "OptimizerTraceSummary",
     "OptimizerTrace",
-    "NullOptimizerTrace",
-    "NULL_OPT_TRACE",
+    "RetainedOption",
+    "GroupEvent",
+    "PlanChoiceEvent",
 ]
 
 
@@ -74,11 +82,7 @@ class PruneRecord:
     victim_cost: float
     survivor: str          # option that covers the victim's property slot
     survivor_cost: float
-
-    @property
-    def cost_delta(self) -> float:
-        """How much worse the victim was than its survivor."""
-        return self.victim_cost - self.survivor_cost
+    cost_delta: float      # how much worse the victim was than its survivor
 
 
 @dataclass(frozen=True)
@@ -146,13 +150,49 @@ class OptimizerTraceSummary:
     hint_overrides: int
     optimize_seconds: float
     plan_cost: float
+    plan_distribution: str
+
+
+@dataclass(frozen=True)
+class RetainedOption:
+    """One option a group kept: description, property key, cost."""
+
+    option: str
+    property_key: str
+    cost: float
+
+
+@dataclass(frozen=True)
+class GroupEvent:
+    """One MEMO group's enumeration, as the ``optimizer_group`` event."""
+
+    group: int
+    interesting: Tuple[str, ...]
+    expressions: int
+    options_considered: int
+    options_retained: int
+    retained: Tuple[RetainedOption, ...]
+
+
+@dataclass(frozen=True)
+class PlanChoiceEvent:
+    """The §2.5 comparison (:class:`repro.pdw.why.PlanChoice`) as the
+    ``plan_choice`` event."""
+
+    sql: str
+    plan_cost: float
+    baseline_cost: float
+    delta: float
+    delta_pct: float
+    baseline_matches: bool
+    movements_plan: int
+    movements_baseline: int
+    movements_shared: int
 
 
 class OptimizerTrace:
     """Records one bottom-up enumeration run.  Not thread-safe: each
     optimize() call owns its trace (optimization is single-threaded)."""
-
-    enabled = True
 
     def __init__(self):
         self.groups: Dict[int, GroupTrace] = {}
@@ -178,7 +218,8 @@ class OptimizerTrace:
                      survivor_cost: float) -> None:
         self.prunes.append(PruneRecord(group, victim, property_key,
                                        victim_cost, survivor,
-                                       survivor_cost))
+                                       survivor_cost,
+                                       victim_cost - survivor_cost))
 
     def record_movement(self, record: MovementRecord) -> None:
         self.movements.append(record)
@@ -227,6 +268,7 @@ class OptimizerTrace:
             hint_overrides=len(self.hint_overrides),
             optimize_seconds=self.optimize_seconds,
             plan_cost=self.plan_cost,
+            plan_distribution=self.plan_distribution,
         )
 
     def rejected_movements(self, top_k: Optional[int] = None
@@ -249,73 +291,3 @@ class OptimizerTrace:
             key: (len(deltas), sum(deltas) / len(deltas), max(deltas))
             for key, deltas in sorted(grouped.items())
         }
-
-
-class NullOptimizerTrace(OptimizerTrace):
-    """The default recorder: records nothing, allocates nothing."""
-
-    enabled = False
-    __slots__ = ()
-
-    def __init__(self):  # no per-instance state at all
-        pass
-
-    def begin_group(self, group, interesting):
-        del group, interesting
-
-    def record_enumeration(self, group, operator, options):
-        del group, operator, options
-
-    def record_prune(self, group, victim, property_key, victim_cost,
-                     survivor, survivor_cost):
-        del group, victim, property_key, victim_cost, survivor
-        del survivor_cost
-
-    def record_movement(self, record):
-        del record
-
-    def record_hint_override(self, group, table, strategy, displaced,
-                             displaced_costs, kept):
-        del group, table, strategy, displaced, displaced_costs, kept
-
-    def end_group(self, group, considered, retained):
-        del group, considered, retained
-
-    def finish(self, plan_cost, plan_distribution, optimize_seconds):
-        del plan_cost, plan_distribution, optimize_seconds
-
-    # views stay usable on the shared no-op (everything empty/zero)
-    @property
-    def groups(self):  # type: ignore[override]
-        return {}
-
-    @property
-    def prunes(self):  # type: ignore[override]
-        return []
-
-    @property
-    def movements(self):  # type: ignore[override]
-        return []
-
-    @property
-    def hint_overrides(self):  # type: ignore[override]
-        return []
-
-    @property
-    def enforcers_added(self):  # type: ignore[override]
-        return 0
-
-    @property
-    def optimize_seconds(self):  # type: ignore[override]
-        return 0.0
-
-    @property
-    def plan_cost(self):  # type: ignore[override]
-        return 0.0
-
-    @property
-    def plan_distribution(self):  # type: ignore[override]
-        return ""
-
-
-NULL_OPT_TRACE = NullOptimizerTrace()

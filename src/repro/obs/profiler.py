@@ -39,6 +39,10 @@ __all__ = [
     "OperatorProfile",
     "StepProfile",
     "QueryProfile",
+    "QueryEvent",
+    "StepEvent",
+    "Transfer",
+    "OperatorEvent",
     "build_query_profile",
     "step_profile",
 ]
@@ -228,19 +232,18 @@ class OperatorProfile:
     q_error: Optional[float]
     skew: SkewStats
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "kind": self.kind,
-            "label": self.label,
-            "node_rows": {str(n): r for n, r in
-                          sorted(self.node_rows.items())},
-            "actual_rows": self.actual_rows,
-            "estimated_rows": self.estimated_rows,
-            "q_error": self.q_error,
-            "skew_cov": self.skew.cov,
-            "skew_imbalance": self.skew.imbalance,
-        }
+    def event(self) -> "OperatorEvent":
+        return OperatorEvent(
+            step=self.step,
+            kind=self.kind,
+            label=self.label,
+            node_rows=self.node_rows,
+            actual_rows=self.actual_rows,
+            estimated_rows=self.estimated_rows,
+            q_error=self.q_error,
+            skew_cov=self.skew.cov,
+            skew_imbalance=self.skew.imbalance,
+        )
 
 
 @dataclass
@@ -271,31 +274,28 @@ class StepProfile:
         default_factory=dict)
     operators: List[OperatorProfile] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.index,
-            "kind": self.kind,
-            "operation": self.operation,
-            "estimated_rows": self.estimated_rows,
-            "actual_rows": self.actual_rows,
-            "estimated_bytes": self.estimated_bytes,
-            "actual_bytes": self.actual_bytes,
-            "estimated_seconds": self.estimated_seconds,
-            "actual_seconds": self.actual_seconds,
-            "q_error": self.q_error,
-            "source_rows": {str(n): r for n, r in
-                            sorted(self.source_rows.items())},
-            "source_skew_cov": self.source_skew.cov,
-            "source_skew_imbalance": self.source_skew.imbalance,
-            "received_bytes": {str(n): b for n, b in
-                               sorted(self.received_bytes.items())},
-            "receive_skew_cov": self.receive_skew.cov,
-            "transfers": [
-                {"src": src, "dst": dst, "rows": rows, "bytes": nbytes}
+    def event(self) -> "StepEvent":
+        return StepEvent(
+            step=self.index,
+            kind=self.kind,
+            operation=self.operation,
+            estimated_rows=self.estimated_rows,
+            actual_rows=self.actual_rows,
+            estimated_bytes=self.estimated_bytes,
+            actual_bytes=self.actual_bytes,
+            estimated_seconds=self.estimated_seconds,
+            actual_seconds=self.actual_seconds,
+            q_error=self.q_error,
+            source_rows=self.source_rows,
+            source_skew_cov=self.source_skew.cov,
+            source_skew_imbalance=self.source_skew.imbalance,
+            received_bytes=self.received_bytes,
+            receive_skew_cov=self.receive_skew.cov,
+            transfers=tuple(
+                Transfer(src, dst, rows, nbytes)
                 for (src, dst), (rows, nbytes) in
-                sorted(self.transfers.items())
-            ],
-        }
+                sorted(self.transfers.items())),
+        )
 
 
 @dataclass
@@ -324,22 +324,80 @@ class QueryProfile:
         return summarize_q_errors(self.operator_q_errors()
                                   + self.step_q_errors())
 
-    def to_dict(self) -> dict:
+    def event(self) -> "QueryEvent":
         summary = self.q_error_summary()
-        return {
-            "sql": self.sql,
-            "node_count": self.node_count,
-            "elapsed_seconds": self.elapsed_seconds,
-            "dms_seconds": self.dms_seconds,
-            "q_error": {
-                "count": summary.count,
-                "median": summary.median,
-                "p95": summary.p95,
-                "max": summary.max,
-            },
-            "steps": [step.to_dict() for step in self.steps],
-            "operators": [op.to_dict() for op in self.operators],
-        }
+        return QueryEvent(
+            sql=self.sql,
+            node_count=self.node_count,
+            steps=len(self.steps),
+            elapsed_seconds=self.elapsed_seconds,
+            dms_seconds=self.dms_seconds,
+            q_error_count=summary.count,
+            q_error_median=summary.median,
+            q_error_p95=summary.p95,
+            q_error_max=summary.max,
+        )
+
+
+# -- events --------------------------------------------------------------------
+# The profile's JSONL events (repro.obs.export.EVENTS): one ``query``,
+# one ``step`` per DSQL step, one ``operator`` per joined operator.
+
+
+@dataclass(frozen=True)
+class QueryEvent:
+    sql: str
+    node_count: int
+    steps: int
+    elapsed_seconds: float
+    dms_seconds: float
+    q_error_count: int
+    q_error_median: float
+    q_error_p95: float
+    q_error_max: float
+
+
+@dataclass(frozen=True)
+class Transfer:
+    """One cell of a step's transfer matrix."""
+
+    src: int
+    dst: int
+    rows: int
+    bytes: int
+
+
+@dataclass(frozen=True)
+class StepEvent:
+    step: int
+    kind: str
+    operation: str
+    estimated_rows: float
+    actual_rows: int
+    estimated_bytes: float
+    actual_bytes: int
+    estimated_seconds: float
+    actual_seconds: float
+    q_error: float
+    source_rows: Dict[int, int]
+    source_skew_cov: float
+    source_skew_imbalance: float
+    received_bytes: Dict[int, int]
+    receive_skew_cov: float
+    transfers: Tuple[Transfer, ...]
+
+
+@dataclass(frozen=True)
+class OperatorEvent:
+    step: int
+    kind: str
+    label: str
+    node_rows: Dict[int, int]
+    actual_rows: int
+    estimated_rows: Optional[float]
+    q_error: Optional[float]
+    skew_cov: float
+    skew_imbalance: float
 
 
 # -- builder -------------------------------------------------------------------

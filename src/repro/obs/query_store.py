@@ -153,32 +153,6 @@ class StepCardinality:
             return 0.0
         return self.actual_rows_total / self.executions
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "operation": self.operation,
-            "estimated_rows": self.estimated_rows,
-            "executions": self.executions,
-            "actual_rows_total": self.actual_rows_total,
-            "actual_rows_last": self.actual_rows_last,
-            "max_q_error": self.max_q_error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepCardinality":
-        return cls(
-            index=int(data["index"]),
-            kind=str(data["kind"]),
-            operation=str(data["operation"]),
-            estimated_rows=float(data["estimated_rows"]),
-            executions=int(data["executions"]),
-            actual_rows_total=int(data["actual_rows_total"]),
-            actual_rows_last=int(data["actual_rows_last"]),
-            max_q_error=float(data["max_q_error"]),
-        )
-
-
 @dataclass
 class PlanStats:
     """Runtime-stat aggregates for one plan of one shape."""
@@ -227,111 +201,29 @@ class PlanStats:
             return 0.0
         return self.elapsed_seconds_total / self.execution_count
 
-    def to_dict(self) -> dict:
-        return {
-            "plan_hash": self.plan_hash,
-            "schema_version": self.schema_version,
-            "baseline_eligible": self.baseline_eligible,
-            "execution_count": self.execution_count,
-            "cache_hits": self.cache_hits,
-            "rows_returned_total": self.rows_returned_total,
-            "bytes_moved_total": self.bytes_moved_total,
-            "wall_seconds_total": self.wall_seconds_total,
-            "wall_seconds_min": self.wall_seconds_min,
-            "wall_seconds_max": self.wall_seconds_max,
-            "wall_seconds_last": self.wall_seconds_last,
-            "elapsed_seconds_total": self.elapsed_seconds_total,
-            "elapsed_seconds_min": self.elapsed_seconds_min,
-            "elapsed_seconds_max": self.elapsed_seconds_max,
-            "elapsed_seconds_last": self.elapsed_seconds_last,
-            "queue_seconds_total": self.queue_seconds_total,
-            "compile_seconds_total": self.compile_seconds_total,
-            "execute_seconds_total": self.execute_seconds_total,
-            "first_seen": self.first_seen,
-            "last_seen": self.last_seen,
-            "last_seen_seq": self.last_seen_seq,
-            "max_q_error": self.max_q_error,
-            "steps": [step.to_dict() for step in self.steps],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlanStats":
-        return cls(
-            plan_hash=str(data["plan_hash"]),
-            schema_version=int(data["schema_version"]),
-            baseline_eligible=bool(data["baseline_eligible"]),
-            execution_count=int(data["execution_count"]),
-            cache_hits=int(data["cache_hits"]),
-            rows_returned_total=int(data["rows_returned_total"]),
-            bytes_moved_total=int(data["bytes_moved_total"]),
-            wall_seconds_total=float(data["wall_seconds_total"]),
-            wall_seconds_min=float(data["wall_seconds_min"]),
-            wall_seconds_max=float(data["wall_seconds_max"]),
-            wall_seconds_last=float(data["wall_seconds_last"]),
-            elapsed_seconds_total=float(data["elapsed_seconds_total"]),
-            elapsed_seconds_min=float(data["elapsed_seconds_min"]),
-            elapsed_seconds_max=float(data["elapsed_seconds_max"]),
-            elapsed_seconds_last=float(data["elapsed_seconds_last"]),
-            queue_seconds_total=float(data["queue_seconds_total"]),
-            compile_seconds_total=float(data["compile_seconds_total"]),
-            execute_seconds_total=float(data["execute_seconds_total"]),
-            first_seen=float(data["first_seen"]),
-            last_seen=float(data["last_seen"]),
-            last_seen_seq=int(data["last_seen_seq"]),
-            max_q_error=float(data["max_q_error"]),
-            steps=[StepCardinality.from_dict(step)
-                   for step in data.get("steps", [])],
-        )
-
-
 @dataclass
 class ShapeStats:
-    """One normalized query shape and every plan observed for it."""
+    """One normalized query shape and every plan observed for it — and,
+    field for field, its ``query_store_flush`` event."""
 
     query_id: int
     shape_key: str
     example_sql: str = ""
     first_seen: float = 0.0
     last_seen: float = 0.0
-    plans: "OrderedDict[str, PlanStats]" = field(
-        default_factory=OrderedDict)
+    execution_count: int = 0
+    plans: List[PlanStats] = field(default_factory=list)
 
-    @property
-    def execution_count(self) -> int:
-        return sum(plan.execution_count for plan in self.plans.values())
+    def plan(self, plan_hash: str) -> Optional[PlanStats]:
+        return next((plan for plan in self.plans
+                     if plan.plan_hash == plan_hash), None)
 
     def current_plan(self) -> Optional[PlanStats]:
         """The most recently executed plan (the one the shape would run
         next — what the regression detector judges)."""
         if not self.plans:
             return None
-        return max(self.plans.values(),
-                   key=lambda plan: plan.last_seen_seq)
-
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "shape_key": self.shape_key,
-            "example_sql": self.example_sql,
-            "first_seen": self.first_seen,
-            "last_seen": self.last_seen,
-            "execution_count": self.execution_count,
-            "plans": [plan.to_dict() for plan in self.plans.values()],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShapeStats":
-        shape = cls(
-            query_id=int(data["query_id"]),
-            shape_key=str(data["shape_key"]),
-            example_sql=str(data["example_sql"]),
-            first_seen=float(data["first_seen"]),
-            last_seen=float(data["last_seen"]),
-        )
-        for plan_data in data.get("plans", []):
-            plan = PlanStats.from_dict(plan_data)
-            shape.plans[plan.plan_hash] = plan
-        return shape
+        return max(self.plans, key=lambda plan: plan.last_seen_seq)
 
 
 @dataclass(frozen=True)
@@ -460,12 +352,13 @@ class QueryStore:
             else:
                 self._shapes.move_to_end(shape_key)
             shape.last_seen = now
-            plan = shape.plans.get(plan_hash)
+            shape.execution_count += 1
+            plan = shape.plan(plan_hash)
             if plan is None:
                 plan = PlanStats(plan_hash=plan_hash,
                                  schema_version=schema_version,
                                  first_seen=now)
-                shape.plans[plan_hash] = plan
+                shape.plans.append(plan)
             first = plan.execution_count == 0
             plan.execution_count += 1
             if cache_hit:
@@ -552,7 +445,7 @@ class QueryStore:
                         or current.execution_count < min_executions:
                     continue
                 baselines = [
-                    plan for plan in shape.plans.values()
+                    plan for plan in shape.plans
                     if plan is not current
                     and plan.baseline_eligible
                     and plan.schema_version == current.schema_version
@@ -613,63 +506,79 @@ class QueryStore:
     # -- persistence -----------------------------------------------------------
 
     def to_events(self) -> List[dict]:
-        """One schema-valid ``query_store_flush`` event per shape — the
-        export format *and* the persistence format: written as JSONL
-        they round-trip bit-identically through :meth:`load` (floats
-        survive via ``repr`` exactness)."""
+        """One ``query_store_flush`` event per shape — the export format
+        *and* the persistence format: written as JSONL they round-trip
+        bit-identically through :meth:`load` (floats survive via
+        ``repr`` exactness)."""
+        from repro.obs.export import to_event
         with self._lock:
-            return [{"event": "query_store_flush", **shape.to_dict()}
-                    for shape in sorted(self._shapes.values(),
-                                        key=lambda s: s.query_id)]
+            return [to_event(shape) for shape in
+                    sorted(self._shapes.values(), key=lambda s: s.query_id)]
 
     def load(self, path: str,
              schema_version: Optional[int] = None) -> int:
-        """Merge a saved store back in; returns shapes loaded.
+        """Merge a saved store in; returns shapes loaded.
 
         With ``schema_version`` given (the appliance's current
-        version), plans recorded under any *other* version keep their
-        history but lose baseline eligibility — a restarted service
-        whose data changed never compares new plans against stale
-        timings.  Pass ``None`` to restore verbatim.
+        version), loaded plans recorded under any *other* version keep
+        their history but lose baseline eligibility — a restarted
+        service whose data changed never compares new plans against
+        stale timings.  Pass ``None`` to restore verbatim.
 
-        Every line is parsed and schema-checked before anything is
-        merged: a line that is not JSON, fails its event schema or does
-        not rebuild into a shape raises :class:`ReproError` naming the
-        line, and the store is left as it was.  Valid events of other
-        types are skipped.
+        A loaded shape the store does not hold keeps its saved
+        ``query_id`` unless a live shape has it, and then takes the next
+        free one.  A shape the store holds keeps its live plans and
+        gains the loaded plans it lacks, as older than every live one.
+
+        Every line is decoded against its event record before anything
+        is merged: a line that is not JSON or does not decode raises
+        :class:`ReproError` naming the line, and the store is left as it
+        was.  Valid events of other types are skipped.
         """
         # Imported here: export imports requests, which imports this.
-        from repro.obs.export import validate_event
+        from repro.obs.export import decode_event
 
         shapes: List[ShapeStats] = []
         with open(path, "r", encoding="utf-8") as handle:
             for number, line in enumerate(handle, 1):
                 if not line.strip():
                     continue
+                errors: List[str] = []
                 try:
-                    event = json.loads(line)
-                    errors = validate_event(event)
-                    if errors:
-                        raise ValueError("; ".join(errors))
-                    if event["event"] == "query_store_flush":
-                        shapes.append(ShapeStats.from_dict(event))
-                except (KeyError, TypeError, ValueError) as exc:
+                    record = decode_event(json.loads(line), errors)
+                except ValueError as exc:
+                    errors.append(str(exc))
+                if errors:
                     raise ReproError(
                         f"{path} line {number}: not a loadable "
-                        f"query_store_flush event: {exc}") from None
+                        f"query_store_flush event: {'; '.join(errors)}")
+                if isinstance(record, ShapeStats):
+                    shapes.append(record)
         with self._lock:
             for shape in shapes:
                 if schema_version is not None:
-                    for plan in shape.plans.values():
+                    for plan in shape.plans:
                         if plan.schema_version != schema_version:
                             plan.baseline_eligible = False
-                self._shapes[shape.shape_key] = shape
+                live = self._shapes.get(shape.shape_key)
+                if live is None:
+                    if any(held.query_id == shape.query_id
+                           for held in self._shapes.values()):
+                        shape.query_id = self._next_id
+                    self._shapes[shape.shape_key] = shape
+                    self._seq = max(self._seq, max(
+                        (plan.last_seen_seq for plan in shape.plans),
+                        default=0))
+                else:
+                    for plan in shape.plans:
+                        if live.plan(plan.plan_hash) is None:
+                            plan.last_seen_seq = 0
+                            live.plans.append(plan)
+                            live.execution_count += plan.execution_count
+                    live.first_seen = min(live.first_seen, shape.first_seen)
+                    shape = live
                 self._shapes.move_to_end(shape.shape_key)
                 self._next_id = max(self._next_id, shape.query_id + 1)
-                self._seq = max(
-                    self._seq,
-                    max((plan.last_seen_seq
-                         for plan in shape.plans.values()), default=0))
             while len(self._shapes) > self.max_shapes:
                 self._shapes.popitem(last=False)
                 self._evicted += 1

@@ -26,7 +26,7 @@ it is no source of counts: the service writes each finished request's
 ``pdw_service_*`` series once, as it finishes.
 
 Zero-overhead default: :data:`NULL_REQUESTS` / :data:`NULL_REQUEST`
-follow the ``NULL_TRACER`` / ``NULL_OPT_TRACE`` contract — shared no-op
+follow the ``NULL_TRACER`` / ``NULL_METRICS`` contract — shared no-op
 singletons with ``enabled = False`` and no per-call allocation, so the
 untracked path stays allocation-free (the booby-trap tests monkeypatch
 the record constructors to prove it).

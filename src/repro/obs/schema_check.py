@@ -1,13 +1,13 @@
-"""Validate profiler / optimizer-trace JSONL event logs.
+"""Validate JSONL event logs against their records (:data:`EVENTS`).
 
     python -m repro.obs.schema_check events.jsonl [more.jsonl ...]
                                      [--require EVENT_TYPE ...]
 
 Exit status 0 when every event in every file validates (and every
 ``--require``'d event type appears at least once per file), 1 otherwise
-— the CI smoke steps run this against fresh ``repro profile --jsonl``
-and ``repro why --jsonl`` dumps so the exported schemas cannot drift
-silently.
+— the CI smoke steps run this against fresh ``repro profile``,
+``why``, ``requests`` and ``querystore`` ``--jsonl`` dumps so the
+exported events cannot drift silently.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 from typing import List, Optional
 
-from repro.obs.export import EVENT_SCHEMAS, validate_jsonl
+from repro.obs.export import EVENTS, validate_jsonl
 
 
 def _event_counts(text: str) -> Counter:
@@ -39,18 +39,18 @@ def _event_counts(text: str) -> Counter:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.schema_check",
-        description="validate profiler / optimizer JSONL event logs")
+        description="validate JSONL event logs")
     parser.add_argument("paths", nargs="+", metavar="events.jsonl")
     parser.add_argument(
         "--require", action="append", default=[], metavar="EVENT_TYPE",
         help="fail unless each file contains at least one event of this "
-             "type (repeatable); must be a known schema type")
+             "type (repeatable); must be a known event type")
     args = parser.parse_args(argv)
 
     for required in args.require:
-        if required not in EVENT_SCHEMAS:
+        if required not in EVENTS:
             parser.error(f"--require {required!r} is not a known event "
-                         f"type (known: {', '.join(sorted(EVENT_SCHEMAS))})")
+                         f"type (known: {', '.join(sorted(EVENTS))})")
 
     failed = False
     for path in args.paths:

@@ -316,10 +316,10 @@ def refresh_system_views(appliance: Appliance,
                     shape.execution_count,
                     shape.first_seen,
                     shape.last_seen,
-                    max((plan.max_q_error for plan in shape.plans.values()),
+                    max((plan.max_q_error for plan in shape.plans),
                         default=1.0),
                 ))
-                for plan in shape.plans.values():
+                for plan in shape.plans:
                     plan_rows.append((
                         shape.query_id,
                         plan.plan_hash,

@@ -32,7 +32,7 @@ from repro.algebra.logical import (
 from repro.algebra.physical import PlanNode
 from repro.catalog.shell_db import ShellDatabase
 from repro.common.errors import PdwOptimizerError
-from repro.obs.opt_trace import NULL_OPT_TRACE, OptimizerTrace
+from repro.obs.opt_trace import OptimizerTrace
 from repro.optimizer.cardinality import StatsContext
 from repro.optimizer.memo import Memo
 from repro.optimizer.search import OptimizationResult, SerialOptimizer
@@ -66,7 +66,7 @@ def physical_to_logical(node: PlanNode) -> LogicalOp:
 def parallelize_serial_plan(serial: OptimizationResult,
                             shell: ShellDatabase,
                             config: Optional[PdwConfig] = None,
-                            opt_trace: OptimizerTrace = NULL_OPT_TRACE
+                            opt_trace: Optional[OptimizerTrace] = None
                             ) -> PdwPlan:
     """Cost-optimally insert data movement into the best serial plan.
 

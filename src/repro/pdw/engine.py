@@ -31,7 +31,7 @@ from repro.catalog.shell_db import ShellDatabase
 from repro.common.errors import HintError
 from repro.optimizer.memo import Memo
 from repro.optimizer.memo_xml import memo_from_xml, memo_to_xml
-from repro.obs.opt_trace import NULL_OPT_TRACE, OptimizerTrace
+from repro.obs.opt_trace import OptimizerTrace
 from repro.optimizer.search import (
     OptimizationResult,
     OptimizerConfig,
@@ -172,7 +172,7 @@ class PdwEngine:
     def compile(self, sql: str,
                 extract_serial: bool = True,
                 hints: Optional[dict] = None,
-                opt_trace: OptimizerTrace = NULL_OPT_TRACE
+                opt_trace: Optional[OptimizerTrace] = None
                 ) -> CompiledQuery:
         """Compile ``sql`` into a DSQL plan.
 
@@ -181,7 +181,7 @@ class PdwEngine:
         §3.1 distributed-execution query hints.  Hints naming unknown
         tables or strategies raise :class:`repro.common.errors.HintError`.
 
-        ``opt_trace`` (default: the no-op recorder) captures the PDW
+        ``opt_trace`` (default: none) captures the PDW
         optimizer's search space — per-group enumeration, prune and
         enforce decisions, hint overrides — without changing the winning
         plan; the trace is attached to the returned
@@ -247,5 +247,5 @@ class PdwEngine:
             dsql_plan=dsql_plan,
             counters=counters,
             pdw_config=config,
-            opt_trace=opt_trace if opt_trace.enabled else None,
+            opt_trace=opt_trace,
         )

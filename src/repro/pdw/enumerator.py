@@ -53,7 +53,6 @@ from repro.catalog.schema import DistributionKind
 from repro.common.errors import HintError, PdwOptimizerError
 from repro.obs.opt_trace import (
     MovementRecord,
-    NULL_OPT_TRACE,
     OptimizerTrace,
     format_property_key,
 )
@@ -150,7 +149,7 @@ class PdwOptimizer:
                  equivalence: Optional[ColumnEquivalence] = None,
                  config: Optional[PdwConfig] = None,
                  tracer: Tracer = NULL_TRACER,
-                 opt_trace: OptimizerTrace = NULL_OPT_TRACE):
+                 opt_trace: Optional[OptimizerTrace] = None):
         self.memo = memo
         self.root_group = memo.find(root_group)
         self.node_count = node_count
@@ -171,7 +170,7 @@ class PdwOptimizer:
         """Run steps 01-09 of Figure 4 and extract the optimal plan."""
         tracer = self.tracer
         opt_trace = self.opt_trace
-        started = time.perf_counter() if opt_trace.enabled else 0.0
+        started = time.perf_counter() if opt_trace is not None else 0.0
         with tracer.span("preprocess"):
             pdw_exprs = preprocess(self.memo, self.node_count)   # steps 02-03
         with tracer.span("interesting_properties") as span:
@@ -201,7 +200,7 @@ class PdwOptimizer:
             tracer.count("pdw.alternatives.retained", retained)
             tracer.count("pdw.alternatives.pruned",
                          self.options_considered - retained)
-        if opt_trace.enabled:
+        if opt_trace is not None:
             opt_trace.finish(
                 plan_cost=best.cost,
                 plan_distribution=str(best.distribution),
@@ -223,7 +222,7 @@ class PdwOptimizer:
                         pdw_exprs: Dict[int, List[GroupExpression]]) -> None:
         group = self.memo.group(group_id)
         opt_trace = self.opt_trace
-        if opt_trace.enabled:
+        if opt_trace is not None:
             opt_trace.begin_group(group_id, tuple(
                 format_property_key(key)
                 for key in self.interesting.get(group_id, ())))
@@ -233,7 +232,7 @@ class PdwOptimizer:
             if group_id in children:
                 continue
             produced = self._enumerate_expression(group_id, expr, children)
-            if opt_trace.enabled:
+            if opt_trace is not None:
                 opt_trace.record_enumeration(group_id, expr.op.describe(),
                                              len(produced))
             candidates.extend(produced)
@@ -243,7 +242,7 @@ class PdwOptimizer:
         pruned = self._enforce(group_id, pruned)                 # step 07
         pruned = self._apply_hints(group_id, pruned)             # §3.1 hints
         self.options[group_id] = pruned
-        if opt_trace.enabled:
+        if opt_trace is not None:
             opt_trace.end_group(
                 group_id,
                 considered=self.options_considered - considered_before,
@@ -515,7 +514,7 @@ class PdwOptimizer:
                     children, child_lists, branch_targets,
                     op.branch_columns):
                 best: Optional[PdwOption] = None
-                moves = [] if opt_trace.enabled else None
+                moves = [] if opt_trace is not None else None
                 best_move_index = -1
                 for option in options:
                     moved = None
@@ -617,7 +616,7 @@ class PdwOptimizer:
                 if id(option) not in kept:
                     key = self._key_of(option)
                     self.tracer.count(f"pdw.pruned.{key[0]}")
-        if self.opt_trace.enabled:
+        if self.opt_trace is not None:
             for option in candidates:
                 if id(option) in kept:
                     continue
@@ -650,7 +649,7 @@ class PdwOptimizer:
                 continue
             best: Optional[PdwOption] = None
             best_index = -1
-            candidates = [] if opt_trace.enabled else None
+            candidates = [] if opt_trace is not None else None
             for option in options:
                 if self._key_of(option) == key:
                     continue  # already delivers the property
@@ -732,7 +731,7 @@ class PdwOptimizer:
         else:  # "shuffle"
             kept = [o for o in options
                     if moved_to(o) is not DistKind.REPLICATED]
-        if self.opt_trace.enabled and kept and len(kept) < len(options):
+        if self.opt_trace is not None and kept and len(kept) < len(options):
             kept_ids = {id(o) for o in kept}
             displaced = [o for o in options if id(o) not in kept_ids]
             self.opt_trace.record_hint_override(

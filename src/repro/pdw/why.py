@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 
 from repro.algebra.physical import PlanNode
 from repro.catalog.shell_db import ShellDatabase
+from repro.obs.opt_trace import PlanChoiceEvent
 from repro.pdw.baseline import parallelize_serial_plan
 from repro.pdw.dms import DataMovement
 from repro.pdw.engine import CompiledQuery
@@ -94,19 +95,19 @@ class PlanChoice:
         """True when parallelizing the best serial plan was optimal."""
         return abs(self.delta) <= _COST_EPSILON
 
-    def to_dict(self) -> Dict[str, object]:
-        """The JSONL ``plan_choice`` event payload (sans ``event`` tag)."""
-        return {
-            "sql": self.sql,
-            "plan_cost": self.plan_cost,
-            "baseline_cost": self.baseline_cost,
-            "delta": self.delta,
-            "delta_pct": self.delta_pct,
-            "baseline_matches": self.baseline_matches,
-            "movements_plan": len(self.plan_movements),
-            "movements_baseline": len(self.baseline_movements),
-            "movements_shared": len(self.shared),
-        }
+    def event(self) -> PlanChoiceEvent:
+        """The JSONL ``plan_choice`` event."""
+        return PlanChoiceEvent(
+            sql=self.sql,
+            plan_cost=self.plan_cost,
+            baseline_cost=self.baseline_cost,
+            delta=self.delta,
+            delta_pct=self.delta_pct,
+            baseline_matches=self.baseline_matches,
+            movements_plan=len(self.plan_movements),
+            movements_baseline=len(self.baseline_movements),
+            movements_shared=len(self.shared),
+        )
 
 
 def plan_movements(root: PlanNode) -> List[PlanMovement]:

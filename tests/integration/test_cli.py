@@ -115,16 +115,25 @@ class TestProfileCli:
         assert "Q-error:" in out
         assert "Get(lineitem)" in out
 
-    def test_profile_json_parses(self, capsys):
-        code, out = run_cli(
+    def test_profile_jsonl_is_its_one_machine_readable_output(
+            self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as raised:
+            main(["profile", "--json", self.SQL])
+        assert raised.value.code == 2
+        capsys.readouterr()
+        jsonl = tmp_path / "events.jsonl"
+        code, _out = run_cli(
             capsys, "--scale", "0.001", "--nodes", "4",
-            "profile", "--json", self.SQL)
+            "profile", self.SQL, "--jsonl", str(jsonl))
         assert code == 0
-        parsed = json.loads(out)
-        assert parsed["node_count"] == 4
-        assert parsed["steps"]
-        assert parsed["operators"]
-        assert parsed["q_error"]["count"] > 0
+        events = [json.loads(line)
+                  for line in jsonl.read_text().splitlines()]
+        query = events[0]
+        assert query["event"] == "query"
+        assert query["node_count"] == 4
+        assert query["q_error_count"] > 0
+        kinds = {event["event"] for event in events}
+        assert kinds == {"query", "step", "operator"}
 
     def test_profile_jsonl_and_prometheus_sinks(self, capsys, tmp_path):
         from repro.obs.export import validate_jsonl

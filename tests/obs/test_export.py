@@ -190,13 +190,13 @@ class FakePlanChoice:
     baseline_cost = 1.5
     delta = 0.3
 
-    def to_dict(self):
-        return {
-            "sql": "SELECT 1", "plan_cost": 1.2, "baseline_cost": 1.5,
-            "delta": 0.3, "delta_pct": 25.0, "baseline_matches": False,
-            "movements_plan": 1, "movements_baseline": 2,
-            "movements_shared": 1,
-        }
+    def event(self):
+        from repro.obs.opt_trace import PlanChoiceEvent
+
+        return PlanChoiceEvent(
+            sql="SELECT 1", plan_cost=1.2, baseline_cost=1.5,
+            delta=0.3, delta_pct=25.0, baseline_matches=False,
+            movements_plan=1, movements_baseline=2, movements_shared=1)
 
 
 class TestOptimizerTraceEvents:

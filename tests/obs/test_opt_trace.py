@@ -1,13 +1,12 @@
-"""Optimizer search-space trace tests: the no-op contract, the enabled
-recorder's bookkeeping, and the must-not-change-the-answer guarantee."""
+"""Optimizer search-space trace tests: an untraced optimization
+allocates no record, the enabled recorder's bookkeeping, and the
+must-not-change-the-answer guarantee."""
 
 import pytest
 
 from repro.obs import opt_trace as opt_trace_module
 from repro.obs.opt_trace import (
     MovementRecord,
-    NULL_OPT_TRACE,
-    NullOptimizerTrace,
     OptimizerTrace,
     format_property_key,
 )
@@ -19,7 +18,7 @@ JOIN_SQL = ("SELECT c_name FROM customer, orders "
             "WHERE c_custkey = o_custkey")
 
 
-def optimize(shell, sql, opt_trace=NULL_OPT_TRACE):
+def optimize(shell, sql, opt_trace=None):
     result = SerialOptimizer(shell).optimize_sql(sql)
     return PdwOptimizer(result.memo, result.root_group,
                         node_count=shell.node_count,
@@ -48,37 +47,11 @@ class TestFormatPropertyKey:
         assert format_property_key("control") == "control"
 
 
-class TestNullTrace:
-    def test_shared_singleton_disabled(self):
-        assert NULL_OPT_TRACE.enabled is False
-        assert isinstance(NULL_OPT_TRACE, NullOptimizerTrace)
-
-    def test_all_hooks_are_noops(self):
-        NULL_OPT_TRACE.begin_group(1, ("hash:1",))
-        NULL_OPT_TRACE.record_enumeration(1, "Join", 4)
-        NULL_OPT_TRACE.record_prune(1, "a", "hash:1", 2.0, "b", 1.0)
-        NULL_OPT_TRACE.record_movement(make_movement())
-        NULL_OPT_TRACE.record_hint_override(1, "orders", "replicate",
-                                            ("x",), (1.0,), 1)
-        NULL_OPT_TRACE.end_group(1, 4, ())
-        NULL_OPT_TRACE.finish(1.0, "hashed(#1)", 0.5)
-        assert NULL_OPT_TRACE.groups == {}
-        assert NULL_OPT_TRACE.prunes == []
-        assert NULL_OPT_TRACE.movements == []
-        assert NULL_OPT_TRACE.hint_overrides == []
-        assert NULL_OPT_TRACE.plan_cost == 0.0
-
-    def test_summary_views_usable(self):
-        summary = NULL_OPT_TRACE.summary()
-        assert summary.groups == 0
-        assert summary.options_considered == 0
-        assert NULL_OPT_TRACE.rejected_movements() == []
-        assert NULL_OPT_TRACE.prune_effectiveness() == {}
-
+class TestUntraced:
     def test_disabled_path_allocates_no_records(self, mini_shell,
                                                 monkeypatch):
-        """With the no-op trace, optimization must never construct a
-        trace record: every record constructor is booby-trapped."""
+        """Without a trace, optimization must never construct a trace
+        record: every record constructor is booby-trapped."""
         def boom(*args, **kwargs):
             raise AssertionError(
                 "trace record allocated on the disabled path")

@@ -11,7 +11,11 @@ import json
 import pytest
 
 from repro.appliance.interpreter import PlanInterpreter
-from repro.obs.export import profile_to_events, validate_events
+from repro.obs.export import (
+    decode_event,
+    profile_to_events,
+    validate_events,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.requests import RequestRegistry
 from repro.obs.profiler import OperatorObserver
@@ -101,11 +105,18 @@ class TestProfileContents:
         assert validate_events(events) == []
         assert json.loads(json.dumps(events)) == events
 
-    def test_profile_document_is_json_serializable(self, profile):
-        document = profile.to_dict()
-        parsed = json.loads(json.dumps(document))
-        assert parsed["q_error"]["count"] == document["q_error"]["count"]
-        assert len(parsed["steps"]) == len(profile.steps)
+    def test_events_decode_back_to_the_profile_records(self, profile):
+        """What was written is what is read: each JSON event decodes to
+        the record it was written from."""
+        records = ([profile.event()]
+                   + [step.event() for step in profile.steps]
+                   + [op.event() for op in profile.operators])
+        errors = []
+        decoded = [decode_event(json.loads(json.dumps(event)), errors)
+                   for event in profile_to_events(profile)]
+        assert errors == []
+        assert decoded == records
+        assert decoded[0].steps == len(profile.steps)
 
 
 class TestResultsUnchanged:

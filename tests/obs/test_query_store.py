@@ -101,7 +101,7 @@ class TestAggregation:
                 bytes_moved=50, cache_hit=True, now=1001.0)
         shape = store.find("q")
         assert shape is not None
-        plan = shape.plans["p1"]
+        plan = shape.plan("p1")
         assert plan.execution_count == 2
         assert plan.cache_hits == 1
         assert plan.rows_returned_total == 30
@@ -122,7 +122,7 @@ class TestAggregation:
         _record(store, steps=[(0, "DMS", "ShuffleMove", 100.0, 10)])
         _record(store, steps=[(0, "DMS", "ShuffleMove", 100.0, 400)])
         shape = store.find("q")
-        plan = shape.plans["p1"]
+        plan = shape.plan("p1")
         card = plan.steps[0]
         assert card.executions == 2
         assert card.actual_rows_total == 410
@@ -261,11 +261,11 @@ class TestPersistence:
         shape = survivor.find("q")
         # History intact...
         assert shape.execution_count == 4
-        assert shape.plans["fast"].elapsed_seconds_total \
+        assert shape.plan("fast").elapsed_seconds_total \
             == pytest.approx(2.0)
         # ...but stale-version plans lost baseline eligibility, so no
         # comparison against pre-DDL timings.
-        assert not shape.plans["fast"].baseline_eligible
+        assert not shape.plan("fast").baseline_eligible
         assert survivor.regressions() == []
         # Live re-observation under the new version re-keys both plans.
         for _ in range(2):
@@ -287,6 +287,41 @@ class TestPersistence:
         _record(reloaded, shape="c")
         ids = [s.query_id for s in reloaded.shapes()]
         assert len(ids) == len(set(ids)) == 3
+
+
+    def test_load_gives_a_taken_query_id_the_next_free_one(self, tmp_path):
+        saved = QueryStore()
+        _record(saved, shape="shape_b")
+        path = tmp_path / "store.jsonl"
+        write_jsonl(saved.to_events(), str(path))
+        target = QueryStore()
+        _record(target, shape="shape_a")
+        assert target.load(str(path)) == 1
+        assert [(s.query_id, s.shape_key) for s in target.shapes()] == [
+            (1, "shape_a"), (2, "shape_b")]
+        _record(target, shape="shape_c")
+        assert target.find("shape_c").query_id == 3
+
+    def test_load_into_a_held_shape_keeps_its_live_plans(self, tmp_path):
+        saved = QueryStore()
+        _record(saved, plan="h9", rows=99)
+        _record(saved, plan="h2")
+        path = tmp_path / "store.jsonl"
+        write_jsonl(saved.to_events(), str(path))
+        target = QueryStore()
+        _record(target, plan="h9")
+        _record(target, plan="h9")
+        target.load(str(path))
+        shape = target.find("q")
+        # The live h9 history stays; the file's h2, which the store
+        # lacked, joins it as an older plan.
+        assert [plan.plan_hash for plan in shape.plans] == ["h9", "h2"]
+        assert shape.plan("h9").execution_count == 2
+        assert shape.plan("h9").rows_returned_total == 20
+        assert shape.current_plan().plan_hash == "h9"
+        assert shape.execution_count == 3
+        assert target.stats()["executions"] == 3
+        assert [s.query_id for s in target.shapes()] == [1]
 
 
 class TestLoadIsAllOrNothing:

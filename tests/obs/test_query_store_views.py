@@ -104,7 +104,7 @@ class TestSessionPath:
             "SELECT query_id, max_q_error "
             "FROM sys.query_store_query_texts").rows
         assert dict(rows)[shape.query_id] == max(
-            plan.max_q_error for plan in shape.plans.values())
+            plan.max_q_error for plan in shape.plans)
 
 
 class TestServicePath:

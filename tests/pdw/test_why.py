@@ -75,15 +75,20 @@ class TestPlanChoice:
         assert choice.plan_cost == pytest.approx(
             engine.compile(choice.sql).pdw_plan.cost)
 
-    def test_to_dict_matches_schema_fields(self, engine, mini_shell):
-        from repro.obs.export import EVENT_SCHEMAS
+    def test_event_is_the_plan_choice_record(self, engine, mini_shell):
+        from repro.obs.export import EVENTS, decode_event, to_event
 
         choice = choice_for(
             engine, mini_shell,
             "SELECT c_name FROM customer, orders "
             "WHERE c_custkey = o_custkey")
-        payload = choice.to_dict()
-        assert set(payload) == set(EVENT_SCHEMAS["plan_choice"])
+        event = choice.event()
+        assert isinstance(event, EVENTS["plan_choice"])
+        assert event.delta == choice.delta
+        assert event.movements_plan == len(choice.plan_movements)
+        errors = []
+        assert decode_event(to_event(event), errors) == event
+        assert errors == []
 
     def test_replicated_only_query_zero_movement_baseline(self, engine,
                                                           mini_shell):

@@ -1,9 +1,9 @@
 """Observability under both executors.
 
 ``profile=True`` must keep collecting per-node / per-operator actuals
-when steps execute on typed ndarrays over a whole node group: the full
-structured profile — skew coverage, Q-errors, transfer matrices,
-operator postorder — is bit-identical to the reference interpreter's,
+when steps execute on typed ndarrays over a whole node group: the
+profile's events — skew coverage, Q-errors, transfer matrices,
+operator postorder — are bit-identical to the reference interpreter's,
 and the ``profile`` CLI works end to end with either ``--executor``.
 """
 
@@ -13,6 +13,7 @@ import pytest
 
 from repro.appliance.runner import DsqlRunner
 from repro.common.executors import EXECUTORS
+from repro.obs.export import profile_to_events
 from repro.obs.profiler import build_query_profile
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
@@ -37,8 +38,8 @@ def test_numpy_profile_matches_reference(name, tpch, tpch_engine):
     reference = profile_for(appliance, plan, sql, "reference")
     numpy = profile_for(appliance, plan, sql, "numpy")
     # Identical operator postorder (same joins, same shapes), identical
-    # Q-error and skew tables — the whole structured export matches.
-    assert numpy.to_dict() == reference.to_dict()
+    # Q-error and skew tables — every exported event matches.
+    assert profile_to_events(numpy) == profile_to_events(reference)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
