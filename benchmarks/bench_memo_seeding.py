@@ -64,8 +64,7 @@ SQL = ("SELECT a_val, b_val FROM g, f2, f1 "
 def optimize(shell, seed):
     config = OptimizerConfig(exhaustive_join_limit=2,
                              seed_collocated_joins=seed)
-    serial = SerialOptimizer(shell, config).optimize_sql(
-        SQL, extract_serial=False)
+    serial = SerialOptimizer(shell, config).optimize_sql(SQL)
     plan = PdwOptimizer(serial.memo, serial.root_group,
                         node_count=NODES,
                         equivalence=serial.equivalence).optimize()

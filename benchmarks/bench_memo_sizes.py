@@ -19,7 +19,7 @@ def test_memo_sizes(benchmark, tpch_bench):
     rows = []
     bound_ok = True
     for name, sql in TPCH_QUERIES.items():
-        serial = optimizer.optimize_sql(sql, extract_serial=False)
+        serial = optimizer.optimize_sql(sql)
         pdw = PdwOptimizer(serial.memo, serial.root_group,
                            node_count=shell.node_count,
                            equivalence=serial.equivalence)
@@ -36,7 +36,7 @@ def test_memo_sizes(benchmark, tpch_bench):
             plan.options_considered, plan.options_retained,
             widths=[8, 8, 10, 10, 12, 10]))
 
-    benchmark(optimizer.optimize_sql, TPCH_QUERIES["Q5"], False)
+    benchmark(optimizer.optimize_sql, TPCH_QUERIES["Q5"])
 
     lines = [
         "Search-space sizes across the TPC-H suite",

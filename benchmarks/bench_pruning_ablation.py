@@ -35,7 +35,7 @@ def test_pruning_ablation(benchmark, tpch_bench):
     all_equal = True
     totals = [0, 0]
     for name, sql in TPCH_QUERIES.items():
-        serial = optimizer.optimize_sql(sql, extract_serial=False)
+        serial = optimizer.optimize_sql(sql)
         pruned, full = run_both(shell, serial)
         equal = abs(pruned.cost - full.cost) <= 1e-12 + 1e-6 * full.cost
         all_equal = all_equal and equal
@@ -47,8 +47,7 @@ def test_pruning_ablation(benchmark, tpch_bench):
             "yes" if equal else "NO",
             widths=[8, 16, 16, 14, 14, 6]))
 
-    serial = optimizer.optimize_sql(TPCH_QUERIES["Q5"],
-                                    extract_serial=False)
+    serial = optimizer.optimize_sql(TPCH_QUERIES["Q5"])
     benchmark(run_both, shell, serial)
 
     lines = [

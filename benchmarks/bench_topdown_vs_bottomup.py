@@ -21,7 +21,7 @@ def test_topdown_vs_bottomup(benchmark, tpch_bench):
     rows = []
     all_equal = True
     for name, sql in TPCH_QUERIES.items():
-        serial = optimizer.optimize_sql(sql, extract_serial=False)
+        serial = optimizer.optimize_sql(sql)
         bottom_up = PdwOptimizer(
             serial.memo, serial.root_group, shell.node_count,
             equivalence=serial.equivalence).optimize()
@@ -37,8 +37,7 @@ def test_topdown_vs_bottomup(benchmark, tpch_bench):
             "yes" if equal else "NO",
             widths=[8, 14, 14, 14, 14, 6]))
 
-    serial = optimizer.optimize_sql(TPCH_QUERIES["Q5"],
-                                    extract_serial=False)
+    serial = optimizer.optimize_sql(TPCH_QUERIES["Q5"])
     benchmark(lambda: TopDownPdwOptimizer(
         serial.memo, serial.root_group, shell.node_count,
         equivalence=serial.equivalence).optimize())

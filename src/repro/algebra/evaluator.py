@@ -65,6 +65,8 @@ def evaluate(expr: ex.ScalarExpr, env: Optional[Dict[int, object]] = None):
         if value is None:
             return None
         found = value in expr.values
+        if not found and None in expr.values:
+            return None  # no member is equal, and NULL might be
         return (not found) if expr.negated else found
 
     if isinstance(expr, ex.IsNullExpr):

@@ -341,17 +341,20 @@ def validate_events(events: Iterable[object]) -> List[str]:
 
 
 def validate_jsonl(text: str) -> List[str]:
-    """Validate raw JSONL content (parse errors become schema errors)."""
-    events: List[object] = []
+    """Validate raw JSONL content (parse errors become schema errors),
+    each error prefixed by its 1-based line in ``text``."""
     errors: List[str] = []
-    for index, line in enumerate(text.splitlines()):
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            events.append(json.loads(line))
+            event = json.loads(line)
         except json.JSONDecodeError as exc:
-            errors.append(f"line {index}: invalid JSON ({exc})")
-    return errors + validate_events(events)
+            errors.append(f"line {number}: invalid JSON ({exc})")
+            continue
+        errors.extend(f"line {number}: {error}"
+                      for error in validate_event(event))
+    return errors
 
 
 # -- metrics sink --------------------------------------------------------------

@@ -3,8 +3,8 @@
 This plays the role of the SQL Server Query Optimizer in the paper's
 architecture (Figure 2, box 2): it simplifies the input tree, builds the
 MEMO, runs logical exploration (all equivalent join orders, group-by /
-join reordering), adds physical alternatives, and can either extract the
-best *serial* plan or hand the whole MEMO to the PDW side.
+join reordering), adds physical alternatives, and hands the whole MEMO
+to the PDW side; the best *serial* plan is extracted only when read.
 
 Exploration details:
 
@@ -29,6 +29,7 @@ Exploration details:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -77,19 +78,36 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationResult:
-    """Everything downstream consumers need."""
+    """Everything downstream consumers need.
+
+    The PDW side reads the MEMO, not the best serial plan (§2.5), so the
+    plan is extracted on its first read, with ``serial_cost_model``.
+    """
 
     query: Query
     memo: Memo
     root_group: int
     stats: StatsContext
     equivalence: ColumnEquivalence
-    best_serial_plan: Optional[PlanNode] = None
+    serial_cost_model: SerialCostModel
+    _serial_plan: Optional[PlanNode] = field(
+        default=None, init=False, repr=False, compare=False)
+    _serial_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False)
+
+    @property
+    def best_serial_plan(self) -> PlanNode:
+        """The §2.5 baseline's input, extracted once on first read."""
+        if self._serial_plan is None:
+            with self._serial_lock:
+                if self._serial_plan is None:
+                    self._serial_plan = extract_best_serial_plan(
+                        self.memo, self.root_group, self.serial_cost_model)
+        return self._serial_plan
 
     @property
     def best_serial_cost(self) -> float:
-        if self.best_serial_plan is None:
-            raise OptimizerError("no serial plan extracted")
         return self.best_serial_plan.cost
 
 
@@ -105,16 +123,14 @@ class SerialOptimizer:
 
     # -- public API -----------------------------------------------------------
 
-    def optimize_sql(self, sql: str, extract_serial: bool = True
-                     ) -> OptimizationResult:
+    def optimize_sql(self, sql: str) -> OptimizationResult:
         with self.tracer.span("parse"):
             statement = parse_query(sql)
         with self.tracer.span("bind"):
             query = Binder(self.shell.catalog).bind(statement)
-        return self.optimize_query(query, extract_serial)
+        return self.optimize_query(query)
 
-    def optimize_query(self, query: Query, extract_serial: bool = True
-                       ) -> OptimizationResult:
+    def optimize_query(self, query: Query) -> OptimizationResult:
         tracer = self.tracer
         with tracer.span("normalize"):
             query = normalize(query)
@@ -147,18 +163,14 @@ class SerialOptimizer:
             tracer.count("serial.memo.expressions.physical",
                          expressions - logical)
 
-        result = OptimizationResult(
+        return OptimizationResult(
             query=query,
             memo=memo,
             root_group=memo.find(root_group),
             stats=stats,
             equivalence=equivalence,
+            serial_cost_model=self.config.cost_model,
         )
-        if extract_serial:
-            with tracer.span("extract_serial"):
-                result.best_serial_plan = extract_best_serial_plan(
-                    memo, result.root_group, self.config.cost_model)
-        return result
 
     # -- equivalence ----------------------------------------------------------
 

@@ -176,7 +176,7 @@ class PartitioningAdvisor:
         shell = self._shell_for(design)
         engine = PdwEngine(shell)
         costs = [
-            engine.compile(entry.sql, extract_serial=False).plan_cost
+            engine.compile(entry.sql).plan_cost
             * entry.weight
             for entry in self.workload
         ]

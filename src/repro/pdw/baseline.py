@@ -75,8 +75,6 @@ def parallelize_serial_plan(serial: OptimizationResult,
     ``opt_trace`` records the (movement-only) enumeration the same way it
     does for the full optimizer.
     """
-    if serial.best_serial_plan is None:
-        raise PdwOptimizerError("serial optimization did not extract a plan")
     logical_root = physical_to_logical(serial.best_serial_plan)
 
     stats = StatsContext(shell)

@@ -79,7 +79,7 @@ class CompiledQuery:
         return self.pdw_plan.cost
 
     @property
-    def serial_plan(self) -> Optional[PlanNode]:
+    def serial_plan(self) -> PlanNode:
         return self.serial.best_serial_plan
 
     def explain(self, verbose: bool = False) -> str:
@@ -170,7 +170,6 @@ class PdwEngine:
         return validated
 
     def compile(self, sql: str,
-                extract_serial: bool = True,
                 hints: Optional[dict] = None,
                 opt_trace: Optional[OptimizerTrace] = None
                 ) -> CompiledQuery:
@@ -198,8 +197,7 @@ class PdwEngine:
             # Components 1-2: parse, bind, serial optimization on the
             # shell DB.
             with tracer.span("serial"):
-                serial = self.serial_optimizer.optimize_sql(
-                    sql, extract_serial=extract_serial)
+                serial = self.serial_optimizer.optimize_sql(sql)
 
             # Component 3: export the search space as XML ...
             xml_text = memo_to_xml(serial.memo, serial.root_group,

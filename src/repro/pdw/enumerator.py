@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.algebra import expressions as ex
 from repro.algebra.logical import (
@@ -56,12 +56,23 @@ from repro.obs.opt_trace import (
     OptimizerTrace,
     format_property_key,
 )
-from repro.optimizer.memo import GroupExpression, Memo, topological_order
-from repro.pdw.cost_model import CostConstants, DEFAULT_COST_CONSTANTS, DmsCostModel
+from repro.optimizer.memo import (
+    Group,
+    GroupExpression,
+    Memo,
+    topological_order,
+)
+from repro.pdw.cost_model import (
+    CostConstants,
+    DEFAULT_COST_CONSTANTS,
+    DmsCost,
+    DmsCostModel,
+)
 from repro.pdw.dms import DataMovement, classify_movement
 from repro.algebra.properties import distribution_satisfies
 from repro.pdw.interesting import (
     CONTROL_KEY,
+    GroupFacts,
     PropertyKey,
     REPLICATED_KEY,
     build_equivalence,
@@ -158,9 +169,7 @@ class PdwOptimizer:
         self.equivalence = equivalence or build_equivalence(memo, root_group)
         self.options: Dict[int, List[PdwOption]] = {}
         self.options_considered = 0
-        # group id -> (output column ids, class -> lowest-id output column)
-        self._group_facts: Dict[int, Tuple[FrozenSet[int],
-                                           Dict[int, ex.ColumnVar]]] = {}
+        self.facts = GroupFacts(memo, self.equivalence)
         self.tracer = tracer
         self.opt_trace = opt_trace
 
@@ -175,7 +184,7 @@ class PdwOptimizer:
             pdw_exprs = preprocess(self.memo, self.node_count)   # steps 02-03
         with tracer.span("interesting_properties") as span:
             self.interesting = derive_interesting_properties(    # step 04
-                self.memo, self.root_group, self.equivalence)
+                self.memo, self.root_group, self.equivalence, self.facts)
             if tracer.enabled:
                 span.set("properties",
                          sum(len(v) for v in self.interesting.values()))
@@ -267,7 +276,7 @@ class PdwOptimizer:
             ]
 
         if isinstance(op, LogicalJoin):
-            return self._join_options(group_id, op, children)
+            return self._join_options(group_id, expr, children)
 
         if isinstance(op, LogicalGroupBy):
             return self._groupby_options(group_id, op, children)
@@ -300,13 +309,12 @@ class PdwOptimizer:
 
     # -- joins ----------------------------------------------------------------------
 
-    def _join_options(self, group_id: int, op: LogicalJoin,
+    def _join_options(self, group_id: int, expr: GroupExpression,
                       children: List[int]) -> List[PdwOption]:
+        op: LogicalJoin = expr.op
         left_options = self.options.get(children[0], ())
         right_options = self.options.get(children[1], ())
-        pairs = ex.equi_join_pairs(op.predicate,
-                                   self._facts_of(children[0])[0],
-                                   self._facts_of(children[1])[0])
+        pairs = self.facts.join_pairs(expr, children)
 
         # Two hashed inputs are aligned when every (left, right) hash
         # column pair falls into the equivalence classes of one equi-join
@@ -368,26 +376,6 @@ class PdwOptimizer:
             key = option.key = property_key_of(option.distribution,
                                                self.equivalence)
         return key
-
-    def _facts_of(self, group_id: int
-                  ) -> Tuple[FrozenSet[int], Dict[int, ex.ColumnVar]]:
-        """A group's output column ids and, per equivalence class, its
-        lowest-id output column in that class (the concrete shuffle
-        target of an enforced hash property).  The MEMO does not change
-        during enumeration, so each group's facts are read once."""
-        facts = self._group_facts.get(group_id)
-        if facts is None:
-            representative = self.equivalence.representative
-            lowest: Dict[int, ex.ColumnVar] = {}
-            output_vars = self.memo.group(group_id).output_vars
-            for var in output_vars:
-                rep = representative(var.id)
-                current = lowest.get(rep)
-                if current is None or var.id < current.id:
-                    lowest[rep] = var
-            facts = self._group_facts[group_id] = (
-                frozenset([var.id for var in output_vars]), lowest)
-        return facts
 
     @staticmethod
     def _join_output_distribution(
@@ -530,18 +518,9 @@ class PdwOptimizer:
                             option.distribution, target, hash_columns)
                         if movement is None:
                             continue
-                        child_group = self.memo.group(child_id)
-                        if moves is None:
-                            breakdown = None
-                            move_cost = self.cost_model.cost(
-                                movement, child_group.cardinality,
-                                child_group.row_width)
-                        else:
-                            breakdown = self.cost_model.cost_breakdown(
-                                movement, child_group.cardinality,
-                                child_group.row_width)
-                            move_cost = breakdown.total
-                        self.tracer.count("pdw.cost_model.invocations")
+                        breakdown = self._price(self.memo.group(child_id),
+                                                movement)
+                        move_cost = breakdown.total
                         candidate = PdwOption(
                             movement, (option,), child_id, target,
                             option.cost + move_cost)
@@ -636,56 +615,62 @@ class PdwOptimizer:
 
     def _enforce(self, group_id: int,
                  options: List[PdwOption]) -> List[PdwOption]:
-        """Figure 4 step 07: add DMS expressions per interesting property."""
+        """Figure 4 step 07: add DMS expressions per interesting property.
+
+        The operation moving an option to a target is fixed by the two
+        distributions' kinds, and its price by the operation, the source
+        kind and the group's rows and width
+        (``DmsCostModel.component_bytes``).  So each pair of kinds is
+        classified and priced once per group, and a movement is built
+        for each key's winner only (and, traced, for every candidate's
+        record)."""
         if not options:
             return options
         group = self.memo.group(group_id)
         opt_trace = self.opt_trace
         interesting = self.interesting.get(group_id, set())
         additions: List[PdwOption] = []
+        # (source kind, target kind) -> price; None: no DMS operation
+        prices: Dict[Tuple[DistKind, DistKind], Optional[DmsCost]] = {}
         for key in sorted(interesting, key=repr):
             target, hash_columns = self._target_for_key(group_id, key)
             if target is None:
                 continue
             best: Optional[PdwOption] = None
+            best_total = 0.0
             best_index = -1
             candidates = [] if opt_trace is not None else None
             for option in options:
                 if self._key_of(option) == key:
                     continue  # already delivers the property
-                movement = classify_movement(option.distribution, target,
-                                             hash_columns)
-                if movement is None:
+                kinds = (option.distribution.kind, target.kind)
+                if kinds not in prices:
+                    movement = classify_movement(option.distribution,
+                                                 target, hash_columns)
+                    prices[kinds] = (None if movement is None
+                                     else self._price(group, movement))
+                price = prices[kinds]
+                if price is None:
                     continue
-                if candidates is None:
-                    breakdown = None
-                    move_cost = self.cost_model.cost(
-                        movement, group.cardinality, group.row_width)
-                else:
-                    # Same arithmetic as cost(): total is the max of the
-                    # components, so traced and untraced runs agree
-                    # bit-for-bit.
-                    breakdown = self.cost_model.cost_breakdown(
-                        movement, group.cardinality, group.row_width)
-                    move_cost = breakdown.total
-                self.tracer.count("pdw.cost_model.invocations")
-                total = option.cost + move_cost
-                if best is None or total < best.cost:
-                    best = PdwOption(movement, (option,), group_id, target,
-                                     total)
+                total = option.cost + price.total
+                if best is None or total < best_total:
+                    best, best_total = option, total
                     if candidates is not None:
                         best_index = len(candidates)
                 if candidates is not None:
-                    candidates.append((movement, breakdown, move_cost,
-                                       total))
+                    candidates.append((option, price, total))
             if best is not None:
-                additions.append(best)
+                additions.append(PdwOption(
+                    classify_movement(best.distribution, target,
+                                      hash_columns),
+                    (best,), group_id, target, best_total))
                 self.tracer.count("pdw.enforcers.added")
                 self.options_considered += 1
             if candidates:
                 key_str = format_property_key(key)
-                for index, (movement, breakdown, move_cost,
-                            total) in enumerate(candidates):
+                for index, (option, price, total) in enumerate(candidates):
+                    movement = classify_movement(option.distribution,
+                                                 target, hash_columns)
                     opt_trace.record_movement(MovementRecord(
                         group=group_id,
                         operation=movement.operation.value,
@@ -695,11 +680,11 @@ class PdwOptimizer:
                         target=str(movement.target),
                         rows=group.cardinality,
                         row_width=group.row_width,
-                        reader=breakdown.reader,
-                        network=breakdown.network,
-                        writer=breakdown.writer,
-                        bulk_copy=breakdown.bulk_copy,
-                        move_cost=move_cost,
+                        reader=price.reader,
+                        network=price.network,
+                        writer=price.writer,
+                        bulk_copy=price.bulk_copy,
+                        move_cost=price.total,
                         total_cost=total,
                         chosen=index == best_index,
                     ))
@@ -767,6 +752,12 @@ class PdwOptimizer:
         cache[group_id] = result
         return result
 
+    def _price(self, group: Group, movement: DataMovement) -> DmsCost:
+        """The cost model's breakdown of moving ``group``'s rows."""
+        self.tracer.count("pdw.cost_model.invocations")
+        return self.cost_model.cost_breakdown(movement, group.cardinality,
+                                              group.row_width)
+
     def _target_for_key(self, group_id: int, key: PropertyKey
                         ) -> Tuple[Optional[Distribution],
                                    Tuple[ex.ColumnVar, ...]]:
@@ -775,7 +766,7 @@ class PdwOptimizer:
         if key == CONTROL_KEY:
             return ON_CONTROL_DIST, ()
         if key[0] == "hash":
-            var = self._facts_of(group_id)[1].get(key[1])
+            var = self.facts.outputs(group_id)[1].get(key[1])
             if var is None:
                 return None, ()
             return hashed_on(var.id), (var,)

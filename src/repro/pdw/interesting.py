@@ -28,7 +28,7 @@ keys.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.algebra import expressions as ex
 from repro.algebra.logical import (
@@ -37,7 +37,7 @@ from repro.algebra.logical import (
     LogicalJoin,
 )
 from repro.algebra.properties import ColumnEquivalence, DistKind, Distribution
-from repro.optimizer.memo import Memo, topological_order
+from repro.optimizer.memo import GroupExpression, Memo, topological_order
 
 PropertyKey = Tuple
 REPLICATED_KEY: PropertyKey = ("replicated",)
@@ -79,10 +79,59 @@ def build_equivalence(memo: Memo, root_group: int) -> ColumnEquivalence:
     return equivalence
 
 
+class GroupFacts:
+    """What step 04 and steps 05-07 both read off the MEMO, computed once
+    per compilation: each group's output column ids and, per equivalence
+    class, its lowest-id output column (the concrete shuffle target of an
+    enforced hash property; the keys are the classes the group carries),
+    and each join expression's equi-join pairs.  The MEMO's groups and
+    expressions do not change while the PDW optimizer walks them."""
+
+    def __init__(self, memo: Memo, equivalence: ColumnEquivalence):
+        self.memo = memo
+        self.equivalence = equivalence
+        self._outputs: Dict[int, Tuple[FrozenSet[int],
+                                       Dict[int, ex.ColumnVar]]] = {}
+        self._pairs: Dict[GroupExpression,
+                          List[Tuple[ex.ColumnVar, ex.ColumnVar]]] = {}
+
+    def outputs(self, group_id: int
+                ) -> Tuple[FrozenSet[int], Dict[int, ex.ColumnVar]]:
+        """(output column ids, class -> lowest-id output column)."""
+        facts = self._outputs.get(group_id)
+        if facts is None:
+            representative = self.equivalence.representative
+            lowest: Dict[int, ex.ColumnVar] = {}
+            output_vars = self.memo.group(group_id).output_vars
+            for var in output_vars:
+                rep = representative(var.id)
+                current = lowest.get(rep)
+                if current is None or var.id < current.id:
+                    lowest[rep] = var
+            facts = self._outputs[group_id] = (
+                frozenset([var.id for var in output_vars]), lowest)
+        return facts
+
+    def join_pairs(self, expr: GroupExpression, children: Sequence[int]
+                   ) -> List[Tuple[ex.ColumnVar, ex.ColumnVar]]:
+        """``equi_join_pairs`` of a join expression over its canonical
+        ``children``."""
+        pairs = self._pairs.get(expr)
+        if pairs is None:
+            pairs = self._pairs[expr] = ex.equi_join_pairs(
+                expr.op.predicate, self.outputs(children[0])[0],
+                self.outputs(children[1])[0])
+        return pairs
+
+
 def derive_interesting_properties(memo: Memo, root_group: int,
-                                  equivalence: ColumnEquivalence
+                                  equivalence: ColumnEquivalence,
+                                  facts: GroupFacts
                                   ) -> Dict[int, Set[PropertyKey]]:
-    """Figure 4 step 04: map canonical group id → interesting properties."""
+    """Figure 4 step 04: map canonical group id → interesting properties.
+
+    ``facts`` is the compilation's :class:`GroupFacts`, so steps 05-07
+    reuse what this walk computed."""
     order = topological_order(memo, root_group)
     interesting: Dict[int, Set[PropertyKey]] = {gid: set() for gid in order}
     interesting[memo.find(root_group)].add(CONTROL_KEY)
@@ -101,15 +150,8 @@ def derive_interesting_properties(memo: Memo, root_group: int,
                     interesting.setdefault(child_id, set()).add(
                         REPLICATED_KEY)
                 if op.predicate is not None:
-                    left_group = memo.group(children[0])
-                    right_group = memo.group(children[1])
-                    left_ids = frozenset(
-                        v.id for v in left_group.output_vars)
-                    right_ids = frozenset(
-                        v.id for v in right_group.output_vars)
-                    pairs = ex.equi_join_pairs(op.predicate, left_ids,
-                                               right_ids)
-                    for left_var, right_var in pairs:
+                    for left_var, right_var in facts.join_pairs(expr,
+                                                                children):
                         interesting[children[0]].add(
                             hash_key(equivalence, left_var.id))
                         interesting[children[1]].add(
@@ -131,11 +173,7 @@ def derive_interesting_properties(memo: Memo, root_group: int,
             # Inheritance: pass down hash-column interest the child's
             # output still carries.
             for child_id in children:
-                child_group = memo.group(child_id)
-                child_reps = {
-                    equivalence.representative(v.id)
-                    for v in child_group.output_vars
-                }
+                child_reps = facts.outputs(child_id)[1]
                 child_set = interesting.setdefault(child_id, set())
                 for key in inherited:
                     if key[0] == "hash" and key[1] in child_reps:

@@ -159,11 +159,11 @@ def _transform_expr(expr: ast.Expr, fn: LiteralFn,
                        for v in expr.values]
     elif isinstance(expr, ast.InSubquery):
         expr.operand = _transform_expr(expr.operand, fn, stable)
-        _transform_select(expr.subquery, fn)
+        _transform_statement(expr.subquery, fn)
     elif isinstance(expr, ast.ExistsExpr):
-        _transform_select(expr.subquery, fn)
+        _transform_statement(expr.subquery, fn)
     elif isinstance(expr, ast.ScalarSubquery):
-        _transform_select(expr.subquery, fn)
+        _transform_statement(expr.subquery, fn)
     elif isinstance(expr, ast.Between):
         expr.operand = _transform_expr(expr.operand, fn, stable)
         expr.low = _transform_expr(expr.low, fn, stable)
@@ -178,7 +178,7 @@ def _transform_expr(expr: ast.Expr, fn: LiteralFn,
 
 def _transform_from_item(item: ast.FromItem, fn: LiteralFn) -> None:
     if isinstance(item, ast.DerivedTable):
-        _transform_select(item.subquery, fn)
+        _transform_statement(item.subquery, fn)
     elif isinstance(item, ast.JoinClause):
         _transform_from_item(item.left, fn)
         _transform_from_item(item.right, fn)

@@ -792,7 +792,14 @@ def _compile_in_list(expr: ex.InListExpr) -> NKernel:
     date_table = [v.toordinal() for v in values
                   if type(v) is datetime.date]
     string_table = _string_table(values)
+    # A NULL member makes a row no member equals UNKNOWN, not FALSE.
+    has_null = any(v is None for v in values)
     fallback = _row_fallback(expr)
+
+    def result(found: np.ndarray, mask: Optional[np.ndarray]):
+        if has_null:
+            mask = _merge_masks(mask, ~found)
+        return NumpyColumn("b", ~found if negated else found, mask)
 
     def in_list(batch):
         col = operand(batch)
@@ -804,17 +811,14 @@ def _compile_in_list(expr: ex.InListExpr) -> NKernel:
             found = (np.isin(col.values, numeric_table)
                      if numeric_table
                      else np.zeros(len(col.values), dtype=np.bool_))
-            return NumpyColumn("b", ~found if negated else found,
-                               col.mask)
+            return result(found, col.mask)
         if kind == "d":
             found = (np.isin(col.values, date_table) if date_table
                      else np.zeros(len(col.values), dtype=np.bool_))
-            return NumpyColumn("b", ~found if negated else found,
-                               col.mask)
+            return result(found, col.mask)
         if kind == "s" and string_table is not None:
             found = np.isin(col.dictionary.entries, string_table)
-            return NumpyColumn("b", (found != negated)[col.values],
-                               col.mask)
+            return result(found[col.values], col.mask)
         return fallback(batch)
 
     return in_list

@@ -1,0 +1,81 @@
+"""IN lists with a NULL member, against SQLite on the same rows.
+
+``x IN (k, NULL)`` is TRUE where ``x = k`` and UNKNOWN everywhere else
+(NULL might be equal); ``x NOT IN (k, NULL)`` is therefore never TRUE.
+Each query runs through ``PdwService.execute`` on a 3-node appliance
+with both executors, and Python's stdlib ``sqlite3`` runs it on the same
+rows: an oracle that shares none of this system's parser, binder or
+evaluator.
+"""
+
+from __future__ import annotations
+
+import sqlite3
+
+import pytest
+
+from repro.appliance.storage import Appliance
+from repro.catalog.schema import Column, TableDef, hash_distributed
+from repro.common.types import INTEGER, varchar
+from repro.service import ExecutionOptions, PdwService
+
+from tests.conftest import canonical
+
+ROWS = [
+    (1, 1, "a"), (2, 2, "b"), (3, None, "a"), (4, 3, None),
+    (5, 1, None), (6, None, None), (7, 4, "c"), (8, 2, "a"),
+    (9, 5, "b"), (10, 1, "d"),
+]
+
+QUERIES = [
+    "SELECT k FROM t WHERE v IN (1, NULL)",
+    "SELECT k FROM t WHERE v NOT IN (1, NULL)",
+    "SELECT k FROM t WHERE v NOT IN (1, 2)",
+    "SELECT k FROM t WHERE NOT (v IN (1, NULL))",
+    "SELECT k FROM t WHERE v IN (NULL)",
+    "SELECT k FROM t WHERE s IN ('a', NULL)",
+    "SELECT k FROM t WHERE s NOT IN ('a', NULL)",
+    "SELECT k FROM t WHERE s NOT IN ('a', 'b')",
+    "SELECT k, CASE WHEN v IN (1, NULL) THEN 'in' "
+    "WHEN v NOT IN (1, NULL) THEN 'out' ELSE 'unknown' END AS c FROM t",
+    "SELECT x.c, COUNT(*) AS n FROM (SELECT CASE "
+    "WHEN s IN ('a', NULL) THEN 'in' WHEN s NOT IN ('a', NULL) THEN 'out' "
+    "ELSE 'unknown' END AS c FROM t) x GROUP BY x.c",
+    "SELECT a.k, b.k AS j FROM t a, t b "
+    "WHERE a.v = b.k AND b.v NOT IN (5, NULL)",
+    "SELECT a.k, b.k AS j FROM t a, t b WHERE a.v = b.k AND b.v IN (5, NULL)",
+]
+
+
+@pytest.fixture(scope="module")
+def service():
+    appliance = Appliance(3)
+    appliance.create_table(TableDef(
+        "t", [Column("k", INTEGER), Column("v", INTEGER),
+              Column("s", varchar(4))],
+        hash_distributed("k")))
+    appliance.load_rows("t", ROWS)
+    return PdwService(appliance=appliance,
+                      shell=appliance.compute_shell_database())
+
+
+@pytest.fixture(scope="module")
+def sqlite():
+    connection = sqlite3.connect(":memory:")
+    connection.execute("CREATE TABLE t (k INTEGER, v INTEGER, s TEXT)")
+    connection.executemany("INSERT INTO t VALUES (?, ?, ?)", ROWS)
+    yield connection
+    connection.close()
+
+
+@pytest.mark.parametrize("executor", ["numpy", "reference"])
+@pytest.mark.parametrize("sql", QUERIES)
+def test_rows_equal_sqlite(service, sqlite, sql, executor):
+    result = service.execute(sql, options=ExecutionOptions(
+        executor=executor))
+    assert canonical(result.rows) == canonical(sqlite.execute(sql))
+
+
+def test_not_in_with_a_null_member_is_never_true(service):
+    assert service.execute(
+        "SELECT k FROM t WHERE v NOT IN (1, NULL)").rows == []

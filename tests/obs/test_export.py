@@ -126,6 +126,22 @@ class TestValidation:
         errors = validate_jsonl('{"event": "query"\nnot json\n')
         assert any("invalid JSON" in e for e in errors)
 
+    def test_jsonl_errors_carry_the_file_line(self):
+        errors = validate_jsonl('not json\n\n{"event": "nope"}\n')
+        assert len(errors) == 2
+        assert errors[0].startswith("line 1: invalid JSON")
+        assert errors[1] == "line 3: unknown event type 'nope'"
+
+    def test_schema_check_prints_the_file_line(self, tmp_path, capsys):
+        from repro.obs.schema_check import main
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text('not json\n\n{"event": "nope"}\n')
+        assert main([str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "  line 1: invalid JSON" in out
+        assert "  line 3: unknown event type 'nope'" in out
+
     def test_errors_carry_event_index(self):
         errors = validate_events([{"event": "nope"}, {"event": "what"}])
         assert errors[0].startswith("event 0:")

@@ -51,7 +51,7 @@ def shell(mini_catalog):
 
 
 def roundtrip(shell, sql):
-    result = SerialOptimizer(shell).optimize_sql(sql, extract_serial=False)
+    result = SerialOptimizer(shell).optimize_sql(sql)
     xml = memo_to_xml(result.memo, result.root_group, result.stats)
     parsed = memo_from_xml(xml, shell)
     return result, parsed
@@ -327,6 +327,69 @@ class TestParserStrictness:
                  if isinstance(expr.op, LogicalJoin)]
         assert joins
         assert all(isinstance(op.predicate, ex.Comparison) for op in joins)
+
+
+# ---------------------------------------------------------------------------
+# the reader merges a hand-edited document as the serial side would
+# ---------------------------------------------------------------------------
+
+def memo_state(memo):
+    """Groups, their expressions, the union-find and the dedup map."""
+    def expression(expr):
+        return (expr.key, expr.is_logical)
+
+    return (
+        [(group.id, [var.id for var in group.output_vars],
+          group.cardinality, group.row_width,
+          [expression(expr) for expr in group.expressions])
+         for group in memo.groups],
+        [memo.find(group.id) for group in memo.groups],
+        {key: (owner, expression(expr))
+         for key, (owner, expr) in memo._dedup.items()},
+    )
+
+
+class TestReaderDedup:
+    @pytest.fixture()
+    def xml(self, shell):
+        result, _ = roundtrip(shell, QUERIES[2])
+        return memo_to_xml(result.memo, result.root_group, result.stats)
+
+    def groups_of(self, xml):
+        return {int(m.group(1)): m.group(0) for m in re.finditer(
+            r'<group id="(\d+)"[^>]*>.*?</group>', xml)}
+
+    def test_a_duplicate_expr_in_its_own_group_is_kept_once(self, shell,
+                                                            xml):
+        join = re.search(r'<expr [^>]*op="Join"[^>]*/>', xml).group()
+        edited = xml.replace(join, join * 2, 1)
+        parsed = memo_from_xml(edited, shell).memo
+        assert memo_state(parsed) == memo_state(
+            memo_from_xml(xml, shell).memo)
+
+    def test_a_self_reference_is_dropped(self, shell, xml):
+        group_id, group = next(
+            (gid, text) for gid, text in self.groups_of(xml).items()
+            if 'op="Join"' in text)
+        loop = f'<expr children="{group_id}" op="Select" pred="0"/>'
+        edited = xml.replace(group, group.replace(
+            "</group>", loop + "</group>"), 1)
+        parsed = memo_from_xml(edited, shell).memo
+        assert memo_state(parsed) == memo_state(
+            memo_from_xml(xml, shell).memo)
+
+    def test_a_key_another_group_holds_merges_the_two(self, shell, xml):
+        groups = self.groups_of(xml)
+        scans = [(gid, re.search(r'<expr [^>]*op="Get"[^>]*/>', text))
+                 for gid, text in groups.items()]
+        (first, get), (second, _) = [
+            (gid, match.group()) for gid, match in scans if match][:2]
+        edited = xml.replace(groups[second], groups[second].replace(
+            "</group>", get + "</group>"), 1)
+        parsed = memo_from_xml(edited, shell).memo
+        in_memo = list(groups).index  # the reader numbers groups in order
+        assert parsed.find(in_memo(first)) == parsed.find(in_memo(second))
+        assert len(parsed.canonical_groups()) == len(groups) - 1
 
 
 # ---------------------------------------------------------------------------

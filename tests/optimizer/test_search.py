@@ -1,5 +1,9 @@
 """Serial optimizer search tests: join enumeration, rules, extraction."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.algebra import physical as phys
@@ -7,7 +11,12 @@ from repro.algebra.logical import AggPhase, LogicalGroupBy, LogicalJoin
 from repro.catalog.schema import Catalog, Column, TableDef, hash_distributed
 from repro.catalog.shell_db import ShellDatabase
 from repro.common.types import INTEGER
-from repro.optimizer.search import OptimizerConfig, SerialOptimizer
+from repro.optimizer import search
+from repro.optimizer.search import (
+    OptimizerConfig,
+    SerialOptimizer,
+    extract_best_serial_plan,
+)
 from repro.workloads.tpch_queries import TPCH_QUERIES
 from tests.service.test_scan_path_c_loops import SHUFFLE_SHAPES
 
@@ -189,10 +198,69 @@ class TestExtraction:
                       if isinstance(n.op, phys.HashJoin)]
         assert hash_joins, "hash join must beat NLJ on an equi join"
 
-    def test_serial_extraction_optional(self, optimizer):
+    @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
+    def test_the_lazy_plan_is_the_one_extracted_directly(self, name,
+                                                         tpch_shell):
+        optimizer = SerialOptimizer(tpch_shell)
+        result = optimizer.optimize_sql(TPCH_QUERIES[name])
+        direct = extract_best_serial_plan(result.memo, result.root_group,
+                                          optimizer.config.cost_model)
+        lazy = result.best_serial_plan
+        assert lazy.tree_string() == direct.tree_string()
+        assert [(n.op.describe(), n.cardinality, n.cost)
+                for n in lazy.walk()] == [
+            (n.op.describe(), n.cardinality, n.cost) for n in direct.walk()]
+        assert result.best_serial_plan is lazy  # extracted once
+
+    def test_compile_extracts_nothing_until_the_plan_is_read(
+            self, optimizer, monkeypatch):
+        calls = []
+        extract = search.extract_best_serial_plan
+        monkeypatch.setattr(search, "extract_best_serial_plan",
+                            lambda *args: calls.append(args) or extract(*args))
+        result = optimizer.optimize_sql("SELECT c_name FROM customer")
+        assert calls == []
+        assert result.best_serial_cost > 0
+        assert len(calls) == 1
+
+    def test_threads_reading_at_once_extract_once(self, optimizer,
+                                                  monkeypatch):
+        calls = []
+        extract = search.extract_best_serial_plan
+
+        def slow_extract(*args):
+            calls.append(args)
+            time.sleep(0.01)  # the other readers arrive meanwhile
+            return extract(*args)
+
+        monkeypatch.setattr(search, "extract_best_serial_plan",
+                            slow_extract)
         result = optimizer.optimize_sql(
-            "SELECT c_name FROM customer", extract_serial=False)
-        assert result.best_serial_plan is None
+            "SELECT c_name FROM customer, orders "
+            "WHERE c_custkey = o_custkey")
+        readers = 8
+        barrier = threading.Barrier(readers)
+        plans = []
+
+        def read():
+            barrier.wait(5)
+            plans.append(result.best_serial_plan)
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert len(plans) == readers
+        assert plans[0] is not None
+        assert all(plan is plans[0] for plan in plans)
 
 
 class TestSeededGreedy:
@@ -241,15 +309,13 @@ class TestJoinRegionGroups:
     @pytest.mark.parametrize("name", sorted(MEMO_GROUPS))
     def test_groups_kept_and_created(self, name, tpch_shell):
         sql = {**TPCH_QUERIES, **BENCH_SHAPES}[name]
-        result = SerialOptimizer(tpch_shell).optimize_sql(
-            sql, extract_serial=False)
+        result = SerialOptimizer(tpch_shell).optimize_sql(sql)
         memo = result.memo
         assert (len(memo.canonical_groups()), len(memo.groups)) \
             == MEMO_GROUPS[name]
 
     def test_equal_split_predicates_are_one_object(self, tpch_shell):
-        result = SerialOptimizer(tpch_shell).optimize_sql(
-            TPCH_QUERIES["Q5"], extract_serial=False)
+        result = SerialOptimizer(tpch_shell).optimize_sql(TPCH_QUERIES["Q5"])
 
         def query_joins(op):
             if isinstance(op, LogicalJoin):

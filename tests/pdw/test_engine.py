@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.optimizer import search
 from repro.optimizer.memo_xml import memo_from_xml
 from repro.pdw.engine import PdwEngine
 
@@ -40,10 +41,17 @@ class TestCompile:
         assert "DSQL plan" in text
         assert "DMS cost" in text
 
-    def test_skip_serial_extraction(self, engine):
-        compiled = engine.compile(SQL, extract_serial=False)
-        assert compiled.serial.best_serial_plan is None
-        assert compiled.dsql_plan.steps  # PDW side unaffected
+    def test_skip_serial_extraction(self, engine, monkeypatch):
+        """The PDW side reads the MEMO, so compiling extracts no serial
+        plan; the first read of it does."""
+        calls = []
+        extract = search.extract_best_serial_plan
+        monkeypatch.setattr(search, "extract_best_serial_plan",
+                            lambda *args: calls.append(args) or extract(*args))
+        compiled = engine.compile(SQL)
+        assert compiled.dsql_plan.steps and calls == []
+        assert compiled.serial_plan is compiled.serial.best_serial_plan
+        assert len(calls) == 1
 
     def test_dsql_order_and_limit_carried(self, engine):
         compiled = engine.compile(SQL + " ORDER BY c_name DESC LIMIT 3")

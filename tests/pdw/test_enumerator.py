@@ -25,12 +25,12 @@ from repro.optimizer.memo import topological_order
 from repro.optimizer.search import SerialOptimizer
 from repro.pdw.dms import DataMovement, DmsOperation
 from repro.pdw.enumerator import PdwConfig, PdwOptimizer, PdwOption
-from repro.pdw.interesting import derive_interesting_properties
+from repro.pdw.interesting import GroupFacts, derive_interesting_properties
 from repro.pdw.topdown import _join_output_distribution
 
 
 def optimize(shell, sql, config=None):
-    serial = SerialOptimizer(shell).optimize_sql(sql, extract_serial=False)
+    serial = SerialOptimizer(shell).optimize_sql(sql)
     pdw = PdwOptimizer(serial.memo, serial.root_group,
                        node_count=shell.node_count,
                        equivalence=serial.equivalence, config=config)
@@ -133,8 +133,7 @@ class TestPruning:
         """Figure 4 step 06.ii: ≤ #interesting properties + 1 options."""
         serial = SerialOptimizer(mini_shell).optimize_sql(
             "SELECT c_name FROM customer, orders, lineitem "
-            "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey",
-            extract_serial=False)
+            "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey")
         pdw = PdwOptimizer(serial.memo, serial.root_group, node_count=8,
                            equivalence=serial.equivalence)
         pdw.optimize()
@@ -166,11 +165,11 @@ class TestInterestingProperties:
     def test_join_columns_interesting(self, mini_shell):
         serial = SerialOptimizer(mini_shell).optimize_sql(
             "SELECT c_name FROM customer, orders "
-            "WHERE c_custkey = o_custkey", extract_serial=False)
+            "WHERE c_custkey = o_custkey")
         from repro.pdw.interesting import build_equivalence
         eq = build_equivalence(serial.memo, serial.root_group)
         props = derive_interesting_properties(
-            serial.memo, serial.root_group, eq)
+            serial.memo, serial.root_group, eq, GroupFacts(serial.memo, eq))
         hash_props = {
             key for keys in props.values() for key in keys
             if key[0] == "hash"
@@ -180,11 +179,11 @@ class TestInterestingProperties:
     def test_groupby_keys_interesting(self, mini_shell):
         serial = SerialOptimizer(mini_shell).optimize_sql(
             "SELECT c_nationkey, COUNT(*) FROM customer "
-            "GROUP BY c_nationkey", extract_serial=False)
+            "GROUP BY c_nationkey")
         from repro.pdw.interesting import build_equivalence
         eq = build_equivalence(serial.memo, serial.root_group)
         props = derive_interesting_properties(
-            serial.memo, serial.root_group, eq)
+            serial.memo, serial.root_group, eq, GroupFacts(serial.memo, eq))
         order = topological_order(serial.memo, serial.root_group)
         assert any(
             key[0] == "hash" for gid in order for key in props.get(gid, ())
@@ -261,7 +260,7 @@ class TestJoinAlignment:
                 produced = [
                     (option.children[0], option.children[1],
                      option.distribution)
-                    for option in pdw._join_options(group_id, expr.op,
+                    for option in pdw._join_options(group_id, expr,
                                                     children)]
                 assert produced == expected
                 checked += len(produced)
@@ -309,7 +308,7 @@ class TestJoinAlignment:
             if distribution is not None]
         produced = [
             (option.children[0], option.children[1], option.distribution)
-            for option in pdw._join_options(group_id, expr.op, children)]
+            for option in pdw._join_options(group_id, expr, children)]
         assert produced == expected
         aligned = [d for left, right, d in produced
                    if left.distribution.kind is DistKind.HASHED

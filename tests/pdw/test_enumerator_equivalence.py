@@ -18,7 +18,7 @@ from repro.workloads.tpch_queries import TPCH_QUERIES, query_names
 
 
 def agree(shell, sql):
-    serial = SerialOptimizer(shell).optimize_sql(sql, extract_serial=False)
+    serial = SerialOptimizer(shell).optimize_sql(sql)
     bottom_up = PdwOptimizer(
         serial.memo, serial.root_group, shell.node_count,
         equivalence=serial.equivalence).optimize()

@@ -5,6 +5,7 @@ import pytest
 from repro.optimizer.search import SerialOptimizer
 from repro.pdw.interesting import (
     CONTROL_KEY,
+    GroupFacts,
     REPLICATED_KEY,
     build_equivalence,
     concrete_hash_column,
@@ -21,10 +22,11 @@ from repro.algebra.properties import (
 
 
 def derive(shell, sql):
-    result = SerialOptimizer(shell).optimize_sql(sql, extract_serial=False)
+    result = SerialOptimizer(shell).optimize_sql(sql)
     equivalence = build_equivalence(result.memo, result.root_group)
-    props = derive_interesting_properties(result.memo, result.root_group,
-                                          equivalence)
+    props = derive_interesting_properties(
+        result.memo, result.root_group, equivalence,
+        GroupFacts(result.memo, equivalence))
     return result, equivalence, props
 
 

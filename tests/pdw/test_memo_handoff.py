@@ -30,7 +30,7 @@ QUERIES = {**TPCH_QUERIES, **SHAPES, "NOVEL": NOVEL}
 
 
 def serial_memo(shell, sql):
-    return SerialOptimizer(shell).optimize_sql(sql, extract_serial=False)
+    return SerialOptimizer(shell).optimize_sql(sql)
 
 
 def document(serial):

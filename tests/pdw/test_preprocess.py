@@ -12,7 +12,7 @@ from repro.pdw.preprocess import (
 
 
 def serial(shell, sql):
-    return SerialOptimizer(shell).optimize_sql(sql, extract_serial=False)
+    return SerialOptimizer(shell).optimize_sql(sql)
 
 
 def local_groups(memo):

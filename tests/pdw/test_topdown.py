@@ -28,7 +28,7 @@ QUERIES = [
 
 
 def both(shell, sql):
-    serial = SerialOptimizer(shell).optimize_sql(sql, extract_serial=False)
+    serial = SerialOptimizer(shell).optimize_sql(sql)
     bottom_up = PdwOptimizer(
         serial.memo, serial.root_group, shell.node_count,
         equivalence=serial.equivalence).optimize()
@@ -71,8 +71,7 @@ class TestExecution:
         sql = ("SELECT c_nationkey, COUNT(*) AS n "
                "FROM customer, orders WHERE c_custkey = o_custkey "
                "GROUP BY c_nationkey ORDER BY c_nationkey")
-        serial = SerialOptimizer(tpch_shell).optimize_sql(
-            sql, extract_serial=False)
+        serial = SerialOptimizer(tpch_shell).optimize_sql(sql)
         plan = TopDownPdwOptimizer(
             serial.memo, serial.root_group, tpch_shell.node_count,
             equivalence=serial.equivalence).optimize()
@@ -92,8 +91,7 @@ class TestExecution:
 
 class TestMemoization:
     def test_cells_are_reused(self, mini_shell):
-        serial = SerialOptimizer(mini_shell).optimize_sql(
-            QUERIES[5], extract_serial=False)
+        serial = SerialOptimizer(mini_shell).optimize_sql(QUERIES[5])
         optimizer = TopDownPdwOptimizer(
             serial.memo, serial.root_group, mini_shell.node_count,
             equivalence=serial.equivalence)

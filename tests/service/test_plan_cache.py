@@ -15,6 +15,7 @@ import pytest
 
 from tests.conftest import canonical
 from repro import PdwSession
+from repro.appliance.runner import run_reference
 from repro.service import ExecutionOptions, PlanCache, parameterize
 from repro.service.plan_cache import (
     CacheEntry,
@@ -248,6 +249,28 @@ class TestCachedExecutionCorrectness:
                            options=ExecutionOptions(trace=False))
         expected = fresh.run(base.format(10, 4))
         assert split.rows == expected.rows
+
+    @pytest.mark.parametrize("template", [
+        "SELECT n_name AS name FROM nation WHERE n_regionkey = {} "
+        "UNION ALL SELECT r_name FROM region WHERE r_regionkey > {}",
+        "SELECT u.k, COUNT(*) AS n FROM (SELECT n_regionkey AS k "
+        "FROM nation WHERE n_nationkey < {} UNION ALL SELECT c_nationkey "
+        "FROM customer WHERE c_acctbal > {}) u GROUP BY u.k",
+    ], ids=["top_level", "derived_table"])
+    def test_union_all_hit_rebinds_to_the_reference_rows(self, service,
+                                                         tpch, template):
+        appliance, _ = tpch
+        miss = service.execute(template.format(1, 2))
+        assert miss.cache_hit is False
+        hit = service.execute(template.format(3, 0))
+        assert hit.cache_hit is True
+        expected = run_reference(appliance, template.format(3, 0))
+        assert canonical(hit.rows) == canonical(expected.rows)
+        assert canonical(hit.rows) != canonical(miss.rows)
+        uncached = service.execute(
+            template.format(3, 0),
+            options=ExecutionOptions(use_plan_cache=False))
+        assert canonical(uncached.rows) == canonical(expected.rows)
 
     def test_dateadd_query_cached_safely(self, service, tpch):
         appliance, shell = tpch
