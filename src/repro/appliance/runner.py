@@ -158,10 +158,11 @@ class DsqlRunner:
         tracer = self.tracer
         if plan.steps and plan.steps[0].binding is None:
             plan = plan.bind()  # the plan is its own template
+        template = plan.steps[0].binding.template if plan.steps else plan
         if self.executor == "numpy" and plan.steps:
-            self.runtime.prepared(plan.steps[0].binding.template)
+            self.runtime.prepared(template)
         if request.enabled:
-            request.begin_plan(plan)
+            request.begin_plan(template)
         try:
             with tracer.span("execute"):
                 for step in plan.steps:

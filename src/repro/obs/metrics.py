@@ -34,6 +34,7 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_METRICS",
     "DEFAULT_BUCKETS",
+    "VALUE_LOCK",
 ]
 
 
@@ -54,7 +55,9 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 # `PdwService._finish` records its finished request.  One shared lock
 # keeps every series consistent; the critical sections are a few
 # arithmetic ops, far cheaper than the label lookup that precedes them.
-_VALUE_LOCK = threading.Lock()
+# A writer of many series takes it once and writes each with `add` /
+# `record`, which assume it is held.
+VALUE_LOCK = threading.Lock()
 
 
 class CounterValue:
@@ -66,10 +69,14 @@ class CounterValue:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
+        with VALUE_LOCK:
+            self.add(amount)
+
+    def add(self, amount: float) -> None:
+        """:meth:`inc` by a caller holding :data:`VALUE_LOCK`."""
         if amount < 0:
             raise MetricsError("counters can only increase")
-        with _VALUE_LOCK:
-            self.value += amount
+        self.value += amount
 
 
 class GaugeValue:
@@ -84,7 +91,7 @@ class GaugeValue:
         self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        with _VALUE_LOCK:
+        with VALUE_LOCK:
             self.value += amount
 
 
@@ -100,15 +107,19 @@ class HistogramValue:
         self.count = 0
 
     def observe(self, value: float) -> None:
+        with VALUE_LOCK:
+            self.record(value)
+
+    def record(self, value: float) -> None:
+        """:meth:`observe` by a caller holding :data:`VALUE_LOCK`."""
         value = float(value)
-        with _VALUE_LOCK:
-            self.total += value
-            self.count += 1
-            # per-bucket counts; cumulative() folds them for exposition
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.counts[i] += 1
-                    break
+        self.total += value
+        self.count += 1
+        # per-bucket counts; cumulative() folds them for exposition
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                self.counts[i] += 1
+                break
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """(upper bound, cumulative count) pairs, excluding +Inf."""

@@ -250,10 +250,12 @@ class OperatorProfile:
 class StepProfile:
     """One DSQL step: movement accounting, skew, transfer matrix.
 
-    The one place a step's estimates meet its actuals: EXPLAIN ANALYZE,
-    ``repro profile`` and the Query Store all read their step rows off
-    :func:`step_profile`, which :func:`build_query_profile` extends with
-    the per-node columns (left empty by :func:`step_profile`)."""
+    The one place a step's estimates meet its actuals: EXPLAIN ANALYZE
+    and ``repro profile`` read their step rows off :func:`step_profile`,
+    which :func:`build_query_profile` extends with the per-node columns
+    (left empty by :func:`step_profile`).  The Query Store folds the
+    same columns per call from each template step's estimates, kept on
+    the template, and the step's stats."""
 
     index: int
     kind: str           # "DMS" or "Return"
@@ -443,8 +445,7 @@ def build_query_profile(steps: Sequence, step_stats: Sequence, *,
 def step_profile(step, stats) -> StepProfile:
     """Join one DSQL step's estimates with its execution stats: the
     step-level columns only, without the per-node ones
-    :func:`build_query_profile` adds (the Query Store's row, cheap
-    enough for every served request)."""
+    :func:`build_query_profile` adds."""
     return StepProfile(
         index=step.index,
         kind=step.kind_label,

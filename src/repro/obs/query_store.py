@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ReproError
-from repro.obs.profiler import q_error, step_profile
+from repro.obs.profiler import q_error
 
 __all__ = [
     "StepCardinality",
@@ -288,11 +288,11 @@ class QueryStore:
         if timing is None:
             timing = getattr(result, "timing", None)
         step_stats = getattr(result, "step_stats", ())
-        profiles = [step_profile(step, stats)
-                    for step, stats in zip(plan.steps, step_stats)]
-        steps = [(step.index, step.kind, step.operation,
-                  float(step.estimated_rows), int(step.actual_rows))
-                 for step in profiles]
+        facts = plan.step_facts
+        # Per call, only the actuals: rows and bytes each step moved.
+        steps = [(index, kind, operation, estimated, int(stats.rows_moved))
+                 for (index, kind, operation, estimated), stats
+                 in zip(facts, step_stats)]
         if timing is not None:
             wall = timing.total_seconds
             queue = timing.queue_seconds
@@ -309,7 +309,8 @@ class QueryStore:
             schema_version=schema_version,
             cache_hit=cache_hit,
             rows=len(result.rows),
-            bytes_moved=sum(step.actual_bytes for step in profiles),
+            bytes_moved=sum(stats.moved_bytes()
+                            for _, stats in zip(facts, step_stats)),
             elapsed_seconds=result.elapsed_seconds,
             wall_seconds=wall,
             queue_seconds=queue,

@@ -155,12 +155,12 @@ class RequestHandle:
             self._record.status = "compiling"
 
     def begin_plan(self, plan) -> None:
-        """The service is about to run ``plan``: materialize one
-        :class:`StepProgress` per DSQL step and go ``running``."""
+        """The service is about to run ``plan`` (the template): one
+        :class:`StepProgress` per DSQL step, labelled from the
+        template's kept step facts, and go ``running``."""
         record = self._record
-        steps = [StepProgress(index=step.index, kind=step.kind_label,
-                              operation=step.label)
-                 for step in plan.steps]
+        steps = [StepProgress(index=index, kind=kind, operation=operation)
+                 for index, kind, operation, _ in plan.step_facts]
         with self._registry._lock:
             record.step_count = len(steps)
             record.steps = steps

@@ -199,6 +199,8 @@ def _conjunct_selectivity(conj: ex.ScalarExpr, context: StatsContext,
         return 1.0 - base if conj.negated else base
 
     if isinstance(conj, ex.InListExpr):
+        if conj.negated and any(value is None for value in conj.values):
+            return 0.0  # x NOT IN (..., NULL) is never TRUE
         base = _in_list_selectivity(conj, context, input_rows)
         return 1.0 - base if conj.negated else base
 
@@ -289,10 +291,12 @@ def _like_selectivity(conj: ex.LikeExpr, context: StatsContext) -> float:
 
 def _in_list_selectivity(conj: ex.InListExpr, context: StatsContext,
                          input_rows: float) -> float:
+    # A NULL member matches no row: only the others count.
+    members = sum(value is not None for value in conj.values)
     if not isinstance(conj.operand, ex.ColumnVar):
-        return min(1.0, DEFAULT_EQ_SELECTIVITY * len(conj.values))
+        return min(1.0, DEFAULT_EQ_SELECTIVITY * members)
     per_value = 1.0 / max(1.0, context.distinct_of(conj.operand.id, input_rows))
-    return min(1.0, per_value * len(conj.values))
+    return min(1.0, per_value * members)
 
 
 def _null_fraction(operand: ex.ScalarExpr, context: StatsContext) -> float:

@@ -79,3 +79,29 @@ def test_rows_equal_sqlite(service, sqlite, sql, executor):
 def test_not_in_with_a_null_member_is_never_true(service):
     assert service.execute(
         "SELECT k FROM t WHERE v NOT IN (1, NULL)").rows == []
+
+
+@pytest.fixture(scope="module")
+def nation_service():
+    return PdwService(scale=0.002, node_count=3)
+
+
+def _estimate(service, predicate):
+    """(estimated rows, actual rows) of the nation scan under
+    ``predicate``."""
+    result = service.execute(
+        f"SELECT n_name FROM nation WHERE n_regionkey {predicate}")
+    return result.plan.dsql_plan.steps[-1].estimated_rows, len(result.rows)
+
+
+def test_in_list_estimates_count_only_the_non_null_members(nation_service):
+    assert _estimate(nation_service, "IN (1, NULL)") \
+        == _estimate(nation_service, "IN (1)") == (5.0, 5)
+    assert _estimate(nation_service, "NOT IN (1)") == (20.0, 20)
+
+
+def test_not_in_with_a_null_member_estimates_no_rows(nation_service):
+    estimated, actual = _estimate(nation_service, "NOT IN (1, NULL)")
+    assert actual == 0 and round(estimated) == 0
+    # The same floor every never-TRUE predicate gets.
+    assert estimated == _estimate(nation_service, "IN (NULL)")[0]

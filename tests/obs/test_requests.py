@@ -21,7 +21,7 @@ from repro.obs.requests import (
     TERMINAL_STATES,
 )
 from repro.obs.query_store import plan_shape_digest
-from repro.pdw.dsql import DsqlStep
+from repro.pdw.dsql import DsqlPlan, DsqlStep
 from repro.service.options import ExecutionOptions
 from repro.workloads.tpch_datagen import build_tpch_appliance
 
@@ -43,6 +43,7 @@ class FakeStep:
         self.sql = sql
         self.movement = movement
 
+    estimated_rows = 0.0
     label = DsqlStep.label
     kind_label = DsqlStep.kind_label
 
@@ -51,6 +52,9 @@ class FakePlan:
     def __init__(self, steps):
         self.steps = steps
         self.shape_hash = None
+        self._step_facts = None
+
+    step_facts = DsqlPlan.step_facts
 
 
 def FakeStats(rows=10, nbytes=400, operation="Shuffle", elapsed=0.25,
