@@ -160,7 +160,7 @@ def _with_new_literals(sql: str) -> str:
     up by 0.01 — and every structural literal as it stands."""
     parameterize(sql)
     parts, literals = skeleton(sql)
-    fixed, _shapes = plan_cache._SKELETONS[parts]
+    fixed, _shapes, _ = plan_cache._SKELETONS[parts]
     starts = [0]
     for line in sql.split("\n"):
         starts.append(starts[-1] + len(line) + 1)
