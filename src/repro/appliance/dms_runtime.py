@@ -12,19 +12,28 @@ max-composition: ``max(max(reader, network), max(writer, bulkcopy))`` over
 nodes — so the calibration harness (§3.3.3) can fit λ from "targeted
 performance tests" exactly as the paper describes.
 
+Every step has one shape after its node SQL, whatever engine ran it
+(§2.1, §2.4): the step's output over its whole source group is one
+:class:`~repro.vector.np_batch.ArrayBatch` — typed columns plus the
+bounds that place its rows on the source nodes — sized once and routed
+once (:func:`route_group`).  Per-node rows, bytes and ownership are
+read off the bounds and one source × target matrix; a hash-distributed
+temp is stored once, in target order, and every node holds a view of
+its own rows; a broadcast-style move hands every target one shared
+fragment (stored fragments are never mutated).  The data plane is
+columnar end to end — the Return step hands its columns to the control
+node, which builds the client's row tuples.
+
+What differs between the executors is only how that batch is made.
 Under the default ``"numpy"`` executor a step runs **once** for its
 whole source group (DESIGN §5c): every node runs the same SQL over its
 own fragment, so the interpreter runs it once over the fragments
-stacked, the node as a leading segment, and the output — typed columns
-plus the bounds that place its rows on the source nodes — is sized once
-and routed once (:func:`route_group`).  Per-node rows, bytes and
-ownership are read off the bounds and one source × target matrix, not
-off ``n`` runs; a hash-distributed temp is stored once, in target
-order, and every node holds a view of its own rows.  The data plane is
-columnar end to end — the Return step hands its columns to the control
-node, which builds the client's row tuples — and
-every number in :class:`StepExecutionStats` is the oracle's, bit for
-bit.
+stacked, the node as a leading segment.  The oracle
+(``executor="reference"``) keeps the paper's literal shape: each source
+node, in node-id order, runs the SQL on the tree-walking interpreter,
+and the rows are stacked once, one segment per node.  The per-row
+router that ``route_group`` is held to lives with the tests
+(``tests/row_router.py``).
 
 A step reports what happened only through the
 :class:`StepExecutionStats` it returns, plus the tracer's ``dms.*``
@@ -32,17 +41,6 @@ counters: the runtime holds no metrics registry and no request handle.
 The control node writes every fact about a step from those stats — the
 runner's ``end_step`` fills the request's per-step and per-node rows,
 and the service's completion writes the step and DMS metric series.
-
-The oracle (``executor="reference"``) keeps the paper's literal shape:
-each source node, in node-id order, runs the SQL on the tree-walking
-interpreter and routes its own rows through the reference router's
-per-row ``dict.setdefault`` accounting
-(:meth:`DmsRuntime._route_batch_reference`), and the deliveries are
-merged in node-id order into one row fragment per target
-(:meth:`~repro.vector.np_batch.ColumnFragment.from_rows`).
-Broadcast-style moves deliver one shared row list (or column fragment)
-to every target under both executors — stored fragments are never
-mutated — instead of materializing N copies of every row.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,9 +62,7 @@ from repro.appliance.storage import (
     NodeStorage,
     batch_row_bytes,
     column_owners,
-    node_for_row,
     place_rows,
-    row_bytes,
 )
 from repro.catalog.schema import Catalog
 from repro.common.errors import DmsError
@@ -80,6 +76,7 @@ from repro.telemetry import NULL_TRACER, Tracer
 from repro.vector.np_batch import (
     ArrayBatch,
     ColumnFragment,
+    column_from_list,
     offsets,
     segment_ids,
 )
@@ -171,12 +168,6 @@ class StepExecutionStats:
         return sum(self.moved_node_bytes().values())
 
 
-#: One routed delivery of the oracle: (target node id, rows, bytes).
-#: The row list may be *shared* between targets (broadcast); it is
-#: stored as it stands and never mutated.
-Delivery = Tuple[int, List[Tuple], int]
-
-
 def segment_sums(sizes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Per-node byte totals of a group output: one running sum over
     its per-row ``sizes``, read at the ``bounds``."""
@@ -203,8 +194,8 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
                 source_ids: List[int], sizes: np.ndarray,
                 hash_index: Optional[int], node_count: int,
                 transfers: bool = False) -> GroupRouting:
-    """Column routing for the numpy executor, once per step: no row is
-    ever assembled and no source is routed on its own.
+    """Column routing, once per step and for either executor: no row
+    is ever assembled and no source is routed on its own.
 
     ``batch`` is the step's output over its whole source group, keyed
     by column position, ``batch.bounds`` placing source
@@ -217,7 +208,7 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
     *stable* sort, and the rows are source-major already, so each
     target's rows come out in source order and, within a source, in
     that source's output order — exactly the concatenation of
-    per-source buckets the reference router appends.  A trim places
+    per-source buckets a per-row router appends.  A trim places
     the rows whose owner is their own source.  Either way the rows are
     stored once, with the targets as bounds, and every compute node
     gets its view
@@ -227,8 +218,9 @@ def route_group(operation: DmsOperation, batch: ArrayBatch,
     exactly); network bytes are its off-diagonal row sums, written
     bytes its column sums.  The moves that route a source's rows as a
     unit hand every target one shared fragment of the whole output.
-    Every count is the reference router's, bit for bit; the routing
-    tests pin this against :meth:`DmsRuntime._route_batch_reference`.
+    Every count is a per-row router's, bit for bit; the routing tests
+    pin this against one that shares no code with it
+    (``tests/row_router.py``).
     """
     sources = len(source_ids)
     bounds = batch.bounds
@@ -325,32 +317,17 @@ def _node_tables(node: NodeStorage, tables, temps, columnar: bool
     return view
 
 
-@dataclass
-class _SourceRun:
-    """One node's extract+route output under the oracle, merged in
-    node order."""
-
-    node_id: int
-    output: List[Tuple]
-    names: List[str]
-    read_bytes: int
-    relational_rows: int
-    deliveries: List[Delivery]
-    sent: int
-    observer: Optional[OperatorObserver]
-    wall_seconds: float
-
-
 class DmsRuntime:
     """Executes DSQL steps against an :class:`Appliance`.
 
-    ``executor`` names the node-local backend: ``"numpy"`` (the
-    default, :class:`repro.vector.np_executor.NumpyInterpreter`) runs
-    a step once over its whole source group and hands one column batch
-    to one router (:func:`route_group`); ``"reference"`` (the oracle,
+    ``executor`` names the node-local backend, picked once, here:
+    ``"numpy"`` (the default, :class:`repro.vector.np_executor.
+    NumpyInterpreter`) runs a step once over its whole source group
+    (:meth:`_run_group`); ``"reference"`` (the oracle,
     :class:`repro.appliance.interpreter.PlanInterpreter`) runs it node
-    by node, in node-id order, and routes row tuples through
-    :meth:`_route_batch_reference`.
+    by node, in node-id order (:meth:`_run_nodes`).  Either hands the
+    same thing on — one batch, one segment per source — and every step
+    is routed, sized and accounted by the one path after it.
 
     Under the default executor a plan's steps are parsed and bound
     **once**, at the plan's first execution (:meth:`prepared`), and
@@ -376,6 +353,8 @@ class DmsRuntime:
         self.truth = truth or GroundTruthConstants()
         self.tracer = tracer
         self.executor = resolve_executor(executor)
+        self._run = (self._run_group if self.executor == "numpy"
+                     else self._run_nodes)
         self._prepare_lock = threading.Lock()
 
     def _record_movement(self, stats: StepExecutionStats) -> None:
@@ -502,61 +481,16 @@ class DmsRuntime:
             return [self.appliance.compute[0]]
         return list(self.appliance.compute)
 
-    # -- movement execution -----------------------------------------------------------
-
-    def _run_sources(self, step: DsqlStep, hash_index: Optional[int],
-                     profile: bool) -> List[_SourceRun]:
-        """Run extract+route for every source node of a step, one node
-        at a time in source-node order — the oracle."""
-        node_count = self.appliance.node_count
-        operation = step.movement.operation if step.movement else None
-
-        def run_one(source: NodeStorage) -> _SourceRun:
-            started = time.perf_counter()
-            sql_stats = InterpreterStats()
-            observer = OperatorObserver() if profile else None
-            interpreter, query = self._interpreter(
-                step.sql, source, sql_stats, observer)
-            source_id = source.node_id
-            output = interpreter.run_query(query)
-            if operation is None and source_id == CONTROL_NODE:
-                sizes_total = 0  # already at the control node
-            else:
-                sizes = [row_bytes(r) for r in output]
-                sizes_total = sum(sizes)
-            if operation is None:
-                # Return step: no routing, only network accounting.
-                deliveries: List[Delivery] = []
-                sent = sizes_total
-            else:
-                # The one sizing pass above serves reader, network and
-                # writer accounting alike.
-                deliveries, sent = self._route_batch_reference(
-                    operation, output, sizes, hash_index,
-                    node_count, source_id)
-            return _SourceRun(
-                node_id=source_id,
-                output=output,
-                names=query.output_names,
-                read_bytes=sizes_total,
-                relational_rows=(sql_stats.rows_scanned
-                                 + sql_stats.rows_processed),
-                deliveries=deliveries,
-                sent=sent,
-                observer=observer,
-                wall_seconds=time.perf_counter() - started,
-            )
-
-        return [run_one(source) for source in self._source_nodes(step)]
+    # -- the step's run --------------------------------------------------------------
 
     def _run_group(self, step: DsqlStep, stats: StepExecutionStats,
                    profile: bool
-                   ) -> Tuple[ArrayBatch, List[str], PreparedStep]:
+                   ) -> Tuple[ArrayBatch, List[str], Optional[int]]:
         """Run a step's prepared tree once over its whole source group —
         the numpy executor.  Returns the output as positional columns
         with one segment per source (a node-invariant output spelled out
         per source: each of them holds it), the output names and the
-        prepared step; records on ``stats`` what the interpreter
+        move's hash column; records on ``stats`` what the interpreter
         counted, ``node_rows`` keyed by source node id in source
         order."""
         prepared, query, sources, tables = self._group(step)
@@ -575,52 +509,70 @@ class DmsRuntime:
             stats.node_operators = {
                 source_id: observer.records
                 for source_id, observer in zip(source_ids, observers)}
-        return output, query.output_names, prepared
+        return output, query.output_names, prepared.hash_index
+
+    def _run_nodes(self, step: DsqlStep, stats: StepExecutionStats,
+                   profile: bool
+                   ) -> Tuple[ArrayBatch, List[str], Optional[int]]:
+        """Run a step node by node — the reference executor: each source
+        node, in node-id order, parses, binds and runs the step's SQL on
+        the tree-walking interpreter over its own fragments, timed on
+        its own.  The rows are stacked once, one segment per source
+        (:func:`column_from_list` keeps every value's type), and
+        returned as :meth:`_run_group` returns its output."""
+        sql_stats = InterpreterStats()
+        rows: List[Tuple] = []
+        names: List[str] = []
+        for source in self._source_nodes(step):
+            started = time.perf_counter()
+            observer = OperatorObserver() if profile else None
+            output, names = self.run_sql_on_node(step.sql, source,
+                                                 sql_stats, observer)
+            rows.extend(output)
+            source_id = source.node_id
+            stats.node_rows[source_id] = len(output)
+            stats.node_wall_seconds[source_id] = (time.perf_counter()
+                                                  - started)
+            if observer is not None:
+                stats.node_operators[source_id] = observer.records
+        stats.relational_rows = (sql_stats.rows_scanned
+                                 + sql_stats.rows_processed)
+        stats.rows_moved = len(rows)
+        batch = ArrayBatch(
+            {position: column_from_list([row[position] for row in rows])
+             for position in range(len(names))},
+            len(rows), offsets(list(stats.node_rows.values())))
+        return batch, names, _hash_index(step)
 
     @staticmethod
     def _share_wall(stats: StepExecutionStats, started: float) -> None:
         """Per-node wall clock of a group step: the nodes ran as one, so
-        each is given the group's wall time ÷ n."""
+        each is given the group's wall time ÷ n.  A node-by-node run
+        timed its nodes already."""
+        if stats.node_wall_seconds:
+            return
         share = (time.perf_counter() - started) / len(stats.node_rows)
         stats.node_wall_seconds = dict.fromkeys(stats.node_rows, share)
 
+    # -- movement execution -----------------------------------------------------------
+
     def execute_movement(self, step: DsqlStep,
                          profile: bool = False) -> StepExecutionStats:
+        """Run a DMS step's SQL on its source nodes and route the output
+        once (:func:`route_group`); the accounting is read off the
+        router's source × target sums."""
         if step.movement is None or step.destination_table is None:
             raise DmsError(f"step {step.index} is not a DMS step")
         started = time.perf_counter()
-        movement = step.movement
+        operation = step.movement.operation
         self.appliance.create_temp_table(step.destination_table)
 
-        stats = StepExecutionStats(step.index, movement.operation)
-        if self.executor == "numpy":
-            self._move_group(step, stats, started, profile)
-        else:
-            self._move_rows(step, stats, _hash_index(step), profile)
-
-        reader, network, writer, bulk = stats.component_times(
-            self.truth, movement.operation.uses_hashing)
-        stats.movement_seconds = max(max(reader, network),
-                                     max(writer, bulk))
-        stats.relational_seconds = (
-            stats.relational_rows * self.truth.relational_per_row)
-        stats.elapsed_seconds = (stats.movement_seconds
-                                 + stats.relational_seconds)
-        stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats)
-        return stats
-
-    def _move_group(self, step: DsqlStep, stats: StepExecutionStats,
-                    started: float, profile: bool) -> None:
-        """The numpy executor's move: one run, one sizing pass, one
-        router for the whole source group; the accounting is read off
-        the router's source × target sums."""
-        output, _, prepared = self._run_group(step, stats, profile)
+        stats = StepExecutionStats(step.index, operation)
+        output, _, hash_index = self._run(step, stats, profile)
         source_ids = list(stats.node_rows)
         routing = route_group(
-            step.movement.operation, output, source_ids,
-            batch_row_bytes(output), prepared.hash_index,
-            self.appliance.node_count, transfers=profile)
+            operation, output, source_ids, batch_row_bytes(output),
+            hash_index, self.appliance.node_count, transfers=profile)
         stats.reader_bytes = dict(zip(source_ids, routing.read))
         stats.network_bytes = {
             source_id: sent
@@ -633,166 +585,42 @@ class DmsRuntime:
             self.appliance.node_storage(target_id).store(name, fragment)
         self._share_wall(stats, started)
 
-    def _move_rows(self, step: DsqlStep, stats: StepExecutionStats,
-                   hash_index: Optional[int], profile: bool) -> None:
-        """The oracle's move: every source routed on its own, the
-        deliveries merged in source-node order."""
-        destination = step.destination_table
-        received: Dict[int, List[List[Tuple]]] = {}
-        received_bytes: Dict[int, int] = {}
-
-        for run in self._run_sources(step, hash_index, profile):
-            source_id = run.node_id
-            stats.relational_rows += run.relational_rows
-            stats.reader_bytes[source_id] = (
-                stats.reader_bytes.get(source_id, 0) + run.read_bytes)
-            stats.node_rows[source_id] = (
-                stats.node_rows.get(source_id, 0) + len(run.output))
-            stats.rows_moved += len(run.output)
-            stats.node_wall_seconds[source_id] = (
-                stats.node_wall_seconds.get(source_id, 0.0)
-                + run.wall_seconds)
-            if run.observer is not None:
-                stats.node_operators[source_id] = run.observer.records
-            for target_id, batch, batch_bytes in run.deliveries:
-                received.setdefault(target_id, []).append(batch)
-                received_bytes[target_id] = (
-                    received_bytes.get(target_id, 0) + batch_bytes)
-                if profile:
-                    entry = stats.transfers.get((source_id, target_id))
-                    if entry is None:
-                        stats.transfers[(source_id, target_id)] = [
-                            len(batch), batch_bytes]
-                    else:
-                        entry[0] += len(batch)
-                        entry[1] += batch_bytes
-            if run.sent:
-                stats.network_bytes[source_id] = (
-                    stats.network_bytes.get(source_id, 0) + run.sent)
-
-        for target_id, batches in received.items():
-            incoming = received_bytes[target_id]
-            stats.writer_bytes[target_id] = incoming
-            stats.bulk_bytes[target_id] = incoming
-            # A single batch (a broadcast's shared list, a lone shuffle
-            # bucket) is stored as it stands, never copied.
-            rows = (batches[0] if len(batches) == 1
-                    else [row for batch in batches for row in batch])
-            self.appliance.node_storage(target_id).store(
-                destination.name, ColumnFragment.from_rows(rows))
-
-    def _route_batch_reference(self, operation: DmsOperation,
-                               rows: List[Tuple], sizes: List[int],
-                               hash_index: Optional[int],
-                               node_count: int, source_id: int
-                               ) -> Tuple[List[Delivery], int]:
-        """Reference tuple routing: per-row dict accounting, one source
-        at a time.  :func:`route_group` is held to it, bit for bit, by
-        the routing tests and on the full TPC-H workload."""
-        if not rows:
-            return [], 0
-
-        if operation is DmsOperation.SHUFFLE_MOVE:
-            if hash_index is None:
-                raise DmsError("shuffle move without a hash column")
-            hash_indexes = [hash_index]
-            buckets: Dict[int, List[Tuple]] = {}
-            bucket_bytes: Dict[int, int] = {}
-            for row, size in zip(rows, sizes):
-                owner = node_for_row(row, hash_indexes, node_count)
-                buckets.setdefault(owner, []).append(row)
-                bucket_bytes[owner] = bucket_bytes.get(owner, 0) + size
-            sent = 0
-            deliveries: List[Delivery] = []
-            for owner, batch in buckets.items():
-                deliveries.append((owner, batch, bucket_bytes[owner]))
-                if owner != source_id:
-                    sent += bucket_bytes[owner]
-            return deliveries, sent
-
-        if operation is DmsOperation.TRIM_MOVE:
-            if hash_index is None:
-                raise DmsError("trim move without a hash column")
-            hash_indexes = [hash_index]
-            kept: List[Tuple] = []
-            kept_bytes = 0
-            for row, size in zip(rows, sizes):
-                if node_for_row(row, hash_indexes,
-                                node_count) == source_id:
-                    kept.append(row)
-                    kept_bytes += size
-            if kept:
-                return [(source_id, kept, kept_bytes)], 0
-            return [], 0  # trimmed rows never leave their node
-
-        if operation in (DmsOperation.BROADCAST_MOVE,
-                         DmsOperation.CONTROL_NODE_MOVE,
-                         DmsOperation.REPLICATED_BROADCAST):
-            total = sum(sizes)
-            deliveries = [(target_id, rows, total)
-                          for target_id in range(node_count)]
-            remote_targets = node_count - (
-                1 if 0 <= source_id < node_count else 0)
-            return deliveries, total * remote_targets
-
-        if operation in (DmsOperation.PARTITION_MOVE,
-                         DmsOperation.REMOTE_COPY):
-            total = sum(sizes)
-            return ([(CONTROL_NODE, rows, total)],
-                    0 if source_id == CONTROL_NODE else total)
-
-        raise DmsError(f"unknown DMS operation {operation}")
+        reader, network, writer, bulk = stats.component_times(
+            self.truth, operation.uses_hashing)
+        stats.movement_seconds = max(max(reader, network),
+                                     max(writer, bulk))
+        stats.relational_seconds = (
+            stats.relational_rows * self.truth.relational_per_row)
+        stats.elapsed_seconds = (stats.movement_seconds
+                                 + stats.relational_seconds)
+        stats.wall_seconds = time.perf_counter() - started
+        self._record_movement(stats)
+        return stats
 
     # -- return step --------------------------------------------------------------------
 
     def execute_return(self, step: DsqlStep, profile: bool = False
-                       ) -> Tuple[Union[ArrayBatch, List[Tuple]],
-                                  List[str], StepExecutionStats]:
+                       ) -> Tuple[ArrayBatch, List[str], StepExecutionStats]:
         """Run the final Return SQL and gather its output at the control
-        node, the sources' rows in source order: under the numpy
-        executor the output batch, whose tuples the control node builds
-        once it has ordered and cut them
-        (:meth:`~repro.appliance.runner.DsqlRunner.run`); under the
-        reference executor the row tuples."""
+        node, the sources' rows in source order, as the output batch:
+        the control node builds its tuples once it has ordered and cut
+        them (:meth:`~repro.appliance.runner.DsqlRunner.run`)."""
         started = time.perf_counter()
         stats = StepExecutionStats(step.index, None)
-        if self.executor == "numpy":
-            output, names, _ = self._run_group(step, stats, profile)
-            source_ids = list(stats.node_rows)
-            if source_ids == [CONTROL_NODE]:
-                read = [0]  # already at the control node
-            else:
-                read = segment_sums(batch_row_bytes(output),
-                                    output.bounds).tolist()
-                stats.network_bytes = dict(zip(source_ids, read))
-            if profile:
-                for (source_id, count), nbytes in zip(
-                        stats.node_rows.items(), read):
-                    stats.transfers[(source_id, CONTROL_NODE)] = [
-                        count, nbytes]
-            self._share_wall(stats, started)
+        output, names, _ = self._run(step, stats, profile)
+        source_ids = list(stats.node_rows)
+        if source_ids == [CONTROL_NODE]:
+            read = [0]  # already at the control node
         else:
-            output = []
-            names: List[str] = []
-            for run in self._run_sources(step, None, profile):
-                source_id = run.node_id
-                stats.relational_rows += run.relational_rows
-                if source_id != CONTROL_NODE:
-                    stats.network_bytes[source_id] = run.read_bytes
-                stats.node_rows[source_id] = len(run.output)
-                stats.node_wall_seconds[source_id] = (
-                    stats.node_wall_seconds.get(source_id, 0.0)
-                    + run.wall_seconds)
-                if run.observer is not None:
-                    stats.node_operators[source_id] = run.observer.records
-                if profile:
-                    stats.transfers[(source_id, CONTROL_NODE)] = [
-                        len(run.output),
-                        stats.network_bytes.get(source_id, 0),
-                    ]
-                output.extend(run.output)
-                names = run.names
-            stats.rows_moved = len(output)
+            read = segment_sums(batch_row_bytes(output),
+                                output.bounds).tolist()
+            stats.network_bytes = dict(zip(source_ids, read))
+        if profile:
+            for (source_id, count), nbytes in zip(
+                    stats.node_rows.items(), read):
+                stats.transfers[(source_id, CONTROL_NODE)] = [
+                    count, nbytes]
+        self._share_wall(stats, started)
         stats.movement_seconds = max(
             stats.network_bytes.values(), default=0) * self.truth.network
         stats.relational_seconds = (

@@ -16,14 +16,7 @@ the same multiset of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pdw.engine import CompiledQuery
@@ -153,7 +146,7 @@ class DsqlRunner:
         writes no metric series; the service does, once the request
         finishes."""
         stats: List[StepExecutionStats] = []
-        output: Union[ArrayBatch, List[Tuple]] = []
+        output = ArrayBatch({}, 0)
         names: List[str] = list(plan.output_names)
         tracer = self.tracer
         if plan.steps and plan.steps[0].binding is None:
@@ -198,13 +191,10 @@ class DsqlRunner:
                    if step.movement else "return"))
 
     def _finalize(self, plan: DsqlPlan, names: List[str],
-                  output: Union[ArrayBatch, List[Tuple]]) -> List[Tuple]:
-        """Control-node merge: global ORDER BY and TOP over the gathered
-        output, then the client's rows.  The numpy Return step's batch
-        is ordered and cut as columns (:func:`order_rows`), and tuples
-        are built for the kept rows only; the reference executor's
-        tuples keep their own ``sort_key`` sort, so the oracle orders
-        rows independently of the production path."""
+                  output: ArrayBatch) -> List[Tuple]:
+        """Control-node merge: global ORDER BY and TOP over the Return
+        step's batch, ordered and cut as columns (:func:`order_rows`),
+        then tuples built for the kept rows only — the client's rows."""
         positions = []
         for column, ascending in plan.order_by:
             try:
@@ -212,21 +202,13 @@ class DsqlRunner:
             except ValueError:
                 raise ExecutionError(
                     f"ORDER BY column {column!r} missing from result")
-        if isinstance(output, ArrayBatch):
-            if not positions and plan.limit is None:
-                return output.rows()
-            order, _ = order_rows(
-                [(output.columns[position], ascending)
-                 for position, ascending in positions],
-                output.length, limit=plan.limit)
-            return output.rows(order)
-        rows = output
-        for position, ascending in reversed(positions):
-            rows = sorted(rows, key=lambda row: sort_key(row[position]),
-                          reverse=not ascending)
-        if plan.limit is not None:
-            rows = rows[:plan.limit]
-        return rows
+        if not positions and plan.limit is None:
+            return output.rows()
+        order, _ = order_rows(
+            [(output.columns[position], ascending)
+             for position, ascending in positions],
+            output.length, limit=plan.limit)
+        return output.rows(order)
 
 
 def run_reference(appliance: Appliance, sql: str,

@@ -4,13 +4,18 @@ Two backends execute DSQL step SQL on the compute nodes:
 
 * ``"numpy"`` — **the default**, the production executor
   (:mod:`repro.vector.np_executor`): a step runs once over its whole
-  node group, on typed ndarray kernels, and DMS steps move typed
-  columns instead of row tuples.  numpy is a declared dependency of
-  the package;
+  node group, on typed ndarray kernels.  numpy is a declared
+  dependency of the package;
 * ``"reference"`` — the tree-walking interpreter, row at a time, node
   by node (the oracle every differential test compares against; it
   parses and binds the step SQL on every node instead of running the
   prepared steps).
+
+The backends differ only in how a step's node SQL runs.  Either hands
+the DMS runtime one column batch per step, one segment per source
+node, and everything after that — routing, byte accounting, temp
+storage, the Return step and the control node's ORDER BY / TOP — is
+one path (:mod:`repro.appliance.dms_runtime`).
 """
 
 from __future__ import annotations

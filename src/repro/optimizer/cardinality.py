@@ -192,7 +192,13 @@ def _conjunct_selectivity(conj: ex.ScalarExpr, context: StatsContext,
         return result
 
     if isinstance(conj, ex.NotExpr):
-        return 1.0 - _conjunct_selectivity(conj.operand, context, input_rows)
+        operand = conj.operand
+        if isinstance(operand, ex.InListExpr):
+            # NOT (x IN (..., NULL)) is x NOT IN (..., NULL): never TRUE.
+            return _conjunct_selectivity(
+                ex.InListExpr(operand.operand, operand.values,
+                              not operand.negated), context, input_rows)
+        return 1.0 - _conjunct_selectivity(operand, context, input_rows)
 
     if isinstance(conj, ex.LikeExpr):
         base = _like_selectivity(conj, context)

@@ -763,10 +763,12 @@ class ColumnFragment:
       rows ``bounds[i]:bounds[i + 1]``, sliced only when something asks
       this node for its own rows.  A group scan over every node reads
       ``stacked`` itself;
-    * **rows** (:meth:`from_rows`) — row-born data (the oracle's
-      deliveries, system views, the reference image): the given rows
-      are the row view, and a column is encoded the first time it is
-      read.
+    * **rows** (:meth:`from_rows`) — row-born data (system views, the
+      single-system image ``run_reference`` hands the numpy executor):
+      the given rows are the row view, and a column is encoded the
+      first time it is read.  A DMS step's output is never stored this
+      way, under either executor: the oracle's rows are stacked into
+      one batch and routed as columns too.
 
     The numpy executor scans :meth:`column`; everything that wants rows
     (the oracle, tests) reads :meth:`rows`, derived on demand in node

@@ -1,10 +1,12 @@
 """The columnar data plane ⇄ the row data plane, end to end.
 
-Under the default (``numpy``) executor a DMS step's output moves as
-typed columns and the destination temp table holds column pieces; under
-``executor="reference"`` everything is row tuples, as it always was.
-That is a change of representation only, so on the same appliance the
-two runners must agree on everything observable: result rows, every
+Under the default (``numpy``) executor a step runs once over its node
+group and its output is routed as typed columns by ``route_group``.
+The reference side here runs ``executor="reference"`` — each node on
+the tree-walking interpreter — with every move routed row by row by the
+per-row router of ``tests/row_router.py``, which shares no code with
+``route_group``, and its temps stored as row fragments.  On the same
+appliance the two runners must agree on everything observable: result rows, every
 number in ``StepExecutionStats`` (with ``profile=True``: the transfer
 matrix and the per-node operator actuals too), and — with
 ``keep_temps=True`` — the rows of every temp table on every node, *in
@@ -13,9 +15,12 @@ order*.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro import PdwEngine
+from repro.appliance import dms_runtime
 from repro.appliance.dms_runtime import DmsRuntime
 from repro.appliance.runner import DsqlRunner
 from repro.appliance.storage import Appliance
@@ -36,6 +41,7 @@ from repro.workloads.tpch_datagen import build_tpch_appliance
 from repro.workloads.tpch_queries import TPCH_QUERIES, query_names
 
 from tests.conftest import stats_view
+from tests.row_router import row_routed_group
 
 NODE_COUNTS = (1, 2, 3, 8)
 
@@ -72,13 +78,16 @@ def temp_rows(appliance):
 
 
 def run_both(appliance, plan):
-    """The plan under the default executor and under the reference one,
-    each as (result, temp rows), temps dropped in between."""
+    """The plan under the default executor, and under the reference one
+    with its moves routed row by row, each as (result, temp rows), temps
+    dropped in between."""
     outcomes = []
-    for runner in (DsqlRunner(appliance),
-                   DsqlRunner(appliance, executor="reference")):
+    for executor, router in (("numpy", dms_runtime.route_group),
+                             ("reference", row_routed_group)):
+        runner = DsqlRunner(appliance, executor=executor)
         try:
-            result = runner.run(plan, keep_temps=True, profile=True)
+            with mock.patch.object(dms_runtime, "route_group", router):
+                result = runner.run(plan, keep_temps=True, profile=True)
             outcomes.append((result, temp_rows(appliance)))
         finally:
             appliance.drop_temp_tables()

@@ -11,9 +11,9 @@ on its own would have given.
 
 The per-node side is rebuilt here from public pieces — the same
 interpreter over a group of one (``DmsRuntime.run_sql_on_node``), rows
-sized with ``row_bytes``, routed by the reference row router and merged
-in source-node order; each node's own run is held to the reference
-interpreter's too — over generated tables with empty and one-row
+sized with ``row_bytes``, routed by the per-row router of
+``tests/row_router.py`` and merged in source-node order; each node's
+own run is held to the reference interpreter's too — over generated tables with empty and one-row
 nodes, heavy skew, a column that is all-NULL on one node only (stacked
 sniffing then types it differently from per-node sniffing: values,
 value types and bytes are compared, never kinds), NaN / −0.0 floats,
@@ -65,6 +65,8 @@ from repro.sql.parser import parse_query
 from repro.vector.np_batch import ArrayBatch
 from repro.vector.np_executor import NumpyInterpreter
 from repro.workloads.tpch_datagen import build_tpch_appliance
+
+from tests.row_router import route_rows
 
 NODE_COUNTS = (1, 2, 3, 7, 8)
 
@@ -267,10 +269,9 @@ def exact(rows):
 
 
 def per_node(runtime, step, runs=None):
-    """Run ``step`` one source node at a time — the same interpreter
-    over groups of one — and route every source on its own with the
-    reference row router, merged in source order as the row backends'
-    runtime merges.  Returns (stats, rows per source, rows per
+    """Run ``step`` one source node at a time — the runtime's own
+    interpreter over groups of one — and route every source on its own
+    with the per-row router, merged in source order.  Returns (stats, rows per source, rows per
     target).  ``runs`` memoizes each node's run of a SQL text (its
     rows, relational rows and operator records) for a caller that runs
     one text over unchanged tables more than once."""
@@ -305,7 +306,7 @@ def per_node(runtime, step, runs=None):
                 len(rows), stats.network_bytes.get(source_id, 0)]
             continue
         stats.reader_bytes[source_id] = sum(sizes)
-        deliveries, sent = runtime._route_batch_reference(
+        deliveries, sent = route_rows(
             operation, rows, sizes, hash_index, appliance.node_count,
             source_id)
         if sent:
@@ -349,12 +350,13 @@ def assert_nodes_run_as_the_oracle(appliance, step, produced, context):
 
 
 def assert_group_is_the_per_node_loop(appliance, sql, move, context,
-                                      oracle=False, runs=None):
-    """The step's group run against :func:`per_node` (``runs`` is its
-    memo) — and with ``oracle``, each node's run against the reference
-    interpreter's."""
-    runtime = DmsRuntime(appliance)
-    assert runtime.executor == "numpy"
+                                      oracle=False, runs=None,
+                                      executor="numpy"):
+    """The step's run under ``executor`` against :func:`per_node`
+    (``runs`` is its memo) — and with ``oracle``, each node's run
+    against the reference interpreter's."""
+    runtime = DmsRuntime(appliance, executor=executor)
+    assert runtime.executor == executor
     step = step_for(appliance, sql, move)
     try:
         expected, produced, stored = per_node(runtime, step, runs)
@@ -409,11 +411,13 @@ def test_every_step_runs_as_its_nodes_would_have(appliance, data):
                                           runs=runs)
 
 
+@pytest.mark.parametrize("executor", ["numpy", "reference"])
 @pytest.mark.parametrize("move", MOVES, ids=lambda m: m[0].value)
 @pytest.mark.parametrize("node_count", NODE_COUNTS)
-def test_every_move_of_a_fixed_table(node_count, move):
-    """Every DMS operation at every node count, hypothesis aside: skew
-    (one key owns half the rows), an empty node, a one-row node."""
+def test_every_move_of_a_fixed_table(node_count, move, executor):
+    """Every DMS operation at every node count under either executor,
+    hypothesis aside: skew (one key owns half the rows), an empty node,
+    a one-row node."""
     appliance = Appliance(node_count)
     rows = [(key if i % 2 else 7, i % 3, i * 0.5, f"s{i % 4}", i)
             for i, key in enumerate(list(range(40)) * 2)]
@@ -425,7 +429,24 @@ def test_every_move_of_a_fixed_table(node_count, move):
     for name in ("scan", "group", "inner_key_dd", "union", "top_ordered",
                  "scalar"):
         assert_group_is_the_per_node_loop(
-            appliance, SHAPES[name], move, (name, node_count))
+            appliance, SHAPES[name], move, (name, node_count),
+            executor=executor)
+    if executor == "reference" and move[0] is DmsOperation.SHUFFLE_MOVE:
+        # The oracle's rows are stacked and routed like the group's: a
+        # shuffle's temp is one batch, every node holding a view of it.
+        step = step_for(appliance, SHAPES["scan"], move)
+        temp = step.destination_table.name
+        try:
+            DmsRuntime(appliance, executor="reference").execute_movement(
+                step)
+            fragments = [node.fragment(temp) for node in appliance.compute]
+            assert len({id(fragment.stacked)
+                        for fragment in fragments}) == 1
+            assert [fragment.node for fragment in fragments] == list(
+                range(node_count))
+            assert all(fragment.pieces is None for fragment in fragments)
+        finally:
+            appliance.drop_temp_tables()
 
 
 # -- a temp stored once, read by the next step's group scan ---------------------------------

@@ -9,9 +9,17 @@ from repro.appliance.runner import DsqlRunner, QueryResult, run_reference
 from repro.appliance.dms_runtime import StepExecutionStats
 from repro.common.errors import ExecutionError
 from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
+from repro.vector.np_batch import ArrayBatch, column_from_list
 from repro.workloads.tpch_queries import TPCH_QUERIES, query_names
 
 TEMP_NAME = re.compile(r"\bTEMP_ID_\d+\b", re.IGNORECASE)
+
+
+def batch_of(rows):
+    """``rows`` as the Return step's two-column batch."""
+    return ArrayBatch({position: column_from_list([row[position]
+                                                   for row in rows])
+                       for position in range(2)}, len(rows))
 
 
 class TestFinalize:
@@ -24,8 +32,9 @@ class TestFinalize:
 
     def test_order_by_single_column(self, mini_appliance):
         runner = self._runner(mini_appliance)
-        rows = runner._finalize(self._plan(order_by=[("a", False)]),
-                                ["a", "b"], [(1, "x"), (3, "y"), (2, "z")])
+        rows = runner._finalize(
+            self._plan(order_by=[("a", False)]), ["a", "b"],
+            batch_of([(1, "x"), (3, "y"), (2, "z")]))
         assert [r[0] for r in rows] == [3, 2, 1]
 
     def test_order_by_two_columns(self, mini_appliance):
@@ -33,27 +42,28 @@ class TestFinalize:
         rows = runner._finalize(
             self._plan(order_by=[("a", True), ("b", False)]),
             ["a", "b"],
-            [(1, "x"), (1, "z"), (0, "q")])
+            batch_of([(1, "x"), (1, "z"), (0, "q")]))
         assert rows == [(0, "q"), (1, "z"), (1, "x")]
 
     def test_limit_applied_after_sort(self, mini_appliance):
         runner = self._runner(mini_appliance)
         rows = runner._finalize(
             self._plan(order_by=[("a", False)], limit=1),
-            ["a", "b"], [(1, "x"), (9, "y")])
+            ["a", "b"], batch_of([(1, "x"), (9, "y")]))
         assert rows == [(9, "y")]
 
     def test_nulls_sort_first(self, mini_appliance):
         runner = self._runner(mini_appliance)
-        rows = runner._finalize(self._plan(order_by=[("a", True)]),
-                                ["a", "b"], [(2, "x"), (None, "n")])
+        rows = runner._finalize(
+            self._plan(order_by=[("a", True)]), ["a", "b"],
+            batch_of([(2, "x"), (None, "n")]))
         assert rows[0][0] is None
 
     def test_missing_order_column_raises(self, mini_appliance):
         runner = self._runner(mini_appliance)
         with pytest.raises(ExecutionError):
             runner._finalize(self._plan(order_by=[("zz", True)]),
-                             ["a", "b"], [(1, "x")])
+                             ["a", "b"], batch_of([(1, "x")]))
 
 
 class TestExecutionLifecycle:

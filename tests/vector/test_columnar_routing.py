@@ -1,12 +1,12 @@
-"""Column routing ⇄ the reference row router: the same deliveries, in
-the same row order, with the same byte accounting.
+"""Column routing ⇄ the per-row router: the same deliveries, in the
+same row order, with the same byte accounting.
 
 ``route_group`` never sees a row and routes a step's whole source
-group at once; the reference router never sees a column and routes one
-source at a time.  Every case routes the same rows both ways — the
+group at once; the row router (``tests/row_router.py``) never sees a
+column and routes one source at a time.  Every case routes the same rows both ways — the
 column side from ``column_from_list`` columns and ``batch_row_bytes``
 sizes, the row side from the tuples and ``row_bytes``, merged in source
-order as the oracle's runtime merges them — and compares what each
+order — and compares what each
 target stores (through its row view) and every byte count.
 """
 
@@ -17,13 +17,8 @@ import datetime
 import numpy as np
 import pytest
 
-from repro.appliance.dms_runtime import (
-    DmsOperation,
-    DmsRuntime,
-    route_group,
-)
+from repro.appliance.dms_runtime import DmsOperation, route_group
 from repro.appliance.storage import (
-    Appliance,
     CONTROL_NODE,
     batch_row_bytes,
     pdw_hash,
@@ -35,6 +30,8 @@ from repro.vector.np_batch import (
     ColumnFragment,
     column_from_list,
 )
+
+from tests.row_router import route_sources
 
 NODES = 4
 
@@ -84,21 +81,14 @@ def columns_of(rows, bounds=None):
 
 def route_rows(operation, per_source, source_ids, node_count,
                hash_index=0):
-    """The oracle's runtime in miniature: every source through the
-    reference router, the deliveries merged in source order.  Returns
-    (target → (rows, bytes), per-source network bytes, transfers)."""
-    runtime = DmsRuntime(Appliance(node_count))
-    stored, sent, transfers = {}, [], {}
-    for source_id, rows in zip(source_ids, per_source):
-        deliveries, source_sent = runtime._route_batch_reference(
-            operation, rows, [row_bytes(r) for r in rows], hash_index,
-            node_count, source_id)
-        sent.append(source_sent)
-        for target, batch, nbytes in deliveries:
-            held, total = stored.get(target, ([], 0))
-            stored[target] = (held + list(batch), total + nbytes)
-            transfers[(source_id, target)] = [len(batch), nbytes]
-    return stored, sent, transfers
+    """The per-row router over every source's tuples, the deliveries
+    merged in source order.  Returns (target → (rows, bytes), per-source
+    network bytes, transfers)."""
+    routing = route_sources(operation, per_source, source_ids,
+                            hash_index, node_count, transfers=True)
+    stored = {target: (fragment.rows(), routing.received[target])
+              for target, fragment in routing.stored.items()}
+    return stored, routing.sent, routing.transfers
 
 
 def route_columns(operation, per_source, source_ids, node_count,

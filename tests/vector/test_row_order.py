@@ -143,8 +143,8 @@ def test_lexsort_order_is_the_sort_key_order(case):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=orderings())
 def test_control_node_merge_matches_the_tuple_sort(case):
-    """``DsqlRunner._finalize`` over the numpy Return step's batch gives
-    the rows the reference executor's tuple sort gives."""
+    """``DsqlRunner._finalize`` over a Return step's batch gives the
+    rows the ``sort_key`` tuple sort gives."""
     keys, sizes, limit, _ = case
     length = sum(sizes)
     names = [f"c{i}" for i in range(len(keys))] + ["pos"]
@@ -157,7 +157,6 @@ def test_control_node_merge_matches_the_tuple_sort(case):
                               for i, (_, _, ascending) in enumerate(keys)])
     runner = DsqlRunner(Appliance(1))
     rows = runner._finalize(plan, names, batch)
-    assert rows == runner._finalize(plan, names, batch.rows())
     assert [row[-1] for row in rows] == sort_key_order(
         keys, [length], limit)[0]
 
