@@ -467,9 +467,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                               session.metrics.render_prometheus())
 
     elif args.command == "stats":
-        session.compile()
         if args.json:
-            print(session.tracer.to_json())
+            import json
+
+            compiled, _trace = session.optimizer_trace()
+            counters = sorted(compiled.compile_counters().items())
+            print(json.dumps({**session.tracer.to_dict(),
+                              "counters": dict(counters)},
+                             indent=2, default=str))
         else:
             print(session.stats_report())
 

@@ -36,11 +36,11 @@ router that ``route_group`` is held to lives with the tests
 (``tests/row_router.py``).
 
 A step reports what happened only through the
-:class:`StepExecutionStats` it returns, plus the tracer's ``dms.*``
-counters: the runtime holds no metrics registry and no request handle.
-The control node writes every fact about a step from those stats — the
-runner's ``end_step`` fills the request's per-step and per-node rows,
-and the service's completion writes the step and DMS metric series.
+:class:`StepExecutionStats` it returns: the runtime holds no tracer, no
+metrics registry and no request handle.  The control node writes every
+fact about a step from those stats — the runner's ``end_step`` fills
+the request's per-step and per-node rows, and the service's completion
+writes the step and DMS metric series.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from repro.optimizer.binder import Binder
 from repro.pdw.dms import DmsOperation
 from repro.pdw.dsql import DsqlPlan, DsqlStep
 from repro.sql.parser import parse_query
-from repro.telemetry import NULL_TRACER, Tracer
 from repro.vector.np_batch import (
     ArrayBatch,
     ColumnFragment,
@@ -333,62 +332,39 @@ class DmsRuntime:
     **once**, at the plan's first execution (:meth:`prepared`), and
     every later execution runs the prepared steps — the node DBMS of
     §2.4 keeps the compiled statement of a re-issued step.  A step of
-    an execution copy (:meth:`repro.pdw.dsql.DsqlPlan.bind`, or a cached
-    template stamped out by :func:`repro.service.plan_cache.
-    instantiate_plan`) names its template and this execution's literal
-    values and temp names; the runtime runs the template's bound tree —
+    an execution copy (a cached template stamped out by
+    :func:`repro.service.plan_cache.instantiate_plan`, or a plan run as
+    its own template, :meth:`repro.pdw.dsql.DsqlPlan.bind`) names its
+    template and this execution's literal values and temp names; the runtime runs the template's bound tree —
     a path copy when the literals reach its slots — over exactly the
     fragments it reads, this execution's temps under the template's
-    names.  A prepared plan is counted as ``exec.compile_cache_miss``
-    per step when built and ``exec.compile_cache_hit`` per step when
-    re-used.  The oracle parses and binds the step's rendered SQL on
-    every node.
+    names.  The plan's ``prepared`` is the record of that: ``None``
+    until its first execution, then one object for its life.  The
+    oracle parses and binds the step's rendered SQL on every node.
     """
 
     def __init__(self, appliance: Appliance,
                  truth: Optional[GroundTruthConstants] = None,
-                 tracer: Tracer = NULL_TRACER,
                  executor: Optional[str] = None):
         self.appliance = appliance
         self.truth = truth or GroundTruthConstants()
-        self.tracer = tracer
         self.executor = resolve_executor(executor)
         self._run = (self._run_group if self.executor == "numpy"
                      else self._run_nodes)
         self._prepare_lock = threading.Lock()
 
-    def _record_movement(self, stats: StepExecutionStats) -> None:
-        """Aggregate per-operation-kind byte/row/time tracer counters."""
-        tracer = self.tracer
-        if not tracer.enabled:
-            return
-        kind = (stats.operation.value if stats.operation is not None
-                else "return")
-        moved = stats.moved_bytes()
-        tracer.count("dms.rows_moved", stats.rows_moved)
-        tracer.count("dms.bytes_moved", moved)
-        tracer.count("dms.seconds", stats.movement_seconds)
-        tracer.count(f"dms.rows.{kind}", stats.rows_moved)
-        tracer.count(f"dms.bytes.{kind}", moved)
-        tracer.count(f"dms.seconds.{kind}", stats.movement_seconds)
-
     # -- preparation ---------------------------------------------------------------
 
     def prepared(self, plan: DsqlPlan) -> PreparedPlan:
         """``plan``'s steps parsed and bound once, kept on the plan:
-        built on the first call (counted a compile-cache miss per step),
-        re-used after (a hit per step).  Racing first calls build
-        once."""
+        built on the first call, re-used after.  Racing first calls
+        build once."""
         prepared = plan.prepared
         if prepared is None:
             with self._prepare_lock:
                 prepared = plan.prepared
                 if prepared is None:
                     prepared = plan.prepared = self._prepare(plan)
-                    self.tracer.count("exec.compile_cache_miss",
-                                      len(plan.steps))
-                    return prepared
-        self.tracer.count("exec.compile_cache_hit", len(plan.steps))
         return prepared
 
     def _prepare(self, plan: DsqlPlan) -> PreparedPlan:
@@ -594,7 +570,6 @@ class DmsRuntime:
         stats.elapsed_seconds = (stats.movement_seconds
                                  + stats.relational_seconds)
         stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats)
         return stats
 
     # -- return step --------------------------------------------------------------------
@@ -628,5 +603,4 @@ class DmsRuntime:
         stats.elapsed_seconds = (stats.movement_seconds
                                  + stats.relational_seconds)
         stats.wall_seconds = time.perf_counter() - started
-        self._record_movement(stats)
         return output, names, stats

@@ -127,15 +127,16 @@ class DsqlRunner:
         self.appliance = appliance
         self.tracer = tracer
         self.executor = resolve_executor(executor)
-        self.runtime = DmsRuntime(appliance, truth, tracer,
+        self.runtime = DmsRuntime(appliance, truth,
                                   executor=self.executor)
 
     def run(self, plan: DsqlPlan, keep_temps: bool = False,
             profile: bool = False, request=NULL_REQUEST) -> QueryResult:
         """Execute a DSQL plan: an execution copy of a template
-        (:meth:`~repro.pdw.dsql.DsqlPlan.bind`) runs the template's
-        prepared steps; any other plan is its own template, prepared at
-        its first run.  ``profile=True`` additionally collects
+        (:func:`~repro.service.plan_cache.instantiate_plan`) runs the
+        template's prepared steps; any other plan is its own template
+        (:meth:`~repro.pdw.dsql.DsqlPlan.bind`), prepared at its first
+        run.  ``profile=True`` additionally collects
         per-node per-operator actuals and per-movement transfer matrices
         onto each step's :class:`StepExecutionStats` (see
         :func:`repro.obs.profiler.build_query_profile`).  ``request`` is

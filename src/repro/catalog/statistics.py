@@ -119,10 +119,6 @@ class Histogram:
     def total_count(self) -> float:
         return sum(b.count for b in self.buckets)
 
-    @property
-    def total_distinct(self) -> float:
-        return sum(b.distinct for b in self.buckets)
-
     @classmethod
     def build(cls, values: Sequence, num_buckets: int = DEFAULT_BUCKETS) -> "Histogram":
         """Build an equi-depth histogram from raw values (NULLs skipped)."""

@@ -1,7 +1,7 @@
 """repro.obs — the observability subsystem.
 
-Grown out of :mod:`repro.telemetry` (PR 1's span trees and flat
-counters), this package adds the feedback layer the paper's §2.5 claim
+Beside :mod:`repro.telemetry`'s span trees (which time, and count
+nothing), this package adds the feedback layer the paper's §2.5 claim
 needs to be *checked* rather than assumed:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled

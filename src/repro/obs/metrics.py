@@ -1,10 +1,9 @@
 """MetricsRegistry: labeled counters, gauges and histograms.
 
-The registry is the structured-metrics counterpart of
-:mod:`repro.telemetry`'s flat counter map.  Where a tracer counter is one
-accumulating number per dotted name, a registry metric carries **labels**
-(``node=``, ``op=``, ``step=``) so per-node and per-operator facts keep
-their identity all the way to the export sinks::
+The registry holds the appliance's accumulating numbers (the tracer
+only times).  A registry metric carries **labels** (``node=``,
+``op=``, ``step=``) so per-node and per-operator facts keep their
+identity all the way to the export sinks::
 
     registry = MetricsRegistry()
     rows = registry.counter("pdw_step_rows_total",

@@ -78,13 +78,19 @@ DEFAULT_REGRESSION_FACTOR = 1.5
 #: the detector trusts their means.
 DEFAULT_MIN_EXECUTIONS = 2
 
-def _parameterized_key(sql: str) -> str:
+def _parameterized_key(sql: str, by_parse: bool = False) -> str:
     """``parameterize(sql).key`` with a whitespace-flattening fallback
-    for text the parameterizer cannot handle.  Imported lazily —
+    for text the parameterizer cannot handle.  ``by_parse`` computes
+    the same key by the parser alone, so a text no client sent (a DSQL
+    step's) stays out of the parameterizer's memos.  Imported lazily —
     ``repro.service`` imports ``repro.obs``, not the other way round."""
     try:
-        from repro.service.plan_cache import parameterize
-        return parameterize(sql).key
+        from repro.service.plan_cache import (
+            parameterize,
+            parameterize_by_parse,
+        )
+        lift = parameterize_by_parse if by_parse else parameterize
+        return lift(sql).key
     except Exception:
         return " ".join(sql.split())
 
@@ -105,7 +111,8 @@ def plan_shape_digest(plan) -> str:
     **template** DSQL plan, shared by the Query Store's ``plan_hash``
     and the request record's ``plan_digest``.
 
-    Each step's SQL is parameterized first, so two compilations of the
+    Each step's SQL is parameterized first (by the parser, so step
+    texts stay out of the client-text memos), so two compilations of the
     same shape with different literals — a cache miss after an
     eviction, an uncached private recompile — share a hash, while a
     genuinely different plan (movement strategy, step structure) does
@@ -121,7 +128,8 @@ def plan_shape_digest(plan) -> str:
         digest.update(step.label.encode("utf-8", "replace"))
         digest.update(b"\x00")
         digest.update(
-            _parameterized_key(step.sql).encode("utf-8", "replace"))
+            _parameterized_key(step.sql, by_parse=True).encode(
+                "utf-8", "replace"))
         digest.update(b"\x00")
     # Racing first requests compute the same hash; last store wins.
     cached = plan.shape_hash = digest.hexdigest()[:12]

@@ -325,9 +325,7 @@ def memo_to_xml(memo: Memo, root_group: int,
     with tracer.span("xml.serialize") as span:
         text = _MemoWriter(memo, stats).document(root_group)
         if tracer.enabled:
-            size = len(text.encode("utf-8"))
-            span.set("bytes", size)
-            tracer.count("xml.serialized_bytes", size)
+            span.set("bytes", len(text.encode("utf-8")))
     return text
 
 
@@ -471,16 +469,19 @@ class ParsedMemo:
     ``memo`` is a fully functional :class:`Memo` rebuilt against the shell
     database, so the PDW optimizer works with the same data structure the
     serial optimizer produced — faithfully mirroring the paper's design
-    where both sides hold structurally identical memos.
+    where both sides hold structurally identical memos.  ``parsed_bytes``
+    is the size of the document it was read from (UTF-8 bytes): the
+    reader's figure, beside the writer's ``len(memo_xml)``.
     """
 
     def __init__(self, memo: Memo, root_group: int,
                  vars_by_id: Dict[int, ex.ColumnVar],
-                 stats: StatsContext):
+                 stats: StatsContext, parsed_bytes: int = 0):
         self.memo = memo
         self.root_group = root_group
         self.vars_by_id = vars_by_id
         self.stats = stats
+        self.parsed_bytes = parsed_bytes
 
 
 def memo_from_xml(xml_text: str, shell: ShellDatabase,
@@ -490,10 +491,8 @@ def memo_from_xml(xml_text: str, shell: ShellDatabase,
     with tracer.span("xml.parse") as span:
         parsed = _MemoReader(shell).parse(xml_text)
         if tracer.enabled:
-            size = len(xml_text.encode("utf-8"))
-            span.set("bytes", size)
+            span.set("bytes", parsed.parsed_bytes)
             span.set("groups", len(parsed.memo.canonical_groups()))
-            tracer.count("xml.parsed_bytes", size)
     return parsed
 
 
@@ -553,7 +552,8 @@ class _MemoReader:
                     is_logical=is_logical)
 
         root_group, = self._groups(document.get("root"))
-        return ParsedMemo(memo, root_group, self.vars_by_id, self.stats)
+        return ParsedMemo(memo, root_group, self.vars_by_id, self.stats,
+                          len(xml_text.encode("utf-8")))
 
     def _column(self, column: ET.Element) -> None:
         var_id = int(column.get("id"))

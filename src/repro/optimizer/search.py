@@ -154,14 +154,6 @@ class SerialOptimizer:
                          memo.expression_count(logical_only=True))
         with tracer.span("implement"):
             implement_memo(memo)
-        if tracer.enabled:
-            groups = len(memo.canonical_groups())
-            expressions = memo.expression_count()
-            logical = memo.expression_count(logical_only=True)
-            tracer.count("serial.memo.groups", groups)
-            tracer.count("serial.memo.expressions.logical", logical)
-            tracer.count("serial.memo.expressions.physical",
-                         expressions - logical)
 
         return OptimizationResult(
             query=query,

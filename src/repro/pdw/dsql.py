@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.algebra import expressions as ex
 from repro.algebra.logical import LogicalGet
@@ -164,13 +164,13 @@ class DsqlPlan:
         return tuple(step.destination_table.name for step in self.steps
                      if step.destination_table is not None)
 
-    def bind(self, literals: Mapping = None,
-             temps: Optional[Sequence[str]] = None) -> "DsqlPlan":
-        """An execution copy of this plan: every step carries one
-        :class:`PlanBinding` to it (``literals`` swapped in, ``temps``
-        the execution's temp names, default the plan's own)."""
-        binding = PlanBinding(self, literals or {},
-                              tuple(temps or self.temp_names))
+    def bind(self) -> "DsqlPlan":
+        """This plan as its own execution: every step carries one
+        :class:`PlanBinding` to it, with no literal swapped and the
+        plan's own temp names (an execution of a cached template is
+        stamped out by
+        :func:`repro.service.plan_cache.instantiate_plan`)."""
+        binding = PlanBinding(self, {}, self.temp_names)
         return replace(self, steps=[replace(step, binding=binding)
                                     for step in self.steps])
 
@@ -202,9 +202,6 @@ class DsqlGenerator:
                 final_distribution, total_cost)
             if tracer.enabled:
                 span.set("steps", len(result.steps))
-                tracer.count("dsql.steps_emitted", len(result.steps))
-                tracer.count("dsql.dms_steps",
-                             len(result.movement_steps))
         return result
 
     def _generate(self, plan: PlanNode,

@@ -14,11 +14,14 @@ The XML round-trip is performed for real on every compilation — the PDW
 optimizer only ever sees the search space through the same serialized
 interface the paper describes.
 
-Every phase reports spans and counters into the engine's
-:class:`repro.telemetry.Tracer` (default: the free no-op tracer); the
-counters accumulated during one compilation are snapshotted onto the
-returned :class:`CompiledQuery` so ``explain(verbose=True)`` can show the
-memo/pruning breakdown without the caller holding the tracer.
+Every phase reports spans into the engine's
+:class:`repro.telemetry.Tracer` (default: the free no-op tracer).  A
+compilation's counts are read off what it produced:
+:meth:`CompiledQuery.compile_counters` derives the memo, XML,
+alternative and step counts from the artifacts, and the per-group,
+enforcer and prune counts from the optimizer trace when the compile
+recorded one — so ``explain(verbose=True)`` can show the memo/pruning
+breakdown without the caller holding the tracer.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.optimizer.search import (
 )
 from repro.pdw.dsql import DsqlGenerator, DsqlPlan
 from repro.pdw.enumerator import PdwConfig, PdwOptimizer, PdwPlan
-from repro.telemetry import NULL_TRACER, Tracer, counter_delta
+from repro.telemetry import NULL_TRACER, Tracer
 
 VALID_HINT_STRATEGIES = ("replicate", "shuffle")
 
@@ -55,7 +58,9 @@ class CompiledQuery:
     pdw_root_group: int
     pdw_plan: PdwPlan
     dsql_plan: DsqlPlan
-    counters: Dict[str, float] = field(default_factory=dict)
+    #: The UTF-8 size of the MEMO document the PDW side parsed
+    #: (:attr:`repro.optimizer.memo_xml.ParsedMemo.parsed_bytes`).
+    xml_parsed_bytes: int = 0
     # The effective PDW config of this compilation (hints merged in) and
     # the search-space trace, when one was requested via
     # ``compile(opt_trace=...)``.
@@ -103,18 +108,17 @@ class CompiledQuery:
         if verbose:
             lines += ["", "Compilation counters:"]
             for name, value in sorted(self.compile_counters().items()):
-                rendered = (f"{value:.0f}" if value == int(value)
-                            else f"{value:.6g}")
-                lines.append(f"  {name:<36} {rendered}")
+                lines.append(f"  {name:<36} {value:.0f}")
         return "\n".join(lines)
 
     def compile_counters(self) -> Dict[str, float]:
-        """Search-space / pruning counters for this compilation.
+        """Search-space / pruning counters for this compilation, each
+        a whole number.
 
         Structural counts are derived from the compiled artifacts, so they
-        are available even when the engine ran with the no-op tracer;
-        tracer-recorded counters (per-property pruning, cost-model
-        invocations, phase extras) are merged in when present.
+        are available whatever the engine's tracer; the per-group,
+        enforcer and per-property prune counts are read from
+        :attr:`opt_trace` when the compile recorded one.
         """
         memo = self.pdw_memo
         derived = {
@@ -135,8 +139,15 @@ class CompiledQuery:
                 - self.pdw_plan.options_retained),
             "dsql.steps_emitted": float(len(self.dsql_plan.steps)),
             "dsql.dms_steps": float(len(self.dsql_plan.movement_steps)),
+            "xml.parsed_bytes": float(self.xml_parsed_bytes),
         }
-        derived.update(self.counters)
+        trace = self.opt_trace
+        if trace is not None:
+            derived["pdw.groups_enumerated"] = float(len(trace.groups))
+            derived["pdw.enforcers.added"] = float(trace.enforcers_added)
+            for prune in trace.prunes:
+                kind = "pdw.pruned." + prune.property_key.split(":")[0]
+                derived[kind] = derived.get(kind, 0.0) + 1
         return derived
 
 
@@ -187,8 +198,6 @@ class PdwEngine:
         :class:`CompiledQuery`.
         """
         tracer = self.tracer
-        counters_before = (tracer.counter_snapshot() if tracer.enabled
-                           else {})
         config = self.pdw_config
         if hints:
             config = replace(config, hints=self._validate_hints(hints))
@@ -232,9 +241,6 @@ class PdwEngine:
             if tracer.enabled:
                 compile_span.set("dms_cost_seconds", pdw_plan.cost)
 
-        counters = (counter_delta(counters_before,
-                                  tracer.counter_snapshot())
-                    if tracer.enabled else {})
         return CompiledQuery(
             sql=sql,
             serial=serial,
@@ -243,7 +249,7 @@ class PdwEngine:
             pdw_root_group=parsed.root_group,
             pdw_plan=pdw_plan,
             dsql_plan=dsql_plan,
-            counters=counters,
+            xml_parsed_bytes=parsed.parsed_bytes,
             pdw_config=config,
             opt_trace=opt_trace,
         )

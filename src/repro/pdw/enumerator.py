@@ -202,13 +202,6 @@ class PdwOptimizer:
         best = min(root_options, key=lambda o: o.cost)           # step 08
         plan = self._materialize(best)                            # steps 08-09
         retained = sum(len(opts) for opts in self.options.values())
-        if tracer.enabled:
-            tracer.count("pdw.groups_enumerated", len(order))
-            tracer.count("pdw.alternatives.generated",
-                         self.options_considered)
-            tracer.count("pdw.alternatives.retained", retained)
-            tracer.count("pdw.alternatives.pruned",
-                         self.options_considered - retained)
         if opt_trace is not None:
             opt_trace.finish(
                 plan_cost=best.cost,
@@ -590,11 +583,6 @@ class PdwOptimizer:
         kept = {id(best_overall): best_overall}
         for option in best_by_key.values():
             kept[id(option)] = option
-        if self.tracer.enabled:
-            for option in candidates:
-                if id(option) not in kept:
-                    key = self._key_of(option)
-                    self.tracer.count(f"pdw.pruned.{key[0]}")
         if self.opt_trace is not None:
             for option in candidates:
                 if id(option) in kept:
@@ -664,7 +652,6 @@ class PdwOptimizer:
                     classify_movement(best.distribution, target,
                                       hash_columns),
                     (best,), group_id, target, best_total))
-                self.tracer.count("pdw.enforcers.added")
                 self.options_considered += 1
             if candidates:
                 key_str = format_property_key(key)
@@ -754,7 +741,6 @@ class PdwOptimizer:
 
     def _price(self, group: Group, movement: DataMovement) -> DmsCost:
         """The cost model's breakdown of moving ``group``'s rows."""
-        self.tracer.count("pdw.cost_model.invocations")
         return self.cost_model.cost_breakdown(movement, group.cardinality,
                                               group.row_width)
 

@@ -114,10 +114,6 @@ class QueryShape:
     text_key: str = ""
     parsed: bool = field(default=False, compare=False)
 
-    @property
-    def param_count(self) -> int:
-        return len(self.params)
-
 
 # -- AST literal transformation -------------------------------------------------
 

@@ -28,10 +28,11 @@ query, a live tracer by default, and the views over the pipeline:
   same section).  :meth:`PdwSession.optimizer_trace` and
   :meth:`PdwSession.plan_choice` return the structured forms;
 * :meth:`trace_report`, :meth:`stats_report` and
-  :meth:`requests_report` — the span tree, the counter totals and the
-  flight recorder as text; the last is SELECTs over the
-  ``sys.dm_pdw_*`` views, run as queries of the session (so they show
-  up in the recorder and the Query Store too).
+  :meth:`requests_report` — the span tree, one compilation's phase
+  timings and counters (read off the compiled query and its optimizer
+  trace), and the flight recorder as text; the last is SELECTs over
+  the ``sys.dm_pdw_*`` views, run as queries of the session (so they
+  show up in the recorder and the Query Store too).
 
 A session created with just SQL text binds that text as its default query,
 so the one-liner from the README works::
@@ -49,7 +50,10 @@ tree-walking oracle), one DSQL step at a time as §2.4 walks the plan.
 Telemetry is on by default: with ``options.trace`` set the session
 builds a :class:`~repro.telemetry.Tracer` (the service's default is the
 no-op tracer), so every compile and run appends spans to
-:attr:`PdwSession.tracer`.
+:attr:`PdwSession.tracer`.  The tracer only times: a run's data
+movement is on its :attr:`QueryResult.step_stats`, and the session's
+totals are the ``pdw_dms_*`` and ``pdw_step_*`` series of
+:attr:`PdwSession.metrics`.
 
 Two consequences of sharing the service's core: a session keeps up to
 64 cached compilations (each with its MEMO, XML and DSQL plan) alive
@@ -122,13 +126,7 @@ class PdwSession(PdwService):
                 ) -> CompiledQuery:
         """Compile SQL (or the session's bound query) into a DSQL plan,
         bypassing the plan cache."""
-        opts = self._call_options(options)
-        resolved = self._resolve(sql)
-        # EXPLAIN over sys.dm_pdw_* must see the views registered and
-        # populated before binding.
-        self._refresh_views_for(resolved)
-        with self._compile_lock:
-            return self.engine.compile(resolved, hints=opts.hints_dict)
+        return self._uncached(sql, options)
 
     def run(self, sql: Optional[str] = None, *,
             options: Optional[ExecutionOptions] = None) -> QueryResult:
@@ -219,13 +217,8 @@ class PdwSession(PdwService):
         and every downstream artifact are identical to an untraced
         compilation of the same query.
         """
-        opts = self._call_options(options)
         trace = OptimizerTrace()
-        with self._compile_lock:
-            compiled = self.engine.compile(self._resolve(sql),
-                                           hints=opts.hints_dict,
-                                           opt_trace=trace)
-        return compiled, trace
+        return self._uncached(sql, options, trace), trace
 
     def plan_choice(self, sql: Optional[str] = None, *,
                     options: Optional[ExecutionOptions] = None
@@ -266,20 +259,26 @@ class PdwSession(PdwService):
         """The nested span tree accumulated so far."""
         return self.tracer.render_spans()
 
-    def stats_report(self) -> str:
-        """Compile-phase timing breakdown plus all counter totals."""
+    def stats_report(self, sql: Optional[str] = None, *,
+                     options: Optional[ExecutionOptions] = None) -> str:
+        """The ``repro stats`` report of one uncached compilation of
+        ``sql`` with the optimizer trace on (:meth:`optimizer_trace`):
+        its phase timings (when the session is traced) and its
+        :meth:`~repro.pdw.engine.CompiledQuery.compile_counters`."""
+        compiled, _trace = self.optimizer_trace(sql, options=options)
+        counters = compiled.compile_counters()
         lines = ["Phase timings:"]
-        compile_span = self.tracer.find("compile")
-        if compile_span is None:
+        if not self.tracer.roots:
             lines.append("  (no compilation traced)")
         else:
-            for span in compile_span.walk():
+            for span in self.tracer.roots[-1].walk():
                 lines.append(
                     f"  {span.name:<28} "
                     f"{span.duration_seconds * 1e3:9.3f} ms")
         lines += ["", "Counters:"]
-        counters = self.tracer.render_counters()
-        lines += ["  " + line for line in counters.splitlines()]
+        width = max(map(len, counters))
+        lines += [f"  {name:<{width}}  {value:.0f}"
+                  for name, value in sorted(counters.items())]
         return "\n".join(lines)
 
     # -- plumbing --------------------------------------------------------------
@@ -302,6 +301,21 @@ class PdwSession(PdwService):
             dms_seconds=result.dms_seconds,
         )
         return result, profile
+
+    def _uncached(self, sql: Optional[str],
+                  options: Optional[ExecutionOptions],
+                  opt_trace: Optional[OptimizerTrace] = None
+                  ) -> CompiledQuery:
+        """One compilation of ``sql`` or the bound query, bypassing the
+        plan cache."""
+        opts = self._call_options(options)
+        resolved = self._resolve(sql)
+        # EXPLAIN over sys.dm_pdw_* must see the views registered and
+        # populated before binding.
+        self._refresh_views_for(resolved)
+        with self._compile_lock:
+            return self.engine.compile(resolved, hints=opts.hints_dict,
+                                       opt_trace=opt_trace)
 
     def _resolve(self, sql: Optional[str]) -> str:
         resolved = sql if sql is not None else self.sql

@@ -1,20 +1,22 @@
-"""Pipeline telemetry: span trees, named counters, a no-op default.
+"""Pipeline telemetry: span trees and a no-op default.
 
 Every stage of the compilation and execution pipeline accepts a
-:class:`Tracer` and reports into it:
+:class:`Tracer` and reports into it **spans** — named, nested timing
+scopes (``with tracer.span("explore")``) recording wall-clock start and
+monotonic duration, with arbitrary key/value attributes attached as the
+stage learns them.
 
-* **spans** — named, nested timing scopes (``with tracer.span("explore")``)
-  recording wall-clock start and monotonic duration, with arbitrary
-  key/value attributes attached as the stage learns them;
-* **counters** — named accumulating values (``tracer.count("memo.groups",
-  12)``) that aggregate across the whole tracer lifetime, so a session
-  can total DMS bytes over many queries.
+The tracer times; it does not count.  Every count has one owner and is
+read from it: a compilation's from
+:meth:`~repro.pdw.engine.CompiledQuery.compile_counters`, a step's from
+its :class:`~repro.appliance.dms_runtime.StepExecutionStats`, a
+session's totals from the metrics registry's series.
 
 The default everywhere is :data:`NULL_TRACER`, whose ``span`` returns a
-shared no-op context manager and whose ``count`` does nothing — the hot
-path pays a single attribute lookup and method call when telemetry is
-off.  Stages that would loop to *compute* a telemetry value guard on
-``tracer.enabled`` so the disabled path does no extra work at all.
+shared no-op context manager — the hot path pays a single attribute
+lookup and method call when telemetry is off.  Stages that would loop
+to *compute* a span attribute guard on ``tracer.enabled`` so the
+disabled path does no extra work at all.
 
 The module is intentionally dependency-free (``time`` only) so it can be
 imported from every layer without cycles.
@@ -23,7 +25,6 @@ imported from every layer without cycles.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -105,23 +106,14 @@ class _SpanScope:
 
 
 class Tracer:
-    """Collects a forest of spans plus a flat counter map."""
+    """Collects a forest of spans.  Single-threaded by contract: only
+    the coordinating thread opens spans."""
 
     enabled = True
 
     def __init__(self):
         self.roots: List[Span] = []
-        self.counters: Dict[str, float] = {}
         self._stack: List[Span] = []
-        # Counters are incremented from every client thread of a
-        # service running executions concurrently (max_in_flight > 1,
-        # submit / execute_many); `dict[k] = dict.get(k) + v` is a
-        # read-modify-write, so it needs the lock.  Spans stay
-        # single-threaded by contract (only the coordinating thread
-        # opens them).
-        self._counter_lock = threading.Lock()
-
-    # -- spans ---------------------------------------------------------------
 
     def span(self, name: str) -> _SpanScope:
         """Open a nested timing scope: ``with tracer.span("bind"): ...``."""
@@ -143,47 +135,18 @@ class Tracer:
                 return found
         return None
 
-    # -- counters ------------------------------------------------------------
-
-    def count(self, name: str, value: float = 1) -> None:
-        """Add ``value`` to the named counter (creating it at zero).
-        Thread-safe."""
-        with self._counter_lock:
-            self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def counter(self, name: str) -> float:
-        return self.counters.get(name, 0.0)
-
-    def counter_snapshot(self) -> Dict[str, float]:
-        return dict(self.counters)
-
-    # -- reporting -----------------------------------------------------------
-
     def reset(self) -> None:
-        with self._counter_lock:
-            self.roots = []
-            self.counters = {}
-            self._stack = []
+        self.roots = []
+        self._stack = []
 
     def render_spans(self) -> str:
         if not self.roots:
             return "(no spans recorded)"
         return "\n".join(root.tree_string() for root in self.roots)
 
-    def render_counters(self) -> str:
-        if not self.counters:
-            return "(no counters recorded)"
-        width = max(len(name) for name in self.counters)
-        return "\n".join(
-            f"{name:<{width}}  {_fmt_value(value)}"
-            for name, value in sorted(self.counters.items()))
-
     def to_dict(self) -> Dict[str, Any]:
-        """Spans and counters as plain data."""
-        return {
-            "spans": [root.to_dict() for root in self.roots],
-            "counters": dict(sorted(self.counters.items())),
-        }
+        """The span forest as plain data."""
+        return {"spans": [root.to_dict() for root in self.roots]}
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The whole trace as a JSON document."""
@@ -217,9 +180,6 @@ class NullTracer(Tracer):
         del name
         return _NULL_SPAN
 
-    def count(self, name: str, value: float = 1) -> None:
-        del name, value
-
 
 NULL_TRACER = NullTracer()
 
@@ -230,20 +190,3 @@ def _fmt_value(value: Any) -> str:
             return str(int(value))
         return f"{value:.6g}"
     return str(value)
-
-
-def counter_delta(before: Dict[str, float],
-                  after: Dict[str, float]) -> Dict[str, float]:
-    """Counters accumulated between two snapshots.
-
-    Keys that changed appear with their delta; a counter *first touched*
-    between the snapshots appears even when its accumulated change is 0.0
-    (a stage that ran but counted nothing is different from a stage that
-    never ran).
-    """
-    delta = {}
-    for name, value in after.items():
-        change = value - before.get(name, 0.0)
-        if change or name not in before:
-            delta[name] = change
-    return delta

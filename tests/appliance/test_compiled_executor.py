@@ -3,8 +3,8 @@
 * both executors produce identical multisets on the full TPC-H
   workload (the production executor's correctness contract);
 * the per-step plan cache parses/binds each DSQL step's SQL exactly once
-  per execution (telemetry counters) and survives temp-table name reuse
-  across queries (eviction regression);
+  per plan (``Binder.bind`` calls, one ``DsqlPlan.prepared``) and
+  survives temp-table name reuse across queries (eviction regression);
 * the DISTINCT-aggregation dedup and the appliance's cached
   single-system image behave.
 """
@@ -18,7 +18,6 @@ from repro.appliance.storage import Appliance
 from repro.catalog.schema import Column, TableDef, hash_distributed
 from repro.common.types import INTEGER
 from repro.pdw.dsql import StepKind
-from repro.telemetry import Tracer
 from repro.workloads.tpch_queries import TPCH_QUERIES, query_names
 
 from tests.conftest import canonical
@@ -44,39 +43,40 @@ def test_count_distinct_agrees_across_backends(tpch):
 
 
 class TestStepCache:
-    def test_each_step_bound_once_per_execution(self, tpch, tpch_engine):
+    def test_each_step_bound_once_per_plan(self, tpch, tpch_engine,
+                                           bind_calls):
         appliance, _ = tpch
         # Misaligned join → at least one DMS step before the Return step.
         plan = tpch_engine.compile(
             "SELECT c.c_custkey, o.o_custkey FROM customer c, orders o "
             "WHERE c.c_custkey = o.o_custkey").dsql_plan
         assert plan.movement_steps
-        tracer = Tracer()
-        runner = DsqlRunner(appliance, tracer=tracer)
+        runner = DsqlRunner(appliance)
+        del bind_calls[:]
         runner.run(plan)
-        # Every step's SQL parsed + bound exactly once — and looked up
-        # exactly once: a step runs once for its whole node group, not
-        # once per source node.
-        assert tracer.counter("exec.compile_cache_miss") == len(plan.steps)
-        assert tracer.counter("exec.compile_cache_hit") == 0
+        # Every step's SQL parsed + bound exactly once: a step runs
+        # once for its whole node group, not once per source node.
+        assert len(bind_calls) == len(plan.steps)
+        prepared = plan.prepared
+        assert prepared is not None
         runner.run(plan)
-        assert tracer.counter("exec.compile_cache_miss") == len(plan.steps)
-        assert tracer.counter("exec.compile_cache_hit") == len(plan.steps)
+        assert len(bind_calls) == len(plan.steps)
+        assert plan.prepared is prepared
 
-    def test_base_table_steps_cached_across_runs(self, tpch, tpch_engine):
+    def test_base_table_steps_cached_across_runs(self, tpch, tpch_engine,
+                                                 bind_calls):
         appliance, _ = tpch
         plan = tpch_engine.compile(
             "SELECT c.c_custkey, o.o_custkey FROM customer c, orders o "
             "WHERE c.c_custkey = o.o_custkey").dsql_plan
-        tracer = Tracer()
-        runner = DsqlRunner(appliance, tracer=tracer)
+        runner = DsqlRunner(appliance)
         runner.run(plan)
-        first_misses = tracer.counter("exec.compile_cache_miss")
+        del bind_calls[:]
         runner.run(plan)
         # Every step stays cached, also the ones reading a re-created
         # TEMP_ID_k: its column signature is part of the cache key.
         assert any("TEMP_ID_" in step.sql for step in plan.steps)
-        assert tracer.counter("exec.compile_cache_miss") == first_misses
+        assert bind_calls == []
 
     def test_temp_name_reuse_across_queries_is_evicted(self, tpch,
                                                        tpch_engine):
@@ -103,11 +103,8 @@ class TestStepCache:
         appliance, _ = tpch
         plan = tpch_engine.compile(
             "SELECT COUNT(*) AS n FROM lineitem").dsql_plan
-        tracer = Tracer()
-        DsqlRunner(appliance, tracer=tracer,
-                   executor="reference").run(plan)
-        assert tracer.counter("exec.compile_cache_miss") == 0
-        assert tracer.counter("exec.compile_cache_hit") == 0
+        DsqlRunner(appliance, executor="reference").run(plan)
+        assert plan.prepared is None
 
     def test_return_step_results_identical_after_caching(self, tpch,
                                                          tpch_engine):

@@ -18,7 +18,6 @@ from repro.catalog.schema import Column, TableDef, hash_distributed
 from repro.common.types import INTEGER
 from repro.obs.metrics import MetricsRegistry
 from repro.pdw.dsql import DsqlPlan, DsqlStep, StepKind
-from repro.telemetry import Tracer
 from repro.vector import np_kernels
 from repro.vector.np_batch import (
     ArrayBatch,
@@ -60,9 +59,9 @@ def _return_plan(sql: str) -> DsqlPlan:
 
 
 class TestPreparationThreadSafety:
-    def test_concurrent_preparation_like_serial(self, mini_appliance):
-        tracer = Tracer()
-        runtime = DmsRuntime(mini_appliance, tracer=tracer)
+    def test_concurrent_preparation_like_serial(self, mini_appliance,
+                                                bind_calls):
+        runtime = DmsRuntime(mini_appliance)
         plans = [_return_plan(sql) for sql in (
             "SELECT a FROM t WHERE a < 10",
             "SELECT b FROM t WHERE b = 3",
@@ -73,27 +72,30 @@ class TestPreparationThreadSafety:
                     .query.output_names for plan in plans]
         for plan in plans:
             plan.prepared = None
+        del bind_calls[:]
+        seen = []
 
         def work(index: int) -> None:
             for _ in range(ROUNDS):
                 for plan, names in zip(plans, expected):
                     prepared = runtime.prepared(plan)
                     assert prepared.steps[0].query.output_names == names
+                    seen.append((plan, prepared))
 
         _hammer(work)
-        # The lock is held across the first preparation, so exactly one
-        # miss per plan — identical accounting to a single caller.
-        total = THREADS * ROUNDS * len(plans)
-        assert tracer.counter("exec.compile_cache_miss") == len(plans)
-        assert tracer.counter("exec.compile_cache_hit") == total - len(plans)
+        # The lock is held across the first preparation, so each plan's
+        # one step is bound once and every caller gets the one prepared
+        # plan — as for a single caller.
+        assert len(bind_calls) == len(plans)
+        assert all(prepared is plan.prepared for plan, prepared in seen)
 
-    def test_concurrent_bind_across_temp_schemas(self, mini_appliance):
+    def test_concurrent_bind_across_temp_schemas(self, mini_appliance,
+                                                 bind_calls):
         """Steps outside any plan over per-execution temps of two
         schemas: every call binds its own text afresh, so every thread
         reads its own temp at its own schema's column position, and no
-        prepared plan is built or counted."""
-        tracer = Tracer()
-        runtime = DmsRuntime(mini_appliance, tracer=tracer)
+        prepared plan is built."""
+        runtime = DmsRuntime(mini_appliance)
         node = mini_appliance.compute[0]
         for index in range(THREADS):
             columns = [Column("a", INTEGER), Column("pad", INTEGER)]
@@ -112,8 +114,9 @@ class TestPreparationThreadSafety:
                     f"SELECT a FROM TEMP_ID_1_E{index}", node)
                 assert (rows, names) == ([(index,)], ["a"])
 
+        del bind_calls[:]
         _hammer(work)
-        assert tracer.counter("exec.compile_cache_miss") == 0
+        assert len(bind_calls) == THREADS * ROUNDS
 
 
 class TestApplianceImageThreadSafety:
@@ -250,18 +253,6 @@ class TestKernelMemoThreadSafety:
 
 
 class TestTelemetryThreadSafety:
-    def test_tracer_counter_increments_are_atomic(self):
-        tracer = Tracer()
-
-        def work(index: int) -> None:
-            for _ in range(500):
-                tracer.count("hammer.total")
-                tracer.count("hammer.bytes", 3)
-
-        _hammer(work)
-        assert tracer.counter("hammer.total") == THREADS * 500
-        assert tracer.counter("hammer.bytes") == THREADS * 500 * 3
-
     def test_metrics_counters_and_histograms_are_atomic(self):
         registry = MetricsRegistry()
 

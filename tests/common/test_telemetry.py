@@ -1,14 +1,8 @@
-"""Unit tests for repro.telemetry: spans, counters, no-op tracer."""
+"""Unit tests for repro.telemetry: spans and the no-op tracer."""
 
 import pytest
 
-from repro.telemetry import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    counter_delta,
-)
+from repro.telemetry import NULL_TRACER, NullTracer, Span, Tracer
 
 
 class TestSpanNesting:
@@ -84,65 +78,12 @@ class TestSpanNesting:
         assert "ms" in rendered
 
 
-class TestCounterAggregation:
-    def test_counts_accumulate(self):
-        tracer = Tracer()
-        tracer.count("dms.bytes_moved", 100)
-        tracer.count("dms.bytes_moved", 50)
-        tracer.count("pdw.enforcers.added")
-        assert tracer.counter("dms.bytes_moved") == 150
-        assert tracer.counter("pdw.enforcers.added") == 1
-
-    def test_missing_counter_reads_zero(self):
-        assert Tracer().counter("nope") == 0.0
-
-    def test_snapshot_is_independent(self):
-        tracer = Tracer()
-        tracer.count("x", 1)
-        snapshot = tracer.counter_snapshot()
-        tracer.count("x", 1)
-        assert snapshot["x"] == 1
-        assert tracer.counter("x") == 2
-
-    def test_counter_delta(self):
-        tracer = Tracer()
-        tracer.count("a", 5)
-        before = tracer.counter_snapshot()
-        tracer.count("a", 3)
-        tracer.count("b", 7)
-        delta = counter_delta(before, tracer.counter_snapshot())
-        assert delta == {"a": 3, "b": 7}
-
-    def test_counter_delta_surfaces_new_zero_counters(self):
-        # A counter first touched between the snapshots must appear even
-        # when its accumulated change is zero — "ran but counted nothing"
-        # is not the same as "never ran".
-        tracer = Tracer()
-        tracer.count("old", 5)
-        before = tracer.counter_snapshot()
-        tracer.count("fresh", 0)
-        delta = counter_delta(before, tracer.counter_snapshot())
-        assert delta == {"fresh": 0.0}
-
-    def test_counter_delta_omits_unchanged_existing(self):
-        before = {"a": 5.0, "b": 2.0}
-        after = {"a": 5.0, "b": 3.0}
-        assert counter_delta(before, after) == {"b": 1.0}
-
-    def test_render_counters_sorted(self):
-        tracer = Tracer()
-        tracer.count("zeta", 2)
-        tracer.count("alpha", 1)
-        rendered = tracer.render_counters()
-        assert rendered.index("alpha") < rendered.index("zeta")
-
+class TestReset:
     def test_reset(self):
         tracer = Tracer()
-        tracer.count("x")
         with tracer.span("s"):
             pass
         tracer.reset()
-        assert tracer.counters == {}
         assert tracer.roots == []
 
 
@@ -161,11 +102,6 @@ class TestNullTracer:
         assert NULL_TRACER.roots == []
         assert NULL_TRACER.current_span is None
 
-    def test_count_records_nothing(self):
-        NULL_TRACER.count("x", 100)
-        assert NULL_TRACER.counters == {}
-        assert NULL_TRACER.counter("x") == 0.0
-
     def test_span_scope_is_shared_singleton(self):
         # The no-op path must not allocate per call.
         a = NULL_TRACER.span("a")
@@ -175,9 +111,8 @@ class TestNullTracer:
     def test_fresh_null_tracer_behaves_the_same(self):
         tracer = NullTracer()
         with tracer.span("s"):
-            tracer.count("c")
+            pass
         assert tracer.roots == []
-        assert tracer.counters == {}
 
 
 class TestSpanDirect:
@@ -202,15 +137,12 @@ class TestStructuredExport:
         assert data["duration_seconds"] > 0.0
         assert data["started_at"] > 0.0
 
-    def test_tracer_to_dict_includes_counters(self):
+    def test_tracer_to_dict_holds_spans_only(self):
         tracer = Tracer()
-        tracer.count("zeta", 2)
-        tracer.count("alpha", 1)
         with tracer.span("s"):
             pass
-        data = tracer.to_dict()
-        assert [s["name"] for s in data["spans"]] == ["s"]
-        assert data["counters"] == {"alpha": 1.0, "zeta": 2.0}
+        assert [s["name"] for s in tracer.to_dict()["spans"]] == ["s"]
+        assert list(tracer.to_dict()) == ["spans"]
 
     def test_to_json_parses(self):
         import json

@@ -16,6 +16,7 @@ from repro.catalog.schema import (
 )
 from repro.catalog.shell_db import ShellDatabase
 from repro.common.types import DATE, INTEGER, decimal, varchar
+from repro.optimizer.binder import Binder
 from repro.workloads.tpch_datagen import build_tpch_appliance
 
 TPCH_SCALE = 0.002
@@ -60,6 +61,21 @@ def return_executors(monkeypatch):
 
     monkeypatch.setattr(DmsRuntime, "execute_return", spy)
     return seen
+
+
+@pytest.fixture()
+def bind_calls(monkeypatch):
+    """One entry per ``Binder.bind`` call while the fixture is live,
+    from any thread (``list.append`` is atomic)."""
+    calls = []
+    bind = Binder.bind
+
+    def counting_bind(self, statement):
+        calls.append(statement)
+        return bind(self, statement)
+
+    monkeypatch.setattr(Binder, "bind", counting_bind)
+    return calls
 
 
 def make_mini_catalog() -> Catalog:

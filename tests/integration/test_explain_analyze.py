@@ -222,10 +222,14 @@ class TestSessionApi:
     def test_stats_report(self, tpch):
         appliance, shell = tpch
         session = PdwSession(appliance=appliance, shell=shell)
-        session.compile(TPCH_QUERIES["Q12"])
-        report = session.stats_report()
+        session.run(TPCH_QUERIES["Q12"])
+        report = session.stats_report(TPCH_QUERIES["Q12"])
         assert "Phase timings" in report
         assert "pdw.alternatives.generated" in report
+        # One compilation's counts, read off its records: the optimizer
+        # trace's too, and nothing the run before it moved.
+        assert "pdw.groups_enumerated" in report
+        assert "dms." not in report
 
     def test_untraced_session_still_works(self, tpch):
         appliance, shell = tpch

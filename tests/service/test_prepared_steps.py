@@ -45,7 +45,6 @@ from repro.service.plan_cache import (
 )
 from repro.sql.lexer import TokenType, skeleton, tokenize
 from repro.sql.parser import parse_query
-from repro.telemetry import Tracer
 from repro.vector import np_kernels
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
@@ -249,6 +248,19 @@ def test_kernel_memo_and_base_scan_columns_are_flat_over_500_hits(
     assert all(after[key] is fragment for key, fragment in before.items())
 
 
+def test_text_memo_holds_only_client_texts(fresh_service):
+    """The plan hash keys each template step by the parser alone, so
+    serving the TPC-H set leaves no DSQL step text in the
+    parameterizer's exact-text front and no step skeleton in its
+    skeleton memo."""
+    plan_cache.clear_shape_memo()  # process-wide
+    sent = [TPCH_QUERIES[name] for name in sorted(TPCH_QUERIES)]
+    for sql in sent:
+        fresh_service.execute(sql)
+    assert set(plan_cache._TEXTS) <= set(sent)
+    assert len(plan_cache._SKELETONS) <= len(sent)
+
+
 # -- (c) the text against the reference ----------------------------------------------
 
 def reference_instantiate(compiled, mapping, execution_id):
@@ -352,7 +364,8 @@ def _two_step_plan(first_sql: str, columns) -> DsqlPlan:
         output_names=["x"])
 
 
-def test_same_step_text_over_different_temp_schemas(mini_appliance):
+def test_same_step_text_over_different_temp_schemas(mini_appliance,
+                                                   bind_calls):
     """The Return steps are one text; ``x`` is TEMP_ID_1's first column
     in one plan and its second in the other.  Interleaved on two
     threads over one runtime, each must keep reading its own ``x``
@@ -370,8 +383,8 @@ def test_same_step_text_over_different_temp_schemas(mini_appliance):
         plan.prepared = None  # prepared afresh below, once per template
     templates = {name: SimpleNamespace(dsql_plan=plan, step_text=None)
                  for name, plan in plans.items()}
-    tracer = Tracer()
-    runner = DsqlRunner(mini_appliance, tracer=tracer)
+    runner = DsqlRunner(mini_appliance)
+    del bind_calls[:]
     ids = itertools.count(1)
     failures = []
     deadline = time.monotonic() + 60
@@ -407,4 +420,5 @@ def test_same_step_text_over_different_temp_schemas(mini_appliance):
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures[0]
     # Each template's steps were bound once, not once per execution.
-    assert tracer.counter("exec.compile_cache_miss") == 4
+    assert len(bind_calls) == 4
+    assert all(plan.prepared is not None for plan in plans.values())

@@ -9,7 +9,6 @@ from repro import ExecutionOptions, PdwService, PdwSession, run_reference
 from repro.appliance.runner import DsqlRunner
 from repro.common.errors import ReproError
 from repro.common.executors import EXECUTORS, resolve_executor
-from repro.telemetry import Tracer
 
 SQL = ("SELECT l_returnflag, COUNT(*) AS n FROM lineitem "
        "GROUP BY l_returnflag ORDER BY l_returnflag")
@@ -107,28 +106,28 @@ def test_front_doors_default_to_numpy():
 
 
 class TestBindCache:
-    def test_numpy_executor_uses_step_bind_cache(self, tpch, tpch_engine):
+    def test_numpy_executor_uses_step_bind_cache(self, tpch, tpch_engine,
+                                                 bind_calls):
         """Only the reference executor bypasses the per-step plan cache;
         the production executor parses and binds each step once."""
         appliance, _ = tpch
         plan = tpch_engine.compile(
             "SELECT COUNT(*) AS n FROM lineitem").dsql_plan
-        runner = DsqlRunner(appliance, tracer=Tracer())
+        runner = DsqlRunner(appliance)
+        del bind_calls[:]
         runner.run(plan)
+        prepared = plan.prepared
         runner.run(plan)
-        tracer = runner.tracer
-        assert tracer.counter("exec.compile_cache_miss") == len(plan.steps)
-        assert tracer.counter("exec.compile_cache_hit") == len(plan.steps)
+        assert len(bind_calls) == len(plan.steps)
+        assert prepared is not None and plan.prepared is prepared
 
     def test_reference_backend_still_bypasses_cache(self, tpch,
                                                     tpch_engine):
         appliance, _ = tpch
         plan = tpch_engine.compile(
             "SELECT COUNT(*) AS n FROM lineitem").dsql_plan
-        tracer = Tracer()
-        DsqlRunner(appliance, tracer=tracer,
-                   executor="reference").run(plan)
-        assert tracer.counter("exec.compile_cache_miss") == 0
+        DsqlRunner(appliance, executor="reference").run(plan)
+        assert plan.prepared is None
 
 
 class TestServiceWiring:
