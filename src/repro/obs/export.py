@@ -40,10 +40,10 @@ from repro.obs.opt_trace import (
     RetainedOption,
 )
 from repro.obs.profiler import (
-    OperatorEvent,
+    OperatorProfile,
     QueryEvent,
     QueryProfile,
-    StepEvent,
+    StepProfile,
 )
 from repro.obs.query_store import ShapeStats
 from repro.obs.requests import RequestRecord, RequestRegistry
@@ -106,8 +106,8 @@ class RequestEvent:
 #: Every JSONL event kind and the record that declares its fields.
 EVENTS: Dict[str, type] = {
     "query": QueryEvent,
-    "step": StepEvent,
-    "operator": OperatorEvent,
+    "step": StepProfile,
+    "operator": OperatorProfile,
     "optimizer_summary": OptimizerTraceSummary,
     "optimizer_group": GroupEvent,
     "optimizer_prune": PruneRecord,
@@ -147,9 +147,7 @@ def profile_to_events(profile: QueryProfile) -> List[dict]:
     """Flatten a profile into events: one ``query`` event, one ``step``
     event per DSQL step, one ``operator`` event per joined operator."""
     return [to_event(record) for record in
-            [profile.event()]
-            + [step.event() for step in profile.steps]
-            + [op.event() for op in profile.operators]]
+            [profile.event(), *profile.steps, *profile.operators]]
 
 
 def optimizer_trace_to_events(trace: OptimizerTrace,
@@ -201,9 +199,10 @@ def request_to_event(record: RequestRecord,
         error=record.error,
         step_actuals=tuple(
             StepActual(step=step.index, kind=step.kind,
-                       operation=step.operation, rows=step.rows_moved,
-                       bytes=step.bytes_moved,
-                       seconds=step.elapsed_seconds)
+                       operation=step.operation,
+                       rows=step.stats.rows_moved,
+                       bytes=step.stats.moved_bytes(),
+                       seconds=step.stats.elapsed_seconds)
             for step in record.steps),
     ))
 
@@ -393,14 +392,19 @@ def profile_to_metrics(profile: QueryProfile,
     q_hist = registry.histogram(
         "pdw_q_error",
         "Q-error of every joined estimate/actual pair")
+    # Each step's operators are observed right after the step, so the
+    # histogram's float sum adds in the same order on every export.
+    operators: Dict[int, List[OperatorProfile]] = {}
+    for op in profile.operators:
+        operators.setdefault(op.step, []).append(op)
     for step in profile.steps:
-        step_label = str(step.index)
+        step_label = str(step.step)
         for node, nbytes in step.received_bytes.items():
             received.labels(step=step_label, node=str(node)).inc(nbytes)
-        source_skew.labels(step=step_label).set(step.source_skew.cov)
-        receive_skew.labels(step=step_label).set(step.receive_skew.cov)
+        source_skew.labels(step=step_label).set(step.source_skew_cov)
+        receive_skew.labels(step=step_label).set(step.receive_skew_cov)
         q_hist.observe(step.q_error)
-        for op in step.operators:
+        for op in operators.get(step.step, ()):
             for node, rows in op.node_rows.items():
                 op_rows.labels(step=step_label, op=op.kind,
                                node=str(node)).inc(rows)

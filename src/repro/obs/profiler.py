@@ -23,7 +23,7 @@ DMS runtime, the session) can import it without cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -40,9 +40,7 @@ __all__ = [
     "StepProfile",
     "QueryProfile",
     "QueryEvent",
-    "StepEvent",
     "Transfer",
-    "OperatorEvent",
     "build_query_profile",
     "step_profile",
 ]
@@ -217,11 +215,15 @@ def summarize_q_errors(values: Iterable[float]) -> QErrorSummary:
 
 
 # -- profile documents ---------------------------------------------------------
+# Each row of a profile is its own JSONL event (repro.obs.export.EVENTS):
+# a ``step`` per DSQL step and an ``operator`` per joined operator, with
+# one ``query`` event (:class:`QueryEvent`) summing the profile up.
 
 
 @dataclass
 class OperatorProfile:
-    """One executed operator: per-node actuals joined with its estimate."""
+    """One executed operator: per-node actuals joined with its estimate
+    — the ``operator`` event."""
 
     step: int
     kind: str
@@ -230,25 +232,24 @@ class OperatorProfile:
     actual_rows: int
     estimated_rows: Optional[float]
     q_error: Optional[float]
-    skew: SkewStats
+    skew_cov: float
+    skew_imbalance: float
 
-    def event(self) -> "OperatorEvent":
-        return OperatorEvent(
-            step=self.step,
-            kind=self.kind,
-            label=self.label,
-            node_rows=self.node_rows,
-            actual_rows=self.actual_rows,
-            estimated_rows=self.estimated_rows,
-            q_error=self.q_error,
-            skew_cov=self.skew.cov,
-            skew_imbalance=self.skew.imbalance,
-        )
+
+@dataclass(frozen=True)
+class Transfer:
+    """One cell of a step's transfer matrix."""
+
+    src: int
+    dst: int
+    rows: int
+    bytes: int
 
 
 @dataclass
 class StepProfile:
-    """One DSQL step: movement accounting, skew, transfer matrix.
+    """One DSQL step: movement accounting, skew, transfer matrix — the
+    ``step`` event.
 
     The one place a step's estimates meet its actuals: EXPLAIN ANALYZE
     and ``repro profile`` read their step rows off :func:`step_profile`,
@@ -257,7 +258,7 @@ class StepProfile:
     same columns per call from each template step's estimates, kept on
     the template, and the step's stats."""
 
-    index: int
+    step: int
     kind: str           # "DMS" or "Return"
     operation: str
     estimated_rows: float
@@ -268,36 +269,12 @@ class StepProfile:
     actual_seconds: float
     q_error: float
     source_rows: Dict[int, int] = field(default_factory=dict)
-    source_skew: SkewStats = NO_SKEW
+    source_skew_cov: float = NO_SKEW.cov
+    source_skew_imbalance: float = NO_SKEW.imbalance
     received_bytes: Dict[int, int] = field(default_factory=dict)
-    receive_skew: SkewStats = NO_SKEW
-    # (src, dst) → (rows, bytes)
-    transfers: Dict[Tuple[int, int], Tuple[int, int]] = field(
-        default_factory=dict)
-    operators: List[OperatorProfile] = field(default_factory=list)
-
-    def event(self) -> "StepEvent":
-        return StepEvent(
-            step=self.index,
-            kind=self.kind,
-            operation=self.operation,
-            estimated_rows=self.estimated_rows,
-            actual_rows=self.actual_rows,
-            estimated_bytes=self.estimated_bytes,
-            actual_bytes=self.actual_bytes,
-            estimated_seconds=self.estimated_seconds,
-            actual_seconds=self.actual_seconds,
-            q_error=self.q_error,
-            source_rows=self.source_rows,
-            source_skew_cov=self.source_skew.cov,
-            source_skew_imbalance=self.source_skew.imbalance,
-            received_bytes=self.received_bytes,
-            receive_skew_cov=self.receive_skew.cov,
-            transfers=tuple(
-                Transfer(src, dst, rows, nbytes)
-                for (src, dst), (rows, nbytes) in
-                sorted(self.transfers.items())),
-        )
+    receive_skew_cov: float = NO_SKEW.cov
+    #: The transfer matrix's cells, ordered by (src, dst).
+    transfers: Tuple[Transfer, ...] = ()
 
 
 @dataclass
@@ -307,12 +284,9 @@ class QueryProfile:
     sql: str
     node_count: int
     steps: List[StepProfile]
+    operators: List[OperatorProfile]
     elapsed_seconds: float
     dms_seconds: float
-
-    @property
-    def operators(self) -> List[OperatorProfile]:
-        return [op for step in self.steps for op in step.operators]
 
     def step_q_errors(self) -> List[float]:
         return [step.q_error for step in self.steps]
@@ -341,13 +315,10 @@ class QueryProfile:
         )
 
 
-# -- events --------------------------------------------------------------------
-# The profile's JSONL events (repro.obs.export.EVENTS): one ``query``,
-# one ``step`` per DSQL step, one ``operator`` per joined operator.
-
-
 @dataclass(frozen=True)
 class QueryEvent:
+    """The ``query`` event: the profile's counts, not its lists."""
+
     sql: str
     node_count: int
     steps: int
@@ -357,49 +328,6 @@ class QueryEvent:
     q_error_median: float
     q_error_p95: float
     q_error_max: float
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """One cell of a step's transfer matrix."""
-
-    src: int
-    dst: int
-    rows: int
-    bytes: int
-
-
-@dataclass(frozen=True)
-class StepEvent:
-    step: int
-    kind: str
-    operation: str
-    estimated_rows: float
-    actual_rows: int
-    estimated_bytes: float
-    actual_bytes: int
-    estimated_seconds: float
-    actual_seconds: float
-    q_error: float
-    source_rows: Dict[int, int]
-    source_skew_cov: float
-    source_skew_imbalance: float
-    received_bytes: Dict[int, int]
-    receive_skew_cov: float
-    transfers: Tuple[Transfer, ...]
-
-
-@dataclass(frozen=True)
-class OperatorEvent:
-    step: int
-    kind: str
-    label: str
-    node_rows: Dict[int, int]
-    actual_rows: int
-    estimated_rows: Optional[float]
-    q_error: Optional[float]
-    skew_cov: float
-    skew_imbalance: float
 
 
 # -- builder -------------------------------------------------------------------
@@ -420,23 +348,27 @@ def build_query_profile(steps: Sequence, step_stats: Sequence, *,
     the received bytes of idle compute nodes.
     """
     profiles: List[StepProfile] = []
+    operators: List[OperatorProfile] = []
     for step, stats in zip(steps, step_stats):
-        profile = step_profile(step, stats)
-        profile.transfers = {
-            key: (entry[0], entry[1])
-            for key, entry in (getattr(stats, "transfers", {}) or {}).items()
-        }
-        profile.received_bytes = _received_bytes(profile.transfers,
-                                                 node_count)
-        profile.receive_skew = skew_stats(profile.received_bytes.values())
-        profile.source_rows = dict(stats.node_rows)
-        profile.source_skew = skew_stats(stats.node_rows.values())
-        profile.operators = _join_operators(step, stats)
-        profiles.append(profile)
+        transfers = getattr(stats, "transfers", {}) or {}
+        received = _received_bytes(transfers, node_count)
+        source_skew = skew_stats(stats.node_rows.values())
+        profiles.append(replace(
+            step_profile(step, stats),
+            source_rows=dict(stats.node_rows),
+            source_skew_cov=source_skew.cov,
+            source_skew_imbalance=source_skew.imbalance,
+            received_bytes=received,
+            receive_skew_cov=skew_stats(received.values()).cov,
+            transfers=tuple(Transfer(src, dst, rows, nbytes)
+                            for (src, dst), (rows, nbytes) in
+                            sorted(transfers.items()))))
+        operators += _join_operators(step, stats)
     return QueryProfile(
         sql=sql,
         node_count=node_count,
         steps=profiles,
+        operators=operators,
         elapsed_seconds=elapsed_seconds,
         dms_seconds=dms_seconds,
     )
@@ -447,7 +379,7 @@ def step_profile(step, stats) -> StepProfile:
     step-level columns only, without the per-node ones
     :func:`build_query_profile` adds."""
     return StepProfile(
-        index=step.index,
+        step=step.index,
         kind=step.kind_label,
         operation=step.label,
         estimated_rows=step.estimated_rows,
@@ -460,7 +392,7 @@ def step_profile(step, stats) -> StepProfile:
     )
 
 
-def _received_bytes(transfers: Dict[Tuple[int, int], Tuple[int, int]],
+def _received_bytes(transfers: Dict[Tuple[int, int], List[int]],
                     node_count: int) -> Dict[int, int]:
     """Per-destination byte totals, zero-filling idle compute nodes.
 
@@ -507,6 +439,7 @@ def _join_operators(step, stats) -> List[OperatorProfile]:
                 kind, label = rec_kind, rec_label
             node_rows[node] = rows
             total += rows
+        skew = skew_stats(node_rows.values())
         profile = OperatorProfile(
             step=step.index,
             kind=kind,
@@ -515,7 +448,8 @@ def _join_operators(step, stats) -> List[OperatorProfile]:
             actual_rows=total,
             estimated_rows=None,
             q_error=None,
-            skew=skew_stats(node_rows.values()),
+            skew_cov=skew.cov,
+            skew_imbalance=skew.imbalance,
         )
         profiles.append(profile)
         actual_by_kind.setdefault(kind, []).append(profile)

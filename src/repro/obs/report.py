@@ -102,7 +102,7 @@ def render_analyze_table(steps: Sequence[StepProfile]) -> str:
     headers = ["step", "operation", "est rows", "act rows",
                "est bytes", "act bytes", "est s (DMS)", "act s"]
     rows = [[
-        str(s.index),
+        str(s.step),
         s.operation,
         f"{s.estimated_rows:.0f}",
         str(s.actual_rows),
@@ -131,14 +131,14 @@ def render_step_table(profile: QueryProfile) -> str:
     headers = ["step", "operation", "est rows", "act rows", "node rows",
                "skew cov", "max/mean", "recv skew", "q-err"]
     rows = [[
-        str(s.index),
+        str(s.step),
         s.operation,
         f"{s.estimated_rows:.0f}",
         str(s.actual_rows),
         _node_vector(s.source_rows),
-        f"{s.source_skew.cov:.3f}",
-        f"{s.source_skew.imbalance:.2f}",
-        f"{s.receive_skew.cov:.3f}" if s.kind == "DMS" else "-",
+        f"{s.source_skew_cov:.3f}",
+        f"{s.source_skew_imbalance:.2f}",
+        f"{s.receive_skew_cov:.3f}" if s.kind == "DMS" else "-",
         _fmt_q(s.q_error),
     ] for s in profile.steps]
     return render_table(headers, rows, left_columns=frozenset({1}))
@@ -154,7 +154,7 @@ def render_operator_table(profile: QueryProfile) -> str:
         str(op.actual_rows),
         f"{op.estimated_rows:.0f}" if op.estimated_rows is not None
         else "-",
-        f"{op.skew.cov:.3f}",
+        f"{op.skew_cov:.3f}",
         _fmt_q(op.q_error),
     ] for op in profile.operators]
     return render_table(headers, rows, left_columns=frozenset({1}))

@@ -10,11 +10,12 @@ admitted through :class:`repro.session.PdwSession` or
     queued -> compiling -> running (step k/n) -> moving data
            -> complete | failed | rejected
 
-with per-step (:class:`StepProgress`) and per-node progress counters
-updated *in flight*, at step granularity, by hooks in
-:class:`repro.appliance.runner.DsqlRunner`: a step's per-node rows,
-bytes and wall time are read off its
-:class:`~repro.appliance.dms_runtime.StepExecutionStats` when it ends.
+with per-step (:class:`StepProgress`) and per-node progress updated
+*in flight*, at step granularity, by hooks in
+:class:`repro.appliance.runner.DsqlRunner`: a step keeps its
+:class:`~repro.appliance.dms_runtime.StepExecutionStats` when it ends,
+and its totals and per-node rows, bytes and wall time are read off
+them.
 
 Completed records move into a bounded ring buffer — the **flight
 recorder** — with a slow-query threshold, so a busy service retains the
@@ -39,9 +40,13 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro.obs.query_store import plan_shape_digest
+
+if TYPE_CHECKING:
+    from repro.appliance.dms_runtime import StepExecutionStats
 
 __all__ = [
     "StepProgress",
@@ -70,26 +75,30 @@ DEFAULT_CAPACITY = 256
 DEFAULT_SLOW_SECONDS = 1.0
 
 
+@lru_cache(maxsize=None)
+def _not_ended() -> "StepExecutionStats":
+    """What a step's stats read until it ends: zeros, in one object
+    every such step shares (the step's own stats replace it)."""
+    # Imported here: the appliance imports this module.
+    from repro.appliance.dms_runtime import StepExecutionStats
+    return StepExecutionStats(step_index=-1, operation=None)
+
+
 @dataclass
 class StepProgress:
     """Live per-step accounting for one request's DSQL step.
 
-    ``status`` walks ``pending -> running -> complete``; the per-node
-    dicts fill in when the step ends, so a concurrent DMV read sees the
-    steps finished so far.
+    ``status`` walks ``pending -> running -> complete``; ``stats`` is
+    the step's :class:`~repro.appliance.dms_runtime.StepExecutionStats`
+    once it has ended (zeros before), so a concurrent DMV read sees the
+    figures of the steps finished so far.
     """
 
     index: int
     kind: str = ""                # "DMS" or "Return"
     operation: str = ""
     status: str = "pending"
-    rows_moved: int = 0
-    bytes_moved: int = 0
-    elapsed_seconds: float = 0.0  # simulated step time
-    wall_seconds: float = 0.0     # measured step time
-    node_rows: Dict[int, int] = field(default_factory=dict)
-    node_bytes: Dict[int, int] = field(default_factory=dict)
-    node_wall_seconds: Dict[int, float] = field(default_factory=dict)
+    stats: "StepExecutionStats" = field(default_factory=_not_ended)
 
 
 @dataclass
@@ -181,25 +190,17 @@ class RequestHandle:
 
     def end_step(self, index: int, stats) -> None:
         """Step ``index`` finished with its
-        :class:`~repro.appliance.dms_runtime.StepExecutionStats`: the
-        step's totals and, per executing node, its rows, wall time and
-        bytes — read by a DMS step, sent to the control node by the
-        Return step."""
-        node_bytes = stats.moved_node_bytes()
+        :class:`~repro.appliance.dms_runtime.StepExecutionStats`, kept
+        as they are: the step's totals and, per executing node, its
+        rows, wall time and bytes — read by a DMS step, sent to the
+        control node by the Return step."""
         with self._registry._lock:
             record = self._record
             if not (0 <= index < len(record.steps)):
                 return
             step = record.steps[index]
             step.status = "complete"
-            step.rows_moved = stats.rows_moved
-            step.bytes_moved = stats.moved_bytes()
-            step.elapsed_seconds = stats.elapsed_seconds
-            step.wall_seconds = stats.wall_seconds
-            step.node_rows = dict(stats.node_rows)
-            step.node_bytes = {node: node_bytes.get(node, 0)
-                               for node in stats.node_rows}
-            step.node_wall_seconds = dict(stats.node_wall_seconds)
+            step.stats = stats
             record.status = "running"
 
     # -- terminal transitions ---------------------------------------------------

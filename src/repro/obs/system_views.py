@@ -27,6 +27,11 @@ their rows on demand from the live sources of truth:
 * ``sys.query_store_runtime_stats`` — per-plan latency aggregates
   (mean/min/max/last, phase totals).
 
+Each view is declared once, as the table of its columns (name, SQL
+type, nullability and how the value is read off the view's source
+object): :func:`system_view_defs` builds its definition from that
+table and :func:`refresh_system_views` each of its rows.
+
 A refresh replaces rows through
 :meth:`repro.appliance.storage.Appliance.replace_system_rows`, which is
 **schema-version neutral**: querying a DMV never invalidates the plan
@@ -35,11 +40,18 @@ cache, and cached DMV query plans re-execute against fresh snapshots.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.appliance.storage import Appliance
 from repro.catalog.schema import Column, REPLICATED, TableDef
-from repro.common.types import BIGINT, BOOLEAN, DOUBLE, INTEGER, varchar
+from repro.common.types import (
+    BIGINT,
+    BOOLEAN,
+    DOUBLE,
+    INTEGER,
+    SqlType,
+    varchar,
+)
 from repro.obs.requests import RequestRecord, RequestRegistry
 
 __all__ = [
@@ -67,10 +79,6 @@ QS_QUERY_TEXTS = "query_store_query_texts"
 QS_PLANS = "query_store_plans"
 QS_RUNTIME_STATS = "query_store_runtime_stats"
 
-SYSTEM_VIEW_NAMES = (EXEC_REQUESTS, REQUEST_STEPS, DMS_WORKERS,
-                     PLAN_CACHE, ADMISSION,
-                     QS_QUERY_TEXTS, QS_PLANS, QS_RUNTIME_STATS)
-
 #: Cheap pre-parse triggers: a query can only read a system view if its
 #: text mentions one of the shared name prefixes.
 _VIEW_MARKERS = ("dm_pdw_", "query_store_")
@@ -79,113 +87,169 @@ _VIEW_MARKERS = ("dm_pdw_", "query_store_")
 _COMMAND_WIDTH = 200
 
 
+def _one_line(text: str, width: int = _COMMAND_WIDTH) -> str:
+    return " ".join(text.split())[:width]
+
+
+def _request_id_key(record: RequestRecord) -> int:
+    try:
+        return int(record.request_id[3:])
+    except (TypeError, ValueError):
+        return 0
+
+
+#: One column of a view: its name, SQL type, whether it takes NULL, and
+#: its value read off one source of the view's rows.
+ViewColumn = Tuple[str, SqlType, bool, Callable[..., object]]
+
+#: Every view, in refresh order, as the one table of its columns.  A
+#: view's sources are the argument tuples :func:`refresh_system_views`
+#: builds one row from each of: ``(record, slow threshold)`` per
+#: request, ``(record, step)`` per DSQL step, ``(record, step, node)``
+#: per node a finished step ran on, ``(entry,)`` per plan-cache entry,
+#: ``(admission stats,)`` once, ``(shape,)`` per Query Store shape and
+#: ``(shape, plan)`` per plan.
+_VIEWS: Dict[str, Tuple[ViewColumn, ...]] = {
+    EXEC_REQUESTS: (
+        ("request_id", varchar(16), False, lambda r, _: r.request_id),
+        ("status", varchar(16), False, lambda r, _: r.status),
+        ("tenant", varchar(32), True, lambda r, _: r.tenant),
+        ("priority", varchar(16), True, lambda r, _: r.priority),
+        ("command", varchar(_COMMAND_WIDTH), True,
+         lambda r, _: _one_line(r.sql)),
+        ("cache_hit", BOOLEAN, True, lambda r, _: r.cache_hit),
+        ("plan_digest", varchar(16), True, lambda r, _: r.plan_digest),
+        ("total_steps", INTEGER, True, lambda r, _: r.step_count),
+        ("current_step", INTEGER, True, lambda r, _: r.current_step),
+        ("rows_returned", INTEGER, True, lambda r, _: r.rows_returned),
+        ("queue_ms", DOUBLE, True, lambda r, _: r.queue_seconds * 1e3),
+        ("compile_ms", DOUBLE, True,
+         lambda r, _: r.compile_seconds * 1e3),
+        ("execute_ms", DOUBLE, True,
+         lambda r, _: r.execute_seconds * 1e3),
+        ("total_ms", DOUBLE, True, lambda r, _: r.total_seconds * 1e3),
+        ("error_text", varchar(_COMMAND_WIDTH), True,
+         lambda r, _: _one_line(r.error)),
+        ("request_seq", INTEGER, True, lambda r, _: _request_id_key(r)),
+        ("is_slow", BOOLEAN, True, lambda r, slow: r.is_slow(slow)),
+    ),
+    REQUEST_STEPS: (
+        ("request_id", varchar(16), False, lambda r, _: r.request_id),
+        ("step_index", INTEGER, False, lambda _, s: s.index),
+        ("kind", varchar(8), True, lambda _, s: s.kind),
+        ("operation", varchar(64), True,
+         lambda _, s: _one_line(s.operation, 64)),
+        ("status", varchar(16), True, lambda _, s: s.status),
+        ("row_count", BIGINT, True, lambda _, s: s.stats.rows_moved),
+        ("total_bytes", BIGINT, True, lambda _, s: s.stats.moved_bytes()),
+        ("elapsed_ms", DOUBLE, True,
+         lambda _, s: s.stats.elapsed_seconds * 1e3),
+        ("wall_ms", DOUBLE, True, lambda _, s: s.stats.wall_seconds * 1e3),
+    ),
+    DMS_WORKERS: (
+        ("request_id", varchar(16), False, lambda r, s, n: r.request_id),
+        ("step_index", INTEGER, False, lambda r, s, n: s.index),
+        ("pdw_node_id", INTEGER, False, lambda r, s, n: n),
+        ("rows_processed", BIGINT, True,
+         lambda r, s, n: s.stats.node_rows[n]),
+        ("bytes_processed", BIGINT, True,
+         lambda r, s, n: s.stats.moved_node_bytes().get(n, 0)),
+        ("wall_ms", DOUBLE, True,
+         lambda r, s, n: s.stats.node_wall_seconds.get(n, 0.0) * 1e3),
+        ("status", varchar(16), True, lambda r, s, n: s.status),
+    ),
+    PLAN_CACHE: (
+        ("shape_key", varchar(_COMMAND_WIDTH), False,
+         lambda e: _one_line(e.shape.key)),
+        ("schema_version", INTEGER, True, lambda e: e.schema_version),
+        ("compile_count", INTEGER, True, lambda e: e.compile_count),
+        ("hit_count", INTEGER, True, lambda e: e.hits),
+        ("execution_count", INTEGER, True, lambda e: e.executions),
+        ("ambiguous_misses", INTEGER, True, lambda e: e.misses_ambiguous),
+    ),
+    ADMISSION: (
+        ("in_flight", INTEGER, True, lambda a: a["in_flight"]),
+        ("queue_depth", INTEGER, True, lambda a: a["queue_depth"]),
+        ("max_in_flight", INTEGER, True, lambda a: a["max_in_flight"]),
+        ("max_queue", INTEGER, True, lambda a: a["max_queue"]),
+        ("admitted_total", INTEGER, True, lambda a: a["admitted_total"]),
+        ("rejected_total", INTEGER, True,
+         lambda a: sum(a["rejected_total"].values())),
+    ),
+    QS_QUERY_TEXTS: (
+        ("query_id", INTEGER, False, lambda q: q.query_id),
+        ("query_text", varchar(_COMMAND_WIDTH), False,
+         lambda q: _one_line(q.shape_key)),
+        ("example_sql", varchar(_COMMAND_WIDTH), True,
+         lambda q: _one_line(q.example_sql)),
+        ("plan_count", INTEGER, True, lambda q: len(q.plans)),
+        ("execution_count", INTEGER, True, lambda q: q.execution_count),
+        ("first_seen", DOUBLE, True, lambda q: q.first_seen),
+        ("last_seen", DOUBLE, True, lambda q: q.last_seen),
+        ("max_q_error", DOUBLE, True,
+         lambda q: max((p.max_q_error for p in q.plans), default=1.0)),
+    ),
+    QS_PLANS: (
+        ("query_id", INTEGER, False, lambda q, _: q.query_id),
+        ("plan_hash", varchar(16), False, lambda _, p: p.plan_hash),
+        ("schema_version", INTEGER, True, lambda _, p: p.schema_version),
+        ("is_current", BOOLEAN, True, lambda q, p: p is q.current_plan()),
+        ("baseline_eligible", BOOLEAN, True,
+         lambda _, p: p.baseline_eligible),
+        ("execution_count", INTEGER, True, lambda _, p: p.execution_count),
+        ("cache_hits", INTEGER, True, lambda _, p: p.cache_hits),
+        ("step_count", INTEGER, True, lambda _, p: len(p.steps)),
+        ("rows_returned", BIGINT, True,
+         lambda _, p: p.rows_returned_total),
+        ("bytes_moved", BIGINT, True, lambda _, p: p.bytes_moved_total),
+        ("max_q_error", DOUBLE, True, lambda _, p: p.max_q_error),
+        ("first_seen", DOUBLE, True, lambda _, p: p.first_seen),
+        ("last_seen", DOUBLE, True, lambda _, p: p.last_seen),
+    ),
+    QS_RUNTIME_STATS: (
+        ("query_id", INTEGER, False, lambda q, _: q.query_id),
+        ("plan_hash", varchar(16), False, lambda _, p: p.plan_hash),
+        ("execution_count", INTEGER, True, lambda _, p: p.execution_count),
+        ("mean_ms", DOUBLE, True,
+         lambda _, p: p.mean_elapsed_seconds * 1e3),
+        ("min_ms", DOUBLE, True, lambda _, p: p.elapsed_seconds_min * 1e3),
+        ("max_ms", DOUBLE, True, lambda _, p: p.elapsed_seconds_max * 1e3),
+        ("last_ms", DOUBLE, True,
+         lambda _, p: p.elapsed_seconds_last * 1e3),
+        ("wall_mean_ms", DOUBLE, True,
+         lambda _, p: p.mean_wall_seconds * 1e3),
+        ("queue_ms_total", DOUBLE, True,
+         lambda _, p: p.queue_seconds_total * 1e3),
+        ("compile_ms_total", DOUBLE, True,
+         lambda _, p: p.compile_seconds_total * 1e3),
+        ("execute_ms_total", DOUBLE, True,
+         lambda _, p: p.execute_seconds_total * 1e3),
+        ("rows_returned", BIGINT, True,
+         lambda _, p: p.rows_returned_total),
+        ("bytes_moved", BIGINT, True, lambda _, p: p.bytes_moved_total),
+        ("max_q_error", DOUBLE, True, lambda _, p: p.max_q_error),
+    ),
+}
+
+SYSTEM_VIEW_NAMES = tuple(_VIEWS)
+
+
 def mentions_system_views(sql: str) -> bool:
     """Whether ``sql`` might read a system view (refresh trigger)."""
     lowered = sql.lower()
     return any(marker in lowered for marker in _VIEW_MARKERS)
 
 
+def _view_def(view: str) -> TableDef:
+    return TableDef(view, [Column(name, sql_type, nullable=nullable)
+                           for name, sql_type, nullable, _ in _VIEWS[view]],
+                    REPLICATED, is_system=True)
+
+
 def system_view_defs() -> List[TableDef]:
     """Fresh definitions of all eight views (``row_count`` is mutable
     per-appliance state, so every appliance gets its own copies)."""
-    return [
-        TableDef(EXEC_REQUESTS, [
-            Column("request_id", varchar(16), nullable=False),
-            Column("status", varchar(16), nullable=False),
-            Column("tenant", varchar(32)),
-            Column("priority", varchar(16)),
-            Column("command", varchar(_COMMAND_WIDTH)),
-            Column("cache_hit", BOOLEAN),
-            Column("plan_digest", varchar(16)),
-            Column("total_steps", INTEGER),
-            Column("current_step", INTEGER),
-            Column("rows_returned", INTEGER),
-            Column("queue_ms", DOUBLE),
-            Column("compile_ms", DOUBLE),
-            Column("execute_ms", DOUBLE),
-            Column("total_ms", DOUBLE),
-            Column("error_text", varchar(_COMMAND_WIDTH)),
-            Column("request_seq", INTEGER),
-            Column("is_slow", BOOLEAN),
-        ], REPLICATED, is_system=True),
-        TableDef(REQUEST_STEPS, [
-            Column("request_id", varchar(16), nullable=False),
-            Column("step_index", INTEGER, nullable=False),
-            Column("kind", varchar(8)),
-            Column("operation", varchar(64)),
-            Column("status", varchar(16)),
-            Column("row_count", BIGINT),
-            Column("total_bytes", BIGINT),
-            Column("elapsed_ms", DOUBLE),
-            Column("wall_ms", DOUBLE),
-        ], REPLICATED, is_system=True),
-        TableDef(DMS_WORKERS, [
-            Column("request_id", varchar(16), nullable=False),
-            Column("step_index", INTEGER, nullable=False),
-            Column("pdw_node_id", INTEGER, nullable=False),
-            Column("rows_processed", BIGINT),
-            Column("bytes_processed", BIGINT),
-            Column("wall_ms", DOUBLE),
-            Column("status", varchar(16)),
-        ], REPLICATED, is_system=True),
-        TableDef(PLAN_CACHE, [
-            Column("shape_key", varchar(_COMMAND_WIDTH), nullable=False),
-            Column("schema_version", INTEGER),
-            Column("compile_count", INTEGER),
-            Column("hit_count", INTEGER),
-            Column("execution_count", INTEGER),
-            Column("ambiguous_misses", INTEGER),
-        ], REPLICATED, is_system=True),
-        TableDef(ADMISSION, [
-            Column("in_flight", INTEGER),
-            Column("queue_depth", INTEGER),
-            Column("max_in_flight", INTEGER),
-            Column("max_queue", INTEGER),
-            Column("admitted_total", INTEGER),
-            Column("rejected_total", INTEGER),
-        ], REPLICATED, is_system=True),
-        TableDef(QS_QUERY_TEXTS, [
-            Column("query_id", INTEGER, nullable=False),
-            Column("query_text", varchar(_COMMAND_WIDTH), nullable=False),
-            Column("example_sql", varchar(_COMMAND_WIDTH)),
-            Column("plan_count", INTEGER),
-            Column("execution_count", INTEGER),
-            Column("first_seen", DOUBLE),
-            Column("last_seen", DOUBLE),
-            Column("max_q_error", DOUBLE),
-        ], REPLICATED, is_system=True),
-        TableDef(QS_PLANS, [
-            Column("query_id", INTEGER, nullable=False),
-            Column("plan_hash", varchar(16), nullable=False),
-            Column("schema_version", INTEGER),
-            Column("is_current", BOOLEAN),
-            Column("baseline_eligible", BOOLEAN),
-            Column("execution_count", INTEGER),
-            Column("cache_hits", INTEGER),
-            Column("step_count", INTEGER),
-            Column("rows_returned", BIGINT),
-            Column("bytes_moved", BIGINT),
-            Column("max_q_error", DOUBLE),
-            Column("first_seen", DOUBLE),
-            Column("last_seen", DOUBLE),
-        ], REPLICATED, is_system=True),
-        TableDef(QS_RUNTIME_STATS, [
-            Column("query_id", INTEGER, nullable=False),
-            Column("plan_hash", varchar(16), nullable=False),
-            Column("execution_count", INTEGER),
-            Column("mean_ms", DOUBLE),
-            Column("min_ms", DOUBLE),
-            Column("max_ms", DOUBLE),
-            Column("last_ms", DOUBLE),
-            Column("wall_mean_ms", DOUBLE),
-            Column("queue_ms_total", DOUBLE),
-            Column("compile_ms_total", DOUBLE),
-            Column("execute_ms_total", DOUBLE),
-            Column("rows_returned", BIGINT),
-            Column("bytes_moved", BIGINT),
-            Column("max_q_error", DOUBLE),
-        ], REPLICATED, is_system=True),
-    ]
+    return [_view_def(view) for view in _VIEWS]
 
 
 def register_system_views(appliance: Appliance) -> None:
@@ -195,43 +259,16 @@ def register_system_views(appliance: Appliance) -> None:
     as DDL), so a service can register them lazily without flushing its
     plan cache.
     """
-    for table in system_view_defs():
-        if not appliance.catalog.has_table(table.name):
-            appliance.create_table(table)
+    for view in _VIEWS:
+        if not appliance.catalog.has_table(view):
+            appliance.create_table(_view_def(view))
 
 
-def _one_line(text: str, width: int = _COMMAND_WIDTH) -> str:
-    return " ".join(text.split())[:width]
-
-
-def _exec_request_row(record: RequestRecord,
-                      slow_threshold_seconds: float) -> Tuple:
-    return (
-        record.request_id,
-        record.status,
-        record.tenant,
-        record.priority,
-        _one_line(record.sql),
-        record.cache_hit,
-        record.plan_digest,
-        record.step_count,
-        record.current_step,
-        record.rows_returned,
-        record.queue_seconds * 1e3,
-        record.compile_seconds * 1e3,
-        record.execute_seconds * 1e3,
-        record.total_seconds * 1e3,
-        _one_line(record.error),
-        _request_id_key(record),
-        record.is_slow(slow_threshold_seconds),
-    )
-
-
-def _request_id_key(record: RequestRecord) -> int:
-    try:
-        return int(record.request_id[3:])
-    except (TypeError, ValueError):
-        return 0
+def _rows(view: str, sources: List[tuple]) -> List[Tuple]:
+    """One row of ``view`` per source, each column read off it."""
+    values = [value for _, _, _, value in _VIEWS[view]]
+    return [tuple([value(*source) for value in values])
+            for source in sources]
 
 
 def refresh_system_views(appliance: Appliance,
@@ -247,116 +284,38 @@ def refresh_system_views(appliance: Appliance,
     table.  Safe to call from any thread, any number of times.
     """
     register_system_views(appliance)
+    rows: Dict[str, List[Tuple]] = {}
     records = sorted(requests.snapshot(), key=_request_id_key)
-
-    exec_rows: List[Tuple] = []
-    step_rows: List[Tuple] = []
-    worker_rows: List[Tuple] = []
     if records:
-        # Active records mutate in flight (per-node dicts fill in from
-        # the threads running them); hold the registry lock while
-        # flattening so no row is built from a half-applied transition.
+        # Active records mutate in flight (a step's stats land as it
+        # ends, from the thread running it); hold the registry lock
+        # while flattening so no row is built from a half-applied
+        # transition.
         with requests._lock:
-            for record in records:
-                exec_rows.append(_exec_request_row(
-                    record, requests.slow_threshold_seconds))
-                for step in record.steps:
-                    step_rows.append((
-                        record.request_id, step.index, step.kind,
-                        _one_line(step.operation, 64), step.status,
-                        step.rows_moved, step.bytes_moved,
-                        step.elapsed_seconds * 1e3,
-                        step.wall_seconds * 1e3,
-                    ))
-                    for node_id in sorted(step.node_rows):
-                        worker_rows.append((
-                            record.request_id, step.index, node_id,
-                            step.node_rows[node_id],
-                            step.node_bytes.get(node_id, 0),
-                            step.node_wall_seconds.get(node_id, 0.0)
-                            * 1e3,
-                            step.status,
-                        ))
-
-    cache_rows: List[Tuple] = []
+            slow = requests.slow_threshold_seconds
+            steps = [(record, step) for record in records
+                     for step in record.steps]
+            rows[EXEC_REQUESTS] = _rows(
+                EXEC_REQUESTS, [(record, slow) for record in records])
+            rows[REQUEST_STEPS] = _rows(REQUEST_STEPS, steps)
+            rows[DMS_WORKERS] = _rows(
+                DMS_WORKERS, [(record, step, node) for record, step in steps
+                              for node in sorted(step.stats.node_rows)])
     if plan_cache is not None:
-        for entry in plan_cache.entries():
-            cache_rows.append((
-                _one_line(entry.shape.key),
-                entry.schema_version,
-                entry.compile_count,
-                entry.hits,
-                entry.executions,
-                entry.misses_ambiguous,
-            ))
-
-    admission_rows: List[Tuple] = []
+        rows[PLAN_CACHE] = _rows(
+            PLAN_CACHE, [(entry,) for entry in plan_cache.entries()])
     if admission is not None:
-        stats = admission.stats()
-        admission_rows.append((
-            stats["in_flight"], stats["queue_depth"],
-            stats["max_in_flight"], stats["max_queue"],
-            stats["admitted_total"], sum(stats["rejected_total"].values()),
-        ))
-
-    text_rows: List[Tuple] = []
-    plan_rows: List[Tuple] = []
-    runtime_rows: List[Tuple] = []
+        rows[ADMISSION] = _rows(ADMISSION, [(admission.stats(),)])
     if query_store is not None and query_store.enabled:
         # One snapshot under the store's lock so SQL joins across the
         # three query_store_* views are mutually consistent.
         with query_store._lock:
-            for shape in query_store.shapes():
-                current = shape.current_plan()
-                text_rows.append((
-                    shape.query_id,
-                    _one_line(shape.shape_key),
-                    _one_line(shape.example_sql),
-                    len(shape.plans),
-                    shape.execution_count,
-                    shape.first_seen,
-                    shape.last_seen,
-                    max((plan.max_q_error for plan in shape.plans),
-                        default=1.0),
-                ))
-                for plan in shape.plans:
-                    plan_rows.append((
-                        shape.query_id,
-                        plan.plan_hash,
-                        plan.schema_version,
-                        plan is current,
-                        plan.baseline_eligible,
-                        plan.execution_count,
-                        plan.cache_hits,
-                        len(plan.steps),
-                        plan.rows_returned_total,
-                        plan.bytes_moved_total,
-                        plan.max_q_error,
-                        plan.first_seen,
-                        plan.last_seen,
-                    ))
-                    runtime_rows.append((
-                        shape.query_id,
-                        plan.plan_hash,
-                        plan.execution_count,
-                        plan.mean_elapsed_seconds * 1e3,
-                        plan.elapsed_seconds_min * 1e3,
-                        plan.elapsed_seconds_max * 1e3,
-                        plan.elapsed_seconds_last * 1e3,
-                        plan.mean_wall_seconds * 1e3,
-                        plan.queue_seconds_total * 1e3,
-                        plan.compile_seconds_total * 1e3,
-                        plan.execute_seconds_total * 1e3,
-                        plan.rows_returned_total,
-                        plan.bytes_moved_total,
-                        plan.max_q_error,
-                    ))
-
-    appliance.replace_system_rows(EXEC_REQUESTS, exec_rows)
-    appliance.replace_system_rows(REQUEST_STEPS, step_rows)
-    appliance.replace_system_rows(DMS_WORKERS, worker_rows)
-    appliance.replace_system_rows(PLAN_CACHE, cache_rows)
-    appliance.replace_system_rows(ADMISSION, admission_rows)
-    appliance.replace_system_rows(QS_QUERY_TEXTS, text_rows)
-    appliance.replace_system_rows(QS_PLANS, plan_rows)
-    appliance.replace_system_rows(QS_RUNTIME_STATS, runtime_rows)
+            shapes = query_store.shapes()
+            plans = [(shape, plan) for shape in shapes
+                     for plan in shape.plans]
+            rows[QS_QUERY_TEXTS] = _rows(
+                QS_QUERY_TEXTS, [(shape,) for shape in shapes])
+            rows[QS_PLANS] = _rows(QS_PLANS, plans)
+            rows[QS_RUNTIME_STATS] = _rows(QS_RUNTIME_STATS, plans)
+    for view in _VIEWS:
+        appliance.replace_system_rows(view, rows.get(view, []))

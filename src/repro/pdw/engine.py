@@ -44,8 +44,6 @@ from repro.pdw.dsql import DsqlGenerator, DsqlPlan
 from repro.pdw.enumerator import PdwConfig, PdwOptimizer, PdwPlan
 from repro.telemetry import NULL_TRACER, Tracer
 
-VALID_HINT_STRATEGIES = ("replicate", "shuffle")
-
 
 @dataclass
 class CompiledQuery:
@@ -165,20 +163,14 @@ class PdwEngine:
         self.pdw_config = pdw_config or PdwConfig()
 
     def _validate_hints(self, hints: dict) -> Dict[str, str]:
-        """§3.1 hints must name known tables and known strategies."""
-        validated = {}
-        for name, strategy in hints.items():
-            lowered = name.lower()
-            if not self.shell.catalog.has_table(lowered):
+        """§3.1 hints must name known tables; the lowercased names map
+        to their strategies, which :class:`PdwConfig` checks."""
+        for name in hints:
+            if not self.shell.catalog.has_table(name.lower()):
                 raise HintError(
                     f"hint names unknown table {name!r} "
                     "(not in the shell database)")
-            if strategy not in VALID_HINT_STRATEGIES:
-                raise HintError(
-                    f"unknown hint strategy {strategy!r} for table "
-                    f"{name!r} (use 'replicate' or 'shuffle')")
-            validated[lowered] = strategy
-        return validated
+        return {name.lower(): strategy for name, strategy in hints.items()}
 
     def compile(self, sql: str,
                 hints: Optional[dict] = None,

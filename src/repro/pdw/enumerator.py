@@ -104,8 +104,8 @@ class PdwConfig:
         for table, strategy in self.hints.items():
             if strategy not in ("replicate", "shuffle"):
                 raise HintError(
-                    f"unknown hint {strategy!r} for table {table!r} "
-                    "(use 'replicate' or 'shuffle')")
+                    f"unknown hint strategy {strategy!r} for table "
+                    f"{table!r} (use 'replicate' or 'shuffle')")
 
 
 _UNSET = object()

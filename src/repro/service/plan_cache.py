@@ -33,8 +33,9 @@ for a text seen before) plus a value bind — no parser, no binder:
    copy of each tree the new values reach, so the cached plan *shape*
    executes with the new constants and returns exactly the rows a fresh
    compilation would.  The step SQL is still rendered (a string join
-   over each step split once) for the oracle, the DMVs and the Query
-   Store.
+   over each step split once) for the reference executor, the one
+   reader of an execution's step text: the DMVs show the client's
+   text and the Query Store stamps the template.
 
 **What is never folded to a marker** — ``TOP n`` / ``LIMIT`` (the limit
 is part of the plan: the control-node merge and per-step SQL bake it
@@ -535,10 +536,11 @@ def instantiate_plan(compiled: CompiledQuery,
 
     Every step carries a :class:`~repro.pdw.dsql.PlanBinding` to the
     template, so the runtime runs the template's prepared steps and
-    never this SQL; the text is for the oracle, the DMVs and the Query
-    Store.  The template's steps are parsed and split once, on first
-    use, and kept on ``compiled``; after that an execution is a string
-    join per step.  Returns the new plan plus the temp names this
+    never this SQL; the text is for the reference executor, which
+    parses and binds it on every node (the DMVs show the client's text
+    and the Query Store stamps the template).  The template's steps
+    are parsed and split once, on first use, and kept on ``compiled``;
+    after that an execution is a string join per step.  Returns the new plan plus the temp names this
     execution owns; the caller drops exactly those afterwards.
     """
     template = compiled.dsql_plan

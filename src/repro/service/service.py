@@ -198,8 +198,6 @@ class PdwService:
             max_in_flight=max_in_flight, max_queue=max_queue,
             metrics=metrics)
         self._compile_lock = threading.Lock()
-        self._key_locks: Dict[str, threading.Lock] = {}
-        self._key_locks_guard = threading.Lock()
         self._execution_ids = itertools.count(1)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -344,8 +342,8 @@ class PdwService:
         shape).
 
         Cache path: normalize, look up, and on a miss compile exactly
-        once per shape (per-key single-flight around one global compile
-        lock — the engine shares mutable optimizer state).  A hit whose
+        once per shape (single-flight under the one global compile lock
+        — the engine shares mutable optimizer state).  A hit whose
         parameter vector cannot be bound unambiguously, or whose new
         values would not all land in the template's literal slots (a
         literal the optimizer folded away), falls back to a private
@@ -389,20 +387,20 @@ class PdwService:
 
     def _compile_into_cache(self, shape: QueryShape, sql: str,
                             opts: ExecutionOptions, version: int):
-        """Single-flight compile of ``shape``: the first thread in
-        compiles and inserts; racers wait on the per-key lock and then
-        find the entry.  Returns (entry, compile_seconds, racing_hit)
-        where ``racing_hit`` says this thread found a ready entry
-        instead of compiling."""
-        with self._key_locks_guard:
-            key_lock = self._key_locks.setdefault(shape.key,
-                                                  threading.Lock())
-        with key_lock:
+        """Single-flight compile of ``shape``.  Compiles are serialized
+        by the compile lock, so the cache is re-checked under it: the
+        first thread in compiles and inserts, and a racer that waited
+        for the lock finds the entry — no per-shape state outlives the
+        call.  Returns (entry, compile_seconds, racing_hit) where
+        ``racing_hit`` says this thread found a ready entry instead of
+        compiling."""
+        started = time.perf_counter()
+        with self._compile_lock:
             existing = self.plan_cache.peek(shape.key)
             if existing is not None \
                     and existing.schema_version == version:
                 return existing, 0.0, True
-            compiled, seconds = self._compile(sql, opts)
+            compiled, seconds = self._compile_locked(sql, opts, started)
             entry = self.plan_cache.insert(CacheEntry(
                 shape=shape, compiled=compiled, schema_version=version))
             return entry, seconds, False
@@ -410,7 +408,13 @@ class PdwService:
     def _compile(self, sql: str, opts: ExecutionOptions):
         started = time.perf_counter()
         with self._compile_lock:
-            compiled = self.engine.compile(sql, hints=opts.hints_dict)
+            return self._compile_locked(sql, opts, started)
+
+    def _compile_locked(self, sql: str, opts: ExecutionOptions,
+                        started: float):
+        """Compile ``sql`` under the compile lock, taken since
+        ``started``: the compile histogram observes the wait too."""
+        compiled = self.engine.compile(sql, hints=opts.hints_dict)
         seconds = time.perf_counter() - started
         if self.metrics.enabled:
             self._child("pdw_service_compile_seconds").observe(seconds)

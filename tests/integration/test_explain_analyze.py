@@ -58,7 +58,7 @@ def analyze(session, monkeypatch, sql, **kwargs):
             break
         cells = line.split()
         rows.append((cells[0], " ".join(cells[1:-6]), *cells[-6:]))
-    assert rows == [(str(s.index), s.operation,
+    assert rows == [(str(s.step), s.operation,
                      f"{s.estimated_rows:.0f}", str(s.actual_rows),
                      f"{s.estimated_bytes:.0f}", str(s.actual_bytes),
                      f"{s.estimated_seconds:.6f}",
@@ -84,7 +84,7 @@ class TestExplainAnalyze:
 
         for analysis, stats, step in zip(steps, reference.step_stats,
                                          plan.steps):
-            assert analysis.index == step.index
+            assert analysis.step == step.index
             assert analysis.actual_rows == stats.rows_moved
             if step.kind is StepKind.DMS:
                 assert analysis.kind == "DMS"

@@ -16,36 +16,39 @@ from repro.obs.profiler import (
     OperatorProfile,
     QueryProfile,
     StepProfile,
+    Transfer,
     skew_stats,
 )
 
 
 def make_profile() -> QueryProfile:
+    skew = skew_stats([30, 50])
     operator = OperatorProfile(
         step=0, kind="Get", label="Get(a)",
         node_rows={0: 30, 1: 50}, actual_rows=80,
         estimated_rows=40.0, q_error=2.0,
-        skew=skew_stats([30, 50]),
+        skew_cov=skew.cov, skew_imbalance=skew.imbalance,
     )
     unjoined = OperatorProfile(
         step=0, kind="Join", label="J",
         node_rows={0: 1, 1: 1}, actual_rows=2,
         estimated_rows=None, q_error=None,
-        skew=skew_stats([1, 1]),
+        skew_cov=0.0, skew_imbalance=1.0,
     )
     step = StepProfile(
-        index=0, kind="DMS", operation="ShuffleMove(c)",
+        step=0, kind="DMS", operation="ShuffleMove(c)",
         estimated_rows=40.0, actual_rows=80,
         estimated_bytes=400.0, actual_bytes=800,
         estimated_seconds=0.1, actual_seconds=0.2,
         q_error=2.0,
-        source_rows={0: 30, 1: 50}, source_skew=skew_stats([30, 50]),
+        source_rows={0: 30, 1: 50}, source_skew_cov=skew.cov,
+        source_skew_imbalance=skew.imbalance,
         received_bytes={0: 500, 1: 300},
-        receive_skew=skew_stats([500, 300]),
-        transfers={(0, 1): (30, 300), (1, 0): (50, 500)},
-        operators=[operator, unjoined],
+        receive_skew_cov=skew_stats([500, 300]).cov,
+        transfers=(Transfer(0, 1, 30, 300), Transfer(1, 0, 50, 500)),
     )
     return QueryProfile(sql="SELECT 1", node_count=2, steps=[step],
+                        operators=[operator, unjoined],
                         elapsed_seconds=0.3, dms_seconds=0.2)
 
 

@@ -18,7 +18,12 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.requests import RequestRegistry
-from repro.obs.profiler import OperatorObserver
+from repro.obs.profiler import (
+    OperatorObserver,
+    OperatorProfile,
+    StepProfile,
+    skew_stats,
+)
 from repro.obs.report import render_profile_report
 from repro.pdw.dms import DmsOperation
 from repro.pdw.dsql import StepKind
@@ -51,7 +56,7 @@ class TestProfileContents:
 
     def test_source_rows_cover_nodes_and_sum_to_actual(self, profile):
         for step in profile.steps:
-            assert step.source_rows, f"step {step.index} has no node rows"
+            assert step.source_rows, f"step {step.step} has no node rows"
             assert sum(step.source_rows.values()) == step.actual_rows
 
     def test_transfer_matrix_consistent(self, profile):
@@ -59,7 +64,7 @@ class TestProfileContents:
         # step moved, and destinations match the movement's target.
         for step in profile.steps:
             assert step.transfers
-            moved = sum(rows for rows, _ in step.transfers.values())
+            moved = sum(transfer.rows for transfer in step.transfers)
             assert moved == step.actual_rows
 
     def test_operators_joined_with_estimates(self, profile):
@@ -84,8 +89,9 @@ class TestProfileContents:
         dms = [s for s in profile.steps if s.kind == "DMS"]
         assert dms
         for step in dms:
-            assert step.source_skew.count == len(step.source_rows)
-            assert step.source_skew.imbalance >= 1.0
+            skew = skew_stats(step.source_rows.values())
+            assert step.source_skew_cov == skew.cov
+            assert step.source_skew_imbalance == skew.imbalance >= 1.0
 
     def test_metrics_registry_populated(self, session, profile):
         del profile  # computed by the fixture against the same session
@@ -108,15 +114,41 @@ class TestProfileContents:
     def test_events_decode_back_to_the_profile_records(self, profile):
         """What was written is what is read: each JSON event decodes to
         the record it was written from."""
-        records = ([profile.event()]
-                   + [step.event() for step in profile.steps]
-                   + [op.event() for op in profile.operators])
+        records = [profile.event(), *profile.steps, *profile.operators]
         errors = []
         decoded = [decode_event(json.loads(json.dumps(event)), errors)
                    for event in profile_to_events(profile)]
         assert errors == []
         assert decoded == records
         assert decoded[0].steps == len(profile.steps)
+
+
+SHUFFLE_SQL = "SELECT o_custkey, COUNT(*) AS n FROM orders GROUP BY o_custkey"
+
+
+@pytest.fixture(scope="module", params=[3, 4], ids=lambda n: f"{n}nodes")
+def sized_session(request):
+    return PdwSession(scale=0.001, node_count=request.param)
+
+
+@pytest.mark.parametrize("sql", [SHUFFLE_SQL, JOIN_SQL],
+                         ids=["shuffle", "join"])
+def test_step_and_operator_events_decode_to_the_rows_written(
+        sized_session, sql):
+    """A profile's rows are its events: every ``step`` / ``operator``
+    event decodes to a :class:`StepProfile` / :class:`OperatorProfile`
+    equal to the row it was written from."""
+    profile = sized_session.profile(sql)
+    assert any(step.transfers for step in profile.steps)
+    assert profile.operators
+    errors = []
+    decoded = [decode_event(json.loads(json.dumps(event)), errors)
+               for event in profile_to_events(profile)[1:]]
+    assert errors == []
+    assert [type(record) for record in decoded] == \
+        [StepProfile] * len(profile.steps) \
+        + [OperatorProfile] * len(profile.operators)
+    assert decoded == [*profile.steps, *profile.operators]
 
 
 class TestResultsUnchanged:
@@ -201,7 +233,7 @@ class TestStepRowsOneWriter:
         (record,) = session.requests.completed()
         series = session.metrics.snapshot()["pdw_step_rows_total"]
         assert sum(series.values()) == sum(
-            sum(step.node_rows.values()) for step in record.steps) > 0
+            sum(step.stats.node_rows.values()) for step in record.steps) > 0
         vocabulary = {op.value for op in DmsOperation} | {"return"}
         assert {dict(labels)["op"] for labels in series} <= vocabulary
 

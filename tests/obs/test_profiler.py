@@ -7,6 +7,7 @@ from repro.obs.profiler import (
     CONTROL_NODE,
     OperatorEstimate,
     OperatorObserver,
+    Transfer,
     build_query_profile,
     fragment_operator_estimates,
     operator_kind,
@@ -242,7 +243,7 @@ class TestBuildQueryProfile:
                                       dms_seconds=0.4)
         assert profile.node_count == 2
         sp = profile.steps[0]
-        assert sp.index == 0
+        assert sp.step == 0
         assert sp.kind == "DMS"
         assert sp.operation == "ShuffleMove(c)"
         assert sp.estimated_rows == 50
@@ -254,7 +255,8 @@ class TestBuildQueryProfile:
         assert sp.q_error == 2.0
         assert sp.source_rows == {0: 60, 1: 40}
         assert sp.received_bytes == {0: 400, 1: 600}
-        assert sp.transfers[(0, 1)] == (60, 600)
+        assert sp.transfers == (Transfer(0, 1, 60, 600),
+                                Transfer(1, 0, 40, 400))
 
     def test_step_profile_is_the_step_level_join(self):
         """The Query Store's row: the step-level columns of the full
@@ -267,13 +269,16 @@ class TestBuildQueryProfile:
             transfers={(0, 1): [60, 600], (1, 0): [40, 400]})
         full = build_query_profile([step], [stats], node_count=2).steps[0]
         light = step_profile(step, stats)
-        for name in ("index", "kind", "operation", "estimated_rows",
+        for name in ("step", "kind", "operation", "estimated_rows",
                      "actual_rows", "estimated_bytes", "actual_bytes",
                      "estimated_seconds", "actual_seconds", "q_error"):
             assert getattr(light, name) == getattr(full, name)
         assert light.source_rows == light.received_bytes == {}
-        assert light.transfers == {} and light.operators == []
-        assert light.source_skew == light.receive_skew == skew_stats([])
+        assert light.transfers == ()
+        no_skew = skew_stats([])
+        assert light.source_skew_cov == light.receive_skew_cov \
+            == no_skew.cov
+        assert light.source_skew_imbalance == no_skew.imbalance
 
     def test_return_step_uses_network_bytes(self):
         step = FakeStep(1, estimated_rows=3)
@@ -308,7 +313,7 @@ class TestBuildQueryProfile:
             1: [("Get", "Get(a)", 30), ("GroupBy", "GB", 2)],
         })
         profile = build_query_profile([step], [stats], node_count=2)
-        ops = profile.steps[0].operators
+        ops = profile.operators
         assert [(o.kind, o.actual_rows, o.estimated_rows) for o in ops] \
             == [("Get", 80, 80.0), ("GroupBy", 4, 4.0)]
         assert all(o.q_error == 1.0 for o in ops)
@@ -322,7 +327,7 @@ class TestBuildQueryProfile:
         step = FakeStep(0, operator_estimates=estimates)
         stats = FakeStats(node_operators={0: [("Get", "Get(a)", 80)]})
         profile = build_query_profile([step], [stats], node_count=1)
-        ops = profile.steps[0].operators
+        ops = profile.operators
         assert len(ops) == 1
         assert ops[0].estimated_rows is None
         assert ops[0].q_error is None
@@ -335,7 +340,7 @@ class TestBuildQueryProfile:
         stats = FakeStats(node_operators={
             n: [("Get", "Get(r)", 10)] for n in range(4)})
         profile = build_query_profile([step], [stats], node_count=4)
-        op = profile.steps[0].operators[0]
+        op = profile.operators[0]
         assert op.actual_rows == 40
         assert op.q_error == 1.0
 
@@ -346,8 +351,8 @@ class TestBuildQueryProfile:
         stats = FakeStats(rows_moved=10)
         profile = build_query_profile([step], [stats], node_count=2)
         sp = profile.steps[0]
-        assert sp.operators == []
-        assert sp.transfers == {}
+        assert profile.operators == []
+        assert sp.transfers == ()
         assert sp.q_error == 1.0
 
     def test_q_error_summary_spans_steps_and_operators(self):

@@ -104,25 +104,26 @@ class TestLifecycle:
         assert record.status == "moving data"  # DMS step
         assert record.current_step == 0
 
-        # Per-node progress arrives with the step's stats, at its end.
-        assert record.steps[0].node_rows == {}
+        # Per-node progress arrives with the step's stats, at its end;
+        # until then the step reads as zeros.
+        pending = record.steps[0].stats
+        assert (pending.rows_moved, pending.moved_bytes(),
+                pending.elapsed_seconds, pending.wall_seconds) == (0, 0, 0, 0)
+        assert pending.node_rows == {}
 
-        handle.end_step(0, FakeStats())
+        stats = FakeStats()
+        handle.end_step(0, stats)
         assert record.status == "running"
         assert record.steps[0].status == "complete"
-        assert record.steps[0].rows_moved == 10
-        assert record.steps[0].bytes_moved == 400
-        assert record.steps[0].node_rows == {2: 10}
-        assert record.steps[0].node_bytes == {2: 400}  # reader bytes
-        assert record.steps[0].node_wall_seconds == {2: 0.01}
+        assert record.steps[0].stats is stats  # kept, not copied
+        assert stats.moved_node_bytes() == {2: 400}  # reader bytes
 
         handle.begin_step(1)
         assert record.status == "running"  # Return step, not DMS
         handle.end_step(1, FakeStats(rows=4, operation=None, nbytes=55,
                                      node=3))
-        assert record.steps[1].bytes_moved == 55  # network bytes sum
-        assert record.steps[1].node_rows == {3: 4}
-        assert record.steps[1].node_bytes == {3: 55}  # network bytes
+        assert record.steps[1].stats.moved_bytes() == 55  # network bytes
+        assert record.steps[1].stats.moved_node_bytes() == {3: 55}
 
         handle.complete(rows=4, cache_hit=True, queue_seconds=0.1,
                         compile_seconds=0.2, execute_seconds=0.3,

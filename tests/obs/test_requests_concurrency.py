@@ -83,7 +83,7 @@ def test_concurrent_reads_during_service_hammer(service):
     assert sum(snapshot["pdw_service_queries_total"].values()) == \
         finished.get("complete", 0) + finished.get("failed", 0)
     assert sum(snapshot["pdw_step_rows_total"].values()) == sum(
-        sum(step.node_rows.values())
+        sum(step.stats.node_rows.values())
         for record in service.requests.completed()
         if record.status == "complete" for step in record.steps)
     result = service.execute(

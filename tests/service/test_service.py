@@ -206,6 +206,30 @@ class TestConcurrencyHammer:
         finally:
             service.close()
 
+    def test_distinct_shapes_leave_no_per_shape_state(self, tpch):
+        """A compiled shape leaves nothing on the service but its
+        plan-cache entry, which the cache bounds: never-seen shapes
+        grow none of the service's own containers."""
+        appliance, shell = tpch
+        service = PdwService(appliance=appliance, shell=shell,
+                             plan_cache_size=4)
+
+        def sizes():
+            return {name: len(value)
+                    for name, value in vars(service).items()
+                    if isinstance(value, (dict, list, set))}
+
+        shape = "SELECT n_name AS c{} FROM nation WHERE n_nationkey < 5"
+        try:
+            service.execute(shape.format(0))
+            before = sizes()
+            for i in range(1, 21):
+                assert not service.execute(shape.format(i)).cache_hit
+            assert sizes() == before
+            assert len(service.plan_cache) == 4
+        finally:
+            service.close()
+
     def test_no_temp_tables_leak(self, tpch):
         appliance, shell = tpch
         service = PdwService(appliance=appliance, shell=shell,
